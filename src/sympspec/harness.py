@@ -51,6 +51,7 @@ from .functionals import SHIPPED
 from .inequalities import (
     additive_trial_records,
     majorize,
+    make_record,
     multiplicative_trial_records,
     random_dominated_pair,
     random_majorization_pair,
@@ -138,26 +139,7 @@ def _jsonable(obj):
 
 
 def _rec(trial, n, name, lhs, rhs, direction, tol, instance=None):
-    lhs, rhs, tol = float(lhs), float(rhs), float(tol)
-    if direction == "ge":
-        slack = lhs - rhs
-    elif direction == "le":
-        slack = rhs - lhs
-    else:
-        slack = tol - abs(lhs - rhs)
-        tol = 0.0
-    return {
-        "trial": int(trial),
-        "n": int(n),
-        "name": name,
-        "lhs": lhs,
-        "rhs": rhs,
-        "direction": direction,
-        "slack": float(slack),
-        "tol": tol,
-        "passed": bool(slack >= -tol),
-        "instance": _jsonable(instance or {}),
-    }
+    return _from_inequality(trial, n, make_record(name, lhs, rhs, direction, tol, instance))
 
 
 def _from_inequality(trial, n, rec):
