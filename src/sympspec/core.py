@@ -20,7 +20,6 @@ from .linalg import (
     check_square,
     check_symmetric,
     fnorm,
-    pd_sqrt_invsqrt,
     skew_canonical,
 )
 
@@ -105,27 +104,33 @@ class WilliamsonDecomposition:
         return np.diag(np.concatenate([self.d, self.d]))
 
 
+def _cholesky_skew(a):
+    """Cholesky factor L of A = L L.T and the skew matrix L.T J L.
+
+    i L.T J L is Hermitian with eigenvalues -d and d, where d is the
+    symplectic spectrum of A, because L.T J L is similar to J A.
+    """
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError(f"matrix is not positive definite: {exc}") from None
+    k = low.T @ apply_form(low)
+    return low, 0.5 * (k - k.T)
+
+
 def williamson(a, tol_a=WILLIAMSON_RTOL_A, tol_j=WILLIAMSON_TOL_J):
     """Symplectic diagonalization of a positive definite matrix.
 
-    Reduces A^(-1/2) J A^(-1/2) to skew canonical form and undoes the
-    square-root scaling.  The returned basis M satisfies both defining
-    identities to the stated tolerances or the call raises.
+    Factors A = L L.T, reduces L.T J L to skew canonical form with
+    orthogonal Q, and sets M = L^(-T) Q diag(sqrt(d), sqrt(d)).  The
+    returned basis M satisfies both defining identities to the stated
+    tolerances or the call raises.
     """
     a, _, _ = check_positive_definite(a)
     n = half_dim(a)
-    _, inv_root = pd_sqrt_invsqrt(a)
-
-    k = inv_root @ apply_form(inv_root)
-    k = 0.5 * (k - k.T)
-    q, omega = skew_canonical(k)
-
-    # Angles of K are reciprocals of the spectrum, so reverse to ascend.
-    d = 1.0 / omega[::-1]
-    qu = q[:, :n][:, ::-1]
-    qw = q[:, n:][:, ::-1]
-    scale = np.sqrt(d)
-    m = inv_root @ np.hstack([qu * scale, qw * scale])
+    low, k = _cholesky_skew(a)
+    q, d = skew_canonical(k)
+    m = scipy.linalg.solve_triangular(low.T, q * np.tile(np.sqrt(d), 2), lower=False)
 
     normal = np.diag(np.concatenate([d, d]))
     residual_a = fnorm(m.T @ a @ m - normal) / max(1.0, fnorm(normal))
@@ -145,7 +150,7 @@ def symplectic_eigenvalues(a, method="skew-canonical"):
     """Ascending symplectic spectrum of a positive definite matrix.
 
     Methods:
-      skew-canonical  angles of A^(1/2) J A^(1/2)
+      skew-canonical  positive eigenvalues of i L.T J L, where A = L L.T
       ja-eigen        imaginary parts of the spectrum of J A
       williamson      spectrum reported by the full decomposition
     """
@@ -160,10 +165,7 @@ def symplectic_eigenvalues(a, method="skew-canonical"):
         imag = np.sort(np.abs(vals.imag))
         # Spectrum comes in +/- pairs; average the two copies of each d.
         return 0.5 * (imag[::2] + imag[1::2])
-    root, _ = pd_sqrt_invsqrt(a)
-    k = root @ apply_form(root)
-    k = 0.5 * (k - k.T)
-    _, d = skew_canonical(k)
+    _, d = skew_canonical(_cholesky_skew(a)[1])
     return d
 
 

@@ -13,7 +13,6 @@ import numpy as np
 from .errors import NumericalContractError, ValidationError
 
 RANK_RTOL = 1e-10
-CLUSTER_RTOL = 1e-8
 INTERSECT_COS_TOL = 1e-8
 
 
@@ -173,9 +172,10 @@ def skew_canonical(k, tol=1e-9):
     """Orthogonal reduction of a nonsingular skew-symmetric matrix.
 
     Returns (q, d) with q orthogonal, d ascending positive, and
-    q.T K q = [[0, diag(d)], [-diag(d), 0]].  Eigenvector clusters of
-    K.T K are paired as (u, -K u / ||K u||); per-pair norms keep the
-    pairing relation exact even inside near-degenerate clusters.
+    q.T K q = [[0, diag(d)], [-diag(d), 0]].  The Hermitian matrix i K
+    has eigenvalues -d and d; an eigenvector z for d_j gives the pair
+    (u_j, w_j) = sqrt(2) (Im z, Re z), so degenerate clusters need no
+    separate treatment.
     """
     k = check_square(k, "skew input")
     dim = k.shape[0]
@@ -188,61 +188,26 @@ def skew_canonical(k, tol=1e-9):
         )
     k = 0.5 * (k - k.T)
 
-    gram = k.T @ k
-    w, vecs = sym_eig(gram)
-    sing = np.sqrt(np.maximum(w, 0.0))
-    if sing[0] <= RANK_RTOL * sing[-1]:
+    m = dim // 2
+    try:
+        w, z = np.linalg.eigh(1j * k)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalContractError(f"Hermitian eigensolve failed: {exc}") from exc
+    d = w[m:]
+    if d[0] <= RANK_RTOL * d[-1]:
         raise ValidationError(
             "skew matrix is numerically singular: singular values span "
-            f"[{sing[0]:.3e}, {sing[-1]:.3e}]"
+            f"[{d[0]:.3e}, {d[-1]:.3e}]"
         )
+    zp = z[:, m:]
+    q = np.sqrt(2.0) * np.hstack([zp.imag, zp.real])
 
-    # Cluster on singular-value gaps relative to the spectral norm.
-    splits = np.nonzero(np.diff(sing) > CLUSTER_RTOL * sing[-1])[0] + 1
-    groups = np.split(np.arange(dim), splits)
-
-    us = []
-    ws = []
-    ds = []
-    for idx in groups:
-        if len(idx) % 2 == 1:
-            raise NumericalContractError(
-                f"odd eigenvalue cluster of size {len(idx)} near {sing[idx[0]]:.6e}; "
-                "cluster separation is ill-defined for this input"
-            )
-        block = vecs[:, idx].copy()
-        while block.shape[1] > 0:
-            u = block[:, 0]
-            ku = k @ u
-            d = fnorm(ku)
-            if d == 0.0:
-                raise NumericalContractError("zero pairing norm inside skew cluster")
-            wv = -ku / d
-            us.append(u)
-            ws.append(wv)
-            ds.append(d)
-            rest = block[:, 1:]
-            if rest.shape[1] == 0:
-                break
-            rest = rest - np.outer(u, u @ rest) - np.outer(wv, wv @ rest)
-            uu, ss, _ = np.linalg.svd(rest, full_matrices=False)
-            keep = int(np.sum(ss > 0.5))
-            if keep != rest.shape[1] - 1:
-                raise NumericalContractError(
-                    f"skew cluster deflation kept {keep} of {rest.shape[1]} columns"
-                )
-            block = uu[:, :keep]
-
-    order = np.argsort(ds, kind="stable")
-    d = np.asarray(ds)[order]
-    q = np.column_stack([np.column_stack(us)[:, order], np.column_stack(ws)[:, order]])
-
-    # Nearly degenerate clusters leave O(eps/gap) cross terms in q; the
-    # polar correction restores orthogonality without moving the span.
+    # Re z and Im z are orthogonal because z and conj(z) are eigenvectors
+    # for d_j and -d_j, but in floating point only to about eps ||K|| / d_1;
+    # the polar factor replaces q by the nearest orthogonal matrix.
     w_q, v_q = sym_eig(q.T @ q)
     q = q @ (v_q * (1.0 / np.sqrt(w_q))) @ v_q.T
 
-    m = dim // 2
     canon = np.zeros((dim, dim))
     canon[:m, m:] = np.diag(d)
     canon[m:, :m] = -np.diag(d)

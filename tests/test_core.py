@@ -25,6 +25,26 @@ RNG = np.random.default_rng(202)
 
 METHODS = ("skew-canonical", "ja-eigen", "williamson")
 
+# Planted symplectic spectra that the Wishart draws of the harness never
+# produce: a cluster 1e-9 wide, a wide log spread, and one tiny value.
+PLANTED = {
+    "cluster": lambda n, rng: rng.uniform(0.5, 2.0) + 1e-9 * np.arange(n),
+    "log-spread-3": lambda n, rng: np.logspace(-3.0, 3.0, n),
+    "log-spread-4": lambda n, rng: np.logspace(-4.0, 4.0, n),
+    "near-singular": lambda n, rng: np.concatenate(
+        [[1e-7], np.sort(rng.uniform(0.5, 2.0, n - 1))]
+    ),
+}
+
+
+def _planted_cases(family, count=40):
+    """(A, d0) pairs with n = 2..7 and symplectic spectrum d0."""
+    rng = np.random.default_rng(2024)
+    for i in range(count):
+        n = 2 + i % 6
+        d0 = np.sort(PLANTED[family](n, rng))
+        yield random_pd(n, rng, spectrum=d0), d0
+
 
 def test_form_matrix_structure():
     j = symplectic_form(2)
@@ -79,6 +99,32 @@ def test_williamson_rejects_non_pd():
         williamson(np.diag([1.0, -1.0, 1.0, 1.0]))
     with pytest.raises(ValidationError):
         williamson(np.eye(3))
+
+
+@pytest.mark.parametrize("family", ["cluster", "log-spread-4", "near-singular"])
+def test_skew_canonical_recovers_planted_spectrum(family):
+    for a, d0 in _planted_cases(family):
+        d = symplectic_eigenvalues(a, method="skew-canonical")
+        assert np.all(np.abs(d - d0) <= 1e-6 * d0)
+
+
+@pytest.mark.parametrize("family", ["cluster", "log-spread-3"])
+def test_williamson_recovers_planted_spectrum(family):
+    for a, d0 in _planted_cases(family):
+        dec = williamson(a)
+        assert np.all(np.abs(dec.d - d0) <= 1e-6 * d0)
+
+
+def test_cholesky_failure_is_a_validation_error(monkeypatch):
+    def no_factor(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+    a = random_pd(2, RNG)
+    with pytest.raises(ValidationError, match="not positive definite"):
+        williamson(a)
+    with pytest.raises(ValidationError, match="not positive definite"):
+        symplectic_eigenvalues(a, method="skew-canonical")
 
 
 def test_eigenvalue_scaling():

@@ -163,3 +163,12 @@ def test_skew_canonical_rejects_odd_dimension():
 def test_skew_canonical_rejects_singular():
     with pytest.raises((ValidationError, NumericalContractError)):
         skew_canonical(np.zeros((2, 2)))
+
+
+def test_skew_canonical_maps_eigensolver_failure(monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(NumericalContractError, match="eigensolve failed"):
+        skew_canonical(np.array([[0.0, 5.0], [-5.0, 0.0]]))
