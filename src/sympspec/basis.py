@@ -79,10 +79,6 @@ class SymplecticBasis:
     def standard(cls, n):
         return cls(np.eye(2 * n))
 
-    @classmethod
-    def from_symplectic_matrix(cls, m, tol=BASIS_TOL):
-        return cls(np.asarray(m, dtype=float), tol=tol)
-
     @property
     def u(self):
         return self.cols[:, : self.m]
@@ -106,9 +102,6 @@ class SymplecticBasis:
 
     def span_residual(self, x):
         return span_residual(self._span, x)
-
-    def in_span(self, x, tol=MEMBERSHIP_RTOL):
-        return self.span_residual(x) <= tol
 
     def prime(self, x):
         """B-complement x': coordinates (alpha, beta) -> (-beta, alpha)."""
@@ -158,10 +151,6 @@ class BDiagonalOperator:
 
 def b_inner(x, y, basis):
     return basis.b_inner(x, y)
-
-
-def b_complement(x, basis):
-    return basis.prime(x)
 
 
 def _coords_subspace(w, basis, tol=MEMBERSHIP_RTOL):

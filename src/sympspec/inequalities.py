@@ -293,16 +293,6 @@ def additive_trial_records(t, n, rng, tol=1e-9):
     return records
 
 
-def additive_lidskii_suite(trials, n_range, rng, tol=1e-9):
-    """Randomized additive trials; every record is returned, none fatal."""
-    n_min, n_max = n_range
-    records = []
-    for t in range(trials):
-        n = int(rng.integers(n_min, n_max + 1))
-        records.extend(additive_trial_records(t, n, rng, tol=tol))
-    return records
-
-
 def multiplicative_trial_records(t, n, rng, tol=1e-9):
     """Records for one randomized mean trial, with planted equalities.
 
@@ -361,14 +351,4 @@ def multiplicative_trial_records(t, n, rng, tol=1e-9):
                 {"trial": t, "n": n, "note": "informational spread"},
             )
         )
-    return records
-
-
-def multiplicative_lidskii_suite(trials, n_range, rng, tol=1e-9):
-    """Randomized mean trials; every record is returned, none fatal."""
-    n_min, n_max = n_range
-    records = []
-    for t in range(trials):
-        n = int(rng.integers(n_min, n_max + 1))
-        records.extend(multiplicative_trial_records(t, n, rng, tol=tol))
     return records
