@@ -234,9 +234,6 @@ def main(argv=None):
     except (NumericalContractError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -163,6 +163,17 @@ def test_exit_code_3_for_odd_dimension(tmp_path, capsys):
     assert main(["eig", _matrix_file(tmp_path, np.eye(3))]) == 3
 
 
+def test_plain_value_error_propagates(tmp_path, monkeypatch):
+    # Only the package's own error types map to exit codes; any other
+    # ValueError (numpy's LinAlgError included) is a bug and must surface.
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr("sympspec.cli.symplectic_eigenvalues", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["eig", _matrix_file(tmp_path, np.eye(4))])
+
+
 def test_parser_rejects_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["frobnicate"])
