@@ -73,7 +73,6 @@ class SymplecticBasis:
         # Row i of the top block is (J v_i)^T, so it reads off alpha_i;
         # the bottom block reads off beta_i.  Exact left inverse of cols.
         self._coord = np.vstack([apply_form(v).T, -apply_form(u).T])
-        self._span = orthonormal_columns(cols)
 
     @classmethod
     def standard(cls, n):
@@ -87,21 +86,18 @@ class SymplecticBasis:
     def v(self):
         return self.cols[:, self.m :]
 
-    def coords(self, x, check=True, tol=MEMBERSHIP_RTOL):
-        """Coordinates (alpha, beta); rejects vectors outside the span."""
+    def coords(self, x, tol=MEMBERSHIP_RTOL):
+        """Coordinates (alpha, beta) of x; raises unless every column
+        x_j lies in the span: ||x_j - lift(a_j)|| <= tol ||x_j||."""
         x = np.asarray(x, dtype=float)
         a = self._coord @ x
-        if check:
-            nx = fnorm(x)
-            if nx > 0.0 and fnorm(x - self.cols @ a) > tol * nx:
-                raise ValidationError("vector lies outside the basis span")
+        resid = np.linalg.norm(x - self.cols @ a, axis=0)
+        if np.any(resid > tol * np.linalg.norm(x, axis=0)):
+            raise ValidationError("vector lies outside the basis span")
         return a
 
     def lift(self, a):
         return self.cols @ np.asarray(a, dtype=float)
-
-    def span_residual(self, x):
-        return span_residual(self._span, x)
 
     def prime(self, x):
         """B-complement x': coordinates (alpha, beta) -> (-beta, alpha)."""
@@ -153,20 +149,28 @@ def b_inner(x, y, basis):
     return basis.b_inner(x, y)
 
 
-def _coords_subspace(w, basis, tol=MEMBERSHIP_RTOL):
+def _coords_subspace(w, basis):
     """Coordinate-space orthonormal basis of an ambient subspace."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != 2 * basis.n:
         raise ValidationError(f"subspace basis has invalid shape {w.shape}")
-    for j in range(w.shape[1]):
-        if basis.span_residual(w[:, j]) > tol:
-            raise ValidationError("subspace is not contained in the basis span")
-    return orthonormal_columns(basis.coords(w, check=False))
+    return orthonormal_columns(basis.coords(w))
 
 
 def _sharp_std(g):
     """Coordinate-space W-sharp = W intersect W-prime."""
     return subspace_intersect(g, prime_coords(g))
+
+
+def _in_sharp(x, g, tol):
+    """True when the coordinate vector x lies in a nonzero sharp(span g)."""
+    sharp = _sharp_std(g)
+    return sharp.shape[1] > 0 and span_residual(sharp, x) <= tol
+
+
+def _nested(s, t):
+    """True when span(s) lies inside span(t); t has orthonormal columns."""
+    return max_principal_angle(s, t @ (t.T @ s)) <= 1e-7
 
 
 def prime_subspace(w, basis):
@@ -465,8 +469,7 @@ def _validate_tuple_postconditions(tuples_and_chains, tol):
         raise NumericalContractError(f"constructed spans differ by angle {angle:.3e}")
     for cols, chain in ((vs, vchain_c), (ws, wchain_c)):
         for j in range(cols.shape[1]):
-            sharp = _sharp_std(chain[j])
-            if sharp.shape[1] == 0 or span_residual(sharp, cols[:, j]) > tol:
+            if not _in_sharp(cols[:, j], chain[j], tol):
                 raise NumericalContractError(
                     f"constructed vector {j} left its sharp space"
                 )
@@ -495,9 +498,7 @@ def chain_extend(chain, ws, basis, rng, tol=1e-8):
                 f"chain space {j} has dimension {g.shape[1]}, "
                 f"the construction needs at least {m + k - j}"
             )
-        if j > 0 and max_principal_angle(
-            chain_c[j], chain_c[j - 1] @ (chain_c[j - 1].T @ chain_c[j])
-        ) > 1e-7:
+        if j > 0 and not _nested(chain_c[j], chain_c[j - 1]):
             raise ValidationError(f"chain is not decreasing at position {j}")
     ws = np.asarray(ws, dtype=float)
     if ws.ndim != 2 or ws.shape[1] != k - 1:
@@ -513,8 +514,7 @@ def chain_extend(chain, ws, basis, rng, tol=1e-8):
                 f"seed set defects {ortho:.3e}, {skew:.3e}"
             )
         for j in range(k - 1):
-            sharp = _sharp_std(chain_c[j])
-            if sharp.shape[1] == 0 or span_residual(sharp, ws_c[:, j]) > tol:
+            if not _in_sharp(ws_c[:, j], chain_c[j], tol):
                 raise ValidationError(f"seed vector {j} is not in its sharp space")
 
     last_err = None
@@ -528,11 +528,9 @@ def chain_extend(chain, ws, basis, rng, tol=1e-8):
                     f"output tuple defects {ortho:.3e}, {symp:.3e}"
                 )
             for j in range(k):
-                sharp = _sharp_std(chain_c[j])
-                if sharp.shape[1] == 0 or span_residual(sharp, xs_c[:, j]) > tol:
+                if not _in_sharp(xs_c[:, j], chain_c[j], tol):
                     raise NumericalContractError(f"output vector {j} left its sharp space")
-            sharp1 = _sharp_std(chain_c[0])
-            if span_residual(sharp1, v_c) > tol:
+            if not _in_sharp(v_c, chain_c[0], tol):
                 raise NumericalContractError("fresh vector left the first sharp space")
             if ws.shape[1] and float(np.max(np.abs(symplectic_gram(ws_c, v_c[:, None])))) > tol:
                 raise NumericalContractError("fresh vector is not skew-orthogonal to the seeds")
@@ -575,13 +573,9 @@ def dual_chain_construct(vchain, wchain, basis, rng, tol=1e-8):
     if any(idx[j] >= idx[j + 1] for j in range(k - 1)):
         raise ValidationError(f"index set {idx} is not strictly increasing")
     for j in range(1, k):
-        if max_principal_angle(
-            vchain_c[j - 1], vchain_c[j] @ (vchain_c[j].T @ vchain_c[j - 1])
-        ) > 1e-7:
+        if not _nested(vchain_c[j - 1], vchain_c[j]):
             raise ValidationError(f"increasing chain fails nesting at position {j}")
-        if max_principal_angle(
-            wchain_c[j], wchain_c[j - 1] @ (wchain_c[j - 1].T @ wchain_c[j])
-        ) > 1e-7:
+        if not _nested(wchain_c[j], wchain_c[j - 1]):
             raise ValidationError(f"decreasing chain fails nesting at position {j}")
 
     last_err = None

@@ -72,19 +72,28 @@ def symplectic_gram(x, y):
 
 
 def check_positive_definite(a, name="matrix"):
-    """Symmetrize, verify positive definiteness, return (A, wmin, wmax)."""
+    """Symmetrize A and return (A, L) with A = L L.T; the Cholesky
+    factorization is the positive-definiteness test."""
     a = check_symmetric(a, tol=SYM_RTOL, name=name)
-    w = np.linalg.eigvalsh(a)
-    if w[0] <= 0.0:
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
         raise ValidationError(
-            f"{name} is not positive definite: smallest eigenvalue {w[0]:.6e}"
-        )
-    return a, float(w[0]), float(w[-1])
+            f"{name} is not positive definite: Cholesky factorization failed"
+        ) from None
+    return a, low
 
 
 def condition_number(a):
-    _, wmin, wmax = check_positive_definite(a)
-    return wmax / wmin
+    """Spectral condition number of a positive definite matrix."""
+    w = np.linalg.eigvalsh(check_positive_definite(a)[0])
+    # Cholesky also factors matrices that are singular up to rounding,
+    # whose smallest computed eigenvalue can be zero or negative.
+    if w[0] <= 0.0:
+        raise ValidationError(
+            f"matrix is not positive definite: smallest eigenvalue {w[0]:.6e}"
+        )
+    return float(w[-1] / w[0])
 
 
 @dataclass(frozen=True)
@@ -104,18 +113,14 @@ class WilliamsonDecomposition:
         return np.diag(np.concatenate([self.d, self.d]))
 
 
-def _cholesky_skew(a):
-    """Cholesky factor L of A = L L.T and the skew matrix L.T J L.
+def _cholesky_skew(low):
+    """The skew matrix L.T J L for a Cholesky factor L of A = L L.T.
 
     i L.T J L is Hermitian with eigenvalues -d and d, where d is the
     symplectic spectrum of A, because L.T J L is similar to J A.
     """
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError(f"matrix is not positive definite: {exc}") from None
     k = low.T @ apply_form(low)
-    return low, 0.5 * (k - k.T)
+    return 0.5 * (k - k.T)
 
 
 def williamson(a, tol_a=WILLIAMSON_RTOL_A, tol_j=WILLIAMSON_TOL_J):
@@ -126,10 +131,9 @@ def williamson(a, tol_a=WILLIAMSON_RTOL_A, tol_j=WILLIAMSON_TOL_J):
     returned basis M satisfies both defining identities to the stated
     tolerances or the call raises.
     """
-    a, _, _ = check_positive_definite(a)
+    a, low = check_positive_definite(a)
     n = half_dim(a)
-    low, k = _cholesky_skew(a)
-    q, d = skew_canonical(k)
+    q, d = skew_canonical(_cholesky_skew(low))
     m = scipy.linalg.solve_triangular(low.T, q * np.tile(np.sqrt(d), 2), lower=False)
 
     normal = np.diag(np.concatenate([d, d]))
@@ -156,16 +160,16 @@ def symplectic_eigenvalues(a, method="skew-canonical"):
     """
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}, expected one of {METHODS}")
-    a, _, _ = check_positive_definite(a)
-    half_dim(a)
     if method == "williamson":
         return williamson(a).d
+    a, low = check_positive_definite(a)
+    half_dim(a)
     if method == "ja-eigen":
         vals = np.linalg.eigvals(apply_form(a))
         imag = np.sort(np.abs(vals.imag))
         # Spectrum comes in +/- pairs; average the two copies of each d.
         return 0.5 * (imag[::2] + imag[1::2])
-    _, d = skew_canonical(_cholesky_skew(a)[1])
+    _, d = skew_canonical(_cholesky_skew(low))
     return d
 
 
@@ -193,7 +197,7 @@ def compress(a, x, y, tol=TUPLE_TOL):
     other pairings zero.  Returns (A_M, d_M): the compressed matrix in
     the tuple's own coordinates and its symplectic spectrum.
     """
-    a, _, _ = check_positive_definite(a)
+    a = check_positive_definite(a)[0]
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 2 or x.shape[0] != a.shape[0]:

@@ -158,7 +158,7 @@ def _from_inequality(trial, n, rec):
 
 
 def _from_certificate(trial, n, cert):
-    return _rec(
+    rec = _rec(
         trial, n, cert.name, cert.slack, 0.0, "ge", 0.0,
         instance={
             "claimed": cert.claimed_value,
@@ -168,6 +168,9 @@ def _from_certificate(trial, n, cert):
             "n_skipped": cert.n_skipped,
         },
     )
+    # A certificate also fails on too many skipped constructions.
+    rec["passed"] = cert.passed
+    return rec
 
 
 def _draw_n(cfg, rng):

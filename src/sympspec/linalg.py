@@ -100,13 +100,7 @@ def null_space_basis(g, rank_rtol=RANK_RTOL):
 
 def subspace_contains(basis, x, tol=1e-8):
     """True when the vector x lies in the column span of basis."""
-    x = np.asarray(x, dtype=float)
-    nx = fnorm(x)
-    if nx == 0.0:
-        return True
-    q = orthonormal_columns(basis)
-    resid = x - q @ (q.T @ x)
-    return fnorm(resid) <= tol * nx
+    return span_residual(basis, x) <= tol
 
 
 def span_residual(basis, x):

@@ -55,6 +55,17 @@ def test_coords_inverts_lift_in_random_basis():
     assert fnorm(basis.lift(basis.coords(x)) - x) <= 1e-9 * fnorm(x)
 
 
+def test_coords_checks_every_column_against_the_span():
+    basis = SymplecticBasis(np.eye(6)[:, [0, 3]])
+    x = np.tile(np.eye(6)[:, [0]], (1, 10))
+    assert np.allclose(basis.coords(x), np.eye(2)[:, [0]])
+    # One column 2e-8 off the span: the Frobenius total over all ten
+    # columns stays below 1e-8 * ||x||, but that column does not.
+    x[1, 4] = 2e-8
+    with pytest.raises(ValidationError, match="outside the basis span"):
+        basis.coords(x)
+
+
 def test_basis_rejects_non_symplectic_columns():
     with pytest.raises(ValidationError):
         SymplecticBasis(2.0 * np.eye(4))

@@ -1,5 +1,7 @@
 """Form, Williamson decomposition, eigenvalue methods, compression."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from sympspec.core import (
     williamson,
 )
 from sympspec.errors import ValidationError
+from sympspec.inequalities import geometric_mean
 from sympspec.linalg import fnorm
 
 RNG = np.random.default_rng(202)
@@ -235,3 +238,38 @@ def test_as_generator_accepts_seed_and_generator():
 
 def test_condition_number_diagonal():
     assert condition_number(np.diag([1.0, 10.0])) == pytest.approx(10.0)
+
+
+def test_condition_number_of_a_singular_matrix_is_never_negative():
+    # Rank 3 in size 4: Cholesky may factor it through rounding, while
+    # its smallest computed eigenvalue may come out zero or negative.
+    v = np.random.default_rng(14).standard_normal((4, 3))
+    try:
+        cond = condition_number(v @ v.T)
+    except ValidationError:
+        return
+    assert cond > 1e12
+
+
+_INDEFINITE = np.diag([1.0, -1.0, 1.0, 1.0])
+_TUPLE = np.eye(4)[:, [0]], np.eye(4)[:, [2]]
+
+PD_ENTRY_POINTS = {
+    "williamson": williamson,
+    **{f"eig-{m}": partial(symplectic_eigenvalues, method=m) for m in METHODS},
+    "compress": lambda a: compress(a, *_TUPLE),
+    "condition_number": condition_number,
+    "geometric_mean-first": lambda a: geometric_mean(a, np.eye(4)),
+    "geometric_mean-second": lambda a: geometric_mean(np.eye(4), a),
+}
+
+
+@pytest.mark.parametrize("entry", list(PD_ENTRY_POINTS))
+def test_every_entry_point_checks_positive_definiteness(entry):
+    call = PD_ENTRY_POINTS[entry]
+    with pytest.raises(ValidationError, match="not positive definite"):
+        call(_INDEFINITE)
+    asymmetric = np.eye(4)
+    asymmetric[0, 1] = 0.5
+    with pytest.raises(ValidationError, match="not symmetric"):
+        call(asymmetric)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from sympspec.errors import ValidationError
+import sympspec.extremal
+from sympspec.errors import ConstructionError, ValidationError
 from sympspec.harness import (
     DEFAULT_TRIALS,
     SUITE_IDS,
@@ -117,3 +118,14 @@ def test_replay_validates_inputs(tmp_path):
         replay(path, "majorization", 99)
     with pytest.raises(ValidationError):
         replay(tmp_path / "missing.json", "majorization", 0)
+
+
+def test_certificate_record_fails_when_skips_exceed_the_cap(monkeypatch):
+    def never_builds(*args, **kwargs):
+        raise ConstructionError("forced failure")
+
+    monkeypatch.setattr(sympspec.extremal, "dual_chain_construct", never_builds)
+    out = run_suite("wielandt", SuiteConfig(suite="wielandt", trials=2,
+                                            report_path=None))
+    assert out["aggregate"]["n_failed"] == 2
+    assert all(rec["instance"]["n_skipped"] == 3 for rec in out["records"])
