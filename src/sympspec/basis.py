@@ -11,6 +11,12 @@ vectors with plain Euclidean linear algebra.
 Subspaces are passed and returned as ambient matrices with orthonormal
 columns.  Randomized existence steps draw inside explicitly computed
 feasible subspaces and retry on failure.
+
+Every containment check is one projection: y lies in span(g) when
+||y - g g^T y|| is small, with g the orthonormal basis the caller
+already holds (_off_span).  Membership in W# = W intersect W' follows
+the definition, x in W# exactly when x and x' both lie in W, so no check
+computes an intersection; only the constructions do.
 """
 
 from __future__ import annotations
@@ -28,10 +34,8 @@ from .core import (
 from .errors import ConstructionError, NumericalContractError, ValidationError
 from .linalg import (
     fnorm,
-    max_principal_angle,
     null_space_basis,
     orthonormal_columns,
-    span_residual,
     subspace_intersect,
 )
 
@@ -145,10 +149,6 @@ class BDiagonalOperator:
         return float(self.d @ (a[:m] ** 2 + a[m:] ** 2))
 
 
-def b_inner(x, y, basis):
-    return basis.b_inner(x, y)
-
-
 def _coords_subspace(w, basis):
     """Coordinate-space orthonormal basis of an ambient subspace."""
     w = np.asarray(w, dtype=float)
@@ -162,15 +162,22 @@ def _sharp_std(g):
     return subspace_intersect(g, prime_coords(g))
 
 
+def _off_span(y, g):
+    """||y - g g^T y||_F, the part of y outside span(g), 0 for empty y;
+    g has orthonormal columns.  For orthonormal y it bounds the sine of
+    the largest principal angle between span(y) and span(g) from above."""
+    return fnorm(y - g @ (g.T @ y))
+
+
 def _in_sharp(x, g, tol):
-    """True when the coordinate vector x lies in a nonzero sharp(span g)."""
-    sharp = _sharp_std(g)
-    return sharp.shape[1] > 0 and span_residual(sharp, x) <= tol
+    """True when the coordinate vector x lies in sharp(span g), that is
+    when x and x' both lie in span(g); g has orthonormal columns."""
+    return _off_span(np.column_stack([x, prime_coords(x)]), g) <= tol * np.linalg.norm(x)
 
 
 def _nested(s, t):
-    """True when span(s) lies inside span(t); t has orthonormal columns."""
-    return max_principal_angle(s, t @ (t.T @ s)) <= 1e-7
+    """True when span(s) lies inside span(t); both have orthonormal columns."""
+    return _off_span(s, t) <= 1e-7
 
 
 def prime_subspace(w, basis):
@@ -199,12 +206,11 @@ def subspace_prime_sharp(w, basis):
             f"sharp space has odd dimension {sharp_c.shape[1]}; "
             "intersection is numerically ambiguous for this input"
         )
-    if sharp_c.shape[1] > 0:
-        angle = max_principal_angle(sharp_c, prime_coords(sharp_c))
-        if angle > 1e-7:
-            raise NumericalContractError(
-                f"sharp space is not prime-invariant: angle {angle:.3e}"
-            )
+    resid = _off_span(prime_coords(sharp_c), sharp_c)
+    if resid > 1e-7:
+        raise NumericalContractError(
+            f"sharp space is not prime-invariant: residual {resid:.3e}"
+        )
     w_prime = orthonormal_columns(basis.lift(pc))
     w_sharp = orthonormal_columns(basis.lift(sharp_c))
     return w_prime, w_sharp
@@ -230,9 +236,8 @@ def symplectic_complement(s, ambient=None, tol=1e-8):
         raise ValidationError(
             f"ambient subspace is not symplectic: form degeneracy {sing[-1]:.3e}"
         )
-    for j in range(so.shape[1]):
-        if span_residual(amb, so[:, j]) > tol:
-            raise ValidationError("subspace is not contained in the ambient space")
+    if _off_span(so, amb) > tol:
+        raise ValidationError("subspace is not contained in the ambient space")
     coeff = null_space_basis(symplectic_gram(so, amb))
     out = amb @ coeff
     if so.shape[1] + out.shape[1] != amb.shape[1]:
@@ -325,9 +330,9 @@ def same_span_trace_check(a, x_set, v_set, basis, d=None, span_tol=1e-8, rtol=1e
                 f"{name} tuple is not B-orthosymplectic: "
                 f"defects {ortho:.3e}, {symp:.3e}"
             )
-    angle = max_principal_angle(xf, vf)
-    if angle > span_tol:
-        raise ValidationError(f"tuple spans differ: principal angle {angle:.3e}")
+    resid = _off_span(xf, vf)
+    if resid > span_tol:
+        raise ValidationError(f"tuple spans differ: residual {resid:.3e}")
 
     xa = basis.lift(xf)
     va = basis.lift(vf)
@@ -453,26 +458,29 @@ def _dual_chain_std(vchain, wchain, rng):
     return np.hstack([vs, vk[:, None]]), ws_new
 
 
-def _validate_tuple_postconditions(tuples_and_chains, tol):
-    """Membership, orthosymplecticity, and span equality of built tuples."""
-    (vs, vchain_c), (ws, wchain_c) = tuples_and_chains
-    vf = np.hstack([vs, prime_coords(vs)])
-    wf = np.hstack([ws, prime_coords(ws)])
-    for t in (vf, wf):
-        ortho, symp = _tuple_defects(t)
-        if max(ortho, symp) > tol:
-            raise NumericalContractError(
-                f"constructed tuple defects {ortho:.3e}, {symp:.3e}"
-            )
-    angle = max_principal_angle(vf, wf)
-    if angle > tol:
-        raise NumericalContractError(f"constructed spans differ by angle {angle:.3e}")
-    for cols, chain in ((vs, vchain_c), (ws, wchain_c)):
-        for j in range(cols.shape[1]):
-            if not _in_sharp(cols[:, j], chain[j], tol):
-                raise NumericalContractError(
-                    f"constructed vector {j} left its sharp space"
-                )
+def _check_built(cols, chain, tol, what):
+    """Raise unless cols with its primes is B-orthosymplectic and each
+    cols[:, j] lies in sharp(chain[j]); returns the tuple with primes."""
+    full = np.hstack([cols, prime_coords(cols)])
+    ortho, symp = _tuple_defects(full)
+    if max(ortho, symp) > tol:
+        raise NumericalContractError(f"{what} tuple defects {ortho:.3e}, {symp:.3e}")
+    for j in range(cols.shape[1]):
+        if not _in_sharp(cols[:, j], chain[j], tol):
+            raise NumericalContractError(f"{what} vector {j} left its sharp space")
+    return full
+
+
+def _rebuild(build, what):
+    """Result of the first of MAX_REBUILDS calls of build that raises no
+    construction or contract error."""
+    last_err = None
+    for _ in range(MAX_REBUILDS):
+        try:
+            return build()
+        except (ConstructionError, NumericalContractError) as exc:
+            last_err = exc
+    raise ConstructionError(f"{what} failed after retries: {last_err}")
 
 
 def chain_extend(chain, ws, basis, rng, tol=1e-8):
@@ -517,31 +525,20 @@ def chain_extend(chain, ws, basis, rng, tol=1e-8):
             if not _in_sharp(ws_c[:, j], chain_c[j], tol):
                 raise ValidationError(f"seed vector {j} is not in its sharp space")
 
-    last_err = None
-    for _ in range(MAX_REBUILDS):
-        try:
-            v_c, xs_c = _chain_extend_std(chain_c, ws_c, rng)
-            vf = np.hstack([xs_c, prime_coords(xs_c)])
-            ortho, symp = _tuple_defects(vf)
-            if max(ortho, symp) > tol:
-                raise NumericalContractError(
-                    f"output tuple defects {ortho:.3e}, {symp:.3e}"
-                )
-            for j in range(k):
-                if not _in_sharp(xs_c[:, j], chain_c[j], tol):
-                    raise NumericalContractError(f"output vector {j} left its sharp space")
-            if not _in_sharp(v_c, chain_c[0], tol):
-                raise NumericalContractError("fresh vector left the first sharp space")
-            if ws.shape[1] and float(np.max(np.abs(symplectic_gram(ws_c, v_c[:, None])))) > tol:
-                raise NumericalContractError("fresh vector is not skew-orthogonal to the seeds")
-            target = np.hstack([ws_c, prime_coords(ws_c), v_c[:, None], prime_coords(v_c)[:, None]])
-            angle = max_principal_angle(vf, target)
-            if angle > tol:
-                raise NumericalContractError(f"output span is off by angle {angle:.3e}")
-            return basis.lift(v_c), basis.lift(xs_c)
-        except (ConstructionError, NumericalContractError) as exc:
-            last_err = exc
-    raise ConstructionError(f"chain extension failed after retries: {last_err}")
+    def build():
+        v_c, xs_c = _chain_extend_std(chain_c, ws_c, rng)
+        xf = _check_built(xs_c, chain_c, tol, "output")
+        if not _in_sharp(v_c, chain_c[0], tol):
+            raise NumericalContractError("fresh vector left the first sharp space")
+        if ws.shape[1] and float(np.max(np.abs(symplectic_gram(ws_c, v_c[:, None])))) > tol:
+            raise NumericalContractError("fresh vector is not skew-orthogonal to the seeds")
+        target = np.hstack([ws_c, prime_coords(ws_c), v_c[:, None], prime_coords(v_c)[:, None]])
+        resid = _off_span(target, xf)
+        if resid > tol:
+            raise NumericalContractError(f"output span is off by residual {resid:.3e}")
+        return basis.lift(v_c), basis.lift(xs_c)
+
+    return _rebuild(build, "chain extension")
 
 
 def dual_chain_construct(vchain, wchain, basis, rng, tol=1e-8):
@@ -578,14 +575,13 @@ def dual_chain_construct(vchain, wchain, basis, rng, tol=1e-8):
         if not _nested(wchain_c[j], wchain_c[j - 1]):
             raise ValidationError(f"decreasing chain fails nesting at position {j}")
 
-    last_err = None
-    for _ in range(MAX_REBUILDS):
-        try:
-            vs_c, ws_c = _dual_chain_std(vchain_c, wchain_c, rng)
-            _validate_tuple_postconditions(
-                ((vs_c, vchain_c), (ws_c, wchain_c)), tol
-            )
-            return basis.lift(vs_c), basis.lift(ws_c)
-        except (ConstructionError, NumericalContractError) as exc:
-            last_err = exc
-    raise ConstructionError(f"dual chain construction failed after retries: {last_err}")
+    def build():
+        vs_c, ws_c = _dual_chain_std(vchain_c, wchain_c, rng)
+        vf = _check_built(vs_c, vchain_c, tol, "constructed")
+        wf = _check_built(ws_c, wchain_c, tol, "constructed")
+        resid = _off_span(vf, wf)
+        if resid > tol:
+            raise NumericalContractError(f"constructed spans differ by residual {resid:.3e}")
+        return basis.lift(vs_c), basis.lift(ws_c)
+
+    return _rebuild(build, "dual chain construction")

@@ -18,6 +18,7 @@ import numpy as np
 from .basis import (
     SymplecticBasis,
     _coords_subspace,
+    _rebuild,
     _sharp_std,
     _unit_in,
     dual_chain_construct,
@@ -40,7 +41,6 @@ from .linalg import null_space_basis, orthonormal_columns, subspace_intersect
 
 PAIR_FLOOR = 1e-6
 SAMPLE_RETRIES = 50
-WITNESS_RETRIES = 3
 
 
 def _quad(a, x):
@@ -177,30 +177,27 @@ def poincare_witness(a, m_sub, basis, d=None, rng=None, tol=1e-9):
     mc = _coords_subspace(m_sub, basis)
     nc = np.eye(2 * n)[:, : n + k]
     bound = float(d[k - 1])
-    last_err = None
-    for _ in range(WITNESS_RETRIES):
-        try:
-            f = subspace_intersect(mc, nc)
-            if f.shape[1] == 0:
-                raise ConstructionError("canonical intersection is empty")
-            g = _sharp_std(f)
-            if g.shape[1] == 0:
-                raise ConstructionError("no invariant plane in the intersection")
-            uc = _unit_in(g, rng)
-            u = basis.lift(uc)
-            v = basis.lift(prime_coords(uc))
-            pairing = symplectic_inner(u, v)
-            if abs(pairing - 1.0) > 1e-8:
-                raise ConstructionError(f"witness pairing {pairing:.3e} is off")
-            value = 0.5 * (_quad(a, u) + _quad(a, v))
-            if value > bound + tol * max(1.0, bound):
-                raise NumericalContractError(
-                    f"witness energy {value:.12e} exceeds {bound:.12e}"
-                )
-            return u, v
-        except (ConstructionError, NumericalContractError) as exc:
-            last_err = exc
-    raise ConstructionError(f"witness search failed: {last_err}")
+    g = _sharp_std(subspace_intersect(mc, nc))
+    if g.shape[1] == 0:
+        raise ConstructionError(
+            "witness search failed: no invariant plane in the canonical intersection"
+        )
+
+    def draw():
+        uc = _unit_in(g, rng)
+        u = basis.lift(uc)
+        v = basis.lift(prime_coords(uc))
+        pairing = symplectic_inner(u, v)
+        if abs(pairing - 1.0) > 1e-8:
+            raise ConstructionError(f"witness pairing {pairing:.3e} is off")
+        value = 0.5 * (_quad(a, u) + _quad(a, v))
+        if value > bound + tol * max(1.0, bound):
+            raise NumericalContractError(
+                f"witness energy {value:.12e} exceeds {bound:.12e}"
+            )
+        return u, v
+
+    return _rebuild(draw, "witness search")
 
 
 @dataclass
@@ -229,8 +226,11 @@ class ExtremalCertificate:
 
 
 def _finish(name, claimed, sampled_min, witness_max, equality_gap, slacks,
-            achieved_at, n_samples, n_chains, n_skipped, skip_cap, details):
+            achieved_at, n_samples, n_chains, n_skipped, details):
+    """Certificate with the worst slack; it also fails when more than half
+    of the attempted constructions (chains, else samples) were skipped."""
     slack = float(min(slacks)) if slacks else 0.0
+    skip_cap = max(1, (n_chains or n_samples) // 2)
     passed = bool(slack >= 0.0 and n_skipped <= skip_cap)
     return ExtremalCertificate(
         name=name,
@@ -297,7 +297,6 @@ def maxmin_check(a, k, samples=40, n_subspaces=20, rng=None, tol=1e-9, eq_tol=1e
     return _finish(
         f"maxmin-{k}", claimed, sampled_min, witness_max, equality_gap,
         slacks, f"eigen pair {k}", samples, n_subspaces, n_skipped,
-        max(1, n_subspaces // 2),
         {"sampled_values": values, "witness_values": witness_vals,
          "eigenvalues": d.tolist(), "k": k},
     )
@@ -362,7 +361,6 @@ def wielandt_certify(a, index_set, n_chains=20, samples=40, rng=None,
     return _finish(
         "wielandt", claimed, sampled_min, witness_max, equality_gap,
         slacks, f"eigen tuple {idx.tolist()}", samples, n_chains, n_skipped,
-        max(1, n_chains // 2),
         {"index_set": idx.tolist(), "sampled_values": values,
          "witness_values": witness_vals, "trace_residuals": trace_residuals,
          "eigenvalues": d.tolist()},
@@ -444,7 +442,7 @@ def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
     return _finish(
         f"phi-extremal-{phi.name}", claimed, sampled_min, witness_max,
         equality_gap, slacks, f"eigen tuple {idx.tolist()}", 1, n_chains,
-        n_skipped, max(1, n_chains // 2), details,
+        n_skipped, details,
     )
 
 
@@ -489,7 +487,6 @@ def det_product_check(a, index_set, samples=20, rng=None, tol_rel=1e-8, eq_tol=1
     return _finish(
         "det-product", claimed_log, sampled_min, None, equality_gap, slacks,
         f"eigen tuple {idx.tolist()}", samples, 0, n_skipped,
-        max(1, samples // 2),
         {"index_set": idx.tolist(), "log_determinants": sampled,
          "eigenvalues": d.tolist()},
     )

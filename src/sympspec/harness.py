@@ -49,6 +49,7 @@ from .extremal import (
 )
 from .functionals import SHIPPED
 from .inequalities import (
+    _index_set,
     additive_trial_records,
     majorize,
     make_record,
@@ -177,12 +178,6 @@ def _draw_n(cfg, rng):
     return int(rng.integers(cfg.n_min, cfg.n_max + 1))
 
 
-def _draw_index_set(n, rng, cap=None):
-    k_max = n if cap is None else min(n, cap)
-    k = int(rng.integers(1, k_max + 1))
-    return np.sort(rng.choice(np.arange(1, n + 1), size=k, replace=False))
-
-
 def _trial_williamson(t, cfg, rng):
     n = _draw_n(cfg, rng)
     if t % 3 == 2:
@@ -239,7 +234,7 @@ def _trial_maxmin(t, cfg, rng):
 def _trial_wielandt(t, cfg, rng):
     n = _draw_n(cfg, rng)
     a = random_pd(n, rng)
-    idx = _draw_index_set(n, rng, cap=4)
+    idx = _index_set(n, rng, cap=4)
     cert = wielandt_certify(a, idx, n_chains=3, samples=6, rng=rng, tol=cfg.tol)
     return [_from_certificate(t, n, cert)]
 
@@ -248,7 +243,7 @@ def _trial_construction(t, cfg, rng):
     n = _draw_n(cfg, rng)
     a = random_pd(n, rng)
     basis = SymplecticBasis(random_symplectic(n, rng))
-    idx = _draw_index_set(n, rng, cap=4)
+    idx = _index_set(n, rng, cap=4)
     vq = random_orthogonal(2 * n, rng)
     wq = random_orthogonal(2 * n, rng)
     vchain = [vq[:, : n + int(i)] for i in idx]
@@ -303,7 +298,7 @@ def _trial_lidskii_mult(t, cfg, rng):
 def _trial_phi(t, cfg, rng):
     n = _draw_n(cfg, rng)
     a = random_pd(n, rng)
-    idx = _draw_index_set(n, rng, cap=4)
+    idx = _index_set(n, rng, cap=4)
     phi = SHIPPED[t % len(SHIPPED)]
     cert = phi_extremal_check(
         a, idx, phi, n_chains=3, rng=rng, tol=cfg.tol, phi_trials=40
@@ -316,7 +311,7 @@ def _trial_phi(t, cfg, rng):
 def _trial_det_product(t, cfg, rng):
     n = _draw_n(cfg, rng)
     a = random_pd(n, rng)
-    idx = _draw_index_set(n, rng, cap=4)
+    idx = _index_set(n, rng, cap=4)
     cert = det_product_check(a, idx, samples=3, rng=rng)
     return [_from_certificate(t, n, cert)]
 

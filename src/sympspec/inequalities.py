@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import check_positive_definite, random_pd, symplectic_eigenvalues
+from .core import as_generator, check_positive_definite, random_pd, symplectic_eigenvalues
 from .errors import NumericalContractError
 from .linalg import fnorm, pd_sqrt_invsqrt
 
@@ -107,7 +107,7 @@ def schur_concave_monotone_check(phi, trials=200, rng=None, rtol=1e-10):
     phi(a) >= phi(b) whenever a supermajorizes b with a, b positive and
     sorted ascending.  Any violation is recorded with its instance.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = as_generator(rng)
     result = PhiCheckResult(ok=True, trials=trials)
 
     def record(kind, a, b, va, vb):
@@ -186,8 +186,9 @@ def make_record(name, lhs, rhs, direction, tol, instance=None):
     )
 
 
-def _index_set(n, rng):
-    k = int(rng.integers(1, n + 1))
+def _index_set(n, rng, cap=None):
+    """Random sorted index set in 1..n of size 1..min(n, cap)."""
+    k = int(rng.integers(1, (n if cap is None else min(n, cap)) + 1))
     return np.sort(rng.choice(np.arange(1, n + 1), size=k, replace=False))
 
 

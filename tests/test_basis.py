@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from sympspec.basis import (
     BDiagonalOperator,
     SymplecticBasis,
+    _in_sharp,
+    _nested,
+    _sharp_std,
     b_gram_schmidt,
     chain_extend,
     dual_chain_construct,
@@ -29,7 +32,7 @@ from sympspec.core import (
 )
 from sympspec.errors import ValidationError
 from sympspec.extremal import random_orthogonal
-from sympspec.linalg import fnorm, max_principal_angle, span_residual
+from sympspec.linalg import fnorm, max_principal_angle, orthonormal_columns, span_residual
 
 RNG = np.random.default_rng(303)
 
@@ -274,3 +277,93 @@ def test_same_span_trace_check_rejects_span_mismatch():
     basis = SymplecticBasis(dec.m)
     with pytest.raises(ValidationError):
         same_span_trace_check(a, basis.u[:, :1], basis.u[:, 1:2], basis)
+
+
+def _unit(x):
+    return x / np.linalg.norm(x)
+
+
+def test_in_sharp_agrees_with_the_intersection_route():
+    # Reference: distance to the computed intersection W cap W'.
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        m = int(rng.integers(2, 6))
+        g = random_orthogonal(2 * m, rng)[:, : int(rng.integers(m + 1, 2 * m))]
+        sharp = _sharp_std(g)
+        assert sharp.shape[1] > 0
+
+        x = _unit(sharp @ rng.standard_normal(sharp.shape[1]))
+        assert _in_sharp(x, g, 1e-8)
+        assert span_residual(sharp, x) <= 1e-8
+
+        r = rng.standard_normal(2 * m)
+        off = x + 1e-6 * _unit(r - sharp @ (sharp.T @ r))
+        assert not _in_sharp(off, g, 1e-8)
+        assert span_residual(sharp, off) > 1e-8
+
+        # x in W but orthogonal to W#, so x' leaves W.
+        y = g @ rng.standard_normal(g.shape[1])
+        y = _unit(y - sharp @ (sharp.T @ y))
+        assert not _in_sharp(y, g, 1e-8)
+        assert span_residual(sharp, y) > 1e-8
+
+
+def test_nested_agrees_with_the_principal_angle_route():
+    rng = np.random.default_rng(2025)
+    for _ in range(100):
+        dim = int(rng.integers(4, 11))
+        q = random_orthogonal(dim, rng)
+        small = int(rng.integers(1, dim))
+        big = int(rng.integers(small, dim + 1))
+        s, t = q[:, :small], q[:, :big]
+        assert _nested(s, t)
+        assert max_principal_angle(s, t @ (t.T @ s)) <= 1e-7
+
+        if big < dim:
+            moved = orthonormal_columns(s + 1e-5 * q[:, big:big + 1])
+            assert not _nested(moved, t)
+            assert max_principal_angle(moved, t @ (t.T @ moved)) > 1e-7
+
+
+def _chain_q(dim, seed):
+    return random_orthogonal(dim, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: dual_chain_construct(
+                [_chain_q(8, 1)[:, :6], _chain_q(8, 2)[:, :7]],
+                [_chain_q(8, 3)[:, :7], _chain_q(8, 3)[:, :6]],
+                SymplecticBasis.standard(4), 0,
+            ),
+            "increasing chain fails nesting",
+        ),
+        (
+            lambda: dual_chain_construct(
+                [_chain_q(8, 1)[:, :6], _chain_q(8, 1)[:, :7]],
+                [_chain_q(8, 3)[:, :7], _chain_q(8, 4)[:, :6]],
+                SymplecticBasis.standard(4), 0,
+            ),
+            "decreasing chain fails nesting",
+        ),
+        (
+            lambda: chain_extend(
+                [_chain_q(6, 1)[:, :5], _chain_q(6, 2)[:, :4]],
+                np.zeros((6, 1)), SymplecticBasis.standard(3), 0,
+            ),
+            "chain is not decreasing",
+        ),
+        (
+            lambda: symplectic_complement(
+                np.eye(4)[:, :1], ambient=np.eye(4)[:, [1, 3]]
+            ),
+            "not contained in the ambient space",
+        ),
+    ],
+    ids=["increasing-chain", "decreasing-chain", "extend-chain", "complement-ambient"],
+)
+def test_containment_checks_reject(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

@@ -11,8 +11,9 @@ from sympspec.core import (
     tuple_form_defect,
     williamson,
 )
-from sympspec.errors import ValidationError
+from sympspec.errors import ConstructionError, ValidationError
 from sympspec.extremal import (
+    _finish,
     canonical_chains,
     det_product_check,
     maxmin_check,
@@ -160,3 +161,34 @@ def test_det_product_certificate():
     assert cert.passed, cert
     target = float(np.prod(dec.d[idx - 1] ** 2))
     assert np.exp(cert.claimed_value) == pytest.approx(target, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "n_samples, n_chains, n_skipped, passed",
+    [
+        (40, 4, 2, True),   # cap from the chains: 4 // 2
+        (40, 4, 3, False),
+        (6, 0, 3, True),    # no chains: cap from the samples, 6 // 2
+        (6, 0, 4, False),
+        (1, 1, 1, True),    # the cap is at least one
+    ],
+)
+def test_finish_derives_the_skip_cap(n_samples, n_chains, n_skipped, passed):
+    cert = _finish("c", 1.0, None, None, None, [0.5], "", n_samples,
+                   n_chains, n_skipped, {})
+    assert cert.passed is passed
+
+
+def test_poincare_witness_draw_retries_and_reports(monkeypatch):
+    a, dec, basis = _instance(3, 17)
+    m_sub = random_orthogonal(6, RNG)[:, :5]
+    draws = []
+
+    def no_unit(g, rng):
+        draws.append(g.shape)
+        raise ConstructionError("no draw")
+
+    monkeypatch.setattr("sympspec.extremal._unit_in", no_unit)
+    with pytest.raises(ConstructionError, match="witness search failed after retries: no draw"):
+        poincare_witness(a, m_sub, basis, d=dec.d, rng=RNG)
+    assert len(draws) == 3 and len(set(draws)) == 1
