@@ -29,6 +29,8 @@ WILLIAMSON_TOL_J = 1e-9
 TUPLE_TOL = 1e-8
 COND_WARN = 1e12
 
+_POCON = scipy.linalg.get_lapack_funcs("pocon", dtype=np.float64)
+
 METHODS = ("skew-canonical", "ja-eigen", "williamson")
 
 
@@ -72,8 +74,13 @@ def symplectic_gram(x, y):
 
 
 def check_positive_definite(a, name="matrix"):
-    """Symmetrize A and return (A, L) with A = L L.T; the Cholesky
-    factorization is the positive-definiteness test."""
+    """Symmetrize A and return (A, L) with A = L L.T.
+
+    The Cholesky factorization is the positive-definiteness test.  It also
+    factors matrices that are singular up to rounding, so the LAPACK
+    estimate of the 1-norm condition number from L refuses those whose
+    kappa * eps leaves no accurate digit.
+    """
     a = check_symmetric(a, tol=SYM_RTOL, name=name)
     try:
         low = np.linalg.cholesky(a)
@@ -81,6 +88,14 @@ def check_positive_definite(a, name="matrix"):
         raise ValidationError(
             f"{name} is not positive definite: Cholesky factorization failed"
         ) from None
+    rcond, info = _POCON(low, np.abs(a).sum(0).max(), uplo="L")
+    if info != 0:
+        raise NumericalContractError(f"condition estimate failed: LAPACK info {info}")
+    if rcond <= np.finfo(float).eps:
+        kappa = 1.0 / rcond if rcond > 0.0 else np.inf
+        raise ValidationError(
+            f"{name} is numerically singular: condition number estimate {kappa:.1e}"
+        )
     return a, low
 
 
@@ -116,8 +131,8 @@ class WilliamsonDecomposition:
 def _cholesky_skew(low):
     """The skew matrix L.T J L for a Cholesky factor L of A = L L.T.
 
-    i L.T J L is Hermitian with eigenvalues -d and d, where d is the
-    symplectic spectrum of A, because L.T J L is similar to J A.
+    L.T J L is similar to J A, whose eigenvalues are +-i d for the
+    symplectic spectrum d of A, so its singular values are d, each twice.
     """
     k = low.T @ apply_form(low)
     return 0.5 * (k - k.T)
@@ -154,7 +169,8 @@ def symplectic_eigenvalues(a, method="skew-canonical"):
     """Ascending symplectic spectrum of a positive definite matrix.
 
     Methods:
-      skew-canonical  positive eigenvalues of i L.T J L, where A = L L.T
+      skew-canonical  singular values of the skew L.T J L, where A = L L.T,
+                      from its Hessenberg form and one bidiagonal SVD
       ja-eigen        imaginary parts of the spectrum of J A
       williamson      spectrum reported by the full decomposition
     """

@@ -2,10 +2,13 @@
 
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 
 from sympspec.core import (
+    WILLIAMSON_RTOL_A,
+    WILLIAMSON_TOL_J,
     apply_form,
     as_generator,
     compress,
@@ -111,11 +114,34 @@ def test_skew_canonical_recovers_planted_spectrum(family):
         assert np.all(np.abs(d - d0) <= 1e-6 * d0)
 
 
-@pytest.mark.parametrize("family", ["cluster", "log-spread-3"])
+@pytest.mark.parametrize("family", list(PLANTED))
 def test_williamson_recovers_planted_spectrum(family):
     for a, d0 in _planted_cases(family):
         dec = williamson(a)
         assert np.all(np.abs(dec.d - d0) <= 1e-6 * d0)
+        assert dec.residual_a <= WILLIAMSON_RTOL_A
+        assert dec.residual_j <= WILLIAMSON_TOL_J
+
+
+def _spectrum_at_50_digits(a):
+    """Positive imaginary parts of the eigenvalues of J A, at 50 digits."""
+    with mpmath.workdps(50):
+        vals = mpmath.eig(mpmath.matrix(apply_form(a).tolist()), left=False, right=False)
+        return np.sort([float(v.imag) for v in vals if v.imag > 0])
+
+
+@pytest.mark.parametrize("family", ["wishart", "cluster", "log-spread-4", "near-singular"])
+def test_spectrum_matches_a_50_digit_reference(family):
+    rng = np.random.default_rng(77)
+    for i in range(10):
+        n = 2 + i % 3
+        spectrum = None if family == "wishart" else PLANTED[family](n, rng)
+        a = random_pd(n, rng, spectrum=spectrum)
+        ref = _spectrum_at_50_digits(a)
+        bound = 100 * n * np.finfo(float).eps * np.linalg.norm(a, 2)
+        for method in ("skew-canonical", "williamson"):
+            d = symplectic_eigenvalues(a, method=method)
+            assert np.max(np.abs(d - ref)) <= bound
 
 
 def test_cholesky_failure_is_a_validation_error(monkeypatch):
@@ -273,3 +299,14 @@ def test_every_entry_point_checks_positive_definiteness(entry):
     asymmetric[0, 1] = 0.5
     with pytest.raises(ValidationError, match="not symmetric"):
         call(asymmetric)
+
+
+@pytest.mark.parametrize("entry", list(PD_ENTRY_POINTS))
+def test_every_entry_point_refuses_singular_inputs(entry):
+    # Rank 3 in size 4: Cholesky fails on some draws and factors the rest
+    # through rounding; the condition estimate must refuse those.
+    call = PD_ENTRY_POINTS[entry]
+    for seed in range(200):
+        v = np.random.default_rng(seed).standard_normal((4, 3))
+        with pytest.raises(ValidationError, match="not positive definite|numerically singular"):
+            call(v @ v.T)

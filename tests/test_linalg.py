@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sympspec import linalg
 from sympspec.errors import NumericalContractError, ValidationError
 from sympspec.linalg import (
     check_symmetric,
@@ -167,8 +168,17 @@ def test_skew_canonical_rejects_singular():
 
 def test_skew_canonical_maps_eigensolver_failure(monkeypatch):
     def no_convergence(a):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
-    with pytest.raises(NumericalContractError, match="eigensolve failed"):
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(NumericalContractError, match="SVD failed"):
+        skew_canonical(np.array([[0.0, 5.0], [-5.0, 0.0]]))
+
+
+def test_skew_canonical_maps_lapack_error_codes(monkeypatch):
+    def bad_argument(a, lwork):
+        return a, np.zeros(a.shape[0] - 1), -1
+
+    monkeypatch.setattr(linalg, "_GEHRD", bad_argument)
+    with pytest.raises(NumericalContractError, match="LAPACK info -1"):
         skew_canonical(np.array([[0.0, 5.0], [-5.0, 0.0]]))
