@@ -35,6 +35,9 @@ def main(argv=None):
     parser.add_argument("--n", type=int, default=2)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    for flag, value in (("--trials", args.trials), ("--n", args.n)):
+        if value < 1:
+            parser.error(f"{flag} must be at least 1, got {value}")
 
     rng = np.random.default_rng(args.seed)
     best = None

@@ -10,17 +10,11 @@ multiplicative perturbation bounds for sums and geometric means.
 
 from ._version import __version__
 from .basis import (
-    BDiagonalOperator,
     SymplecticBasis,
-    b_gram_schmidt,
-    chain_extend,
     dual_chain_construct,
-    is_isotropic,
     prime_coords,
-    prime_subspace,
     same_span_trace_check,
     subspace_prime_sharp,
-    symplectic_complement,
 )
 from .core import (
     WilliamsonDecomposition,
@@ -28,7 +22,6 @@ from .core import (
     as_generator,
     compress,
     condition_number,
-    eigenpair_residual,
     random_pd,
     random_symplectic,
     symplectic_eigenvalues,
@@ -78,7 +71,6 @@ from .inequalities import (
 from .matio import load_matrix, matrix_from_obj, matrix_to_obj, save_matrix, save_williamson
 
 __all__ = [
-    "BDiagonalOperator",
     "ConstructionError",
     "ExtremalCertificate",
     "InequalityRecord",
@@ -95,17 +87,13 @@ __all__ = [
     "additive_lidskii_trial",
     "apply_form",
     "as_generator",
-    "b_gram_schmidt",
     "canonical_chains",
-    "chain_extend",
     "compress",
     "condition_number",
     "det_product_check",
     "dual_chain_construct",
-    "eigenpair_residual",
     "elementary_symmetric",
     "geometric_mean",
-    "is_isotropic",
     "load_matrix",
     "majorize",
     "matrix_from_obj",
@@ -120,7 +108,6 @@ __all__ = [
     "poincare_witness",
     "polar_factor_check",
     "prime_coords",
-    "prime_subspace",
     "random_pd",
     "random_symplectic",
     "replay",
@@ -133,7 +120,6 @@ __all__ = [
     "schur_concave_monotone_check",
     "subspace_prime_sharp",
     "supermajorize",
-    "symplectic_complement",
     "symplectic_eigenvalues",
     "symplectic_form",
     "symplectic_gram",

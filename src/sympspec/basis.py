@@ -21,8 +21,6 @@ computes an intersection; only the constructions do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -41,7 +39,6 @@ from .linalg import (
 
 BASIS_TOL = 1e-8
 MEMBERSHIP_RTOL = 1e-8
-SPAN_RTOL = 1e-9
 MAX_DRAWS = 20
 MAX_REBUILDS = 3
 
@@ -58,7 +55,7 @@ class SymplecticBasis:
     and all other pairings zero.  m = n gives a basis of the full space.
     """
 
-    def __init__(self, cols, tol=BASIS_TOL):
+    def __init__(self, cols):
         cols = np.asarray(cols, dtype=float)
         if cols.ndim != 2 or cols.shape[0] % 2 == 1 or cols.shape[1] % 2 == 1:
             raise ValidationError(f"basis columns have invalid shape {cols.shape}")
@@ -66,7 +63,7 @@ class SymplecticBasis:
             raise ValidationError(f"basis columns have invalid shape {cols.shape}")
         m = cols.shape[1] // 2
         defect = fnorm(symplectic_gram(cols, cols) - symplectic_form(m))
-        if defect > tol:
+        if defect > BASIS_TOL:
             raise ValidationError(
                 f"columns are not symplectically orthonormal: defect {defect:.3e}"
             )
@@ -90,13 +87,13 @@ class SymplecticBasis:
     def v(self):
         return self.cols[:, self.m :]
 
-    def coords(self, x, tol=MEMBERSHIP_RTOL):
+    def coords(self, x):
         """Coordinates (alpha, beta) of x; raises unless every column
-        x_j lies in the span: ||x_j - lift(a_j)|| <= tol ||x_j||."""
+        x_j lies in the span: ||x_j - lift(a_j)|| <= MEMBERSHIP_RTOL ||x_j||."""
         x = np.asarray(x, dtype=float)
         a = self._coord @ x
         resid = np.linalg.norm(x - self.cols @ a, axis=0)
-        if np.any(resid > tol * np.linalg.norm(x, axis=0)):
+        if np.any(resid > MEMBERSHIP_RTOL * np.linalg.norm(x, axis=0)):
             raise ValidationError("vector lies outside the basis span")
         return a
 
@@ -106,48 +103,6 @@ class SymplecticBasis:
     def prime(self, x):
         """B-complement x': coordinates (alpha, beta) -> (-beta, alpha)."""
         return self.lift(prime_coords(self.coords(x)))
-
-    def b_inner(self, x, y, tol=SPAN_RTOL):
-        ax = self.coords(x, tol=tol)
-        ay = self.coords(y, tol=tol)
-        return float(ax @ ay)
-
-    def b_norm(self, x, tol=SPAN_RTOL):
-        return float(np.linalg.norm(self.coords(x, tol=tol)))
-
-
-@dataclass(frozen=True)
-class BDiagonalOperator:
-    """Operator sending u_i -> d_i u_i and v_i -> d_i v_i.
-
-    For an eigenbasis of A with spectrum d, its basis-inner quadratic
-    form reproduces <x, A x> exactly; that identity drives the trace
-    equality check below.
-    """
-
-    basis: SymplecticBasis
-    d: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
-        if d.shape != (self.basis.m,) or np.any(d <= 0.0):
-            raise ValidationError(
-                f"diagonal must be {self.basis.m} positive values"
-            )
-        object.__setattr__(self, "d", d)
-
-    def apply(self, x):
-        a = self.basis.coords(x)
-        m = self.basis.m
-        scale = self.d.reshape((m,) + (1,) * (a.ndim - 1))
-        return self.basis.lift(np.concatenate([a[:m] * scale, a[m:] * scale], axis=0))
-
-    def quad(self, x):
-        """<x, Dx>_B = sum d_i (alpha_i^2 + beta_i^2)."""
-        a = self.basis.coords(x)
-        m = self.basis.m
-        return float(self.d @ (a[:m] ** 2 + a[m:] ** 2))
-
 
 def _coords_subspace(w, basis):
     """Coordinate-space orthonormal basis of an ambient subspace."""
@@ -180,18 +135,6 @@ def _nested(s, t):
     return _off_span(s, t) <= 1e-7
 
 
-def prime_subspace(w, basis):
-    """Ambient orthonormal basis of W' = {x' : x in W}."""
-    wc = _coords_subspace(w, basis)
-    lifted = basis.lift(prime_coords(wc))
-    out = orthonormal_columns(lifted)
-    if out.shape[1] != wc.shape[1]:
-        raise NumericalContractError(
-            f"prime image lost rank: {out.shape[1]} of {wc.shape[1]}"
-        )
-    return out
-
-
 def subspace_prime_sharp(w, basis):
     """(W', W#) for an ambient subspace W inside span(basis).
 
@@ -216,85 +159,6 @@ def subspace_prime_sharp(w, basis):
     return w_prime, w_sharp
 
 
-def symplectic_complement(s, ambient=None, tol=1e-8):
-    """Orthonormal basis of the symplectic complement of S inside ambient.
-
-    ambient defaults to the full space; when given, it must be a
-    symplectic subspace containing S.
-    """
-    s = np.asarray(s, dtype=float)
-    dim = s.shape[0]
-    so = orthonormal_columns(s)
-    if ambient is None:
-        ambient = np.eye(dim)
-    amb = orthonormal_columns(ambient)
-    gram_amb = symplectic_gram(amb, amb)
-    if amb.shape[1] == 0 or amb.shape[1] % 2 == 1:
-        raise ValidationError("ambient subspace is not symplectic: odd dimension")
-    sing = np.linalg.svd(gram_amb, compute_uv=False)
-    if sing[-1] <= tol:
-        raise ValidationError(
-            f"ambient subspace is not symplectic: form degeneracy {sing[-1]:.3e}"
-        )
-    if _off_span(so, amb) > tol:
-        raise ValidationError("subspace is not contained in the ambient space")
-    coeff = null_space_basis(symplectic_gram(so, amb))
-    out = amb @ coeff
-    if so.shape[1] + out.shape[1] != amb.shape[1]:
-        raise NumericalContractError(
-            f"complement dimension {out.shape[1]} inconsistent with "
-            f"{so.shape[1]} inside {amb.shape[1]}"
-        )
-    return out
-
-
-def is_isotropic(w, tol=1e-8):
-    """True when all pairwise symplectic products inside W vanish."""
-    wo = orthonormal_columns(w)
-    if wo.shape[1] == 0:
-        return True
-    return float(np.max(np.abs(symplectic_gram(wo, wo)))) <= tol
-
-
-def b_gram_schmidt(vectors, basis, skew_constraint=None, tol=1e-8):
-    """Modified Gram-Schmidt in the basis inner product.
-
-    Returns vectors with the same span, B-orthonormal, normalized with
-    positive leading coefficient (already B-orthonormal input passes
-    through unchanged).  When skew_constraint is given, the inputs must
-    be skew-orthogonal to those vectors and the outputs are checked to
-    remain so.
-    """
-    vecs = np.asarray(vectors, dtype=float)
-    if vecs.ndim != 2:
-        raise ValidationError(f"expected a column matrix, got shape {vecs.shape}")
-    if skew_constraint is not None:
-        gap = float(np.max(np.abs(symplectic_gram(skew_constraint, vecs)))) if vecs.size else 0.0
-        if gap > tol:
-            raise ValidationError(
-                f"inputs are not skew-orthogonal to the constraints: {gap:.3e}"
-            )
-    a = basis.coords(vecs)
-    outs = []
-    for j in range(a.shape[1]):
-        r = a[:, j].copy()
-        scale = np.linalg.norm(r)
-        for q in outs:
-            r -= (q @ r) * q
-        nrm = np.linalg.norm(r)
-        if nrm <= 1e-10 * max(1.0, scale):
-            raise ValidationError(f"input vectors are rank deficient at column {j}")
-        outs.append(r / nrm)
-    out = basis.lift(np.column_stack(outs))
-    if skew_constraint is not None:
-        gap = float(np.max(np.abs(symplectic_gram(skew_constraint, out))))
-        if gap > tol:
-            raise NumericalContractError(
-                f"orthogonalization broke skew-orthogonality: {gap:.3e}"
-            )
-    return out
-
-
 def _tuple_defects(t_coords):
     """(orthonormality, symplectic) defects of a full coordinate tuple."""
     k2 = t_coords.shape[1]
@@ -303,14 +167,15 @@ def _tuple_defects(t_coords):
     return ortho, symp
 
 
-def same_span_trace_check(a, x_set, v_set, basis, d=None, span_tol=1e-8, rtol=1e-9, check=True):
+def same_span_trace_check(a, x_set, v_set, basis, d=None, check=True):
     """Trace identity for two B-orthosymplectic tuples with equal span.
 
     Returns (lhs, rhs) with lhs = sum_j (<x_j, A x_j> + <x_j', A x_j'>)
-    and rhs the same for the v_j.  The two agree within rtol relative
+    and rhs the same for the v_j.  The two agree within 1e-9 relative
     whenever the span and orthosymplecticity preconditions hold.  When
-    the eigen-spectrum d of A in this basis is supplied, the route
-    <x, Dx>_B = <x, Ax> is verified on every vector along the way.
+    the eigen-spectrum d of A in this basis is supplied, the identity
+    <x, A x> = sum_i d_i (alpha_i^2 + beta_i^2) in basis coordinates is
+    verified on every vector along the way.
     """
     a = np.asarray(a, dtype=float)
     x_set = np.asarray(x_set, dtype=float)
@@ -325,13 +190,13 @@ def same_span_trace_check(a, x_set, v_set, basis, d=None, span_tol=1e-8, rtol=1e
     vf = np.hstack([vc, prime_coords(vc)])
     for name, t in (("first", xf), ("second", vf)):
         ortho, symp = _tuple_defects(t)
-        if max(ortho, symp) > span_tol:
+        if max(ortho, symp) > BASIS_TOL:
             raise ValidationError(
                 f"{name} tuple is not B-orthosymplectic: "
                 f"defects {ortho:.3e}, {symp:.3e}"
             )
     resid = _off_span(xf, vf)
-    if resid > span_tol:
+    if resid > BASIS_TOL:
         raise ValidationError(f"tuple spans differ: residual {resid:.3e}")
 
     xa = basis.lift(xf)
@@ -339,17 +204,17 @@ def same_span_trace_check(a, x_set, v_set, basis, d=None, span_tol=1e-8, rtol=1e
     lhs = float(np.sum(xa * (a @ xa)))
     rhs = float(np.sum(va * (a @ va)))
     if d is not None:
-        op = BDiagonalOperator(basis, d)
-        for cols in (xa, va):
-            for j in range(cols.shape[1]):
-                direct = float(cols[:, j] @ (a @ cols[:, j]))
-                via_b = op.quad(cols[:, j])
-                if abs(direct - via_b) > 1e-8 * max(1.0, abs(direct)):
-                    raise NumericalContractError(
-                        f"diagonal-operator identity failed: {direct:.12e} "
-                        f"vs {via_b:.12e}"
-                    )
-    if check and abs(lhs - rhs) > rtol * max(1.0, abs(lhs)):
+        cols = np.hstack([xa, va])
+        direct = np.sum(cols * (a @ cols), axis=0)
+        via_b = np.tile(d, 2) @ np.hstack([xf, vf]) ** 2
+        bad = np.abs(direct - via_b) > 1e-8 * np.maximum(1.0, np.abs(direct))
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            raise NumericalContractError(
+                f"diagonal-operator identity failed: {direct[j]:.12e} "
+                f"vs {via_b[j]:.12e}"
+            )
+    if check and abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs)):
         raise NumericalContractError(
             f"trace equality violated: lhs {lhs:.12e}, rhs {rhs:.12e}"
         )
@@ -458,16 +323,16 @@ def _dual_chain_std(vchain, wchain, rng):
     return np.hstack([vs, vk[:, None]]), ws_new
 
 
-def _check_built(cols, chain, tol, what):
+def _check_built(cols, chain):
     """Raise unless cols with its primes is B-orthosymplectic and each
     cols[:, j] lies in sharp(chain[j]); returns the tuple with primes."""
     full = np.hstack([cols, prime_coords(cols)])
     ortho, symp = _tuple_defects(full)
-    if max(ortho, symp) > tol:
-        raise NumericalContractError(f"{what} tuple defects {ortho:.3e}, {symp:.3e}")
+    if max(ortho, symp) > BASIS_TOL:
+        raise NumericalContractError(f"constructed tuple defects {ortho:.3e}, {symp:.3e}")
     for j in range(cols.shape[1]):
-        if not _in_sharp(cols[:, j], chain[j], tol):
-            raise NumericalContractError(f"{what} vector {j} left its sharp space")
+        if not _in_sharp(cols[:, j], chain[j], BASIS_TOL):
+            raise NumericalContractError(f"constructed vector {j} left its sharp space")
     return full
 
 
@@ -483,65 +348,7 @@ def _rebuild(build, what):
     raise ConstructionError(f"{what} failed after retries: {last_err}")
 
 
-def chain_extend(chain, ws, basis, rng, tol=1e-8):
-    """Extend a skew-orthogonal set along a decreasing subspace chain.
-
-    chain is a decreasing list of k ambient subspaces with
-    dim chain[j] >= m + k - j (0-based), ws an ambient matrix of k-1
-    B-orthonormal mutually skew-orthogonal columns with
-    ws[:, j] in sharp(chain[j]).  Returns (v, x): a fresh vector in
-    sharp(chain[0]) skew-orthogonal to ws, and the k-column replacement
-    set x with x[:, j] in sharp(chain[j]) spanning, together with its
-    primes, the span of the ws pairs plus (v, v').
-    """
-    rng = as_generator(rng)
-    k = len(chain)
-    if k == 0:
-        raise ValidationError("chain must contain at least one subspace")
-    m = basis.m
-    chain_c = [_coords_subspace(w, basis) for w in chain]
-    for j, g in enumerate(chain_c):
-        if g.shape[1] < m + k - j:
-            raise ValidationError(
-                f"chain space {j} has dimension {g.shape[1]}, "
-                f"the construction needs at least {m + k - j}"
-            )
-        if j > 0 and not _nested(chain_c[j], chain_c[j - 1]):
-            raise ValidationError(f"chain is not decreasing at position {j}")
-    ws = np.asarray(ws, dtype=float)
-    if ws.ndim != 2 or ws.shape[1] != k - 1:
-        raise ValidationError(
-            f"expected {k - 1} seed columns, got shape {ws.shape}"
-        )
-    ws_c = basis.coords(ws) if ws.shape[1] else np.zeros((2 * m, 0))
-    if ws.shape[1]:
-        ortho = fnorm(ws_c.T @ ws_c - np.eye(k - 1))
-        skew = float(np.max(np.abs(symplectic_gram(ws_c, ws_c))))
-        if max(ortho, skew) > tol:
-            raise ValidationError(
-                f"seed set defects {ortho:.3e}, {skew:.3e}"
-            )
-        for j in range(k - 1):
-            if not _in_sharp(ws_c[:, j], chain_c[j], tol):
-                raise ValidationError(f"seed vector {j} is not in its sharp space")
-
-    def build():
-        v_c, xs_c = _chain_extend_std(chain_c, ws_c, rng)
-        xf = _check_built(xs_c, chain_c, tol, "output")
-        if not _in_sharp(v_c, chain_c[0], tol):
-            raise NumericalContractError("fresh vector left the first sharp space")
-        if ws.shape[1] and float(np.max(np.abs(symplectic_gram(ws_c, v_c[:, None])))) > tol:
-            raise NumericalContractError("fresh vector is not skew-orthogonal to the seeds")
-        target = np.hstack([ws_c, prime_coords(ws_c), v_c[:, None], prime_coords(v_c)[:, None]])
-        resid = _off_span(target, xf)
-        if resid > tol:
-            raise NumericalContractError(f"output span is off by residual {resid:.3e}")
-        return basis.lift(v_c), basis.lift(xs_c)
-
-    return _rebuild(build, "chain extension")
-
-
-def dual_chain_construct(vchain, wchain, basis, rng, tol=1e-8):
+def dual_chain_construct(vchain, wchain, basis, rng):
     """Equal-span tuples threading an increasing and a decreasing chain.
 
     dim vchain[j] = m + i_j and dim wchain[j] = 2m - i_j + 1 for one
@@ -577,10 +384,10 @@ def dual_chain_construct(vchain, wchain, basis, rng, tol=1e-8):
 
     def build():
         vs_c, ws_c = _dual_chain_std(vchain_c, wchain_c, rng)
-        vf = _check_built(vs_c, vchain_c, tol, "constructed")
-        wf = _check_built(ws_c, wchain_c, tol, "constructed")
+        vf = _check_built(vs_c, vchain_c)
+        wf = _check_built(ws_c, wchain_c)
         resid = _off_span(vf, wf)
-        if resid > tol:
+        if resid > BASIS_TOL:
             raise NumericalContractError(f"constructed spans differ by residual {resid:.3e}")
         return basis.lift(vs_c), basis.lift(ws_c)
 

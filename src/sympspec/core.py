@@ -23,7 +23,6 @@ from .linalg import (
     skew_canonical,
 )
 
-SYM_RTOL = 1e-12
 WILLIAMSON_RTOL_A = 1e-8
 WILLIAMSON_TOL_J = 1e-9
 TUPLE_TOL = 1e-8
@@ -34,11 +33,11 @@ _POCON = scipy.linalg.get_lapack_funcs("pocon", dtype=np.float64)
 METHODS = ("skew-canonical", "ja-eigen", "williamson")
 
 
-def half_dim(a, name="matrix"):
+def half_dim(a):
     """Half-dimension n of a 2n x 2n matrix."""
-    a = check_square(a, name)
+    a = check_square(a)
     if a.shape[0] % 2 == 1 or a.shape[0] == 0:
-        raise ValidationError(f"{name} must have even positive size, got {a.shape[0]}")
+        raise ValidationError(f"matrix must have even positive size, got {a.shape[0]}")
     return a.shape[0] // 2
 
 
@@ -73,7 +72,7 @@ def symplectic_gram(x, y):
     return x[:n].T @ y[n:] - x[n:].T @ y[:n]
 
 
-def check_positive_definite(a, name="matrix"):
+def check_positive_definite(a):
     """Symmetrize A and return (A, L) with A = L L.T.
 
     The Cholesky factorization is the positive-definiteness test.  It also
@@ -81,12 +80,12 @@ def check_positive_definite(a, name="matrix"):
     estimate of the 1-norm condition number from L refuses those whose
     kappa * eps leaves no accurate digit.
     """
-    a = check_symmetric(a, tol=SYM_RTOL, name=name)
+    a = check_symmetric(a)
     try:
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         raise ValidationError(
-            f"{name} is not positive definite: Cholesky factorization failed"
+            "matrix is not positive definite: Cholesky factorization failed"
         ) from None
     rcond, info = _POCON(low, np.abs(a).sum(0).max(), uplo="L")
     if info != 0:
@@ -94,7 +93,7 @@ def check_positive_definite(a, name="matrix"):
     if rcond <= np.finfo(float).eps:
         kappa = 1.0 / rcond if rcond > 0.0 else np.inf
         raise ValidationError(
-            f"{name} is numerically singular: condition number estimate {kappa:.1e}"
+            f"matrix is numerically singular: condition number estimate {kappa:.1e}"
         )
     return a, low
 
@@ -138,7 +137,7 @@ def _cholesky_skew(low):
     return 0.5 * (k - k.T)
 
 
-def williamson(a, tol_a=WILLIAMSON_RTOL_A, tol_j=WILLIAMSON_TOL_J):
+def williamson(a):
     """Symplectic diagonalization of a positive definite matrix.
 
     Factors A = L L.T, reduces L.T J L to skew canonical form with
@@ -154,13 +153,13 @@ def williamson(a, tol_a=WILLIAMSON_RTOL_A, tol_j=WILLIAMSON_TOL_J):
     normal = np.diag(np.concatenate([d, d]))
     residual_a = fnorm(m.T @ a @ m - normal) / max(1.0, fnorm(normal))
     residual_j = fnorm(m.T @ symplectic_form(n) @ m - symplectic_form(n))
-    if residual_a > tol_a:
+    if residual_a > WILLIAMSON_RTOL_A:
         raise NumericalContractError(
-            f"diagonalization residual {residual_a:.3e} exceeds {tol_a:.1e}"
+            f"diagonalization residual {residual_a:.3e} exceeds {WILLIAMSON_RTOL_A:.1e}"
         )
-    if residual_j > tol_j:
+    if residual_j > WILLIAMSON_TOL_J:
         raise NumericalContractError(
-            f"basis form defect {residual_j:.3e} exceeds {tol_j:.1e}"
+            f"basis form defect {residual_j:.3e} exceeds {WILLIAMSON_TOL_J:.1e}"
         )
     return WilliamsonDecomposition(d=d, m=m, residual_a=residual_a, residual_j=residual_j)
 
@@ -189,14 +188,6 @@ def symplectic_eigenvalues(a, method="skew-canonical"):
     return d
 
 
-def eigenpair_residual(a, u, v, d):
-    """Defects of the pair relations A u = d J v and A v = -d J u."""
-    a = np.asarray(a, dtype=float)
-    r1 = fnorm(a @ u - d * apply_form(v))
-    r2 = fnorm(a @ v + d * apply_form(u))
-    return r1, r2
-
-
 def tuple_form_defect(x, y):
     """How far the columns (x_i, y_i) are from symplectic pairing."""
     k = x.shape[1]
@@ -206,7 +197,7 @@ def tuple_form_defect(x, y):
     return max(fnorm(gxy), fnorm(gxx), fnorm(gyy))
 
 
-def compress(a, x, y, tol=TUPLE_TOL):
+def compress(a, x, y):
     """Restriction of A to the span of a symplectic tuple.
 
     The columns of x and y must satisfy <x_i, J y_j> = delta_ij with all
@@ -221,7 +212,7 @@ def compress(a, x, y, tol=TUPLE_TOL):
             f"tuple shapes {x.shape} and {y.shape} do not match matrix of size {a.shape[0]}"
         )
     defect = tuple_form_defect(x, y)
-    if defect > tol:
+    if defect > TUPLE_TOL:
         raise ValidationError(
             f"columns are not a symplectic tuple: pairing defect {defect:.3e}"
         )

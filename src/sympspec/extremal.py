@@ -26,6 +26,7 @@ from .basis import (
     same_span_trace_check,
 )
 from .core import (
+    TUPLE_TOL,
     as_generator,
     compress,
     half_dim,
@@ -93,14 +94,14 @@ def _validated_index_set(index_set, n):
     return idx
 
 
-def sample_tuple_in_chain(chain, rng, retries=SAMPLE_RETRIES, pair_floor=PAIR_FLOOR, tol=1e-8):
+def sample_tuple_in_chain(chain, rng):
     """Random symplectically normalized tuple threading a decreasing chain.
 
     Returns (x, y) with columns (x_j, y_j) in chain[j], <x_i, J x_j> =
     <y_i, J y_j> = 0 and <x_i, J y_j> = delta_ij.  Pairs are drawn
     greedily from the smallest space outward, each restricted to the
     skew complement of the pairs already chosen; draws whose pairing
-    product falls under pair_floor are rejected and retried.
+    product falls under PAIR_FLOOR are rejected and retried.
     """
     rng = as_generator(rng)
     k = len(chain)
@@ -108,7 +109,7 @@ def sample_tuple_in_chain(chain, rng, retries=SAMPLE_RETRIES, pair_floor=PAIR_FL
         raise ValidationError("chain must contain at least one subspace")
     bases = [orthonormal_columns(np.asarray(w, dtype=float)) for w in chain]
     dim = bases[0].shape[0]
-    for _ in range(retries):
+    for _ in range(SAMPLE_RETRIES):
         chosen = np.zeros((dim, 0))
         xs, ys = [], []
         ok = True
@@ -123,16 +124,16 @@ def sample_tuple_in_chain(chain, rng, retries=SAMPLE_RETRIES, pair_floor=PAIR_FL
                 break
             x = _unit_in(f, rng)
             s = 0.0
-            for _ in range(retries):
+            for _ in range(SAMPLE_RETRIES):
                 z = f @ rng.standard_normal(f.shape[1])
                 nz = np.linalg.norm(z)
                 if nz <= 1e-12:
                     continue
                 z /= nz
                 s = symplectic_inner(x, z)
-                if abs(s) >= pair_floor:
+                if abs(s) >= PAIR_FLOOR:
                     break
-            if abs(s) < pair_floor:
+            if abs(s) < PAIR_FLOOR:
                 ok = False
                 break
             y = z / s
@@ -149,7 +150,7 @@ def sample_tuple_in_chain(chain, rng, retries=SAMPLE_RETRIES, pair_floor=PAIR_FL
         ys.reverse()
         x_set = np.column_stack(xs)
         y_set = np.column_stack(ys)
-        if tuple_form_defect(x_set, y_set) <= tol:
+        if tuple_form_defect(x_set, y_set) <= TUPLE_TOL:
             return x_set, y_set
     raise ConstructionError("failed to sample a normalized tuple in the chain")
 
@@ -248,7 +249,7 @@ def _finish(name, claimed, sampled_min, witness_max, equality_gap, slacks,
     )
 
 
-def maxmin_check(a, k, samples=40, n_subspaces=20, rng=None, tol=1e-9, eq_tol=1e-10):
+def maxmin_check(a, k, samples=40, n_subspaces=20, rng=None, tol=1e-9):
     """Two-sided certificate for the k-th block eigenvalue.
 
     Over the canonical subspace every normalized pair has energy at
@@ -278,7 +279,7 @@ def maxmin_check(a, k, samples=40, n_subspaces=20, rng=None, tol=1e-9, eq_tol=1e
 
     eig_val = tuple_value(a, basis.u[:, k - 1 : k], basis.v[:, k - 1 : k])
     equality_gap = abs(eig_val - claimed)
-    slacks.append(eq_tol * scale - equality_gap)
+    slacks.append(1e-10 * scale - equality_gap)
 
     witness_vals = []
     n_skipped = 0
@@ -446,7 +447,7 @@ def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
     )
 
 
-def det_product_check(a, index_set, samples=20, rng=None, tol_rel=1e-8, eq_tol=1e-8):
+def det_product_check(a, index_set, samples=20, rng=None):
     """One-sided minimum certificate for the compression determinant.
 
     Every compression built on the canonical decreasing chain has
@@ -467,7 +468,7 @@ def det_product_check(a, index_set, samples=20, rng=None, tol_rel=1e-8, eq_tol=1
     a_eig = compress(a, basis.u[:, idx - 1], basis.v[:, idx - 1])[0]
     sign, logdet = np.linalg.slogdet(a_eig)
     equality_gap = abs(float(sign) * logdet - claimed_log)
-    slacks.append(eq_tol - equality_gap)
+    slacks.append(1e-8 - equality_gap)
 
     sampled = []
     n_skipped = 0
@@ -481,7 +482,7 @@ def det_product_check(a, index_set, samples=20, rng=None, tol_rel=1e-8, eq_tol=1
         sign, logdet = np.linalg.slogdet(a_c)
         val = float(sign) * logdet
         sampled.append(val)
-        slacks.append(val - claimed_log - np.log1p(-tol_rel))
+        slacks.append(val - claimed_log - np.log1p(-1e-8))
     sampled_min = float(min(sampled)) if sampled else None
 
     return _finish(

@@ -489,6 +489,15 @@ def reports_match(r1, r2):
     return strip_timing(r1) == strip_timing(r2)
 
 
+def _field(value, types, where):
+    """value when it has one of the JSON types a report stores at where;
+    a JSON boolean never stands in for a number."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        found = "missing" if value is None else f"of type {type(value).__name__}"
+        raise ValidationError(f"report is malformed: {where} is {found}")
+    return value
+
+
 def replay(report_path, suite_id, trial):
     """Re-run one recorded trial and compare against the saved report.
 
@@ -499,26 +508,32 @@ def replay(report_path, suite_id, trial):
             report = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot load report {report_path}: {exc}") from None
-    if suite_id not in report.get("suites", {}):
+    report = _field(report, dict, "the report")
+    suites = _field(report.get("suites", {}), dict, "suites")
+    if suite_id not in suites:
         raise ValidationError(f"suite {suite_id!r} is not in the report")
-    cfg_src = report.get("config", {})
+    cfg_src = _field(report.get("config", {}), dict, "config")
     config = SuiteConfig(
         suite=suite_id,
-        trials=cfg_src.get("trials"),
-        n_min=cfg_src.get("n_min", 2),
-        n_max=cfg_src.get("n_max", 5),
-        master_seed=cfg_src.get("master_seed", 0),
-        tol=cfg_src.get("tol", 1e-9),
+        trials=_field(cfg_src.get("trials"), (int, type(None)), "config.trials"),
+        n_min=_field(cfg_src.get("n_min", 2), int, "config.n_min"),
+        n_max=_field(cfg_src.get("n_max", 5), int, "config.n_max"),
+        master_seed=_field(cfg_src.get("master_seed", 0), int, "config.master_seed"),
+        tol=_field(cfg_src.get("tol", 1e-9), (int, float), "config.tol"),
         report_path=None,
         jobs=1,
     )
-    n_trials = report["suites"][suite_id]["aggregate"]["n_trials"]
+    entry = _field(suites[suite_id], dict, f"suites.{suite_id}")
+    aggregate = _field(entry.get("aggregate"), dict, f"suites.{suite_id}.aggregate")
+    n_trials = _field(aggregate.get("n_trials"), int, f"suites.{suite_id}.aggregate.n_trials")
+    records = _field(entry.get("records"), list, f"suites.{suite_id}.records")
     if not 0 <= trial < n_trials:
         raise ValidationError(f"trial {trial} outside recorded range 0..{n_trials - 1}")
     fn = _TRIAL_FUNCS[suite_id]
     fresh = fn(trial, config, trial_rng(config.master_seed, suite_id, trial))
     fresh = json.loads(json.dumps(fresh))
     stored = [
-        r for r in report["suites"][suite_id]["records"] if r["trial"] == trial
+        r for r in records
+        if _field(r, dict, f"a record of suites.{suite_id}").get("trial") == trial
     ]
     return fresh, stored, fresh == stored

@@ -13,6 +13,7 @@ import scipy.linalg
 
 from .errors import NumericalContractError, ValidationError
 
+SYM_RTOL = 1e-12
 RANK_RTOL = 1e-10
 INTERSECT_COS_TOL = 1e-8
 
@@ -31,21 +32,21 @@ def check_square(a, name="matrix"):
     return a
 
 
-def check_symmetric(a, tol=1e-12, name="matrix"):
+def check_symmetric(a):
     """Validate approximate symmetry and return the symmetrized matrix."""
-    a = check_square(a, name)
+    a = check_square(a)
     gap = fnorm(a - a.T)
-    if gap > tol * max(1.0, fnorm(a)):
+    if gap > SYM_RTOL * max(1.0, fnorm(a)):
         raise ValidationError(
-            f"{name} is not symmetric: asymmetry {gap:.3e} exceeds tolerance"
+            f"matrix is not symmetric: asymmetry {gap:.3e} exceeds tolerance"
         )
     return 0.5 * (a + a.T)
 
 
-def sym_eig(s, tol=1e-12):
+def sym_eig(s):
     """Eigendecomposition of a symmetric matrix, ascending eigenvalues.
 
-    The residual ||S V - V diag(w)|| is checked against tol * max(1, ||S||).
+    The residual ||S V - V diag(w)|| is checked against 1e-12 * max(1, ||S||).
     """
     s = 0.5 * (s + s.T)
     try:
@@ -53,7 +54,7 @@ def sym_eig(s, tol=1e-12):
     except np.linalg.LinAlgError as exc:
         raise NumericalContractError(f"symmetric eigensolve failed: {exc}") from exc
     resid = fnorm(s @ v - v * w)
-    bound = tol * max(1.0, fnorm(s))
+    bound = 1e-12 * max(1.0, fnorm(s))
     if resid > bound:
         raise NumericalContractError(
             f"eigendecomposition residual {resid:.3e} exceeds {bound:.3e}"
@@ -61,9 +62,9 @@ def sym_eig(s, tol=1e-12):
     return w, v
 
 
-def pd_sqrt_invsqrt(a, tol=1e-12):
+def pd_sqrt_invsqrt(a):
     """Symmetric square root and inverse square root of a PD matrix."""
-    w, v = sym_eig(a, tol=tol)
+    w, v = sym_eig(a)
     if w[0] <= 0.0:
         raise ValidationError(
             f"matrix is not positive definite: smallest eigenvalue {w[0]:.6e}"
@@ -74,7 +75,7 @@ def pd_sqrt_invsqrt(a, tol=1e-12):
     return 0.5 * (root + root.T), 0.5 * (inv_root + inv_root.T)
 
 
-def orthonormal_columns(x, rank_rtol=RANK_RTOL):
+def orthonormal_columns(x):
     """Orthonormal basis for the column span of x (may drop rank)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -84,11 +85,11 @@ def orthonormal_columns(x, rank_rtol=RANK_RTOL):
     u, s, _ = np.linalg.svd(x, full_matrices=False)
     if s[0] == 0.0:
         return np.zeros((x.shape[0], 0))
-    k = int(np.sum(s > rank_rtol * s[0]))
+    k = int(np.sum(s > RANK_RTOL * s[0]))
     return u[:, :k]
 
 
-def null_space_basis(g, rank_rtol=RANK_RTOL):
+def null_space_basis(g):
     """Orthonormal basis of the kernel of g (rows are constraints)."""
     g = np.asarray(g, dtype=float)
     rows, cols = g.shape
@@ -97,13 +98,8 @@ def null_space_basis(g, rank_rtol=RANK_RTOL):
     _, s, vt = np.linalg.svd(g, full_matrices=True)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(cols)
-    rank = int(np.sum(s > rank_rtol * s[0]))
+    rank = int(np.sum(s > RANK_RTOL * s[0]))
     return vt[rank:].T
-
-
-def subspace_contains(basis, x, tol=1e-8):
-    """True when the vector x lies in the column span of basis."""
-    return span_residual(basis, x) <= tol
 
 
 def span_residual(basis, x):
@@ -114,17 +110,6 @@ def span_residual(basis, x):
         return 0.0
     q = orthonormal_columns(basis)
     return fnorm(x - q @ (q.T @ x)) / nx
-
-
-def principal_angles(u, w):
-    """Principal angles between two column spans, ascending, in radians."""
-    uo = orthonormal_columns(u)
-    wo = orthonormal_columns(w)
-    if uo.shape[1] == 0 or wo.shape[1] == 0:
-        return np.zeros(0)
-    sig = np.linalg.svd(uo.T @ wo, compute_uv=False)
-    sig = np.clip(sig, -1.0, 1.0)
-    return np.arccos(sig)
 
 
 def max_principal_angle(u, w):
@@ -144,19 +129,19 @@ def max_principal_angle(u, w):
     return float(np.arcsin(min(1.0, max(s1, s2))))
 
 
-def subspace_intersect(u, w, cos_tol=INTERSECT_COS_TOL):
+def subspace_intersect(u, w):
     """Orthonormal basis for the intersection of two column spans.
 
-    Principal directions with cosine within cos_tol of 1 are treated as
-    common; each returned vector is the matched pair averaged, so it lies
-    in both spans to working accuracy.
+    Principal directions with cosine within INTERSECT_COS_TOL of 1 are
+    treated as common; each returned vector is the matched pair averaged,
+    so it lies in both spans to working accuracy.
     """
     uo = orthonormal_columns(u)
     wo = orthonormal_columns(w)
     if uo.shape[1] == 0 or wo.shape[1] == 0:
         return np.zeros((np.asarray(u).shape[0], 0))
     p, sig, qt = np.linalg.svd(uo.T @ wo)
-    keep = sig >= 1.0 - cos_tol
+    keep = sig >= 1.0 - INTERSECT_COS_TOL
     k = int(np.sum(keep))
     if k == 0:
         return np.zeros((uo.shape[0], 0))
@@ -165,7 +150,7 @@ def subspace_intersect(u, w, cos_tol=INTERSECT_COS_TOL):
     return orthonormal_columns(left + right)
 
 
-def skew_canonical(k, tol=1e-9):
+def skew_canonical(k):
     """Orthogonal reduction of a nonsingular skew-symmetric matrix.
 
     Returns (q, d) with q orthogonal, d ascending positive, and
@@ -217,7 +202,7 @@ def skew_canonical(k, tol=1e-9):
     canon[:m, m:] = np.diag(d)
     canon[m:, :m] = -np.diag(d)
     resid = fnorm(q.T @ k @ q - canon)
-    if resid > tol * max(1.0, fnorm(k)):
+    if resid > 1e-9 * max(1.0, fnorm(k)):
         raise NumericalContractError(
             f"skew canonical residual {resid:.3e} exceeds tolerance"
         )

@@ -1,4 +1,5 @@
-"""Basis coordinates, the prime map, sharp subspaces, chain extension."""
+"""Basis coordinates, the prime map, sharp subspaces, the dual-chain
+construction and the trace identity it feeds."""
 
 import numpy as np
 import pytest
@@ -6,31 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympspec.basis import (
-    BDiagonalOperator,
     SymplecticBasis,
     _in_sharp,
     _nested,
     _sharp_std,
-    b_gram_schmidt,
-    chain_extend,
     dual_chain_construct,
-    is_isotropic,
     prime_coords,
-    prime_subspace,
     same_span_trace_check,
     subspace_prime_sharp,
-    symplectic_complement,
 )
 from sympspec.core import (
     random_pd,
     random_symplectic,
-    symplectic_form,
-    symplectic_gram,
     symplectic_inner,
     tuple_form_defect,
     williamson,
 )
-from sympspec.errors import ValidationError
+from sympspec.errors import NumericalContractError, ValidationError
 from sympspec.extremal import random_orthogonal
 from sympspec.linalg import fnorm, max_principal_angle, orthonormal_columns, span_residual
 
@@ -47,7 +40,7 @@ def test_standard_basis_round_trip():
     assert np.allclose(basis.coords(x), x)
     assert np.allclose(basis.lift(x), x)
     y = RNG.normal(size=6)
-    assert basis.b_inner(x, y) == pytest.approx(float(x @ y))
+    assert float(basis.coords(x) @ basis.coords(y)) == pytest.approx(float(x @ y))
 
 
 def test_coords_inverts_lift_in_random_basis():
@@ -101,7 +94,7 @@ def test_b_inner_via_form_and_prime():
     basis = _random_basis(3)
     x, y = RNG.normal(size=6), RNG.normal(size=6)
     xa, ya = basis.lift(x), basis.lift(y)
-    direct = basis.b_inner(xa, ya)
+    direct = float(basis.coords(xa) @ basis.coords(ya))
     assert direct == pytest.approx(float(x @ y), rel=1e-10, abs=1e-12)
     assert direct == pytest.approx(
         symplectic_inner(xa, basis.prime(ya)), rel=1e-9, abs=1e-10
@@ -111,18 +104,9 @@ def test_b_inner_via_form_and_prime():
 def test_prime_is_b_isometry():
     basis = _random_basis(4)
     x = basis.lift(RNG.normal(size=8))
-    assert basis.b_norm(basis.prime(x)) == pytest.approx(basis.b_norm(x), rel=1e-10)
-
-
-def test_b_diagonal_operator_matches_quadratic_form():
-    a = random_pd(3, RNG)
-    dec = williamson(a)
-    basis = SymplecticBasis(dec.m)
-    op = BDiagonalOperator(basis, dec.d)
-    x = RNG.normal(size=6)
-    assert op.quad(x) == pytest.approx(float(x @ a @ x), rel=1e-8)
-    scaled = op.apply(dec.m)
-    assert fnorm(scaled - dec.m * np.tile(dec.d, 2)) <= 1e-8 * fnorm(scaled)
+    assert np.linalg.norm(basis.coords(basis.prime(x))) == pytest.approx(
+        float(np.linalg.norm(basis.coords(x))), rel=1e-10
+    )
 
 
 def test_sharp_of_prime_closed_plane():
@@ -152,83 +136,6 @@ def test_sharp_dimension_is_even_and_prime_invariant():
         if sharp.shape[1]:
             image = basis.prime(sharp)
             assert max_principal_angle(sharp, image) <= 1e-7
-
-
-def test_prime_subspace_double_application():
-    basis = _random_basis(3)
-    w = basis.cols @ random_orthogonal(6, RNG)[:, :3]
-    again = prime_subspace(prime_subspace(w, basis), basis)
-    assert max_principal_angle(again, w) <= 1e-8
-
-
-def test_symplectic_complement_standard_plane():
-    # The skew-complement of span{e1, e3} in n = 2 is span{e2, e4}.
-    s = np.eye(4)[:, [0, 2]]
-    comp = symplectic_complement(s)
-    assert comp.shape == (4, 2)
-    assert max_principal_angle(comp, np.eye(4)[:, [1, 3]]) <= 1e-12
-
-
-def test_symplectic_complement_dimension_count():
-    for _ in range(5):
-        n = int(RNG.integers(2, 6))
-        k = int(RNG.integers(1, n))
-        s = random_orthogonal(2 * n, RNG)[:, :k]
-        comp = symplectic_complement(s)
-        assert comp.shape[1] == 2 * n - k
-        assert np.max(np.abs(symplectic_gram(comp, s))) <= 1e-8
-
-
-def test_is_isotropic():
-    e = np.eye(4)
-    assert is_isotropic(e[:, :2])
-    assert not is_isotropic(e[:, [0, 2]])
-    assert is_isotropic(e[:, :0])
-
-
-def test_b_gram_schmidt_standard_case():
-    basis = SymplecticBasis.standard(2)
-    e = np.eye(4)
-    vecs = np.column_stack([e[:, 0], e[:, 0] + e[:, 1]])
-    out = b_gram_schmidt(vecs, basis)
-    assert np.allclose(out, e[:, :2], atol=1e-12)
-
-
-def test_b_gram_schmidt_rejects_dependent_input():
-    basis = SymplecticBasis.standard(2)
-    e = np.eye(4)
-    with pytest.raises(ValidationError):
-        b_gram_schmidt(np.column_stack([e[:, 0], 2 * e[:, 0]]), basis)
-
-
-def test_b_gram_schmidt_preserves_skew_constraint():
-    basis = _random_basis(3)
-    anchor = basis.cols[:, :1]
-    candidates = basis.cols[:, [1, 2]] @ np.array([[1.0, 0.3], [0.0, 1.0]])
-    out = b_gram_schmidt(candidates, basis, skew_constraint=anchor)
-    assert np.max(np.abs(symplectic_gram(out, anchor))) <= 1e-8
-
-
-def test_chain_extend_produces_sharp_member():
-    basis = _random_basis(3)
-    q = random_orthogonal(6, RNG)
-    chain = [q[:, :5], q[:, :4]]
-    _, sharp0 = subspace_prime_sharp(chain[1], basis)
-    seed = sharp0[:, :1]
-    seed = seed / basis.b_norm(seed)
-    v, x = chain_extend(chain, seed, basis, RNG)
-    assert x.shape == (6, 2)
-    _, sharp_top = subspace_prime_sharp(chain[0], basis)
-    assert span_residual(sharp_top, v) <= 1e-8
-    assert np.max(np.abs(symplectic_gram(x, x))) <= 1e-8
-
-
-def test_chain_extend_validates_seed_count():
-    basis = _random_basis(3)
-    q = random_orthogonal(6, RNG)
-    chain = [q[:, :5], q[:, :4]]
-    with pytest.raises(ValidationError):
-        chain_extend(chain, np.zeros((6, 0)), basis, RNG)
 
 
 def test_dual_chain_construct_postconditions():
@@ -269,6 +176,16 @@ def test_same_span_trace_check_on_eigen_tuple():
     lhs, rhs = same_span_trace_check(a, x, x, basis, d=dec.d)
     assert lhs == pytest.approx(rhs)
     assert lhs == pytest.approx(2.0 * float(np.sum(dec.d[:2])), rel=1e-9)
+
+
+def test_same_span_trace_check_rejects_a_wrong_spectrum():
+    # <x, A x> = sum_i d_i (alpha_i^2 + beta_i^2) fails once d is off.
+    a = random_pd(3, RNG)
+    dec = williamson(a)
+    basis = SymplecticBasis(dec.m)
+    x = basis.u[:, :2]
+    with pytest.raises(NumericalContractError, match="diagonal-operator identity"):
+        same_span_trace_check(a, x, x, basis, d=1.01 * dec.d)
 
 
 def test_same_span_trace_check_rejects_span_mismatch():
@@ -348,21 +265,8 @@ def _chain_q(dim, seed):
             ),
             "decreasing chain fails nesting",
         ),
-        (
-            lambda: chain_extend(
-                [_chain_q(6, 1)[:, :5], _chain_q(6, 2)[:, :4]],
-                np.zeros((6, 1)), SymplecticBasis.standard(3), 0,
-            ),
-            "chain is not decreasing",
-        ),
-        (
-            lambda: symplectic_complement(
-                np.eye(4)[:, :1], ambient=np.eye(4)[:, [1, 3]]
-            ),
-            "not contained in the ambient space",
-        ),
     ],
-    ids=["increasing-chain", "decreasing-chain", "extend-chain", "complement-ambient"],
+    ids=["increasing-chain", "decreasing-chain"],
 )
 def test_containment_checks_reject(call, message):
     with pytest.raises(ValidationError, match=message):

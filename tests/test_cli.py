@@ -147,6 +147,26 @@ def test_verify_replay_malformed_spec(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "report, message",
+    [
+        ([{"suites": {}}], "the report is of type list"),
+        ({"suites": {"maxmin": {}}}, "suites.maxmin.aggregate is missing"),
+        (
+            {"config": {"master_seed": "7"},
+             "suites": {"maxmin": {"aggregate": {"n_trials": 1}, "records": []}}},
+            "config.master_seed is of type str",
+        ),
+    ],
+    ids=["not-an-object", "no-aggregate", "config-type"],
+)
+def test_verify_replay_refuses_malformed_report(tmp_path, capsys, report, message):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert main(["verify", "--replay", f"{path}:maxmin:0"]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_exit_code_2_for_bad_matrix_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{broken")
