@@ -38,6 +38,8 @@ def main(argv=None):
     for flag, value in (("--trials", args.trials), ("--n", args.n)):
         if value < 1:
             parser.error(f"{flag} must be at least 1, got {value}")
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
 
     rng = np.random.default_rng(args.seed)
     best = None

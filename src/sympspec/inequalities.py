@@ -11,30 +11,54 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .core import as_generator, check_positive_definite, random_pd, symplectic_eigenvalues
-from .errors import NumericalContractError
-from .linalg import fnorm, pd_sqrt_invsqrt
+from .errors import NumericalContractError, ValidationError
+from .linalg import fnorm, pd_sqrt_invsqrt, sym_eig
+
+_SYGST = scipy.linalg.get_lapack_funcs("sygst", dtype=np.float64)
+_POLAR_TOL = 1e-8
 
 
 def geometric_mean(a, b):
-    """Geometric mean A # B = A^(1/2) (A^(-1/2) B A^(-1/2))^(1/2) A^(1/2)."""
-    a = check_positive_definite(a)[0]
+    """Geometric mean A # B = L (L^-1 B L^-T)^(1/2) L^T, where A = L L^T.
+
+    This is A^(1/2) (A^(-1/2) B A^(-1/2))^(1/2) A^(1/2) with the Cholesky
+    factor in place of the square root (Bhatia, Positive Definite
+    Matrices, 2007, ch. 4; Iannazzo, "The geometric mean of two matrices
+    from a computational viewpoint", Numer. Linear Algebra Appl. 23,
+    2016).  LAPACK dsygst forms C = L^-1 B L^-T, one symmetric eigensolve
+    C = V diag(w) V^T follows, and the mean is F F^T with
+    F = L V diag(w^(1/4)).
+    """
+    low = check_positive_definite(a)[1]
     b = check_positive_definite(b)[0]
-    root_a, inv_root_a = pd_sqrt_invsqrt(a)
-    middle = inv_root_a @ b @ inv_root_a
-    mid_root = pd_sqrt_invsqrt(0.5 * (middle + middle.T))[0]
-    out = root_a @ mid_root @ root_a
+    c, info = _SYGST(b, low, lower=1)
+    if info != 0:
+        raise NumericalContractError(f"congruence reduction failed: LAPACK info {info}")
+    # dsygst writes the lower triangle of C only.
+    c = np.tril(c)
+    w, v = sym_eig(c + np.tril(c, -1).T)
+    if w[0] <= 0.0:
+        raise ValidationError(
+            f"L^-1 B L^-T is not positive definite: smallest eigenvalue {w[0]:.6e}"
+        )
+    f = low @ (v * np.sqrt(np.sqrt(w)))
+    out = f @ f.T
     return 0.5 * (out + out.T)
 
 
-def polar_factor_check(a, b, tol=1e-8):
+def polar_factor_check(a, b, tol=_POLAR_TOL):
     """Orthogonality defect of U = A^(-1/2) (A#B) B^(-1/2).
 
     The mean factors as A^(1/2) U B^(1/2) with U orthogonal; the defect
     ||U^T U - I||_F certifies that route numerically.
     """
-    mean = geometric_mean(a, b)
+    return _polar_defect(a, b, geometric_mean(a, b), tol)
+
+
+def _polar_defect(a, b, mean, tol):
     inv_root_a = pd_sqrt_invsqrt(a)[1]
     inv_root_b = pd_sqrt_invsqrt(b)[1]
     u = inv_root_a @ mean @ inv_root_b
@@ -237,10 +261,13 @@ def multiplicative_lidskii_trial(a, b, index_set, tol=1e-9):
     plus the full-prefix lower and tail upper bounds with the identity
     index set.
     """
-    mean = geometric_mean(a, b)
-    d_m = symplectic_eigenvalues(mean)
-    d_a = symplectic_eigenvalues(a)
-    d_b = symplectic_eigenvalues(b)
+    d_m = symplectic_eigenvalues(geometric_mean(a, b))
+    return _product_records(d_m, symplectic_eigenvalues(a), symplectic_eigenvalues(b),
+                            index_set, tol)
+
+
+def _product_records(d_m, d_a, d_b, index_set, tol):
+    """multiplicative_lidskii_trial from the spectra of A # B, A and B."""
     idx = np.asarray(index_set, dtype=int) - 1
     k = idx.size
     n = d_a.size
@@ -315,18 +342,20 @@ def multiplicative_trial_records(t, n, rng, tol=1e-9):
         a = random_pd(n, rng)
         b = random_pd(n, rng)
         idx = _index_set(n, rng)
+    mean = geometric_mean(a, b)
     records = [
         make_record(
-            "polar-orthogonality", polar_factor_check(a, b), 0.0, "ge",
+            "polar-orthogonality", _polar_defect(a, b, mean, _POLAR_TOL), 0.0, "ge",
             0.0, {"trial": t, "n": n},
         )
     ]
-    for rec in multiplicative_lidskii_trial(a, b, idx, tol=tol):
+    d_m = symplectic_eigenvalues(mean)
+    d_a = symplectic_eigenvalues(a)
+    d_b = d_a if b is a else symplectic_eigenvalues(b)
+    for rec in _product_records(d_m, d_a, d_b, idx, tol):
         rec.instance.update({"trial": t, "n": n})
         records.append(rec)
     if t % 10 == 7:
-        d_m = symplectic_eigenvalues(geometric_mean(a, b))
-        d_a = symplectic_eigenvalues(a)
         records.append(
             make_record(
                 "mean-self-identity",
@@ -341,7 +370,6 @@ def multiplicative_trial_records(t, n, rng, tol=1e-9):
         half = pd_sqrt_invsqrt(a)[0]
         conj = half @ b @ half
         d_conj = symplectic_eigenvalues(0.5 * (conj + conj.T))
-        d_m = symplectic_eigenvalues(geometric_mean(a, b))
         records.append(
             make_record(
                 "conjugation-vs-mean-gap",

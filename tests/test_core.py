@@ -122,6 +122,27 @@ def test_williamson_recovers_planted_spectrum(family):
         assert dec.residual_j <= WILLIAMSON_TOL_J
 
 
+@pytest.mark.parametrize("family", list(PLANTED) + ["wide-congruence"])
+def test_geometric_mean_matches_the_exact_mean_of_planted_pairs(family):
+    # A = S^T diag(d, d) S and B = S^T diag(e, e) S share S, and the mean
+    # commutes with congruence, so A # B = S^T diag(sqrt(d e), sqrt(d e)) S.
+    # "wide-congruence" puts a generic spectrum behind an S of norm up to e^6.
+    def congruence(s, d):
+        a = s.T @ np.diag(np.concatenate([d, d])) @ s
+        return 0.5 * (a + a.T)
+
+    rng = np.random.default_rng(2024)
+    wide = family == "wide-congruence"
+    for i in range(24):
+        n = 2 + i % 6
+        s = random_symplectic(n, rng, spread=6.0 if wide else 2.0)
+        d = np.sort(rng.uniform(0.5, 2.0, n)) if wide else PLANTED[family](n, rng)
+        e = rng.uniform(0.5, 2.0, n)
+        exact = congruence(s, np.sqrt(d * e))
+        mean = geometric_mean(congruence(s, d), congruence(s, e))
+        assert fnorm(mean - exact) <= 1e-6 * fnorm(exact)
+
+
 def _spectrum_at_50_digits(a):
     """Positive imaginary parts of the eigenvalues of J A, at 50 digits."""
     with mpmath.workdps(50):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympspec import inequalities
 from sympspec.core import random_pd, symplectic_eigenvalues
 from sympspec.errors import NumericalContractError
 from sympspec.functionals import SHIPPED
@@ -50,6 +51,37 @@ def test_geometric_mean_congruence_identity():
     a = random_pd(3, RNG)
     mean = geometric_mean(a, np.linalg.inv(a))
     assert fnorm(mean - np.eye(6)) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 5, 20, 50])
+def test_geometric_mean_solves_the_riccati_equation(n):
+    # A # B is the positive definite solution of G B^-1 G = A.
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        a, b = random_pd(n, rng), random_pd(n, rng)
+        mean = geometric_mean(a, b)
+        assert fnorm(mean @ np.linalg.solve(b, mean) - a) <= 1e-10 * fnorm(a)
+
+
+def test_geometric_mean_makes_one_symmetric_eigensolve(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    rng = np.random.default_rng(4)
+    a, b = random_pd(4, rng), random_pd(4, rng)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    geometric_mean(a, b)
+    assert calls == [(8, 8)]
+
+
+def test_geometric_mean_maps_lapack_error_codes(monkeypatch):
+    monkeypatch.setattr(inequalities, "_SYGST", lambda b, low, lower: (b, -2))
+    with pytest.raises(NumericalContractError, match="LAPACK info -2"):
+        geometric_mean(np.eye(4), 2.0 * np.eye(4))
 
 
 def test_polar_factor_check_passes_pd_pair():

@@ -172,3 +172,19 @@ def test_skew_canonical_maps_lapack_error_codes(monkeypatch):
     monkeypatch.setattr(linalg, "_GEHRD", bad_argument)
     with pytest.raises(NumericalContractError, match="LAPACK info -1"):
         skew_canonical(np.array([[0.0, 5.0], [-5.0, 0.0]]))
+
+
+def test_skew_canonical_residual_catches_a_perturbed_svd_factor(monkeypatch):
+    # Rotating two left singular vectors keeps q orthogonal, so only the
+    # canonical-form residual can see the damage.
+    svd = np.linalg.svd
+
+    def rotated_u(b):
+        u, s, vt = svd(b)
+        c, t = np.cos(1e-3), np.sin(1e-3)
+        return u @ np.array([[c, -t, 0.0], [t, c, 0.0], [0.0, 0.0, 1.0]]), s, vt
+
+    x = np.random.default_rng(31).normal(size=(6, 6))
+    monkeypatch.setattr(np.linalg, "svd", rotated_u)
+    with pytest.raises(NumericalContractError, match="canonical residual"):
+        skew_canonical(x - x.T)

@@ -25,3 +25,10 @@ def test_refuses_counts_below_one(flag, capsys):
         mean_asymmetry.main([flag, "0"])
     assert exc.value.code == 2
     assert f"{flag} must be at least 1" in capsys.readouterr().err
+
+
+def test_refuses_a_negative_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        mean_asymmetry.main(["--seed", "-1", "--trials", "1"])
+    assert exc.value.code == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
