@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .core import compress, symplectic_eigenvalues, williamson
+from .core import METHODS, compress, symplectic_eigenvalues, williamson
 from .errors import (
     ConstructionError,
     MatrixFormatError,
@@ -173,11 +173,7 @@ def build_parser():
 
     p = sub.add_parser("eig", help="print the symplectic eigenvalues of a matrix file")
     p.add_argument("input", help="matrix file (JSON or CSV)")
-    p.add_argument(
-        "--method",
-        choices=("skew-canonical", "ja-eigen", "williamson"),
-        default="skew-canonical",
-    )
+    p.add_argument("--method", choices=METHODS, default="skew-canonical")
     p.set_defaults(func=cmd_eig)
 
     p = sub.add_parser("williamson", help="write the full decomposition to a file")

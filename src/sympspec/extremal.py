@@ -10,7 +10,7 @@ ExtremalCertificate records with every tolerance spelled out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -76,22 +76,10 @@ def canonical_chains(basis, index_set):
     plus the second-kind ones up to i; the decreasing chain takes all
     first-kind columns plus the second-kind ones from i on.
     """
-    n = basis.m
     u, v = basis.u, basis.v
     vchain = [np.hstack([u, v[:, :i]]) for i in index_set]
     wchain = [np.hstack([u, v[:, i - 1 :]]) for i in index_set]
     return vchain, wchain
-
-
-def _validated_index_set(index_set, n):
-    idx = np.asarray(index_set, dtype=int)
-    if idx.ndim != 1 or idx.size == 0 or idx.size > n:
-        raise ValidationError(f"index set must be 1..{n} values, got {idx!r}")
-    if np.any(idx < 1) or np.any(idx > n) or np.any(np.diff(idx) <= 0):
-        raise ValidationError(
-            f"index set must be strictly increasing within [1, {n}], got {idx.tolist()}"
-        )
-    return idx
 
 
 def sample_tuple_in_chain(chain, rng):
@@ -218,35 +206,62 @@ class ExtremalCertificate:
     witness_max: Optional[float]
     equality_gap: Optional[float]
     slack: float
-    achieved_at: str
     n_samples: int
     n_chains: int
     n_skipped: int
     passed: bool
-    details: dict = field(default_factory=dict)
 
 
-def _finish(name, claimed, sampled_min, witness_max, equality_gap, slacks,
-            achieved_at, n_samples, n_chains, n_skipped, details):
+def _finish(name, claimed, slacks, *, sampled_min=None, witness_max=None,
+            equality_gap=None, n_samples=0, n_chains=0, n_skipped=0):
     """Certificate with the worst slack; it also fails when more than half
     of the attempted constructions (chains, else samples) were skipped."""
     slack = float(min(slacks)) if slacks else 0.0
     skip_cap = max(1, (n_chains or n_samples) // 2)
     passed = bool(slack >= 0.0 and n_skipped <= skip_cap)
-    return ExtremalCertificate(
-        name=name,
-        claimed_value=float(claimed),
-        sampled_min=sampled_min,
-        witness_max=witness_max,
-        equality_gap=equality_gap,
-        slack=slack,
-        achieved_at=achieved_at,
-        n_samples=n_samples,
-        n_chains=n_chains,
-        n_skipped=n_skipped,
-        passed=passed,
-        details=details,
-    )
+    return ExtremalCertificate(name, float(claimed), sampled_min, witness_max,
+                               equality_gap, slack, n_samples, n_chains,
+                               n_skipped, passed)
+
+
+def _eigen_frame(a, index_set):
+    """(d, basis, idx, vchain, wchain): the Williamson spectrum and
+    eigenbasis of A, the validated index set and its canonical chains."""
+    dec = williamson(a)
+    basis = SymplecticBasis(dec.m)
+    n = dec.d.size
+    idx = np.asarray(index_set, dtype=int)
+    if idx.ndim != 1 or idx.size == 0 or idx.size > n:
+        raise ValidationError(f"index set must be 1..{n} values, got {idx!r}")
+    if np.any(idx < 1) or np.any(idx > n) or np.any(np.diff(idx) <= 0):
+        raise ValidationError(
+            f"index set must be strictly increasing within [1, {n}], got {idx.tolist()}"
+        )
+    vchain, wchain = canonical_chains(basis, idx)
+    return dec.d, basis, idx, vchain, wchain
+
+
+def _sampled_floor(a, chain, claimed, samples, rng, tol):
+    """Energies of tuples sampled in the chain, and their slacks above
+    the claim."""
+    scale = max(1.0, abs(claimed))
+    values = [tuple_value(a, *sample_tuple_in_chain(chain, rng)) for _ in range(samples)]
+    return values, [val - claimed + tol * scale for val in values]
+
+
+def _chain_tuples(vchain, idx, basis, count, rng, wchain=None):
+    """Dual-chain tuples (vs, ws) from count attempts, and the number of
+    attempts skipped on a ConstructionError.  Without wchain each attempt
+    draws a fresh random decreasing chain."""
+    sizes = [2 * basis.n - i + 1 for i in idx]
+    tuples, n_skipped = [], 0
+    for _ in range(count):
+        chain = random_decreasing_chain(2 * basis.n, sizes, rng) if wchain is None else wchain
+        try:
+            tuples.append(dual_chain_construct(vchain, chain, basis, rng))
+        except ConstructionError:
+            n_skipped += 1
+    return tuples, n_skipped
 
 
 def maxmin_check(a, k, samples=40, n_subspaces=20, rng=None, tol=1e-9):
@@ -257,32 +272,18 @@ def maxmin_check(a, k, samples=40, n_subspaces=20, rng=None, tol=1e-9):
     subspace of the complementary dimension admits a pair at most d_k.
     """
     rng = as_generator(rng)
-    dec = williamson(a)
-    d = dec.d
-    basis = SymplecticBasis(dec.m)
+    d, basis, idx, _, wchain = _eigen_frame(a, [k])
     n = d.size
-    if not 1 <= int(k) <= n:
-        raise ValidationError(f"index {k} outside [1, {n}]")
-    k = int(k)
+    k = int(idx[0])
     claimed = float(d[k - 1])
     scale = max(1.0, abs(claimed))
-    canonical = np.hstack([basis.u, basis.v[:, k - 1 :]])
+    values, slacks = _sampled_floor(a, wchain, claimed, samples, rng, tol)
 
-    slacks = []
-    values = []
-    for _ in range(samples):
-        x, y = sample_tuple_in_chain([canonical], rng)
-        val = tuple_value(a, x, y)
-        values.append(val)
-        slacks.append(val - claimed + tol * scale)
-    sampled_min = float(min(values)) if values else None
-
-    eig_val = tuple_value(a, basis.u[:, k - 1 : k], basis.v[:, k - 1 : k])
+    eig_val = tuple_value(a, basis.u[:, idx - 1], basis.v[:, idx - 1])
     equality_gap = abs(eig_val - claimed)
     slacks.append(1e-10 * scale - equality_gap)
 
-    witness_vals = []
-    n_skipped = 0
+    witness_vals, n_skipped = [], 0
     for _ in range(n_subspaces):
         m_sub = random_orthogonal(2 * n, rng)[:, : 2 * n - k + 1]
         try:
@@ -290,16 +291,13 @@ def maxmin_check(a, k, samples=40, n_subspaces=20, rng=None, tol=1e-9):
         except ConstructionError:
             n_skipped += 1
             continue
-        val = 0.5 * (_quad(a, u) + _quad(a, v))
-        witness_vals.append(val)
-        slacks.append(claimed - val + tol * scale)
-    witness_max = float(max(witness_vals)) if witness_vals else None
+        witness_vals.append(0.5 * (_quad(a, u) + _quad(a, v)))
+    slacks += [claimed - val + tol * scale for val in witness_vals]
 
     return _finish(
-        f"maxmin-{k}", claimed, sampled_min, witness_max, equality_gap,
-        slacks, f"eigen pair {k}", samples, n_subspaces, n_skipped,
-        {"sampled_values": values, "witness_values": witness_vals,
-         "eigenvalues": d.tolist(), "k": k},
+        f"maxmin-{k}", claimed, slacks, sampled_min=min(values, default=None),
+        witness_max=max(witness_vals, default=None), equality_gap=equality_gap,
+        n_samples=samples, n_chains=n_subspaces, n_skipped=n_skipped,
     )
 
 
@@ -314,57 +312,32 @@ def wielandt_certify(a, index_set, n_chains=20, samples=40, rng=None,
     constructed tuples checked on the way.
     """
     rng = as_generator(rng)
-    dec = williamson(a)
-    d = dec.d
-    basis = SymplecticBasis(dec.m)
-    n = d.size
-    idx = _validated_index_set(index_set, n)
+    d, basis, idx, vchain, wchain = _eigen_frame(a, index_set)
     claimed = float(np.sum(d[idx - 1]))
     scale = max(1.0, abs(claimed))
-    vchain, wchain_canonical = canonical_chains(basis, idx)
-
-    slacks = []
-    values = []
-    for _ in range(samples):
-        x, y = sample_tuple_in_chain(wchain_canonical, rng)
-        val = tuple_value(a, x, y)
-        values.append(val)
-        slacks.append(val - claimed + tol * scale)
-    sampled_min = float(min(values)) if values else None
+    values, slacks = _sampled_floor(a, wchain, claimed, samples, rng, tol)
 
     eig_val = tuple_value(a, basis.u[:, idx - 1], basis.v[:, idx - 1])
     equality_gap = abs(eig_val - claimed)
     slacks.append(eq_tol * scale - equality_gap)
 
+    tuples, n_skipped = _chain_tuples(vchain, idx, basis, n_chains, rng)
     witness_vals = []
-    trace_residuals = []
-    n_skipped = 0
-    for _ in range(n_chains):
-        wchain = random_decreasing_chain(2 * n, [2 * n - i + 1 for i in idx], rng)
-        try:
-            vs, ws = dual_chain_construct(vchain, wchain, basis, rng)
-        except ConstructionError:
-            n_skipped += 1
-            continue
+    for vs, ws in tuples:
         ws_prime = basis.prime(ws)
         defect = tuple_form_defect(ws, ws_prime)
         if defect > 1e-8:
             raise NumericalContractError(
                 f"witness tuple lost normalization: defect {defect:.3e}"
             )
-        val = tuple_value(a, ws, ws_prime)
-        witness_vals.append(val)
-        slacks.append(claimed - val + tol * scale)
-        lhs, rhs = same_span_trace_check(a, ws, vs, basis, d=d)
-        trace_residuals.append(abs(lhs - rhs) / max(1.0, abs(lhs)))
-    witness_max = float(max(witness_vals)) if witness_vals else None
+        witness_vals.append(tuple_value(a, ws, ws_prime))
+        same_span_trace_check(a, ws, vs, basis, d=d)
+    slacks += [claimed - val + tol * scale for val in witness_vals]
 
     return _finish(
-        "wielandt", claimed, sampled_min, witness_max, equality_gap,
-        slacks, f"eigen tuple {idx.tolist()}", samples, n_chains, n_skipped,
-        {"index_set": idx.tolist(), "sampled_values": values,
-         "witness_values": witness_vals, "trace_residuals": trace_residuals,
-         "eigenvalues": d.tolist()},
+        "wielandt", claimed, slacks, sampled_min=min(values, default=None),
+        witness_max=max(witness_vals, default=None), equality_gap=equality_gap,
+        n_samples=samples, n_chains=n_chains, n_skipped=n_skipped,
     )
 
 
@@ -387,45 +360,27 @@ def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
             raise ValidationError(
                 f"functional {phi.name!r} failed its audit: {', '.join(kinds)}"
             )
-    dec = williamson(a)
-    d = dec.d
-    basis = SymplecticBasis(dec.m)
-    n = d.size
-    idx = _validated_index_set(index_set, n)
+    d, basis, idx, vchain, wchain = _eigen_frame(a, index_set)
     d_target = d[idx - 1]
     claimed = float(phi(d_target))
     scale = max(1.0, abs(claimed))
-    vchain, wchain_canonical = canonical_chains(basis, idx)
 
-    slacks = []
-    details = {"index_set": idx.tolist(), "eigenvalues": d.tolist(),
-               "target": d_target.tolist()}
-
-    _, ws = dual_chain_construct(vchain, wchain_canonical, basis, rng)
+    _, ws = dual_chain_construct(vchain, wchain, basis, rng)
     a_c, d_tilde = compress(a, ws, basis.prime(ws))
-    slacks.extend(float(dt - t + tol * max(1.0, t)) for t, dt in zip(d_target, d_tilde))
+    slacks = [float(dt - t + tol * max(1.0, t)) for t, dt in zip(d_target, d_tilde)]
     phi_tilde = float(phi(d_tilde))
     slacks.append(phi_tilde - claimed + tol * scale)
     sign, logdet = np.linalg.slogdet(a_c)
     target_log = 2.0 * float(np.sum(np.log(d_target)))
     slacks.append(float(sign) * logdet - target_log - np.log1p(-1e-8))
-    details["canonical_compression"] = list(map(float, d_tilde))
-    sampled_min = phi_tilde
 
-    x_eig, y_eig = basis.u[:, idx - 1], basis.v[:, idx - 1]
-    d_eig = compress(a, x_eig, y_eig)[1]
+    d_eig = compress(a, basis.u[:, idx - 1], basis.v[:, idx - 1])[1]
     equality_gap = abs(float(phi(d_eig)) - claimed)
     slacks.append(1e-9 * scale - equality_gap)
 
+    tuples, n_skipped = _chain_tuples(vchain, idx, basis, n_chains, rng)
     chain_vals = []
-    n_skipped = 0
-    for _ in range(n_chains):
-        wchain = random_decreasing_chain(2 * n, [2 * n - i + 1 for i in idx], rng)
-        try:
-            vs, ws = dual_chain_construct(vchain, wchain, basis, rng)
-        except ConstructionError:
-            n_skipped += 1
-            continue
+    for vs, ws in tuples:
         vs_prime = basis.prime(vs)
         alpha = 0.5 * (np.sum(vs * (a @ vs), axis=0) + np.sum(vs_prime * (a @ vs_prime), axis=0))
         slacks.extend(float(t - al + tol * max(1.0, t)) for al, t in zip(alpha, d_target))
@@ -437,13 +392,11 @@ def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
         slacks.append(phi_alpha - phi_u + tol * scale)
         slacks.append(claimed - phi_u + tol * scale)
         chain_vals.append(phi_u)
-    witness_max = float(max(chain_vals)) if chain_vals else None
-    details["chain_values"] = chain_vals
 
     return _finish(
-        f"phi-extremal-{phi.name}", claimed, sampled_min, witness_max,
-        equality_gap, slacks, f"eigen tuple {idx.tolist()}", 1, n_chains,
-        n_skipped, details,
+        f"phi-extremal-{phi.name}", claimed, slacks, sampled_min=phi_tilde,
+        witness_max=max(chain_vals, default=None), equality_gap=equality_gap,
+        n_samples=1, n_chains=n_chains, n_skipped=n_skipped,
     )
 
 
@@ -456,38 +409,22 @@ def det_product_check(a, index_set, samples=20, rng=None):
     log space throughout.
     """
     rng = as_generator(rng)
-    dec = williamson(a)
-    d = dec.d
-    basis = SymplecticBasis(dec.m)
-    n = d.size
-    idx = _validated_index_set(index_set, n)
+    d, basis, idx, vchain, wchain = _eigen_frame(a, index_set)
     claimed_log = 2.0 * float(np.sum(np.log(d[idx - 1])))
-    vchain, wchain_canonical = canonical_chains(basis, idx)
 
-    slacks = []
     a_eig = compress(a, basis.u[:, idx - 1], basis.v[:, idx - 1])[0]
     sign, logdet = np.linalg.slogdet(a_eig)
     equality_gap = abs(float(sign) * logdet - claimed_log)
-    slacks.append(1e-8 - equality_gap)
+    slacks = [1e-8 - equality_gap]
 
+    tuples, n_skipped = _chain_tuples(vchain, idx, basis, samples, rng, wchain)
     sampled = []
-    n_skipped = 0
-    for _ in range(samples):
-        try:
-            _, ws = dual_chain_construct(vchain, wchain_canonical, basis, rng)
-        except ConstructionError:
-            n_skipped += 1
-            continue
-        a_c = compress(a, ws, basis.prime(ws))[0]
-        sign, logdet = np.linalg.slogdet(a_c)
-        val = float(sign) * logdet
-        sampled.append(val)
-        slacks.append(val - claimed_log - np.log1p(-1e-8))
-    sampled_min = float(min(sampled)) if sampled else None
+    for _, ws in tuples:
+        sign, logdet = np.linalg.slogdet(compress(a, ws, basis.prime(ws))[0])
+        sampled.append(float(sign) * logdet)
+    slacks += [val - claimed_log - np.log1p(-1e-8) for val in sampled]
 
     return _finish(
-        "det-product", claimed_log, sampled_min, None, equality_gap, slacks,
-        f"eigen tuple {idx.tolist()}", samples, 0, n_skipped,
-        {"index_set": idx.tolist(), "log_determinants": sampled,
-         "eigenvalues": d.tolist()},
+        "det-product", claimed_log, slacks, sampled_min=min(sampled, default=None),
+        equality_gap=equality_gap, n_samples=samples, n_skipped=n_skipped,
     )

@@ -1,9 +1,9 @@
 """Symmetric functionals of positive vectors used in extremal checks.
 
-A functional is shipped with the structural flags the extremal
-machinery relies on (Schur concavity, monotonicity, permutation
-invariance) so checks can decline inputs that lack the needed
-properties instead of silently producing false certificates.
+A functional is a name and a callable.  The Schur concavity,
+monotonicity and permutation invariance that the extremal certificate
+needs are not declared here: phi_extremal_check audits them with
+schur_concave_monotone_check and refuses a functional that fails.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ import numpy as np
 class SpectralFunctional:
     name: str
     fn: Callable[[np.ndarray], float]
-    schur_concave: bool = True
-    monotone: bool = True
-    permutation_invariant: bool = True
 
     def __call__(self, x):
         return float(self.fn(np.asarray(x, dtype=float)))

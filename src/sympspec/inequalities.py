@@ -119,7 +119,6 @@ def random_dominated_pair(n, rng):
 @dataclass
 class PhiCheckResult:
     ok: bool
-    trials: int
     counterexamples: list = field(default_factory=list)
 
 
@@ -132,7 +131,7 @@ def schur_concave_monotone_check(phi, trials=200, rng=None):
     sorted ascending.  Any violation is recorded with its instance.
     """
     rng = as_generator(rng)
-    result = PhiCheckResult(ok=True, trials=trials)
+    result = PhiCheckResult(ok=True)
 
     def record(kind, a, b, va, vb):
         result.ok = False

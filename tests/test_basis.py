@@ -188,6 +188,17 @@ def test_same_span_trace_check_rejects_a_wrong_spectrum():
         same_span_trace_check(a, x, x, basis, d=1.01 * dec.d)
 
 
+def test_same_span_trace_check_rejects_unequal_traces():
+    # v leans 5e-9 off x: inside the span and orthosymplectic bounds, but
+    # the strong coupling in A moves the trace by 1.8e-5 against 2000.
+    a = np.kron(np.eye(2), [[1000.0, 900.0], [900.0, 1000.0]])
+    basis = SymplecticBasis.standard(2)
+    x = np.eye(4)[:, :1]
+    v = _unit(np.array([1.0, 5e-9, 0.0, 0.0]))[:, None]
+    with pytest.raises(NumericalContractError, match="trace equality violated"):
+        same_span_trace_check(a, x, v, basis)
+
+
 def test_same_span_trace_check_rejects_span_mismatch():
     a = random_pd(2, RNG)
     dec = williamson(a)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import sympspec.extremal
 from sympspec.basis import SymplecticBasis
 from sympspec.core import (
     compress,
@@ -119,7 +120,6 @@ def test_wielandt_certificate_two_sided():
     assert cert.claimed_value == pytest.approx(float(np.sum(dec.d[idx - 1])))
     assert cert.sampled_min >= cert.claimed_value - 1e-9
     assert cert.witness_max <= cert.claimed_value + 1e-9
-    assert max(cert.details["trace_residuals"]) <= 1e-9
 
 
 def test_wielandt_rejects_bad_index_sets():
@@ -149,9 +149,27 @@ def test_phi_extremal_sum_matches_wielandt_claim():
 
 def test_phi_extremal_rejects_functional_that_fails_audit():
     a, _, _ = _instance(2, 12)
-    liar = SpectralFunctional("max", np.max)  # claims concavity it lacks
+    liar = SpectralFunctional("max", np.max)  # Schur-convex: fails the audit
     with pytest.raises(ValidationError):
         phi_extremal_check(a, np.array([1]), liar, rng=RNG)
+
+
+def test_phi_extremal_counts_every_refused_chain(monkeypatch):
+    a, _, _ = _instance(3, 14)
+    build = sympspec.extremal.dual_chain_construct
+    calls = []
+
+    def canonical_only(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise ConstructionError("forced failure")
+        return build(*args)
+
+    monkeypatch.setattr(sympspec.extremal, "dual_chain_construct", canonical_only)
+    cert = phi_extremal_check(a, np.array([1, 3]), phi_sum, n_chains=4, rng=RNG)
+    assert len(calls) == 5
+    assert cert.n_skipped == cert.n_chains == 4
+    assert cert.witness_max is None and not cert.passed
 
 
 def test_det_product_certificate():
@@ -174,8 +192,8 @@ def test_det_product_certificate():
     ],
 )
 def test_finish_derives_the_skip_cap(n_samples, n_chains, n_skipped, passed):
-    cert = _finish("c", 1.0, None, None, None, [0.5], "", n_samples,
-                   n_chains, n_skipped, {})
+    cert = _finish("c", 1.0, [0.5], n_samples=n_samples, n_chains=n_chains,
+                   n_skipped=n_skipped)
     assert cert.passed is passed
 
 

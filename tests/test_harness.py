@@ -120,12 +120,12 @@ def test_replay_validates_inputs(tmp_path):
         replay(tmp_path / "missing.json", "majorization", 0)
 
 
-def test_certificate_record_fails_when_skips_exceed_the_cap(monkeypatch):
+@pytest.mark.parametrize("suite", ["wielandt", "det-product"])
+def test_certificate_record_fails_when_skips_exceed_the_cap(monkeypatch, suite):
     def never_builds(*args, **kwargs):
         raise ConstructionError("forced failure")
 
     monkeypatch.setattr(sympspec.extremal, "dual_chain_construct", never_builds)
-    out = run_suite("wielandt", SuiteConfig(suite="wielandt", trials=2,
-                                            report_path=None))
+    out = run_suite(suite, SuiteConfig(suite=suite, trials=2, report_path=None))
     assert out["aggregate"]["n_failed"] == 2
     assert all(rec["instance"]["n_skipped"] == 3 for rec in out["records"])
