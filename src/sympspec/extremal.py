@@ -17,6 +17,7 @@ import numpy as np
 
 from .basis import (
     SymplecticBasis,
+    _constrained_subspace,
     _coords_subspace,
     _rebuild,
     _sharp_std,
@@ -31,14 +32,13 @@ from .core import (
     compress,
     half_dim,
     symplectic_eigenvalues,
-    symplectic_gram,
     symplectic_inner,
     tuple_form_defect,
     williamson,
 )
 from .errors import ConstructionError, NumericalContractError, ValidationError
 from .inequalities import schur_concave_monotone_check, supermajorize
-from .linalg import null_space_basis, orthonormal_columns, subspace_intersect
+from .linalg import orthonormal_columns, subspace_intersect
 
 PAIR_FLOOR = 1e-6
 SAMPLE_RETRIES = 50
@@ -102,11 +102,7 @@ def sample_tuple_in_chain(chain, rng):
         xs, ys = [], []
         ok = True
         for j in range(k - 1, -1, -1):
-            wb = bases[j]
-            if chosen.shape[1]:
-                f = wb @ null_space_basis(symplectic_gram(chosen, wb))
-            else:
-                f = wb
+            f = _constrained_subspace(bases[j], chosen)
             if f.shape[1] < 2:
                 ok = False
                 break

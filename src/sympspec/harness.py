@@ -16,6 +16,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -112,44 +113,9 @@ def trial_rng(master_seed, suite_id, trial):
     return np.random.default_rng(seq)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
-
-
-def _rec(trial, n, name, lhs, rhs, direction, tol, instance=None):
-    return _from_inequality(trial, n, make_record(name, lhs, rhs, direction, tol, instance))
-
-
-def _from_inequality(trial, n, rec):
-    return {
-        "trial": int(trial),
-        "n": int(n),
-        "name": rec.name,
-        "lhs": rec.lhs,
-        "rhs": rec.rhs,
-        "direction": rec.direction,
-        "slack": rec.slack,
-        "tol": rec.tol,
-        "passed": rec.passed,
-        "instance": _jsonable(rec.instance),
-    }
-
-
-def _from_certificate(trial, n, cert):
-    rec = _rec(
-        trial, n, cert.name, cert.slack, 0.0, "ge", 0.0,
+def _from_certificate(cert):
+    rec = make_record(
+        cert.name, cert.slack, 0.0, "ge", 0.0,
         instance={
             "claimed": cert.claimed_value,
             "sampled_min": cert.sampled_min,
@@ -159,7 +125,7 @@ def _from_certificate(trial, n, cert):
         },
     )
     # A certificate also fails on too many skipped constructions.
-    rec["passed"] = cert.passed
+    rec.passed = cert.passed
     return rec
 
 
@@ -181,10 +147,10 @@ def _trial_williamson(t, cfg, rng):
         inst["condition_warning"] = True
     dec = williamson(a)
     records = [
-        _rec(t, n, "williamson-residual-A", dec.residual_a, 1e-8 * fnorm(a), "le", 0.0, inst),
-        _rec(t, n, "williamson-residual-J", dec.residual_j, 1e-9, "le", 0.0, inst),
-        _rec(
-            t, n, "williamson-transform-symplectic",
+        make_record("williamson-residual-A", dec.residual_a, 1e-8 * fnorm(a), "le", 0.0, inst),
+        make_record("williamson-residual-J", dec.residual_j, 1e-9, "le", 0.0, inst),
+        make_record(
+            "williamson-transform-symplectic",
             fnorm(dec.m.T @ apply_form(dec.m) - symplectic_form(n)),
             1e-8, "le", 0.0, inst,
         ),
@@ -196,20 +162,20 @@ def _trial_williamson(t, cfg, rng):
     ])
     spread = float(np.max(spectra.max(axis=0) - spectra.min(axis=0)))
     records.append(
-        _rec(
-            t, n, "method-agreement", spread,
+        make_record(
+            "method-agreement", spread,
             1e-8 * max(1.0, float(np.max(spectra))), "le", 0.0, inst,
         )
     )
     if target is not None:
         records.append(
-            _rec(
-                t, n, "prescribed-recovery",
+            make_record(
+                "prescribed-recovery",
                 float(np.max(np.abs(dec.d - target))),
                 1e-9 * max(1.0, float(np.max(target))), "le", 0.0, inst,
             )
         )
-    return records
+    return n, records
 
 
 def _trial_maxmin(t, cfg, rng):
@@ -217,7 +183,7 @@ def _trial_maxmin(t, cfg, rng):
     a = random_pd(n, rng)
     k = int(rng.integers(1, n + 1))
     cert = maxmin_check(a, k, samples=6, n_subspaces=4, rng=rng, tol=cfg.tol)
-    return [_from_certificate(t, n, cert)]
+    return n, [_from_certificate(cert)]
 
 
 def _trial_wielandt(t, cfg, rng):
@@ -225,7 +191,7 @@ def _trial_wielandt(t, cfg, rng):
     a = random_pd(n, rng)
     idx = _index_set(n, rng, cap=4)
     cert = wielandt_certify(a, idx, n_chains=3, samples=6, rng=rng, tol=cfg.tol)
-    return [_from_certificate(t, n, cert)]
+    return n, [_from_certificate(cert)]
 
 
 def _trial_construction(t, cfg, rng):
@@ -242,7 +208,7 @@ def _trial_construction(t, cfg, rng):
         vs, ws = dual_chain_construct(vchain, wchain, basis, rng)
     except ConstructionError as exc:
         inst["skipped"] = str(exc)
-        return [_rec(t, n, "construction-skipped", 0.0, 0.0, "eq", 1.0, inst)]
+        return n, [make_record("construction-skipped", 0.0, 0.0, "eq", 1.0, inst)]
     vc = basis.coords(vs)
     wc = basis.coords(ws)
     vf = np.hstack([vc, prime_coords(vc)])
@@ -262,12 +228,12 @@ def _trial_construction(t, cfg, rng):
             sharp = _sharp_std(_coords_subspace(chain[j], basis))
             member = max(member, span_residual(sharp, cols[:, j]))
     lhs, rhs = same_span_trace_check(a, ws, vs, basis, check=False)
-    return [
-        _rec(t, n, "construction-orthosymplectic", defect, 1e-8, "le", 0.0, inst),
-        _rec(t, n, "construction-span-angle", angle, 1e-8, "le", 0.0, inst),
-        _rec(t, n, "construction-sharp-membership", member, 1e-8, "le", 0.0, inst),
-        _rec(
-            t, n, "construction-trace-equality", abs(lhs - rhs),
+    return n, [
+        make_record("construction-orthosymplectic", defect, 1e-8, "le", 0.0, inst),
+        make_record("construction-span-angle", angle, 1e-8, "le", 0.0, inst),
+        make_record("construction-sharp-membership", member, 1e-8, "le", 0.0, inst),
+        make_record(
+            "construction-trace-equality", abs(lhs - rhs),
             1e-9 * max(1.0, abs(lhs)), "le", 0.0,
             {**inst, "lhs": lhs, "rhs": rhs},
         ),
@@ -276,12 +242,12 @@ def _trial_construction(t, cfg, rng):
 
 def _trial_lidskii_add(t, cfg, rng):
     n = _draw_n(cfg, rng)
-    return [_from_inequality(t, n, r) for r in additive_trial_records(t, n, rng, tol=cfg.tol)]
+    return n, additive_trial_records(t, n, rng, tol=cfg.tol)
 
 
 def _trial_lidskii_mult(t, cfg, rng):
     n = _draw_n(cfg, rng)
-    return [_from_inequality(t, n, r) for r in multiplicative_trial_records(t, n, rng, tol=cfg.tol)]
+    return n, multiplicative_trial_records(t, n, rng, tol=cfg.tol)
 
 
 def _trial_phi(t, cfg, rng):
@@ -292,9 +258,9 @@ def _trial_phi(t, cfg, rng):
     cert = phi_extremal_check(
         a, idx, phi, n_chains=3, rng=rng, tol=cfg.tol, phi_trials=40
     )
-    rec = _from_certificate(t, n, cert)
-    rec["instance"]["functional"] = phi.name
-    return [rec]
+    rec = _from_certificate(cert)
+    rec.instance["functional"] = phi.name
+    return n, [rec]
 
 
 def _trial_det_product(t, cfg, rng):
@@ -302,7 +268,7 @@ def _trial_det_product(t, cfg, rng):
     a = random_pd(n, rng)
     idx = _index_set(n, rng, cap=4)
     cert = det_product_check(a, idx, samples=3, rng=rng)
-    return [_from_certificate(t, n, cert)]
+    return n, [_from_certificate(cert)]
 
 
 def _brute_supermajorize(a, b, atol=0.0):
@@ -337,16 +303,16 @@ def _trial_majorization(t, cfg, rng):
     y = rng.uniform(0.0, 3.0, size=n)
     atol = 1e-12 * max(1.0, float(np.max(np.abs(x))) + float(np.max(np.abs(y))))
     records.append(
-        _rec(
-            t, n, "supermajorize-oracle-agreement",
+        make_record(
+            "supermajorize-oracle-agreement",
             float(supermajorize(x, y, atol=atol)),
             float(_brute_supermajorize(x, y, atol=atol)),
             "eq", 0.0, {"x": x.tolist(), "y": y.tolist()},
         )
     )
     records.append(
-        _rec(
-            t, n, "majorize-oracle-agreement",
+        make_record(
+            "majorize-oracle-agreement",
             float(majorize(x, y, atol=atol)),
             float(_brute_majorize(x, y, atol=atol)),
             "eq", 0.0, {},
@@ -355,19 +321,19 @@ def _trial_majorization(t, cfg, rng):
     am, bm = random_majorization_pair(n, rng)
     scale = 1e-12 * max(1.0, float(np.max(np.abs(bm))) * n)
     records.append(
-        _rec(t, n, "majorization-pair-valid", float(majorize(am, bm, atol=scale)), 1.0, "eq", 0.0, {})
+        make_record("majorization-pair-valid", float(majorize(am, bm, atol=scale)), 1.0, "eq", 0.0, {})
     )
     up, down = random_supermajorization_pair(n, rng)
     records.append(
-        _rec(
-            t, n, "supermajorization-pair-valid",
+        make_record(
+            "supermajorization-pair-valid",
             float(supermajorize(up, down, atol=scale)), 1.0, "eq", 0.0, {},
         )
     )
     hi, lo = random_dominated_pair(n, rng)
     records.append(
-        _rec(
-            t, n, "domination-implies-supermajorization",
+        make_record(
+            "domination-implies-supermajorization",
             float(supermajorize(hi, lo, atol=scale)), 1.0, "eq", 0.0, {},
         )
     )
@@ -375,13 +341,13 @@ def _trial_majorization(t, cfg, rng):
         for phi in SHIPPED:
             audit = schur_concave_monotone_check(phi, trials=150, rng=rng)
             records.append(
-                _rec(
-                    t, n, f"functional-audit-{phi.name}",
+                make_record(
+                    f"functional-audit-{phi.name}",
                     float(audit.ok), 1.0, "eq", 0.0,
                     {"counterexamples": audit.counterexamples[:3]},
                 )
             )
-    return records
+    return n, records
 
 
 _TRIAL_FUNCS = {
@@ -398,14 +364,18 @@ _TRIAL_FUNCS = {
 SUITE_IDS = tuple(_TRIAL_FUNCS)
 
 
+def _trial_records(suite_id, config, t):
+    """Report records of trial t: each InequalityRecord plus trial and n."""
+    n, records = _TRIAL_FUNCS[suite_id](
+        t, config, trial_rng(config.master_seed, suite_id, t)
+    )
+    return [{"trial": t, "n": n, **vars(rec)} for rec in records]
+
+
 def run_suite(suite_id, config):
     """All records and the aggregate for one suite."""
     trials = config.trials if config.trials is not None else DEFAULT_TRIALS[suite_id]
-    fn = _TRIAL_FUNCS[suite_id]
-
-    def one(t):
-        return fn(t, config, trial_rng(config.master_seed, suite_id, t))
-
+    one = partial(_trial_records, suite_id, config)
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             per_trial = list(pool.map(one, range(trials)))
@@ -519,9 +489,7 @@ def replay(report_path, suite_id, trial):
     records = _field(entry.get("records"), list, f"suites.{suite_id}.records")
     if not 0 <= trial < n_trials:
         raise ValidationError(f"trial {trial} outside recorded range 0..{n_trials - 1}")
-    fn = _TRIAL_FUNCS[suite_id]
-    fresh = fn(trial, config, trial_rng(config.master_seed, suite_id, trial))
-    fresh = json.loads(json.dumps(fresh))
+    fresh = json.loads(json.dumps(_trial_records(suite_id, config, trial)))
     stored = [
         r for r in records
         if _field(r, dict, f"a record of suites.{suite_id}").get("trial") == trial

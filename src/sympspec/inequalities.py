@@ -2,8 +2,9 @@
 majorization utilities used to state and test them.
 
 All comparisons run on ascending spectra.  Randomized trials return
-InequalityRecord entries so the harness can serialize every instance
-that was checked.
+InequalityRecord entries; a verify report stores each one as it stands,
+plus the trial and block size n it came from, so every checked instance
+is serialized.
 """
 
 from __future__ import annotations
@@ -173,7 +174,10 @@ class InequalityRecord:
     """One checked instance: lhs (direction) rhs, with oriented slack.
 
     direction is "ge", "le", or "eq"; slack is positive when the
-    inequality holds strictly and passed means slack >= -tol.
+    inequality holds strictly and passed means slack >= -tol.  A verify
+    report stores these fields plus trial and n; instance holds JSON
+    values only.  A record made from an extremal certificate also fails
+    when the certificate skipped more constructions than its cap.
     """
 
     name: str

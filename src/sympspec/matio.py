@@ -36,10 +36,10 @@ def matrix_from_obj(obj, source="matrix"):
         if key not in obj:
             raise MatrixFormatError(f"{source}: missing key {key!r}")
     a = _finite_array(obj["entries"], source)
-    if not isinstance(obj["dim"], int) or obj["dim"] != a.shape[0]:
-        raise MatrixFormatError(
-            f"{source}: dim {obj['dim']!r} does not match {a.shape[0]} rows"
-        )
+    dim = obj["dim"]
+    # A JSON boolean is no row count, though Python's bool is an int.
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim != a.shape[0]:
+        raise MatrixFormatError(f"{source}: dim {dim!r} does not match {a.shape[0]} rows")
     return a
 
 

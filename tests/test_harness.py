@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sympspec.extremal
+import sympspec.harness
 from sympspec.errors import ConstructionError, ValidationError
 from sympspec.harness import (
     DEFAULT_TRIALS,
@@ -53,9 +54,10 @@ def test_run_suite_structure():
     assert agg["n_trials"] == 3
     assert agg["passed"] and agg["n_failed"] == 0
     assert len(out["records"]) == agg["n_records"]
-    sample = out["records"][0]
-    assert {"trial", "n", "name", "lhs", "rhs", "direction", "slack",
-            "tol", "passed"} <= set(sample)
+    # Every report record is one InequalityRecord plus trial and n.
+    for rec in out["records"]:
+        assert set(rec) == {"trial", "n", "name", "lhs", "rhs", "direction",
+                            "slack", "tol", "passed", "instance"}
 
 
 def test_default_trials_cover_all_suites():
@@ -94,16 +96,25 @@ def test_different_seed_changes_records():
     assert not reports_match(r1, r2)
 
 
-def test_replay_reproduces_stored_trial(tmp_path):
-    cfg = SuiteConfig(suite="lidskii-add", trials=4, master_seed=3,
-                      report_path=None)
+@pytest.mark.parametrize("suite", SUITE_IDS)
+def test_replay_reproduces_stored_trial(tmp_path, suite):
+    cfg = SuiteConfig(suite=suite, trials=3, master_seed=3, report_path=None)
     report, _ = run_all(cfg)
     path = tmp_path / "report.json"
     write_report(report, path)
-    fresh, stored, match = replay(path, "lidskii-add", 2)
-    assert match
-    assert fresh == stored
-    assert all(rec["trial"] == 2 for rec in stored)
+    for trial in range(3):
+        fresh, stored, match = replay(path, suite, trial)
+        assert match
+        assert fresh == stored
+        assert stored and all(rec["trial"] == trial for rec in stored)
+
+
+def test_condition_warning_is_written_as_a_json_boolean(monkeypatch, tmp_path):
+    monkeypatch.setattr(sympspec.harness, "condition_number", lambda a: 2e12)
+    report, _ = run_all(SuiteConfig(suite="williamson", trials=1, report_path=None))
+    path = tmp_path / "report.json"
+    write_report(report, path)
+    assert '"condition_warning": true' in path.read_text()
 
 
 def test_replay_validates_inputs(tmp_path):

@@ -52,6 +52,8 @@ def test_load_sniffs_json_by_leading_brace(tmp_path):
 def test_dim_mismatch_rejected():
     with pytest.raises(MatrixFormatError):
         matrix_from_obj({"dim": 3, "entries": [[1.0, 0.0], [0.0, 1.0]]})
+    with pytest.raises(MatrixFormatError):
+        matrix_from_obj({"dim": True, "entries": [[5.0]]})
 
 
 def test_missing_keys_rejected():
