@@ -31,6 +31,7 @@ from .core import (
 )
 from .errors import ConstructionError, NumericalContractError, ValidationError
 from .linalg import (
+    INTERSECT_COS_TOL,
     fnorm,
     null_space_basis,
     orthonormal_columns,
@@ -113,8 +114,19 @@ def _coords_subspace(w, basis):
 
 
 def _sharp_std(g):
-    """Coordinate-space W-sharp = W intersect W-prime."""
-    return subspace_intersect(g, prime_coords(g))
+    """Coordinate-space W-sharp = W intersect W-prime; g has orthonormal
+    columns.
+
+    With S = g^T P g the k x k skew matrix of the prime map P on span(g),
+    x = g c lies in W-sharp exactly when P x lies in span(g), that is
+    when ||S c|| = ||c||.  So W-sharp is g times the right singular
+    vectors of S with singular value within INTERSECT_COS_TOL of 1, the
+    principal directions of span(g) against span(P g) (Bjorck and Golub,
+    "Numerical methods for computing angles between linear subspaces",
+    Math. Comp. 27, 1973), and one k x k SVD finds them.
+    """
+    _, sig, vt = np.linalg.svd(g.T @ prime_coords(g))
+    return g @ vt[sig >= 1.0 - INTERSECT_COS_TOL].T
 
 
 def _off_span(y, g):
@@ -142,8 +154,7 @@ def subspace_prime_sharp(w, basis):
     always even, and that is checked rather than assumed.
     """
     wc = _coords_subspace(w, basis)
-    pc = prime_coords(wc)
-    sharp_c = subspace_intersect(wc, pc)
+    sharp_c = _sharp_std(wc)
     if sharp_c.shape[1] % 2 == 1:
         raise NumericalContractError(
             f"sharp space has odd dimension {sharp_c.shape[1]}; "
@@ -154,7 +165,7 @@ def subspace_prime_sharp(w, basis):
         raise NumericalContractError(
             f"sharp space is not prime-invariant: residual {resid:.3e}"
         )
-    w_prime = orthonormal_columns(basis.lift(pc))
+    w_prime = orthonormal_columns(basis.lift(prime_coords(wc)))
     w_sharp = orthonormal_columns(basis.lift(sharp_c))
     return w_prime, w_sharp
 
@@ -257,7 +268,7 @@ def _chain_extend_std(chain, ws, rng):
         return v, v[:, None]
 
     u, xs = _chain_extend_std(chain[1:], ws[:, 1:], rng)
-    uspan = orthonormal_columns(np.hstack([ws, prime_coords(ws)]))
+    uspan = np.hstack([ws, prime_coords(ws)])
     sharp1 = _sharp_std(chain[0])
     feas = _constrained_subspace(sharp1, uspan)
     if feas.shape[1] == 0:

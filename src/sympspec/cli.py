@@ -22,7 +22,7 @@ from .errors import (
     NumericalContractError,
     ValidationError,
 )
-from .harness import SUITE_IDS, SuiteConfig, replay, run_all, write_report
+from .harness import DEFAULT_TOL, SUITE_IDS, SuiteConfig, replay, run_all, write_report
 from .inequalities import geometric_mean
 from .matio import load_matrix, matrix_to_obj, save_matrix, save_williamson
 
@@ -199,7 +199,7 @@ def build_parser():
     p.add_argument("--nmax", type=int, default=5)
     p.add_argument("--seed", type=int, default=None,
                    help="master seed (default: SYMPSPEC_SEED or 0)")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--report", default="sympspec_report.json",
                    help="report path; pass an empty string to skip writing")
     p.add_argument("--jobs", type=int, default=1)

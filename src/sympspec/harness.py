@@ -64,6 +64,8 @@ from .inequalities import (
 )
 from .linalg import fnorm, max_principal_angle, span_residual
 
+DEFAULT_TOL = 1e-9
+
 DEFAULT_TRIALS = {
     "williamson": 60,
     "maxmin": 25,
@@ -84,7 +86,7 @@ class SuiteConfig:
     n_min: int = 2
     n_max: int = 5
     master_seed: int = 0
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     report_path: Optional[str] = "sympspec_report.json"
     jobs: int = 1
 
@@ -479,7 +481,7 @@ def replay(report_path, suite_id, trial):
         n_min=_field(cfg_src.get("n_min", 2), int, "config.n_min"),
         n_max=_field(cfg_src.get("n_max", 5), int, "config.n_max"),
         master_seed=_field(cfg_src.get("master_seed", 0), int, "config.master_seed"),
-        tol=_field(cfg_src.get("tol", 1e-9), (int, float), "config.tol"),
+        tol=_field(cfg_src.get("tol", DEFAULT_TOL), (int, float), "config.tol"),
         report_path=None,
         jobs=1,
     )

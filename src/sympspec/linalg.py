@@ -132,21 +132,30 @@ def max_principal_angle(u, w):
 def subspace_intersect(u, w):
     """Orthonormal basis for the intersection of two column spans.
 
-    Principal directions with cosine within INTERSECT_COS_TOL of 1 are
-    treated as common; each returned vector is the matched pair averaged,
-    so it lies in both spans to working accuracy.
+    Precondition: u and w both have orthonormal columns; they are not
+    re-orthonormalised.  The singular values of u.T w are then the
+    cosines of the principal angles (Bjorck and Golub, "Numerical methods
+    for computing angles between linear subspaces", Math. Comp. 27,
+    1973).  Principal directions with cosine within INTERSECT_COS_TOL of
+    1 are treated as common; each returned vector is the matched pair
+    averaged, so it lies in both spans to working accuracy.  A cosine
+    above 1 + INTERSECT_COS_TOL shows a broken precondition and raises
+    NumericalContractError.
     """
-    uo = orthonormal_columns(u)
-    wo = orthonormal_columns(w)
-    if uo.shape[1] == 0 or wo.shape[1] == 0:
-        return np.zeros((np.asarray(u).shape[0], 0))
-    p, sig, qt = np.linalg.svd(uo.T @ wo)
-    keep = sig >= 1.0 - INTERSECT_COS_TOL
-    k = int(np.sum(keep))
+    u = np.asarray(u, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if u.shape[1] == 0 or w.shape[1] == 0:
+        return np.zeros((u.shape[0], 0))
+    p, sig, qt = np.linalg.svd(u.T @ w)
+    if sig[0] > 1.0 + INTERSECT_COS_TOL:
+        raise NumericalContractError(
+            f"principal cosine {sig[0]:.3e} exceeds 1: inputs are not orthonormal"
+        )
+    k = int(np.sum(sig >= 1.0 - INTERSECT_COS_TOL))
     if k == 0:
-        return np.zeros((uo.shape[0], 0))
-    left = uo @ p[:, :k]
-    right = wo @ qt[:k].T
+        return np.zeros((u.shape[0], 0))
+    left = u @ p[:, :k]
+    right = w @ qt[:k].T
     return orthonormal_columns(left + right)
 
 

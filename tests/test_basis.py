@@ -25,7 +25,13 @@ from sympspec.core import (
 )
 from sympspec.errors import NumericalContractError, ValidationError
 from sympspec.extremal import random_orthogonal
-from sympspec.linalg import fnorm, max_principal_angle, orthonormal_columns, span_residual
+from sympspec.linalg import (
+    INTERSECT_COS_TOL,
+    fnorm,
+    max_principal_angle,
+    orthonormal_columns,
+    span_residual,
+)
 
 RNG = np.random.default_rng(303)
 
@@ -234,6 +240,59 @@ def test_in_sharp_agrees_with_the_intersection_route():
         y = _unit(y - sharp @ (sharp.T @ y))
         assert not _in_sharp(y, g, 1e-8)
         assert span_residual(sharp, y) > 1e-8
+
+
+def _sharp_reference(g):
+    # W cap W' by four SVDs: re-orthonormalise both spans, take the
+    # principal directions of the pair, average each matched pair and
+    # re-orthonormalise the result.
+    uo = orthonormal_columns(g)
+    wo = orthonormal_columns(prime_coords(g))
+    p, sig, qt = np.linalg.svd(uo.T @ wo)
+    k = int(np.sum(sig >= 1.0 - INTERSECT_COS_TOL))
+    return orthonormal_columns(uo @ p[:, :k] + wo @ qt[:k].T)
+
+
+def _prime_closed(m, rng):
+    # Span of the coordinate pairs (e_i, e_i') for a random index subset,
+    # in a random orthonormal basis of that span.
+    idx = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
+    pairs = np.eye(2 * m)[:, np.concatenate([idx, idx + m])]
+    return pairs @ random_orthogonal(pairs.shape[1], rng)
+
+
+def test_sharp_std_agrees_with_the_four_svd_route(monkeypatch):
+    rng = np.random.default_rng(2026)
+    cases = []
+    for _ in range(200):
+        m = int(rng.integers(2, 6))
+        cases.append(random_orthogonal(2 * m, rng)[:, : int(rng.integers(m + 1, 2 * m))])
+        cases.append(_prime_closed(m, rng))
+
+    svd = np.linalg.svd
+    svd_calls = 0
+
+    def counting_svd(*args, **kwargs):
+        nonlocal svd_calls
+        svd_calls += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for g in cases:
+        before = svd_calls
+        sharp = _sharp_std(g)
+        assert svd_calls - before == 1
+        ref = _sharp_reference(g)
+        assert sharp.shape == ref.shape
+        assert sharp.shape[1] > 0 and sharp.shape[1] % 2 == 0
+        assert fnorm(sharp.T @ sharp - np.eye(sharp.shape[1])) <= 1e-12
+        assert max_principal_angle(sharp, ref) <= 1e-10
+    for g in cases[1::2]:
+        # A prime-closed W is its own sharp space.
+        assert max_principal_angle(_sharp_std(g), g) <= 1e-10
+
+    line = _unit(rng.standard_normal(6))[:, None]
+    assert _sharp_std(line).shape == (6, 0)
 
 
 def test_nested_agrees_with_the_principal_angle_route():

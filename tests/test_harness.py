@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import sympspec.basis
 import sympspec.extremal
 import sympspec.harness
 from sympspec.errors import ConstructionError, ValidationError
@@ -140,3 +141,36 @@ def test_certificate_record_fails_when_skips_exceed_the_cap(monkeypatch, suite):
     out = run_suite(suite, SuiteConfig(suite=suite, trials=2, report_path=None))
     assert out["aggregate"]["n_failed"] == 2
     assert all(rec["instance"]["n_skipped"] == 3 for rec in out["records"])
+
+
+def test_intersections_receive_orthonormal_columns(monkeypatch):
+    # subspace_intersect and _sharp_std do not re-orthonormalise their
+    # inputs; every caller on the construction path must pass
+    # orthonormal columns.
+    defects = {"subspace_intersect": [], "_sharp_std": []}
+
+    def gram_defect(x):
+        x = np.asarray(x, dtype=float)
+        return float(np.linalg.norm(x.T @ x - np.eye(x.shape[1])))
+
+    def recording(name, func):
+        def wrapped(*args):
+            defects[name].extend(gram_defect(x) for x in args)
+            return func(*args)
+        return wrapped
+
+    bound_in = {
+        "subspace_intersect": (sympspec.basis, sympspec.extremal),
+        "_sharp_std": (sympspec.basis, sympspec.extremal, sympspec.harness),
+    }
+    for name, modules in bound_in.items():
+        wrapped = recording(name, getattr(sympspec.basis, name))
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapped)
+
+    for suite in ("construction", "maxmin", "wielandt", "phi-extremal", "det-product"):
+        run_suite(suite, SuiteConfig(suite=suite, trials=4, master_seed=5,
+                                     report_path=None))
+    for name, seen in defects.items():
+        assert seen, f"{name} was never called"
+        assert max(seen) <= 1e-12, name

@@ -114,6 +114,12 @@ def test_subspace_intersect_trivial():
     assert subspace_intersect(x, y).shape == (4, 0)
 
 
+def test_subspace_intersect_refuses_a_non_orthonormal_input():
+    q = orthonormal_columns(RNG.normal(size=(6, 3)))
+    with pytest.raises(NumericalContractError, match="not orthonormal"):
+        subspace_intersect(2.0 * q, q)
+
+
 def test_skew_canonical_form_of_j():
     j = np.zeros((4, 4))
     j[:2, 2:] = np.eye(2)

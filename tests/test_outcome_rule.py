@@ -1,0 +1,44 @@
+"""The outcome-rule script: one small suite, and its comparison mode."""
+
+import importlib.util
+import json
+import pathlib
+
+from sympspec.harness import SuiteConfig, run_suite
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "outcome_rule.py"
+_SPEC = importlib.util.spec_from_file_location("outcome_rule", _PATH)
+outcome_rule = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(outcome_rule)
+
+ARGS = ["--seeds", "3", "--suite", "construction"]
+
+
+def test_summary_matches_the_suite_aggregate(capsys):
+    assert outcome_rule.main(ARGS) == 0
+    summary = json.loads(capsys.readouterr().out)
+    out = run_suite("construction", SuiteConfig(suite="construction", master_seed=3,
+                                                report_path=None))
+    assert summary == {"3": {"construction": {
+        "n_records": out["aggregate"]["n_records"],
+        "n_failed": out["aggregate"]["n_failed"],
+        "failing": [[r["trial"], r["name"]] for r in out["records"] if not r["passed"]],
+    }}}
+
+
+def test_against_exits_1_on_any_difference(tmp_path, capsys):
+    outcome_rule.main(ARGS)
+    summary = json.loads(capsys.readouterr().out)
+    saved = tmp_path / "summary.json"
+    saved.write_text(json.dumps(summary))
+    assert outcome_rule.main(ARGS + ["--against", str(saved)]) == 0
+    assert capsys.readouterr().err == ""
+
+    summary["3"]["construction"]["failing"].append([0, "construction-span-angle"])
+    saved.write_text(json.dumps(summary))
+    assert outcome_rule.main(ARGS + ["--against", str(saved)]) == 1
+    assert "seed 3 suite construction" in capsys.readouterr().err
+
+    saved.write_text(json.dumps({}))
+    assert outcome_rule.main(ARGS + ["--against", str(saved)]) == 1
+
