@@ -17,13 +17,18 @@ import numpy as np
 
 from sympspec.core import random_pd, symplectic_eigenvalues
 from sympspec.inequalities import geometric_mean
-from sympspec.linalg import pd_sqrt_invsqrt
 from sympspec.matio import matrix_to_obj
 
 
+def pd_sqrt(a):
+    """Symmetric square root of a positive definite matrix."""
+    w, v = np.linalg.eigh(a)
+    return (v * np.sqrt(w)) @ v.T
+
+
 def conjugation_spectra(a, b):
-    root_a = pd_sqrt_invsqrt(a)[0]
-    root_b = pd_sqrt_invsqrt(b)[0]
+    root_a = pd_sqrt(a)
+    root_b = pd_sqrt(b)
     left = symplectic_eigenvalues(root_a @ b @ root_a)
     right = symplectic_eigenvalues(root_b @ a @ root_b)
     return left, right

@@ -64,7 +64,6 @@ from .inequalities import (
     geometric_mean,
     majorize,
     multiplicative_lidskii_trial,
-    polar_factor_check,
     schur_concave_monotone_check,
     supermajorize,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "phi_product",
     "phi_sum",
     "poincare_witness",
-    "polar_factor_check",
     "prime_coords",
     "random_pd",
     "random_symplectic",

@@ -62,19 +62,6 @@ def sym_eig(s):
     return w, v
 
 
-def pd_sqrt_invsqrt(a):
-    """Symmetric square root and inverse square root of a PD matrix."""
-    w, v = sym_eig(a)
-    if w[0] <= 0.0:
-        raise ValidationError(
-            f"matrix is not positive definite: smallest eigenvalue {w[0]:.6e}"
-        )
-    sq = np.sqrt(w)
-    root = (v * sq) @ v.T
-    inv_root = (v / sq) @ v.T
-    return 0.5 * (root + root.T), 0.5 * (inv_root + inv_root.T)
-
-
 def orthonormal_columns(x):
     """Orthonormal basis for the column span of x (may drop rank)."""
     x = np.asarray(x, dtype=float)

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+import sympspec.harness
 from sympspec.cli import build_parser, main
 from sympspec.core import random_pd, symplectic_eigenvalues, williamson
+from sympspec.errors import NumericalContractError
 from sympspec.inequalities import geometric_mean
 from sympspec.matio import save_matrix
 
@@ -139,6 +141,22 @@ def test_verify_replay_flow(tmp_path, capsys):
     assert code == 0
     assert "replay lidskii-add trial 1" in out
     assert "matches the stored report" in out
+
+
+def test_verify_contract_error_exits_1_with_a_full_report(tmp_path, capsys, monkeypatch):
+    def broken(a):
+        raise NumericalContractError("forced defect")
+
+    monkeypatch.setattr(sympspec.harness, "williamson", broken)
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "--suite", "williamson", "--trials", "2",
+                 "--seed", "9", "--report", str(report_path)]) == 1
+    records = json.loads(report_path.read_text())["suites"]["williamson"]["records"]
+    assert [(r["trial"], r["name"], r["passed"]) for r in records] == [
+        (0, "contract-error", False), (1, "contract-error", False)]
+    capsys.readouterr()
+    assert main(["verify", "--replay", f"{report_path}:williamson:1"]) == 0
+    assert "matches the stored report" in capsys.readouterr().out
 
 
 def test_verify_replay_malformed_spec(capsys):

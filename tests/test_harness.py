@@ -6,7 +6,7 @@ import pytest
 import sympspec.basis
 import sympspec.extremal
 import sympspec.harness
-from sympspec.errors import ConstructionError, ValidationError
+from sympspec.errors import ConstructionError, NumericalContractError, ValidationError
 from sympspec.harness import (
     DEFAULT_TRIALS,
     SUITE_IDS,
@@ -174,3 +174,71 @@ def test_intersections_receive_orthonormal_columns(monkeypatch):
     for name, seen in defects.items():
         assert seen, f"{name} was never called"
         assert max(seen) <= 1e-12, name
+
+
+def test_retired_records_are_not_emitted():
+    retired = {"polar-orthogonality", "conjugation-vs-mean-gap",
+               "williamson-transform-symplectic"}
+    for suite in ("lidskii-mult", "williamson"):
+        out = run_suite(suite, SuiteConfig(suite=suite, trials=4, master_seed=7,
+                                           report_path=None))
+        names = {rec["name"] for rec in out["records"]}
+        assert names and not names & retired
+        if suite == "lidskii-mult":
+            assert "mean-riccati-residual" in names
+
+
+def _raise_on_second_matrix(monkeypatch, error):
+    """Patch the harness's williamson to raise error on the matrix that
+    trial 1 of the williamson suite draws at master seed 3, and on no other."""
+    seen = []
+    real = sympspec.harness.williamson
+
+    def recording(a):
+        seen.append(np.array(a, copy=True))
+        return real(a)
+
+    monkeypatch.setattr(sympspec.harness, "williamson", recording)
+    run_suite("williamson", SuiteConfig(suite="williamson", trials=2, master_seed=3,
+                                        report_path=None))
+    target = seen[1]
+
+    def failing(a):
+        if np.array_equal(a, target):
+            raise error
+        return real(a)
+
+    monkeypatch.setattr(sympspec.harness, "williamson", failing)
+
+
+def test_contract_error_becomes_one_failed_record(monkeypatch, tmp_path):
+    cfg = SuiteConfig(suite="williamson", trials=4, master_seed=3, report_path=None)
+    clean = run_suite("williamson", cfg)["records"]
+    _raise_on_second_matrix(monkeypatch, NumericalContractError("forced defect 1e-3"))
+
+    report, code = run_all(cfg)
+    assert code == 1
+    records = report["suites"]["williamson"]["records"]
+    failed = [rec for rec in records if not rec["passed"]]
+    assert failed == [rec for rec in records if rec["trial"] == 1]
+    assert len(failed) == 1
+    err = failed[0]
+    assert err["name"] == "contract-error" and err["n"] is None
+    assert err["slack"] < 0.0
+    assert err["instance"] == {"error": "NumericalContractError",
+                               "message": "forced defect 1e-3"}
+    assert [r for r in records if r["trial"] != 1] == [r for r in clean if r["trial"] != 1]
+
+    path = tmp_path / "report.json"
+    write_report(report, path)
+    fresh, stored, match = replay(path, "williamson", 1)
+    assert match and fresh == stored == [err]
+
+
+@pytest.mark.parametrize("error", [ValidationError("forced precondition"),
+                                   np.linalg.LinAlgError("forced precondition")])
+def test_other_errors_inside_a_trial_still_propagate(monkeypatch, error):
+    _raise_on_second_matrix(monkeypatch, error)
+    with pytest.raises(type(error), match="forced precondition"):
+        run_suite("williamson", SuiteConfig(suite="williamson", trials=2, master_seed=3,
+                                            report_path=None))

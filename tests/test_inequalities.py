@@ -16,7 +16,6 @@ from sympspec.inequalities import (
     majorize,
     make_record,
     multiplicative_trial_records,
-    polar_factor_check,
     random_dominated_pair,
     random_majorization_pair,
     random_supermajorization_pair,
@@ -84,10 +83,22 @@ def test_geometric_mean_maps_lapack_error_codes(monkeypatch):
         geometric_mean(np.eye(4), 2.0 * np.eye(4))
 
 
-def test_polar_factor_check_passes_pd_pair():
-    a = random_pd(3, RNG)
-    b = random_pd(3, RNG)
-    assert polar_factor_check(a, b) <= 1e-10
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_mean_riccati_record_is_tiny_on_random_pairs(n):
+    rng = np.random.default_rng(50 + n)
+    for t in (0, 1, 2, 4):  # trials that draw A and B independently
+        rec = multiplicative_trial_records(t, n, rng)[0]
+        assert rec.name == "mean-riccati-residual"
+        assert rec.direction == "le" and rec.rhs == 1e-8
+        assert rec.lhs <= 1e-12 and rec.passed
+
+
+def test_mean_riccati_record_fails_on_a_wrong_mean(monkeypatch):
+    mean = inequalities.geometric_mean
+    monkeypatch.setattr(inequalities, "geometric_mean", lambda a, b: 1.001 * mean(a, b))
+    rec = multiplicative_trial_records(0, 3, np.random.default_rng(12))[0]
+    assert rec.name == "mean-riccati-residual"
+    assert rec.lhs > 1e-3 and not rec.passed
 
 
 def test_supermajorize_hand_cases():
@@ -189,10 +200,3 @@ def test_multiplicative_sandwich_on_prescribed_instance():
     d_mean = symplectic_eigenvalues(mean)
     assert np.allclose(d_mean, 1.7, atol=1e-9)
     assert all(r.passed for r in records)
-
-
-def test_polar_factor_check_raises_on_contract_breach():
-    a = random_pd(2, np.random.default_rng(12))
-    b = random_pd(2, np.random.default_rng(13))
-    with pytest.raises(NumericalContractError):
-        polar_factor_check(a, b, tol=1e-18)

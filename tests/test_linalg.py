@@ -11,7 +11,6 @@ from sympspec.linalg import (
     max_principal_angle,
     null_space_basis,
     orthonormal_columns,
-    pd_sqrt_invsqrt,
     skew_canonical,
     span_residual,
     subspace_intersect,
@@ -32,25 +31,6 @@ def test_check_symmetric_rejects_asymmetry():
         check_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
     sym = check_symmetric(np.array([[1.0, 2.0 + 1e-14], [2.0, 1.0]]))
     assert fnorm(sym - sym.T) == 0.0
-
-
-def test_pd_sqrt_invsqrt_diagonal():
-    root, inv_root = pd_sqrt_invsqrt(np.diag([4.0, 9.0]))
-    assert np.allclose(root, np.diag([2.0, 3.0]), atol=1e-14)
-    assert np.allclose(inv_root, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
-
-
-def test_pd_sqrt_invsqrt_random_consistency():
-    x = RNG.normal(size=(5, 5))
-    a = x @ x.T + 5 * np.eye(5)
-    root, inv_root = pd_sqrt_invsqrt(a)
-    assert fnorm(root @ root - a) <= 1e-12 * fnorm(a)
-    assert fnorm(root @ inv_root - np.eye(5)) <= 1e-12
-
-
-def test_pd_sqrt_rejects_indefinite():
-    with pytest.raises(ValidationError):
-        pd_sqrt_invsqrt(np.diag([1.0, -1.0]))
 
 
 def test_orthonormal_columns_spans_input():
