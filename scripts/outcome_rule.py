@@ -2,13 +2,15 @@
 """Outcome-rule summary of seeded verify runs.
 
 For each master seed and suite this prints, as one JSON object keyed by
-seed and then suite, the suite's n_records, its n_failed and the list of
-failing (trial, record name) pairs, with every suite at its default
-trial count.  When a change moves record values at rounding level the
-reports cannot stay byte-identical; equal summaries show that the
-outcomes did not move.  With --against FILE, a summary saved earlier is
-compared for every seed and suite run here, each difference is printed
-to stderr, and the exit status is 1 on any difference.
+seed and then suite, the suite's n_records, its n_failed, the list of
+failing (trial, record name) pairs and the count of records by name
+(by_name), with every suite at its default trial count.  When a change
+moves record values at rounding level the reports cannot stay
+byte-identical; equal summaries show that the outcomes did not move.
+With --against FILE, a summary saved earlier is compared for every seed
+and suite run here, each differing field is printed to stderr (one line
+per record name whose count changed, so a deleted record is named), and
+the exit status is 1 on any difference.
 
     PYTHONPATH=src python scripts/outcome_rule.py > before.json
     PYTHONPATH=src python scripts/outcome_rule.py --against before.json
@@ -17,6 +19,7 @@ to stderr, and the exit status is 1 on any difference.
 import argparse
 import json
 import sys
+from collections import Counter
 
 from sympspec.harness import SUITE_IDS, SuiteConfig, run_suite
 
@@ -24,24 +27,43 @@ MASTER_SEEDS = (0, 7, 105, 110, 424242)
 
 
 def outcome(seed, suite):
-    """n_records, n_failed and the failing (trial, name) pairs of one suite."""
+    """n_records, n_failed, the failing (trial, name) pairs and the
+    record counts by name of one suite."""
     out = run_suite(suite, SuiteConfig(suite=suite, master_seed=seed, report_path=None))
     return {
         "n_records": out["aggregate"]["n_records"],
         "n_failed": out["aggregate"]["n_failed"],
         "failing": [[r["trial"], r["name"]] for r in out["records"] if not r["passed"]],
+        "by_name": dict(Counter(r["name"] for r in out["records"])),
     }
 
 
+def _fields(entry):
+    """An outcome with by_name spread into one by_name.NAME field per name."""
+    flat = {key: value for key, value in entry.items() if key != "by_name"}
+    flat.update({f"by_name.{name}": count
+                 for name, count in entry.get("by_name", {}).items()})
+    return flat
+
+
 def differences(summary, reference):
-    """One line per (seed, suite) of summary whose outcome differs from,
-    or is missing in, the reference."""
+    """One line per field of a (seed, suite) outcome in summary that
+    differs from the reference, and one per outcome missing there; a
+    record name absent on one side counts 0 there."""
     lines = []
     for seed, suites in summary.items():
         for suite, got in suites.items():
             want = reference.get(seed, {}).get(suite)
-            if got != want:
-                lines.append(f"seed {seed} suite {suite}: {want} -> {got}")
+            where = f"seed {seed} suite {suite}"
+            if want is None:
+                lines.append(f"{where}: missing in the reference")
+                continue
+            got, want = _fields(got), _fields(want)
+            for key in sorted(set(got) | set(want)):
+                default = 0 if key.startswith("by_name.") else None
+                if got.get(key, default) != want.get(key, default):
+                    lines.append(f"{where} {key}: {want.get(key, default)} -> "
+                                 f"{got.get(key, default)}")
     return lines
 
 

@@ -14,7 +14,6 @@ from .basis import (
     dual_chain_construct,
     prime_coords,
     same_span_trace_check,
-    subspace_prime_sharp,
 )
 from .core import (
     WilliamsonDecomposition,
@@ -63,7 +62,6 @@ from .inequalities import (
     additive_lidskii_trial,
     geometric_mean,
     majorize,
-    multiplicative_lidskii_trial,
     schur_concave_monotone_check,
     supermajorize,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "matrix_from_obj",
     "matrix_to_obj",
     "maxmin_check",
-    "multiplicative_lidskii_trial",
     "phi_esym2",
     "phi_extremal_check",
     "phi_min",
@@ -116,7 +113,6 @@ __all__ = [
     "save_matrix",
     "save_williamson",
     "schur_concave_monotone_check",
-    "subspace_prime_sharp",
     "supermajorize",
     "symplectic_eigenvalues",
     "symplectic_form",

@@ -147,29 +147,6 @@ def _nested(s, t):
     return _off_span(s, t) <= 1e-7
 
 
-def subspace_prime_sharp(w, basis):
-    """(W', W#) for an ambient subspace W inside span(basis).
-
-    W# is the prime-invariant part W intersect W'; its dimension is
-    always even, and that is checked rather than assumed.
-    """
-    wc = _coords_subspace(w, basis)
-    sharp_c = _sharp_std(wc)
-    if sharp_c.shape[1] % 2 == 1:
-        raise NumericalContractError(
-            f"sharp space has odd dimension {sharp_c.shape[1]}; "
-            "intersection is numerically ambiguous for this input"
-        )
-    resid = _off_span(prime_coords(sharp_c), sharp_c)
-    if resid > 1e-7:
-        raise NumericalContractError(
-            f"sharp space is not prime-invariant: residual {resid:.3e}"
-        )
-    w_prime = orthonormal_columns(basis.lift(prime_coords(wc)))
-    w_sharp = orthonormal_columns(basis.lift(sharp_c))
-    return w_prime, w_sharp
-
-
 def _tuple_defects(t_coords):
     """(orthonormality, symplectic) defects of a full coordinate tuple."""
     k2 = t_coords.shape[1]
@@ -283,13 +260,13 @@ def _chain_extend_std(chain, ws, rng):
     nrm = np.linalg.norm(proj)
     v = proj / nrm if nrm > 1e-10 else _unit_in(feas, rng)
 
-    u0 = orthonormal_columns(
-        np.hstack([uspan, v[:, None], prime_coords(v)[:, None]])
-    )
-    if u0.shape[1] != uspan.shape[1] + 2:
+    # v lies in the feasible space, skew-orthogonal to the prime-closed
+    # uspan, so the stack is orthonormal by construction.
+    u0 = np.hstack([uspan, v[:, None], prime_coords(v)[:, None]])
+    defect = fnorm(u0.T @ u0 - np.eye(u0.shape[1]))
+    if defect > BASIS_TOL:
         raise NumericalContractError(
-            f"extended pair span has dimension {u0.shape[1]}, "
-            f"expected {uspan.shape[1] + 2}"
+            f"extended pair span is not orthonormal: Gram defect {defect:.3e}"
         )
     s = np.hstack([xs, prime_coords(xs)])
     z = u0 @ null_space_basis(s.T @ u0)

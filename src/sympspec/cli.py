@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 suite violation or failed reproduction,
-2 unparseable input (files or arguments), 3 validation failure,
-4 numerical contract failure.
+2 unparseable input (files or arguments) or an unwritable output path,
+3 validation failure, 4 numerical contract failure.
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MatrixFormatError as exc:
+    except (MatrixFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:

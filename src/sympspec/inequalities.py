@@ -232,8 +232,9 @@ def additive_lidskii_trial(a, b, index_set, tol=1e-9):
     return records
 
 
-def multiplicative_lidskii_trial(a, b, index_set, tol=1e-9):
-    """Records for the two-sided product bounds on d(A # B), in logs.
+def _product_records(d_m, d_a, d_b, index_set, tol):
+    """Records for the two-sided product bounds on d(A # B), in logs,
+    from the spectra d_m of A # B, d_a of A and d_b of B.
 
     log-space statements, ascending spectra, 1-based index set i:
       sum_j log d_{i_j}(A) + log d_j(B)
@@ -242,13 +243,6 @@ def multiplicative_lidskii_trial(a, b, index_set, tol=1e-9):
     plus the full-prefix lower and tail upper bounds with the identity
     index set.
     """
-    d_m = symplectic_eigenvalues(geometric_mean(a, b))
-    return _product_records(d_m, symplectic_eigenvalues(a), symplectic_eigenvalues(b),
-                            index_set, tol)
-
-
-def _product_records(d_m, d_a, d_b, index_set, tol):
-    """multiplicative_lidskii_trial from the spectra of A # B, A and B."""
     idx = np.asarray(index_set, dtype=int) - 1
     k = idx.size
     n = d_a.size

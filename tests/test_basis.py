@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from sympspec.basis import (
     SymplecticBasis,
+    _chain_extend_std,
+    _coords_subspace,
     _in_sharp,
     _nested,
     _sharp_std,
     dual_chain_construct,
     prime_coords,
     same_span_trace_check,
-    subspace_prime_sharp,
 )
 from sympspec.core import (
     random_pd,
@@ -119,26 +120,25 @@ def test_sharp_of_prime_closed_plane():
     # In the standard basis with n = 2, span{e1, e3} is its own prime.
     basis = SymplecticBasis.standard(2)
     w = np.eye(4)[:, [0, 2]]
-    prime, sharp = subspace_prime_sharp(w, basis)
-    assert max_principal_angle(prime, w) <= 1e-12
+    sharp = basis.lift(_sharp_std(_coords_subspace(w, basis)))
+    assert max_principal_angle(basis.prime(w), w) <= 1e-12
     assert max_principal_angle(sharp, w) <= 1e-12
 
 
 def test_sharp_of_a_line_is_empty():
     basis = SymplecticBasis.standard(2)
     w = np.eye(4)[:, :1]
-    prime, sharp = subspace_prime_sharp(w, basis)
-    assert sharp.shape[1] == 0
-    assert np.allclose(prime, np.eye(4)[:, 2:3])
+    assert _sharp_std(_coords_subspace(w, basis)).shape[1] == 0
+    assert np.allclose(basis.prime(w), np.eye(4)[:, 2:3])
 
 
 def test_sharp_dimension_is_even_and_prime_invariant():
     basis = _random_basis(3)
     for _ in range(10):
         w = basis.cols @ random_orthogonal(6, RNG)[:, : int(RNG.integers(2, 6))]
-        prime, sharp = subspace_prime_sharp(w, basis)
+        sharp = basis.lift(_sharp_std(_coords_subspace(w, basis)))
         assert sharp.shape[1] % 2 == 0
-        assert prime.shape[1] == w.shape[1]
+        assert np.linalg.matrix_rank(basis.prime(w)) == w.shape[1]
         if sharp.shape[1]:
             image = basis.prime(sharp)
             assert max_principal_angle(sharp, image) <= 1e-7
@@ -157,14 +157,24 @@ def test_dual_chain_construct_postconditions():
         vs, ws = dual_chain_construct(vchain, wchain, basis, RNG)
         assert vs.shape == (2 * n, k) and ws.shape == (2 * n, k)
         for j in range(k):
-            _, vsharp = subspace_prime_sharp(vchain[j], basis)
-            _, wsharp = subspace_prime_sharp(wchain[j], basis)
+            vsharp = basis.lift(_sharp_std(_coords_subspace(vchain[j], basis)))
+            wsharp = basis.lift(_sharp_std(_coords_subspace(wchain[j], basis)))
             assert span_residual(vsharp, vs[:, j]) <= 1e-8
             assert span_residual(wsharp, ws[:, j]) <= 1e-8
         vf = np.hstack([vs, basis.prime(vs)])
         wf = np.hstack([ws, basis.prime(ws)])
         assert max_principal_angle(vf, wf) <= 1e-8
         assert tuple_form_defect(ws, basis.prime(ws)) <= 1e-8
+
+
+def test_chain_extension_refuses_a_non_orthonormal_pair_span():
+    # The extended pair span is orthonormal by construction, so it is
+    # checked by its Gram matrix, not re-orthonormalised; a ws of norm 1.1
+    # breaks the precondition and must raise.
+    chain = [np.eye(4), np.eye(4)]
+    ws = 1.1 * np.eye(4)[:, :1]
+    with pytest.raises(NumericalContractError, match="Gram defect"):
+        _chain_extend_std(chain, ws, np.random.default_rng(0))
 
 
 def test_dual_chain_rejects_mismatched_dimensions():

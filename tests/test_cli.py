@@ -192,6 +192,19 @@ def test_exit_code_2_for_bad_matrix_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "williamson", "mean"])
+def test_exit_code_2_for_an_unwritable_output_path(tmp_path, capsys, command):
+    a = _matrix_file(tmp_path, np.diag([1.0, 2.0, 3.0, 4.0]))
+    out = str(tmp_path / "missing-dir" / "out.json")
+    argv = {
+        "verify": ["verify", "--suite", "majorization", "--trials", "1", "--report", out],
+        "williamson": ["williamson", a, out],
+        "mean": ["mean", a, a, "--output", out],
+    }[command]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_exit_code_3_for_non_pd_input(tmp_path, capsys):
     a = np.diag([1.0, -1.0, 1.0, 1.0])
     assert main(["eig", _matrix_file(tmp_path, a)]) == 3

@@ -1,5 +1,7 @@
 """Suite runner: per-trial streams, reports, determinism, replay."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -188,33 +190,82 @@ def test_retired_records_are_not_emitted():
             assert "mean-riccati-residual" in names
 
 
-def _raise_on_second_matrix(monkeypatch, error):
-    """Patch the harness's williamson to raise error on the matrix that
-    trial 1 of the williamson suite draws at master seed 3, and on no other."""
+def test_williamson_records_carry_the_residuals_in_instance():
+    # williamson raises past its residual bounds, so the suite records
+    # only what it compares and keeps the residuals with the instance.
+    out = run_suite("williamson", SuiteConfig(suite="williamson", trials=6,
+                                              master_seed=7, report_path=None))
+    names = [rec["name"] for rec in out["records"]]
+    assert set(names) == {"method-agreement", "prescribed-recovery"}
+    assert names.count("method-agreement") == 6
+    for rec in out["records"]:
+        assert 0.0 <= rec["instance"]["residual_a"] <= 1e-8
+        assert 0.0 <= rec["instance"]["residual_j"] <= 1e-9
+
+
+def test_construction_records_only_what_the_construction_does_not_check():
+    out = run_suite("construction", SuiteConfig(suite="construction", trials=5,
+                                                master_seed=7, report_path=None))
+    for t in range(5):
+        assert [rec["name"] for rec in out["records"] if rec["trial"] == t] == [
+            "construction-sharp-membership", "construction-trace-equality"]
+
+
+def test_failed_construction_becomes_one_failed_record(monkeypatch, tmp_path):
+    cfg = SuiteConfig(suite="construction", trials=3, master_seed=3, report_path=None)
+    clean = run_suite("construction", cfg)["records"]
+    _raise_on_trial_1(monkeypatch, ConstructionError("forced construction failure"),
+                      suite="construction", name="dual_chain_construct")
+
+    report, code = run_all(cfg)
+    assert code == 1
+    records = report["suites"]["construction"]["records"]
+    failed = [rec for rec in records if not rec["passed"]]
+    assert failed == [rec for rec in records if rec["trial"] == 1]
+    assert [(r["name"], r["n"]) for r in failed] == [("contract-error", None)]
+    assert failed[0]["instance"] == {"error": "ConstructionError",
+                                     "message": "forced construction failure"}
+    assert [r for r in records if r["trial"] != 1] == [r for r in clean if r["trial"] != 1]
+
+    path = tmp_path / "report.json"
+    write_report(report, path)
+    fresh, stored, match = replay(path, "construction", 1)
+    assert match and fresh == stored == failed
+
+
+def _same_input(x, y):
+    """True when two first arguments, a matrix or a list of matrices, are equal."""
+    xs, ys = (x, y) if isinstance(x, list) else ([x], [y])
+    return len(xs) == len(ys) and all(np.array_equal(u, v) for u, v in zip(xs, ys))
+
+
+def _raise_on_trial_1(monkeypatch, error, suite="williamson", name="williamson"):
+    """Patch the harness's binding name to raise error on the first
+    argument it receives in trial 1 of suite at master seed 3, and on no
+    other."""
     seen = []
-    real = sympspec.harness.williamson
+    real = getattr(sympspec.harness, name)
 
-    def recording(a):
-        seen.append(np.array(a, copy=True))
-        return real(a)
+    def recording(first, *rest):
+        seen.append(copy.deepcopy(first))
+        return real(first, *rest)
 
-    monkeypatch.setattr(sympspec.harness, "williamson", recording)
-    run_suite("williamson", SuiteConfig(suite="williamson", trials=2, master_seed=3,
-                                        report_path=None))
+    monkeypatch.setattr(sympspec.harness, name, recording)
+    run_suite(suite, SuiteConfig(suite=suite, trials=2, master_seed=3, report_path=None))
     target = seen[1]
 
-    def failing(a):
-        if np.array_equal(a, target):
+    def failing(first, *rest):
+        if _same_input(first, target):
             raise error
-        return real(a)
+        return real(first, *rest)
 
-    monkeypatch.setattr(sympspec.harness, "williamson", failing)
+    monkeypatch.setattr(sympspec.harness, name, failing)
 
 
 def test_contract_error_becomes_one_failed_record(monkeypatch, tmp_path):
     cfg = SuiteConfig(suite="williamson", trials=4, master_seed=3, report_path=None)
     clean = run_suite("williamson", cfg)["records"]
-    _raise_on_second_matrix(monkeypatch, NumericalContractError("forced defect 1e-3"))
+    _raise_on_trial_1(monkeypatch, NumericalContractError("forced defect 1e-3"))
 
     report, code = run_all(cfg)
     assert code == 1
@@ -238,7 +289,7 @@ def test_contract_error_becomes_one_failed_record(monkeypatch, tmp_path):
 @pytest.mark.parametrize("error", [ValidationError("forced precondition"),
                                    np.linalg.LinAlgError("forced precondition")])
 def test_other_errors_inside_a_trial_still_propagate(monkeypatch, error):
-    _raise_on_second_matrix(monkeypatch, error)
+    _raise_on_trial_1(monkeypatch, error)
     with pytest.raises(type(error), match="forced precondition"):
         run_suite("williamson", SuiteConfig(suite="williamson", trials=2, master_seed=3,
                                             report_path=None))

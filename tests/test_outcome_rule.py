@@ -23,6 +23,8 @@ def test_summary_matches_the_suite_aggregate(capsys):
         "n_records": out["aggregate"]["n_records"],
         "n_failed": out["aggregate"]["n_failed"],
         "failing": [[r["trial"], r["name"]] for r in out["records"] if not r["passed"]],
+        "by_name": {"construction-sharp-membership": out["aggregate"]["n_trials"],
+                    "construction-trace-equality": out["aggregate"]["n_trials"]},
     }}}
 
 
@@ -34,10 +36,19 @@ def test_against_exits_1_on_any_difference(tmp_path, capsys):
     assert outcome_rule.main(ARGS + ["--against", str(saved)]) == 0
     assert capsys.readouterr().err == ""
 
-    summary["3"]["construction"]["failing"].append([0, "construction-span-angle"])
+    entry = summary["3"]["construction"]
+    entry["failing"].append([0, "construction-trace-equality"])
     saved.write_text(json.dumps(summary))
     assert outcome_rule.main(ARGS + ["--against", str(saved)]) == 1
-    assert "seed 3 suite construction" in capsys.readouterr().err
+    assert "seed 3 suite construction failing" in capsys.readouterr().err
+
+    # A record the reference has and this run lacks is named, with its count.
+    entry["failing"].pop()
+    entry["by_name"]["construction-retired"] = 40
+    saved.write_text(json.dumps(summary))
+    assert outcome_rule.main(ARGS + ["--against", str(saved)]) == 1
+    err = capsys.readouterr().err
+    assert err == "seed 3 suite construction by_name.construction-retired: 40 -> 0\n"
 
     saved.write_text(json.dumps({}))
     assert outcome_rule.main(ARGS + ["--against", str(saved)]) == 1
