@@ -120,6 +120,14 @@ def cmd_verify(args):
         report_path=args.report,
         jobs=args.jobs,
     )
+    if args.report:
+        # Open the path before the suites run, so an unwritable one
+        # costs no run; the report itself is written after the run.
+        existed = os.path.exists(args.report)
+        with open(args.report, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(args.report)
     report, code = run_all(config)
     for sid in report["overall"]["suites_run"]:
         agg = report["suites"][sid]["aggregate"]

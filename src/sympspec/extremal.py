@@ -19,7 +19,6 @@ from .basis import (
     SymplecticBasis,
     _constrained_subspace,
     _coords_subspace,
-    _rebuild,
     _sharp_std,
     _unit_in,
     dual_chain_construct,
@@ -30,22 +29,16 @@ from .core import (
     TUPLE_TOL,
     as_generator,
     compress,
-    half_dim,
-    symplectic_eigenvalues,
     symplectic_inner,
     tuple_form_defect,
     williamson,
 )
-from .errors import ConstructionError, NumericalContractError, ValidationError
+from .errors import ConstructionError, ValidationError
 from .inequalities import schur_concave_monotone_check, supermajorize
 from .linalg import orthonormal_columns, subspace_intersect
 
 PAIR_FLOOR = 1e-6
 SAMPLE_RETRIES = 50
-
-
-def _quad(a, x):
-    return float(x @ (a @ x))
 
 
 def tuple_value(a, x, y):
@@ -139,20 +132,19 @@ def sample_tuple_in_chain(chain, rng):
     raise ConstructionError("failed to sample a normalized tuple in the chain")
 
 
-def poincare_witness(a, m_sub, basis, d=None, rng=None, tol=1e-9):
-    """Normalized pair (u, v) inside a subspace with energy at most d_k.
+def poincare_witness(m_sub, basis, rng=None):
+    """Normalized pair (u, u') inside a subspace of dimension 2n - k + 1.
 
-    m_sub has dimension 2n - k + 1 and basis must diagonalize A with
-    ascending block spectrum d.  The pair is found inside the sharp part
-    of the intersection of m_sub with the canonical space spanned by all
-    first-kind columns and the first k second-kind ones; that
-    intersection always leaves at least one invariant plane.
+    When basis diagonalizes A with ascending block spectrum d, the pair
+    has energy at most d_k: it is drawn inside the sharp part of the
+    intersection of m_sub with the canonical space spanned by all
+    first-kind columns and the first k second-kind ones, and that
+    intersection always leaves at least one invariant plane.  The pairing
+    <u, J u'> is the basis norm of u, which is 1; the energy bound is the
+    claim the caller certifies.
     """
     rng = as_generator(rng)
-    a = np.asarray(a, dtype=float)
-    n = half_dim(a)
-    if d is None:
-        d = symplectic_eigenvalues(a)
+    n = basis.n
     m_sub = np.asarray(m_sub, dtype=float)
     k = 2 * n - m_sub.shape[1] + 1
     if not 1 <= k <= n:
@@ -161,28 +153,13 @@ def poincare_witness(a, m_sub, basis, d=None, rng=None, tol=1e-9):
         )
     mc = _coords_subspace(m_sub, basis)
     nc = np.eye(2 * n)[:, : n + k]
-    bound = float(d[k - 1])
     g = _sharp_std(subspace_intersect(mc, nc))
     if g.shape[1] == 0:
         raise ConstructionError(
             "witness search failed: no invariant plane in the canonical intersection"
         )
-
-    def draw():
-        uc = _unit_in(g, rng)
-        u = basis.lift(uc)
-        v = basis.lift(prime_coords(uc))
-        pairing = symplectic_inner(u, v)
-        if abs(pairing - 1.0) > 1e-8:
-            raise ConstructionError(f"witness pairing {pairing:.3e} is off")
-        value = 0.5 * (_quad(a, u) + _quad(a, v))
-        if value > bound + tol * max(1.0, bound):
-            raise NumericalContractError(
-                f"witness energy {value:.12e} exceeds {bound:.12e}"
-            )
-        return u, v
-
-    return _rebuild(draw, "witness search")
+    uc = _unit_in(g, rng)
+    return basis.lift(uc), basis.lift(prime_coords(uc))
 
 
 @dataclass
@@ -266,6 +243,8 @@ def maxmin_check(a, k, samples=40, n_subspaces=20, rng=None, tol=1e-9):
     Over the canonical subspace every normalized pair has energy at
     least d_k, the k-th eigen pair attains it, and every random
     subspace of the complementary dimension admits a pair at most d_k.
+    The witness slack is the one check of that last bound, so a witness
+    above d_k fails the certificate.
     """
     rng = as_generator(rng)
     d, basis, idx, _, wchain = _eigen_frame(a, [k])
@@ -283,11 +262,11 @@ def maxmin_check(a, k, samples=40, n_subspaces=20, rng=None, tol=1e-9):
     for _ in range(n_subspaces):
         m_sub = random_orthogonal(2 * n, rng)[:, : 2 * n - k + 1]
         try:
-            u, v = poincare_witness(a, m_sub, basis, d=d, rng=rng, tol=tol)
+            u, v = poincare_witness(m_sub, basis, rng=rng)
         except ConstructionError:
             n_skipped += 1
             continue
-        witness_vals.append(0.5 * (_quad(a, u) + _quad(a, v)))
+        witness_vals.append(0.5 * (float(u @ (a @ u)) + float(v @ (a @ v))))
     slacks += [claimed - val + tol * scale for val in witness_vals]
 
     return _finish(
@@ -320,14 +299,8 @@ def wielandt_certify(a, index_set, n_chains=20, samples=40, rng=None,
     tuples, n_skipped = _chain_tuples(vchain, idx, basis, n_chains, rng)
     witness_vals = []
     for vs, ws in tuples:
-        ws_prime = basis.prime(ws)
-        defect = tuple_form_defect(ws, ws_prime)
-        if defect > 1e-8:
-            raise NumericalContractError(
-                f"witness tuple lost normalization: defect {defect:.3e}"
-            )
-        witness_vals.append(tuple_value(a, ws, ws_prime))
-        same_span_trace_check(a, ws, vs, basis, d=d)
+        witness_vals.append(tuple_value(a, ws, basis.prime(ws)))
+        same_span_trace_check(a, ws, vs, basis)
     slacks += [claimed - val + tol * scale for val in witness_vals]
 
     return _finish(
@@ -338,7 +311,7 @@ def wielandt_certify(a, index_set, n_chains=20, samples=40, rng=None,
 
 
 def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
-                       validate_phi=True, phi_trials=120):
+                       validate_phi=True):
     """Extremal certificate for a Schur-concave monotone functional.
 
     Against the canonical decreasing chain, the constructed compression
@@ -346,11 +319,12 @@ def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
     stays above the claim.  Against random chains the compression
     spectrum is weakly supermajorized by the half-trace vector of the
     increasing-chain side, whose entries are capped by the selected
-    eigenvalues, so phi stays below the claim.
+    eigenvalues, so phi stays below the claim.  With validate_phi, phi
+    first passes a 120-draw audit of the properties the claim needs.
     """
     rng = as_generator(rng)
     if validate_phi:
-        audit = schur_concave_monotone_check(phi, trials=phi_trials, rng=rng)
+        audit = schur_concave_monotone_check(phi, trials=120, rng=rng)
         if not audit.ok:
             kinds = sorted({c["kind"] for c in audit.counterexamples})
             raise ValidationError(

@@ -23,14 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ._version import __version__
-from .basis import (
-    SymplecticBasis,
-    _coords_subspace,
-    _off_span,
-    _sharp_std,
-    dual_chain_construct,
-    same_span_trace_check,
-)
+from .basis import SymplecticBasis, dual_chain_construct, same_span_trace_check
 from .core import (
     COND_WARN,
     condition_number,
@@ -193,24 +186,16 @@ def _trial_construction(t, cfg, rng):
     wq = random_orthogonal(2 * n, rng)
     vchain = [vq[:, : n + int(i)] for i in idx]
     wchain = [wq[:, : 2 * n - int(i) + 1] for i in idx]
-    inst = {"index_set": idx.tolist()}
-    # The construction raises unless its tuples are B-orthosymplectic
-    # with equal spans; the records check what it does not.
+    # The construction raises unless its tuples are B-orthosymplectic,
+    # lie in their sharp spaces and have equal spans; the record checks
+    # the trace identity, which it does not.
     vs, ws = dual_chain_construct(vchain, wchain, basis, rng)
-    vc = basis.coords(vs)
-    wc = basis.coords(ws)
-    member = 0.0
-    for cols, chain in ((vc, vchain), (wc, wchain)):
-        for j in range(cols.shape[1]):
-            sharp = _sharp_std(_coords_subspace(chain[j], basis))
-            member = max(member, _off_span(cols[:, j], sharp) / np.linalg.norm(cols[:, j]))
     lhs, rhs = same_span_trace_check(a, ws, vs, basis, check=False)
     return n, [
-        make_record("construction-sharp-membership", member, 1e-8, "le", 0.0, inst),
         make_record(
             "construction-trace-equality", abs(lhs - rhs),
             1e-9 * max(1.0, abs(lhs)), "le", 0.0,
-            {**inst, "lhs": lhs, "rhs": rhs},
+            {"index_set": idx.tolist(), "lhs": lhs, "rhs": rhs},
         ),
     ]
 
@@ -230,8 +215,9 @@ def _trial_phi(t, cfg, rng):
     a = random_pd(n, rng)
     idx = _index_set(n, rng, cap=4)
     phi = SHIPPED[t % len(SHIPPED)]
+    # majorization trial 0 audits every shipped functional once per run.
     cert = phi_extremal_check(
-        a, idx, phi, n_chains=3, rng=rng, tol=cfg.tol, phi_trials=40
+        a, idx, phi, n_chains=3, rng=rng, tol=cfg.tol, validate_phi=False
     )
     rec = _from_certificate(cert)
     rec.instance["functional"] = phi.name

@@ -290,10 +290,7 @@ def additive_trial_records(t, n, rng, tol=1e-9):
     else:
         b = random_pd(n, rng)
         idx = _index_set(n, rng)
-    records = additive_lidskii_trial(a, b, idx, tol=tol)
-    for rec in records:
-        rec.instance.update({"trial": t, "n": n})
-    return records
+    return additive_lidskii_trial(a, b, idx, tol=tol)
 
 
 def multiplicative_trial_records(t, n, rng, tol=1e-9):
@@ -326,15 +323,13 @@ def multiplicative_trial_records(t, n, rng, tol=1e-9):
         make_record(
             "mean-riccati-residual",
             fnorm(mean @ np.linalg.solve(a, mean) - b) / fnorm(b),
-            1e-8, "le", 0.0, {"trial": t, "n": n},
+            1e-8, "le", 0.0,
         )
     ]
     d_m = symplectic_eigenvalues(mean)
     d_a = symplectic_eigenvalues(a)
     d_b = d_a if b is a else symplectic_eigenvalues(b)
-    for rec in _product_records(d_m, d_a, d_b, idx, tol):
-        rec.instance.update({"trial": t, "n": n})
-        records.append(rec)
+    records += _product_records(d_m, d_a, d_b, idx, tol)
     if t % 10 == 7:
         records.append(
             make_record(
@@ -343,7 +338,6 @@ def multiplicative_trial_records(t, n, rng, tol=1e-9):
                 0.0,
                 "le",
                 1e-8 * max(1.0, float(np.max(d_a))),
-                {"trial": t, "n": n},
             )
         )
     return records

@@ -83,7 +83,7 @@ def test_poincare_witness_energy_bound():
     a, dec, basis = _instance(3, 4)
     for k in (1, 2, 3):
         m_sub = random_orthogonal(6, RNG)[:, : 6 - k + 1]
-        u, v = poincare_witness(a, m_sub, basis, d=dec.d, rng=RNG)
+        u, v = poincare_witness(m_sub, basis, rng=RNG)
         assert symplectic_inner(u, v) == pytest.approx(1.0, abs=1e-8)
         value = 0.5 * (float(u @ a @ u) + float(v @ a @ v))
         assert value <= dec.d[k - 1] + 1e-9 * max(1.0, dec.d[k - 1])
@@ -92,9 +92,9 @@ def test_poincare_witness_energy_bound():
 
 
 def test_poincare_witness_rejects_bad_dimension():
-    a, dec, basis = _instance(2, 5)
+    _, _, basis = _instance(2, 5)
     with pytest.raises(ValidationError):
-        poincare_witness(a, np.eye(4)[:, :2], basis, d=dec.d)
+        poincare_witness(np.eye(4)[:, :2], basis)
 
 
 def test_maxmin_certificates_pass():
@@ -197,16 +197,27 @@ def test_finish_derives_the_skip_cap(n_samples, n_chains, n_skipped, passed):
     assert cert.passed is passed
 
 
-def test_poincare_witness_draw_retries_and_reports(monkeypatch):
-    a, dec, basis = _instance(3, 17)
-    m_sub = random_orthogonal(6, RNG)[:, :5]
-    draws = []
+def test_maxmin_fails_on_a_witness_above_the_claim(monkeypatch):
+    # The first two witnesses are drawn at the top eigen pair, whose
+    # energy d_3 lies far above the claim d_1.  The witness slack is the
+    # one check of that bound, so the certificate fails and skips nothing.
+    a, dec, _ = _instance(3, 3)
+    top = np.eye(6)[:, 2]
+    witness = sympspec.extremal.poincare_witness
+    calls = []
 
-    def no_unit(g, rng):
-        draws.append(g.shape)
-        raise ConstructionError("no draw")
+    def forced(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 2:
+            return witness(*args, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(sympspec.extremal, "_unit_in", lambda g, rng: top)
+            return witness(*args, **kwargs)
 
-    monkeypatch.setattr("sympspec.extremal._unit_in", no_unit)
-    with pytest.raises(ConstructionError, match="witness search failed after retries: no draw"):
-        poincare_witness(a, m_sub, basis, d=dec.d, rng=RNG)
-    assert len(draws) == 3 and len(set(draws)) == 1
+    monkeypatch.setattr(sympspec.extremal, "poincare_witness", forced)
+    cert = maxmin_check(a, 1, samples=6, n_subspaces=4, rng=np.random.default_rng(0))
+    assert len(calls) == 4
+    assert cert.witness_max == pytest.approx(dec.d[2], rel=1e-9)
+    assert cert.slack < 0.0
+    assert cert.n_skipped == 0
+    assert cert.passed is False

@@ -163,7 +163,7 @@ def test_intersections_receive_orthonormal_columns(monkeypatch):
 
     bound_in = {
         "subspace_intersect": (sympspec.basis, sympspec.extremal),
-        "_sharp_std": (sympspec.basis, sympspec.extremal, sympspec.harness),
+        "_sharp_std": (sympspec.basis, sympspec.extremal),
     }
     for name, modules in bound_in.items():
         wrapped = recording(name, getattr(sympspec.basis, name))
@@ -204,11 +204,24 @@ def test_williamson_records_carry_the_residuals_in_instance():
 
 
 def test_construction_records_only_what_the_construction_does_not_check():
+    # dual_chain_construct raises on a vector outside its sharp space, so
+    # the suite records only the trace identity.
     out = run_suite("construction", SuiteConfig(suite="construction", trials=5,
                                                 master_seed=7, report_path=None))
     for t in range(5):
         assert [rec["name"] for rec in out["records"] if rec["trial"] == t] == [
-            "construction-sharp-membership", "construction-trace-equality"]
+            "construction-trace-equality"]
+
+
+def test_trial_and_n_stay_out_of_every_instance():
+    # _trial_records puts trial and n at the top level of every record.
+    # Eight trials reach the planted cases of lidskii-add and lidskii-mult.
+    report, _ = run_all(SuiteConfig(trials=8, master_seed=11, report_path=None))
+    for suite in SUITE_IDS:
+        records = report["suites"][suite]["records"]
+        assert records, suite
+        for rec in records:
+            assert not {"trial", "n"} & set(rec["instance"]), (suite, rec["name"])
 
 
 def test_failed_construction_becomes_one_failed_record(monkeypatch, tmp_path):
