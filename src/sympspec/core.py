@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalContractError, ValidationError
 from .linalg import (
+    _FLAPACK,
     check_square,
     check_symmetric,
     fnorm,
@@ -28,7 +28,7 @@ WILLIAMSON_TOL_J = 1e-9
 TUPLE_TOL = 1e-8
 COND_WARN = 1e12
 
-_POCON = scipy.linalg.get_lapack_funcs("pocon", dtype=np.float64)
+_POCON, _TRTRS = _FLAPACK.dpocon, _FLAPACK.dtrtrs
 
 METHODS = ("skew-canonical", "ja-eigen", "williamson")
 
@@ -148,7 +148,9 @@ def williamson(a):
     a, low = check_positive_definite(a)
     n = half_dim(a)
     q, d = skew_canonical(_cholesky_skew(low))
-    m = scipy.linalg.solve_triangular(low.T, q * np.tile(np.sqrt(d), 2), lower=False)
+    m, info = _TRTRS(low.T, q * np.tile(np.sqrt(d), 2), lower=0)
+    if info != 0:
+        raise NumericalContractError(f"triangular solve failed: LAPACK info {info}")
 
     normal = np.diag(np.concatenate([d, d]))
     residual_a = fnorm(m.T @ a @ m - normal) / max(1.0, fnorm(normal))
@@ -232,6 +234,10 @@ def as_generator(seed):
 
 def random_symplectic(n, rng, spread=2.0):
     """Random symplectic matrix exp(J H) with H symmetric, ||H|| <= spread."""
+    # Only data generation needs expm, so scipy.linalg is not imported on
+    # the package's import path.
+    import scipy.linalg
+
     rng = as_generator(rng)
     g = rng.standard_normal((2 * n, 2 * n))
     h = 0.5 * (g + g.T)

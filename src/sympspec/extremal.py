@@ -84,11 +84,15 @@ def sample_tuple_in_chain(chain, rng):
     skew complement of the pairs already chosen; draws whose pairing
     product falls under PAIR_FLOOR are rejected and retried.
     """
-    rng = as_generator(rng)
-    k = len(chain)
-    if k == 0:
+    if len(chain) == 0:
         raise ValidationError("chain must contain at least one subspace")
-    bases = [orthonormal_columns(np.asarray(w, dtype=float)) for w in chain]
+    return _sample_tuple([orthonormal_columns(w) for w in chain], as_generator(rng))
+
+
+def _sample_tuple(bases, rng):
+    """sample_tuple_in_chain on a chain already given by orthonormal
+    bases, which are used as they stand."""
+    k = len(bases)
     dim = bases[0].shape[0]
     for _ in range(SAMPLE_RETRIES):
         chosen = np.zeros((dim, 0))
@@ -216,9 +220,10 @@ def _eigen_frame(a, index_set):
 
 def _sampled_floor(a, chain, claimed, samples, rng, tol):
     """Energies of tuples sampled in the chain, and their slacks above
-    the claim."""
+    the claim.  The chain is orthonormalised once for all samples."""
     scale = max(1.0, abs(claimed))
-    values = [tuple_value(a, *sample_tuple_in_chain(chain, rng)) for _ in range(samples)]
+    bases = [orthonormal_columns(w) for w in chain]
+    values = [tuple_value(a, *_sample_tuple(bases, rng)) for _ in range(samples)]
     return values, [val - claimed + tol * scale for val in values]
 
 

@@ -12,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .core import as_generator, check_positive_definite, random_pd, symplectic_eigenvalues
 from .errors import NumericalContractError, ValidationError
-from .linalg import fnorm, sym_eig
+from .linalg import _FLAPACK, fnorm, sym_eig
 
-_SYGST = scipy.linalg.get_lapack_funcs("sygst", dtype=np.float64)
+_SYGST = _FLAPACK.dsygst
 
 
 def geometric_mean(a, b):

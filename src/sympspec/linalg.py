@@ -4,12 +4,25 @@ Everything here is numpy and LAPACK on real float64 arrays.  Routines that
 can fail quietly (eigendecompositions, rank decisions, skew pairing)
 re-check their own output and raise NumericalContractError instead of
 returning garbage.
+
+LAPACK comes from scipy's compiled module scipy.linalg._flapack: the
+float64 routines it holds are the objects that scipy.linalg.get_lapack_funcs
+returns.  _load_flapack() loads that extension from its file once top-level
+scipy has set up its shared libraries, so importing the package does not
+run scipy.linalg's package init, which with the array-API layer it pulls in
+costs more than half of a cold CLI start.  The handles are linalg._GEHRD
+and _ORGHR, core._POCON and _TRTRS, and inequalities._SYGST.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .errors import NumericalContractError, ValidationError
 
@@ -17,7 +30,34 @@ SYM_RTOL = 1e-12
 RANK_RTOL = 1e-10
 INTERSECT_COS_TOL = 1e-8
 
-_GEHRD, _ORGHR = scipy.linalg.get_lapack_funcs(("gehrd", "orghr"), dtype=np.float64)
+
+def _load_flapack():
+    """scipy.linalg._flapack, loaded from its file without scipy.linalg.
+
+    The module is registered under its own name, so a later
+    ``import scipy.linalg`` reuses this module object.  A scipy install
+    without the file raises ImportError naming the paths looked for.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = os.path.join(scipy.__path__[0], "linalg")
+    paths = [os.path.join(folder, "_flapack" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"scipy's LAPACK extension not found; looked for {paths}",
+                          name=name)
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader))
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+_FLAPACK = _load_flapack()
+_GEHRD, _ORGHR = _FLAPACK.dgehrd, _FLAPACK.dorghr
 
 
 def fnorm(a):
@@ -35,8 +75,11 @@ def check_square(a, name="matrix"):
 def check_symmetric(a):
     """Validate approximate symmetry and return the symmetrized matrix."""
     a = check_square(a)
+    norm = fnorm(a)
+    if not np.isfinite(norm):
+        raise ValidationError(f"matrix must be finite: its Frobenius norm is {norm}")
     gap = fnorm(a - a.T)
-    if gap > SYM_RTOL * max(1.0, fnorm(a)):
+    if gap > SYM_RTOL * max(1.0, norm):
         raise ValidationError(
             f"matrix is not symmetric: asymmetry {gap:.3e} exceeds tolerance"
         )

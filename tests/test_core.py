@@ -5,10 +5,13 @@ from functools import partial
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
+from sympspec import core
 from sympspec.core import (
     WILLIAMSON_RTOL_A,
     WILLIAMSON_TOL_J,
+    _cholesky_skew,
     apply_form,
     as_generator,
     compress,
@@ -22,9 +25,9 @@ from sympspec.core import (
     tuple_form_defect,
     williamson,
 )
-from sympspec.errors import ValidationError
+from sympspec.errors import NumericalContractError, ValidationError
 from sympspec.inequalities import geometric_mean
-from sympspec.linalg import fnorm
+from sympspec.linalg import fnorm, skew_canonical
 
 RNG = np.random.default_rng(202)
 
@@ -176,6 +179,23 @@ def test_cholesky_failure_is_a_validation_error(monkeypatch):
         symplectic_eigenvalues(a, method="skew-canonical")
 
 
+@pytest.mark.parametrize("n", [2, 5, 20])
+def test_williamson_basis_equals_the_scipy_triangular_solve(n):
+    # The direct dtrtrs call must pass L.T as an upper triangle, untransposed.
+    a = random_pd(n, np.random.default_rng(n))
+    low = np.linalg.cholesky(a)
+    q, d = skew_canonical(_cholesky_skew(low))
+    rhs = q * np.tile(np.sqrt(d), 2)
+    expected = scipy.linalg.solve_triangular(low.T, rhs, lower=False)
+    assert np.array_equal(williamson(a).m, expected)
+
+
+def test_williamson_maps_triangular_solve_error_codes(monkeypatch):
+    monkeypatch.setattr(core, "_TRTRS", lambda a, b, lower: (b, 3))
+    with pytest.raises(NumericalContractError, match="LAPACK info 3"):
+        williamson(np.eye(4))
+
+
 def test_eigenvalue_scaling():
     a = random_pd(3, RNG)
     d = symplectic_eigenvalues(a)
@@ -321,6 +341,19 @@ def test_every_entry_point_checks_positive_definiteness(entry):
     asymmetric[0, 1] = 0.5
     with pytest.raises(ValidationError, match="not symmetric"):
         call(asymmetric)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", list(PD_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_every_entry_point_refuses_non_finite_inputs(entry, value):
+    call = PD_ENTRY_POINTS[entry]
+    with pytest.raises(ValidationError, match="must be finite"):
+        call(np.full((4, 4), value))
+    one_entry = np.eye(4)
+    one_entry[1, 2] = one_entry[2, 1] = value
+    with pytest.raises(ValidationError, match="must be finite"):
+        call(one_entry)
 
 
 @pytest.mark.parametrize("entry", list(PD_ENTRY_POINTS))

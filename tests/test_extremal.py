@@ -27,7 +27,7 @@ from sympspec.extremal import (
     wielandt_certify,
 )
 from sympspec.functionals import SHIPPED, SpectralFunctional, phi_sum
-from sympspec.linalg import span_residual
+from sympspec.linalg import orthonormal_columns, span_residual
 
 RNG = np.random.default_rng(505)
 
@@ -77,6 +77,29 @@ def test_sample_tuple_in_chain_properties():
         for j in range(len(wchain)):
             assert span_residual(wchain[j], x[:, j]) <= 1e-8
             assert span_residual(wchain[j], y[:, j]) <= 1e-8
+
+
+def test_sampled_floor_orthonormalises_each_chain_subspace_once(monkeypatch):
+    a, _, basis = _instance(3, 3)
+    _, wchain = canonical_chains(basis, np.array([1, 3]))
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return orthonormal_columns(x)
+
+    monkeypatch.setattr(sympspec.extremal, "orthonormal_columns", counted)
+    values, _ = sympspec.extremal._sampled_floor(a, wchain, 0.0, 5, np.random.default_rng(9), 1e-9)
+    assert len(values) == 5
+    assert calls == [w.shape for w in wchain]
+
+
+def test_public_sampler_draws_what_the_floor_sampler_draws():
+    a, _, basis = _instance(3, 3)
+    _, wchain = canonical_chains(basis, np.array([1, 3]))
+    values, _ = sympspec.extremal._sampled_floor(a, wchain, 0.0, 4, np.random.default_rng(9), 1e-9)
+    rng = np.random.default_rng(9)
+    assert values == [tuple_value(a, *sample_tuple_in_chain(wchain, rng)) for _ in range(4)]
 
 
 def test_poincare_witness_energy_bound():

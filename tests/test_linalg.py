@@ -1,7 +1,13 @@
 """Dense linear-algebra helpers against hand-computed cases."""
 
+import os
+import re
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy
 
 from sympspec import linalg
 from sympspec.errors import NumericalContractError, ValidationError
@@ -18,6 +24,40 @@ from sympspec.linalg import (
 )
 
 RNG = np.random.default_rng(101)
+
+
+# Run in a fresh interpreter: the CLI's import must not load scipy.linalg,
+# and once scipy.linalg is loaded, every LAPACK handle of the package must
+# be the routine scipy's own lookup returns.  A scipy release that moves
+# its compiled LAPACK module fails here first.
+_COLD_IMPORT = """
+import sys
+import numpy as np
+import sympspec.cli
+assert "scipy.linalg" not in sys.modules, "importing the CLI loaded scipy.linalg"
+import scipy.linalg
+from sympspec import core, inequalities, linalg
+handles = {"gehrd": linalg._GEHRD, "orghr": linalg._ORGHR, "pocon": core._POCON,
+           "trtrs": core._TRTRS, "sygst": inequalities._SYGST}
+for name, handle in handles.items():
+    assert handle is scipy.linalg.get_lapack_funcs(name, dtype=np.float64), name
+"""
+
+
+def test_cli_import_skips_scipy_linalg_and_shares_its_lapack_routines():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(linalg.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run([sys.executable, "-c", _COLD_IMPORT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_missing_lapack_extension_names_the_paths_looked_for(monkeypatch, tmp_path):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg" / "_flapack"))):
+        linalg._load_flapack()
 
 
 def test_sym_eig_two_by_two():
