@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,9 +236,12 @@ def as_generator(seed):
 def random_symplectic(n, rng, spread=2.0):
     """Random symplectic matrix exp(J H) with H symmetric, ||H|| <= spread."""
     # Only data generation needs expm, so scipy.linalg is not imported on
-    # the package's import path.
+    # the package's import path.  It reuses the _flapack module the package
+    # loaded but does not set it as an attribute, so set it here.
     import scipy.linalg
 
+    if not hasattr(scipy.linalg, "_flapack"):
+        scipy.linalg._flapack = sys.modules["scipy.linalg._flapack"]
     rng = as_generator(rng)
     g = rng.standard_normal((2 * n, 2 * n))
     h = 0.5 * (g + g.T)

@@ -12,6 +12,12 @@ scipy has set up its shared libraries, so importing the package does not
 run scipy.linalg's package init, which with the array-API layer it pulls in
 costs more than half of a cold CLI start.  The handles are linalg._GEHRD
 and _ORGHR, core._POCON and _TRTRS, and inequalities._SYGST.
+
+A later import of scipy.linalg reuses the loaded module but leaves the
+attribute scipy.linalg._flapack unset.  core.random_symplectic, the one
+function that imports scipy.linalg, sets it; an import of scipy.linalg
+of one's own that runs before random_symplectic still lacks it, while
+``from scipy.linalg import _flapack`` works throughout.
 """
 
 from __future__ import annotations
@@ -207,8 +213,11 @@ def skew_canonical(k):
     dim = k.shape[0]
     if dim == 0 or dim % 2 == 1:
         raise ValidationError(f"skew canonical form needs even dimension, got {dim}")
+    norm = fnorm(k)
+    if not np.isfinite(norm):
+        raise ValidationError(f"skew input must be finite: its Frobenius norm is {norm}")
     skew_gap = fnorm(k + k.T)
-    if skew_gap > 1e-12 * max(1.0, fnorm(k)):
+    if skew_gap > 1e-12 * max(1.0, norm):
         raise ValidationError(
             f"matrix is not skew-symmetric: defect {skew_gap:.3e}"
         )

@@ -44,13 +44,34 @@ for name, handle in handles.items():
 """
 
 
-def test_cli_import_skips_scipy_linalg_and_shares_its_lapack_routines():
+def _run_fresh(code):
+    """Run code in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(linalg.__file__)))
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    done = subprocess.run([sys.executable, "-c", _COLD_IMPORT], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_skips_scipy_linalg_and_shares_its_lapack_routines():
+    _run_fresh(_COLD_IMPORT)
+
+
+# scipy.linalg's package init reuses the registered _flapack module without
+# setting it as an attribute; random_symplectic, which imports scipy.linalg,
+# sets it whichever of the two imports ran first.
+_FLAPACK_ATTRIBUTE = """
+import sys
+import sympspec, scipy.linalg
+from sympspec.core import random_symplectic
+random_symplectic(2, 0)
+assert scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"]
+"""
+
+
+def test_scipy_linalg_flapack_attribute_is_set_after_random_symplectic():
+    _run_fresh(_FLAPACK_ATTRIBUTE)
 
 
 def test_a_missing_lapack_extension_names_the_paths_looked_for(monkeypatch, tmp_path):
@@ -147,6 +168,13 @@ def test_skew_canonical_form_of_j():
     q, d = skew_canonical(j)
     assert np.allclose(d, [1.0, 1.0], atol=1e-12)
     assert fnorm(q.T @ q - np.eye(4)) < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_skew_canonical_refuses_non_finite_input(value):
+    with pytest.raises(ValidationError, match="must be finite"):
+        skew_canonical(np.full((4, 4), value))
 
 
 def test_skew_canonical_single_block():
