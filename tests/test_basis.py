@@ -195,16 +195,20 @@ def test_same_span_trace_check_rejects_unequal_traces():
     a = np.kron(np.eye(2), [[1000.0, 900.0], [900.0, 1000.0]])
     x = np.eye(4)[:, :1]
     v = _unit(np.array([1.0, 5e-9, 0.0, 0.0]))[:, None]
-    cases = [(a, x, v, SymplecticBasis.standard(2))]
+    with pytest.raises(NumericalContractError, match="trace equality violated"):
+        same_span_trace_check(a, x, v, SymplecticBasis.standard(2))
+
+
+def test_same_span_trace_check_rejects_span_mismatch():
     # u_1 against u_2 of a Williamson basis: the spans differ, which a
     # dual_chain_construct pair never does, and so do the traces 2 d_1
-    # and 2 d_2.
-    b = random_pd(2, RNG)
-    basis = SymplecticBasis(williamson(b).m)
-    cases.append((b, basis.u[:, :1], basis.u[:, 1:2], basis))
-    for a, x, v, basis in cases:
-        with pytest.raises(NumericalContractError, match="trace equality violated"):
-            same_span_trace_check(a, x, v, basis)
+    # and 2 d_2, which is what the check now catches.
+    a = random_pd(2, RNG)
+    dec = williamson(a)
+    basis = SymplecticBasis(dec.m)
+    assert not np.isclose(dec.d[0], dec.d[1], rtol=1e-6)
+    with pytest.raises(NumericalContractError, match="trace equality violated"):
+        same_span_trace_check(a, basis.u[:, :1], basis.u[:, 1:2], basis)
 
 
 def _unit(x):
