@@ -18,6 +18,7 @@ import numpy as np
 from .errors import NumericalContractError, ValidationError
 from .linalg import (
     _FLAPACK,
+    _skew_spectrum,
     check_square,
     check_symmetric,
     fnorm,
@@ -155,7 +156,7 @@ def williamson(a):
 
     normal = np.diag(np.concatenate([d, d]))
     residual_a = fnorm(m.T @ a @ m - normal) / max(1.0, fnorm(normal))
-    residual_j = fnorm(m.T @ symplectic_form(n) @ m - symplectic_form(n))
+    residual_j = fnorm(symplectic_gram(m, m) - symplectic_form(n))
     if residual_a > WILLIAMSON_RTOL_A:
         raise NumericalContractError(
             f"diagonalization residual {residual_a:.3e} exceeds {WILLIAMSON_RTOL_A:.1e}"
@@ -171,10 +172,13 @@ def symplectic_eigenvalues(a, method="skew-canonical"):
     """Ascending symplectic spectrum of a positive definite matrix.
 
     Methods:
-      skew-canonical  singular values of the skew L.T J L, where A = L L.T,
-                      from its Hessenberg form and one bidiagonal SVD
+      skew-canonical  singular values of the skew L.T J L, where A = L L.T:
+                      the band of its Hessenberg form, certified, and the
+                      singular values alone of that bidiagonal; no basis
       ja-eigen        imaginary parts of the spectrum of J A
-      williamson      spectrum reported by the full decomposition
+      williamson      spectrum reported by the full decomposition, whose
+                      basis comes from the same Hessenberg band and the
+                      singular vectors of that bidiagonal
     """
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -187,8 +191,7 @@ def symplectic_eigenvalues(a, method="skew-canonical"):
         imag = np.sort(np.abs(vals.imag))
         # Spectrum comes in +/- pairs; average the two copies of each d.
         return 0.5 * (imag[::2] + imag[1::2])
-    _, d = skew_canonical(_cholesky_skew(low))
-    return d
+    return _skew_spectrum(_cholesky_skew(low))
 
 
 def tuple_form_defect(x, y):

@@ -141,8 +141,10 @@ def _trial_williamson(t, cfg, rng):
     dec = williamson(a)
     inst["residual_a"] = dec.residual_a
     inst["residual_j"] = dec.residual_j
-    # dec.d is the skew-canonical spectrum, so it stands for that method.
-    spectra = np.stack([dec.d, symplectic_eigenvalues(a, method="ja-eigen")])
+    # All three methods: williamson's d comes from an SVD of the band with
+    # vectors, skew-canonical's from one of its values alone.
+    spectra = np.stack([dec.d, symplectic_eigenvalues(a),
+                        symplectic_eigenvalues(a, method="ja-eigen")])
     spread = float(np.max(spectra.max(axis=0) - spectra.min(axis=0)))
     records = [
         make_record(

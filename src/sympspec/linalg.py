@@ -10,8 +10,11 @@ float64 routines it holds are the objects that scipy.linalg.get_lapack_funcs
 returns.  _load_flapack() loads that extension from its file once top-level
 scipy has set up its shared libraries, so importing the package does not
 run scipy.linalg's package init, which with the array-API layer it pulls in
-costs more than half of a cold CLI start.  The handles are linalg._GEHRD
-and _ORGHR, core._POCON and _TRTRS, and inequalities._SYGST.
+costs more than half of a cold CLI start.  The handles are linalg._GEHRD,
+which reduces a skew matrix to its Hessenberg band for both the spectrum
+alone (_skew_spectrum) and skew_canonical, linalg._ORGHR, which only
+skew_canonical needs to form its basis, core._POCON and _TRTRS, and
+inequalities._SYGST.
 
 A later import of scipy.linalg reuses the loaded module but leaves the
 attribute scipy.linalg._flapack unset.  core.random_symplectic, the one
@@ -195,19 +198,27 @@ def subspace_intersect(u, w):
     return orthonormal_columns(left + right)
 
 
-def skew_canonical(k):
-    """Orthogonal reduction of a nonsingular skew-symmetric matrix.
+def _hessenberg_band(k):
+    """Validated skew K, its packed Hessenberg form, and the band as B.
 
-    Returns (q, d) with q orthogonal, d ascending positive, and
-    q.T K q = [[0, diag(d)], [-diag(d), 0]].  The Hessenberg form
-    H = Z.T K Z of a skew K is tridiagonal (Ward and Gray, ACM TOMS 4,
-    1978; Wimmer, "Algorithm 923: PFAPACK", ACM TOMS 38, 2012).  With
-    e = sub-diagonal of H, reordering even before odd indices turns H
-    into [[0, B], [-B.T, 0]] for the lower bidiagonal B with
-    B[i, i] = -e[2i] and B[i, i-1] = e[2i-1].  The SVD B = U S V.T, with
-    columns reversed so that d = S ascends, gives q = [Z_even U, Z_odd V];
-    clusters need no separate treatment and q is orthogonal by
-    construction.
+    Returns (K, H, tau, B): K skew-symmetrized, H and tau as dgehrd packs
+    them (H on and above the sub-diagonal, the reflectors of Z below it),
+    and the lower bidiagonal B with B[i, i] = -e[2i] and
+    B[i, i-1] = e[2i-1] for the band e = (sub - super) / 2 of H.
+
+    The Hessenberg form H = Z.T K Z of a skew K is tridiagonal (Ward and
+    Gray, ACM TOMS 4, 1978; Wimmer, "Algorithm 923: PFAPACK", ACM TOMS 38,
+    2012), and reordering even before odd indices turns the skew
+    tridiagonal T(e) into [[0, B], [-B.T, 0]], so the singular values of B
+    are the d of K.  Everything of H that T(e) drops (the entries above
+    the super-diagonal, the diagonal, and the mismatch of sub- and
+    super-diagonal that averaging e hides) is certified here:
+    ||triu(H) - triu(T(e))||_F <= 1e-9 * max(1, ||K||_F).  H is zero
+    below its sub-diagonal and the sub-diagonal mismatch mirrors the
+    super-diagonal one, so ||H - T(e)||_2 is at most sqrt(2) times that
+    norm.  dgehrd is backward stable, and by Weyl's inequality for
+    singular values dropping H - T(e) moves d by at most ||H - T(e)||_2,
+    so B carries d of K to within the certified bound plus rounding.
     """
     k = check_square(k, "skew input")
     dim = k.shape[0]
@@ -223,27 +234,68 @@ def skew_canonical(k):
         )
     k = 0.5 * (k - k.T)
 
-    m = dim // 2
-    lwork = 64 * dim
-    ht, tau, info = _GEHRD(k, lwork=lwork)
-    if info == 0:
-        z, info = _ORGHR(ht, tau, lwork=lwork)
+    ht, tau, info = _GEHRD(k, lwork=64 * dim)
     if info != 0:
         raise NumericalContractError(f"Hessenberg reduction failed: LAPACK info {info}")
-    # The entries above the super-diagonal of H are rounding noise; the
-    # canonical-form residual below bounds them.
     e = 0.5 * (np.diag(ht, -1) - np.diag(ht, 1))
+    # triu(T(e)) is -e on the super-diagonal.
+    off_band = fnorm(np.triu(ht) + np.diag(e, 1))
+    if off_band > 1e-9 * max(1.0, fnorm(k)):
+        raise NumericalContractError(
+            f"Hessenberg band defect {off_band:.3e} exceeds tolerance"
+        )
     b = np.diag(-e[0::2]) + np.diag(e[1::2], -1)
-    try:
-        u, s, vt = np.linalg.svd(b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalContractError(f"bidiagonal SVD failed: {exc}") from exc
+    return k, ht, tau, b
+
+
+def _ascending_nonsingular(s):
+    """Singular values of B ascending as d; refuse a numerically singular K."""
     d = s[::-1]
     if d[0] <= RANK_RTOL * d[-1]:
         raise ValidationError(
             "skew matrix is numerically singular: singular values span "
             f"[{d[0]:.3e}, {d[-1]:.3e}]"
         )
+    return d
+
+
+def _skew_spectrum(k):
+    """The d of skew_canonical(k) alone, with no basis formed.
+
+    The singular values of the band B of _hessenberg_band, whose
+    certificate bounds what dropping the rest of H costs d; no dorghr,
+    no singular vectors and no residual product.  Refuses the inputs
+    skew_canonical refuses, with the same errors.
+    """
+    b = _hessenberg_band(k)[3]
+    try:
+        s = np.linalg.svd(b, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalContractError(f"bidiagonal SVD failed: {exc}") from exc
+    return _ascending_nonsingular(s)
+
+
+def skew_canonical(k):
+    """Orthogonal reduction of a nonsingular skew-symmetric matrix.
+
+    Returns (q, d) with q orthogonal, d ascending positive, and
+    q.T K q = [[0, diag(d)], [-diag(d), 0]].  With H = Z.T K Z the
+    Hessenberg form and B its band (see _hessenberg_band), the SVD
+    B = U S V.T, with columns reversed so that d = S ascends, gives
+    q = [Z_even U, Z_odd V]; clusters need no separate treatment and q
+    is orthogonal by construction.
+    """
+    k, ht, tau, b = _hessenberg_band(k)
+    dim = k.shape[0]
+    m = dim // 2
+    z, info = _ORGHR(ht, tau, lwork=64 * dim)
+    if info != 0:
+        raise NumericalContractError(f"Hessenberg reduction failed: LAPACK info {info}")
+    try:
+        u, s, vt = np.linalg.svd(b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalContractError(f"bidiagonal SVD failed: {exc}") from exc
+    d = _ascending_nonsingular(s)
     q = np.hstack([z[:, 0::2] @ u[:, ::-1], z[:, 1::2] @ vt[::-1].T])
 
     # For orthogonal q = [q_u, q_w], q.T K q = [[0, D], [-D, 0]] reads

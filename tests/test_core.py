@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sympspec import core
+from sympspec import core, linalg
 from sympspec.core import (
     WILLIAMSON_RTOL_A,
     WILLIAMSON_TOL_J,
@@ -99,6 +99,7 @@ def test_williamson_residual_contracts():
         j = symplectic_form(n)
         assert fnorm(dec.m.T @ a @ dec.m - dec.normal_form()) <= 1e-8 * fnorm(a)
         assert fnorm(dec.m.T @ j @ dec.m - j) <= 1e-9
+        assert dec.residual_j == pytest.approx(fnorm(dec.m.T @ j @ dec.m - j), abs=1e-14)
         assert np.all(np.diff(dec.d) >= 0)
 
 
@@ -215,6 +216,22 @@ def test_methods_agree():
         a = random_pd(n, RNG)
         stack = np.vstack([symplectic_eigenvalues(a, method=m) for m in METHODS])
         assert np.max(stack.max(axis=0) - stack.min(axis=0)) <= 1e-9 * stack.max()
+
+
+def test_spectrum_never_forms_the_canonical_basis(monkeypatch):
+    # The default method and compress read d off the Hessenberg band; a
+    # fall-back to the vector route would hit this stub.
+    def no_basis(k):
+        raise AssertionError("skew_canonical called")
+
+    a = random_pd(4, np.random.default_rng(9))
+    expected = williamson(a).d
+    monkeypatch.setattr(core, "skew_canonical", no_basis)
+    monkeypatch.setattr(linalg, "skew_canonical", no_basis)
+    d = symplectic_eigenvalues(a)
+    assert np.max(np.abs(d - expected)) <= 1e-14 * expected[-1]
+    e = np.eye(8)
+    assert np.array_equal(compress(a, e[:, :4], e[:, 4:])[1], d)
 
 
 def test_unknown_method_rejected():

@@ -242,3 +242,68 @@ def test_skew_canonical_residual_catches_a_perturbed_svd_factor(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", rotated_u)
     with pytest.raises(NumericalContractError, match="canonical residual"):
         skew_canonical(x - x.T)
+
+
+SKEW_ROUTES = {"canonical": skew_canonical, "spectrum": linalg._skew_spectrum}
+
+
+def _random_skew(m, rng):
+    x = rng.normal(size=(2 * m, 2 * m))
+    return x - x.T
+
+
+def test_skew_spectrum_equals_the_canonical_d():
+    rng = np.random.default_rng(41)
+    for m in [*range(1, 8), 50]:
+        for _ in range(3):
+            k = _random_skew(m, rng)
+            ref = skew_canonical(k)[1]
+            assert np.max(np.abs(linalg._skew_spectrum(k) - ref) / ref) <= 1e-14
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("route", SKEW_ROUTES)
+@pytest.mark.parametrize("k, match", [
+    (np.zeros((3, 3)), "even dimension"),
+    (np.full((4, 4), np.nan), "must be finite"),
+    (np.full((4, 4), np.inf), "must be finite"),
+    (np.triu(np.ones((4, 4)), 1), "not skew-symmetric"),
+    (np.zeros((2, 2)), "numerically singular"),
+], ids=["odd", "nan", "inf", "not-skew", "zero"])
+def test_both_skew_routes_refuse_bad_input(route, k, match):
+    with pytest.raises(ValidationError, match=match):
+        SKEW_ROUTES[route](k)
+
+
+@pytest.mark.parametrize("route", SKEW_ROUTES)
+def test_both_skew_routes_map_lapack_and_svd_failures(route, monkeypatch):
+    k = np.array([[0.0, 5.0], [-5.0, 0.0]])
+
+    def no_convergence(a, compute_uv=True):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", no_convergence)
+        with pytest.raises(NumericalContractError, match="SVD failed"):
+            SKEW_ROUTES[route](k)
+    monkeypatch.setattr(linalg, "_GEHRD", lambda a, lwork: (a, np.zeros(1), -1))
+    with pytest.raises(NumericalContractError, match="LAPACK info -1"):
+        SKEW_ROUTES[route](k)
+
+
+@pytest.mark.parametrize("route", SKEW_ROUTES)
+def test_both_skew_routes_certify_the_hessenberg_band(route, monkeypatch):
+    # One entry above the super-diagonal of H, which the band drops.
+    k = _random_skew(3, np.random.default_rng(31))
+    gehrd = linalg._GEHRD
+
+    def off_band(a, lwork):
+        ht, tau, info = gehrd(a, lwork=lwork)
+        ht = ht.copy()
+        ht[0, 3] += 1e-6 * fnorm(k)
+        return ht, tau, info
+
+    SKEW_ROUTES[route](k)
+    monkeypatch.setattr(linalg, "_GEHRD", off_band)
+    with pytest.raises(NumericalContractError, match="band defect"):
+        SKEW_ROUTES[route](k)
