@@ -43,7 +43,6 @@ from .extremal import (
     maxmin_check,
     phi_extremal_check,
     poincare_witness,
-    sample_tuple_in_chain,
     tuple_value,
     wielandt_certify,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "run_all",
     "run_suite",
     "same_span_trace_check",
-    "sample_tuple_in_chain",
     "save_matrix",
     "save_williamson",
     "schur_concave_monotone_check",

@@ -100,22 +100,12 @@ def cmd_verify(args):
         print("stored: " + json.dumps(stored, sort_keys=True))
         return 1
 
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("SYMPSPEC_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise ValidationError(f"SYMPSPEC_SEED must be an integer, got {env!r}")
-        else:
-            seed = 0
     config = SuiteConfig(
         suite=args.suite,
         trials=args.trials,
         n_min=args.nmin,
         n_max=args.nmax,
-        master_seed=seed,
+        master_seed=args.seed,
         tol=args.tol,
         report_path=args.report,
         jobs=args.jobs,
@@ -141,7 +131,7 @@ def cmd_verify(args):
         write_report(report, args.report)
         print(f"report written to {args.report}")
     overall = "PASS" if report["overall"]["passed"] else "FAIL"
-    print(f"overall: {overall} (seed {seed})")
+    print(f"overall: {overall} (seed {args.seed})")
     return code
 
 
@@ -205,8 +195,7 @@ def build_parser():
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--nmin", type=int, default=2)
     p.add_argument("--nmax", type=int, default=5)
-    p.add_argument("--seed", type=int, default=None,
-                   help="master seed (default: SYMPSPEC_SEED or 0)")
+    p.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--report", default="sympspec_report.json",
                    help="report path; pass an empty string to skip writing")

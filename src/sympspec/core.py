@@ -211,6 +211,7 @@ def compress(a, x, y):
     the tuple's own coordinates and its symplectic spectrum.
     """
     a = check_positive_definite(a)[0]
+    half_dim(a)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 2 or x.shape[0] != a.shape[0]:

@@ -1,10 +1,10 @@
 """Extremal characterizations of symplectic eigenvalue sums, products,
 and concave functionals, certified by explicit witnesses.
 
-Each check plays both sides of a variational identity: tuples sampled
-inside the canonical eigen chain stay above the claimed value, while a
-constructed witness inside an adversarial chain stays below it, and an
-explicit eigen tuple attains it.  The results are returned as
+Each check plays both sides of a variational identity: tuples inside
+the canonical eigen chain (sampled, or in closed form for one index)
+stay above the claimed value, while a constructed witness inside an
+adversarial chain stays below it, and an explicit eigen tuple attains it.  The results are returned as
 ExtremalCertificate records with every tolerance spelled out.
 """
 
@@ -27,14 +27,16 @@ from .basis import (
 )
 from .core import (
     TUPLE_TOL,
+    _TRTRS,
     as_generator,
     compress,
+    symplectic_gram,
     symplectic_inner,
     tuple_form_defect,
     williamson,
 )
 from .errors import ConstructionError, ValidationError
-from .inequalities import schur_concave_monotone_check, supermajorize
+from .inequalities import _check_index_set, schur_concave_monotone_check, supermajorize
 from .linalg import orthonormal_columns, subspace_intersect
 
 PAIR_FLOOR = 1e-6
@@ -75,23 +77,16 @@ def canonical_chains(basis, index_set):
     return vchain, wchain
 
 
-def sample_tuple_in_chain(chain, rng):
-    """Random symplectically normalized tuple threading a decreasing chain.
+def _sample_tuple(bases, rng):
+    """Random symplectically normalized tuple threading a decreasing chain,
+    given by orthonormal bases that are used as they stand.
 
-    Returns (x, y) with columns (x_j, y_j) in chain[j], <x_i, J x_j> =
+    Returns (x, y) with columns (x_j, y_j) in bases[j], <x_i, J x_j> =
     <y_i, J y_j> = 0 and <x_i, J y_j> = delta_ij.  Pairs are drawn
     greedily from the smallest space outward, each restricted to the
     skew complement of the pairs already chosen; draws whose pairing
     product falls under PAIR_FLOOR are rejected and retried.
     """
-    if len(chain) == 0:
-        raise ValidationError("chain must contain at least one subspace")
-    return _sample_tuple([orthonormal_columns(w) for w in chain], as_generator(rng))
-
-
-def _sample_tuple(bases, rng):
-    """sample_tuple_in_chain on a chain already given by orthonormal
-    bases, which are used as they stand."""
     k = len(bases)
     dim = bases[0].shape[0]
     for _ in range(SAMPLE_RETRIES):
@@ -136,18 +131,19 @@ def _sample_tuple(bases, rng):
     raise ConstructionError("failed to sample a normalized tuple in the chain")
 
 
-def poincare_witness(m_sub, basis, rng=None):
-    """Normalized pair (u, u') inside a subspace of dimension 2n - k + 1.
+def poincare_witness(m_sub, basis, a):
+    """Normalized pair (u, u') of largest energy in the witness space of
+    a subspace of dimension 2n - k + 1.
 
-    When basis diagonalizes A with ascending block spectrum d, the pair
-    has energy at most d_k: it is drawn inside the sharp part of the
-    intersection of m_sub with the canonical space spanned by all
-    first-kind columns and the first k second-kind ones, and that
-    intersection always leaves at least one invariant plane.  The pairing
-    <u, J u'> is the basis norm of u, which is 1; the energy bound is the
-    claim the caller certifies.
+    That space is the sharp part of the intersection of m_sub with the
+    span of all first-kind columns and the first k second-kind ones, so
+    it holds an invariant plane, and when basis diagonalizes A with
+    ascending block spectrum d no pair in it has energy above d_k, the
+    claim the caller certifies.  u is g times the top eigenvector of
+    0.5 (U^T A U + U'^T A U') for an orthonormal coordinate basis g of
+    the space, U = lift(g) and U' = lift(prime(g)), so <u, J u'> is the
+    basis norm of u, which is 1.
     """
-    rng = as_generator(rng)
     n = basis.n
     m_sub = np.asarray(m_sub, dtype=float)
     k = 2 * n - m_sub.shape[1] + 1
@@ -162,7 +158,9 @@ def poincare_witness(m_sub, basis, rng=None):
         raise ConstructionError(
             "witness search failed: no invariant plane in the canonical intersection"
         )
-    uc = _unit_in(g, rng)
+    a = np.asarray(a, dtype=float)
+    u, u_prime = basis.lift(g), basis.lift(prime_coords(g))
+    uc = g @ np.linalg.eigh(0.5 * (u.T @ a @ u + u_prime.T @ a @ u_prime))[1][:, -1]
     return basis.lift(uc), basis.lift(prime_coords(uc))
 
 
@@ -206,14 +204,7 @@ def _eigen_frame(a, index_set):
     eigenbasis of A, the validated index set and its canonical chains."""
     dec = williamson(a)
     basis = SymplecticBasis(dec.m)
-    n = dec.d.size
-    idx = np.asarray(index_set, dtype=int)
-    if idx.ndim != 1 or idx.size == 0 or idx.size > n:
-        raise ValidationError(f"index set must be 1..{n} values, got {idx!r}")
-    if np.any(idx < 1) or np.any(idx > n) or np.any(np.diff(idx) <= 0):
-        raise ValidationError(
-            f"index set must be strictly increasing within [1, {n}], got {idx.tolist()}"
-        )
+    idx = _check_index_set(index_set, dec.d.size)
     vchain, wchain = canonical_chains(basis, idx)
     return dec.d, basis, idx, vchain, wchain
 
@@ -242,42 +233,49 @@ def _chain_tuples(vchain, idx, basis, count, rng, wchain=None):
     return tuples, n_skipped
 
 
-def maxmin_check(a, k, samples=40, n_subspaces=20, rng=None, tol=1e-9):
+def _pair_floor(a, w):
+    """Least energy 0.5 (x^T A x + y^T A y) of x, y in span(w) with
+    <x, J y> = 1, from A and J alone: with G an orthonormal basis of
+    span(w) and G^T A G = L L^T, it is 1 / sigma_max(L^-1 G^T J G L^-T)."""
+    g = orthonormal_columns(w)
+    low = np.linalg.cholesky(g.T @ a @ g)
+    half = _TRTRS(low, symplectic_gram(g, g), lower=1)[0]
+    return 1.0 / float(np.linalg.svd(_TRTRS(low, half.T, lower=1)[0], compute_uv=False)[0])
+
+
+def maxmin_check(a, k, n_subspaces=20, rng=None, tol=1e-9):
     """Two-sided certificate for the k-th block eigenvalue.
 
-    Over the canonical subspace every normalized pair has energy at
-    least d_k, the k-th eigen pair attains it, and every random
-    subspace of the complementary dimension admits a pair at most d_k.
-    The witness slack is the one check of that last bound, so a witness
-    above d_k fails the certificate.
+    Over the canonical subspace the least energy of a normalized pair is
+    at least d_k and the k-th eigen pair attains it; in every random
+    subspace of the same dimension the highest-energy witness pair stays
+    at most d_k.  The witness slack is the one check of that last
+    bound, so a witness above d_k fails the certificate.
     """
     rng = as_generator(rng)
     d, basis, idx, _, wchain = _eigen_frame(a, [k])
-    n = d.size
     k = int(idx[0])
     claimed = float(d[k - 1])
     scale = max(1.0, abs(claimed))
-    values, slacks = _sampled_floor(a, wchain, claimed, samples, rng, tol)
-
-    eig_val = tuple_value(a, basis.u[:, idx - 1], basis.v[:, idx - 1])
-    equality_gap = abs(eig_val - claimed)
-    slacks.append(1e-10 * scale - equality_gap)
+    floor = _pair_floor(a, wchain[0])
+    equality_gap = abs(tuple_value(a, basis.u[:, k - 1], basis.v[:, k - 1]) - claimed)
+    slacks = [floor - claimed + tol * scale, 1e-10 * scale - equality_gap]
 
     witness_vals, n_skipped = [], 0
     for _ in range(n_subspaces):
-        m_sub = random_orthogonal(2 * n, rng)[:, : 2 * n - k + 1]
+        m_sub = random_orthogonal(2 * d.size, rng)[:, : wchain[0].shape[1]]
         try:
-            u, v = poincare_witness(m_sub, basis, rng=rng)
+            u, v = poincare_witness(m_sub, basis, a)
         except ConstructionError:
             n_skipped += 1
             continue
-        witness_vals.append(0.5 * (float(u @ (a @ u)) + float(v @ (a @ v))))
+        witness_vals.append(tuple_value(a, u, v))
     slacks += [claimed - val + tol * scale for val in witness_vals]
 
     return _finish(
-        f"maxmin-{k}", claimed, slacks, sampled_min=min(values, default=None),
+        f"maxmin-{k}", claimed, slacks, sampled_min=floor,
         witness_max=max(witness_vals, default=None), equality_gap=equality_gap,
-        n_samples=samples, n_chains=n_subspaces, n_skipped=n_skipped,
+        n_chains=n_subspaces, n_skipped=n_skipped,
     )
 
 

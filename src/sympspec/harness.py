@@ -167,7 +167,7 @@ def _trial_maxmin(t, cfg, rng):
     n = _draw_n(cfg, rng)
     a = random_pd(n, rng)
     k = int(rng.integers(1, n + 1))
-    cert = maxmin_check(a, k, samples=6, n_subspaces=4, rng=rng, tol=cfg.tol)
+    cert = maxmin_check(a, k, n_subspaces=4, rng=rng, tol=cfg.tol)
     return n, [_from_certificate(cert)]
 
 

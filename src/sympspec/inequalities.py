@@ -196,6 +196,18 @@ def _index_set(n, rng, cap=None):
     return np.sort(rng.choice(np.arange(1, n + 1), size=k, replace=False))
 
 
+def _check_index_set(index_set, n):
+    """The index set as an int array, refused unless it is 1-D and
+    strictly increasing within [1, n]."""
+    idx = np.asarray(index_set, dtype=int)
+    if (idx.ndim != 1 or not 1 <= idx.size <= n or idx[0] < 1 or idx[-1] > n
+            or np.any(np.diff(idx) <= 0)):
+        raise ValidationError(
+            f"index set must be strictly increasing within [1, {n}], got {index_set!r}"
+        )
+    return idx
+
+
 def additive_lidskii_trial(a, b, index_set, tol=1e-9):
     """Records for sum_j d_{i_j}(A+B) >= sum_j d_{i_j}(A) + sum_j d_j(B).
 
@@ -205,7 +217,7 @@ def additive_lidskii_trial(a, b, index_set, tol=1e-9):
     d_sum = symplectic_eigenvalues(a + b)
     d_a = symplectic_eigenvalues(a)
     d_b = symplectic_eigenvalues(b)
-    idx = np.asarray(index_set, dtype=int) - 1
+    idx = _check_index_set(index_set, d_a.size) - 1
     k = idx.size
     lhs = float(np.sum(d_sum[idx]))
     rhs = float(np.sum(d_a[idx]) + np.sum(d_b[:k]))

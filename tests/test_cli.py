@@ -87,6 +87,13 @@ def test_compress_rejects_odd_tuple(tmp_path, capsys):
     assert main(["compress", _matrix_file(tmp_path, a), str(t_path)]) == 3
 
 
+def test_compress_rejects_odd_dimension(tmp_path, capsys):
+    t_path = tmp_path / "tuple.json"
+    save_matrix(np.eye(3)[:, :2], t_path)
+    assert main(["compress", _matrix_file(tmp_path, np.eye(3)), str(t_path)]) == 3
+    assert "matrix must have even positive size" in capsys.readouterr().err
+
+
 def test_repro_output_and_exit_code(capsys):
     code = main(["repro"])
     out = capsys.readouterr().out
@@ -108,27 +115,8 @@ def test_verify_small_run_writes_report(tmp_path, capsys):
     assert report["config"]["master_seed"] == 5
 
 
-def test_verify_env_seed(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SYMPSPEC_SEED", "31")
-    p1 = tmp_path / "r1.json"
-    p2 = tmp_path / "r2.json"
-    assert main(["verify", "--suite", "majorization", "--trials", "2",
-                 "--report", str(p1)]) == 0
-    assert main(["verify", "--suite", "majorization", "--trials", "2",
-                 "--report", str(p2)]) == 0
-    capsys.readouterr()
-    r1 = json.loads(p1.read_text())
-    r2 = json.loads(p2.read_text())
-    assert r1["config"]["master_seed"] == 31
-    r1.pop("timing")
-    r2.pop("timing")
-    assert r1 == r2
-
-
-def test_verify_rejects_bad_env_seed(capsys, monkeypatch):
-    monkeypatch.setenv("SYMPSPEC_SEED", "not-a-number")
-    assert main(["verify", "--suite", "majorization", "--trials", "1",
-                 "--report", ""]) == 3
+def test_verify_seed_defaults_to_zero():
+    assert build_parser().parse_args(["verify"]).seed == 0
 
 
 def test_verify_replay_flow(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sympspec.extremal
-from sympspec.basis import SymplecticBasis
+from sympspec.basis import SymplecticBasis, _coords_subspace, _sharp_std, prime_coords
 from sympspec.core import (
     compress,
     random_pd,
@@ -15,6 +15,7 @@ from sympspec.core import (
 from sympspec.errors import ConstructionError, ValidationError
 from sympspec.extremal import (
     _finish,
+    _sample_tuple,
     canonical_chains,
     det_product_check,
     maxmin_check,
@@ -22,12 +23,11 @@ from sympspec.extremal import (
     poincare_witness,
     random_decreasing_chain,
     random_orthogonal,
-    sample_tuple_in_chain,
     tuple_value,
     wielandt_certify,
 )
 from sympspec.functionals import SHIPPED, SpectralFunctional, phi_sum
-from sympspec.linalg import orthonormal_columns, span_residual
+from sympspec.linalg import orthonormal_columns, span_residual, subspace_intersect
 
 RNG = np.random.default_rng(505)
 
@@ -71,8 +71,9 @@ def test_sample_tuple_in_chain_properties():
     _, _, basis = _instance(3, 3)
     idx = np.array([1, 3])
     _, wchain = canonical_chains(basis, idx)
+    bases = [orthonormal_columns(w) for w in wchain]
     for _ in range(5):
-        x, y = sample_tuple_in_chain(wchain, RNG)
+        x, y = _sample_tuple(bases, RNG)
         assert tuple_form_defect(x, y) <= 1e-8
         for j in range(len(wchain)):
             assert span_residual(wchain[j], x[:, j]) <= 1e-8
@@ -94,19 +95,11 @@ def test_sampled_floor_orthonormalises_each_chain_subspace_once(monkeypatch):
     assert calls == [w.shape for w in wchain]
 
 
-def test_public_sampler_draws_what_the_floor_sampler_draws():
-    a, _, basis = _instance(3, 3)
-    _, wchain = canonical_chains(basis, np.array([1, 3]))
-    values, _ = sympspec.extremal._sampled_floor(a, wchain, 0.0, 4, np.random.default_rng(9), 1e-9)
-    rng = np.random.default_rng(9)
-    assert values == [tuple_value(a, *sample_tuple_in_chain(wchain, rng)) for _ in range(4)]
-
-
 def test_poincare_witness_energy_bound():
     a, dec, basis = _instance(3, 4)
     for k in (1, 2, 3):
         m_sub = random_orthogonal(6, RNG)[:, : 6 - k + 1]
-        u, v = poincare_witness(m_sub, basis, rng=RNG)
+        u, v = poincare_witness(m_sub, basis, a)
         assert symplectic_inner(u, v) == pytest.approx(1.0, abs=1e-8)
         value = 0.5 * (float(u @ a @ u) + float(v @ a @ v))
         assert value <= dec.d[k - 1] + 1e-9 * max(1.0, dec.d[k - 1])
@@ -117,16 +110,69 @@ def test_poincare_witness_energy_bound():
 def test_poincare_witness_rejects_bad_dimension():
     _, _, basis = _instance(2, 5)
     with pytest.raises(ValidationError):
-        poincare_witness(np.eye(4)[:, :2], basis)
+        poincare_witness(np.eye(4)[:, :2], basis, np.eye(4))
+
+
+def _witness_space(m_sub, basis, k):
+    """Coordinate basis of the sharp witness space poincare_witness searches."""
+    nc = np.eye(2 * basis.n)[:, : basis.n + k]
+    return _sharp_std(subspace_intersect(_coords_subspace(m_sub, basis), nc))
+
+
+def test_poincare_witness_is_the_top_energy_pair():
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 4):
+        a, dec, basis = _instance(n, 30 + n)
+        for k in range(1, n + 1):
+            m_sub = random_orthogonal(2 * n, rng)[:, : 2 * n - k + 1]
+            u, v = poincare_witness(m_sub, basis, a)
+            value = tuple_value(a, u, v)
+            if k == 1:
+                # The witness space is the first eigen plane itself.
+                assert value == pytest.approx(dec.d[0], rel=1e-12)
+                continue
+            g = _witness_space(m_sub, basis, k)
+            for c in rng.standard_normal((50, g.shape[1])):
+                xc = g @ (c / np.linalg.norm(c))
+                other = tuple_value(a, basis.lift(xc), basis.lift(prime_coords(xc)))
+                assert value >= other - 1e-12 * value
 
 
 def test_maxmin_certificates_pass():
     a, dec, _ = _instance(3, 6)
     for k in (1, 2, 3):
-        cert = maxmin_check(a, k, samples=10, n_subspaces=5, rng=RNG)
+        cert = maxmin_check(a, k, n_subspaces=5, rng=RNG)
         assert cert.passed, cert
         assert cert.claimed_value == pytest.approx(dec.d[k - 1])
         assert cert.equality_gap <= 1e-10 * max(1.0, cert.claimed_value)
+        assert cert.n_samples == 0
+
+
+def test_maxmin_floor_equals_the_eigenvalue_on_wishart_inputs():
+    for n in range(2, 8):
+        a, dec, _ = _instance(n, 40 + n)
+        for k in range(1, n + 1):
+            cert = maxmin_check(a, k, n_subspaces=1, rng=RNG)
+            assert abs(cert.sampled_min - dec.d[k - 1]) <= 1e-12 * dec.d[k - 1]
+            if k == 1:
+                assert cert.witness_max == pytest.approx(dec.d[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("family", ["log-spread-4", "near-singular"])
+def test_maxmin_floor_on_planted_hard_spectra(family):
+    for n in range(2, 8):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            if family == "log-spread-4":
+                d0 = np.logspace(-4.0, 4.0, n)
+            else:
+                d0 = np.concatenate([[1e-7], np.sort(rng.uniform(0.5, 2.0, n - 1))])
+            a = random_pd(n, rng, spectrum=d0)
+            for k in range(1, n + 1):
+                cert = maxmin_check(a, k, n_subspaces=1, rng=rng)
+                claimed = cert.claimed_value
+                assert cert.passed, (n, seed, k, cert)
+                assert abs(cert.sampled_min - claimed) <= 1e-9 * max(1.0, claimed)
 
 
 def test_maxmin_rejects_out_of_range_index():
@@ -221,24 +267,21 @@ def test_finish_derives_the_skip_cap(n_samples, n_chains, n_skipped, passed):
 
 
 def test_maxmin_fails_on_a_witness_above_the_claim(monkeypatch):
-    # The first two witnesses are drawn at the top eigen pair, whose
-    # energy d_3 lies far above the claim d_1.  The witness slack is the
-    # one check of that bound, so the certificate fails and skips nothing.
-    a, dec, _ = _instance(3, 3)
-    top = np.eye(6)[:, 2]
+    # The first two witnesses are the top eigen pair, whose energy d_3
+    # lies far above the claim d_1.  The witness slack is the one check
+    # of that bound, so the certificate fails and skips nothing.
+    a, dec, basis = _instance(3, 3)
     witness = sympspec.extremal.poincare_witness
     calls = []
 
-    def forced(*args, **kwargs):
+    def forced(*args):
         calls.append(None)
         if len(calls) > 2:
-            return witness(*args, **kwargs)
-        with monkeypatch.context() as m:
-            m.setattr(sympspec.extremal, "_unit_in", lambda g, rng: top)
-            return witness(*args, **kwargs)
+            return witness(*args)
+        return basis.u[:, 2], basis.v[:, 2]
 
     monkeypatch.setattr(sympspec.extremal, "poincare_witness", forced)
-    cert = maxmin_check(a, 1, samples=6, n_subspaces=4, rng=np.random.default_rng(0))
+    cert = maxmin_check(a, 1, n_subspaces=4, rng=np.random.default_rng(0))
     assert len(calls) == 4
     assert cert.witness_max == pytest.approx(dec.d[2], rel=1e-9)
     assert cert.slack < 0.0

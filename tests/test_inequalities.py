@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sympspec import inequalities
 from sympspec.core import random_pd, symplectic_eigenvalues
-from sympspec.errors import NumericalContractError
+from sympspec.errors import NumericalContractError, ValidationError
 from sympspec.functionals import SHIPPED
 from sympspec.inequalities import (
     additive_lidskii_trial,
@@ -173,6 +173,13 @@ def test_additive_identity_matrices_hand_value():
     lower = [r for r in records if r.name == "additive-lower"][0]
     assert lower.lhs == pytest.approx(4.0, abs=1e-12)
     assert lower.rhs == pytest.approx(4.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("index_set", [[0], [2, 2], [3, 1], [4]])
+def test_additive_trial_rejects_bad_index_sets(index_set):
+    a = random_pd(3, np.random.default_rng(12))
+    with pytest.raises(ValidationError):
+        additive_lidskii_trial(a, np.eye(6), index_set)
 
 
 def test_additive_trial_records_pass_and_include_full_prefix():
