@@ -11,7 +11,8 @@ plain Euclidean linear algebra.
 
 Subspaces are passed and returned as ambient matrices with orthonormal
 columns.  Randomized existence steps draw inside explicitly computed
-feasible subspaces and retry on failure.
+feasible subspaces; a construction that fails raises, and callers that
+sample many constructions count it as skipped.
 
 Every containment check is one projection: y lies in span(g) when
 ||y - g g^T y|| is small, with g the orthonormal basis the caller
@@ -41,7 +42,6 @@ from .linalg import (
 
 BASIS_TOL = 1e-8
 MAX_DRAWS = 20
-MAX_REBUILDS = 3
 
 
 def prime_coords(a):
@@ -285,18 +285,6 @@ def _check_built(cols, chain):
     return full
 
 
-def _rebuild(build, what):
-    """Result of the first of MAX_REBUILDS calls of build that raises no
-    construction or contract error."""
-    last_err = None
-    for _ in range(MAX_REBUILDS):
-        try:
-            return build()
-        except (ConstructionError, NumericalContractError) as exc:
-            last_err = exc
-    raise ConstructionError(f"{what} failed after retries: {last_err}")
-
-
 def dual_chain_construct(vchain, wchain, basis, rng):
     """Equal-span tuples threading an increasing and a decreasing chain.
 
@@ -304,7 +292,8 @@ def dual_chain_construct(vchain, wchain, basis, rng):
     strictly increasing index set i.  Returns ambient (v, w), each a
     k-column set with v[:, j] in sharp(vchain[j]) and w[:, j] in
     sharp(wchain[j]); each set together with its primes is
-    B-orthosymplectic and both have the same span.
+    B-orthosymplectic and both have the same span.  A failed draw or a
+    built tuple that misses its contract raises; there is no retry.
     """
     rng = as_generator(rng)
     k = len(vchain)
@@ -331,13 +320,10 @@ def dual_chain_construct(vchain, wchain, basis, rng):
         if not _nested(wchain_c[j], wchain_c[j - 1]):
             raise ValidationError(f"decreasing chain fails nesting at position {j}")
 
-    def build():
-        vs_c, ws_c = _dual_chain_std(vchain_c, wchain_c, rng)
-        vf = _check_built(vs_c, vchain_c)
-        wf = _check_built(ws_c, wchain_c)
-        resid = _off_span(vf, wf)
-        if resid > BASIS_TOL:
-            raise NumericalContractError(f"constructed spans differ by residual {resid:.3e}")
-        return basis.lift(vs_c), basis.lift(ws_c)
-
-    return _rebuild(build, "dual chain construction")
+    vs_c, ws_c = _dual_chain_std(vchain_c, wchain_c, rng)
+    vf = _check_built(vs_c, vchain_c)
+    wf = _check_built(ws_c, wchain_c)
+    resid = _off_span(vf, wf)
+    if resid > BASIS_TOL:
+        raise NumericalContractError(f"constructed spans differ by residual {resid:.3e}")
+    return basis.lift(vs_c), basis.lift(ws_c)

@@ -35,7 +35,7 @@ from .core import (
     tuple_form_defect,
     williamson,
 )
-from .errors import ConstructionError, ValidationError
+from .errors import ConstructionError, NumericalContractError, ValidationError
 from .inequalities import _check_index_set, schur_concave_monotone_check, supermajorize
 from .linalg import orthonormal_columns, subspace_intersect
 
@@ -220,7 +220,8 @@ def _sampled_floor(a, chain, claimed, samples, rng, tol):
 
 def _chain_tuples(vchain, idx, basis, count, rng, wchain=None):
     """Dual-chain tuples (vs, ws) from count attempts, and the number of
-    attempts skipped on a ConstructionError.  Without wchain each attempt
+    attempts skipped on a ConstructionError or on a built tuple that
+    failed its contract.  Without wchain each attempt
     draws a fresh random decreasing chain."""
     sizes = [2 * basis.n - i + 1 for i in idx]
     tuples, n_skipped = [], 0
@@ -228,7 +229,7 @@ def _chain_tuples(vchain, idx, basis, count, rng, wchain=None):
         chain = random_decreasing_chain(2 * basis.n, sizes, rng) if wchain is None else wchain
         try:
             tuples.append(dual_chain_construct(vchain, chain, basis, rng))
-        except ConstructionError:
+        except (ConstructionError, NumericalContractError):
             n_skipped += 1
     return tuples, n_skipped
 

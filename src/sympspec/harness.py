@@ -90,8 +90,8 @@ class SuiteConfig:
             raise ValidationError(
                 f"size range [{self.n_min}, {self.n_max}] is invalid"
             )
-        if not self.tol > 0.0:
-            raise ValidationError(f"tolerance must be positive, got {self.tol}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValidationError(f"tolerance must be positive and finite, got {self.tol}")
         if self.jobs < 1:
             raise ValidationError(f"jobs must be positive, got {self.jobs}")
 

@@ -249,11 +249,16 @@ def _hessenberg_band(k):
 
 
 def _ascending_nonsingular(s):
-    """Singular values of B ascending as d; refuse a numerically singular K."""
+    """Singular values of B ascending as d; refuse a K singular to
+    working precision, d_1 <= dim * eps * d_n for K of size dim (numpy's
+    matrix_rank threshold).  For positive definite A the verdict on
+    singularity is the condition estimate of core.check_positive_definite;
+    this guards direct callers of the skew routes.
+    """
     d = s[::-1]
-    if d[0] <= RANK_RTOL * d[-1]:
+    if d[0] <= 2 * d.size * np.finfo(float).eps * d[-1]:
         raise ValidationError(
-            "skew matrix is numerically singular: singular values span "
+            "skew matrix is singular to working precision: singular values span "
             f"[{d[0]:.3e}, {d[-1]:.3e}]"
         )
     return d

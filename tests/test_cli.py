@@ -147,6 +147,16 @@ def test_verify_contract_error_exits_1_with_a_full_report(tmp_path, capsys, monk
     assert "matches the stored report" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+def test_verify_refuses_a_tolerance_that_is_not_positive_and_finite(capsys, tol):
+    # With tol = inf every slack is infinite, so a run that has a failed
+    # record without --tol (lidskii-mult at seed 105) would pass.
+    assert main(["verify", "--suite", "lidskii-mult", "--seed", "105", "--tol", tol]) == 3
+    captured = capsys.readouterr()
+    assert "tolerance must be positive and finite" in captured.err
+    assert "[lidskii-mult]" not in captured.out
+
+
 def test_verify_replay_malformed_spec(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--replay", "no-colons-here"])
@@ -163,8 +173,13 @@ def test_verify_replay_malformed_spec(capsys):
              "suites": {"maxmin": {"aggregate": {"n_trials": 1}, "records": []}}},
             "config.master_seed is of type str",
         ),
+        (
+            {"config": {"tol": float("inf")},
+             "suites": {"maxmin": {"aggregate": {"n_trials": 1}, "records": []}}},
+            "tolerance must be positive and finite",
+        ),
     ],
-    ids=["not-an-object", "no-aggregate", "config-type"],
+    ids=["not-an-object", "no-aggregate", "config-type", "infinite-tol"],
 )
 def test_verify_replay_refuses_malformed_report(tmp_path, capsys, report, message):
     path = tmp_path / "report.json"

@@ -154,16 +154,32 @@ def _spectrum_at_50_digits(a):
         return np.sort([float(v.imag) for v in vals if v.imag > 0])
 
 
-@pytest.mark.parametrize("family", ["wishart", "cluster", "log-spread-4", "near-singular"])
+def _tiny(d1):
+    return lambda n, rng: np.concatenate([[d1], np.sort(rng.uniform(0.5, 2.0, n - 1))])
+
+
+# d_1 of 1e-10 and 1e-12 is well posed (condition estimates 8e10 to 2e15 on
+# these draws), so only the condition estimate may refuse it.  williamson is
+# left out there: its absolute form-defect bound refuses one of the draws.
+REFERENCE_FAMILIES = {
+    "wishart": (None, ("skew-canonical", "williamson")),
+    **{f: (PLANTED[f], ("skew-canonical", "williamson"))
+       for f in ("cluster", "log-spread-4", "near-singular")},
+    **{f"tiny-{d1:.0e}": (_tiny(d1), ("skew-canonical", "ja-eigen")) for d1 in (1e-10, 1e-12)},
+}
+
+
+@pytest.mark.parametrize("family", list(REFERENCE_FAMILIES))
 def test_spectrum_matches_a_50_digit_reference(family):
+    planted, methods = REFERENCE_FAMILIES[family]
     rng = np.random.default_rng(77)
     for i in range(10):
         n = 2 + i % 3
-        spectrum = None if family == "wishart" else PLANTED[family](n, rng)
+        spectrum = None if planted is None else planted(n, rng)
         a = random_pd(n, rng, spectrum=spectrum)
         ref = _spectrum_at_50_digits(a)
         bound = 100 * n * np.finfo(float).eps * np.linalg.norm(a, 2)
-        for method in ("skew-canonical", "williamson"):
+        for method in methods:
             d = symplectic_eigenvalues(a, method=method)
             assert np.max(np.abs(d - ref)) <= bound
 
@@ -325,9 +341,24 @@ def test_condition_number_diagonal():
     assert condition_number(np.diag([1.0, 10.0])) == pytest.approx(10.0)
 
 
+def test_condition_number_is_the_cholesky_estimate_without_an_eigensolve(monkeypatch):
+    a = random_pd(3, np.random.default_rng(5))
+    exact = np.linalg.cond(a, 1)
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("condition_number ran an eigensolve")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, no_eigensolve)
+    cond = condition_number(a)
+    assert cond == core.check_positive_definite(a)[2]
+    # dpocon estimates ||A^-1||_1 from below.
+    assert 0.3 * exact <= cond <= (1.0 + 1e-10) * exact
+
+
 def test_condition_number_of_a_singular_matrix_is_never_negative():
-    # Rank 3 in size 4: Cholesky may factor it through rounding, while
-    # its smallest computed eigenvalue may come out zero or negative.
+    # Rank 3 in size 4: Cholesky may factor it through rounding, and then
+    # the estimate must either refuse it or be huge.
     v = np.random.default_rng(14).standard_normal((4, 3))
     try:
         cond = condition_number(v @ v.T)
@@ -380,5 +411,5 @@ def test_every_entry_point_refuses_singular_inputs(entry):
     call = PD_ENTRY_POINTS[entry]
     for seed in range(200):
         v = np.random.default_rng(seed).standard_normal((4, 3))
-        with pytest.raises(ValidationError, match="not positive definite|numerically singular"):
+        with pytest.raises(ValidationError, match="not positive definite|condition number estimate"):
             call(v @ v.T)

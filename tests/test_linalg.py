@@ -261,6 +261,9 @@ def test_skew_spectrum_equals_the_canonical_d():
             assert np.max(np.abs(linalg._skew_spectrum(k) - ref) / ref) <= 1e-14
 
 
+_RANK_2 = np.random.default_rng(3).standard_normal((4, 2))
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("route", SKEW_ROUTES)
 @pytest.mark.parametrize("k, match", [
@@ -268,8 +271,10 @@ def test_skew_spectrum_equals_the_canonical_d():
     (np.full((4, 4), np.nan), "must be finite"),
     (np.full((4, 4), np.inf), "must be finite"),
     (np.triu(np.ones((4, 4)), 1), "not skew-symmetric"),
-    (np.zeros((2, 2)), "numerically singular"),
-], ids=["odd", "nan", "inf", "not-skew", "zero"])
+    (np.zeros((2, 2)), "singular to working precision"),
+    # Rank 2 in size 4: K = G J G.T with G of size 4 x 2.
+    (_RANK_2 @ np.array([[0.0, 1.0], [-1.0, 0.0]]) @ _RANK_2.T, "singular to working precision"),
+], ids=["odd", "nan", "inf", "not-skew", "zero", "rank-deficient"])
 def test_both_skew_routes_refuse_bad_input(route, k, match):
     with pytest.raises(ValidationError, match=match):
         SKEW_ROUTES[route](k)
