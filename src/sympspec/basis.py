@@ -221,13 +221,9 @@ def _chain_extend_std(chain, ws, rng):
     v = proj / nrm if nrm > 1e-10 else _unit_in(feas, rng)
 
     # v lies in the feasible space, skew-orthogonal to the prime-closed
-    # uspan, so the stack is orthonormal by construction.
+    # uspan, so the stack is orthonormal by construction; _check_built
+    # certifies the tuple this returns.
     u0 = np.hstack([uspan, v[:, None], prime_coords(v)[:, None]])
-    defect = fnorm(u0.T @ u0 - np.eye(u0.shape[1]))
-    if defect > BASIS_TOL:
-        raise NumericalContractError(
-            f"extended pair span is not orthonormal: Gram defect {defect:.3e}"
-        )
     s = np.hstack([xs, prime_coords(xs)])
     z = u0 @ null_space_basis(s.T @ u0)
     if z.shape[1] != 2:

@@ -113,13 +113,15 @@ class WilliamsonDecomposition:
     """Output of williamson(): spectrum, basis, and achieved residuals.
 
     residual_a is ||M.T A M - diag(d, d)|| relative to ||diag(d, d)||;
-    residual_j is the absolute form defect ||M.T J M - J||.
+    residual_j is the absolute form defect ||M.T J M - J||; kappa is the
+    condition number estimate of A from check_positive_definite.
     """
 
     d: np.ndarray
     m: np.ndarray
     residual_a: float
     residual_j: float
+    kappa: float
 
     def normal_form(self):
         return np.diag(np.concatenate([self.d, self.d]))
@@ -164,7 +166,8 @@ def williamson(a):
             f"basis form defect {residual_j:.3e} exceeds {WILLIAMSON_TOL_J:.1e} "
             f"at condition number estimate {kappa:.1e}"
         )
-    return WilliamsonDecomposition(d=d, m=m, residual_a=residual_a, residual_j=residual_j)
+    return WilliamsonDecomposition(d=d, m=m, residual_a=residual_a, residual_j=residual_j,
+                                   kappa=kappa)
 
 
 def symplectic_eigenvalues(a, method="skew-canonical"):

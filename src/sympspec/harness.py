@@ -26,7 +26,6 @@ from ._version import __version__
 from .basis import SymplecticBasis, dual_chain_construct, same_span_trace_check
 from .core import (
     COND_WARN,
-    condition_number,
     random_pd,
     random_symplectic,
     symplectic_eigenvalues,
@@ -132,13 +131,12 @@ def _trial_williamson(t, cfg, rng):
     else:
         target = None
         a = random_pd(n, rng)
-    cond = condition_number(a)
-    inst = {"cond": cond}
-    if cond > COND_WARN:
-        inst["condition_warning"] = True
     # williamson raises when a residual exceeds its bound; the margins
-    # are kept with the instance.
+    # are kept with the instance, next to its condition number estimate.
     dec = williamson(a)
+    inst = {"cond": dec.kappa}
+    if dec.kappa > COND_WARN:
+        inst["condition_warning"] = True
     inst["residual_a"] = dec.residual_a
     inst["residual_j"] = dec.residual_j
     # All three methods: williamson's d comes from an SVD of the band with

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sympspec.basis
 from sympspec.basis import (
     SymplecticBasis,
-    _chain_extend_std,
     _coords_subspace,
     _in_sharp,
     _nested,
@@ -30,6 +30,7 @@ from sympspec.linalg import (
     INTERSECT_COS_TOL,
     fnorm,
     max_principal_angle,
+    null_space_basis,
     orthonormal_columns,
     span_residual,
 )
@@ -162,14 +163,43 @@ def test_dual_chain_construct_postconditions():
         assert tuple_form_defect(ws, basis.prime(ws)) <= 1e-8
 
 
-def test_chain_extension_refuses_a_non_orthonormal_pair_span():
-    # The extended pair span is orthonormal by construction, so it is
-    # checked by its Gram matrix, not re-orthonormalised; a ws of norm 1.1
-    # breaks the precondition and must raise.
-    chain = [np.eye(4), np.eye(4)]
-    ws = 1.1 * np.eye(4)[:, :1]
-    with pytest.raises(NumericalContractError, match="Gram defect"):
-        _chain_extend_std(chain, ws, np.random.default_rng(0))
+def _corrupted_construction(monkeypatch, corrupt):
+    """dual_chain_construct on a 3-space in R^4 (index set {1}) with the
+    built coordinate tuples passed through corrupt(vs, ws, v_chain)."""
+    real = sympspec.basis._dual_chain_std
+
+    def stub(vchain, wchain, rng):
+        return corrupt(*real(vchain, wchain, rng), vchain[0])
+
+    monkeypatch.setattr(sympspec.basis, "_dual_chain_std", stub)
+    q = random_orthogonal(4, np.random.default_rng(17))
+    return dual_chain_construct([q[:, :3]], [np.eye(4)], SymplecticBasis.standard(2),
+                                np.random.default_rng(0))
+
+
+def test_dual_chain_refuses_a_tuple_that_is_not_orthosymplectic(monkeypatch):
+    with pytest.raises(NumericalContractError, match="constructed tuple defects"):
+        _corrupted_construction(monkeypatch, lambda vs, ws, g: (1.1 * vs, ws))
+
+
+def test_dual_chain_refuses_a_vector_off_its_sharp_space(monkeypatch):
+    # A unit vector outside the 3-space: with its prime it is still
+    # orthosymplectic, so only the sharp membership test can refuse it.
+    def off_sharp(vs, ws, g):
+        return null_space_basis(g.T), ws
+
+    with pytest.raises(NumericalContractError, match="left its sharp space"):
+        _corrupted_construction(monkeypatch, off_sharp)
+
+
+def test_dual_chain_refuses_tuples_with_different_spans(monkeypatch):
+    # The w-chain is all of R^4, so any unit w passes its own checks; one
+    # outside span{v, v'} differs only in span.
+    def other_span(vs, ws, g):
+        return vs, null_space_basis(np.hstack([vs, prime_coords(vs)]).T)[:, :1]
+
+    with pytest.raises(NumericalContractError, match="constructed spans differ"):
+        _corrupted_construction(monkeypatch, other_span)
 
 
 def test_dual_chain_rejects_mismatched_dimensions():

@@ -356,6 +356,11 @@ def test_condition_number_is_the_cholesky_estimate_without_an_eigensolve(monkeyp
     assert 0.3 * exact <= cond <= (1.0 + 1e-10) * exact
 
 
+def test_williamson_carries_the_condition_number_estimate():
+    a = random_pd(3, np.random.default_rng(6))
+    assert williamson(a).kappa == condition_number(a)
+
+
 def test_condition_number_of_a_singular_matrix_is_never_negative():
     # Rank 3 in size 4: Cholesky may factor it through rounding, and then
     # the estimate must either refuse it or be huge.

@@ -1,6 +1,7 @@
 """Suite runner: per-trial streams, reports, determinism, replay."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -113,7 +114,9 @@ def test_replay_reproduces_stored_trial(tmp_path, suite):
 
 
 def test_condition_warning_is_written_as_a_json_boolean(monkeypatch, tmp_path):
-    monkeypatch.setattr(sympspec.harness, "condition_number", lambda a: 2e12)
+    williamson = sympspec.harness.williamson
+    monkeypatch.setattr(sympspec.harness, "williamson",
+                        lambda a: dataclasses.replace(williamson(a), kappa=2e12))
     report, _ = run_all(SuiteConfig(suite="williamson", trials=1, report_path=None))
     path = tmp_path / "report.json"
     write_report(report, path)

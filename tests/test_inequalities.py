@@ -1,5 +1,6 @@
 """Geometric mean, majorization predicates, and the eigenvalue bounds."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,3 +208,52 @@ def test_multiplicative_sandwich_on_prescribed_instance():
     d_mean = symplectic_eigenvalues(mean)
     assert np.allclose(d_mean, 1.7, atol=1e-9)
     assert all(r.passed for r in records)
+
+
+# Pair 19,407 of random_pd(2, default_rng(3)) drawn as (A, B) per step,
+# stored with 17 significant digits so no generator stream is needed.
+MLID_A = np.array([
+    [4.2519815610298783, -0.12522573761188918, -0.71160949481083113, -3.3407999183361472],
+    [-0.12522573761188918, 1.2750088423619645, -2.9058490014502976, -2.7712526249150735],
+    [-0.71160949481083113, -2.9058490014502976, 6.9947355636029576, 7.2979553427722132],
+    [-3.3407999183361472, -2.7712526249150735, 7.2979553427722132, 9.2890059343195936],
+])
+MLID_B = np.array([
+    [2.1614050717829625, -2.5037407000498768, 1.092989602057278, 0.80406014362788658],
+    [-2.5037407000498768, 6.6071753693789788, 2.3951566714944676, 0.90095170925361578],
+    [1.092989602057278, 2.3951566714944676, 4.8116330586816485, 2.3978512438916937],
+    [0.80406014362788658, 0.90095170925361578, 2.3978512438916937, 1.5645067931299321],
+])
+
+
+def _mp_log_spectrum(m):
+    """log d of a 4 x 4 positive definite mpmath matrix, ascending, from
+    the eigenvalues +-i d of J M."""
+    j = mpmath.matrix([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
+    vals = mpmath.eig(j * m, left=False, right=False)
+    return [mpmath.log(mpmath.im(v)) for v in sorted(vals, key=mpmath.im)[2:]]
+
+
+def test_mlid_lower_on_a_non_prefix_index_set_fails_at_n_2():
+    # I = {2}: 2 log d_2(A # B) >= log d_2(A) + log d_1(B) is false here,
+    # by far more than rounding, so this form of the lower bound must not
+    # be certified.  The prefix {1} lower bound and the tail {2} upper
+    # bound hold on the same pair with room to spare.
+    la = np.log(symplectic_eigenvalues(MLID_A))
+    lb = np.log(symplectic_eigenvalues(MLID_B))
+    lm = np.log(symplectic_eigenvalues(geometric_mean(MLID_A, MLID_B)))
+    assert 2.0 * lm[1] - la[1] - lb[0] < -0.46
+    assert 2.0 * lm[0] - la[0] - lb[0] == pytest.approx(0.98969, abs=1e-5)
+    assert la[1] + lb[1] - 2.0 * lm[1] == pytest.approx(0.98969, abs=1e-5)
+
+    with mpmath.workdps(50):
+        a = mpmath.matrix(MLID_A.tolist())
+        b = mpmath.matrix(MLID_B.tolist())
+        root = mpmath.sqrtm(a)
+        inv_root = mpmath.inverse(root)
+        mean = root * mpmath.sqrtm(inv_root * b * inv_root) * root
+        la, lb, lm = (_mp_log_spectrum(m) for m in (a, b, 0.5 * (mean + mean.T)))
+        slack = 2 * lm[1] - la[1] - lb[0]
+        assert abs(slack - mpmath.mpf("-0.467747823154204")) < 1e-14
+        assert abs(2 * lm[0] - la[0] - lb[0] - mpmath.mpf("0.98969")) < 1e-5
+        assert abs(la[1] + lb[1] - 2 * lm[1] - mpmath.mpf("0.98969")) < 1e-5

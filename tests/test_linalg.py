@@ -10,6 +10,7 @@ import pytest
 import scipy
 
 from sympspec import linalg
+from sympspec.core import random_pd, williamson
 from sympspec.errors import NumericalContractError, ValidationError
 from sympspec.linalg import (
     check_symmetric,
@@ -228,9 +229,10 @@ def test_skew_canonical_maps_lapack_error_codes(monkeypatch):
         skew_canonical(np.array([[0.0, 5.0], [-5.0, 0.0]]))
 
 
-def test_skew_canonical_residual_catches_a_perturbed_svd_factor(monkeypatch):
-    # Rotating two left singular vectors keeps q orthogonal, so only the
-    # canonical-form residual can see the damage.
+def test_williamson_certifies_a_perturbed_skew_canonical_factor(monkeypatch):
+    # Rotating two left singular vectors keeps q orthogonal but no longer
+    # canonical for K; skew_canonical does not re-check q, and williamson's
+    # form defect M.T J M - J = -(S q.T K^-1 q S + J) must see the damage.
     svd = np.linalg.svd
 
     def rotated_u(b):
@@ -238,10 +240,10 @@ def test_skew_canonical_residual_catches_a_perturbed_svd_factor(monkeypatch):
         c, t = np.cos(1e-3), np.sin(1e-3)
         return u @ np.array([[c, -t, 0.0], [t, c, 0.0], [0.0, 0.0, 1.0]]), s, vt
 
-    x = np.random.default_rng(31).normal(size=(6, 6))
+    a = random_pd(3, np.random.default_rng(31))
     monkeypatch.setattr(np.linalg, "svd", rotated_u)
-    with pytest.raises(NumericalContractError, match="canonical residual"):
-        skew_canonical(x - x.T)
+    with pytest.raises(NumericalContractError, match="basis form defect"):
+        williamson(a)
 
 
 SKEW_ROUTES = {"canonical": skew_canonical, "spectrum": linalg._skew_spectrum}
