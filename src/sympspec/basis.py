@@ -31,7 +31,7 @@ from .core import (
     symplectic_form,
     symplectic_gram,
 )
-from .errors import ConstructionError, NumericalContractError, ValidationError
+from .errors import ConstructionError, NumericalContractError, ValidationError, _contract
 from .linalg import (
     INTERSECT_COS_TOL,
     fnorm,
@@ -128,10 +128,10 @@ def _off_span(y, g):
     return fnorm(y - g @ (g.T @ y))
 
 
-def _in_sharp(x, g, tol):
-    """True when the coordinate vector x lies in sharp(span g), that is
-    when x and x' both lie in span(g); g has orthonormal columns."""
-    return _off_span(np.column_stack([x, prime_coords(x)]), g) <= tol * np.linalg.norm(x)
+def _sharp_residual(x, g):
+    """||[x, x'] - g g^T [x, x']||_F / ||x||, zero exactly when the nonzero
+    coordinate vector x lies in sharp(span g); g has orthonormal columns."""
+    return _off_span(np.column_stack([x, prime_coords(x)]), g) / np.linalg.norm(x)
 
 
 def _nested(s, t):
@@ -162,10 +162,9 @@ def same_span_trace_check(a, x_set, v_set, basis, check=True):
     va = basis.lift(np.hstack([vc, prime_coords(vc)]))
     lhs = float(np.sum(xa * (a @ xa)))
     rhs = float(np.sum(va * (a @ va)))
-    if check and abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs)):
-        raise NumericalContractError(
-            f"trace equality violated: lhs {lhs:.12e}, rhs {rhs:.12e}"
-        )
+    if check:
+        _contract("trace equality violated: gap", abs(lhs - rhs), 1e-9 * max(1.0, abs(lhs)),
+                  f" (lhs {lhs:.12e}, rhs {rhs:.12e})")
     return lhs, rhs
 
 
@@ -271,13 +270,13 @@ def _check_built(cols, chain):
     """Raise unless cols with its primes is B-orthosymplectic and each
     cols[:, j] lies in sharp(chain[j]); returns the tuple with primes."""
     full = np.hstack([cols, prime_coords(cols)])
-    ortho = fnorm(full.T @ full - np.eye(full.shape[1]))
-    symp = fnorm(symplectic_gram(full, full) - symplectic_form(cols.shape[1]))
-    if max(ortho, symp) > BASIS_TOL:
-        raise NumericalContractError(f"constructed tuple defects {ortho:.3e}, {symp:.3e}")
+    _contract("constructed tuple defects: orthonormality",
+              fnorm(full.T @ full - np.eye(full.shape[1])), BASIS_TOL)
+    _contract("constructed tuple defects: form",
+              fnorm(symplectic_gram(full, full) - symplectic_form(cols.shape[1])), BASIS_TOL)
     for j in range(cols.shape[1]):
-        if not _in_sharp(cols[:, j], chain[j], BASIS_TOL):
-            raise NumericalContractError(f"constructed vector {j} left its sharp space")
+        _contract(f"constructed vector {j} left its sharp space: residual",
+                  _sharp_residual(cols[:, j], chain[j]), BASIS_TOL)
     return full
 
 
@@ -319,7 +318,5 @@ def dual_chain_construct(vchain, wchain, basis, rng):
     vs_c, ws_c = _dual_chain_std(vchain_c, wchain_c, rng)
     vf = _check_built(vs_c, vchain_c)
     wf = _check_built(ws_c, wchain_c)
-    resid = _off_span(vf, wf)
-    if resid > BASIS_TOL:
-        raise NumericalContractError(f"constructed spans differ by residual {resid:.3e}")
+    _contract("constructed spans differ by residual", _off_span(vf, wf), BASIS_TOL)
     return basis.lift(vs_c), basis.lift(ws_c)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalContractError, ValidationError
+from .errors import ValidationError, _contract, _lapack
 from .linalg import (
     _FLAPACK,
     _skew_spectrum,
@@ -91,9 +91,7 @@ def check_positive_definite(a):
         raise ValidationError(
             "matrix is not positive definite: Cholesky factorization failed"
         ) from None
-    rcond, info = _POCON(low, np.abs(a).sum(0).max(), uplo="L")
-    if info != 0:
-        raise NumericalContractError(f"condition estimate failed: LAPACK info {info}")
+    rcond = _lapack(_POCON, "condition estimate", low, np.abs(a).sum(0).max(), uplo="L")
     kappa = 1.0 / rcond if rcond > 0.0 else np.inf
     if rcond <= np.finfo(float).eps:
         raise ValidationError(
@@ -149,23 +147,14 @@ def williamson(a):
     a, low, kappa = check_positive_definite(a)
     n = half_dim(a)
     q, d = skew_canonical(_cholesky_skew(low))
-    m, info = _TRTRS(low.T, q * np.tile(np.sqrt(d), 2), lower=0)
-    if info != 0:
-        raise NumericalContractError(f"triangular solve failed: LAPACK info {info}")
+    m = _lapack(_TRTRS, "triangular solve", low.T, q * np.tile(np.sqrt(d), 2), lower=0)
 
     normal = np.diag(np.concatenate([d, d]))
     residual_a = fnorm(m.T @ a @ m - normal) / max(1.0, fnorm(normal))
     residual_j = fnorm(symplectic_gram(m, m) - symplectic_form(n))
-    if residual_a > WILLIAMSON_RTOL_A:
-        raise NumericalContractError(
-            f"diagonalization residual {residual_a:.3e} exceeds {WILLIAMSON_RTOL_A:.1e} "
-            f"at condition number estimate {kappa:.1e}"
-        )
-    if residual_j > WILLIAMSON_TOL_J:
-        raise NumericalContractError(
-            f"basis form defect {residual_j:.3e} exceeds {WILLIAMSON_TOL_J:.1e} "
-            f"at condition number estimate {kappa:.1e}"
-        )
+    at_kappa = f" at condition number estimate {kappa:.1e}"
+    _contract("diagonalization residual", residual_a, WILLIAMSON_RTOL_A, at_kappa)
+    _contract("basis form defect", residual_j, WILLIAMSON_TOL_J, at_kappa)
     return WilliamsonDecomposition(d=d, m=m, residual_a=residual_a, residual_j=residual_j,
                                    kappa=kappa)
 
@@ -255,9 +244,8 @@ def random_symplectic(n, rng, spread=2.0):
     if norm > spread:
         h *= spread / norm
     m = scipy.linalg.expm(apply_form(h))
-    defect = fnorm(m.T @ symplectic_form(n) @ m - symplectic_form(n))
-    if defect > 1e-10 * max(1.0, fnorm(m) ** 2):
-        raise NumericalContractError(f"symplectic exponential defect {defect:.3e}")
+    _contract("symplectic exponential defect",
+              fnorm(symplectic_gram(m, m) - symplectic_form(n)), 1e-10 * max(1.0, fnorm(m) ** 2))
     return m
 
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the two helpers that
+raise NumericalContractError: _contract for every post-hoc accuracy
+check, which passes only when value <= bound, so a NaN fails it, and
+_lapack for every LAPACK status.
 
 The CLI maps these onto distinct exit codes, so library code should
 raise the most specific type that applies.
@@ -19,3 +22,19 @@ class NumericalContractError(RuntimeError):
 
 class ConstructionError(RuntimeError):
     """A randomized construction failed after exhausting its retries."""
+
+
+def _contract(name, value, bound, detail=""):
+    """Raise NumericalContractError unless value <= bound; NaN fails."""
+    if not value <= bound:
+        raise NumericalContractError(f"{name} {value:.3e} exceeds {bound:.3e}{detail}")
+
+
+def _lapack(routine, what, *args, **kw):
+    """Call a LAPACK routine whose last output is its info status; raise
+    NumericalContractError naming what on a nonzero status, and return
+    the other outputs, a single one unpacked."""
+    *out, info = routine(*args, **kw)
+    if info != 0:
+        raise NumericalContractError(f"{what} failed: LAPACK info {info}")
+    return out[0] if len(out) == 1 else tuple(out)

@@ -35,7 +35,7 @@ from .core import (
     tuple_form_defect,
     williamson,
 )
-from .errors import ConstructionError, NumericalContractError, ValidationError
+from .errors import ConstructionError, NumericalContractError, ValidationError, _lapack
 from .inequalities import _check_index_set, schur_concave_monotone_check, supermajorize
 from .linalg import orthonormal_columns, subspace_intersect
 
@@ -240,8 +240,9 @@ def _pair_floor(a, w):
     span(w) and G^T A G = L L^T, it is 1 / sigma_max(L^-1 G^T J G L^-T)."""
     g = orthonormal_columns(w)
     low = np.linalg.cholesky(g.T @ a @ g)
-    half = _TRTRS(low, symplectic_gram(g, g), lower=1)[0]
-    return 1.0 / float(np.linalg.svd(_TRTRS(low, half.T, lower=1)[0], compute_uv=False)[0])
+    half = _lapack(_TRTRS, "triangular solve", low, symplectic_gram(g, g), lower=1)
+    full = _lapack(_TRTRS, "triangular solve", low, half.T, lower=1)
+    return 1.0 / float(np.linalg.svd(full, compute_uv=False)[0])
 
 
 def maxmin_check(a, k, n_subspaces=20, rng=None, tol=1e-9):

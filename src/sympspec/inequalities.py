@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import as_generator, check_positive_definite, random_pd, symplectic_eigenvalues
-from .errors import NumericalContractError, ValidationError
+from .errors import ValidationError, _lapack
 from .linalg import _FLAPACK, fnorm, sym_eig
 
 _SYGST = _FLAPACK.dsygst
@@ -33,9 +33,7 @@ def geometric_mean(a, b):
     """
     low = check_positive_definite(a)[1]
     b = check_positive_definite(b)[0]
-    c, info = _SYGST(b, low, lower=1)
-    if info != 0:
-        raise NumericalContractError(f"congruence reduction failed: LAPACK info {info}")
+    c = _lapack(_SYGST, "congruence reduction", b, low, lower=1)
     # dsygst writes the lower triangle of C only.
     c = np.tril(c)
     w, v = sym_eig(c + np.tril(c, -1).T)

@@ -3,9 +3,10 @@
 Everything here is numpy and LAPACK on real float64 arrays.  Routines that
 can fail quietly raise NumericalContractError instead of returning
 garbage: sym_eig checks its residual, subspace_intersect its principal
-cosines and _hessenberg_band the band it reads d from.  The basis of
-skew_canonical is certified by the residuals of its one caller,
-core.williamson, and not here.
+cosines and _hessenberg_band the band it reads d from, each with one
+errors._contract call, which a NaN fails, and every LAPACK status goes
+through errors._lapack.  The basis of skew_canonical is certified by the
+residuals of its one caller, core.williamson, and not here.
 
 LAPACK comes from scipy's compiled module scipy.linalg._flapack: the
 float64 routines it holds are the objects that scipy.linalg.get_lapack_funcs
@@ -35,7 +36,7 @@ import sys
 import numpy as np
 import scipy
 
-from .errors import NumericalContractError, ValidationError
+from .errors import NumericalContractError, ValidationError, _contract, _lapack
 
 SYM_RTOL = 1e-12
 RANK_RTOL = 1e-10
@@ -107,12 +108,7 @@ def sym_eig(s):
         w, v = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:
         raise NumericalContractError(f"symmetric eigensolve failed: {exc}") from exc
-    resid = fnorm(s @ v - v * w)
-    bound = 1e-12 * max(1.0, fnorm(s))
-    if resid > bound:
-        raise NumericalContractError(
-            f"eigendecomposition residual {resid:.3e} exceeds {bound:.3e}"
-        )
+    _contract("eigendecomposition residual", fnorm(s @ v - v * w), 1e-12 * max(1.0, fnorm(s)))
     return w, v
 
 
@@ -188,10 +184,8 @@ def subspace_intersect(u, w):
     if u.shape[1] == 0 or w.shape[1] == 0:
         return np.zeros((u.shape[0], 0))
     p, sig, qt = np.linalg.svd(u.T @ w)
-    if sig[0] > 1.0 + INTERSECT_COS_TOL:
-        raise NumericalContractError(
-            f"principal cosine {sig[0]:.3e} exceeds 1: inputs are not orthonormal"
-        )
+    _contract("principal cosine", sig[0], 1.0 + INTERSECT_COS_TOL,
+              ": inputs are not orthonormal")
     k = int(np.sum(sig >= 1.0 - INTERSECT_COS_TOL))
     if k == 0:
         return np.zeros((u.shape[0], 0))
@@ -236,16 +230,11 @@ def _hessenberg_band(k):
         )
     k = 0.5 * (k - k.T)
 
-    ht, tau, info = _GEHRD(k, lwork=64 * dim)
-    if info != 0:
-        raise NumericalContractError(f"Hessenberg reduction failed: LAPACK info {info}")
+    ht, tau = _lapack(_GEHRD, "Hessenberg reduction", k, lwork=64 * dim)
     e = 0.5 * (np.diag(ht, -1) - np.diag(ht, 1))
     # triu(T(e)) is -e on the super-diagonal.
-    off_band = fnorm(np.triu(ht) + np.diag(e, 1))
-    if off_band > 1e-9 * max(1.0, fnorm(k)):
-        raise NumericalContractError(
-            f"Hessenberg band defect {off_band:.3e} exceeds tolerance"
-        )
+    _contract("Hessenberg band defect", fnorm(np.triu(ht) + np.diag(e, 1)),
+              1e-9 * max(1.0, fnorm(k)))
     b = np.diag(-e[0::2]) + np.diag(e[1::2], -1)
     return k, ht, tau, b
 
@@ -300,9 +289,7 @@ def skew_canonical(k):
     """
     k, ht, tau, b = _hessenberg_band(k)
     dim = k.shape[0]
-    z, info = _ORGHR(ht, tau, lwork=64 * dim)
-    if info != 0:
-        raise NumericalContractError(f"Hessenberg reduction failed: LAPACK info {info}")
+    z = _lapack(_ORGHR, "Hessenberg reduction", ht, tau, lwork=64 * dim)
     try:
         u, s, vt = np.linalg.svd(b)
     except np.linalg.LinAlgError as exc:

@@ -10,8 +10,8 @@ import sympspec.basis
 from sympspec.basis import (
     SymplecticBasis,
     _coords_subspace,
-    _in_sharp,
     _nested,
+    _sharp_residual,
     _sharp_std,
     dual_chain_construct,
     prime_coords,
@@ -241,6 +241,15 @@ def test_same_span_trace_check_rejects_span_mismatch():
         same_span_trace_check(a, basis.u[:, :1], basis.u[:, 1:2], basis)
 
 
+def test_same_span_trace_check_fails_on_a_nan_trace():
+    # One NaN entry of A makes both traces NaN, which no bound admits.
+    a = np.eye(4)
+    a[0, 0] = np.nan
+    x = np.eye(4)[:, :1]
+    with pytest.raises(NumericalContractError, match="trace equality violated"):
+        same_span_trace_check(a, x, x, SymplecticBasis.standard(2))
+
+
 def _unit(x):
     return x / np.linalg.norm(x)
 
@@ -255,18 +264,18 @@ def test_in_sharp_agrees_with_the_intersection_route():
         assert sharp.shape[1] > 0
 
         x = _unit(sharp @ rng.standard_normal(sharp.shape[1]))
-        assert _in_sharp(x, g, 1e-8)
+        assert _sharp_residual(x, g) <= 1e-8
         assert span_residual(sharp, x) <= 1e-8
 
         r = rng.standard_normal(2 * m)
         off = x + 1e-6 * _unit(r - sharp @ (sharp.T @ r))
-        assert not _in_sharp(off, g, 1e-8)
+        assert _sharp_residual(off, g) > 1e-8
         assert span_residual(sharp, off) > 1e-8
 
         # x in W but orthogonal to W#, so x' leaves W.
         y = g @ rng.standard_normal(g.shape[1])
         y = _unit(y - sharp @ (sharp.T @ y))
-        assert not _in_sharp(y, g, 1e-8)
+        assert _sharp_residual(y, g) > 1e-8
         assert span_residual(sharp, y) > 1e-8
 
 

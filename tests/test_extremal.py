@@ -12,7 +12,7 @@ from sympspec.core import (
     tuple_form_defect,
     williamson,
 )
-from sympspec.errors import ConstructionError, ValidationError
+from sympspec.errors import ConstructionError, NumericalContractError, ValidationError
 from sympspec.extremal import (
     _finish,
     _sample_tuple,
@@ -179,6 +179,23 @@ def test_maxmin_rejects_out_of_range_index():
     a, _, _ = _instance(2, 7)
     with pytest.raises(ValidationError):
         maxmin_check(a, 5)
+
+
+@pytest.mark.parametrize("failing_call", [0, 1])
+def test_maxmin_maps_the_status_of_either_pair_floor_solve(monkeypatch, failing_call):
+    a, _, _ = _instance(2, 7)
+    trtrs = sympspec.extremal._TRTRS
+    calls = []
+
+    def status_1_once(low, b, lower):
+        calls.append(None)
+        x = trtrs(low, b, lower=lower)[0]
+        return x, 1 if len(calls) - 1 == failing_call else 0
+
+    monkeypatch.setattr(sympspec.extremal, "_TRTRS", status_1_once)
+    with pytest.raises(NumericalContractError, match="triangular solve failed: LAPACK info 1"):
+        maxmin_check(a, 1, n_subspaces=1, rng=np.random.default_rng(0))
+    assert len(calls) == failing_call + 1
 
 
 def test_wielandt_certificate_two_sided():

@@ -1,6 +1,7 @@
-"""The package's export list matches what it binds, and its version has
-one source."""
+"""The package's export list matches what it binds, its version has one
+source, and its numerical contracts raise only through errors.py."""
 
+import ast
 import inspect
 from pathlib import Path
 
@@ -27,3 +28,39 @@ def test_pyproject_reads_its_version_from_the_package():
     project = read_configuration(pyproject)["project"]
     assert "version" in project["dynamic"]
     assert project["version"] == sympspec.__version__
+
+
+def _contract_raises(tree):
+    """(function, in a LinAlgError handler) for each raise of
+    NumericalContractError in a module's AST."""
+    sites = []
+
+    def visit(node, func, handler):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.ExceptHandler) and "LinAlgError" in ast.dump(node.type):
+            handler = True
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "NumericalContractError":
+                sites.append((func, handler))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func, handler)
+
+    visit(tree, None, False)
+    return sites
+
+
+def test_numerical_contracts_raise_only_through_the_helpers():
+    # A contract or LAPACK status check written inline would bypass the
+    # helpers' policy that NaN fails; mapping a LinAlgError and the one
+    # slot-dimension check of the chain extension are the exceptions.
+    allowed = {("errors.py", "_contract"), ("errors.py", "_lapack"),
+               ("basis.py", "_chain_extend_std")}
+    found = set()
+    for path in Path(sympspec.__file__).parent.glob("*.py"):
+        for func, handler in _contract_raises(ast.parse(path.read_text())):
+            if not handler:
+                assert (path.name, func) in allowed, f"{path.name}: raise in {func}"
+                found.add((path.name, func))
+    assert found == allowed
