@@ -34,6 +34,7 @@ from .core import (
 from .errors import ConstructionError, NumericalContractError, ValidationError, _contract
 from .linalg import (
     INTERSECT_COS_TOL,
+    _svd,
     fnorm,
     null_space_basis,
     orthonormal_columns,
@@ -117,7 +118,7 @@ def _sharp_std(g):
     "Numerical methods for computing angles between linear subspaces",
     Math. Comp. 27, 1973), and one k x k SVD finds them.
     """
-    _, sig, vt = np.linalg.svd(g.T @ prime_coords(g))
+    _, sig, vt = _svd(g.T @ prime_coords(g))
     return g @ vt[sig >= 1.0 - INTERSECT_COS_TOL].T
 
 
@@ -131,7 +132,7 @@ def _off_span(y, g):
 def _sharp_residual(x, g):
     """||[x, x'] - g g^T [x, x']||_F / ||x||, zero exactly when the nonzero
     coordinate vector x lies in sharp(span g); g has orthonormal columns."""
-    return _off_span(np.column_stack([x, prime_coords(x)]), g) / np.linalg.norm(x)
+    return _off_span(np.column_stack([x, prime_coords(x)]), g) / fnorm(x)
 
 
 def _nested(s, t):
@@ -174,7 +175,7 @@ def _unit_in(g, rng):
         raise ConstructionError("feasible subspace is empty")
     for _ in range(MAX_DRAWS):
         x = g @ rng.standard_normal(g.shape[1])
-        nrm = np.linalg.norm(x)
+        nrm = fnorm(x)
         if nrm > 1e-8:
             return x / nrm
     raise ConstructionError("failed to draw a unit vector")
@@ -216,7 +217,7 @@ def _chain_extend_std(chain, ws, rng):
     # component is tiny.  A vanishing component means any fresh unit works.
     u2 = u - uspan @ (uspan.T @ u)
     proj = feas @ (feas.T @ u2)
-    nrm = np.linalg.norm(proj)
+    nrm = fnorm(proj)
     v = proj / nrm if nrm > 1e-10 else _unit_in(feas, rng)
 
     # v lies in the feasible space, skew-orthogonal to the prime-closed
@@ -259,7 +260,7 @@ def _dual_chain_std(vchain, wchain, rng):
     # this projection only strips rounding noise.
     pairs = np.hstack([xs, prime_coords(xs)])
     vk = v - pairs @ (pairs.T @ v)
-    nrm = np.linalg.norm(vk)
+    nrm = fnorm(vk)
     if nrm <= 1e-8:
         raise ConstructionError("new chain vector collapsed under orthogonalization")
     vk /= nrm

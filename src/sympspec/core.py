@@ -18,11 +18,11 @@ import numpy as np
 from .errors import ValidationError, _contract, _lapack
 from .linalg import (
     _FLAPACK,
-    _skew_spectrum,
+    _canonical_from_band,
+    _spectrum_from_band,
     check_square,
     check_symmetric,
     fnorm,
-    skew_canonical,
 )
 
 WILLIAMSON_RTOL_A = 1e-8
@@ -126,13 +126,17 @@ class WilliamsonDecomposition:
 
 
 def _cholesky_skew(low):
-    """The skew matrix L.T J L for a Cholesky factor L of A = L L.T.
+    """(K, ||K||_F) for K = L.T J L and a Cholesky factor L of A = L L.T.
 
     L.T J L is similar to J A, whose eigenvalues are +-i d for the
     symplectic spectrum d of A, so its singular values are d, each twice.
+    K is formed exactly skew, of the even size of A, and finite because
+    check_positive_definite passed A, so it enters the skew routes' band
+    step without their input checks.
     """
     k = low.T @ apply_form(low)
-    return 0.5 * (k - k.T)
+    k = 0.5 * (k - k.T)
+    return k, fnorm(k)
 
 
 def williamson(a):
@@ -146,8 +150,9 @@ def williamson(a):
     """
     a, low, kappa = check_positive_definite(a)
     n = half_dim(a)
-    q, d = skew_canonical(_cholesky_skew(low))
-    m = _lapack(_TRTRS, "triangular solve", low.T, q * np.tile(np.sqrt(d), 2), lower=0)
+    q, d = _canonical_from_band(*_cholesky_skew(low))
+    root = np.sqrt(d)
+    m = _lapack(_TRTRS, "triangular solve", low.T, q * np.concatenate([root, root]), lower=0)
 
     normal = np.diag(np.concatenate([d, d]))
     residual_a = fnorm(m.T @ a @ m - normal) / max(1.0, fnorm(normal))
@@ -182,7 +187,7 @@ def symplectic_eigenvalues(a, method="skew-canonical"):
         imag = np.sort(np.abs(vals.imag))
         # Spectrum comes in +/- pairs; average the two copies of each d.
         return 0.5 * (imag[::2] + imag[1::2])
-    return _skew_spectrum(_cholesky_skew(low))
+    return _spectrum_from_band(*_cholesky_skew(low))
 
 
 def tuple_form_defect(x, y):

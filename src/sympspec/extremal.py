@@ -37,7 +37,7 @@ from .core import (
 )
 from .errors import ConstructionError, NumericalContractError, ValidationError, _lapack
 from .inequalities import _check_index_set, schur_concave_monotone_check, supermajorize
-from .linalg import orthonormal_columns, subspace_intersect
+from .linalg import _eigh, _svd, fnorm, orthonormal_columns, subspace_intersect
 
 PAIR_FLOOR = 1e-6
 SAMPLE_RETRIES = 50
@@ -102,7 +102,7 @@ def _sample_tuple(bases, rng):
             s = 0.0
             for _ in range(SAMPLE_RETRIES):
                 z = f @ rng.standard_normal(f.shape[1])
-                nz = np.linalg.norm(z)
+                nz = fnorm(z)
                 if nz <= 1e-12:
                     continue
                 z /= nz
@@ -115,7 +115,7 @@ def _sample_tuple(bases, rng):
             y = z / s
             # Rescaling (x, y) -> (t x, y / t) keeps the pairing; balance
             # the norms so neither vector dominates the energy sum.
-            t = np.sqrt(np.linalg.norm(y))
+            t = np.sqrt(fnorm(y))
             x, y = x * t, y / t
             chosen = np.hstack([chosen, x[:, None], y[:, None]])
             xs.append(x)
@@ -160,7 +160,7 @@ def poincare_witness(m_sub, basis, a):
         )
     a = np.asarray(a, dtype=float)
     u, u_prime = basis.lift(g), basis.lift(prime_coords(g))
-    uc = g @ np.linalg.eigh(0.5 * (u.T @ a @ u + u_prime.T @ a @ u_prime))[1][:, -1]
+    uc = g @ _eigh(0.5 * (u.T @ a @ u + u_prime.T @ a @ u_prime))[1][:, -1]
     return basis.lift(uc), basis.lift(prime_coords(uc))
 
 
@@ -242,7 +242,7 @@ def _pair_floor(a, w):
     low = np.linalg.cholesky(g.T @ a @ g)
     half = _lapack(_TRTRS, "triangular solve", low, symplectic_gram(g, g), lower=1)
     full = _lapack(_TRTRS, "triangular solve", low, half.T, lower=1)
-    return 1.0 / float(np.linalg.svd(full, compute_uv=False)[0])
+    return 1.0 / float(_svd(full, compute_uv=0)[1][0])
 
 
 def maxmin_check(a, k, n_subspaces=20, rng=None, tol=1e-9):

@@ -66,13 +66,16 @@ def majorize(a, b, atol=0.0):
 
 
 def random_majorization_pair(n, rng):
-    """(a, b) with a majorized by b: a is b averaged over permutations."""
+    """(a, b) with a majorized by b: a is b averaged over permutations.
+
+    permuted draws the k permutations in turn, as k permutation calls
+    would, and cumsum adds the weighted rows in order, as a running sum
+    would; a pairwise sum would round differently.
+    """
     b = rng.uniform(0.1, 3.0, size=n)
     weights = rng.dirichlet(np.ones(max(2, n)))
-    a = np.zeros(n)
-    for w in weights:
-        a += w * rng.permutation(b)
-    return a, b
+    perms = rng.permuted(np.broadcast_to(b, (weights.size, n)), axis=1)
+    return np.cumsum(weights[:, None] * perms, axis=0)[-1], b
 
 
 def random_supermajorization_pair(n, rng):

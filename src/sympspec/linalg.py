@@ -6,7 +6,10 @@ garbage: sym_eig checks its residual, subspace_intersect its principal
 cosines and _hessenberg_band the band it reads d from, each with one
 errors._contract call, which a NaN fails, and every LAPACK status goes
 through errors._lapack.  The basis of skew_canonical is certified by the
-residuals of its one caller, core.williamson, and not here.
+residuals of core.williamson, which builds it by the same band step
+(_canonical_from_band), and not here.  The skew routes validate K once:
+skew_canonical and _skew_spectrum for direct callers, while core enters
+the band step with a K it built exactly skew.
 
 LAPACK comes from scipy's compiled module scipy.linalg._flapack: the
 float64 routines it holds are the objects that scipy.linalg.get_lapack_funcs
@@ -16,8 +19,16 @@ run scipy.linalg's package init, which with the array-API layer it pulls in
 costs more than half of a cold CLI start.  The handles are linalg._GEHRD,
 which reduces a skew matrix to its Hessenberg band for both the spectrum
 alone (_skew_spectrum) and skew_canonical, linalg._ORGHR, which only
-skew_canonical needs to form its basis, core._POCON and _TRTRS, and
-inequalities._SYGST.
+skew_canonical needs to form its basis, linalg._GESDD (with its workspace
+query _GESDD_LWORK) and _SYEVD, behind every SVD and symmetric eigensolve
+of the package, core._POCON and _TRTRS, and inequalities._SYGST.
+
+_svd and _eigh are numpy.linalg.svd and numpy.linalg.eigh without numpy's
+wrapper, which at the package's small sizes costs more than LAPACK does:
+the same routines (dgesdd, and dsyevd reading the lower triangle), with
+the workspace dgesdd's own query asks for, as numpy passes it, and the
+factors returned in C order, as numpy returns them, so that the results
+and every product formed from them match numpy's bit for bit.
 
 A later import of scipy.linalg reuses the loaded module but leaves the
 attribute scipy.linalg._flapack unset.  core.random_symplectic, the one
@@ -30,13 +41,14 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 
 import numpy as np
 import scipy
 
-from .errors import NumericalContractError, ValidationError, _contract, _lapack
+from .errors import ValidationError, _contract, _lapack
 
 SYM_RTOL = 1e-12
 RANK_RTOL = 1e-10
@@ -70,11 +82,34 @@ def _load_flapack():
 
 _FLAPACK = _load_flapack()
 _GEHRD, _ORGHR = _FLAPACK.dgehrd, _FLAPACK.dorghr
+_GESDD, _GESDD_LWORK, _SYEVD = _FLAPACK.dgesdd, _FLAPACK.dgesdd_lwork, _FLAPACK.dsyevd
 
 
 def fnorm(a):
-    """Frobenius norm for matrices, Euclidean norm for vectors."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm for matrices, Euclidean norm for vectors: numpy.linalg.norm's
+    own formula, sqrt(x . x) over the flattened array, without its dispatch."""
+    x = np.asarray(a, dtype=float).ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
+def _svd(a, compute_uv=1, full_matrices=1):
+    """(u, s, vt) of a nonempty matrix as numpy.linalg.svd returns them,
+    in C order, since a product with a Fortran-ordered factor can round
+    differently; with compute_uv=0 only s is meaningful.  A nonzero
+    dgesdd status raises NumericalContractError."""
+    m, n = a.shape
+    lwork = _lapack(_GESDD_LWORK, "SVD workspace query", m, n, compute_uv, full_matrices)
+    u, s, vt = _lapack(_GESDD, "SVD", a, compute_uv=compute_uv,
+                       full_matrices=full_matrices, lwork=int(lwork))
+    return np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
+
+
+def _eigh(s):
+    """(w, v) of the symmetric matrix whose lower triangle s holds, as
+    numpy.linalg.eigh returns them, v in C order; a nonzero dsyevd status
+    raises NumericalContractError."""
+    w, v = _lapack(_SYEVD, "symmetric eigensolve", s, lower=1)
+    return w, np.ascontiguousarray(v)
 
 
 def check_square(a, name="matrix"):
@@ -88,7 +123,7 @@ def check_symmetric(a):
     """Validate approximate symmetry and return the symmetrized matrix."""
     a = check_square(a)
     norm = fnorm(a)
-    if not np.isfinite(norm):
+    if not math.isfinite(norm):
         raise ValidationError(f"matrix must be finite: its Frobenius norm is {norm}")
     gap = fnorm(a - a.T)
     if gap > SYM_RTOL * max(1.0, norm):
@@ -104,10 +139,7 @@ def sym_eig(s):
     The residual ||S V - V diag(w)|| is checked against 1e-12 * max(1, ||S||).
     """
     s = 0.5 * (s + s.T)
-    try:
-        w, v = np.linalg.eigh(s)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalContractError(f"symmetric eigensolve failed: {exc}") from exc
+    w, v = _eigh(s)
     _contract("eigendecomposition residual", fnorm(s @ v - v * w), 1e-12 * max(1.0, fnorm(s)))
     return w, v
 
@@ -119,7 +151,7 @@ def orthonormal_columns(x):
         raise ValidationError(f"expected a 2-d array, got shape {x.shape}")
     if x.shape[1] == 0:
         return x.copy()
-    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    u, s, _ = _svd(x, full_matrices=0)
     if s[0] == 0.0:
         return np.zeros((x.shape[0], 0))
     k = int(np.sum(s > RANK_RTOL * s[0]))
@@ -130,10 +162,10 @@ def null_space_basis(g):
     """Orthonormal basis of the kernel of g (rows are constraints)."""
     g = np.asarray(g, dtype=float)
     rows, cols = g.shape
-    if rows == 0:
+    if rows == 0 or cols == 0:
         return np.eye(cols)
-    _, s, vt = np.linalg.svd(g, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
+    _, s, vt = _svd(g)
+    if s[0] == 0.0:
         return np.eye(cols)
     rank = int(np.sum(s > RANK_RTOL * s[0]))
     return vt[rank:].T
@@ -183,7 +215,7 @@ def subspace_intersect(u, w):
     w = np.asarray(w, dtype=float)
     if u.shape[1] == 0 or w.shape[1] == 0:
         return np.zeros((u.shape[0], 0))
-    p, sig, qt = np.linalg.svd(u.T @ w)
+    p, sig, qt = _svd(u.T @ w)
     _contract("principal cosine", sig[0], 1.0 + INTERSECT_COS_TOL,
               ": inputs are not orthonormal")
     k = int(np.sum(sig >= 1.0 - INTERSECT_COS_TOL))
@@ -194,13 +226,39 @@ def subspace_intersect(u, w):
     return orthonormal_columns(left + right)
 
 
-def _hessenberg_band(k):
-    """Validated skew K, its packed Hessenberg form, and the band as B.
+def _checked_skew(k):
+    """(K, ||K||_F) for a direct caller of the skew routes.
 
-    Returns (K, H, tau, B): K skew-symmetrized, H and tau as dgehrd packs
-    them (H on and above the sub-diagonal, the reflectors of Z below it),
-    and the lower bidiagonal B with B[i, i] = -e[2i] and
-    B[i, i-1] = e[2i-1] for the band e = (sub - super) / 2 of H.
+    Refuses an empty or odd size, NaN or inf, and a skew defect
+    ||K + K.T||_F above 1e-12 * max(1, ||K||_F); returns the skew part
+    (K - K.T) / 2 with the norm of the input.  core.williamson and
+    core.symplectic_eigenvalues build their K = L.T J L exactly skew from
+    a factor that check_positive_definite passed, so they enter
+    _canonical_from_band and _spectrum_from_band without this.
+    """
+    k = check_square(k, "skew input")
+    dim = k.shape[0]
+    if dim == 0 or dim % 2 == 1:
+        raise ValidationError(f"skew canonical form needs even dimension, got {dim}")
+    norm = fnorm(k)
+    if not math.isfinite(norm):
+        raise ValidationError(f"skew input must be finite: its Frobenius norm is {norm}")
+    skew_gap = fnorm(k + k.T)
+    if skew_gap > 1e-12 * max(1.0, norm):
+        raise ValidationError(
+            f"matrix is not skew-symmetric: defect {skew_gap:.3e}"
+        )
+    return 0.5 * (k - k.T), norm
+
+
+def _hessenberg_band(k, norm):
+    """Packed Hessenberg form of a skew K, and its band as B.
+
+    k is exactly skew, of even positive size, with ||K||_F = norm.
+    Returns (H, tau, B): H and tau as dgehrd packs them (H on and above
+    the sub-diagonal, the reflectors of Z below it), and the lower
+    bidiagonal B with B[i, i] = -e[2i] and B[i, i-1] = e[2i-1] for the
+    band e = (sub - super) / 2 of H.
 
     The Hessenberg form H = Z.T K Z of a skew K is tridiagonal (Ward and
     Gray, ACM TOMS 4, 1978; Wimmer, "Algorithm 923: PFAPACK", ACM TOMS 38,
@@ -216,27 +274,13 @@ def _hessenberg_band(k):
     singular values dropping H - T(e) moves d by at most ||H - T(e)||_2,
     so B carries d of K to within the certified bound plus rounding.
     """
-    k = check_square(k, "skew input")
-    dim = k.shape[0]
-    if dim == 0 or dim % 2 == 1:
-        raise ValidationError(f"skew canonical form needs even dimension, got {dim}")
-    norm = fnorm(k)
-    if not np.isfinite(norm):
-        raise ValidationError(f"skew input must be finite: its Frobenius norm is {norm}")
-    skew_gap = fnorm(k + k.T)
-    if skew_gap > 1e-12 * max(1.0, norm):
-        raise ValidationError(
-            f"matrix is not skew-symmetric: defect {skew_gap:.3e}"
-        )
-    k = 0.5 * (k - k.T)
-
-    ht, tau = _lapack(_GEHRD, "Hessenberg reduction", k, lwork=64 * dim)
-    e = 0.5 * (np.diag(ht, -1) - np.diag(ht, 1))
+    ht, tau = _lapack(_GEHRD, "Hessenberg reduction", k, lwork=64 * k.shape[0])
+    e = 0.5 * (ht.diagonal(-1) - ht.diagonal(1))
     # triu(T(e)) is -e on the super-diagonal.
     _contract("Hessenberg band defect", fnorm(np.triu(ht) + np.diag(e, 1)),
-              1e-9 * max(1.0, fnorm(k)))
+              1e-9 * max(1.0, norm))
     b = np.diag(-e[0::2]) + np.diag(e[1::2], -1)
-    return k, ht, tau, b
+    return ht, tau, b
 
 
 def _ascending_nonsingular(s):
@@ -255,20 +299,29 @@ def _ascending_nonsingular(s):
     return d
 
 
-def _skew_spectrum(k):
-    """The d of skew_canonical(k) alone, with no basis formed.
-
-    The singular values of the band B of _hessenberg_band, whose
+def _spectrum_from_band(k, norm):
+    """The d of _canonical_from_band(k, norm) alone, with no basis formed:
+    the singular values of the band B of _hessenberg_band, whose
     certificate bounds what dropping the rest of H costs d; no dorghr,
-    no singular vectors and no residual product.  Refuses the inputs
-    skew_canonical refuses, with the same errors.
-    """
-    b = _hessenberg_band(k)[3]
-    try:
-        s = np.linalg.svd(b, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalContractError(f"bidiagonal SVD failed: {exc}") from exc
-    return _ascending_nonsingular(s)
+    no singular vectors and no residual product."""
+    b = _hessenberg_band(k, norm)[2]
+    return _ascending_nonsingular(_svd(b, compute_uv=0)[1])
+
+
+def _skew_spectrum(k):
+    """The d of skew_canonical(k) alone; refuses the inputs
+    skew_canonical refuses, with the same errors."""
+    return _spectrum_from_band(*_checked_skew(k))
+
+
+def _canonical_from_band(k, norm):
+    """skew_canonical for a k that is exactly skew, of even positive
+    size, with ||K||_F = norm."""
+    ht, tau, b = _hessenberg_band(k, norm)
+    z = _lapack(_ORGHR, "Hessenberg reduction", ht, tau, lwork=64 * k.shape[0])
+    u, s, vt = _svd(b)
+    d = _ascending_nonsingular(s)
+    return np.hstack([z[:, 0::2] @ u[:, ::-1], z[:, 1::2] @ vt[::-1].T]), d
 
 
 def skew_canonical(k):
@@ -287,12 +340,4 @@ def skew_canonical(k):
     so a q that is not orthogonal or not canonical for K fails its
     residual_a or residual_j.  Direct callers check what they need.
     """
-    k, ht, tau, b = _hessenberg_band(k)
-    dim = k.shape[0]
-    z = _lapack(_ORGHR, "Hessenberg reduction", ht, tau, lwork=64 * dim)
-    try:
-        u, s, vt = np.linalg.svd(b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalContractError(f"bidiagonal SVD failed: {exc}") from exc
-    d = _ascending_nonsingular(s)
-    return np.hstack([z[:, 0::2] @ u[:, ::-1], z[:, 1::2] @ vt[::-1].T]), d
+    return _canonical_from_band(*_checked_skew(k))

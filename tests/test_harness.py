@@ -9,6 +9,7 @@ import pytest
 import sympspec.basis
 import sympspec.extremal
 import sympspec.harness
+import sympspec.linalg
 from sympspec.errors import ConstructionError, NumericalContractError, ValidationError
 from sympspec.harness import (
     DEFAULT_TRIALS,
@@ -247,6 +248,33 @@ def test_failed_construction_becomes_one_failed_record(monkeypatch, tmp_path):
     write_report(report, path)
     fresh, stored, match = replay(path, "construction", 1)
     assert match and fresh == stored == failed
+
+
+def test_failed_svd_inside_a_trial_becomes_one_failed_record(monkeypatch):
+    # A nonzero dgesdd status is a NumericalContractError, so the trial
+    # that meets it gives one contract-error record and the suite goes on.
+    cfg = SuiteConfig(suite="construction", trials=5, master_seed=7, report_path=None)
+    clean = run_suite("construction", cfg)["records"]
+    gesdd = sympspec.linalg._GESDD
+    calls = 0
+
+    def fails_once(a, **kwargs):
+        nonlocal calls
+        calls += 1
+        u, s, vt, info = gesdd(a, **kwargs)
+        return u, s, vt, 1 if calls == 40 else info
+
+    monkeypatch.setattr(sympspec.linalg, "_GESDD", fails_once)
+    out = run_suite("construction", cfg)
+    assert calls > 40
+    records = out["records"]
+    failed = [rec for rec in records if not rec["passed"]]
+    assert len(failed) == 1 and out["aggregate"]["n_failed"] == 1
+    assert (failed[0]["name"], failed[0]["n"]) == ("contract-error", None)
+    assert failed[0]["instance"] == {"error": "NumericalContractError",
+                                     "message": "SVD failed: LAPACK info 1"}
+    t = failed[0]["trial"]
+    assert [r for r in records if r["trial"] != t] == [r for r in clean if r["trial"] != t]
 
 
 def _same_input(x, y):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympspec import inequalities
+from sympspec import inequalities, linalg
 from sympspec.core import random_pd, symplectic_eigenvalues
 from sympspec.errors import NumericalContractError, ValidationError
 from sympspec.functionals import SHIPPED
@@ -65,15 +65,15 @@ def test_geometric_mean_solves_the_riccati_equation(n):
 
 def test_geometric_mean_makes_one_symmetric_eigensolve(monkeypatch):
     calls = []
-    eigh = np.linalg.eigh
+    syevd = linalg._SYEVD
 
     def counted(a, *args, **kwargs):
         calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
+        return syevd(a, *args, **kwargs)
 
     rng = np.random.default_rng(4)
     a, b = random_pd(4, rng), random_pd(4, rng)
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(linalg, "_SYEVD", counted)
     geometric_mean(a, b)
     assert calls == [(8, 8)]
 
@@ -133,6 +133,28 @@ def test_generated_majorization_pairs_satisfy_their_predicate(n, seed):
     assert supermajorize(up, down, atol=1e-12 * n * float(np.max(np.abs(down))))
     hi, lo = random_dominated_pair(n, rng)
     assert np.all(np.sort(hi) >= np.sort(lo))
+
+
+def _loop_majorization_pair(n, rng):
+    # Reference: one permutation draw per weight, summed in order.
+    b = rng.uniform(0.1, 3.0, size=n)
+    weights = rng.dirichlet(np.ones(max(2, n)))
+    a = np.zeros(n)
+    for w in weights:
+        a += w * rng.permutation(b)
+    return a, b
+
+
+def test_majorization_pair_matches_the_permutation_loop():
+    # Same values and the same generator state afterwards, so every later
+    # draw of a trial is unchanged.
+    for seed in range(60):
+        for n in range(1, 11):
+            fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            a, b = random_majorization_pair(n, fast)
+            a_ref, b_ref = _loop_majorization_pair(n, ref)
+            assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+            assert fast.bit_generator.state == ref.bit_generator.state
 
 
 def test_schur_concave_audit_accepts_shipped_set():

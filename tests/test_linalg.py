@@ -38,8 +38,9 @@ import sympspec.cli
 assert "scipy.linalg" not in sys.modules, "importing the CLI loaded scipy.linalg"
 import scipy.linalg
 from sympspec import core, inequalities, linalg
-handles = {"gehrd": linalg._GEHRD, "orghr": linalg._ORGHR, "pocon": core._POCON,
-           "trtrs": core._TRTRS, "sygst": inequalities._SYGST}
+handles = {"gehrd": linalg._GEHRD, "orghr": linalg._ORGHR, "gesdd": linalg._GESDD,
+           "gesdd_lwork": linalg._GESDD_LWORK, "syevd": linalg._SYEVD,
+           "pocon": core._POCON, "trtrs": core._TRTRS, "sygst": inequalities._SYGST}
 for name, handle in handles.items():
     assert handle is scipy.linalg.get_lapack_funcs(name, dtype=np.float64), name
 """
@@ -212,10 +213,10 @@ def test_skew_canonical_rejects_singular():
 
 
 def test_skew_canonical_maps_eigensolver_failure(monkeypatch):
-    def no_convergence(a):
-        raise np.linalg.LinAlgError("SVD did not converge")
+    def no_convergence(a, **kwargs):
+        return a, np.zeros(a.shape[0]), a, 1
 
-    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    monkeypatch.setattr(linalg, "_GESDD", no_convergence)
     with pytest.raises(NumericalContractError, match="SVD failed"):
         skew_canonical(np.array([[0.0, 5.0], [-5.0, 0.0]]))
 
@@ -233,15 +234,15 @@ def test_williamson_certifies_a_perturbed_skew_canonical_factor(monkeypatch):
     # Rotating two left singular vectors keeps q orthogonal but no longer
     # canonical for K; skew_canonical does not re-check q, and williamson's
     # form defect M.T J M - J = -(S q.T K^-1 q S + J) must see the damage.
-    svd = np.linalg.svd
+    gesdd = linalg._GESDD
 
-    def rotated_u(b):
-        u, s, vt = svd(b)
+    def rotated_u(b, **kwargs):
+        u, s, vt, info = gesdd(b, **kwargs)
         c, t = np.cos(1e-3), np.sin(1e-3)
-        return u @ np.array([[c, -t, 0.0], [t, c, 0.0], [0.0, 0.0, 1.0]]), s, vt
+        return u @ np.array([[c, -t, 0.0], [t, c, 0.0], [0.0, 0.0, 1.0]]), s, vt, info
 
     a = random_pd(3, np.random.default_rng(31))
-    monkeypatch.setattr(np.linalg, "svd", rotated_u)
+    monkeypatch.setattr(linalg, "_GESDD", rotated_u)
     with pytest.raises(NumericalContractError, match="basis form defect"):
         williamson(a)
 
@@ -286,11 +287,11 @@ def test_both_skew_routes_refuse_bad_input(route, k, match):
 def test_both_skew_routes_map_lapack_and_svd_failures(route, monkeypatch):
     k = np.array([[0.0, 5.0], [-5.0, 0.0]])
 
-    def no_convergence(a, compute_uv=True):
-        raise np.linalg.LinAlgError("SVD did not converge")
+    def no_convergence(a, **kwargs):
+        return a, np.zeros(a.shape[0]), a, 1
 
     with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "svd", no_convergence)
+        patch.setattr(linalg, "_GESDD", no_convergence)
         with pytest.raises(NumericalContractError, match="SVD failed"):
             SKEW_ROUTES[route](k)
     monkeypatch.setattr(linalg, "_GEHRD", lambda a, lwork: (a, np.zeros(1), -1))
