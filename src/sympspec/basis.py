@@ -34,6 +34,7 @@ from .core import (
 from .errors import ConstructionError, NumericalContractError, ValidationError, _contract
 from .linalg import (
     INTERSECT_COS_TOL,
+    _check_finite,
     _svd,
     fnorm,
     null_space_basis,
@@ -62,9 +63,10 @@ class SymplecticBasis:
         if (cols.ndim != 2 or cols.shape[0] != cols.shape[1]
                 or cols.shape[0] == 0 or cols.shape[0] % 2 == 1):
             raise ValidationError(f"basis columns have invalid shape {cols.shape}")
+        _check_finite(cols, "basis columns")
         n = cols.shape[0] // 2
         defect = fnorm(symplectic_gram(cols, cols) - symplectic_form(n))
-        if defect > BASIS_TOL:
+        if not defect <= BASIS_TOL:
             raise ValidationError(
                 f"columns are not symplectically orthonormal: defect {defect:.3e}"
             )

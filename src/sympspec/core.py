@@ -18,8 +18,9 @@ import numpy as np
 from .errors import ValidationError, _contract, _lapack
 from .linalg import (
     _FLAPACK,
-    _canonical_from_band,
-    _spectrum_from_band,
+    _check_finite,
+    _skew_canonical,
+    _skew_spectrum,
     check_square,
     check_symmetric,
     fnorm,
@@ -126,17 +127,16 @@ class WilliamsonDecomposition:
 
 
 def _cholesky_skew(low):
-    """(K, ||K||_F) for K = L.T J L and a Cholesky factor L of A = L L.T.
+    """K = L.T J L for a Cholesky factor L of A = L L.T.
 
     L.T J L is similar to J A, whose eigenvalues are +-i d for the
     symplectic spectrum d of A, so its singular values are d, each twice.
     K is formed exactly skew, of the even size of A, and finite because
-    check_positive_definite passed A, so it enters the skew routes' band
-    step without their input checks.
+    check_positive_definite passed A: the input that the band step of
+    linalg._skew_spectrum and linalg._skew_canonical takes unchecked.
     """
     k = low.T @ apply_form(low)
-    k = 0.5 * (k - k.T)
-    return k, fnorm(k)
+    return 0.5 * (k - k.T)
 
 
 def williamson(a):
@@ -150,7 +150,7 @@ def williamson(a):
     """
     a, low, kappa = check_positive_definite(a)
     n = half_dim(a)
-    q, d = _canonical_from_band(*_cholesky_skew(low))
+    q, d = _skew_canonical(_cholesky_skew(low))
     root = np.sqrt(d)
     m = _lapack(_TRTRS, "triangular solve", low.T, q * np.concatenate([root, root]), lower=0)
 
@@ -187,7 +187,7 @@ def symplectic_eigenvalues(a, method="skew-canonical"):
         imag = np.sort(np.abs(vals.imag))
         # Spectrum comes in +/- pairs; average the two copies of each d.
         return 0.5 * (imag[::2] + imag[1::2])
-    return _spectrum_from_band(*_cholesky_skew(low))
+    return _skew_spectrum(_cholesky_skew(low))
 
 
 def tuple_form_defect(x, y):
@@ -214,12 +214,13 @@ def compress(a, x, y):
         raise ValidationError(
             f"tuple shapes {x.shape} and {y.shape} do not match matrix of size {a.shape[0]}"
         )
+    t = np.hstack([x, y])
+    _check_finite(t, "tuple columns")
     defect = tuple_form_defect(x, y)
-    if defect > TUPLE_TOL:
+    if not defect <= TUPLE_TOL:
         raise ValidationError(
             f"columns are not a symplectic tuple: pairing defect {defect:.3e}"
         )
-    t = np.hstack([x, y])
     a_m = t.T @ a @ t
     a_m = 0.5 * (a_m + a_m.T)
     d_m = symplectic_eigenvalues(a_m)

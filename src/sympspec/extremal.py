@@ -199,6 +199,14 @@ def _finish(name, claimed, slacks, *, sampled_min=None, witness_max=None,
                                n_skipped, passed)
 
 
+def _check_counts(**counts):
+    """Refuse a chain, subspace or sample count below 1: with none drawn,
+    a side of the certificate would pass unchecked."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ValidationError(f"{name} must be at least 1, got {count}")
+
+
 def _eigen_frame(a, index_set):
     """(d, basis, idx, vchain, wchain): the Williamson spectrum and
     eigenbasis of A, the validated index set and its canonical chains."""
@@ -254,6 +262,7 @@ def maxmin_check(a, k, n_subspaces=20, rng=None, tol=1e-9):
     at most d_k.  The witness slack is the one check of that last
     bound, so a witness above d_k fails the certificate.
     """
+    _check_counts(n_subspaces=n_subspaces)
     rng = as_generator(rng)
     d, basis, idx, _, wchain = _eigen_frame(a, [k])
     k = int(idx[0])
@@ -291,6 +300,7 @@ def wielandt_certify(a, index_set, n_chains=20, samples=40, rng=None,
     the claim, with the trace identity between the two equal-span
     constructed tuples checked on the way.
     """
+    _check_counts(n_chains=n_chains, samples=samples)
     rng = as_generator(rng)
     d, basis, idx, vchain, wchain = _eigen_frame(a, index_set)
     claimed = float(np.sum(d[idx - 1]))
@@ -327,6 +337,7 @@ def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
     eigenvalues, so phi stays below the claim.  With validate_phi, phi
     first passes a 120-draw audit of the properties the claim needs.
     """
+    _check_counts(n_chains=n_chains)
     rng = as_generator(rng)
     if validate_phi:
         audit = schur_concave_monotone_check(phi, trials=120, rng=rng)
@@ -383,6 +394,7 @@ def det_product_check(a, index_set, samples=20, rng=None):
     eigenvalues, and the eigen-pair compression attains it.  Works in
     log space throughout.
     """
+    _check_counts(samples=samples)
     rng = as_generator(rng)
     d, basis, idx, vchain, wchain = _eigen_frame(a, index_set)
     claimed_log = 2.0 * float(np.sum(np.log(d[idx - 1])))

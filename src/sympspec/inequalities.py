@@ -217,7 +217,7 @@ def additive_lidskii_trial(a, b, index_set, tol=1e-9):
     """
     d_sum = symplectic_eigenvalues(a + b)
     d_a = symplectic_eigenvalues(a)
-    d_b = symplectic_eigenvalues(b)
+    d_b = d_a if b is a else symplectic_eigenvalues(b)
     idx = _check_index_set(index_set, d_a.size) - 1
     k = idx.size
     lhs = float(np.sum(d_sum[idx]))

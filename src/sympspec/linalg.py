@@ -5,11 +5,11 @@ can fail quietly raise NumericalContractError instead of returning
 garbage: sym_eig checks its residual, subspace_intersect its principal
 cosines and _hessenberg_band the band it reads d from, each with one
 errors._contract call, which a NaN fails, and every LAPACK status goes
-through errors._lapack.  The basis of skew_canonical is certified by the
-residuals of core.williamson, which builds it by the same band step
-(_canonical_from_band), and not here.  The skew routes validate K once:
-skew_canonical and _skew_spectrum for direct callers, while core enters
-the band step with a K it built exactly skew.
+through errors._lapack.  The band step (_skew_spectrum, and
+_skew_canonical with its basis) takes the exactly skew K that
+core._cholesky_skew builds from a factor check_positive_definite passed,
+so it checks no input; the basis of _skew_canonical is certified by the
+residuals of core.williamson, its one caller, and not here.
 
 LAPACK comes from scipy's compiled module scipy.linalg._flapack: the
 float64 routines it holds are the objects that scipy.linalg.get_lapack_funcs
@@ -18,8 +18,8 @@ scipy has set up its shared libraries, so importing the package does not
 run scipy.linalg's package init, which with the array-API layer it pulls in
 costs more than half of a cold CLI start.  The handles are linalg._GEHRD,
 which reduces a skew matrix to its Hessenberg band for both the spectrum
-alone (_skew_spectrum) and skew_canonical, linalg._ORGHR, which only
-skew_canonical needs to form its basis, linalg._GESDD (with its workspace
+alone (_skew_spectrum) and _skew_canonical, linalg._ORGHR, which only
+_skew_canonical needs to form its basis, linalg._GESDD (with its workspace
 query _GESDD_LWORK) and _SYEVD, behind every SVD and symmetric eigensolve
 of the package, core._POCON and _TRTRS, and inequalities._SYGST.
 
@@ -119,12 +119,18 @@ def check_square(a, name="matrix"):
     return a
 
 
+def _check_finite(a, name="matrix"):
+    """||a||_F, refusing an a that holds NaN or inf."""
+    norm = fnorm(a)
+    if not math.isfinite(norm):
+        raise ValidationError(f"{name} must be finite: its Frobenius norm is {norm}")
+    return norm
+
+
 def check_symmetric(a):
     """Validate approximate symmetry and return the symmetrized matrix."""
     a = check_square(a)
-    norm = fnorm(a)
-    if not math.isfinite(norm):
-        raise ValidationError(f"matrix must be finite: its Frobenius norm is {norm}")
+    norm = _check_finite(a)
     gap = fnorm(a - a.T)
     if gap > SYM_RTOL * max(1.0, norm):
         raise ValidationError(
@@ -226,39 +232,14 @@ def subspace_intersect(u, w):
     return orthonormal_columns(left + right)
 
 
-def _checked_skew(k):
-    """(K, ||K||_F) for a direct caller of the skew routes.
-
-    Refuses an empty or odd size, NaN or inf, and a skew defect
-    ||K + K.T||_F above 1e-12 * max(1, ||K||_F); returns the skew part
-    (K - K.T) / 2 with the norm of the input.  core.williamson and
-    core.symplectic_eigenvalues build their K = L.T J L exactly skew from
-    a factor that check_positive_definite passed, so they enter
-    _canonical_from_band and _spectrum_from_band without this.
-    """
-    k = check_square(k, "skew input")
-    dim = k.shape[0]
-    if dim == 0 or dim % 2 == 1:
-        raise ValidationError(f"skew canonical form needs even dimension, got {dim}")
-    norm = fnorm(k)
-    if not math.isfinite(norm):
-        raise ValidationError(f"skew input must be finite: its Frobenius norm is {norm}")
-    skew_gap = fnorm(k + k.T)
-    if skew_gap > 1e-12 * max(1.0, norm):
-        raise ValidationError(
-            f"matrix is not skew-symmetric: defect {skew_gap:.3e}"
-        )
-    return 0.5 * (k - k.T), norm
-
-
-def _hessenberg_band(k, norm):
+def _hessenberg_band(k):
     """Packed Hessenberg form of a skew K, and its band as B.
 
-    k is exactly skew, of even positive size, with ||K||_F = norm.
-    Returns (H, tau, B): H and tau as dgehrd packs them (H on and above
-    the sub-diagonal, the reflectors of Z below it), and the lower
-    bidiagonal B with B[i, i] = -e[2i] and B[i, i-1] = e[2i-1] for the
-    band e = (sub - super) / 2 of H.
+    k is exactly skew, of even positive size.  Returns (H, tau, B): H and
+    tau as dgehrd packs them (H on and above the sub-diagonal, the
+    reflectors of Z below it), and the lower bidiagonal B with
+    B[i, i] = -e[2i] and B[i, i-1] = e[2i-1] for the band
+    e = (sub - super) / 2 of H.
 
     The Hessenberg form H = Z.T K Z of a skew K is tridiagonal (Ward and
     Gray, ACM TOMS 4, 1978; Wimmer, "Algorithm 923: PFAPACK", ACM TOMS 38,
@@ -278,7 +259,7 @@ def _hessenberg_band(k, norm):
     e = 0.5 * (ht.diagonal(-1) - ht.diagonal(1))
     # triu(T(e)) is -e on the super-diagonal.
     _contract("Hessenberg band defect", fnorm(np.triu(ht) + np.diag(e, 1)),
-              1e-9 * max(1.0, norm))
+              1e-9 * max(1.0, fnorm(k)))
     b = np.diag(-e[0::2]) + np.diag(e[1::2], -1)
     return ht, tau, b
 
@@ -288,7 +269,7 @@ def _ascending_nonsingular(s):
     working precision, d_1 <= dim * eps * d_n for K of size dim (numpy's
     matrix_rank threshold).  For positive definite A the verdict on
     singularity is the condition estimate of core.check_positive_definite;
-    this guards direct callers of the skew routes.
+    this guards against that estimate under-reading the condition number.
     """
     d = s[::-1]
     if d[0] <= 2 * d.size * np.finfo(float).eps * d[-1]:
@@ -299,36 +280,21 @@ def _ascending_nonsingular(s):
     return d
 
 
-def _spectrum_from_band(k, norm):
-    """The d of _canonical_from_band(k, norm) alone, with no basis formed:
-    the singular values of the band B of _hessenberg_band, whose
-    certificate bounds what dropping the rest of H costs d; no dorghr,
-    no singular vectors and no residual product."""
-    b = _hessenberg_band(k, norm)[2]
+def _skew_spectrum(k):
+    """The d of _skew_canonical(k) alone, with no basis formed: the
+    singular values of the band B of _hessenberg_band, whose certificate
+    bounds what dropping the rest of H costs d; no dorghr, no singular
+    vectors and no residual product."""
+    b = _hessenberg_band(k)[2]
     return _ascending_nonsingular(_svd(b, compute_uv=0)[1])
 
 
-def _skew_spectrum(k):
-    """The d of skew_canonical(k) alone; refuses the inputs
-    skew_canonical refuses, with the same errors."""
-    return _spectrum_from_band(*_checked_skew(k))
-
-
-def _canonical_from_band(k, norm):
-    """skew_canonical for a k that is exactly skew, of even positive
-    size, with ||K||_F = norm."""
-    ht, tau, b = _hessenberg_band(k, norm)
-    z = _lapack(_ORGHR, "Hessenberg reduction", ht, tau, lwork=64 * k.shape[0])
-    u, s, vt = _svd(b)
-    d = _ascending_nonsingular(s)
-    return np.hstack([z[:, 0::2] @ u[:, ::-1], z[:, 1::2] @ vt[::-1].T]), d
-
-
-def skew_canonical(k):
+def _skew_canonical(k):
     """Orthogonal reduction of a nonsingular skew-symmetric matrix.
 
-    Returns (q, d) with q orthogonal, d ascending positive, and
-    q.T K q = [[0, diag(d)], [-diag(d), 0]].  With H = Z.T K Z the
+    k is exactly skew, of even positive size, as core._cholesky_skew
+    builds it.  Returns (q, d) with q orthogonal, d ascending positive,
+    and q.T K q = [[0, diag(d)], [-diag(d), 0]].  With H = Z.T K Z the
     Hessenberg form and B its band (see _hessenberg_band), the SVD
     B = U S V.T, with columns reversed so that d = S ascends, gives
     q = [Z_even U, Z_odd V]; clusters need no separate treatment and q
@@ -338,6 +304,10 @@ def skew_canonical(k):
     M = L^(-T) q S with K = L.T J L and S = diag(sqrt(d), sqrt(d)), since
     M.T A M - S^2 = S (q.T q - I) S and M.T J M - J = -(S q.T K^(-1) q S + J),
     so a q that is not orthogonal or not canonical for K fails its
-    residual_a or residual_j.  Direct callers check what they need.
+    residual_a or residual_j.
     """
-    return _canonical_from_band(*_checked_skew(k))
+    ht, tau, b = _hessenberg_band(k)
+    z = _lapack(_ORGHR, "Hessenberg reduction", ht, tau, lwork=64 * k.shape[0])
+    u, s, vt = _svd(b)
+    d = _ascending_nonsingular(s)
+    return np.hstack([z[:, 0::2] @ u[:, ::-1], z[:, 1::2] @ vt[::-1].T]), d

@@ -71,6 +71,15 @@ def test_basis_rejects_non_symplectic_columns():
         SymplecticBasis(2.0 * np.eye(4))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_basis_refuses_non_finite_columns(value):
+    # A NaN makes the form defect NaN, which no tolerance comparison may pass.
+    cols = np.eye(4)
+    cols[1, 2] = value
+    with pytest.raises(ValidationError, match="basis columns must be finite"):
+        SymplecticBasis(cols)
+
+
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_prime_coords_is_a_quarter_turn(m, seed):

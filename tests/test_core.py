@@ -27,7 +27,7 @@ from sympspec.core import (
 )
 from sympspec.errors import NumericalContractError, ValidationError
 from sympspec.inequalities import geometric_mean
-from sympspec.linalg import fnorm, skew_canonical
+from sympspec.linalg import _skew_canonical, fnorm
 
 RNG = np.random.default_rng(202)
 
@@ -201,7 +201,7 @@ def test_williamson_basis_equals_the_scipy_triangular_solve(n):
     # The direct dtrtrs call must pass L.T as an upper triangle, untransposed.
     a = random_pd(n, np.random.default_rng(n))
     low = np.linalg.cholesky(a)
-    q, d = skew_canonical(_cholesky_skew(low)[0])
+    q, d = _skew_canonical(_cholesky_skew(low))
     rhs = q * np.tile(np.sqrt(d), 2)
     expected = scipy.linalg.solve_triangular(low.T, rhs, lower=False)
     assert np.array_equal(williamson(a).m, expected)
@@ -237,13 +237,13 @@ def test_methods_agree():
 def test_spectrum_never_forms_the_canonical_basis(monkeypatch):
     # The default method and compress read d off the Hessenberg band; a
     # fall-back to the vector route would hit this stub.
-    def no_basis(k, norm):
+    def no_basis(k):
         raise AssertionError("canonical basis formed")
 
     a = random_pd(4, np.random.default_rng(9))
     expected = williamson(a).d
-    monkeypatch.setattr(core, "_canonical_from_band", no_basis)
-    monkeypatch.setattr(linalg, "_canonical_from_band", no_basis)
+    monkeypatch.setattr(core, "_skew_canonical", no_basis)
+    monkeypatch.setattr(linalg, "_skew_canonical", no_basis)
     d = symplectic_eigenvalues(a)
     assert np.max(np.abs(d - expected)) <= 1e-14 * expected[-1]
     e = np.eye(8)
@@ -308,6 +308,14 @@ def test_compress_rejects_broken_tuple():
     e = np.eye(4)
     with pytest.raises(ValidationError):
         compress(a, e[:, :1], 3.0 * e[:, 2:3])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_compress_refuses_non_finite_tuple_columns(value):
+    x = np.eye(4)[:, :1].copy()
+    x[1, 0] = value
+    with pytest.raises(ValidationError, match="tuple columns must be finite"):
+        compress(np.diag([1.0, 2.0, 3.0, 4.0]), x, np.eye(4)[:, 2:3])
 
 
 def test_random_symplectic_satisfies_form_identity():

@@ -267,6 +267,21 @@ def test_det_product_certificate():
     assert np.exp(cert.claimed_value) == pytest.approx(target, rel=1e-9)
 
 
+# With no chain, subspace or sample drawn, one side of the certificate
+# would pass unchecked, with witness_max or sampled_min left None.
+@pytest.mark.parametrize("check, count", [
+    (lambda a: maxmin_check(a, 1, n_subspaces=0), "n_subspaces"),
+    (lambda a: wielandt_certify(a, [1], n_chains=0, samples=0), "n_chains"),
+    (lambda a: wielandt_certify(a, [1], n_chains=3, samples=0), "samples"),
+    (lambda a: det_product_check(a, [1], samples=0), "samples"),
+    (lambda a: phi_extremal_check(a, [1], phi_sum, n_chains=-3), "n_chains"),
+], ids=["maxmin", "wielandt-chains", "wielandt-samples", "det-product", "phi-extremal"])
+def test_certificates_refuse_a_count_below_one(check, count):
+    a, _, _ = _instance(2, 7)
+    with pytest.raises(ValidationError, match=f"{count} must be at least 1"):
+        check(a)
+
+
 @pytest.mark.parametrize(
     "n_samples, n_chains, n_skipped, passed",
     [

@@ -1,4 +1,5 @@
-"""The package's export list matches what it binds, its version has one
+"""The package's export list matches what it binds, it defines nothing
+that neither its own code nor its export list uses, its version has one
 source, and its numerical contracts raise only through errors.py."""
 
 import ast
@@ -20,6 +21,24 @@ def test_all_lists_exactly_the_public_names():
     assert set(sympspec.__all__) == bound | {"__version__"}
     for name in sympspec.__all__:
         assert getattr(sympspec, name) is not None
+
+
+# Helpers that nothing in the package calls, kept for the acceptance tests.
+TEST_HELPERS = {"max_principal_angle", "span_residual", "reports_match"}
+
+
+def test_every_definition_is_used_or_exported():
+    defined, used = set(), set()
+    for path in Path(sympspec.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined |= {node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defined - used - set(sympspec.__all__) == TEST_HELPERS
 
 
 @pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
