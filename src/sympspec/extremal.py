@@ -2,9 +2,11 @@
 and concave functionals, certified by explicit witnesses.
 
 Each check plays both sides of a variational identity: tuples inside
-the canonical eigen chain (sampled, or in closed form for one index)
-stay above the claimed value, while a constructed witness inside an
-adversarial chain stays below it, and an explicit eigen tuple attains it.  The results are returned as
+the canonical eigen chain stay above the claimed value (a closed form
+for maxmin, sampled tuples for wielandt, the eigen-pair compression for
+phi-extremal and det-product, see canonical_chains), while a constructed
+witness inside an adversarial chain stays below it, and an explicit
+eigen tuple attains it.  The results are returned as
 ExtremalCertificate records with every tolerance spelled out.
 """
 
@@ -70,6 +72,16 @@ def canonical_chains(basis, index_set):
     For each index i the increasing chain takes all first-kind columns
     plus the second-kind ones up to i; the decreasing chain takes all
     first-kind columns plus the second-kind ones from i on.
+
+    On an eigenbasis, dual_chain_construct(vchain, wchain, basis, rng)
+    can only return tuples that span the selected eigen pairs.  In
+    Williamson coordinates, with P_S the span of the eigen pairs with
+    index in S, sharp(vchain[j]) = P_{<= i_j} and sharp(wchain[j]) =
+    P_{>= i_j}.  The common span S of both tuples and their primes lies
+    in P_{<= i_k}, so w_k lies in P_{>= i_k} and S, which is P_{i_k}.
+    The v-tuple without v_k spans a 2(k - 1)-space inside P_{< i_k}, so
+    S is that space plus P_{i_k}, and the w-tuple without w_k spans the
+    same space.  Induction gives S = P_{i_1} + ... + P_{i_k}.
     """
     u, v = basis.u, basis.v
     vchain = [np.hstack([u, v[:, :i]]) for i in index_set]
@@ -226,15 +238,14 @@ def _sampled_floor(a, chain, claimed, samples, rng, tol):
     return values, [val - claimed + tol * scale for val in values]
 
 
-def _chain_tuples(vchain, idx, basis, count, rng, wchain=None):
-    """Dual-chain tuples (vs, ws) from count attempts, and the number of
-    attempts skipped on a ConstructionError or on a built tuple that
-    failed its contract.  Without wchain each attempt
-    draws a fresh random decreasing chain."""
+def _chain_tuples(vchain, idx, basis, count, rng):
+    """Dual-chain tuples (vs, ws) against count fresh random decreasing
+    chains, and the number of attempts skipped on a ConstructionError or
+    on a built tuple that failed its contract."""
     sizes = [2 * basis.n - i + 1 for i in idx]
     tuples, n_skipped = [], 0
     for _ in range(count):
-        chain = random_decreasing_chain(2 * basis.n, sizes, rng) if wchain is None else wchain
+        chain = random_decreasing_chain(2 * basis.n, sizes, rng)
         try:
             tuples.append(dual_chain_construct(vchain, chain, basis, rng))
         except (ConstructionError, NumericalContractError):
@@ -329,13 +340,16 @@ def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
                        validate_phi=True):
     """Extremal certificate for a Schur-concave monotone functional.
 
-    Against the canonical decreasing chain, the constructed compression
-    spectrum dominates the selected eigenvalues elementwise, so phi
-    stays above the claim.  Against random chains the compression
-    spectrum is weakly supermajorized by the half-trace vector of the
-    increasing-chain side, whose entries are capped by the selected
-    eigenvalues, so phi stays below the claim.  With validate_phi, phi
-    first passes a 120-draw audit of the properties the claim needs.
+    On the canonical chains every constructed tuple spans the selected
+    eigen pairs (canonical_chains), so the canonical side is their
+    compression: its spectrum dominates the selected eigenvalues
+    elementwise, phi stays above the claim and attains it (the equality
+    gap), and its log-determinant clears the squared-product floor.
+    Against random chains the compression spectrum is weakly
+    supermajorized by the half-trace vector of the increasing-chain side,
+    whose entries are capped by the selected eigenvalues, so phi stays
+    below the claim.  With validate_phi, phi first passes a 120-draw
+    audit of the properties the claim needs.
     """
     _check_counts(n_chains=n_chains)
     rng = as_generator(rng)
@@ -346,22 +360,19 @@ def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
             raise ValidationError(
                 f"functional {phi.name!r} failed its audit: {', '.join(kinds)}"
             )
-    d, basis, idx, vchain, wchain = _eigen_frame(a, index_set)
+    d, basis, idx, vchain, _ = _eigen_frame(a, index_set)
     d_target = d[idx - 1]
     claimed = float(phi(d_target))
     scale = max(1.0, abs(claimed))
 
-    _, ws = dual_chain_construct(vchain, wchain, basis, rng)
-    a_c, d_tilde = compress(a, ws, basis.prime(ws))
-    slacks = [float(dt - t + tol * max(1.0, t)) for t, dt in zip(d_target, d_tilde)]
-    phi_tilde = float(phi(d_tilde))
-    slacks.append(phi_tilde - claimed + tol * scale)
-    sign, logdet = np.linalg.slogdet(a_c)
+    a_eig, d_eig = compress(a, basis.u[:, idx - 1], basis.v[:, idx - 1])
+    slacks = [float(de - t + tol * max(1.0, t)) for t, de in zip(d_target, d_eig)]
+    phi_eig = float(phi(d_eig))
+    slacks.append(phi_eig - claimed + tol * scale)
+    sign, logdet = np.linalg.slogdet(a_eig)
     target_log = 2.0 * float(np.sum(np.log(d_target)))
     slacks.append(float(sign) * logdet - target_log - np.log1p(-1e-8))
-
-    d_eig = compress(a, basis.u[:, idx - 1], basis.v[:, idx - 1])[1]
-    equality_gap = abs(float(phi(d_eig)) - claimed)
+    equality_gap = abs(phi_eig - claimed)
     slacks.append(1e-9 * scale - equality_gap)
 
     tuples, n_skipped = _chain_tuples(vchain, idx, basis, n_chains, rng)
@@ -380,38 +391,27 @@ def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
         chain_vals.append(phi_u)
 
     return _finish(
-        f"phi-extremal-{phi.name}", claimed, slacks, sampled_min=phi_tilde,
+        f"phi-extremal-{phi.name}", claimed, slacks, sampled_min=phi_eig,
         witness_max=max(chain_vals, default=None), equality_gap=equality_gap,
-        n_samples=1, n_chains=n_chains, n_skipped=n_skipped,
+        n_chains=n_chains, n_skipped=n_skipped,
     )
 
 
-def det_product_check(a, index_set, samples=20, rng=None):
-    """One-sided minimum certificate for the compression determinant.
+def det_product_check(a, index_set):
+    """Minimum certificate for the compression determinant.
 
-    Every compression built on the canonical decreasing chain has
-    determinant at least the squared product of the selected
-    eigenvalues, and the eigen-pair compression attains it.  Works in
-    log space throughout.
+    Every compression that the dual-chain construction builds on the
+    canonical chains spans the selected eigen pairs (canonical_chains),
+    and a symplectic change of basis keeps its determinant, so the
+    canonical side is the eigen-pair compression alone: its
+    log-determinant must equal that of the squared product of the
+    selected eigenvalues to 1e-8.  Works in log space throughout.
     """
-    _check_counts(samples=samples)
-    rng = as_generator(rng)
-    d, basis, idx, vchain, wchain = _eigen_frame(a, index_set)
+    d, basis, idx, _, _ = _eigen_frame(a, index_set)
     claimed_log = 2.0 * float(np.sum(np.log(d[idx - 1])))
-
     a_eig = compress(a, basis.u[:, idx - 1], basis.v[:, idx - 1])[0]
     sign, logdet = np.linalg.slogdet(a_eig)
-    equality_gap = abs(float(sign) * logdet - claimed_log)
-    slacks = [1e-8 - equality_gap]
-
-    tuples, n_skipped = _chain_tuples(vchain, idx, basis, samples, rng, wchain)
-    sampled = []
-    for _, ws in tuples:
-        sign, logdet = np.linalg.slogdet(compress(a, ws, basis.prime(ws))[0])
-        sampled.append(float(sign) * logdet)
-    slacks += [val - claimed_log - np.log1p(-1e-8) for val in sampled]
-
-    return _finish(
-        "det-product", claimed_log, slacks, sampled_min=min(sampled, default=None),
-        equality_gap=equality_gap, n_samples=samples, n_skipped=n_skipped,
-    )
+    eig_log = float(sign) * logdet
+    equality_gap = abs(eig_log - claimed_log)
+    return _finish("det-product", claimed_log, [1e-8 - equality_gap],
+                   sampled_min=eig_log, equality_gap=equality_gap)

@@ -54,18 +54,6 @@ from .inequalities import (
 )
 DEFAULT_TOL = 1e-9
 
-DEFAULT_TRIALS = {
-    "williamson": 60,
-    "maxmin": 25,
-    "wielandt": 12,
-    "construction": 40,
-    "lidskii-add": 150,
-    "lidskii-mult": 80,
-    "phi-extremal": 12,
-    "det-product": 20,
-    "majorization": 40,
-}
-
 
 @dataclass
 class SuiteConfig:
@@ -227,7 +215,7 @@ def _trial_det_product(t, cfg, rng):
     n = _draw_n(cfg, rng)
     a = random_pd(n, rng)
     idx = _index_set(n, rng, cap=4)
-    cert = det_product_check(a, idx, samples=3, rng=rng)
+    cert = det_product_check(a, idx)
     return n, [_from_certificate(cert)]
 
 
@@ -310,18 +298,19 @@ def _trial_majorization(t, cfg, rng):
     return n, records
 
 
-_TRIAL_FUNCS = {
-    "williamson": _trial_williamson,
-    "maxmin": _trial_maxmin,
-    "wielandt": _trial_wielandt,
-    "construction": _trial_construction,
-    "lidskii-add": _trial_lidskii_add,
-    "lidskii-mult": _trial_lidskii_mult,
-    "phi-extremal": _trial_phi,
-    "det-product": _trial_det_product,
-    "majorization": _trial_majorization,
+# Each suite's trial function and its default trial count.
+_SUITES = {
+    "williamson": (_trial_williamson, 60),
+    "maxmin": (_trial_maxmin, 25),
+    "wielandt": (_trial_wielandt, 12),
+    "construction": (_trial_construction, 40),
+    "lidskii-add": (_trial_lidskii_add, 150),
+    "lidskii-mult": (_trial_lidskii_mult, 80),
+    "phi-extremal": (_trial_phi, 12),
+    "det-product": (_trial_det_product, 20),
+    "majorization": (_trial_majorization, 40),
 }
-SUITE_IDS = tuple(_TRIAL_FUNCS)
+SUITE_IDS = tuple(_SUITES)
 
 
 def _trial_records(suite_id, config, t):
@@ -332,7 +321,7 @@ def _trial_records(suite_id, config, t):
     other trials' records survive and replay reproduces the failure.
     """
     try:
-        n, records = _TRIAL_FUNCS[suite_id](
+        n, records = _SUITES[suite_id][0](
             t, config, trial_rng(config.master_seed, suite_id, t)
         )
     except (NumericalContractError, ConstructionError) as exc:
@@ -346,7 +335,7 @@ def _trial_records(suite_id, config, t):
 
 def run_suite(suite_id, config):
     """All records and the aggregate for one suite."""
-    trials = config.trials if config.trials is not None else DEFAULT_TRIALS[suite_id]
+    trials = config.trials if config.trials is not None else _SUITES[suite_id][1]
     one = partial(_trial_records, suite_id, config)
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import sympspec.extremal
-from sympspec.basis import SymplecticBasis, _coords_subspace, _sharp_std, prime_coords
+from sympspec.basis import (
+    SymplecticBasis,
+    _coords_subspace,
+    _sharp_std,
+    dual_chain_construct,
+    prime_coords,
+)
 from sympspec.core import (
     compress,
     random_pd,
@@ -218,6 +224,24 @@ def test_wielandt_rejects_bad_index_sets():
         wielandt_certify(a, np.array([0]), rng=RNG)
 
 
+def test_canonical_chain_tuples_span_the_selected_eigen_pairs():
+    # The argument in canonical_chains: on an eigenbasis both constructed
+    # tuples have no coordinates outside the selected eigen pairs, which
+    # is why phi-extremal and det-product build nothing on these chains.
+    rng = np.random.default_rng(5)
+    for t in range(200):
+        n = 2 + t % 6
+        k = 1 + (t // 6) % n
+        a = random_pd(n, rng)
+        basis = SymplecticBasis(williamson(a).m)
+        idx = np.sort(rng.choice(np.arange(1, n + 1), size=k, replace=False))
+        selected = np.concatenate([idx - 1, n + idx - 1])
+        for tup in dual_chain_construct(*canonical_chains(basis, idx), basis, rng):
+            c = basis.coords(tup)
+            outside = np.delete(c, selected, axis=0)
+            assert np.linalg.norm(outside) <= 1e-12 * np.linalg.norm(c), (n, idx)
+
+
 def test_phi_extremal_certificates_for_shipped_set():
     a, _, _ = _instance(3, 10)
     idx = np.array([1, 3])
@@ -242,18 +266,15 @@ def test_phi_extremal_rejects_functional_that_fails_audit():
 
 def test_phi_extremal_counts_every_refused_chain(monkeypatch):
     a, _, _ = _instance(3, 14)
-    build = sympspec.extremal.dual_chain_construct
     calls = []
 
-    def canonical_only(*args):
+    def refuse(*args):
         calls.append(args)
-        if len(calls) > 1:
-            raise ConstructionError("forced failure")
-        return build(*args)
+        raise ConstructionError("forced failure")
 
-    monkeypatch.setattr(sympspec.extremal, "dual_chain_construct", canonical_only)
+    monkeypatch.setattr(sympspec.extremal, "dual_chain_construct", refuse)
     cert = phi_extremal_check(a, np.array([1, 3]), phi_sum, n_chains=4, rng=RNG)
-    assert len(calls) == 5
+    assert len(calls) == 4
     assert cert.n_skipped == cert.n_chains == 4
     assert cert.witness_max is None and not cert.passed
 
@@ -261,10 +282,51 @@ def test_phi_extremal_counts_every_refused_chain(monkeypatch):
 def test_det_product_certificate():
     a, dec, _ = _instance(3, 13)
     idx = np.array([1, 2])
-    cert = det_product_check(a, idx, samples=5, rng=RNG)
+    cert = det_product_check(a, idx)
     assert cert.passed, cert
     target = float(np.prod(dec.d[idx - 1] ** 2))
     assert np.exp(cert.claimed_value) == pytest.approx(target, rel=1e-9)
+
+
+def test_det_product_fails_on_a_perturbed_compression(monkeypatch):
+    a, _, _ = _instance(3, 13)
+    build = sympspec.extremal.compress
+
+    def scaled(a, x, y):
+        a_m, d_m = build(a, x, y)
+        return (1.0 + 1e-6) * a_m, d_m
+
+    monkeypatch.setattr(sympspec.extremal, "compress", scaled)
+    cert = det_product_check(a, np.array([1, 2]))
+    assert cert.equality_gap > 1e-8
+    assert cert.slack < 0.0 and not cert.passed
+
+
+def test_phi_extremal_fails_on_a_witness_above_the_claim(monkeypatch):
+    # Each random-chain witness is swapped for the top two eigen pairs,
+    # whose compression spectrum (d_2, d_3) lies above the claim d_1 + d_2.
+    a, dec, _ = _instance(3, 15)
+    build = sympspec.extremal.dual_chain_construct
+
+    def top_pairs(vchain, wchain, basis, rng):
+        vs, _ = build(vchain, wchain, basis, rng)
+        return vs, basis.u[:, 1:]
+
+    monkeypatch.setattr(sympspec.extremal, "dual_chain_construct", top_pairs)
+    cert = phi_extremal_check(a, np.array([1, 2]), phi_sum, n_chains=2,
+                              rng=np.random.default_rng(0), validate_phi=False)
+    assert cert.witness_max == pytest.approx(float(np.sum(dec.d[1:])), rel=1e-12)
+    assert cert.witness_max > cert.claimed_value
+    assert cert.slack < 0.0 and not cert.passed
+
+
+def test_phi_extremal_fails_when_the_supermajorization_fails(monkeypatch):
+    a, _, _ = _instance(3, 10)
+    monkeypatch.setattr(sympspec.extremal, "supermajorize", lambda *args, **kwargs: False)
+    cert = phi_extremal_check(a, np.array([1, 3]), phi_sum, n_chains=2,
+                              rng=np.random.default_rng(0), validate_phi=False)
+    assert cert.n_skipped == 0
+    assert cert.slack == -1.0 and not cert.passed
 
 
 # With no chain, subspace or sample drawn, one side of the certificate
@@ -273,9 +335,8 @@ def test_det_product_certificate():
     (lambda a: maxmin_check(a, 1, n_subspaces=0), "n_subspaces"),
     (lambda a: wielandt_certify(a, [1], n_chains=0, samples=0), "n_chains"),
     (lambda a: wielandt_certify(a, [1], n_chains=3, samples=0), "samples"),
-    (lambda a: det_product_check(a, [1], samples=0), "samples"),
     (lambda a: phi_extremal_check(a, [1], phi_sum, n_chains=-3), "n_chains"),
-], ids=["maxmin", "wielandt-chains", "wielandt-samples", "det-product", "phi-extremal"])
+], ids=["maxmin", "wielandt-chains", "wielandt-samples", "phi-extremal"])
 def test_certificates_refuse_a_count_below_one(check, count):
     a, _, _ = _instance(2, 7)
     with pytest.raises(ValidationError, match=f"{count} must be at least 1"):
