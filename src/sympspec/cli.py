@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 suite violation or failed reproduction,
 2 unparseable input (files or arguments) or an unwritable output path,
 3 validation failure, 4 numerical contract failure.
+
+Each process runs one command, so the verification layers (harness, and
+inequalities for mean) are imported by the commands that run them, and a
+spectra command starts without them.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ from .errors import (
     NumericalContractError,
     ValidationError,
 )
-from .harness import DEFAULT_TOL, SUITE_IDS, SuiteConfig, replay, run_all, write_report
-from .inequalities import geometric_mean
 from .matio import load_matrix, matrix_to_obj, save_matrix, save_williamson
 
 COUNTEREXAMPLE_BLOCKS = ([[1.0, 0.0], [0.0, 2.0]], [[0.0, 1.0], [2.0, 0.0]])
@@ -49,6 +51,8 @@ def cmd_williamson(args):
 
 
 def cmd_mean(args):
+    from .inequalities import geometric_mean
+
     a = load_matrix(args.a)
     b = load_matrix(args.b)
     mean = geometric_mean(a, b)
@@ -87,7 +91,21 @@ def _replay_spec(text):
     return path, suite, trial_no
 
 
+def _suite_id(text):
+    """A --suite value; the suite table is loaded only when verify parses one."""
+    from .harness import SUITE_IDS
+
+    choices = ("all",) + SUITE_IDS
+    if text not in choices:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(choices)})"
+        )
+    return text
+
+
 def cmd_verify(args):
+    from .harness import DEFAULT_TOL, SuiteConfig, replay, run_all, write_report
+
     if args.replay is not None:
         path, suite, trial = args.replay
         fresh, stored, match = replay(path, suite, trial)
@@ -106,7 +124,7 @@ def cmd_verify(args):
         n_min=args.nmin,
         n_max=args.nmax,
         master_seed=args.seed,
-        tol=args.tol,
+        tol=DEFAULT_TOL if args.tol is None else args.tol,
         report_path=args.report,
         jobs=args.jobs,
     )
@@ -191,12 +209,14 @@ def build_parser():
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("verify", help="run randomized verification suites")
-    p.add_argument("--suite", default="all", choices=("all",) + SUITE_IDS)
+    p.add_argument("--suite", default="all", type=_suite_id,
+                   help="suite id, or all (default)")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--nmin", type=int, default=2)
     p.add_argument("--nmax", type=int, default=5)
     p.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=None,
+                   help="tolerance of each record (default: harness.DEFAULT_TOL)")
     p.add_argument("--report", default="sympspec_report.json",
                    help="report path; pass an empty string to skip writing")
     p.add_argument("--jobs", type=int, default=1)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
@@ -338,6 +337,8 @@ def run_suite(suite_id, config):
     trials = config.trials if config.trials is not None else _SUITES[suite_id][1]
     one = partial(_trial_records, suite_id, config)
     if config.jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             per_trial = list(pool.map(one, range(trials)))
     else:

@@ -13,15 +13,17 @@ residuals of core.williamson, its one caller, and not here.
 
 LAPACK comes from scipy's compiled module scipy.linalg._flapack: the
 float64 routines it holds are the objects that scipy.linalg.get_lapack_funcs
-returns.  _load_flapack() loads that extension from its file once top-level
-scipy has set up its shared libraries, so importing the package does not
-run scipy.linalg's package init, which with the array-API layer it pulls in
-costs more than half of a cold CLI start.  The handles are linalg._GEHRD,
-which reduces a skew matrix to its Hessenberg band for both the spectrum
-alone (_skew_spectrum) and _skew_canonical, linalg._ORGHR, which only
-_skew_canonical needs to form its basis, linalg._GESDD (with its workspace
-query _GESDD_LWORK) and _SYEVD, behind every SVD and symmetric eigensolve
-of the package, core._POCON and _TRTRS, and inequalities._SYGST.
+returns.  _load_flapack() loads that extension from its file, located
+through scipy's import spec, and runs the package init of neither scipy nor
+scipy.linalg: the extension's RPATH ($ORIGIN/../../scipy.libs) finds the
+OpenBLAS library it links on its own.  scipy.linalg's init, with the
+array-API layer it pulls in, costs more than half of a cold CLI start.
+The handles are linalg._GEHRD, which reduces a skew matrix to its
+Hessenberg band for both the spectrum alone (_skew_spectrum) and
+_skew_canonical, linalg._ORGHR, which only _skew_canonical needs to form
+its basis, linalg._GESDD (with its workspace query _GESDD_LWORK) and
+_SYEVD, behind every SVD and symmetric eigensolve of the package,
+core._POCON and _TRTRS, and inequalities._SYGST.
 
 _svd and _eigh are numpy.linalg.svd and numpy.linalg.eigh without numpy's
 wrapper, which at the package's small sizes costs more than LAPACK does:
@@ -46,7 +48,6 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 from .errors import ValidationError, _contract, _lapack
 
@@ -56,16 +57,22 @@ INTERSECT_COS_TOL = 1e-8
 
 
 def _load_flapack():
-    """scipy.linalg._flapack, loaded from its file without scipy.linalg.
+    """scipy.linalg._flapack, loaded from its file without importing scipy.
 
-    The module is registered under its own name, so a later
-    ``import scipy.linalg`` reuses this module object.  A scipy install
-    without the file raises ImportError naming the paths looked for.
+    The folder comes from scipy's import spec.  No package init is needed:
+    the extension's RPATH, $ORIGIN/../../scipy.libs, finds the OpenBLAS
+    library it links.  The module is registered under its own name, so a
+    later ``import scipy.linalg`` reuses this module object.  Without scipy
+    the error is the ModuleNotFoundError of ``import scipy``, and a scipy
+    install without the file raises ImportError naming the paths looked for.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    folder = os.path.join(scipy.__path__[0], "linalg")
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    folder = os.path.join(spec.submodule_search_locations[0], "linalg")
     paths = [os.path.join(folder, "_flapack" + suffix)
              for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((p for p in paths if os.path.isfile(p)), None)

@@ -113,6 +113,16 @@ def test_verify_small_run_writes_report(tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert report["overall"]["passed"]
     assert report["config"]["master_seed"] == 5
+    assert report["config"]["tol"] == sympspec.harness.DEFAULT_TOL
+
+
+def test_verify_refuses_an_unknown_suite_and_lists_the_valid_ids(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "nope"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "'nope'" in err
+    assert all(sid in err for sid in sympspec.harness.SUITE_IDS)
 
 
 def test_verify_seed_defaults_to_zero():

@@ -1,5 +1,6 @@
 """Dense linear-algebra helpers against hand-computed cases."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -35,6 +36,7 @@ import sys
 import numpy as np
 import sympspec.cli
 assert "scipy.linalg" not in sys.modules, "importing the CLI loaded scipy.linalg"
+assert "scipy" not in sys.modules, "importing the CLI loaded scipy"
 import scipy.linalg
 from sympspec import core, inequalities, linalg
 handles = {"gehrd": linalg._GEHRD, "orghr": linalg._ORGHR, "gesdd": linalg._GESDD,
@@ -75,9 +77,49 @@ def test_scipy_linalg_flapack_attribute_is_set_after_random_symplectic():
     _run_fresh(_FLAPACK_ATTRIBUTE)
 
 
+# Each command loads only the modules it runs: the spectra commands none of
+# the verification layers, the thread pool or top-level scipy, and mean
+# the inequalities module alone on top of those.
+_COMMAND_IMPORTS = """
+import os, sys
+import numpy as np
+os.chdir({work!r})
+from sympspec.cli import main
+from sympspec.matio import save_matrix
+save_matrix(np.diag([1.0, 2.0, 3.0, 4.0]), "a.json")
+save_matrix(np.diag([2.0, 1.0, 5.0, 3.0]), "b.json")
+save_matrix(np.eye(4)[:, [0, 2]], "t.json")
+commands = [["eig", "a.json", "--method", m] for m in ("skew-canonical", "ja-eigen", "williamson")]
+commands += [["williamson", "a.json", "dec.json"], ["compress", "a.json", "t.json"], ["repro"]]
+for argv in commands:
+    assert main(argv) == 0, argv
+absent = ["sympspec." + m for m in ("harness", "extremal", "basis", "inequalities", "functionals")]
+absent += ["concurrent.futures", "scipy"]
+loaded = [m for m in absent if m in sys.modules]
+assert not loaded, loaded
+before = set(sys.modules)
+assert main(["mean", "a.json", "b.json"]) == 0
+added = {{m for m in set(sys.modules) - before if m in absent or m.startswith("sympspec.")}}
+assert added == {{"sympspec.inequalities"}}, added
+assert main(["verify", "--suite", "lidskii-add", "--trials", "2", "--report", "r.json"]) == 0
+assert main(["verify", "--replay", "r.json:lidskii-add:1"]) == 0
+"""
+
+
+def test_each_cli_command_loads_only_what_it_runs(tmp_path):
+    _run_fresh(_COMMAND_IMPORTS.format(work=str(tmp_path)))
+
+
+def test_a_missing_scipy_is_the_error_of_importing_it(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ModuleNotFoundError, match="No module named 'scipy'"):
+        linalg._load_flapack()
+
+
 def test_a_missing_lapack_extension_names_the_paths_looked_for(monkeypatch, tmp_path):
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    monkeypatch.setattr(scipy.__spec__, "submodule_search_locations", [str(tmp_path)])
     with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg" / "_flapack"))):
         linalg._load_flapack()
 

@@ -13,6 +13,8 @@ import sympspec
 
 
 def test_all_lists_exactly_the_public_names():
+    for name in sympspec.__all__:
+        getattr(sympspec, name)
     bound = {
         name for name, value in vars(sympspec).items()
         if not name.startswith("_") and not inspect.ismodule(value)
@@ -21,6 +23,22 @@ def test_all_lists_exactly_the_public_names():
     assert set(sympspec.__all__) == bound | {"__version__"}
     for name in sympspec.__all__:
         assert getattr(sympspec, name) is not None
+
+
+def test_each_lazy_export_is_its_submodule_attribute():
+    # The hook is called directly as well, since names and submodules the
+    # suite has already imported are package globals and bypass it.
+    for module in sympspec._EXPORTS:
+        assert sympspec.__getattr__(module) is getattr(sympspec, module)
+    for name, module in sympspec._SOURCE.items():
+        value = getattr(getattr(sympspec, module), name)
+        assert getattr(sympspec, name) is value
+        assert sympspec.__getattr__(name) is value
+    namespace = {}
+    exec("from sympspec import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(sympspec.__all__)
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        sympspec.no_such_name
 
 
 # Helpers that nothing in the package calls, kept for the acceptance tests.
@@ -38,7 +56,9 @@ def test_every_definition_is_used_or_exported():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    assert defined - used - set(sympspec.__all__) == TEST_HELPERS
+    # The package's lazy exports go through the module-level protocol hook
+    # __getattr__, which Python calls and no code names.
+    assert defined - used - set(sympspec.__all__) - {"__getattr__"} == TEST_HELPERS
 
 
 @pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
