@@ -38,7 +38,12 @@ from .core import (
     williamson,
 )
 from .errors import ConstructionError, NumericalContractError, ValidationError, _lapack
-from .inequalities import _check_index_set, schur_concave_monotone_check, supermajorize
+from .inequalities import (
+    _check_counts,
+    _check_index_set,
+    schur_concave_monotone_check,
+    supermajorize,
+)
 from .linalg import _eigh, _svd, fnorm, orthonormal_columns, subspace_intersect
 
 PAIR_FLOOR = 1e-6
@@ -211,14 +216,6 @@ def _finish(name, claimed, slacks, *, sampled_min=None, witness_max=None,
                                n_skipped, passed)
 
 
-def _check_counts(**counts):
-    """Refuse a chain, subspace or sample count below 1: with none drawn,
-    a side of the certificate would pass unchecked."""
-    for name, count in counts.items():
-        if count < 1:
-            raise ValidationError(f"{name} must be at least 1, got {count}")
-
-
 def _eigen_frame(a, index_set):
     """(d, basis, idx, vchain, wchain): the Williamson spectrum and
     eigenbasis of A, the validated index set and its canonical chains."""
@@ -349,7 +346,9 @@ def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
     supermajorized by the half-trace vector of the increasing-chain side,
     whose entries are capped by the selected eigenvalues, so phi stays
     below the claim.  With validate_phi, phi first passes a 120-draw
-    audit of the properties the claim needs.
+    audit of the properties the claim needs; the audit evaluates phi.fn
+    on batches, so fn must map shape (..., n) to shape (...), and a fn
+    that does not is refused with a ValidationError.
     """
     _check_counts(n_chains=n_chains)
     rng = as_generator(rng)

@@ -1,14 +1,18 @@
 """Symmetric functionals of positive vectors used in extremal checks.
 
-A functional is a name and a callable.  The Schur concavity,
-monotonicity and permutation invariance that the extremal certificate
-needs are not declared here: phi_extremal_check audits them with
-schur_concave_monotone_check and refuses a functional that fails.
+A functional is a name and a callable fn that reduces the last axis:
+it maps an array of shape (..., n) to one value per vector, an array
+of shape (...).  The Schur concavity, monotonicity and permutation
+invariance that the extremal certificate needs are not declared here:
+phi_extremal_check audits them with schur_concave_monotone_check,
+which evaluates fn on whole batches of vectors, and refuses a
+functional that fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -16,33 +20,42 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SpectralFunctional:
+    """A named functional; fn maps shape (..., n) to shape (...).
+
+    Calling the functional evaluates fn on one vector and returns a
+    float.  The audit calls fn on stacks of vectors and refuses a fn
+    whose result does not hold one value per vector.
+    """
+
     name: str
-    fn: Callable[[np.ndarray], float]
+    fn: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, x):
         return float(self.fn(np.asarray(x, dtype=float)))
 
 
 def elementary_symmetric(x, r):
-    """Elementary symmetric polynomial e_r via the stable descending recurrence."""
+    """Elementary symmetric polynomial e_r of each vector along the last
+    axis, via the stable descending recurrence.
+
+    The recurrence runs over x[..., i] in order, so a vector's value has
+    the same bits alone as in a batch; e_r is 0 when r exceeds n.
+    """
     x = np.asarray(x, dtype=float)
-    if r < 0:
-        raise ValueError(f"order must be nonnegative, got {r}")
-    if r == 0:
-        return 1.0
-    if r > x.size:
-        return 0.0
-    e = np.zeros(r + 1)
+    if not isinstance(r, Integral) or r < 0:
+        raise ValueError(f"order must be a nonnegative integer, got {r!r}")
+    e = np.zeros((r + 1,) + x.shape[:-1])
     e[0] = 1.0
-    for i, xi in enumerate(x):
+    for i in range(x.shape[-1]):
+        xi = x[..., i]
         for j in range(min(r, i + 1), 0, -1):
             e[j] += xi * e[j - 1]
-    return float(e[r])
+    return e[r]
 
 
-phi_sum = SpectralFunctional("sum", np.sum)
-phi_product = SpectralFunctional("product", np.prod)
-phi_min = SpectralFunctional("min", np.min)
+phi_sum = SpectralFunctional("sum", lambda x: np.sum(x, axis=-1))
+phi_product = SpectralFunctional("product", lambda x: np.prod(x, axis=-1))
+phi_min = SpectralFunctional("min", lambda x: np.min(x, axis=-1))
 phi_esym2 = SpectralFunctional("esym2", lambda x: elementary_symmetric(x, 2))
 
 SHIPPED = (phi_sum, phi_product, phi_min, phi_esym2)

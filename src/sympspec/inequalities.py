@@ -10,6 +10,7 @@ is serialized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -65,34 +66,59 @@ def majorize(a, b, atol=0.0):
     return gap <= max(atol, 1e-12 * max(1.0, abs(float(np.sum(a)))))
 
 
+def _draw_shape(n):
+    """(n,) for an int n, else the (rows, n) shape itself."""
+    return (n,) if isinstance(n, Integral) else tuple(n)
+
+
 def random_majorization_pair(n, rng):
     """(a, b) with a majorized by b: a is b averaged over permutations.
 
-    permuted draws the k permutations in turn, as k permutation calls
-    would, and cumsum adds the weighted rows in order, as a running sum
-    would; a pairwise sum would round differently.
+    n is a length or a (rows, n) shape, for one independent pair per
+    row.  permuted draws the k permutations in turn, as k permutation
+    calls would, and cumsum adds the weighted rows in order, as a
+    running sum would; a pairwise sum would round differently.
     """
-    b = rng.uniform(0.1, 3.0, size=n)
-    weights = rng.dirichlet(np.ones(max(2, n)))
-    perms = rng.permuted(np.broadcast_to(b, (weights.size, n)), axis=1)
-    return np.cumsum(weights[:, None] * perms, axis=0)[-1], b
+    shape = _draw_shape(n)
+    b = rng.uniform(0.1, 3.0, size=shape)
+    weights = rng.dirichlet(np.ones(max(2, shape[-1])), size=shape[:-1])
+    perms = rng.permuted(
+        np.broadcast_to(b[..., None, :], weights.shape + shape[-1:]), axis=-1
+    )
+    return np.cumsum(weights[..., None] * perms, axis=-2)[..., -1, :], b
 
 
 def random_supermajorization_pair(n, rng):
     """(a, b) with a supermajorizing b, not necessarily equal sums.
 
     Averaging raises every ascending partial sum, so the averaged
-    vector plus a nonnegative lift dominates the original.
+    vector plus a nonnegative lift dominates the original.  n is a
+    length or a (rows, n) shape.
     """
     averaged, original = random_majorization_pair(n, rng)
-    lift = rng.uniform(0.0, 0.5, size=n)
+    lift = rng.uniform(0.0, 0.5, size=_draw_shape(n))
     return averaged + lift, original
 
 
 def random_dominated_pair(n, rng):
-    """(a, b) with a >= b elementwise after ascending sort."""
-    b = np.sort(rng.uniform(0.1, 3.0, size=n))
-    return b + rng.uniform(0.0, 1.0, size=n), b
+    """(a, b) with a >= b elementwise after ascending sort; n is a
+    length or a (rows, n) shape."""
+    shape = _draw_shape(n)
+    b = np.sort(rng.uniform(0.1, 3.0, size=shape), axis=-1)
+    return b + rng.uniform(0.0, 1.0, size=shape), b
+
+
+def _check_counts(**counts):
+    """Refuse a trial, chain, subspace or sample count below 1: with
+    none drawn, a check would pass unchecked."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ValidationError(f"{name} must be at least 1, got {count}")
+
+
+# The properties schur_concave_monotone_check draws a batch of pairs for.
+_AUDIT_KINDS = ("schur-concavity", "monotonicity", "permutation-invariance",
+                "supermajorization-conclusion")
 
 
 @dataclass
@@ -107,43 +133,40 @@ def schur_concave_monotone_check(phi, trials=200, rng=None):
     Checks Schur concavity (majorization reverses under phi), weak
     monotonicity, permutation invariance, and the composite conclusion
     phi(a) >= phi(b) whenever a supermajorizes b with a, b positive and
-    sorted ascending.  Any violation is recorded with its instance.
+    sorted ascending.  Each trial draws a length in 2..6; the pairs of
+    one length are drawn as batches and phi.fn is called once on their
+    stack, so it must map shape (..., n) to shape (...) and is refused
+    otherwise.  Any violation is recorded with its instance.
     """
+    _check_counts(trials=trials)
     rng = as_generator(rng)
     result = PhiCheckResult(ok=True)
-
-    def record(kind, a, b, va, vb):
-        result.ok = False
-        result.counterexamples.append(
-            {"kind": kind, "a": list(map(float, a)), "b": list(map(float, b)),
-             "phi_a": va, "phi_b": vb}
-        )
-
-    for _ in range(trials):
-        n = int(rng.integers(2, 7))
-        scale = lambda x: 1e-10 * max(1.0, abs(x))
-
-        a, b = random_majorization_pair(n, rng)
-        va, vb = phi(a), phi(b)
-        if va < vb - scale(vb):
-            record("schur-concavity", a, b, va, vb)
-
-        hi, lo = random_dominated_pair(n, rng)
-        vhi, vlo = phi(hi), phi(lo)
-        if vhi < vlo - scale(vlo):
-            record("monotonicity", hi, lo, vhi, vlo)
-
-        x = rng.uniform(0.1, 3.0, size=n)
-        px = rng.permutation(x)
-        vx, vp = phi(x), phi(px)
-        if abs(vx - vp) > scale(vx):
-            record("permutation-invariance", x, px, vx, vp)
-
-        up, down = random_supermajorization_pair(n, rng)
-        vu, vd = phi(up), phi(down)
-        if vu < vd - scale(vd):
-            record("supermajorization-conclusion", up, down, vu, vd)
-
+    sizes, rows = np.unique(rng.integers(2, 7, size=trials), return_counts=True)
+    for n, m in zip(sizes.tolist(), rows.tolist()):
+        shape = (m, n)
+        majorized = random_majorization_pair(shape, rng)
+        dominated = random_dominated_pair(shape, rng)
+        x = rng.uniform(0.1, 3.0, size=shape)
+        permuted = (x, rng.permuted(x, axis=-1))
+        supermajorized = random_supermajorization_pair(shape, rng)
+        stack = np.array([majorized, dominated, permuted, supermajorized])
+        values = np.asarray(phi.fn(stack), dtype=float)
+        if values.shape != stack.shape[:-1]:
+            raise ValidationError(
+                f"functional {phi.name!r} must reduce the last axis: "
+                f"a batch of shape {stack.shape} gave shape {values.shape}"
+            )
+        for kind, (a, b), (va, vb) in zip(_AUDIT_KINDS, stack, values):
+            if kind == "permutation-invariance":
+                bad = np.abs(va - vb) > 1e-10 * np.maximum(1.0, np.abs(va))
+            else:
+                bad = va < vb - 1e-10 * np.maximum(1.0, np.abs(vb))
+            for i in np.flatnonzero(bad):
+                result.ok = False
+                result.counterexamples.append(
+                    {"kind": kind, "a": a[i].tolist(), "b": b[i].tolist(),
+                     "phi_a": float(va[i]), "phi_b": float(vb[i])}
+                )
     return result
 
 

@@ -259,9 +259,16 @@ def test_phi_extremal_sum_matches_wielandt_claim():
 
 def test_phi_extremal_rejects_functional_that_fails_audit():
     a, _, _ = _instance(2, 12)
-    liar = SpectralFunctional("max", np.max)  # Schur-convex: fails the audit
-    with pytest.raises(ValidationError):
+    # Schur-convex: fails the audit.
+    liar = SpectralFunctional("max", lambda x: np.max(x, axis=-1))
+    with pytest.raises(ValidationError, match="schur-concavity"):
         phi_extremal_check(a, np.array([1]), liar, rng=RNG)
+
+
+def test_phi_extremal_refuses_a_functional_that_reduces_the_whole_batch():
+    a, _, _ = _instance(2, 12)
+    with pytest.raises(ValidationError, match="'max'.*last axis"):
+        phi_extremal_check(a, np.array([1]), SpectralFunctional("max", np.max), rng=RNG)
 
 
 def test_phi_extremal_counts_every_refused_chain(monkeypatch):

@@ -38,8 +38,10 @@ def test_elementary_symmetric_edge_orders():
     assert elementary_symmetric(x, 1) == 7.0
     assert elementary_symmetric(x, 2) == 10.0
     assert elementary_symmetric(x, 3) == 0.0
-    with pytest.raises(ValueError):
-        elementary_symmetric(x, -1)
+    for order in (-1, 1.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            elementary_symmetric(x, order)
+    assert elementary_symmetric(x, np.int64(2)) == 10.0
 
 
 @given(VALUES, st.integers(min_value=1, max_value=4))
@@ -66,3 +68,24 @@ def test_custom_functional_call_casts_to_float():
     phi = SpectralFunctional("range", lambda v: np.max(v) - np.min(v))
     out = phi([1, 4])
     assert isinstance(out, float) and out == 3.0
+
+
+def _scalar_esym(x, r):
+    # Reference: the recurrence one scalar at a time.
+    e = [1.0] + [0.0] * r
+    for i, xi in enumerate(x):
+        for j in range(min(r, i + 1), 0, -1):
+            e[j] += xi * e[j - 1]
+    return e[r]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_shipped_functionals_on_a_batch_match_single_vectors_bit_for_bit(n):
+    batch = np.random.default_rng(n).uniform(0.1, 3.0, size=(500, n))
+    for phi in SHIPPED:
+        values = phi.fn(batch)
+        assert values.shape == (500,)
+        assert all(v == phi(x) for v, x in zip(values, batch)), phi.name
+    assert all(phi_esym2(x) == _scalar_esym(x.tolist(), 2) for x in batch)
+    if n < 2:
+        assert np.array_equal(phi_esym2.fn(batch), np.zeros(500))

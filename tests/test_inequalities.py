@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sympspec import inequalities, linalg
 from sympspec.core import random_pd, symplectic_eigenvalues
 from sympspec.errors import NumericalContractError, ValidationError
-from sympspec.functionals import SHIPPED
+from sympspec.functionals import SHIPPED, SpectralFunctional
 from sympspec.inequalities import (
     additive_lidskii_trial,
     additive_trial_records,
@@ -164,12 +164,50 @@ def test_schur_concave_audit_accepts_shipped_set():
 
 
 def test_schur_concave_audit_rejects_schur_convex():
-    from sympspec.functionals import SpectralFunctional
-
-    bad = SpectralFunctional("max", np.max)
+    bad = SpectralFunctional("max", lambda x: np.max(x, axis=-1))
     result = schur_concave_monotone_check(bad, trials=150, rng=np.random.default_rng(7))
     assert not result.ok
     assert any(c["kind"] == "schur-concavity" for c in result.counterexamples)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_schur_concave_audit_refuses_no_draws(trials):
+    phi = SpectralFunctional("max", lambda x: np.max(x, axis=-1))
+    with pytest.raises(ValidationError, match="trials must be at least 1"):
+        schur_concave_monotone_check(phi, trials=trials, rng=np.random.default_rng(7))
+
+
+def test_schur_concave_audit_refuses_a_whole_array_reducer():
+    # np.max without an axis gives one value for the whole batch.
+    with pytest.raises(ValidationError, match="'max'.*last axis"):
+        schur_concave_monotone_check(SpectralFunctional("max", np.max), trials=10)
+
+
+def test_schur_concave_audit_calls_the_functional_once_per_size():
+    # Four properties at five sizes bound the calls; a per-vector loop
+    # would make 8 per draw.
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return np.sum(x, axis=-1)
+
+    phi = SpectralFunctional("sum", counted)
+    result = schur_concave_monotone_check(phi, trials=150, rng=np.random.default_rng(7))
+    assert result.ok
+    assert 1 <= len(calls) <= 4 * 5
+
+
+@pytest.mark.parametrize("sampler", [
+    random_majorization_pair, random_supermajorization_pair, random_dominated_pair,
+])
+def test_batched_pairs_hold_row_by_row(sampler):
+    rng = np.random.default_rng(11)
+    for n in range(1, 8):
+        a, b = sampler((40, n), rng)
+        assert a.shape == b.shape == (40, n)
+        for x, y in zip(a, b):
+            assert supermajorize(x, y, atol=1e-12 * n * float(np.max(y)))
 
 
 def test_make_record_orientations():
