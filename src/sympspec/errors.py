@@ -21,7 +21,7 @@ class NumericalContractError(RuntimeError):
 
 
 class ConstructionError(RuntimeError):
-    """A randomized construction failed after exhausting its retries."""
+    """A randomized construction drew from an empty space or ran out of retries."""
 
 
 def _contract(name, value, bound, detail=""):

@@ -99,35 +99,28 @@ def _sample_tuple(bases, rng):
     given by orthonormal bases that are used as they stand.
 
     Returns (x, y) with columns (x_j, y_j) in bases[j], <x_i, J x_j> =
-    <y_i, J y_j> = 0 and <x_i, J y_j> = delta_ij.  Pairs are drawn
-    greedily from the smallest space outward, each restricted to the
-    skew complement of the pairs already chosen; draws whose pairing
-    product falls under PAIR_FLOOR are rejected and retried.
+    <y_i, J y_j> = 0 and <x_i, J y_j> = delta_ij.  Pairs are drawn from
+    the smallest space outward, pair j in the part f of the j-th basis
+    skew-orthogonal to the k - j pairs drawn before.  On the chain of an
+    index set i_1 < ... < i_k in [1, n] that basis spans 2n - i_j + 1
+    dimensions and i_j <= n - (k - j), so dim f >= n - (k - j) + 1 >= 2.
+    A partner pairing under PAIR_FLOOR is redrawn, SAMPLE_RETRIES such
+    draws restart the whole tuple, and SAMPLE_RETRIES restarts raise.
     """
     k = len(bases)
     dim = bases[0].shape[0]
     for _ in range(SAMPLE_RETRIES):
         chosen = np.zeros((dim, 0))
         xs, ys = [], []
-        ok = True
         for j in range(k - 1, -1, -1):
             f = _constrained_subspace(bases[j], chosen)
-            if f.shape[1] < 2:
-                ok = False
-                break
             x = _unit_in(f, rng)
-            s = 0.0
             for _ in range(SAMPLE_RETRIES):
-                z = f @ rng.standard_normal(f.shape[1])
-                nz = fnorm(z)
-                if nz <= 1e-12:
-                    continue
-                z /= nz
+                z = _unit_in(f, rng)
                 s = symplectic_inner(x, z)
                 if abs(s) >= PAIR_FLOOR:
                     break
             if abs(s) < PAIR_FLOOR:
-                ok = False
                 break
             y = z / s
             # Rescaling (x, y) -> (t x, y / t) keeps the pairing; balance
@@ -137,12 +130,10 @@ def _sample_tuple(bases, rng):
             chosen = np.hstack([chosen, x[:, None], y[:, None]])
             xs.append(x)
             ys.append(y)
-        if not ok:
+        if len(xs) < k:
             continue
-        xs.reverse()
-        ys.reverse()
-        x_set = np.column_stack(xs)
-        y_set = np.column_stack(ys)
+        x_set = np.column_stack(xs[::-1])
+        y_set = np.column_stack(ys[::-1])
         if tuple_form_defect(x_set, y_set) <= TUPLE_TOL:
             return x_set, y_set
     raise ConstructionError("failed to sample a normalized tuple in the chain")

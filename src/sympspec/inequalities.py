@@ -221,9 +221,13 @@ def _index_set(n, rng, cap=None):
 
 
 def _check_index_set(index_set, n):
-    """The index set as an int array, refused unless it is 1-D and
-    strictly increasing within [1, n]."""
-    idx = np.asarray(index_set, dtype=int)
+    """The index set as an int array, refused unless it holds integers
+    (a cast would truncate 2.7 and read "2" and True as numbers) and is
+    1-D and strictly increasing within [1, n]."""
+    idx = np.asarray(index_set)
+    if idx.dtype.kind not in "iu":
+        raise ValidationError(f"index set must hold integers, got {index_set!r}")
+    idx = idx.astype(int)
     if (idx.ndim != 1 or not 1 <= idx.size <= n or idx[0] < 1 or idx[-1] > n
             or np.any(np.diff(idx) <= 0)):
         raise ValidationError(

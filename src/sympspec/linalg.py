@@ -64,26 +64,22 @@ def _load_flapack():
     library it links.  The module is registered under its own name, so a
     later ``import scipy.linalg`` reuses this module object.  Without scipy
     the error is the ModuleNotFoundError of ``import scipy``, and a scipy
-    install without the file raises ImportError naming the paths looked for.
+    install without the file raises ImportError naming the path looked for.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    spec = importlib.util.find_spec("scipy")
-    if spec is None:
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
         raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
-    folder = os.path.join(spec.submodule_search_locations[0], "linalg")
-    paths = [os.path.join(folder, "_flapack" + suffix)
-             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-    path = next((p for p in paths if os.path.isfile(p)), None)
-    if path is None:
-        raise ImportError(f"scipy's LAPACK extension not found; looked for {paths}",
-                          name=name)
-    loader = importlib.machinery.ExtensionFileLoader(name, path)
-    module = importlib.util.module_from_spec(
-        importlib.util.spec_from_file_location(name, path, loader=loader))
+    folder = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+    spec = importlib.machinery.PathFinder.find_spec(name, [folder])
+    if spec is None:
+        raise ImportError("scipy's LAPACK extension not found; looked for "
+                          + os.path.join(folder, "_flapack"), name=name)
+    module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
-    loader.exec_module(module)
+    spec.loader.exec_module(module)
     return module
 
 

@@ -1,6 +1,8 @@
 """Basis coordinates, the prime map, sharp subspaces, the dual-chain
 construction and the trace identity it feeds."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from sympspec.basis import (
     _nested,
     _sharp_residual,
     _sharp_std,
+    _unit_in,
     dual_chain_construct,
     prime_coords,
     same_span_trace_check,
@@ -25,7 +28,7 @@ from sympspec.core import (
     tuple_form_defect,
     williamson,
 )
-from sympspec.errors import NumericalContractError, ValidationError
+from sympspec.errors import ConstructionError, NumericalContractError, ValidationError
 from sympspec.extremal import random_orthogonal
 from sympspec.linalg import (
     INTERSECT_COS_TOL,
@@ -210,6 +213,47 @@ def test_dual_chain_refuses_tuples_with_different_spans(monkeypatch):
 
     with pytest.raises(NumericalContractError, match="constructed spans differ"):
         _corrupted_construction(monkeypatch, other_span)
+
+
+def test_dual_chain_refuses_a_stray_column_in_the_replacement_slot(monkeypatch):
+    # The slot that the chain extension leaves beside the earlier pairs is
+    # a plane.  A third column, taken from the span of those pairs, puts
+    # the replacement w-vector off them, which only the final certificate
+    # of the tuple catches.  _constrained_subspace's own null space calls
+    # are left alone.
+    rng = np.random.default_rng(23)
+    n = 3
+    vq, wq = random_orthogonal(2 * n, rng), random_orthogonal(2 * n, rng)
+    vchain = [vq[:, : n + i] for i in (1, 2)]
+    wchain = [wq[:, : 2 * n - i + 1] for i in (1, 2)]
+    basis = SymplecticBasis.standard(n)
+    dual_chain_construct(vchain, wchain, basis, np.random.default_rng(0))
+    real = sympspec.basis.null_space_basis
+
+    def stray(m):
+        ns = real(m)
+        if sys._getframe(1).f_code.co_name == "_chain_extend_std":
+            ns = np.hstack([ns, real(ns.T)[:, :1]])
+        return ns
+
+    monkeypatch.setattr(sympspec.basis, "null_space_basis", stray)
+    with pytest.raises(NumericalContractError, match="constructed tuple defects"):
+        dual_chain_construct(vchain, wchain, basis, np.random.default_rng(0))
+
+
+def test_unit_in_draws_once_and_refuses_an_empty_space():
+    # g has orthonormal columns, as every caller's does, so one draw c
+    # gives ||g c|| = ||c|| > 0 and needs no redraw.
+    g = random_orthogonal(5, RNG)[:, :3]
+    ref = np.random.default_rng(4)
+    c = ref.standard_normal(3)
+    rng = np.random.default_rng(4)
+    x = _unit_in(g, rng)
+    assert np.array_equal(x, g @ c / fnorm(g @ c))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    with pytest.raises(ConstructionError, match="feasible subspace is empty"):
+        _unit_in(np.zeros((4, 0)), rng)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_dual_chain_rejects_mismatched_dimensions():

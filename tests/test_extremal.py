@@ -20,6 +20,8 @@ from sympspec.core import (
 )
 from sympspec.errors import ConstructionError, NumericalContractError, ValidationError
 from sympspec.extremal import (
+    PAIR_FLOOR,
+    SAMPLE_RETRIES,
     _finish,
     _sample_tuple,
     canonical_chains,
@@ -33,6 +35,7 @@ from sympspec.extremal import (
     wielandt_certify,
 )
 from sympspec.functionals import SHIPPED, SpectralFunctional, phi_sum
+from sympspec.inequalities import additive_lidskii_trial
 from sympspec.linalg import orthonormal_columns, span_residual, subspace_intersect
 
 RNG = np.random.default_rng(505)
@@ -84,6 +87,80 @@ def test_sample_tuple_in_chain_properties():
         for j in range(len(wchain)):
             assert span_residual(wchain[j], x[:, j]) <= 1e-8
             assert span_residual(wchain[j], y[:, j]) <= 1e-8
+
+
+def _sample_tuple_with_pairings(monkeypatch, pairing):
+    """_sample_tuple on a two-pair chain in R^6 (index set {1, 2}, so the
+    bases span 6 and 5 dimensions) with each pairing <x, J z> of a
+    partner draw z replaced by pairing(call number, true pairing), and
+    the number of pairings asked for."""
+    calls = []
+
+    def patched(x, z):
+        calls.append(None)
+        return pairing(len(calls), symplectic_inner(x, z))
+
+    monkeypatch.setattr(sympspec.extremal, "symplectic_inner", patched)
+    bases = random_decreasing_chain(6, [6, 5], np.random.default_rng(8))
+    return bases, calls
+
+
+def test_sample_tuple_restarts_the_whole_tuple_after_a_run_of_degenerate_partners(monkeypatch):
+    # The first pair pairs at once; then every partner of the second pair
+    # falls under PAIR_FLOOR.  The whole tuple restarts, and the result is
+    # the tuple an undisturbed call draws once the failed attempt's normals
+    # are used up: the first pair's x and partner in its 5-space, then x
+    # and SAMPLE_RETRIES partners in the 4-space the first pair leaves.
+    bases, calls = _sample_tuple_with_pairings(
+        monkeypatch, lambda i, s: 0.0 if 2 <= i <= SAMPLE_RETRIES + 1 else s)
+    x, y = _sample_tuple(bases, np.random.default_rng(1))
+    assert len(calls) == SAMPLE_RETRIES + 3
+    monkeypatch.undo()
+    rng = np.random.default_rng(1)
+    rng.standard_normal(2 * 5 + (1 + SAMPLE_RETRIES) * 4)
+    x_ref, y_ref = _sample_tuple(bases, rng)
+    assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
+    assert tuple_form_defect(x, y) <= 1e-8
+
+
+def test_sample_tuple_raises_when_every_restart_fails(monkeypatch):
+    # Every pairing sits just under the floor, so each restart ends at the
+    # first pair's last partner draw.
+    bases, calls = _sample_tuple_with_pairings(monkeypatch, lambda i, s: 0.5 * PAIR_FLOOR)
+    with pytest.raises(ConstructionError, match="failed to sample a normalized tuple"):
+        _sample_tuple(bases, np.random.default_rng(1))
+    assert len(calls) == SAMPLE_RETRIES * SAMPLE_RETRIES
+
+
+# A cast to int would truncate 1.5 and 2.9 to a valid index set and read
+# "2" and True as 2 and 1; every entry point that takes an index set
+# refuses them instead.  maxmin_check takes its one index as k.
+_INDEX_SET_ENTRY_POINTS = {
+    "maxmin": lambda a, idx: maxmin_check(a, idx[0], n_subspaces=1),
+    "wielandt": lambda a, idx: wielandt_certify(a, idx, n_chains=1, samples=1),
+    "phi-extremal": lambda a, idx: phi_extremal_check(a, idx, phi_sum, n_chains=1,
+                                                      validate_phi=False),
+    "det-product": det_product_check,
+    "additive-lidskii": lambda a, idx: additive_lidskii_trial(a, a, idx),
+}
+
+
+@pytest.mark.parametrize("index_set", [[1.5, 2.9], [2.7], ["2"], [True]],
+                         ids=["floats", "float", "string", "bool"])
+@pytest.mark.parametrize("entry", list(_INDEX_SET_ENTRY_POINTS.values()),
+                         ids=list(_INDEX_SET_ENTRY_POINTS))
+def test_entry_points_refuse_index_sets_that_are_not_integers(entry, index_set):
+    a, _, _ = _instance(3, 4)
+    with pytest.raises(ValidationError, match="index set must hold integers"):
+        entry(a, index_set)
+
+
+def test_unsigned_index_sets_are_read_as_signed():
+    # In uint8, 1 - 3 wraps to 254 and would pass the increasing test.
+    a, _, _ = _instance(3, 4)
+    assert det_product_check(a, np.array([1, 3], dtype=np.uint8)).passed
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        det_product_check(a, np.array([3, 1], dtype=np.uint8))
 
 
 def test_sampled_floor_orthonormalises_each_chain_subspace_once(monkeypatch):

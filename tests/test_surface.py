@@ -1,6 +1,7 @@
-"""The package's export list matches what it binds, it defines nothing
-that neither its own code nor its export list uses, its version has one
-source, and its numerical contracts raise only through errors.py."""
+"""The package's export list matches what it binds, it defines (as a
+function, class or module-level assignment) nothing that neither its own
+code nor its export list uses, its version has one source, and its
+numerical contracts raise only through errors.py."""
 
 import ast
 import inspect
@@ -45,12 +46,24 @@ def test_each_lazy_export_is_its_submodule_attribute():
 TEST_HELPERS = {"max_principal_angle", "span_residual", "reports_match"}
 
 
+def _module_level_names(tree):
+    """Names a module's top level defines: its functions, classes and
+    assignment targets, dunders such as __all__ left out."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
 def test_every_definition_is_used_or_exported():
     defined, used = set(), set()
     for path in Path(sympspec.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
-        defined |= {node.name for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        defined |= _module_level_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
@@ -91,10 +104,8 @@ def _contract_raises(tree):
 def test_numerical_contracts_raise_only_through_the_helpers():
     # A contract or LAPACK status check written inline would bypass the
     # helpers' policy that NaN fails.  Every SVD and eigensolve reports its
-    # status through _lapack, so no LinAlgError is mapped by hand; the one
-    # slot-dimension check of the chain extension is the exception.
-    allowed = {("errors.py", "_contract"), ("errors.py", "_lapack"),
-               ("basis.py", "_chain_extend_std")}
+    # status through _lapack, so no LinAlgError is mapped by hand.
+    allowed = {("errors.py", "_contract"), ("errors.py", "_lapack")}
     found = set()
     for path in Path(sympspec.__file__).parent.glob("*.py"):
         for func in _contract_raises(ast.parse(path.read_text())):
