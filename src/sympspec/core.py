@@ -10,8 +10,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import sys
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -234,22 +235,67 @@ def as_generator(seed):
     return np.random.default_rng(seed)
 
 
-def random_symplectic(n, rng, spread=2.0):
-    """Random symplectic matrix exp(J H) with H symmetric, ||H|| <= spread."""
-    # Only data generation needs expm, so scipy.linalg is not imported on
-    # the package's import path.  It reuses the _flapack module the package
-    # loaded but does not set it as an attribute, so set it here.
-    import scipy.linalg
+# Row j holds 1/k! for k = 5j, ..., 5j + 4: the coefficients of block j of
+# the degree-24 Taylor sum that _expm evaluates.
+_TAYLOR = np.array([1.0 / math.factorial(k) for k in range(25)]).reshape(5, 5)
 
-    if not hasattr(scipy.linalg, "_flapack"):
-        scipy.linalg._flapack = sys.modules["scipy.linalg._flapack"]
+
+def _expm(x, norm):
+    """exp(x) for a square x with ||x||_2 <= norm, by scaling and squaring.
+
+    After Higham, "The scaling and squaring method for the matrix
+    exponential revisited", SIAM J. Matrix Anal. Appl. 26 (2005): x is
+    scaled by 2^-s to 2-norm at most 2, the degree-24 Taylor sum is taken
+    there and squared s times.  At 2-norm 2 the dropped terms add up to
+    less than 3e-18, below rounding relative to an exp(x) of 2-norm 1 or
+    more, as every symplectic matrix has.  The sum is evaluated as in
+    Paterson and Stockmeyer, SIAM J. Comput. 2 (1973), with eight
+    products: X^2, ..., X^5, then four Horner steps in X^5 over the blocks
+    c_5j I + ... + c_5j+4 X^4, which are one product of _TAYLOR with the
+    stacked powers I, ..., X^4.  Scales x in place.
+    """
+    s = math.ceil(math.log2(norm / 2.0)) if norm > 2.0 else 0
+    if s:
+        x *= 0.5 ** s
+    size = x.shape[0]
+    powers = np.empty((5, size, size))
+    powers[0] = np.eye(size)
+    powers[1] = x
+    for k in (2, 3, 4):
+        np.matmul(powers[k - 1], x, out=powers[k])
+    step = powers[4] @ x
+    blocks = (_TAYLOR @ powers.reshape(5, -1)).reshape(5, size, size)
+    e = blocks[4]
+    for block in blocks[3::-1]:
+        e = e @ step
+        e += block
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
+def _check_n(n):
+    """n as an int, refusing booleans, non-integers and n < 1."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+        raise ValidationError(f"n must be a positive integer, got {n!r}")
+    return int(n)
+
+
+def random_symplectic(n, rng, spread=2.0):
+    """Random symplectic matrix exp(J H) with H symmetric, ||H|| <= spread.
+
+    spread must be finite and non-negative.
+    """
+    n = _check_n(n)
+    if not 0.0 <= spread < math.inf:
+        raise ValidationError(f"spread must be finite and non-negative, got {spread!r}")
     rng = as_generator(rng)
     g = rng.standard_normal((2 * n, 2 * n))
     h = 0.5 * (g + g.T)
     norm = np.linalg.norm(h, 2)
     if norm > spread:
         h *= spread / norm
-    m = scipy.linalg.expm(apply_form(h))
+    m = _expm(apply_form(h), min(norm, spread))
     _contract("symplectic exponential defect",
               fnorm(symplectic_gram(m, m) - symplectic_form(n)), 1e-10 * max(1.0, fnorm(m) ** 2))
     return m
@@ -262,6 +308,7 @@ def random_pd(n, rng, spectrum=None):
     whose symplectic spectrum equals the given positive values (sorted
     ascending), realized through a random symplectic congruence.
     """
+    n = _check_n(n)
     rng = as_generator(rng)
     if spectrum is None:
         r = rng.standard_normal((2 * n, 2 * n))

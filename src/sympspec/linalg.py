@@ -31,12 +31,6 @@ the same routines (dgesdd, and dsyevd reading the lower triangle), with
 the workspace dgesdd's own query asks for, as numpy passes it, and the
 factors returned in C order, as numpy returns them, so that the results
 and every product formed from them match numpy's bit for bit.
-
-A later import of scipy.linalg reuses the loaded module but leaves the
-attribute scipy.linalg._flapack unset.  core.random_symplectic, the one
-function that imports scipy.linalg, sets it; an import of scipy.linalg
-of one's own that runs before random_symplectic still lacks it, while
-``from scipy.linalg import _flapack`` works throughout.
 """
 
 from __future__ import annotations

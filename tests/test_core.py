@@ -1,5 +1,6 @@
 """Form, Williamson decomposition, eigenvalue methods, compression."""
 
+import warnings
 from functools import partial
 
 import mpmath
@@ -335,6 +336,71 @@ def test_random_pd_prescribed_spectrum():
 def test_random_pd_rejects_bad_spectrum():
     with pytest.raises(ValidationError):
         random_pd(2, RNG, spectrum=np.array([1.0, -2.0]))
+
+
+@pytest.mark.parametrize("draw", [random_symplectic, random_pd])
+@pytest.mark.parametrize("n", [0, -1, 2.5, 2.0, True, "2"])
+def test_random_draws_refuse_an_n_that_is_not_a_positive_integer(draw, n):
+    # Size 0 used to return a 0 x 0 matrix (random_pd after a RuntimeWarning
+    # from 0/0), and 2.5 numpy's TypeError; the check runs before any draw.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="n must be a positive integer"):
+            draw(n, 1)
+
+
+@pytest.mark.parametrize("spread", [-1.0, np.nan, np.inf])
+def test_random_symplectic_refuses_a_negative_or_non_finite_spread(spread):
+    # A negative spread flipped the sign of H and a NaN one skipped the scaling.
+    with pytest.raises(ValidationError, match="spread must be finite and non-negative"):
+        random_symplectic(2, 1, spread=spread)
+
+
+def test_random_draws_take_numpy_integers_and_a_zero_spread():
+    assert np.array_equal(random_pd(np.int64(3), 4), random_pd(3, 4))
+    assert np.array_equal(random_symplectic(np.int32(2), 4), random_symplectic(2, 4))
+    assert np.array_equal(random_symplectic(2, 4, spread=0), np.eye(4))
+
+
+def _h_draw(n, seed, spread):
+    """The symmetric H of random_symplectic(n, seed, spread), redrawn."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2 * n, 2 * n))
+    h = 0.5 * (g + g.T)
+    norm = np.linalg.norm(h, 2)
+    if norm > spread:
+        h *= spread / norm
+    return h
+
+
+@pytest.mark.parametrize("spread", [2.0, 6.0])
+def test_random_symplectic_is_scipys_exponential_of_the_same_draw(spread):
+    # The bound leaves room for scipy's own error: on one draw in 3,000 at
+    # spread 6 its expm is 1.6e-13 from a 50-digit reference, where
+    # random_symplectic is 1.2e-16 from it.  These seeds reach 6e-14.
+    for seed in range(10):
+        for n in range(2, 8):
+            m = random_symplectic(n, seed, spread)
+            ref = scipy.linalg.expm(apply_form(_h_draw(n, seed, spread)))
+            assert fnorm(m - ref) <= 1e-13 * fnorm(ref), (seed, n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_random_symplectic_matches_a_50_digit_exponential(n):
+    for seed in range(4):
+        for spread in (2.0, 6.0):
+            m = random_symplectic(n, seed, spread)
+            with mpmath.workdps(50):
+                exact = mpmath.expm(mpmath.matrix(apply_form(_h_draw(n, seed, spread)).tolist()))
+                ref = np.array(exact.tolist(), dtype=float)
+            assert fnorm(m - ref) <= 1e-15 * fnorm(ref), (seed, spread)
+
+
+def test_random_symplectic_certifies_its_exponential(monkeypatch):
+    exact = core._expm
+    monkeypatch.setattr(core, "_expm", lambda x, norm: exact(x, norm) + 1e-6)
+    with pytest.raises(NumericalContractError, match="symplectic exponential defect"):
+        random_symplectic(3, 0)
 
 
 def test_as_generator_accepts_seed_and_generator():

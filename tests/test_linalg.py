@@ -61,25 +61,12 @@ def test_cli_import_skips_scipy_linalg_and_shares_its_lapack_routines():
     _run_fresh(_COLD_IMPORT)
 
 
-# scipy.linalg's package init reuses the registered _flapack module without
-# setting it as an attribute; random_symplectic, which imports scipy.linalg,
-# sets it whichever of the two imports ran first.
-_FLAPACK_ATTRIBUTE = """
-import sys
-import sympspec, scipy.linalg
-from sympspec.core import random_symplectic
-random_symplectic(2, 0)
-assert scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"]
-"""
-
-
-def test_scipy_linalg_flapack_attribute_is_set_after_random_symplectic():
-    _run_fresh(_FLAPACK_ATTRIBUTE)
-
-
 # Each command loads only the modules it runs: the spectra commands none of
 # the verification layers, the thread pool or top-level scipy, and mean
-# the inequalities module alone on top of those.
+# the inequalities module alone on top of those.  No command and no suite,
+# a replayed construction trial (which draws with random_symplectic) and
+# a full default run_all included, imports scipy or scipy.linalg; an
+# import of scipy.linalg afterwards still works.
 _COMMAND_IMPORTS = """
 import os, sys
 import numpy as np
@@ -103,6 +90,18 @@ added = {{m for m in set(sys.modules) - before if m in absent or m.startswith("s
 assert added == {{"sympspec.inequalities"}}, added
 assert main(["verify", "--suite", "lidskii-add", "--trials", "2", "--report", "r.json"]) == 0
 assert main(["verify", "--replay", "r.json:lidskii-add:1"]) == 0
+assert main(["verify", "--suite", "construction", "--trials", "1", "--report", "c.json"]) == 0
+assert main(["verify", "--replay", "c.json:construction:0"]) == 0
+from sympspec.harness import SuiteConfig, run_all
+run_all(SuiteConfig(report_path=None))
+loaded = [m for m in ("scipy.linalg", "scipy") if m in sys.modules]
+assert not loaded, loaded
+import scipy.linalg
+from sympspec.linalg import _GESDD
+assert np.allclose(scipy.linalg.expm(np.diag([0.0, 1.0])), np.diag([1.0, np.e]))
+p, l, u = scipy.linalg.lu(np.array([[1.0, 2.0], [3.0, 4.0]]))
+assert np.allclose(p @ l @ u, [[1.0, 2.0], [3.0, 4.0]])
+assert scipy.linalg.get_lapack_funcs("gesdd", dtype=np.float64) is _GESDD
 """
 
 
