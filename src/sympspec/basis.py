@@ -47,7 +47,9 @@ BASIS_TOL = 1e-8
 
 def prime_coords(a):
     """The prime map in basis coordinates, -J: (alpha, beta) -> (-beta, alpha)."""
-    return -apply_form(a)
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0] // 2
+    return np.concatenate([-a[n:], a[:n]])
 
 
 class SymplecticBasis:
@@ -72,7 +74,7 @@ class SymplecticBasis:
         u, v = cols[:, :n], cols[:, n:]
         # Row i of the top block is (J v_i)^T, so it reads off alpha_i;
         # the bottom block reads off beta_i.  Exact inverse of cols.
-        self._coord = np.vstack([apply_form(v).T, -apply_form(u).T])
+        self._coord = np.concatenate([apply_form(v).T, -apply_form(u).T])
 
     @classmethod
     def standard(cls, n):
@@ -131,7 +133,7 @@ def _off_span(y, g):
 def _sharp_residual(x, g):
     """||[x, x'] - g g^T [x, x']||_F / ||x||, zero exactly when the nonzero
     coordinate vector x lies in sharp(span g); g has orthonormal columns."""
-    return _off_span(np.column_stack([x, prime_coords(x)]), g) / fnorm(x)
+    return _off_span(np.stack([x, prime_coords(x)], axis=1), g) / fnorm(x)
 
 
 def _nested(s, t):
@@ -158,10 +160,10 @@ def same_span_trace_check(a, x_set, v_set, basis, check=True):
         )
     xc = basis.coords(x_set)
     vc = basis.coords(v_set)
-    xa = basis.lift(np.hstack([xc, prime_coords(xc)]))
-    va = basis.lift(np.hstack([vc, prime_coords(vc)]))
-    lhs = float(np.sum(xa * (a @ xa)))
-    rhs = float(np.sum(va * (a @ va)))
+    xa = basis.lift(np.concatenate([xc, prime_coords(xc)], axis=1))
+    va = basis.lift(np.concatenate([vc, prime_coords(vc)], axis=1))
+    lhs = float((xa * (a @ xa)).sum())
+    rhs = float((va * (a @ va)).sum())
     if check:
         _contract("trace equality violated: gap", abs(lhs - rhs), 1e-9 * max(1.0, abs(lhs)),
                   f" (lhs {lhs:.12e}, rhs {rhs:.12e})")
@@ -201,7 +203,7 @@ def _chain_extend_std(chain, ws, rng):
         return v, v[:, None]
 
     u, xs = _chain_extend_std(chain[1:], ws[:, 1:], rng)
-    uspan = np.hstack([ws, prime_coords(ws)])
+    uspan = np.concatenate([ws, prime_coords(ws)], axis=1)
     sharp1 = _sharp_std(chain[0])
     feas = _constrained_subspace(sharp1, uspan)
 
@@ -217,11 +219,11 @@ def _chain_extend_std(chain, ws, rng):
     # v lies in the feasible space, skew-orthogonal to the prime-closed
     # uspan, so the stack is orthonormal and z, its part beside the pairs
     # of xs, a plane; _check_built certifies the tuple this returns.
-    u0 = np.hstack([uspan, v[:, None], prime_coords(v)[:, None]])
-    s = np.hstack([xs, prime_coords(xs)])
+    u0 = np.concatenate([uspan, v[:, None], prime_coords(v)[:, None]], axis=1)
+    s = np.concatenate([xs, prime_coords(xs)], axis=1)
     z = u0 @ null_space_basis(s.T @ u0)
     v1 = _unit_in(z, rng)
-    return v, np.hstack([v1[:, None], xs])
+    return v, np.concatenate([v1[:, None], xs], axis=1)
 
 
 def _dual_chain_std(vchain, wchain, rng):
@@ -237,16 +239,16 @@ def _dual_chain_std(vchain, wchain, rng):
     v, ws_new = _chain_extend_std(s_chain, xs, rng)
     # v is already B-orthogonal to the span of the previous pairs, so
     # this projection only strips rounding noise.
-    pairs = np.hstack([xs, prime_coords(xs)])
+    pairs = np.concatenate([xs, prime_coords(xs)], axis=1)
     vk = v - pairs @ (pairs.T @ v)
     vk /= fnorm(vk)
-    return np.hstack([vs, vk[:, None]]), ws_new
+    return np.concatenate([vs, vk[:, None]], axis=1), ws_new
 
 
 def _check_built(cols, chain):
     """Raise unless cols with its primes is B-orthosymplectic and each
     cols[:, j] lies in sharp(chain[j]); returns the tuple with primes."""
-    full = np.hstack([cols, prime_coords(cols)])
+    full = np.concatenate([cols, prime_coords(cols)], axis=1)
     _contract("constructed tuple defects: orthonormality",
               fnorm(full.T @ full - np.eye(full.shape[1])), BASIS_TOL)
     _contract("constructed tuple defects: form",

@@ -215,7 +215,7 @@ def compress(a, x, y):
         raise ValidationError(
             f"tuple shapes {x.shape} and {y.shape} do not match matrix of size {a.shape[0]}"
         )
-    t = np.hstack([x, y])
+    t = np.concatenate([x, y], axis=1)
     _check_finite(t, "tuple columns")
     defect = tuple_form_defect(x, y)
     if not defect <= TUPLE_TOL:
@@ -313,7 +313,7 @@ def random_pd(n, rng, spectrum=None):
     if spectrum is None:
         r = rng.standard_normal((2 * n, 2 * n))
         a = r @ r.T
-        a += 1e-3 * (np.trace(a) / (2 * n)) * np.eye(2 * n)
+        a.flat[::2 * n + 1] += 1e-3 * (np.trace(a) / (2 * n))
         return 0.5 * (a + a.T)
     d = np.sort(np.asarray(spectrum, dtype=float))
     if d.shape != (n,) or np.any(d <= 0.0):

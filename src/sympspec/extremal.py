@@ -44,10 +44,12 @@ from .inequalities import (
     schur_concave_monotone_check,
     supermajorize,
 )
-from .linalg import _eigh, _svd, fnorm, orthonormal_columns, subspace_intersect
+from .linalg import _FLAPACK, _eigh, _svd, fnorm, orthonormal_columns, subspace_intersect
 
 PAIR_FLOOR = 1e-6
 SAMPLE_RETRIES = 50
+
+_GEQRF, _ORGQR = _FLAPACK.dgeqrf, _FLAPACK.dorgqr
 
 
 def tuple_value(a, x, y):
@@ -55,13 +57,15 @@ def tuple_value(a, x, y):
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return 0.5 * float(np.sum(x * (a @ x)) + np.sum(y * (a @ y)))
+    return 0.5 * float((x * (a @ x)).sum() + (y * (a @ y)).sum())
 
 
 def random_orthogonal(dim, rng):
-    """Haar-distributed orthogonal matrix via QR with sign correction."""
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return q * np.sign(np.diag(r))
+    """Haar-distributed orthogonal matrix via QR (dgeqrf, dorgqr) with sign correction."""
+    qr, tau, _ = _lapack(_GEQRF, "QR factorization", rng.standard_normal((dim, dim)))
+    q = _lapack(_ORGQR, "QR factorization", qr, tau)[0]
+    # In C order, as numpy.linalg.qr returns q, so products round alike.
+    return np.multiply(q, np.sign(qr.diagonal()), order="C")
 
 
 def random_decreasing_chain(dim, sizes, rng):
@@ -89,8 +93,8 @@ def canonical_chains(basis, index_set):
     same space.  Induction gives S = P_{i_1} + ... + P_{i_k}.
     """
     u, v = basis.u, basis.v
-    vchain = [np.hstack([u, v[:, :i]]) for i in index_set]
-    wchain = [np.hstack([u, v[:, i - 1 :]]) for i in index_set]
+    vchain = [np.concatenate([u, v[:, :i]], axis=1) for i in index_set]
+    wchain = [np.concatenate([u, v[:, i - 1 :]], axis=1) for i in index_set]
     return vchain, wchain
 
 
@@ -127,13 +131,13 @@ def _sample_tuple(bases, rng):
             # the norms so neither vector dominates the energy sum.
             t = np.sqrt(fnorm(y))
             x, y = x * t, y / t
-            chosen = np.hstack([chosen, x[:, None], y[:, None]])
+            chosen = np.concatenate([chosen, x[:, None], y[:, None]], axis=1)
             xs.append(x)
             ys.append(y)
         if len(xs) < k:
             continue
-        x_set = np.column_stack(xs[::-1])
-        y_set = np.column_stack(ys[::-1])
+        x_set = np.stack(xs[::-1], axis=1)
+        y_set = np.stack(ys[::-1], axis=1)
         if tuple_form_defect(x_set, y_set) <= TUPLE_TOL:
             return x_set, y_set
     raise ConstructionError("failed to sample a normalized tuple in the chain")
@@ -302,7 +306,7 @@ def wielandt_certify(a, index_set, n_chains=20, samples=40, rng=None,
     _check_counts(n_chains=n_chains, samples=samples)
     rng = as_generator(rng)
     d, basis, idx, vchain, wchain = _eigen_frame(a, index_set)
-    claimed = float(np.sum(d[idx - 1]))
+    claimed = float(d[idx - 1].sum())
     scale = max(1.0, abs(claimed))
     values, slacks = _sampled_floor(a, wchain, claimed, samples, rng, tol)
 
@@ -360,7 +364,7 @@ def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
     phi_eig = float(phi(d_eig))
     slacks.append(phi_eig - claimed + tol * scale)
     sign, logdet = np.linalg.slogdet(a_eig)
-    target_log = 2.0 * float(np.sum(np.log(d_target)))
+    target_log = 2.0 * float(np.log(d_target).sum())
     slacks.append(float(sign) * logdet - target_log - np.log1p(-1e-8))
     equality_gap = abs(phi_eig - claimed)
     slacks.append(1e-9 * scale - equality_gap)
@@ -369,10 +373,10 @@ def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
     chain_vals = []
     for vs, ws in tuples:
         vs_prime = basis.prime(vs)
-        alpha = 0.5 * (np.sum(vs * (a @ vs), axis=0) + np.sum(vs_prime * (a @ vs_prime), axis=0))
+        alpha = 0.5 * ((vs * (a @ vs)).sum(axis=0) + (vs_prime * (a @ vs_prime)).sum(axis=0))
         slacks.extend(float(t - al + tol * max(1.0, t)) for al, t in zip(alpha, d_target))
         d_u = compress(a, ws, basis.prime(ws))[1]
-        if not supermajorize(alpha, d_u, atol=tol * max(1.0, float(np.max(d_u)))):
+        if not supermajorize(alpha, d_u, atol=tol * max(1.0, float(d_u.max()))):
             slacks.append(-1.0)
         phi_alpha = float(phi(np.sort(alpha)))
         phi_u = float(phi(d_u))
@@ -398,7 +402,7 @@ def det_product_check(a, index_set):
     selected eigenvalues to 1e-8.  Works in log space throughout.
     """
     d, basis, idx, _, _ = _eigen_frame(a, index_set)
-    claimed_log = 2.0 * float(np.sum(np.log(d[idx - 1])))
+    claimed_log = 2.0 * float(np.log(d[idx - 1]).sum())
     a_eig = compress(a, basis.u[:, idx - 1], basis.v[:, idx - 1])[0]
     sign, logdet = np.linalg.slogdet(a_eig)
     eig_log = float(sign) * logdet

@@ -17,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 @dataclass(frozen=True)
 class SpectralFunctional:
@@ -42,8 +44,8 @@ def elementary_symmetric(x, r):
     the same bits alone as in a batch; e_r is 0 when r exceeds n.
     """
     x = np.asarray(x, dtype=float)
-    if not isinstance(r, Integral) or r < 0:
-        raise ValueError(f"order must be a nonnegative integer, got {r!r}")
+    if isinstance(r, bool) or not isinstance(r, Integral) or r < 0:
+        raise ValidationError(f"order must be a nonnegative integer, got {r!r}")
     e = np.zeros((r + 1,) + x.shape[:-1])
     e[0] = 1.0
     for i in range(x.shape[-1]):

@@ -129,19 +129,19 @@ def _trial_williamson(t, cfg, rng):
     # williamson against ja-eigen, the method that does not read d off the
     # Hessenberg band; skew-canonical takes the same band's singular values.
     spectra = np.stack([dec.d, symplectic_eigenvalues(a, method="ja-eigen")])
-    spread = float(np.max(spectra.max(axis=0) - spectra.min(axis=0)))
+    spread = float((spectra.max(axis=0) - spectra.min(axis=0)).max())
     records = [
         make_record(
             "method-agreement", spread,
-            1e-8 * max(1.0, float(np.max(spectra))), "le", 0.0, inst,
+            1e-8 * max(1.0, float(spectra.max())), "le", 0.0, inst,
         )
     ]
     if target is not None:
         records.append(
             make_record(
                 "prescribed-recovery",
-                float(np.max(np.abs(dec.d - target))),
-                1e-9 * max(1.0, float(np.max(target))), "le", 0.0, inst,
+                float(np.abs(dec.d - target).max()),
+                1e-9 * max(1.0, float(target.max())), "le", 0.0, inst,
             )
         )
     return n, records
@@ -248,7 +248,7 @@ def _trial_majorization(t, cfg, rng):
     records = []
     x = rng.uniform(0.0, 3.0, size=n)
     y = rng.uniform(0.0, 3.0, size=n)
-    atol = 1e-12 * max(1.0, float(np.max(np.abs(x))) + float(np.max(np.abs(y))))
+    atol = 1e-12 * max(1.0, float(np.abs(x).max()) + float(np.abs(y).max()))
     records.append(
         make_record(
             "supermajorize-oracle-agreement",
@@ -266,7 +266,7 @@ def _trial_majorization(t, cfg, rng):
         )
     )
     am, bm = random_majorization_pair(n, rng)
-    scale = 1e-12 * max(1.0, float(np.max(np.abs(bm))) * n)
+    scale = 1e-12 * max(1.0, float(np.abs(bm).max()) * n)
     records.append(
         make_record("majorization-pair-valid", float(majorize(am, bm, atol=scale)), 1.0, "eq", 0.0, {})
     )

@@ -52,8 +52,8 @@ def supermajorize(a, b, atol=0.0):
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return bool(np.all(np.cumsum(a) >= np.cumsum(b) - atol))
+        raise ValidationError(f"length mismatch: {a.shape} vs {b.shape}")
+    return bool((a.cumsum() >= b.cumsum() - atol).all())
 
 
 def majorize(a, b, atol=0.0):
@@ -62,8 +62,8 @@ def majorize(a, b, atol=0.0):
     b = np.asarray(b, dtype=float)
     if not supermajorize(a, b, atol=atol):
         return False
-    gap = abs(float(np.sum(a)) - float(np.sum(b)))
-    return gap <= max(atol, 1e-12 * max(1.0, abs(float(np.sum(a)))))
+    gap = abs(float(a.sum()) - float(b.sum()))
+    return gap <= max(atol, 1e-12 * max(1.0, abs(float(a.sum()))))
 
 
 def _draw_shape(n):
@@ -247,8 +247,8 @@ def additive_lidskii_trial(a, b, index_set, tol=1e-9):
     d_b = d_a if b is a else symplectic_eigenvalues(b)
     idx = _check_index_set(index_set, d_a.size) - 1
     k = idx.size
-    lhs = float(np.sum(d_sum[idx]))
-    rhs = float(np.sum(d_a[idx]) + np.sum(d_b[:k]))
+    lhs = float(d_sum[idx].sum())
+    rhs = float(d_a[idx].sum() + d_b[:k].sum())
     scale = max(1.0, abs(lhs))
     records = [
         make_record(
@@ -257,12 +257,12 @@ def additive_lidskii_trial(a, b, index_set, tol=1e-9):
         )
     ]
     n = d_a.size
-    full = float(np.sum(d_sum))
+    full = float(d_sum.sum())
     records.append(
         make_record(
             "additive-full-prefix",
             full,
-            float(np.sum(d_a) + np.sum(d_b)),
+            float(d_a.sum() + d_b.sum()),
             "ge",
             tol * max(1.0, full),
             instance={"index_set": list(range(1, n + 1))},
@@ -288,25 +288,25 @@ def _product_records(d_m, d_a, d_b, index_set, tol):
     log_m = np.log(d_m)
     log_a = np.log(d_a)
     log_b = np.log(d_b)
-    center = 2.0 * float(np.sum(log_m[idx]))
-    lower = float(np.sum(log_a[idx]) + np.sum(log_b[:k]))
-    upper = float(np.sum(log_a[idx]) + np.sum(log_b[::-1][:k]))
+    center = 2.0 * float(log_m[idx].sum())
+    lower = float(log_a[idx].sum() + log_b[:k].sum())
+    upper = float(log_a[idx].sum() + log_b[::-1][:k].sum())
     inst = {"index_set": [int(i) + 1 for i in idx]}
     records = [
         make_record("mlid-lower", center, lower, "ge", tol * max(1.0, abs(center)), inst),
         make_record("mlid-upper", center, upper, "le", tol * max(1.0, abs(center)), inst),
     ]
     for j in range(1, n + 1):
-        pre_lhs = 2.0 * float(np.sum(log_m[:j]))
-        pre_rhs = float(np.sum(log_a[:j]) + np.sum(log_b[:j]))
+        pre_lhs = 2.0 * float(log_m[:j].sum())
+        pre_rhs = float(log_a[:j].sum() + log_b[:j].sum())
         records.append(
             make_record(
                 "product-lower-full", pre_lhs, pre_rhs, "ge",
                 tol * max(1.0, abs(pre_lhs)), {"prefix": j},
             )
         )
-        tail_lhs = 2.0 * float(np.sum(log_m[j - 1:]))
-        tail_rhs = float(np.sum(log_a[j - 1:]) + np.sum(log_b[j - 1:]))
+        tail_lhs = 2.0 * float(log_m[j - 1:].sum())
+        tail_rhs = float(log_a[j - 1:].sum() + log_b[j - 1:].sum())
         records.append(
             make_record(
                 "product-upper-tail", tail_lhs, tail_rhs, "le",
@@ -373,10 +373,10 @@ def multiplicative_trial_records(t, n, rng, tol=1e-9):
         records.append(
             make_record(
                 "mean-self-identity",
-                float(np.max(np.abs(d_m - d_a))),
+                float(np.abs(d_m - d_a).max()),
                 0.0,
                 "le",
-                1e-8 * max(1.0, float(np.max(d_a))),
+                1e-8 * max(1.0, float(d_a.max())),
             )
         )
     return records

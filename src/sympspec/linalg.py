@@ -23,14 +23,14 @@ Hessenberg band for both the spectrum alone (_skew_spectrum) and
 _skew_canonical, linalg._ORGHR, which only _skew_canonical needs to form
 its basis, linalg._GESDD (with its workspace query _GESDD_LWORK) and
 _SYEVD, behind every SVD and symmetric eigensolve of the package,
-core._POCON and _TRTRS, and inequalities._SYGST.
+core._POCON and _TRTRS, inequalities._SYGST, extremal._GEQRF and _ORGQR.
 
 _svd and _eigh are numpy.linalg.svd and numpy.linalg.eigh without numpy's
 wrapper, which at the package's small sizes costs more than LAPACK does:
 the same routines (dgesdd, and dsyevd reading the lower triangle), with
-the workspace dgesdd's own query asks for, as numpy passes it, and the
-factors returned in C order, as numpy returns them, so that the results
-and every product formed from them match numpy's bit for bit.
+the workspace dgesdd's query asks for (kept per shape in _GESDD_WORK), as
+numpy passes it, and the factors in C order, as numpy returns them, so
+results and every product formed from them match numpy's bit for bit.
 """
 
 from __future__ import annotations
@@ -89,15 +89,22 @@ def fnorm(a):
     return math.sqrt(x.dot(x))
 
 
+_GESDD_WORK = {}  # dgesdd's lwork by (m, n, compute_uv, full_matrices), all its query reads
+
+
 def _svd(a, compute_uv=1, full_matrices=1):
     """(u, s, vt) of a nonempty matrix as numpy.linalg.svd returns them,
     in C order, since a product with a Fortran-ordered factor can round
     differently; with compute_uv=0 only s is meaningful.  A nonzero
     dgesdd status raises NumericalContractError."""
-    m, n = a.shape
-    lwork = _lapack(_GESDD_LWORK, "SVD workspace query", m, n, compute_uv, full_matrices)
+    key = a.shape + (compute_uv, full_matrices)
+    lwork = _GESDD_WORK.get(key)
+    if lwork is None:
+        lwork = _GESDD_WORK[key] = int(_lapack(_GESDD_LWORK, "SVD workspace query", *key))
     u, s, vt = _lapack(_GESDD, "SVD", a, compute_uv=compute_uv,
-                       full_matrices=full_matrices, lwork=int(lwork))
+                       full_matrices=full_matrices, lwork=lwork)
+    if not compute_uv:
+        return u, s, vt
     return np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
 
 
@@ -157,7 +164,7 @@ def orthonormal_columns(x):
     u, s, _ = _svd(x, full_matrices=0)
     if s[0] == 0.0:
         return np.zeros((x.shape[0], 0))
-    k = int(np.sum(s > RANK_RTOL * s[0]))
+    k = np.count_nonzero(s > RANK_RTOL * s[0])
     return u[:, :k]
 
 
@@ -170,7 +177,7 @@ def null_space_basis(g):
     _, s, vt = _svd(g)
     if s[0] == 0.0:
         return np.eye(cols)
-    rank = int(np.sum(s > RANK_RTOL * s[0]))
+    rank = np.count_nonzero(s > RANK_RTOL * s[0])
     return vt[rank:].T
 
 
@@ -221,7 +228,7 @@ def subspace_intersect(u, w):
     p, sig, qt = _svd(u.T @ w)
     _contract("principal cosine", sig[0], 1.0 + INTERSECT_COS_TOL,
               ": inputs are not orthonormal")
-    k = int(np.sum(sig >= 1.0 - INTERSECT_COS_TOL))
+    k = np.count_nonzero(sig >= 1.0 - INTERSECT_COS_TOL)
     if k == 0:
         return np.zeros((u.shape[0], 0))
     left = u @ p[:, :k]
@@ -252,12 +259,18 @@ def _hessenberg_band(k):
     singular values dropping H - T(e) moves d by at most ||H - T(e)||_2,
     so B carries d of K to within the certified bound plus rounding.
     """
-    ht, tau = _lapack(_GEHRD, "Hessenberg reduction", k, lwork=64 * k.shape[0])
+    m = k.shape[0]
+    ht, tau = _lapack(_GEHRD, "Hessenberg reduction", k, lwork=64 * m)
     e = 0.5 * (ht.diagonal(-1) - ht.diagonal(1))
-    # triu(T(e)) is -e on the super-diagonal.
-    _contract("Hessenberg band defect", fnorm(np.triu(ht) + np.diag(e, 1)),
-              1e-9 * max(1.0, fnorm(k)))
-    b = np.diag(-e[0::2]) + np.diag(e[1::2], -1)
+    # triu(T(e)) is -e on the super-diagonal, flat positions 1, m + 2, ...
+    defect = np.triu(ht)
+    defect.flat[1::m + 1] += e
+    _contract("Hessenberg band defect", fnorm(defect), 1e-9 * max(1.0, fnorm(k)))
+    # 0.0 - e and 0.0 + e, so that a zero of e enters B as +0.0.
+    h = m // 2
+    b = np.zeros((h, h))
+    b.flat[::h + 1] -= e[0::2]
+    b.flat[h::h + 1] += e[1::2]
     return ht, tau, b
 
 
@@ -307,4 +320,4 @@ def _skew_canonical(k):
     z = _lapack(_ORGHR, "Hessenberg reduction", ht, tau, lwork=64 * k.shape[0])
     u, s, vt = _svd(b)
     d = _ascending_nonsingular(s)
-    return np.hstack([z[:, 0::2] @ u[:, ::-1], z[:, 1::2] @ vt[::-1].T]), d
+    return np.concatenate([z[:, 0::2] @ u[:, ::-1], z[:, 1::2] @ vt[::-1].T], axis=1), d

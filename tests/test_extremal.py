@@ -36,7 +36,7 @@ from sympspec.extremal import (
 )
 from sympspec.functionals import SHIPPED, SpectralFunctional, phi_sum
 from sympspec.inequalities import additive_lidskii_trial
-from sympspec.linalg import orthonormal_columns, span_residual, subspace_intersect
+from sympspec.linalg import fnorm, orthonormal_columns, span_residual, subspace_intersect
 
 RNG = np.random.default_rng(505)
 
@@ -66,6 +66,17 @@ def test_canonical_chains_dimensions_and_nesting():
     for j in range(1, len(idx)):
         assert span_residual(vchain[j], vchain[j - 1]) <= 1e-10
         assert span_residual(wchain[j - 1], wchain[j]) <= 1e-10
+
+
+def test_random_orthogonal_is_numpys_qr_formula_bit_for_bit():
+    for seed in range(50):
+        dim = 1 + seed % 10
+        q = random_orthogonal(dim, np.random.default_rng(seed))
+        g = np.random.default_rng(seed).standard_normal((dim, dim))
+        ref_q, ref_r = np.linalg.qr(g)
+        ref = ref_q * np.sign(np.diag(ref_r))
+        assert fnorm(q.T @ q - np.eye(dim)) <= 1e-14
+        assert q.flags.c_contiguous and q.tobytes() == ref.tobytes()
 
 
 def test_random_decreasing_chain_is_nested():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympspec.errors import ValidationError
 from sympspec.functionals import (
     SHIPPED,
     SpectralFunctional,
@@ -42,6 +43,13 @@ def test_elementary_symmetric_edge_orders():
         with pytest.raises(ValueError, match="nonnegative integer"):
             elementary_symmetric(x, order)
     assert elementary_symmetric(x, np.int64(2)) == 10.0
+
+
+# A boolean order used to index e as a mask: True gave [[1.0, 7.0]].
+@pytest.mark.parametrize("order", [-1, 1.5, "2", True, False])
+def test_elementary_symmetric_raises_the_package_validation_error(order):
+    with pytest.raises(ValidationError, match="nonnegative integer"):
+        elementary_symmetric(np.array([2.0, 5.0]), order)
 
 
 @given(VALUES, st.integers(min_value=1, max_value=4))

@@ -121,6 +121,12 @@ def test_predicates_reject_length_mismatch():
         supermajorize([1.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("predicate", [supermajorize, majorize])
+def test_predicates_raise_the_package_validation_error(predicate):
+    with pytest.raises(ValidationError, match="length mismatch"):
+        predicate([1.0, 2.0, 3.0], [1.0, 2.0])
+
+
 @given(st.integers(min_value=2, max_value=8), SEEDS)
 @settings(max_examples=50, deadline=None)
 def test_generated_majorization_pairs_satisfy_their_predicate(n, seed):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy
 
-from sympspec import linalg
+from sympspec import core, linalg
 from sympspec.core import random_pd, williamson
 from sympspec.errors import NumericalContractError, ValidationError
 from sympspec.linalg import (
@@ -346,3 +346,47 @@ def test_both_skew_routes_certify_the_hessenberg_band(route, monkeypatch):
     monkeypatch.setattr(linalg, "_GEHRD", off_band)
     with pytest.raises(NumericalContractError, match="band defect"):
         SKEW_ROUTES[route](k)
+
+
+def test_svd_keeps_one_workspace_per_shape_and_flag_pair(monkeypatch):
+    monkeypatch.setattr(linalg, "_GESDD_WORK", {})
+    rng = np.random.default_rng(29)
+    flags = [(uv, full) for uv in (0, 1) for full in (0, 1)]
+    for m in range(1, 11):
+        for n in range(1, 11):
+            a = rng.standard_normal((m, n))
+            for uv, full in flags:
+                lwork = int(linalg._GESDD_LWORK(m, n, uv, full)[0])
+                u, s, vt, _ = linalg._GESDD(a, compute_uv=uv, full_matrices=full, lwork=lwork)
+                for _ in range(2):  # the query, then the kept entry
+                    got = linalg._svd(a, uv, full)
+                    assert linalg._GESDD_WORK[(m, n, uv, full)] == lwork
+                    assert got[1].tobytes() == s.tobytes()
+                    if uv:
+                        assert got[0].flags.c_contiguous and got[2].flags.c_contiguous
+                        assert got[0].tobytes() == np.ascontiguousarray(u).tobytes()
+                        assert got[2].tobytes() == np.ascontiguousarray(vt).tobytes()
+    # A thin and a full query of one shape are separate entries.
+    assert len(linalg._GESDD_WORK) == 10 * 10 * len(flags)
+
+
+def _diagonal_skew(d, sign):
+    """sign * L.T J L for A = diag(d, d): a band with exact zeros."""
+    a = np.diag(np.concatenate([d, d]))
+    return sign * core._cholesky_skew(np.linalg.cholesky(a))
+
+
+def test_hessenberg_band_equals_the_dense_construction_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(53)
+    inputs = [_random_skew(int(rng.integers(1, 8)), rng) for _ in range(50)]
+    inputs += [_diagonal_skew(np.array(d), sign)
+               for d in ([1.0, 2.0, 3.0], [2.0, 5.0]) for sign in (1.0, -1.0)]
+    values = []
+    monkeypatch.setattr(linalg, "_contract", lambda name, value, bound, detail="":
+                        values.append(value))
+    for k in inputs:
+        ht, tau, b = linalg._hessenberg_band(k)
+        e = 0.5 * (ht.diagonal(-1) - ht.diagonal(1))
+        assert values.pop() == fnorm(np.triu(ht) + np.diag(e, 1))
+        dense = np.diag(-e[0::2]) + np.diag(e[1::2], -1)
+        assert b.flags.c_contiguous and b.tobytes() == dense.tobytes()

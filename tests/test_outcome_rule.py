@@ -1,5 +1,6 @@
 """The outcome-rule script: one small suite, and its comparison mode."""
 
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -53,3 +54,32 @@ def test_against_exits_1_on_any_difference(tmp_path, capsys):
     saved.write_text(json.dumps({}))
     assert outcome_rule.main(ARGS + ["--against", str(saved)]) == 1
 
+
+
+def test_exact_adds_the_records_digest_and_against_compares_it(tmp_path, capsys):
+    assert outcome_rule.main(ARGS + ["--exact"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    out = run_suite("construction", SuiteConfig(suite="construction", master_seed=3,
+                                                report_path=None))
+    entry = summary["3"]["construction"]
+    records = json.dumps(out["records"], sort_keys=True).encode("utf-8")
+    assert entry["sha256"] == hashlib.sha256(records).hexdigest()
+    saved = tmp_path / "summary.json"
+    saved.write_text(json.dumps(summary))
+    assert outcome_rule.main(ARGS + ["--exact", "--against", str(saved)]) == 0
+    assert capsys.readouterr().err == ""
+
+    # A record value that moved leaves every count as it was: only the
+    # digest shows it, and only an exact run compares the digest.
+    entry["sha256"] = "0" * 64
+    saved.write_text(json.dumps(summary))
+    assert outcome_rule.main(ARGS + ["--exact", "--against", str(saved)]) == 1
+    assert capsys.readouterr().err.startswith("seed 3 suite construction sha256: 0000")
+    assert outcome_rule.main(ARGS + ["--against", str(saved)]) == 0
+    assert capsys.readouterr().err == ""
+
+    # A reference without digests cannot show byte identity.
+    del entry["sha256"]
+    saved.write_text(json.dumps(summary))
+    assert outcome_rule.main(ARGS + ["--exact", "--against", str(saved)]) == 1
+    assert "sha256: None -> " in capsys.readouterr().err
