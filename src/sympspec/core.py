@@ -316,8 +316,8 @@ def random_pd(n, rng, spectrum=None):
         a.flat[::2 * n + 1] += 1e-3 * (np.trace(a) / (2 * n))
         return 0.5 * (a + a.T)
     d = np.sort(np.asarray(spectrum, dtype=float))
-    if d.shape != (n,) or np.any(d <= 0.0):
-        raise ValidationError(f"spectrum must be {n} positive values, got {spectrum!r}")
+    if d.shape != (n,) or not ((0.0 < d) & (d < np.inf)).all():
+        raise ValidationError(f"spectrum must be {n} positive finite values, got {spectrum!r}")
     s = random_symplectic(n, rng)
     normal = np.diag(np.concatenate([d, d]))
     a = s.T @ normal @ s

@@ -32,6 +32,7 @@ def geometric_mean(a, b):
     C = V diag(w) V^T follows, and the mean is F F^T with
     F = L V diag(w^(1/4)).
     """
+    _check_same_size(a, b)
     low = check_positive_definite(a)[1]
     b = check_positive_definite(b)[0]
     c = _lapack(_SYGST, "congruence reduction", b, low, lower=1)
@@ -47,13 +48,20 @@ def geometric_mean(a, b):
     return 0.5 * (out + out.T)
 
 
+def _check_same_size(a, b):
+    if np.shape(a) != np.shape(b):
+        raise ValidationError(f"A and B differ in size: {np.shape(a)} vs {np.shape(b)}")
+
+
 def supermajorize(a, b, atol=0.0):
     """True when every ascending partial sum of a is >= that of b."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or b.ndim != 1:
+        raise ValidationError(f"vectors must be 1-D, got shapes {a.shape} and {b.shape}")
     if a.shape != b.shape:
         raise ValidationError(f"length mismatch: {a.shape} vs {b.shape}")
-    return bool((a.cumsum() >= b.cumsum() - atol).all())
+    return bool((np.sort(a).cumsum() >= np.sort(b).cumsum() - atol).all())
 
 
 def majorize(a, b, atol=0.0):
@@ -242,6 +250,7 @@ def additive_lidskii_trial(a, b, index_set, tol=1e-9):
     Also checks the full-index weak supermajorization of d(A+B) by
     d(A) + d(B) that the k = n case implies.
     """
+    _check_same_size(a, b)
     d_sum = symplectic_eigenvalues(a + b)
     d_a = symplectic_eigenvalues(a)
     d_b = d_a if b is a else symplectic_eigenvalues(b)

@@ -226,6 +226,13 @@ def test_exit_code_3_for_non_pd_input(tmp_path, capsys):
     assert main(["eig", _matrix_file(tmp_path, a)]) == 3
 
 
+def test_exit_code_3_for_a_mean_of_matrices_of_different_sizes(tmp_path, capsys):
+    a = _matrix_file(tmp_path, random_pd(2, RNG), "a.json")
+    b = _matrix_file(tmp_path, random_pd(3, RNG), "b.json")
+    assert main(["mean", a, b]) == 3
+    assert "differ in size" in capsys.readouterr().err
+
+
 def test_exit_code_3_for_odd_dimension(tmp_path, capsys):
     assert main(["eig", _matrix_file(tmp_path, np.eye(3))]) == 3
 

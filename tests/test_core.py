@@ -336,6 +336,10 @@ def test_random_pd_prescribed_spectrum():
 def test_random_pd_rejects_bad_spectrum():
     with pytest.raises(ValidationError):
         random_pd(2, RNG, spectrum=np.array([1.0, -2.0]))
+    # NaN compares false with everything, so a test of d <= 0 lets it in.
+    for spectrum in ([np.nan], [1.0, np.inf], [np.nan, 1.0]):
+        with pytest.raises(ValidationError, match="positive finite"):
+            random_pd(len(spectrum), RNG, spectrum=spectrum)
 
 
 @pytest.mark.parametrize("draw", [random_symplectic, random_pd])

@@ -11,6 +11,7 @@ import sympspec.extremal
 import sympspec.harness
 import sympspec.linalg
 from sympspec.errors import ConstructionError, NumericalContractError, ValidationError
+from sympspec.functionals import SHIPPED, SpectralFunctional
 from sympspec.harness import (
     SUITE_IDS,
     SuiteConfig,
@@ -50,6 +51,12 @@ def test_config_validation():
         SuiteConfig(tol=0.0)
     with pytest.raises(ValidationError):
         SuiteConfig(jobs=0)
+    # replay refuses these in a report, booleans included.
+    for field, value in [("trials", 2.5), ("trials", True), ("n_min", 2.5),
+                         ("n_max", True), ("n_max", 4.0), ("jobs", 1.0),
+                         ("jobs", True), ("tol", True)]:
+        with pytest.raises(ValidationError, match="must be an integer|positive and finite"):
+            SuiteConfig(**{field: value})
 
 
 def test_run_suite_structure():
@@ -332,3 +339,37 @@ def test_other_errors_inside_a_trial_still_propagate(monkeypatch, error):
     with pytest.raises(type(error), match="forced precondition"):
         run_suite("williamson", SuiteConfig(suite="williamson", trials=2, master_seed=3,
                                             report_path=None))
+
+
+def test_phi_extremal_refuses_a_functional_that_fails_its_audit(monkeypatch):
+    # max is Schur-convex; every phi-extremal trial audits what it certifies.
+    bad = SpectralFunctional("max", lambda x: np.max(x, axis=-1))
+    monkeypatch.setattr(sympspec.harness, "SHIPPED", (bad,))
+    cfg = SuiteConfig(suite="phi-extremal", trials=1, report_path=None)
+    with pytest.raises(ValidationError, match="'max' failed its audit"):
+        run_suite("phi-extremal", cfg)
+
+
+def test_majorization_writes_no_functional_audit_record():
+    out = run_suite("majorization", SuiteConfig(suite="majorization", trials=2,
+                                                report_path=None))
+    assert out["records"]
+    assert not [r for r in out["records"] if r["name"].startswith("functional-audit")]
+
+
+def test_phi_extremal_replay_audits_its_functional_and_matches(monkeypatch, tmp_path):
+    report, _ = run_all(SuiteConfig(suite="phi-extremal", trials=2, master_seed=5,
+                                    report_path=None))
+    path = tmp_path / "report.json"
+    write_report(report, path)
+    audit = sympspec.extremal.schur_concave_monotone_check
+    audited = []
+
+    def counted(phi, **kwargs):
+        audited.append(phi.name)
+        return audit(phi, **kwargs)
+
+    monkeypatch.setattr(sympspec.extremal, "schur_concave_monotone_check", counted)
+    for trial in range(2):
+        assert replay(path, "phi-extremal", trial)[2]
+    assert audited == [SHIPPED[0].name, SHIPPED[1].name]

@@ -125,6 +125,10 @@ def test_predicates_reject_length_mismatch():
 def test_predicates_raise_the_package_validation_error(predicate):
     with pytest.raises(ValidationError, match="length mismatch"):
         predicate([1.0, 2.0, 3.0], [1.0, 2.0])
+    # np.sort orders each row and cumsum runs over the flat array, so 2-D
+    # input would compare nothing meaningful.
+    with pytest.raises(ValidationError, match="1-D"):
+        predicate(np.ones((2, 2)), np.ones((2, 2)))
 
 
 @given(st.integers(min_value=2, max_value=8), SEEDS)
@@ -247,6 +251,17 @@ def test_additive_trial_rejects_bad_index_sets(index_set):
     a = random_pd(3, np.random.default_rng(12))
     with pytest.raises(ValidationError):
         additive_lidskii_trial(a, np.eye(6), index_set)
+
+
+def test_mean_and_additive_trial_refuse_matrices_of_different_sizes():
+    # Without the check these fail inside dsygst and numpy's broadcast,
+    # outside the package's error types.
+    a = random_pd(2, np.random.default_rng(12))
+    b = random_pd(3, np.random.default_rng(13))
+    with pytest.raises(ValidationError, match="differ in size"):
+        geometric_mean(a, b)
+    with pytest.raises(ValidationError, match="differ in size"):
+        additive_lidskii_trial(a, b, [1])
 
 
 def test_additive_trial_records_pass_and_include_full_prefix():
