@@ -31,7 +31,7 @@ from .core import (
     symplectic_form,
     symplectic_gram,
 )
-from .errors import ConstructionError, ValidationError, _contract
+from .errors import ConstructionError, ValidationError, _check_int, _contract
 from .linalg import (
     INTERSECT_COS_TOL,
     _check_finite,
@@ -78,7 +78,7 @@ class SymplecticBasis:
 
     @classmethod
     def standard(cls, n):
-        return cls(np.eye(2 * n))
+        return cls(np.eye(2 * _check_int("n", n, minimum=1)))
 
     @property
     def u(self):

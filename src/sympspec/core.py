@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ValidationError, _contract, _lapack
+from .errors import ValidationError, _check_int, _contract, _lapack
 from .linalg import (
     _FLAPACK,
     _check_finite,
@@ -274,19 +273,12 @@ def _expm(x, norm):
     return e
 
 
-def _check_n(n):
-    """n as an int, refusing booleans, non-integers and n < 1."""
-    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
-    return int(n)
-
-
 def random_symplectic(n, rng, spread=2.0):
     """Random symplectic matrix exp(J H) with H symmetric, ||H|| <= spread.
 
     spread must be finite and non-negative.
     """
-    n = _check_n(n)
+    n = _check_int("n", n, minimum=1)
     if not 0.0 <= spread < math.inf:
         raise ValidationError(f"spread must be finite and non-negative, got {spread!r}")
     rng = as_generator(rng)
@@ -308,7 +300,7 @@ def random_pd(n, rng, spectrum=None):
     whose symplectic spectrum equals the given positive values (sorted
     ascending), realized through a random symplectic congruence.
     """
-    n = _check_n(n)
+    n = _check_int("n", n, minimum=1)
     rng = as_generator(rng)
     if spectrum is None:
         r = rng.standard_normal((2 * n, 2 * n))

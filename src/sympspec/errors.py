@@ -1,11 +1,15 @@
-"""Exception types shared across the package, and the two helpers that
+"""Exception types shared across the package, and three helpers.  Two
 raise NumericalContractError: _contract for every post-hoc accuracy
 check, which passes only when value <= bound, so a NaN fails it, and
-_lapack for every LAPACK status.
+_lapack for every LAPACK status.  The third, _check_int, raises
+ValidationError for every count, size, order, seed and trial argument
+that is not an integer or lies below its minimum.
 
 The CLI maps these onto distinct exit codes, so library code should
 raise the most specific type that applies.
 """
+
+from numbers import Integral
 
 
 class MatrixFormatError(ValueError):
@@ -38,3 +42,13 @@ def _lapack(routine, what, *args, **kw):
     if info != 0:
         raise NumericalContractError(f"{what} failed: LAPACK info {info}")
     return out[0] if len(out) == 1 else tuple(out)
+
+
+def _check_int(name, value, minimum=None):
+    """value as an int; raise ValidationError unless it is an integer,
+    numpy's included but not a bool, of at least minimum when given."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be at least {minimum}, got {value!r}")
+    return int(value)

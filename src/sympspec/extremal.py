@@ -37,9 +37,8 @@ from .core import (
     tuple_form_defect,
     williamson,
 )
-from .errors import ConstructionError, NumericalContractError, ValidationError, _lapack
+from .errors import ConstructionError, NumericalContractError, ValidationError, _check_int, _lapack
 from .inequalities import (
-    _check_counts,
     _check_index_set,
     schur_concave_monotone_check,
     supermajorize,
@@ -78,7 +77,8 @@ def random_decreasing_chain(dim, sizes, rng):
 def canonical_chains(basis, index_set):
     """Increasing and decreasing chains built from an eigenbasis.
 
-    For each index i the increasing chain takes all first-kind columns
+    For each index i of the index set, which must be strictly increasing
+    within [1, n], the increasing chain takes all first-kind columns
     plus the second-kind ones up to i; the decreasing chain takes all
     first-kind columns plus the second-kind ones from i on.
 
@@ -92,9 +92,10 @@ def canonical_chains(basis, index_set):
     S is that space plus P_{i_k}, and the w-tuple without w_k spans the
     same space.  Induction gives S = P_{i_1} + ... + P_{i_k}.
     """
+    idx = _check_index_set(index_set, basis.n)
     u, v = basis.u, basis.v
-    vchain = [np.concatenate([u, v[:, :i]], axis=1) for i in index_set]
-    wchain = [np.concatenate([u, v[:, i - 1 :]], axis=1) for i in index_set]
+    vchain = [np.concatenate([u, v[:, :i]], axis=1) for i in idx]
+    wchain = [np.concatenate([u, v[:, i - 1 :]], axis=1) for i in idx]
     return vchain, wchain
 
 
@@ -213,12 +214,12 @@ def _finish(name, claimed, slacks, *, sampled_min=None, witness_max=None,
 
 def _eigen_frame(a, index_set):
     """(d, basis, idx, vchain, wchain): the Williamson spectrum and
-    eigenbasis of A, the validated index set and its canonical chains."""
+    eigenbasis of A, the index set as an int array, which
+    canonical_chains has validated, and its canonical chains."""
     dec = williamson(a)
     basis = SymplecticBasis(dec.m)
-    idx = _check_index_set(index_set, dec.d.size)
-    vchain, wchain = canonical_chains(basis, idx)
-    return dec.d, basis, idx, vchain, wchain
+    vchain, wchain = canonical_chains(basis, index_set)
+    return dec.d, basis, np.asarray(index_set, dtype=int), vchain, wchain
 
 
 def _sampled_floor(a, chain, claimed, samples, rng, tol):
@@ -265,7 +266,7 @@ def maxmin_check(a, k, n_subspaces=20, rng=None, tol=1e-9):
     at most d_k.  The witness slack is the one check of that last
     bound, so a witness above d_k fails the certificate.
     """
-    _check_counts(n_subspaces=n_subspaces)
+    n_subspaces = _check_int("n_subspaces", n_subspaces, minimum=1)
     rng = as_generator(rng)
     d, basis, idx, _, wchain = _eigen_frame(a, [k])
     k = int(idx[0])
@@ -303,7 +304,8 @@ def wielandt_certify(a, index_set, n_chains=20, samples=40, rng=None,
     the claim, with the trace identity between the two equal-span
     constructed tuples checked on the way.
     """
-    _check_counts(n_chains=n_chains, samples=samples)
+    n_chains = _check_int("n_chains", n_chains, minimum=1)
+    samples = _check_int("samples", samples, minimum=1)
     rng = as_generator(rng)
     d, basis, idx, vchain, wchain = _eigen_frame(a, index_set)
     claimed = float(d[idx - 1].sum())
@@ -345,7 +347,7 @@ def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
     on batches, so fn must map shape (..., n) to shape (...), and a fn
     that does not is refused with a ValidationError.
     """
-    _check_counts(n_chains=n_chains)
+    n_chains = _check_int("n_chains", n_chains, minimum=1)
     rng = as_generator(rng)
     if validate_phi:
         audit = schur_concave_monotone_check(phi, trials=120, rng=rng)

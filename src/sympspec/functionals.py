@@ -12,12 +12,11 @@ functional that fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import _check_int
 
 
 @dataclass(frozen=True)
@@ -44,8 +43,7 @@ def elementary_symmetric(x, r):
     the same bits alone as in a batch; e_r is 0 when r exceeds n.
     """
     x = np.asarray(x, dtype=float)
-    if isinstance(r, bool) or not isinstance(r, Integral) or r < 0:
-        raise ValidationError(f"order must be a nonnegative integer, got {r!r}")
+    r = _check_int("order", r, minimum=0)
     e = np.zeros((r + 1,) + x.shape[:-1])
     e[0] = 1.0
     for i in range(x.shape[-1]):

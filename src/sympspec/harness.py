@@ -30,7 +30,7 @@ from .core import (
     symplectic_eigenvalues,
     williamson,
 )
-from .errors import ConstructionError, NumericalContractError, ValidationError
+from .errors import ConstructionError, NumericalContractError, ValidationError, _check_int
 from .extremal import (
     det_product_check,
     maxmin_check,
@@ -69,23 +69,16 @@ class SuiteConfig:
             raise ValidationError(
                 f"unknown suite {self.suite!r}; choose from {('all',) + SUITE_IDS}"
             )
-        # replay's _field refuses any other type when it reads a report back.
-        counts = {"n_min": self.n_min, "n_max": self.n_max, "jobs": self.jobs}
+        # Stored as plain ints, so the report is JSON and replay's _field,
+        # which takes no other type, reads it back; the seed may be negative.
         if self.trials is not None:
-            counts["trials"] = self.trials
-        for name, value in counts.items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if self.trials is not None and self.trials < 1:
-            raise ValidationError(f"trials must be positive, got {self.trials}")
-        if self.n_min < 1 or self.n_max < self.n_min:
-            raise ValidationError(
-                f"size range [{self.n_min}, {self.n_max}] is invalid"
-            )
+            self.trials = _check_int("trials", self.trials, minimum=1)
+        self.n_min = _check_int("n_min", self.n_min, minimum=1)
+        self.n_max = _check_int("n_max", self.n_max, minimum=self.n_min)
+        self.master_seed = _check_int("master_seed", self.master_seed)
+        self.jobs = _check_int("jobs", self.jobs, minimum=1)
         if isinstance(self.tol, bool) or not 0.0 < self.tol < np.inf:
             raise ValidationError(f"tolerance must be positive and finite, got {self.tol}")
-        if self.jobs < 1:
-            raise ValidationError(f"jobs must be positive, got {self.jobs}")
 
 
 def trial_rng(master_seed, suite_id, trial):
@@ -418,6 +411,7 @@ def replay(report_path, suite_id, trial):
 
     Returns (fresh_records, stored_records, match).
     """
+    trial = _check_int("trial", trial)
     try:
         with open(report_path, "r", encoding="utf-8") as fh:
             report = json.load(fh)

@@ -15,7 +15,7 @@ from numbers import Integral
 import numpy as np
 
 from .core import as_generator, check_positive_definite, random_pd, symplectic_eigenvalues
-from .errors import ValidationError, _lapack
+from .errors import ValidationError, _check_int, _lapack
 from .linalg import _FLAPACK, fnorm, sym_eig
 
 _SYGST = _FLAPACK.dsygst
@@ -116,14 +116,6 @@ def random_dominated_pair(n, rng):
     return b + rng.uniform(0.0, 1.0, size=shape), b
 
 
-def _check_counts(**counts):
-    """Refuse a trial, chain, subspace or sample count below 1: with
-    none drawn, a check would pass unchecked."""
-    for name, count in counts.items():
-        if count < 1:
-            raise ValidationError(f"{name} must be at least 1, got {count}")
-
-
 # The properties schur_concave_monotone_check draws a batch of pairs for.
 _AUDIT_KINDS = ("schur-concavity", "monotonicity", "permutation-invariance",
                 "supermajorization-conclusion")
@@ -146,7 +138,7 @@ def schur_concave_monotone_check(phi, trials=200, rng=None):
     stack, so it must map shape (..., n) to shape (...) and is refused
     otherwise.  Any violation is recorded with its instance.
     """
-    _check_counts(trials=trials)
+    trials = _check_int("trials", trials, minimum=1)
     rng = as_generator(rng)
     result = PhiCheckResult(ok=True)
     sizes, rows = np.unique(rng.integers(2, 7, size=trials), return_counts=True)

@@ -55,6 +55,15 @@ def test_standard_basis_round_trip():
     assert float(basis.coords(x) @ basis.coords(y)) == pytest.approx(float(x @ y))
 
 
+# 2.5 used to raise numpy's TypeError and True to build the basis for n = 1.
+@pytest.mark.parametrize("n, reason", [(0, "at least 1"), (2.5, "an integer"),
+                                       (True, "an integer"), ("2", "an integer")])
+def test_standard_basis_refuses_an_n_that_is_not_a_positive_integer(n, reason):
+    with pytest.raises(ValidationError, match=f"n must be {reason}"):
+        SymplecticBasis.standard(n)
+    assert SymplecticBasis.standard(np.int64(2)).n == 2
+
+
 def test_coords_inverts_lift_in_random_basis():
     basis = _random_basis(4)
     a = RNG.normal(size=(8, 3))

@@ -349,7 +349,7 @@ def test_random_draws_refuse_an_n_that_is_not_a_positive_integer(draw, n):
     # from 0/0), and 2.5 numpy's TypeError; the check runs before any draw.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match="n must be a positive integer"):
+        with pytest.raises(ValidationError, match="n must be (an integer|at least 1)"):
             draw(n, 1)
 
 

@@ -153,6 +153,7 @@ _INDEX_SET_ENTRY_POINTS = {
                                                       validate_phi=False),
     "det-product": det_product_check,
     "additive-lidskii": lambda a, idx: additive_lidskii_trial(a, a, idx),
+    "canonical-chains": lambda a, idx: canonical_chains(SymplecticBasis(williamson(a).m), idx),
 }
 
 
@@ -163,6 +164,20 @@ _INDEX_SET_ENTRY_POINTS = {
 def test_entry_points_refuse_index_sets_that_are_not_integers(entry, index_set):
     a, _, _ = _instance(3, 4)
     with pytest.raises(ValidationError, match="index set must hold integers"):
+        entry(a, index_set)
+
+
+# canonical_chains used to build chains for these that belong to no index.
+@pytest.mark.parametrize("entry, index_set", [
+    pytest.param(entry, index_set, id=f"{name}-{label}")
+    for name, entry in _INDEX_SET_ENTRY_POINTS.items()
+    for index_set, label in [([0], "zero"), ([4], "above-n"), ([-1], "negative"),
+                             ([2, 1], "decreasing"), ([2, 2], "repeated")]
+    if name != "maxmin" or len(index_set) == 1  # maxmin reads one index
+])
+def test_entry_points_refuse_index_sets_outside_the_increasing_range(entry, index_set):
+    a, _, _ = _instance(3, 4)
+    with pytest.raises(ValidationError, match=r"strictly increasing within \[1, 3\]"):
         entry(a, index_set)
 
 
@@ -425,16 +440,22 @@ def test_phi_extremal_fails_when_the_supermajorization_fails(monkeypatch):
 
 
 # With no chain, subspace or sample drawn, one side of the certificate
-# would pass unchecked, with witness_max or sampled_min left None.
-@pytest.mark.parametrize("check, count", [
-    (lambda a: maxmin_check(a, 1, n_subspaces=0), "n_subspaces"),
-    (lambda a: wielandt_certify(a, [1], n_chains=0, samples=0), "n_chains"),
-    (lambda a: wielandt_certify(a, [1], n_chains=3, samples=0), "samples"),
-    (lambda a: phi_extremal_check(a, [1], phi_sum, n_chains=-3), "n_chains"),
-], ids=["maxmin", "wielandt-chains", "wielandt-samples", "phi-extremal"])
-def test_certificates_refuse_a_count_below_one(check, count):
+# would pass unchecked, with witness_max or sampled_min left None.  A
+# count that is not an integer used to reach range() or <, or, as True,
+# run as 1.
+@pytest.mark.parametrize("check, count, reason", [
+    (lambda a: maxmin_check(a, 1, n_subspaces=0), "n_subspaces", "at least 1"),
+    (lambda a: wielandt_certify(a, [1], n_chains=0, samples=0), "n_chains", "at least 1"),
+    (lambda a: wielandt_certify(a, [1], n_chains=3, samples=0), "samples", "at least 1"),
+    (lambda a: phi_extremal_check(a, [1], phi_sum, n_chains=-3), "n_chains", "at least 1"),
+    (lambda a: maxmin_check(a, 1, n_subspaces=2.5), "n_subspaces", "an integer"),
+    (lambda a: wielandt_certify(a, [1], n_chains=3, samples=True), "samples", "an integer"),
+    (lambda a: phi_extremal_check(a, [1], phi_sum, n_chains="3"), "n_chains", "an integer"),
+], ids=["maxmin", "wielandt-chains", "wielandt-samples", "phi-extremal",
+        "maxmin-float", "wielandt-samples-bool", "phi-extremal-string"])
+def test_certificates_refuse_a_count_below_one(check, count, reason):
     a, _, _ = _instance(2, 7)
-    with pytest.raises(ValidationError, match=f"{count} must be at least 1"):
+    with pytest.raises(ValidationError, match=f"{count} must be {reason}"):
         check(a)
 
 

@@ -40,7 +40,7 @@ def test_elementary_symmetric_edge_orders():
     assert elementary_symmetric(x, 2) == 10.0
     assert elementary_symmetric(x, 3) == 0.0
     for order in (-1, 1.5, 2.0, "2", None):
-        with pytest.raises(ValueError, match="nonnegative integer"):
+        with pytest.raises(ValueError, match="order must be (an integer|at least 0)"):
             elementary_symmetric(x, order)
     assert elementary_symmetric(x, np.int64(2)) == 10.0
 
@@ -48,7 +48,7 @@ def test_elementary_symmetric_edge_orders():
 # A boolean order used to index e as a mask: True gave [[1.0, 7.0]].
 @pytest.mark.parametrize("order", [-1, 1.5, "2", True, False])
 def test_elementary_symmetric_raises_the_package_validation_error(order):
-    with pytest.raises(ValidationError, match="nonnegative integer"):
+    with pytest.raises(ValidationError, match="order must be (an integer|at least 0)"):
         elementary_symmetric(np.array([2.0, 5.0]), order)
 
 

@@ -40,7 +40,7 @@ def test_trial_rng_streams_are_keyed_and_stable():
     assert not np.array_equal(a, e)
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(ValidationError):
         SuiteConfig(suite="nope")
     with pytest.raises(ValidationError):
@@ -54,9 +54,18 @@ def test_config_validation():
     # replay refuses these in a report, booleans included.
     for field, value in [("trials", 2.5), ("trials", True), ("n_min", 2.5),
                          ("n_max", True), ("n_max", 4.0), ("jobs", 1.0),
-                         ("jobs", True), ("tol", True)]:
+                         ("jobs", True), ("tol", True), ("master_seed", 2.5),
+                         ("master_seed", True), ("master_seed", "7")]:
         with pytest.raises(ValidationError, match="must be an integer|positive and finite"):
             SuiteConfig(**{field: value})
+    # trial_rng reduces the seed mod 2**64, so a negative one is valid; numpy
+    # integers are stored as int, so the report is JSON and replays.
+    cfg = SuiteConfig(suite="majorization", trials=np.int64(2), n_max=np.int32(3),
+                      master_seed=np.int64(-4), jobs=np.uint8(1), report_path=None)
+    assert [type(v) for v in (cfg.trials, cfg.n_max, cfg.master_seed, cfg.jobs)] == [int] * 4
+    report, _ = run_all(cfg)
+    write_report(report, tmp_path / "report.json")
+    assert replay(tmp_path / "report.json", "majorization", 1)[2]
 
 
 def test_run_suite_structure():
@@ -138,6 +147,11 @@ def test_replay_validates_inputs(tmp_path):
         replay(path, "majorization", 99)
     with pytest.raises(ValidationError):
         replay(tmp_path / "missing.json", "majorization", 0)
+    # 1.5 replayed no stored trial and True trial 1; np.int64 broke json.
+    for trial in (1.5, True):
+        with pytest.raises(ValidationError, match="trial must be an integer"):
+            replay(path, "majorization", trial)
+    assert replay(path, "majorization", np.int64(1))[2]
 
 
 @pytest.mark.parametrize("suite", ["wielandt"])

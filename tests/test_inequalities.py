@@ -180,10 +180,13 @@ def test_schur_concave_audit_rejects_schur_convex():
     assert any(c["kind"] == "schur-concavity" for c in result.counterexamples)
 
 
-@pytest.mark.parametrize("trials", [0, -5])
-def test_schur_concave_audit_refuses_no_draws(trials):
+# 2.5 used to reach numpy's integers() and True to run one trial.
+@pytest.mark.parametrize("trials, reason", [(0, "at least 1"), (-5, "at least 1"),
+                                            (2.5, "an integer"), (True, "an integer")],
+                         ids=["0", "-5", "2.5", "True"])
+def test_schur_concave_audit_refuses_no_draws(trials, reason):
     phi = SpectralFunctional("max", lambda x: np.max(x, axis=-1))
-    with pytest.raises(ValidationError, match="trials must be at least 1"):
+    with pytest.raises(ValidationError, match=f"trials must be {reason}"):
         schur_concave_monotone_check(phi, trials=trials, rng=np.random.default_rng(7))
 
 
