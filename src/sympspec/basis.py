@@ -25,12 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    apply_form,
-    as_generator,
-    symplectic_form,
-    symplectic_gram,
-)
+from .core import _form_defect, apply_form, as_generator, symplectic_gram
 from .errors import ConstructionError, ValidationError, _check_int, _contract
 from .linalg import (
     INTERSECT_COS_TOL,
@@ -64,7 +59,7 @@ class SymplecticBasis:
             raise ValidationError(f"basis columns have invalid shape {cols.shape}")
         _check_finite(cols, "basis columns")
         n = cols.shape[0] // 2
-        defect = fnorm(symplectic_gram(cols, cols) - symplectic_form(n))
+        defect = _form_defect(cols)
         if not defect <= BASIS_TOL:
             raise ValidationError(
                 f"columns are not symplectically orthonormal: defect {defect:.3e}"
@@ -252,7 +247,7 @@ def _check_built(cols, chain):
     _contract("constructed tuple defects: orthonormality",
               fnorm(full.T @ full - np.eye(full.shape[1])), BASIS_TOL)
     _contract("constructed tuple defects: form",
-              fnorm(symplectic_gram(full, full) - symplectic_form(cols.shape[1])), BASIS_TOL)
+              _form_defect(full), BASIS_TOL)
     for j in range(cols.shape[1]):
         _contract(f"constructed vector {j} left its sharp space: residual",
                   _sharp_residual(cols[:, j], chain[j]), BASIS_TOL)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ValidationError, _check_int, _contract, _lapack
 from .linalg import (
+    EPS,
     _FLAPACK,
     _check_finite,
     _skew_canonical,
@@ -75,6 +76,24 @@ def symplectic_gram(x, y):
     return x[:n].T @ y[n:] - x[n:].T @ y[:n]
 
 
+def _form_defect(x):
+    """||X.T J X - J||_F for a 2n x 2k column stack X, with J of size 2k:
+    how far the columns (u_1..u_k, v_1..v_k) are from a symplectic tuple.
+
+    No J is built.  The entries of J are subtracted from the Gram matrix
+    in place: 1 from its k entries (i, k + i), at flat positions k,
+    3k + 1, ... (stride 2k + 1, stopping at row k), and -1 from its k
+    entries (k + i, i), from flat position 2k^2 on with the same stride.
+    Every other entry of J is +0.0, whose subtraction changes no bit, so
+    the norm equals that of the dense difference bit for bit.
+    """
+    g = symplectic_gram(x, x)
+    k = g.shape[0] // 2
+    g.flat[k:2 * k * k:2 * k + 1] -= 1.0
+    g.flat[2 * k * k::2 * k + 1] += 1.0
+    return fnorm(g)
+
+
 def check_positive_definite(a):
     """Symmetrize A and return (A, L, kappa) with A = L L.T.
 
@@ -94,7 +113,7 @@ def check_positive_definite(a):
         ) from None
     rcond = _lapack(_POCON, "condition estimate", low, np.abs(a).sum(0).max(), uplo="L")
     kappa = 1.0 / rcond if rcond > 0.0 else np.inf
-    if rcond <= np.finfo(float).eps:
+    if rcond <= EPS:
         raise ValidationError(
             f"matrix is numerically singular: condition number estimate {kappa:.1e}"
         )
@@ -135,8 +154,16 @@ def _cholesky_skew(low):
     check_positive_definite passed A: the input that the band step of
     linalg._skew_spectrum and linalg._skew_canonical takes unchecked.
     """
-    k = low.T @ apply_form(low)
+    n = low.shape[0] // 2
+    k = low.T @ np.concatenate([low[n:], -low[:n]])
     return 0.5 * (k - k.T)
+
+
+def _factor_spectrum(low):
+    """Ascending symplectic spectrum of A = L L.T from its Cholesky factor
+    L, as check_positive_definite returns it: the skew-canonical method
+    without a second factorization."""
+    return _skew_spectrum(_cholesky_skew(low))
 
 
 def williamson(a):
@@ -149,14 +176,14 @@ def williamson(a):
     of A.
     """
     a, low, kappa = check_positive_definite(a)
-    n = half_dim(a)
+    half_dim(a)
     q, d = _skew_canonical(_cholesky_skew(low))
     root = np.sqrt(d)
     m = _lapack(_TRTRS, "triangular solve", low.T, q * np.concatenate([root, root]), lower=0)
 
     normal = np.diag(np.concatenate([d, d]))
     residual_a = fnorm(m.T @ a @ m - normal) / max(1.0, fnorm(normal))
-    residual_j = fnorm(symplectic_gram(m, m) - symplectic_form(n))
+    residual_j = _form_defect(m)
     at_kappa = f" at condition number estimate {kappa:.1e}"
     _contract("diagonalization residual", residual_a, WILLIAMSON_RTOL_A, at_kappa)
     _contract("basis form defect", residual_j, WILLIAMSON_TOL_J, at_kappa)
@@ -187,7 +214,7 @@ def symplectic_eigenvalues(a, method="skew-canonical"):
         imag = np.sort(np.abs(vals.imag))
         # Spectrum comes in +/- pairs; average the two copies of each d.
         return 0.5 * (imag[::2] + imag[1::2])
-    return _skew_spectrum(_cholesky_skew(low))
+    return _factor_spectrum(low)
 
 
 def tuple_form_defect(x, y):
@@ -289,7 +316,7 @@ def random_symplectic(n, rng, spread=2.0):
         h *= spread / norm
     m = _expm(apply_form(h), min(norm, spread))
     _contract("symplectic exponential defect",
-              fnorm(symplectic_gram(m, m) - symplectic_form(n)), 1e-10 * max(1.0, fnorm(m) ** 2))
+              _form_defect(m), 1e-10 * max(1.0, fnorm(m) ** 2))
     return m
 
 

@@ -12,11 +12,13 @@ and the report carries them all.
 from __future__ import annotations
 
 import json
+import os
 import time
 import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -77,8 +79,12 @@ class SuiteConfig:
         self.n_max = _check_int("n_max", self.n_max, minimum=self.n_min)
         self.master_seed = _check_int("master_seed", self.master_seed)
         self.jobs = _check_int("jobs", self.jobs, minimum=1)
-        if isinstance(self.tol, bool) or not 0.0 < self.tol < np.inf:
-            raise ValidationError(f"tolerance must be positive and finite, got {self.tol}")
+        # Stored as a plain float for the same reason; a bool, a string or
+        # a complex number is no tolerance.
+        if (isinstance(self.tol, bool) or not isinstance(self.tol, Real)
+                or not 0.0 < self.tol < np.inf):
+            raise ValidationError(f"tolerance must be positive and finite, got {self.tol!r}")
+        self.tol = float(self.tol)
 
 
 def trial_rng(master_seed, suite_id, trial):
@@ -380,9 +386,19 @@ def run_all(config):
 
 
 def write_report(report, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write report as JSON to path.  The JSON is streamed into path + ".tmp",
+    which then replaces path, so a report that cannot be serialised, or a
+    write cut short, leaves the file at path as it was; a string formed
+    first would hold the whole text in memory."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def strip_timing(report):

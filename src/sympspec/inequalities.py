@@ -14,9 +14,15 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import as_generator, check_positive_definite, random_pd, symplectic_eigenvalues
+from .core import (
+    _factor_spectrum,
+    as_generator,
+    check_positive_definite,
+    random_pd,
+    symplectic_eigenvalues,
+)
 from .errors import ValidationError, _check_int, _lapack
-from .linalg import _FLAPACK, fnorm, sym_eig
+from .linalg import _FLAPACK, _below, fnorm, sym_eig
 
 _SYGST = _FLAPACK.dsygst
 
@@ -32,20 +38,33 @@ def geometric_mean(a, b):
     C = V diag(w) V^T follows, and the mean is F F^T with
     F = L V diag(w^(1/4)).
     """
+    return _geometric_mean(a, b)[0]
+
+
+def _geometric_mean(a, b):
+    """(A # B, L_A, L_B): geometric_mean's value and the Cholesky factors
+    of A and B that check_positive_definite returned, so that a caller
+    needs no second factorization for their spectra.  A B that is A is
+    checked once, and L_B is then L_A."""
     _check_same_size(a, b)
-    low = check_positive_definite(a)[1]
-    b = check_positive_definite(b)[0]
+    if b is a:
+        b, low, _ = check_positive_definite(a)
+        low_b = low
+    else:
+        low = check_positive_definite(a)[1]
+        b, low_b, _ = check_positive_definite(b)
     c = _lapack(_SYGST, "congruence reduction", b, low, lower=1)
     # dsygst writes the lower triangle of C only.
-    c = np.tril(c)
-    w, v = sym_eig(c + np.tril(c, -1).T)
+    below = _below(c.shape[0])
+    c = np.where(below.T, 0.0, c)
+    w, v = sym_eig(c + np.where(below, c, 0.0).T)
     if w[0] <= 0.0:
         raise ValidationError(
             f"L^-1 B L^-T is not positive definite: smallest eigenvalue {w[0]:.6e}"
         )
     f = low @ (v * np.sqrt(np.sqrt(w)))
     out = f @ f.T
-    return 0.5 * (out + out.T)
+    return 0.5 * (out + out.T), low, low_b
 
 
 def _check_same_size(a, b):
@@ -354,7 +373,7 @@ def multiplicative_trial_records(t, n, rng, tol=1e-9):
         a = random_pd(n, rng)
         b = random_pd(n, rng)
         idx = _index_set(n, rng)
-    mean = geometric_mean(a, b)
+    mean, low_a, low_b = _geometric_mean(a, b)
     # A # B is the unique positive definite solution of G A^-1 G = B
     # (Bhatia, Positive Definite Matrices, 2007, ch. 4).  A plain solve,
     # not the Cholesky factor behind the mean, keeps the check independent
@@ -366,9 +385,10 @@ def multiplicative_trial_records(t, n, rng, tol=1e-9):
             1e-8, "le", 0.0,
         )
     ]
+    # The spectra of A and B come from the factors the mean already took.
     d_m = symplectic_eigenvalues(mean)
-    d_a = symplectic_eigenvalues(a)
-    d_b = d_a if b is a else symplectic_eigenvalues(b)
+    d_a = _factor_spectrum(low_a)
+    d_b = d_a if b is a else _factor_spectrum(low_b)
     records += _product_records(d_m, d_a, d_b, idx, tol)
     if t % 10 == 7:
         records.append(

@@ -31,6 +31,13 @@ the same routines (dgesdd, and dsyevd reading the lower triangle), with
 the workspace dgesdd's query asks for (kept per shape in _GESDD_WORK), as
 numpy passes it, and the factors in C order, as numpy returns them, so
 results and every product formed from them match numpy's bit for bit.
+
+_below(m) is the strictly-lower boolean mask of size m, built once per
+size and kept read-only.  np.where(_below(m), 0.0, x) is the upper
+triangle of x with its diagonal, np.where(_below(m).T, 0.0, x) the lower
+one and np.where(_below(m), x, 0.0) the strictly lower one, the same
+entries numpy's triu and tril return, without the mask that those two
+rebuild on every call.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from .errors import ValidationError, _contract, _lapack
 SYM_RTOL = 1e-12
 RANK_RTOL = 1e-10
 INTERSECT_COS_TOL = 1e-8
+EPS = np.finfo(float).eps
 
 
 def _load_flapack():
@@ -114,6 +122,19 @@ def _eigh(s):
     raises NumericalContractError."""
     w, v = _lapack(_SYEVD, "symmetric eigensolve", s, lower=1)
     return w, np.ascontiguousarray(v)
+
+
+_BELOW = {}  # strictly-lower boolean mask by size, read-only
+
+
+def _below(m):
+    """The m x m boolean mask of the entries below the diagonal, np.tri(m,
+    m, -1), built once per size; read-only, since every caller shares it."""
+    mask = _BELOW.get(m)
+    if mask is None:
+        mask = _BELOW[m] = np.tri(m, m, -1, dtype=bool)
+        mask.flags.writeable = False
+    return mask
 
 
 def check_square(a, name="matrix"):
@@ -263,7 +284,7 @@ def _hessenberg_band(k):
     ht, tau = _lapack(_GEHRD, "Hessenberg reduction", k, lwork=64 * m)
     e = 0.5 * (ht.diagonal(-1) - ht.diagonal(1))
     # triu(T(e)) is -e on the super-diagonal, flat positions 1, m + 2, ...
-    defect = np.triu(ht)
+    defect = np.where(_below(m), 0.0, ht)
     defect.flat[1::m + 1] += e
     _contract("Hessenberg band defect", fnorm(defect), 1e-9 * max(1.0, fnorm(k)))
     # 0.0 - e and 0.0 + e, so that a zero of e enters B as +0.0.
@@ -282,7 +303,7 @@ def _ascending_nonsingular(s):
     this guards against that estimate under-reading the condition number.
     """
     d = s[::-1]
-    if d[0] <= 2 * d.size * np.finfo(float).eps * d[-1]:
+    if d[0] <= 2 * d.size * EPS * d[-1]:
         raise ValidationError(
             "skew matrix is singular to working precision: singular values span "
             f"[{d[0]:.3e}, {d[-1]:.3e}]"

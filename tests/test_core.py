@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from sympspec import core, linalg
+from sympspec.basis import SymplecticBasis
 from sympspec.core import (
     WILLIAMSON_RTOL_A,
     WILLIAMSON_TOL_J,
@@ -60,6 +61,41 @@ def test_form_matrix_structure():
     assert fnorm(j + j.T) == 0.0
     assert fnorm(j @ j + np.eye(4)) == 0.0
     assert np.allclose(j[:2, 2:], np.eye(2))
+    # Every call returns a fresh array that the caller may write.
+    assert j.flags.writeable and symplectic_form(2) is not j
+    j[0, 0] = 5.0
+    assert symplectic_form(2)[0, 0] == 0.0
+
+
+def _form_defect_inputs():
+    rng = np.random.default_rng(61)
+    for n in range(1, 8):
+        yield random_symplectic(n, rng)
+        yield williamson(random_pd(n, rng)).m
+        yield SymplecticBasis.standard(n).cols
+        for k in range(0, n + 2):  # 2n x 2k stacks, k = 0 and k > n included
+            yield rng.normal(size=(2 * n, 2 * k))
+    yield np.zeros((6, 4))  # every Gram entry a signed zero
+    yield -np.eye(4)
+    nan = np.eye(6)
+    nan[2, 3] = np.nan
+    yield nan
+
+
+def test_form_defect_equals_the_dense_difference_bit_for_bit():
+    for x in _form_defect_inputs():
+        dense = fnorm(symplectic_gram(x, x) - symplectic_form(x.shape[1] // 2))
+        fast = core._form_defect(x)
+        assert fast == dense or (np.isnan(fast) and np.isnan(dense))
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), 50])
+def test_factor_spectrum_equals_the_skew_canonical_method_bit_for_bit(n):
+    rng = np.random.default_rng(70 + n)
+    for _ in range(3):
+        a = random_pd(n, rng)
+        d = core._factor_spectrum(core.check_positive_definite(a)[1])
+        assert d.tobytes() == symplectic_eigenvalues(a).tobytes()
 
 
 def test_apply_form_matches_matrix():

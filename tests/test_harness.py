@@ -54,18 +54,32 @@ def test_config_validation(tmp_path):
     # replay refuses these in a report, booleans included.
     for field, value in [("trials", 2.5), ("trials", True), ("n_min", 2.5),
                          ("n_max", True), ("n_max", 4.0), ("jobs", 1.0),
-                         ("jobs", True), ("tol", True), ("master_seed", 2.5),
+                         ("jobs", True), ("tol", True), ("tol", "1e-9"), ("tol", None),
+                         ("tol", 1e-9 + 0j), ("tol", np.nan), ("master_seed", 2.5),
                          ("master_seed", True), ("master_seed", "7")]:
         with pytest.raises(ValidationError, match="must be an integer|positive and finite"):
             SuiteConfig(**{field: value})
     # trial_rng reduces the seed mod 2**64, so a negative one is valid; numpy
-    # integers are stored as int, so the report is JSON and replays.
+    # integers are stored as int and a numpy float tol as float, so the
+    # report is JSON and replays.
     cfg = SuiteConfig(suite="majorization", trials=np.int64(2), n_max=np.int32(3),
-                      master_seed=np.int64(-4), jobs=np.uint8(1), report_path=None)
+                      master_seed=np.int64(-4), jobs=np.uint8(1), tol=np.float32(1e-6),
+                      report_path=None)
     assert [type(v) for v in (cfg.trials, cfg.n_max, cfg.master_seed, cfg.jobs)] == [int] * 4
+    assert type(cfg.tol) is float and cfg.tol == float(np.float32(1e-6))
     report, _ = run_all(cfg)
     write_report(report, tmp_path / "report.json")
     assert replay(tmp_path / "report.json", "majorization", 1)[2]
+
+
+def test_write_report_keeps_the_old_file_when_serialising_fails(tmp_path):
+    path = tmp_path / "report.json"
+    write_report({"config": {"tol": 1e-9}}, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError, match="float32"):
+        write_report({"config": {"tol": np.float32(1e-6)}}, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_run_suite_structure():

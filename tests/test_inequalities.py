@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympspec import inequalities, linalg
+from sympspec import core, inequalities, linalg
 from sympspec.core import random_pd, symplectic_eigenvalues
 from sympspec.errors import NumericalContractError, ValidationError
 from sympspec.functionals import SHIPPED, SpectralFunctional
@@ -78,6 +78,45 @@ def test_geometric_mean_makes_one_symmetric_eigensolve(monkeypatch):
     assert calls == [(8, 8)]
 
 
+def _tril_mean(a, b):
+    """The mean as it was formed with numpy's tril, the reference for the
+    masks kept per size."""
+    low = np.linalg.cholesky(0.5 * (a + a.T))
+    c = inequalities._SYGST(0.5 * (b + b.T), low, lower=1)[0]
+    c = np.tril(c)
+    w, v = linalg.sym_eig(c + np.tril(c, -1).T)
+    f = low @ (v * np.sqrt(np.sqrt(w)))
+    out = f @ f.T
+    return 0.5 * (out + out.T)
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), 50])
+def test_geometric_mean_equals_the_tril_formula_bit_for_bit(n):
+    rng = np.random.default_rng(80 + n)
+    for _ in range(3):
+        a, b = random_pd(n, rng), random_pd(n, rng)
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert geometric_mean(x, y).tobytes() == _tril_mean(x, y).tobytes()
+
+
+@pytest.mark.parametrize("t, checks", [(0, 3), (3, 2), (7, 2)],
+                         ids=["independent", "b-is-a", "planted"])
+def test_multiplicative_trial_factors_each_matrix_once(monkeypatch, t, checks):
+    # A, B and the mean are each factored once: d(A) and d(B) come from
+    # the factors the mean took, and a B that is A is factored once.
+    calls = []
+    check = core.check_positive_definite
+
+    def counted(a):
+        calls.append(a.shape)
+        return check(a)
+
+    for module in (core, inequalities):
+        monkeypatch.setattr(module, "check_positive_definite", counted)
+    multiplicative_trial_records(t, 3, np.random.default_rng(t))
+    assert calls == [(6, 6)] * checks
+
+
 def test_geometric_mean_maps_lapack_error_codes(monkeypatch):
     monkeypatch.setattr(inequalities, "_SYGST", lambda b, low, lower: (b, -2))
     with pytest.raises(NumericalContractError, match="LAPACK info -2"):
@@ -95,8 +134,13 @@ def test_mean_riccati_record_is_tiny_on_random_pairs(n):
 
 
 def test_mean_riccati_record_fails_on_a_wrong_mean(monkeypatch):
-    mean = inequalities.geometric_mean
-    monkeypatch.setattr(inequalities, "geometric_mean", lambda a, b: 1.001 * mean(a, b))
+    mean = inequalities._geometric_mean
+
+    def wrong(a, b):
+        g, low_a, low_b = mean(a, b)
+        return 1.001 * g, low_a, low_b
+
+    monkeypatch.setattr(inequalities, "_geometric_mean", wrong)
     rec = multiplicative_trial_records(0, 3, np.random.default_rng(12))[0]
     assert rec.name == "mean-riccati-residual"
     assert rec.lhs > 1e-3 and not rec.passed

@@ -390,3 +390,17 @@ def test_hessenberg_band_equals_the_dense_construction_bit_for_bit(monkeypatch):
         assert values.pop() == fnorm(np.triu(ht) + np.diag(e, 1))
         dense = np.diag(-e[0::2]) + np.diag(e[1::2], -1)
         assert b.flags.c_contiguous and b.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 14])
+def test_below_is_a_shared_read_only_strictly_lower_mask(m):
+    mask = linalg._below(m)
+    assert mask.dtype == bool and np.array_equal(mask, np.tri(m, m, -1, dtype=bool))
+    assert linalg._below(m) is mask and not mask.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        mask[0, 0] = True
+    x = np.asfortranarray(np.random.default_rng(m).normal(size=(m, m)))
+    assert np.where(mask, 0.0, x).tobytes() == np.triu(x).tobytes()
+    # mask.T is in Fortran order, so this result is too: compare values.
+    assert np.array_equal(np.where(mask.T, 0.0, x), np.tril(x))
+    assert np.where(mask, x, 0.0).tobytes() == np.tril(x, -1).tobytes()
