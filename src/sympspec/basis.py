@@ -30,6 +30,7 @@ from .errors import ConstructionError, ValidationError, _check_int, _contract
 from .linalg import (
     INTERSECT_COS_TOL,
     _check_finite,
+    _real,
     _svd,
     fnorm,
     null_space_basis,
@@ -53,7 +54,7 @@ class SymplecticBasis:
     """
 
     def __init__(self, cols):
-        cols = np.asarray(cols, dtype=float)
+        cols = _real(cols, "basis columns")
         if (cols.ndim != 2 or cols.shape[0] != cols.shape[1]
                 or cols.shape[0] == 0 or cols.shape[0] % 2 == 1):
             raise ValidationError(f"basis columns have invalid shape {cols.shape}")

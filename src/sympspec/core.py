@@ -6,6 +6,13 @@ Conventions used throughout the package:
   J = [[0, I], [-I, 0]],
 * symplectic eigenvalues are reported ascending as a length-n vector d,
 * a Williamson basis M satisfies M.T A M = diag(d, d) and M.T J M = J.
+
+_CHOLESKY and _EIGVALS are the gufuncs of numpy.linalg._umath_linalg
+that numpy.linalg.cholesky and eigvals call, taken with the signature
+and inside the np.errstate of numpy's wrapper, so the bits are numpy's:
+at the package's sizes the wrappers cost more than the factorization.
+The private cores _williamson, _compress and _ja_spectrum take an A that
+check_positive_definite has passed, so a caller checks A once.
 """
 
 from __future__ import annotations
@@ -14,14 +21,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import ValidationError, _check_int, _contract, _lapack
 from .linalg import (
     EPS,
     _FLAPACK,
     _check_finite,
+    _real,
     _skew_canonical,
     _skew_spectrum,
+    _svd,
     check_square,
     check_symmetric,
     fnorm,
@@ -33,6 +43,8 @@ TUPLE_TOL = 1e-8
 COND_WARN = 1e12
 
 _POCON, _TRTRS = _FLAPACK.dpocon, _FLAPACK.dtrtrs
+# The gufuncs that numpy.linalg.cholesky and numpy.linalg.eigvals wrap.
+_CHOLESKY, _EIGVALS = _umath_linalg.cholesky_lo, _umath_linalg.eigvals
 
 METHODS = ("skew-canonical", "ja-eigen", "williamson")
 
@@ -89,9 +101,28 @@ def _form_defect(x):
     """
     g = symplectic_gram(x, x)
     k = g.shape[0] // 2
-    g.flat[k:2 * k * k:2 * k + 1] -= 1.0
-    g.flat[2 * k * k::2 * k + 1] += 1.0
+    flat = g.reshape(-1)
+    flat[k:2 * k * k:2 * k + 1] -= 1.0
+    flat[2 * k * k::2 * k + 1] += 1.0
     return fnorm(g)
+
+
+def _not_positive_definite(err, flag):
+    raise ValidationError("matrix is not positive definite: Cholesky factorization failed")
+
+
+def _eigvals_failed(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@np.errstate(call=_not_positive_definite, invalid="call",
+             over="ignore", divide="ignore", under="ignore")
+def _cholesky(a):
+    """numpy.linalg.cholesky(a) for a finite square float64 a: its gufunc
+    under the error state numpy's wrapper sets, with the invalid flag by
+    which the gufunc reports a failed factorization raised as
+    ValidationError."""
+    return _CHOLESKY(a, signature="d->d")
 
 
 def check_positive_definite(a):
@@ -105,13 +136,9 @@ def check_positive_definite(a):
     singular to working precision.
     """
     a = check_symmetric(a)
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise ValidationError(
-            "matrix is not positive definite: Cholesky factorization failed"
-        ) from None
-    rcond = _lapack(_POCON, "condition estimate", low, np.abs(a).sum(0).max(), uplo="L")
+    low = _cholesky(a)
+    rcond = _lapack(_POCON, "condition estimate", low,
+                    np.add.reduce(np.abs(a), 0).max(), uplo="L")
     kappa = 1.0 / rcond if rcond > 0.0 else np.inf
     if rcond <= EPS:
         raise ValidationError(
@@ -175,7 +202,11 @@ def williamson(a):
     tolerances or the call raises, naming the condition number estimate
     of A.
     """
-    a, low, kappa = check_positive_definite(a)
+    return _williamson(*check_positive_definite(a))
+
+
+def _williamson(a, low, kappa):
+    """williamson for (A, L, kappa) as check_positive_definite returns them."""
     half_dim(a)
     q, d = _skew_canonical(_cholesky_skew(low))
     root = np.sqrt(d)
@@ -210,15 +241,29 @@ def symplectic_eigenvalues(a, method="skew-canonical"):
     a, low, _ = check_positive_definite(a)
     half_dim(a)
     if method == "ja-eigen":
-        vals = np.linalg.eigvals(apply_form(a))
-        imag = np.sort(np.abs(vals.imag))
-        # Spectrum comes in +/- pairs; average the two copies of each d.
-        return 0.5 * (imag[::2] + imag[1::2])
+        return _ja_spectrum(a)
     return _factor_spectrum(low)
 
 
+@np.errstate(call=_eigvals_failed, invalid="call",
+             over="ignore", divide="ignore", under="ignore")
+def _ja_spectrum(a):
+    """The ja-eigen spectrum of an A that check_positive_definite and
+    half_dim passed: numpy.linalg.eigvals(J A) through its gufunc, under
+    the error state numpy's wrapper sets, so that a failure raises the
+    LinAlgError numpy's wrapper raises."""
+    vals = _EIGVALS(apply_form(a), signature="d->D")
+    imag = np.sort(np.abs(vals.imag))
+    # Spectrum comes in +/- pairs; average the two copies of each d.
+    return 0.5 * (imag[::2] + imag[1::2])
+
+
 def tuple_form_defect(x, y):
-    """How far the columns (x_i, y_i) are from symplectic pairing."""
+    """How far the columns (x_i, y_i) are from symplectic pairing; x and y
+    are real column stacks of one 2-d shape."""
+    x, y = _real(x, "tuple columns"), _real(y, "tuple columns")
+    if x.ndim != 2 or x.shape != y.shape:
+        raise ValidationError(f"tuple shapes {x.shape} and {y.shape} are not one 2-d shape")
     k = x.shape[1]
     gxy = symplectic_gram(x, y) - np.eye(k)
     gxx = symplectic_gram(x, x)
@@ -235,12 +280,18 @@ def compress(a, x, y):
     """
     a = check_positive_definite(a)[0]
     half_dim(a)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    return _compress(a, x, y)
+
+
+def _compress(a, x, y):
+    """compress for an A that check_positive_definite and half_dim passed."""
+    x, y = _real(x, "tuple columns"), _real(y, "tuple columns")
     if x.shape != y.shape or x.ndim != 2 or x.shape[0] != a.shape[0]:
         raise ValidationError(
             f"tuple shapes {x.shape} and {y.shape} do not match matrix of size {a.shape[0]}"
         )
+    if x.shape[1] == 0:
+        raise ValidationError("tuple must hold at least one pair of columns")
     t = np.concatenate([x, y], axis=1)
     _check_finite(t, "tuple columns")
     defect = tuple_form_defect(x, y)
@@ -311,7 +362,7 @@ def random_symplectic(n, rng, spread=2.0):
     rng = as_generator(rng)
     g = rng.standard_normal((2 * n, 2 * n))
     h = 0.5 * (g + g.T)
-    norm = np.linalg.norm(h, 2)
+    norm = _svd(h, compute_uv=0)[1][0]  # ||H||_2
     if norm > spread:
         h *= spread / norm
     m = _expm(apply_form(h), min(norm, spread))
@@ -331,9 +382,12 @@ def random_pd(n, rng, spectrum=None):
     rng = as_generator(rng)
     if spectrum is None:
         r = rng.standard_normal((2 * n, 2 * n))
+        # r @ r.T is formed exactly symmetric (numpy's matmul takes BLAS
+        # dsyrk for a product with its own transpose), so the diagonal
+        # shift leaves nothing to symmetrize.
         a = r @ r.T
         a.flat[::2 * n + 1] += 1e-3 * (np.trace(a) / (2 * n))
-        return 0.5 * (a + a.T)
+        return a
     d = np.sort(np.asarray(spectrum, dtype=float))
     if d.shape != (n,) or not ((0.0 < d) & (d < np.inf)).all():
         raise ValidationError(f"spectrum must be {n} positive finite values, got {spectrum!r}")

@@ -30,13 +30,17 @@ from .basis import (
 from .core import (
     TUPLE_TOL,
     _TRTRS,
+    _cholesky,
+    _williamson,
     as_generator,
-    compress,
+    check_positive_definite,
     symplectic_gram,
     symplectic_inner,
     tuple_form_defect,
-    williamson,
 )
+# The certificates compress the A that _eigen_frame has checked, so they
+# bind core's compress without that check.
+from .core import _compress as compress
 from .errors import ConstructionError, NumericalContractError, ValidationError, _check_int, _lapack
 from .inequalities import (
     _check_index_set,
@@ -213,13 +217,15 @@ def _finish(name, claimed, slacks, *, sampled_min=None, witness_max=None,
 
 
 def _eigen_frame(a, index_set):
-    """(d, basis, idx, vchain, wchain): the Williamson spectrum and
-    eigenbasis of A, the index set as an int array, which
+    """(a, d, basis, idx, vchain, wchain): A as check_positive_definite
+    returns it, checked once for the whole certificate, its Williamson
+    spectrum and eigenbasis, the index set as an int array, which
     canonical_chains has validated, and its canonical chains."""
-    dec = williamson(a)
+    a, low, kappa = check_positive_definite(a)
+    dec = _williamson(a, low, kappa)
     basis = SymplecticBasis(dec.m)
     vchain, wchain = canonical_chains(basis, index_set)
-    return dec.d, basis, np.asarray(index_set, dtype=int), vchain, wchain
+    return a, dec.d, basis, np.asarray(index_set, dtype=int), vchain, wchain
 
 
 def _sampled_floor(a, chain, claimed, samples, rng, tol):
@@ -251,7 +257,7 @@ def _pair_floor(a, w):
     <x, J y> = 1, from A and J alone: with G an orthonormal basis of
     span(w) and G^T A G = L L^T, it is 1 / sigma_max(L^-1 G^T J G L^-T)."""
     g = orthonormal_columns(w)
-    low = np.linalg.cholesky(g.T @ a @ g)
+    low = _cholesky(g.T @ a @ g)
     half = _lapack(_TRTRS, "triangular solve", low, symplectic_gram(g, g), lower=1)
     full = _lapack(_TRTRS, "triangular solve", low, half.T, lower=1)
     return 1.0 / float(_svd(full, compute_uv=0)[1][0])
@@ -268,7 +274,7 @@ def maxmin_check(a, k, n_subspaces=20, rng=None, tol=1e-9):
     """
     n_subspaces = _check_int("n_subspaces", n_subspaces, minimum=1)
     rng = as_generator(rng)
-    d, basis, idx, _, wchain = _eigen_frame(a, [k])
+    a, d, basis, idx, _, wchain = _eigen_frame(a, [k])
     k = int(idx[0])
     claimed = float(d[k - 1])
     scale = max(1.0, abs(claimed))
@@ -307,7 +313,7 @@ def wielandt_certify(a, index_set, n_chains=20, samples=40, rng=None,
     n_chains = _check_int("n_chains", n_chains, minimum=1)
     samples = _check_int("samples", samples, minimum=1)
     rng = as_generator(rng)
-    d, basis, idx, vchain, wchain = _eigen_frame(a, index_set)
+    a, d, basis, idx, vchain, wchain = _eigen_frame(a, index_set)
     claimed = float(d[idx - 1].sum())
     scale = max(1.0, abs(claimed))
     values, slacks = _sampled_floor(a, wchain, claimed, samples, rng, tol)
@@ -356,7 +362,7 @@ def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
             raise ValidationError(
                 f"functional {phi.name!r} failed its audit: {', '.join(kinds)}"
             )
-    d, basis, idx, vchain, _ = _eigen_frame(a, index_set)
+    a, d, basis, idx, vchain, _ = _eigen_frame(a, index_set)
     d_target = d[idx - 1]
     claimed = float(phi(d_target))
     scale = max(1.0, abs(claimed))
@@ -403,7 +409,7 @@ def det_product_check(a, index_set):
     log-determinant must equal that of the squared product of the
     selected eigenvalues to 1e-8.  Works in log space throughout.
     """
-    d, basis, idx, _, _ = _eigen_frame(a, index_set)
+    a, d, basis, idx, _, _ = _eigen_frame(a, index_set)
     claimed_log = 2.0 * float(np.log(d[idx - 1]).sum())
     a_eig = compress(a, basis.u[:, idx - 1], basis.v[:, idx - 1])[0]
     sign, logdet = np.linalg.slogdet(a_eig)

@@ -63,8 +63,8 @@ def _geometric_mean(a, b):
             f"L^-1 B L^-T is not positive definite: smallest eigenvalue {w[0]:.6e}"
         )
     f = low @ (v * np.sqrt(np.sqrt(w)))
-    out = f @ f.T
-    return 0.5 * (out + out.T), low, low_b
+    # F F^T is formed exactly symmetric, as random_pd's Wishart draw is.
+    return f @ f.T, low, low_b
 
 
 def _check_same_size(a, b):

@@ -31,6 +31,11 @@ the same routines (dgesdd, and dsyevd reading the lower triangle), with
 the workspace dgesdd's query asks for (kept per shape in _GESDD_WORK), as
 numpy passes it, and the factors in C order, as numpy returns them, so
 results and every product formed from them match numpy's bit for bit.
+core._CHOLESKY and core._EIGVALS do the same for numpy.linalg.cholesky
+and eigvals with numpy's own gufuncs, since scipy's dpotrf and dgeev
+come from another LAPACK build and would move bits.  check_symmetric,
+the input check of every positive definite entry point, is one body for
+the same reason: it calls neither check_square nor _check_finite.
 
 _below(m) is the strictly-lower boolean mask of size m, built once per
 size and kept read-only.  np.where(_below(m), 0.0, x) is the upper
@@ -137,8 +142,16 @@ def _below(m):
     return mask
 
 
+def _real(a, name):
+    """a as a float array; a complex array is refused, not cast to its real part."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise ValidationError(f"{name} must be real")
+    return np.asarray(a, dtype=float)
+
+
 def check_square(a, name="matrix"):
-    a = np.asarray(a, dtype=float)
+    a = _real(a, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {a.shape}")
     return a
@@ -153,23 +166,40 @@ def _check_finite(a, name="matrix"):
 
 
 def check_symmetric(a):
-    """Validate approximate symmetry and return the symmetrized matrix."""
-    a = check_square(a)
-    norm = _check_finite(a)
-    gap = fnorm(a - a.T)
+    """Validate a real, square, nonempty, finite and approximately
+    symmetric matrix and return its symmetrization (A + A.T) / 2.
+
+    Both norms are fnorm's sqrt(x . x) over the array in memory order,
+    and A + A.T halved in place has the bits of 0.5 * (A + A.T).
+    """
+    a = _real(a, "matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"matrix must be square, got shape {a.shape}")
+    if a.size == 0:
+        raise ValidationError("matrix must not be empty")
+    x = a.ravel(order="K")
+    norm = math.sqrt(x.dot(x))
+    if not math.isfinite(norm):
+        raise ValidationError(f"matrix must be finite: its Frobenius norm is {norm}")
+    t = a.T
+    s = a - t
+    x = s.ravel(order="K")
+    gap = math.sqrt(x.dot(x))
     if gap > SYM_RTOL * max(1.0, norm):
         raise ValidationError(
             f"matrix is not symmetric: asymmetry {gap:.3e} exceeds tolerance"
         )
-    return 0.5 * (a + a.T)
+    s = a + t
+    s *= 0.5
+    return s
 
 
 def sym_eig(s):
-    """Eigendecomposition of a symmetric matrix, ascending eigenvalues.
+    """Eigendecomposition of an exactly symmetric matrix, ascending
+    eigenvalues; s is not symmetrized again, which would change no bit.
 
     The residual ||S V - V diag(w)|| is checked against 1e-12 * max(1, ||S||).
     """
-    s = 0.5 * (s + s.T)
     w, v = _eigh(s)
     _contract("eigendecomposition residual", fnorm(s @ v - v * w), 1e-12 * max(1.0, fnorm(s)))
     return w, v
@@ -285,13 +315,14 @@ def _hessenberg_band(k):
     e = 0.5 * (ht.diagonal(-1) - ht.diagonal(1))
     # triu(T(e)) is -e on the super-diagonal, flat positions 1, m + 2, ...
     defect = np.where(_below(m), 0.0, ht)
-    defect.flat[1::m + 1] += e
+    defect.reshape(-1)[1::m + 1] += e
     _contract("Hessenberg band defect", fnorm(defect), 1e-9 * max(1.0, fnorm(k)))
     # 0.0 - e and 0.0 + e, so that a zero of e enters B as +0.0.
     h = m // 2
     b = np.zeros((h, h))
-    b.flat[::h + 1] -= e[0::2]
-    b.flat[h::h + 1] += e[1::2]
+    flat = b.reshape(-1)
+    flat[::h + 1] -= e[0::2]
+    flat[h::h + 1] += e[1::2]
     return ht, tau, b
 
 

@@ -28,7 +28,15 @@ from sympspec.core import (
     williamson,
 )
 from sympspec.errors import NumericalContractError, ValidationError
-from sympspec.inequalities import geometric_mean
+from sympspec.extremal import (
+    _pair_floor,
+    det_product_check,
+    maxmin_check,
+    phi_extremal_check,
+    wielandt_certify,
+)
+from sympspec.functionals import phi_sum
+from sympspec.inequalities import additive_lidskii_trial, geometric_mean
 from sympspec.linalg import _skew_canonical, fnorm
 
 RNG = np.random.default_rng(202)
@@ -222,10 +230,12 @@ def test_spectrum_matches_a_50_digit_reference(family):
 
 
 def test_cholesky_failure_is_a_validation_error(monkeypatch):
-    def no_factor(a):
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    def no_factor(a, signature):
+        # numpy's Cholesky gufunc reports a failure as NaN entries with
+        # the floating-point invalid flag raised.
+        return np.sqrt(np.full(a.shape, -1.0))
 
-    monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+    monkeypatch.setattr(core, "_CHOLESKY", no_factor)
     a = random_pd(2, RNG)
     with pytest.raises(ValidationError, match="not positive definite"):
         williamson(a)
@@ -532,3 +542,165 @@ def test_every_entry_point_refuses_singular_inputs(entry):
         v = np.random.default_rng(seed).standard_normal((4, 3))
         with pytest.raises(ValidationError, match="not positive definite|condition number estimate"):
             call(v @ v.T)
+
+
+# Draw families for the bit-identity tests: the harness's Wishart draw,
+# a spectrum spread over six decades and one with a tiny d_1.
+DRAWS = {
+    "wishart": lambda n, rng: random_pd(n, rng),
+    "log-spread": lambda n, rng: random_pd(n, rng, spectrum=np.logspace(-3.0, 3.0, n)),
+    "near-singular": lambda n, rng: random_pd(
+        n, rng, spectrum=np.concatenate([[1e-7], rng.uniform(0.5, 2.0, n - 1)])),
+}
+
+
+def _numpy_cholesky_route(a):
+    """(A, L, kappa) as check_positive_definite formed them through
+    numpy.linalg.cholesky and a 1-norm taken with ndarray.sum."""
+    a = 0.5 * (a + a.T)
+    low = np.linalg.cholesky(a)
+    rcond = core._POCON(low, np.abs(a).sum(0).max(), uplo="L")[0]
+    return a, low, float(1.0 / rcond)
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), 50])
+@pytest.mark.parametrize("family", list(DRAWS))
+def test_check_positive_definite_equals_the_numpy_cholesky_route_bit_for_bit(family, n):
+    # kappa is compared at n <= 50 only: at n = 200 dpocon's estimate moves
+    # in its last bits with the state of the process, on the same factor.
+    rng = np.random.default_rng(300 + n)
+    for _ in range(3):
+        a = DRAWS[family](n, rng)
+        tilted = a.copy()
+        tilted[0, -1] += 1e-14 * abs(a[0, -1])
+        for x in (a, tilted):
+            got, want = core.check_positive_definite(x), _numpy_cholesky_route(x)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("entry", ["check_positive_definite", "williamson", "_pair_floor"])
+def test_an_indefinite_matrix_is_refused_without_a_warning(entry):
+    calls = {
+        "check_positive_definite": core.check_positive_definite,
+        "williamson": williamson,
+        "_pair_floor": lambda a: _pair_floor(a, np.eye(4)),
+    }
+    state = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="not positive definite"):
+            calls[entry](_INDEFINITE)
+    assert np.geterr() == state
+
+
+def _numpy_eigvals_route(a):
+    imag = np.sort(np.abs(np.linalg.eigvals(apply_form(a)).imag))
+    return 0.5 * (imag[::2] + imag[1::2])
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), 50])
+def test_ja_eigen_equals_the_numpy_eigvals_route_bit_for_bit(n):
+    rng = np.random.default_rng(400 + n)
+    for family in DRAWS:
+        a = DRAWS[family](n, rng)
+        got = symplectic_eigenvalues(a, method="ja-eigen")
+        assert got.tobytes() == _numpy_eigvals_route(a).tobytes()
+
+
+def _symmetrized_random_pd(n, rng):
+    """random_pd's Wishart draw with the symmetrization it used to end with."""
+    r = rng.standard_normal((2 * n, 2 * n))
+    a = r @ r.T
+    a.flat[::2 * n + 1] += 1e-3 * (np.trace(a) / (2 * n))
+    return 0.5 * (a + a.T)
+
+
+def _norm_random_symplectic(n, rng, spread=2.0):
+    """random_symplectic with ||H||_2 from numpy.linalg.norm."""
+    g = rng.standard_normal((2 * n, 2 * n))
+    h = 0.5 * (g + g.T)
+    norm = np.linalg.norm(h, 2)
+    if norm > spread:
+        h *= spread / norm
+    return core._expm(apply_form(h), min(norm, spread))
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), 50, 100, 200])
+def test_random_draws_equal_their_former_formulas_bit_for_bit(n):
+    for seed in range(2):
+        a = random_pd(n, np.random.default_rng(seed))
+        assert a.tobytes() == _symmetrized_random_pd(n, np.random.default_rng(seed)).tobytes()
+        assert (a == a.T).all()
+        for spread in (0.5, 2.0):
+            m = random_symplectic(n, np.random.default_rng(seed), spread=spread)
+            want = _norm_random_symplectic(n, np.random.default_rng(seed), spread=spread)
+            assert m.tobytes() == want.tobytes()
+
+
+_EMPTY = np.zeros((0, 0))
+
+EMPTY_ENTRY_POINTS = {
+    "check_positive_definite": core.check_positive_definite,
+    "williamson": williamson,
+    **{f"eig-{m}": partial(symplectic_eigenvalues, method=m) for m in METHODS},
+    "compress": lambda a: compress(a, np.zeros((0, 1)), np.zeros((0, 1))),
+    "condition_number": condition_number,
+    "geometric_mean": lambda a: geometric_mean(a, a),
+}
+
+
+@pytest.mark.parametrize("entry", list(EMPTY_ENTRY_POINTS))
+def test_every_entry_point_refuses_an_empty_matrix(entry):
+    with pytest.raises(ValidationError, match="matrix must not be empty"):
+        EMPTY_ENTRY_POINTS[entry](_EMPTY)
+
+
+def test_compress_refuses_a_tuple_without_columns():
+    with pytest.raises(ValidationError, match="at least one pair of columns"):
+        compress(np.eye(4), np.zeros((4, 0)), np.zeros((4, 0)))
+
+
+@pytest.mark.parametrize("x, y", [(np.eye(4)[:, :1], np.eye(4)[:, :2]),
+                                  (np.eye(4)[:, :2], np.eye(2)),
+                                  (np.ones(4), np.ones(4))],
+                         ids=["columns", "rows", "1-d"])
+def test_tuple_form_defect_refuses_stacks_of_different_or_non_2d_shapes(x, y):
+    # x of shape (4, 1) and y of shape (4, 2) used to broadcast to 1.414.
+    with pytest.raises(ValidationError, match="not one 2-d shape"):
+        tuple_form_defect(x, y)
+
+
+_IDX = np.array([1])
+
+COMPLEX_ENTRY_POINTS = {
+    **PD_ENTRY_POINTS,
+    "check_square": linalg.check_square,
+    "check_positive_definite": core.check_positive_definite,
+    "maxmin_check": lambda a: maxmin_check(a, 1, rng=0),
+    "wielandt_certify": lambda a: wielandt_certify(a, _IDX, rng=0),
+    "phi_extremal_check": lambda a: phi_extremal_check(a, _IDX, phi_sum, rng=0),
+    "det_product_check": lambda a: det_product_check(a, _IDX),
+    "additive_lidskii_trial-first": lambda a: additive_lidskii_trial(a, np.eye(4), _IDX),
+    "additive_lidskii_trial-second": lambda a: additive_lidskii_trial(np.eye(4), a, _IDX),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", list(COMPLEX_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_complex_matrix(entry):
+    call = COMPLEX_ENTRY_POINTS[entry]
+    with pytest.raises(ValidationError, match="matrix must be real"):
+        call(np.eye(4) * (1 + 0j))
+
+
+@pytest.mark.filterwarnings("error")
+def test_tuple_and_basis_columns_must_be_real():
+    x, y = _TUPLE
+    with pytest.raises(ValidationError, match="tuple columns must be real"):
+        compress(np.eye(4), x * (1 + 0j), y)
+    with pytest.raises(ValidationError, match="tuple columns must be real"):
+        tuple_form_defect(x, y * (1 + 0j))
+    with pytest.raises(ValidationError, match="basis columns must be real"):
+        SymplecticBasis(np.eye(4) * (1 + 0j))

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import sympspec.basis
+import sympspec.core
 import sympspec.extremal
 import sympspec.harness
+import sympspec.inequalities
 import sympspec.linalg
 from sympspec.errors import ConstructionError, NumericalContractError, ValidationError
 from sympspec.functionals import SHIPPED, SpectralFunctional
@@ -401,3 +403,29 @@ def test_phi_extremal_replay_audits_its_functional_and_matches(monkeypatch, tmp_
     for trial in range(2):
         assert replay(path, "phi-extremal", trial)[2]
     assert audited == [SHIPPED[0].name, SHIPPED[1].name]
+
+
+@pytest.mark.parametrize("suite", ["williamson", "phi-extremal", "det-product"])
+def test_a_trial_checks_its_drawn_matrix_once(monkeypatch, suite):
+    # williamson's check serves its ja-eigen spectrum, and a certificate's
+    # check serves every compression of A it forms.
+    drawn, checked = [], []
+    draw = sympspec.harness.random_pd
+    check = sympspec.core.check_positive_definite
+
+    def recording_draw(*args, **kwargs):
+        drawn.append(draw(*args, **kwargs))
+        return drawn[-1]
+
+    def recording_check(a):
+        checked.append(np.array(a, dtype=float))
+        return check(a)
+
+    monkeypatch.setattr(sympspec.harness, "random_pd", recording_draw)
+    for module in (sympspec.core, sympspec.extremal, sympspec.inequalities):
+        if hasattr(module, "check_positive_definite"):
+            monkeypatch.setattr(module, "check_positive_definite", recording_check)
+    run_suite(suite, SuiteConfig(suite=suite, trials=6, master_seed=424242, report_path=None))
+    assert len(drawn) == 6
+    for a in drawn:
+        assert sum(c.shape == a.shape and (c == a).all() for c in checked) == 1

@@ -385,3 +385,25 @@ def test_mlid_lower_on_a_non_prefix_index_set_fails_at_n_2():
         assert abs(slack - mpmath.mpf("-0.467747823154204")) < 1e-14
         assert abs(2 * lm[0] - la[0] - lb[0] - mpmath.mpf("0.98969")) < 1e-5
         assert abs(la[1] + lb[1] - 2 * lm[1] - mpmath.mpf("0.98969")) < 1e-5
+
+
+def _symmetrized_mean(a, b):
+    """The mean as it was formed before its two exact symmetrizations were
+    dropped: sym_eig's of C and the last one of F F^T."""
+    low = np.linalg.cholesky(0.5 * (a + a.T))
+    c = np.tril(inequalities._SYGST(0.5 * (b + b.T), low, lower=1)[0])
+    s = c + np.tril(c, -1).T
+    w, v = linalg._eigh(0.5 * (s + s.T))
+    f = low @ (v * np.sqrt(np.sqrt(w)))
+    out = f @ f.T
+    return 0.5 * (out + out.T)
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), 50, 100, 200])
+def test_geometric_mean_equals_the_symmetrized_formula_bit_for_bit(n):
+    rng = np.random.default_rng(90 + n)
+    a, b = random_pd(n, rng), random_pd(n, rng)
+    for x, y in ((a, b), (b, a), (a, a)):
+        mean = geometric_mean(x, y)
+        assert mean.tobytes() == _symmetrized_mean(x, y).tobytes()
+        assert (mean == mean.T).all()
