@@ -56,10 +56,12 @@ def cmd_mean(args):
     a = load_matrix(args.a)
     b = load_matrix(args.b)
     mean = geometric_mean(a, b)
+    # The spectrum refuses an odd size before anything is written.
+    d = symplectic_eigenvalues(mean)
     if args.output:
         save_matrix(mean, args.output)
     print(json.dumps(matrix_to_obj(mean), sort_keys=True))
-    print(_spectrum_line(symplectic_eigenvalues(mean)))
+    print(_spectrum_line(d))
     return 0
 
 

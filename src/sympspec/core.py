@@ -11,14 +11,15 @@ _CHOLESKY and _EIGVALS are the gufuncs of numpy.linalg._umath_linalg
 that numpy.linalg.cholesky and eigvals call, taken with the signature
 and inside the np.errstate of numpy's wrapper, so the bits are numpy's:
 at the package's sizes the wrappers cost more than the factorization.
-The private cores _williamson, _compress and _ja_spectrum take an A that
-check_positive_definite has passed, so a caller checks A once.
+Every positive definite entry point also takes the PositiveDefinite value
+that check_positive_definite returns, and does not check it again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -125,8 +126,18 @@ def _cholesky(a):
     return _CHOLESKY(a, signature="d->d")
 
 
+class PositiveDefinite(NamedTuple):
+    """A matrix that check_positive_definite passed: the symmetrized A,
+    its Cholesky factor L with A = L L.T, and kappa, the condition number
+    estimate of A."""
+
+    a: np.ndarray
+    low: np.ndarray
+    kappa: float
+
+
 def check_positive_definite(a):
-    """Symmetrize A and return (A, L, kappa) with A = L L.T.
+    """Symmetrize A and return PositiveDefinite(A, L, kappa) with A = L L.T.
 
     The Cholesky factorization is the positive-definiteness test.  It also
     factors matrices that are singular up to rounding, so kappa, LAPACK's
@@ -144,7 +155,12 @@ def check_positive_definite(a):
         raise ValidationError(
             f"matrix is numerically singular: condition number estimate {kappa:.1e}"
         )
-    return a, low, float(kappa)
+    return PositiveDefinite(a, low, float(kappa))
+
+
+def _checked(a):
+    """a itself when it is a PositiveDefinite, else check_positive_definite(a)."""
+    return a if isinstance(a, PositiveDefinite) else check_positive_definite(a)
 
 
 def condition_number(a):
@@ -186,13 +202,6 @@ def _cholesky_skew(low):
     return 0.5 * (k - k.T)
 
 
-def _factor_spectrum(low):
-    """Ascending symplectic spectrum of A = L L.T from its Cholesky factor
-    L, as check_positive_definite returns it: the skew-canonical method
-    without a second factorization."""
-    return _skew_spectrum(_cholesky_skew(low))
-
-
 def williamson(a):
     """Symplectic diagonalization of a positive definite matrix.
 
@@ -202,11 +211,7 @@ def williamson(a):
     tolerances or the call raises, naming the condition number estimate
     of A.
     """
-    return _williamson(*check_positive_definite(a))
-
-
-def _williamson(a, low, kappa):
-    """williamson for (A, L, kappa) as check_positive_definite returns them."""
+    a, low, kappa = _checked(a)
     half_dim(a)
     q, d = _skew_canonical(_cholesky_skew(low))
     root = np.sqrt(d)
@@ -238,11 +243,11 @@ def symplectic_eigenvalues(a, method="skew-canonical"):
         raise ValidationError(f"unknown method {method!r}, expected one of {METHODS}")
     if method == "williamson":
         return williamson(a).d
-    a, low, _ = check_positive_definite(a)
+    a, low, _ = _checked(a)
     half_dim(a)
     if method == "ja-eigen":
         return _ja_spectrum(a)
-    return _factor_spectrum(low)
+    return _skew_spectrum(_cholesky_skew(low))
 
 
 @np.errstate(call=_eigvals_failed, invalid="call",
@@ -278,13 +283,8 @@ def compress(a, x, y):
     other pairings zero.  Returns (A_M, d_M): the compressed matrix in
     the tuple's own coordinates and its symplectic spectrum.
     """
-    a = check_positive_definite(a)[0]
+    a = _checked(a).a
     half_dim(a)
-    return _compress(a, x, y)
-
-
-def _compress(a, x, y):
-    """compress for an A that check_positive_definite and half_dim passed."""
     x, y = _real(x, "tuple columns"), _real(y, "tuple columns")
     if x.shape != y.shape or x.ndim != 2 or x.shape[0] != a.shape[0]:
         raise ValidationError(

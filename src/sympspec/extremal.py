@@ -31,16 +31,14 @@ from .core import (
     TUPLE_TOL,
     _TRTRS,
     _cholesky,
-    _williamson,
     as_generator,
     check_positive_definite,
+    compress,
     symplectic_gram,
     symplectic_inner,
     tuple_form_defect,
+    williamson,
 )
-# The certificates compress the A that _eigen_frame has checked, so they
-# bind core's compress without that check.
-from .core import _compress as compress
 from .errors import ConstructionError, NumericalContractError, ValidationError, _check_int, _lapack
 from .inequalities import (
     _check_index_set,
@@ -217,15 +215,15 @@ def _finish(name, claimed, slacks, *, sampled_min=None, witness_max=None,
 
 
 def _eigen_frame(a, index_set):
-    """(a, d, basis, idx, vchain, wchain): A as check_positive_definite
-    returns it, checked once for the whole certificate, its Williamson
-    spectrum and eigenbasis, the index set as an int array, which
+    """(pd, d, basis, idx, vchain, wchain): check_positive_definite(a),
+    checked once for the whole certificate, the Williamson spectrum and
+    eigenbasis of A, the index set as an int array, which
     canonical_chains has validated, and its canonical chains."""
-    a, low, kappa = check_positive_definite(a)
-    dec = _williamson(a, low, kappa)
+    pd = check_positive_definite(a)
+    dec = williamson(pd)
     basis = SymplecticBasis(dec.m)
     vchain, wchain = canonical_chains(basis, index_set)
-    return a, dec.d, basis, np.asarray(index_set, dtype=int), vchain, wchain
+    return pd, dec.d, basis, np.asarray(index_set, dtype=int), vchain, wchain
 
 
 def _sampled_floor(a, chain, claimed, samples, rng, tol):
@@ -274,7 +272,8 @@ def maxmin_check(a, k, n_subspaces=20, rng=None, tol=1e-9):
     """
     n_subspaces = _check_int("n_subspaces", n_subspaces, minimum=1)
     rng = as_generator(rng)
-    a, d, basis, idx, _, wchain = _eigen_frame(a, [k])
+    pd, d, basis, idx, _, wchain = _eigen_frame(a, [k])
+    a = pd.a
     k = int(idx[0])
     claimed = float(d[k - 1])
     scale = max(1.0, abs(claimed))
@@ -313,7 +312,8 @@ def wielandt_certify(a, index_set, n_chains=20, samples=40, rng=None,
     n_chains = _check_int("n_chains", n_chains, minimum=1)
     samples = _check_int("samples", samples, minimum=1)
     rng = as_generator(rng)
-    a, d, basis, idx, vchain, wchain = _eigen_frame(a, index_set)
+    pd, d, basis, idx, vchain, wchain = _eigen_frame(a, index_set)
+    a = pd.a
     claimed = float(d[idx - 1].sum())
     scale = max(1.0, abs(claimed))
     values, slacks = _sampled_floor(a, wchain, claimed, samples, rng, tol)
@@ -362,12 +362,13 @@ def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
             raise ValidationError(
                 f"functional {phi.name!r} failed its audit: {', '.join(kinds)}"
             )
-    a, d, basis, idx, vchain, _ = _eigen_frame(a, index_set)
+    pd, d, basis, idx, vchain, _ = _eigen_frame(a, index_set)
+    a = pd.a
     d_target = d[idx - 1]
     claimed = float(phi(d_target))
     scale = max(1.0, abs(claimed))
 
-    a_eig, d_eig = compress(a, basis.u[:, idx - 1], basis.v[:, idx - 1])
+    a_eig, d_eig = compress(pd, basis.u[:, idx - 1], basis.v[:, idx - 1])
     slacks = [float(de - t + tol * max(1.0, t)) for t, de in zip(d_target, d_eig)]
     phi_eig = float(phi(d_eig))
     slacks.append(phi_eig - claimed + tol * scale)
@@ -383,7 +384,7 @@ def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
         vs_prime = basis.prime(vs)
         alpha = 0.5 * ((vs * (a @ vs)).sum(axis=0) + (vs_prime * (a @ vs_prime)).sum(axis=0))
         slacks.extend(float(t - al + tol * max(1.0, t)) for al, t in zip(alpha, d_target))
-        d_u = compress(a, ws, basis.prime(ws))[1]
+        d_u = compress(pd, ws, basis.prime(ws))[1]
         if not supermajorize(alpha, d_u, atol=tol * max(1.0, float(d_u.max()))):
             slacks.append(-1.0)
         phi_alpha = float(phi(np.sort(alpha)))
@@ -409,9 +410,9 @@ def det_product_check(a, index_set):
     log-determinant must equal that of the squared product of the
     selected eigenvalues to 1e-8.  Works in log space throughout.
     """
-    a, d, basis, idx, _, _ = _eigen_frame(a, index_set)
+    pd, d, basis, idx, _, _ = _eigen_frame(a, index_set)
     claimed_log = 2.0 * float(np.log(d[idx - 1]).sum())
-    a_eig = compress(a, basis.u[:, idx - 1], basis.v[:, idx - 1])[0]
+    a_eig = compress(pd, basis.u[:, idx - 1], basis.v[:, idx - 1])[0]
     sign, logdet = np.linalg.slogdet(a_eig)
     eig_log = float(sign) * logdet
     equality_gap = abs(eig_log - claimed_log)

@@ -12,7 +12,6 @@ and the report carries them all.
 from __future__ import annotations
 
 import json
-import os
 import time
 import zlib
 from dataclasses import dataclass
@@ -27,9 +26,10 @@ from ._version import __version__
 from .basis import SymplecticBasis, dual_chain_construct, same_span_trace_check
 from .core import (
     COND_WARN,
-    _ja_spectrum,
+    check_positive_definite,
     random_pd,
     random_symplectic,
+    symplectic_eigenvalues,
     williamson,
 )
 from .errors import ConstructionError, NumericalContractError, ValidationError, _check_int
@@ -52,6 +52,8 @@ from .inequalities import (
     random_supermajorization_pair,
     supermajorize,
 )
+from .matio import _write_json
+
 DEFAULT_TOL = 1e-9
 
 
@@ -125,7 +127,8 @@ def _trial_williamson(t, cfg, rng):
         a = random_pd(n, rng)
     # williamson raises when a residual exceeds its bound; the margins
     # are kept with the instance, next to its condition number estimate.
-    dec = williamson(a)
+    pd = check_positive_definite(a)
+    dec = williamson(pd)
     inst = {"cond": dec.kappa}
     if dec.kappa > COND_WARN:
         inst["condition_warning"] = True
@@ -133,9 +136,7 @@ def _trial_williamson(t, cfg, rng):
     inst["residual_j"] = dec.residual_j
     # williamson against ja-eigen, the method that does not read d off the
     # Hessenberg band; skew-canonical takes the same band's singular values.
-    # ja-eigen reads the A that williamson has checked, which random_pd
-    # draws exactly symmetric, so it is not checked again.
-    spectra = np.stack([dec.d, _ja_spectrum(a)])
+    spectra = np.stack([dec.d, symplectic_eigenvalues(pd, method="ja-eigen")])
     spread = float((spectra.max(axis=0) - spectra.min(axis=0)).max())
     records = [
         make_record(
@@ -388,19 +389,8 @@ def run_all(config):
 
 
 def write_report(report, path):
-    """Write report as JSON to path.  The JSON is streamed into path + ".tmp",
-    which then replaces path, so a report that cannot be serialised, or a
-    write cut short, leaves the file at path as it was; a string formed
-    first would hold the whole text in memory."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    """Write report as JSON to path; a failed write leaves the old file."""
+    _write_json(report, path)
 
 
 def strip_timing(report):

@@ -15,7 +15,7 @@ from numbers import Integral
 import numpy as np
 
 from .core import (
-    _factor_spectrum,
+    _checked,
     as_generator,
     check_positive_definite,
     random_pd,
@@ -36,23 +36,12 @@ def geometric_mean(a, b):
     from a computational viewpoint", Numer. Linear Algebra Appl. 23,
     2016).  LAPACK dsygst forms C = L^-1 B L^-T, one symmetric eigensolve
     C = V diag(w) V^T follows, and the mean is F F^T with
-    F = L V diag(w^(1/4)).
+    F = L V diag(w^(1/4)).  A B that is A is checked once.
     """
-    return _geometric_mean(a, b)[0]
-
-
-def _geometric_mean(a, b):
-    """(A # B, L_A, L_B): geometric_mean's value and the Cholesky factors
-    of A and B that check_positive_definite returned, so that a caller
-    needs no second factorization for their spectra.  A B that is A is
-    checked once, and L_B is then L_A."""
+    same = b is a
+    a, low, _ = _checked(a)
+    b = a if same else _checked(b).a
     _check_same_size(a, b)
-    if b is a:
-        b, low, _ = check_positive_definite(a)
-        low_b = low
-    else:
-        low = check_positive_definite(a)[1]
-        b, low_b, _ = check_positive_definite(b)
     c = _lapack(_SYGST, "congruence reduction", b, low, lower=1)
     # dsygst writes the lower triangle of C only.
     below = _below(c.shape[0])
@@ -64,7 +53,7 @@ def _geometric_mean(a, b):
         )
     f = low @ (v * np.sqrt(np.sqrt(w)))
     # F F^T is formed exactly symmetric, as random_pd's Wishart draw is.
-    return f @ f.T, low, low_b
+    return f @ f.T
 
 
 def _check_same_size(a, b):
@@ -373,7 +362,9 @@ def multiplicative_trial_records(t, n, rng, tol=1e-9):
         a = random_pd(n, rng)
         b = random_pd(n, rng)
         idx = _index_set(n, rng)
-    mean, low_a, low_b = _geometric_mean(a, b)
+    pd_a = check_positive_definite(a)
+    pd_b = pd_a if b is a else check_positive_definite(b)
+    mean = geometric_mean(pd_a, pd_b)
     # A # B is the unique positive definite solution of G A^-1 G = B
     # (Bhatia, Positive Definite Matrices, 2007, ch. 4).  A plain solve,
     # not the Cholesky factor behind the mean, keeps the check independent
@@ -387,8 +378,8 @@ def multiplicative_trial_records(t, n, rng, tol=1e-9):
     ]
     # The spectra of A and B come from the factors the mean already took.
     d_m = symplectic_eigenvalues(mean)
-    d_a = _factor_spectrum(low_a)
-    d_b = d_a if b is a else _factor_spectrum(low_b)
+    d_a = symplectic_eigenvalues(pd_a)
+    d_b = d_a if b is a else symplectic_eigenvalues(pd_b)
     records += _product_records(d_m, d_a, d_b, idx, tol)
     if t % 10 == 7:
         records.append(

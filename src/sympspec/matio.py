@@ -10,10 +10,12 @@ MatrixFormatError, which the command line maps to its own exit code.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
 from .errors import MatrixFormatError
+from .linalg import _real
 
 
 def _finite_array(rows, source):
@@ -44,7 +46,7 @@ def matrix_from_obj(obj, source="matrix"):
 
 
 def matrix_to_obj(a):
-    a = np.asarray(a, dtype=float)
+    a = _real(a, "matrix")
     return {"dim": int(a.shape[0]), "entries": [[float(x) for x in row] for row in a]}
 
 
@@ -85,10 +87,23 @@ def load_matrix(path):
     return _parse_csv(text, str(path))
 
 
+def _write_json(obj, path):
+    """Stream obj as JSON into path + ".tmp", which then replaces path, so
+    an object that cannot be serialised, or a write cut short, leaves the
+    file at path as it was; a string formed first would hold it all in memory."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_matrix(a, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_obj(a), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(matrix_to_obj(a), path)
 
 
 def save_williamson(decomposition, path):
@@ -99,6 +114,4 @@ def save_williamson(decomposition, path):
         "residual_A": float(decomposition.residual_a),
         "residual_J": float(decomposition.residual_j),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(payload, path)

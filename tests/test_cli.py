@@ -237,6 +237,17 @@ def test_exit_code_3_for_odd_dimension(tmp_path, capsys):
     assert main(["eig", _matrix_file(tmp_path, np.eye(3))]) == 3
 
 
+def test_mean_of_odd_size_writes_and_prints_nothing(tmp_path, capsys):
+    a = _matrix_file(tmp_path, 2.0 * np.eye(3), "a.json")
+    b = _matrix_file(tmp_path, 3.0 * np.eye(3), "b.json")
+    out = tmp_path / "mean.json"
+    assert main(["mean", a, b, "--output", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "even positive size" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_plain_value_error_propagates(tmp_path, monkeypatch):
     # Only the package's own error types map to exit codes; any other
     # ValueError (numpy's LinAlgError included) is a bug and must surface.

@@ -97,13 +97,36 @@ def test_form_defect_equals_the_dense_difference_bit_for_bit():
         assert fast == dense or (np.isnan(fast) and np.isnan(dense))
 
 
+@pytest.mark.parametrize("method", core.METHODS)
 @pytest.mark.parametrize("n", [*range(1, 8), 50])
-def test_factor_spectrum_equals_the_skew_canonical_method_bit_for_bit(n):
+def test_a_checked_matrix_gives_the_spectrum_of_the_array_bit_for_bit(n, method):
     rng = np.random.default_rng(70 + n)
     for _ in range(3):
         a = random_pd(n, rng)
-        d = core._factor_spectrum(core.check_positive_definite(a)[1])
-        assert d.tobytes() == symplectic_eigenvalues(a).tobytes()
+        d = symplectic_eigenvalues(core.check_positive_definite(a), method=method)
+        assert d.tobytes() == symplectic_eigenvalues(a, method=method).tobytes()
+
+
+def test_entry_points_factor_no_checked_matrix_again(monkeypatch):
+    # Each takes the value check_positive_definite returns as it stands;
+    # compress factors only the compression whose spectrum it takes.
+    pd = core.check_positive_definite(random_pd(3, np.random.default_rng(9)))
+    basis = core.williamson(pd).m
+    calls = []
+    cholesky = core._CHOLESKY
+
+    def counted(a, **kwargs):
+        calls.append(a.shape)
+        return cholesky(a, **kwargs)
+
+    monkeypatch.setattr(core, "_CHOLESKY", counted)
+    core.williamson(pd)
+    for method in core.METHODS:
+        symplectic_eigenvalues(pd, method=method)
+    geometric_mean(pd, pd)
+    assert calls == []
+    core.compress(pd, basis[:, :1], basis[:, 3:4])
+    assert calls == [(2, 2)]
 
 
 def test_apply_form_matches_matrix():

@@ -310,7 +310,10 @@ def test_failed_svd_inside_a_trial_becomes_one_failed_record(monkeypatch):
 
 
 def _same_input(x, y):
-    """True when two first arguments, a matrix or a list of matrices, are equal."""
+    """True when two first arguments, a matrix, a checked matrix or a list
+    of matrices, are equal."""
+    if isinstance(x, sympspec.core.PositiveDefinite):
+        x, y = x.a, y.a
     xs, ys = (x, y) if isinstance(x, list) else ([x], [y])
     return len(xs) == len(ys) and all(np.array_equal(u, v) for u, v in zip(xs, ys))
 
@@ -422,7 +425,8 @@ def test_a_trial_checks_its_drawn_matrix_once(monkeypatch, suite):
         return check(a)
 
     monkeypatch.setattr(sympspec.harness, "random_pd", recording_draw)
-    for module in (sympspec.core, sympspec.extremal, sympspec.inequalities):
+    for module in (sympspec.core, sympspec.extremal, sympspec.harness,
+                   sympspec.inequalities):
         if hasattr(module, "check_positive_definite"):
             monkeypatch.setattr(module, "check_positive_definite", recording_check)
     run_suite(suite, SuiteConfig(suite=suite, trials=6, master_seed=424242, report_path=None))

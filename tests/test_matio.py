@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sympspec.core import random_pd, williamson
-from sympspec.errors import MatrixFormatError
+from sympspec.errors import MatrixFormatError, ValidationError
 from sympspec.matio import (
     load_matrix,
     matrix_from_obj,
@@ -106,3 +106,26 @@ def test_serialized_floats_survive_17_digit_round_trip(tmp_path):
     text = path.read_text()
     assert "0.3333333333333333" in text
     assert np.array_equal(load_matrix(path), a)
+
+
+def test_complex_matrices_are_refused_not_cast(tmp_path):
+    a = np.eye(2) + 1j * np.eye(2)
+    path = tmp_path / "c.json"
+    with pytest.raises(ValidationError, match="must be real"):
+        matrix_to_obj(a)
+    with pytest.raises(ValidationError, match="must be real"):
+        save_matrix(a, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [[[1.0, 2.0], [3.0]], np.eye(2) + 1j * np.eye(2)],
+                         ids=["ragged", "complex"])
+def test_a_failed_save_leaves_the_old_file_byte_for_byte(tmp_path, bad):
+    path = tmp_path / "a.json"
+    save_matrix(random_pd(1, RNG), path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        save_matrix(bad, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
