@@ -4,9 +4,13 @@ Each suite is a sequence of independent trials.  Trial t of suite s
 under master seed m draws from a dedicated generator keyed by
 (m, crc32(s), t), so results are identical whether trials run serially
 or on a thread pool, and any single trial can be replayed from a saved
-report.  Violations never abort a suite; every comparison becomes a
-record, a contract that fails inside a trial becomes a failed record,
-and the report carries them all.
+report.  A trial is a draw, (t, cfg, rng) -> (n, *instance), which takes
+every random choice that fixes the instance, planted cases included, and
+a certify step, certify(cfg, rng, *instance) -> records, which goes on
+with the same generator for what a certificate samples.  Violations
+never abort a suite; every comparison becomes a record, a contract that
+fails inside a trial becomes a failed record, and the report carries
+them all.
 """
 
 from __future__ import annotations
@@ -42,11 +46,13 @@ from .extremal import (
 )
 from .functionals import SHIPPED
 from .inequalities import (
+    _additive_draw,
     _index_set,
-    additive_trial_records,
+    _multiplicative_draw,
+    _multiplicative_lidskii_trial,
+    additive_lidskii_trial,
     majorize,
     make_record,
-    multiplicative_trial_records,
     random_dominated_pair,
     random_majorization_pair,
     random_supermajorization_pair,
@@ -97,7 +103,9 @@ def trial_rng(master_seed, suite_id, trial):
     return np.random.default_rng(seq)
 
 
-def _from_certificate(cert):
+def _from_certificate(cert, **fields):
+    """A certificate suite's records: the certificate as one record,
+    with any further instance fields."""
     rec = make_record(
         cert.name, cert.slack, 0.0, "ge", 0.0,
         instance={
@@ -106,25 +114,44 @@ def _from_certificate(cert):
             "witness_max": cert.witness_max,
             "equality_gap": cert.equality_gap,
             "n_skipped": cert.n_skipped,
+            **fields,
         },
     )
     # A certificate also fails on too many skipped constructions.
     rec.passed = cert.passed
-    return rec
+    return [rec]
 
 
-def _draw_n(cfg, rng):
-    return int(rng.integers(cfg.n_min, cfg.n_max + 1))
+def _sized(draw):
+    """The suite draw that takes n from the configured range, then the
+    instance draw(t, n, rng)."""
+    def sized(t, cfg, rng):
+        n = int(rng.integers(cfg.n_min, cfg.n_max + 1))
+        return (n, *draw(t, n, rng))
+    return sized
 
 
-def _trial_williamson(t, cfg, rng):
-    n = _draw_n(cfg, rng)
+def _draw_pd(t, n, rng):
+    return (random_pd(n, rng),)
+
+
+def _draw_pd_index_set(t, n, rng):
+    return random_pd(n, rng), _index_set(n, rng, cap=4)
+
+
+def _draw_phi(t, n, rng):
+    return (*_draw_pd_index_set(t, n, rng), SHIPPED[t % len(SHIPPED)])
+
+
+def _draw_williamson(t, n, rng):
+    # Every third trial prescribes the spectrum to recover.
     if t % 3 == 2:
         target = np.sort(rng.uniform(0.2, 3.0, size=n))
-        a = random_pd(n, rng, spectrum=target)
-    else:
-        target = None
-        a = random_pd(n, rng)
+        return random_pd(n, rng, spectrum=target), target
+    return random_pd(n, rng), None
+
+
+def _certify_williamson(cfg, rng, a, target):
     # williamson raises when a residual exceeds its bound; the margins
     # are kept with the instance, next to its condition number estimate.
     pd = check_positive_definite(a)
@@ -152,28 +179,30 @@ def _trial_williamson(t, cfg, rng):
                 1e-9 * max(1.0, float(target.max())), "le", 0.0, inst,
             )
         )
-    return n, records
+    return records
 
 
-def _trial_maxmin(t, cfg, rng):
-    n = _draw_n(cfg, rng)
-    a = random_pd(n, rng)
-    k = int(rng.integers(1, n + 1))
-    cert = maxmin_check(a, k, n_subspaces=4, rng=rng, tol=cfg.tol)
-    return n, [_from_certificate(cert)]
+def _certify_maxmin(cfg, rng, a):
+    k = int(rng.integers(1, len(a) // 2 + 1))
+    return _from_certificate(maxmin_check(a, k, n_subspaces=4, rng=rng, tol=cfg.tol))
 
 
-def _trial_wielandt(t, cfg, rng):
-    n = _draw_n(cfg, rng)
-    a = random_pd(n, rng)
-    idx = _index_set(n, rng, cap=4)
-    cert = wielandt_certify(a, idx, n_chains=3, samples=6, rng=rng, tol=cfg.tol)
-    return n, [_from_certificate(cert)]
+def _certify_wielandt(cfg, rng, a, idx):
+    return _from_certificate(
+        wielandt_certify(a, idx, n_chains=3, samples=6, rng=rng, tol=cfg.tol))
 
 
-def _trial_construction(t, cfg, rng):
-    n = _draw_n(cfg, rng)
-    a = random_pd(n, rng)
+def _certify_phi(cfg, rng, a, idx, phi):
+    cert = phi_extremal_check(a, idx, phi, n_chains=3, rng=rng, tol=cfg.tol)
+    return _from_certificate(cert, functional=phi.name)
+
+
+def _certify_det_product(cfg, rng, a, idx):
+    return _from_certificate(det_product_check(a, idx))
+
+
+def _certify_construction(cfg, rng, a):
+    n = len(a) // 2
     basis = SymplecticBasis(random_symplectic(n, rng))
     idx = _index_set(n, rng, cap=4)
     vq = random_orthogonal(2 * n, rng)
@@ -185,7 +214,7 @@ def _trial_construction(t, cfg, rng):
     # the trace identity, which it does not.
     vs, ws = dual_chain_construct(vchain, wchain, basis, rng)
     lhs, rhs = same_span_trace_check(a, ws, vs, basis, check=False)
-    return n, [
+    return [
         make_record(
             "construction-trace-equality", abs(lhs - rhs),
             1e-9 * max(1.0, abs(lhs)), "le", 0.0,
@@ -194,33 +223,12 @@ def _trial_construction(t, cfg, rng):
     ]
 
 
-def _trial_lidskii_add(t, cfg, rng):
-    n = _draw_n(cfg, rng)
-    return n, additive_trial_records(t, n, rng, tol=cfg.tol)
+def _certify_lidskii_add(cfg, rng, a, b, idx):
+    return additive_lidskii_trial(a, b, idx, tol=cfg.tol)
 
 
-def _trial_lidskii_mult(t, cfg, rng):
-    n = _draw_n(cfg, rng)
-    return n, multiplicative_trial_records(t, n, rng, tol=cfg.tol)
-
-
-def _trial_phi(t, cfg, rng):
-    n = _draw_n(cfg, rng)
-    a = random_pd(n, rng)
-    idx = _index_set(n, rng, cap=4)
-    phi = SHIPPED[t % len(SHIPPED)]
-    cert = phi_extremal_check(a, idx, phi, n_chains=3, rng=rng, tol=cfg.tol)
-    rec = _from_certificate(cert)
-    rec.instance["functional"] = phi.name
-    return n, [rec]
-
-
-def _trial_det_product(t, cfg, rng):
-    n = _draw_n(cfg, rng)
-    a = random_pd(n, rng)
-    idx = _index_set(n, rng, cap=4)
-    cert = det_product_check(a, idx)
-    return n, [_from_certificate(cert)]
+def _certify_lidskii_mult(cfg, rng, a, b, idx, planted):
+    return _multiplicative_lidskii_trial(a, b, idx, planted, tol=cfg.tol)
 
 
 def _brute_supermajorize(a, b, atol=0.0):
@@ -248,76 +256,61 @@ def _brute_majorize(a, b, atol=0.0):
     return abs(total_a - total_b) <= max(atol, 1e-12 * max(1.0, abs(total_a)))
 
 
-def _trial_majorization(t, cfg, rng):
+def _draw_majorization(t, cfg, rng):
+    # Lengths 2..7, whatever the configured range.
     n = int(rng.integers(2, 8))
-    records = []
     x = rng.uniform(0.0, 3.0, size=n)
     y = rng.uniform(0.0, 3.0, size=n)
+    return (n, x, y, *random_majorization_pair(n, rng),
+            *random_supermajorization_pair(n, rng), *random_dominated_pair(n, rng))
+
+
+def _certify_majorization(cfg, rng, x, y, am, bm, up, down, hi, lo):
     atol = 1e-12 * max(1.0, float(np.abs(x).max()) + float(np.abs(y).max()))
-    records.append(
-        make_record(
-            "supermajorize-oracle-agreement",
-            float(supermajorize(x, y, atol=atol)),
-            float(_brute_supermajorize(x, y, atol=atol)),
-            "eq", 0.0, {"x": x.tolist(), "y": y.tolist()},
-        )
-    )
-    records.append(
-        make_record(
-            "majorize-oracle-agreement",
-            float(majorize(x, y, atol=atol)),
-            float(_brute_majorize(x, y, atol=atol)),
-            "eq", 0.0, {},
-        )
-    )
-    am, bm = random_majorization_pair(n, rng)
-    scale = 1e-12 * max(1.0, float(np.abs(bm).max()) * n)
-    records.append(
-        make_record("majorization-pair-valid", float(majorize(am, bm, atol=scale)), 1.0, "eq", 0.0, {})
-    )
-    up, down = random_supermajorization_pair(n, rng)
-    records.append(
-        make_record(
-            "supermajorization-pair-valid",
-            float(supermajorize(up, down, atol=scale)), 1.0, "eq", 0.0, {},
-        )
-    )
-    hi, lo = random_dominated_pair(n, rng)
-    records.append(
-        make_record(
-            "domination-implies-supermajorization",
-            float(supermajorize(hi, lo, atol=scale)), 1.0, "eq", 0.0, {},
-        )
-    )
-    return n, records
+    scale = 1e-12 * max(1.0, float(np.abs(bm).max()) * len(x))
+    return [
+        make_record("supermajorize-oracle-agreement", float(supermajorize(x, y, atol=atol)),
+                    float(_brute_supermajorize(x, y, atol=atol)), "eq", 0.0,
+                    {"x": x.tolist(), "y": y.tolist()}),
+        make_record("majorize-oracle-agreement", float(majorize(x, y, atol=atol)),
+                    float(_brute_majorize(x, y, atol=atol)), "eq", 0.0),
+        make_record("majorization-pair-valid", float(majorize(am, bm, atol=scale)),
+                    1.0, "eq", 0.0),
+        make_record("supermajorization-pair-valid",
+                    float(supermajorize(up, down, atol=scale)), 1.0, "eq", 0.0),
+        make_record("domination-implies-supermajorization",
+                    float(supermajorize(hi, lo, atol=scale)), 1.0, "eq", 0.0),
+    ]
 
 
-# Each suite's trial function and its default trial count.
+# Each suite's draw, its certify step and its default trial count.
 _SUITES = {
-    "williamson": (_trial_williamson, 60),
-    "maxmin": (_trial_maxmin, 25),
-    "wielandt": (_trial_wielandt, 12),
-    "construction": (_trial_construction, 40),
-    "lidskii-add": (_trial_lidskii_add, 150),
-    "lidskii-mult": (_trial_lidskii_mult, 80),
-    "phi-extremal": (_trial_phi, 12),
-    "det-product": (_trial_det_product, 20),
-    "majorization": (_trial_majorization, 40),
+    "williamson": (_sized(_draw_williamson), _certify_williamson, 60),
+    "maxmin": (_sized(_draw_pd), _certify_maxmin, 25),
+    "wielandt": (_sized(_draw_pd_index_set), _certify_wielandt, 12),
+    "construction": (_sized(_draw_pd), _certify_construction, 40),
+    "lidskii-add": (_sized(_additive_draw), _certify_lidskii_add, 150),
+    "lidskii-mult": (_sized(_multiplicative_draw), _certify_lidskii_mult, 80),
+    "phi-extremal": (_sized(_draw_phi), _certify_phi, 12),
+    "det-product": (_sized(_draw_pd_index_set), _certify_det_product, 20),
+    "majorization": (_draw_majorization, _certify_majorization, 40),
 }
 SUITE_IDS = tuple(_SUITES)
 
 
 def _trial_records(suite_id, config, t):
-    """Report records of trial t: each InequalityRecord plus trial and n.
+    """Report records of trial t, the certify step on its draw: each
+    InequalityRecord plus trial and n.
 
     A numerical contract or construction that fails inside the trial
-    becomes its one failed contract-error record, with n unknown, so the
+    becomes its one failed contract-error record, with n null, so the
     other trials' records survive and replay reproduces the failure.
     """
+    draw, certify, _ = _SUITES[suite_id]
+    rng = trial_rng(config.master_seed, suite_id, t)
     try:
-        n, records = _SUITES[suite_id][0](
-            t, config, trial_rng(config.master_seed, suite_id, t)
-        )
+        n, *instance = draw(t, config, rng)
+        records = certify(config, rng, *instance)
     except (NumericalContractError, ConstructionError) as exc:
         n = None
         records = [
@@ -329,7 +322,7 @@ def _trial_records(suite_id, config, t):
 
 def run_suite(suite_id, config):
     """All records and the aggregate for one suite."""
-    trials = config.trials if config.trials is not None else _SUITES[suite_id][1]
+    trials = config.trials if config.trials is not None else _SUITES[suite_id][2]
     one = partial(_trial_records, suite_id, config)
     if config.jobs > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -325,43 +325,10 @@ def _product_records(d_m, d_a, d_b, index_set, tol):
     return records
 
 
-def additive_trial_records(t, n, rng, tol=1e-9):
-    """Records for one randomized additive trial.
-
-    Every seventh trial plants an equality case: B = A with a prefix
-    index set makes both sides coincide.
-    """
-    a = random_pd(n, rng)
-    if t % 7 == 5:
-        b = a
-        idx = np.arange(1, int(rng.integers(1, n + 1)) + 1)
-    else:
-        b = random_pd(n, rng)
-        idx = _index_set(n, rng)
-    return additive_lidskii_trial(a, b, idx, tol=tol)
-
-
-def multiplicative_trial_records(t, n, rng, tol=1e-9):
-    """Records for one randomized mean trial, with planted equalities.
-
-    Every tenth trial uses A = B with a constant spectrum and the full
-    index set, where the mean is A itself and both product bounds
-    collapse to equalities; every fifth trial uses B = A from the
-    generic sampler.
-    """
-    if t % 10 == 7:
-        spectrum = np.full(n, float(rng.uniform(0.5, 2.0)))
-        a = random_pd(n, rng, spectrum=spectrum)
-        b = a
-        idx = np.arange(1, n + 1)
-    elif t % 5 == 3:
-        a = random_pd(n, rng)
-        b = a
-        idx = _index_set(n, rng)
-    else:
-        a = random_pd(n, rng)
-        b = random_pd(n, rng)
-        idx = _index_set(n, rng)
+def _multiplicative_lidskii_trial(a, b, index_set, planted, tol=1e-9):
+    """Records for the mean A # B of a randomized trial: its Riccati
+    residual, the product bounds on d(A # B), and, on a planted trial
+    (A = B with a constant spectrum), A # B = A."""
     pd_a = check_positive_definite(a)
     pd_b = pd_a if b is a else check_positive_definite(b)
     mean = geometric_mean(pd_a, pd_b)
@@ -380,8 +347,8 @@ def multiplicative_trial_records(t, n, rng, tol=1e-9):
     d_m = symplectic_eigenvalues(mean)
     d_a = symplectic_eigenvalues(pd_a)
     d_b = d_a if b is a else symplectic_eigenvalues(pd_b)
-    records += _product_records(d_m, d_a, d_b, idx, tol)
-    if t % 10 == 7:
+    records += _product_records(d_m, d_a, d_b, index_set, tol)
+    if planted:
         records.append(
             make_record(
                 "mean-self-identity",
@@ -392,3 +359,41 @@ def multiplicative_trial_records(t, n, rng, tol=1e-9):
             )
         )
     return records
+
+
+def _additive_draw(t, n, rng):
+    """(A, B, index set) of a randomized additive trial.
+
+    Every seventh trial plants an equality case: B = A with a prefix
+    index set makes both sides coincide.
+    """
+    a = random_pd(n, rng)
+    if t % 7 == 5:
+        return a, a, np.arange(1, int(rng.integers(1, n + 1)) + 1)
+    return a, random_pd(n, rng), _index_set(n, rng)
+
+
+def _multiplicative_draw(t, n, rng):
+    """(A, B, index set, planted) of a randomized mean trial.
+
+    Every tenth trial is planted: A = B with a constant spectrum and the
+    full index set, where the mean is A itself and both product bounds
+    collapse to equalities; every fifth trial uses B = A from the
+    generic sampler.
+    """
+    if t % 10 == 7:
+        a = random_pd(n, rng, spectrum=np.full(n, float(rng.uniform(0.5, 2.0))))
+        return a, a, np.arange(1, n + 1), True
+    a = random_pd(n, rng)
+    b = a if t % 5 == 3 else random_pd(n, rng)
+    return a, b, _index_set(n, rng), False
+
+
+def additive_trial_records(t, n, rng, tol=1e-9):
+    """Records for one randomized additive trial (see _additive_draw)."""
+    return additive_lidskii_trial(*_additive_draw(t, n, rng), tol=tol)
+
+
+def multiplicative_trial_records(t, n, rng, tol=1e-9):
+    """Records for one randomized mean trial (see _multiplicative_draw)."""
+    return _multiplicative_lidskii_trial(*_multiplicative_draw(t, n, rng), tol=tol)

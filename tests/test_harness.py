@@ -14,6 +14,7 @@ import sympspec.inequalities
 import sympspec.linalg
 from sympspec.errors import ConstructionError, NumericalContractError, ValidationError
 from sympspec.functionals import SHIPPED, SpectralFunctional
+from sympspec.inequalities import additive_trial_records, multiplicative_trial_records
 from sympspec.harness import (
     SUITE_IDS,
     SuiteConfig,
@@ -139,6 +140,56 @@ def test_replay_reproduces_stored_trial(tmp_path, suite):
         assert match
         assert fresh == stored
         assert stored and all(rec["trial"] == trial for rec in stored)
+
+
+def test_every_draw_is_a_pure_draw(monkeypatch):
+    # A draw fixes the instance and certifies nothing: no check, spectrum
+    # or certificate runs before the certify step.  Twenty trials reach
+    # every planted case, and the instance says which one it is.
+    def refuses(*args, **kwargs):
+        raise AssertionError("a draw certified")
+
+    for module in (sympspec.core, sympspec.extremal, sympspec.harness,
+                   sympspec.inequalities):
+        for name in ("check_positive_definite", "williamson", "symplectic_eigenvalues",
+                     "maxmin_check", "wielandt_certify", "phi_extremal_check",
+                     "det_product_check"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuses)
+    cfg = SuiteConfig(n_min=2, n_max=3, report_path=None)
+    for suite in SUITE_IDS:
+        draw = sympspec.harness._SUITES[suite][0]
+        # majorization draws its length from 2..7 whatever the range.
+        high = 7 if suite == "majorization" else cfg.n_max
+        for t in range(20):
+            n, *instance = draw(t, cfg, trial_rng(5, suite, t))
+            assert type(n) is int and cfg.n_min <= n <= high, (suite, t)
+            if suite == "williamson":
+                assert (instance[1] is None) == (t % 3 != 2)
+            elif suite == "lidskii-add":
+                assert (instance[1] is instance[0]) == (t % 7 == 5)
+            elif suite == "lidskii-mult":
+                assert instance[3] == (t % 10 == 7)
+                assert (instance[1] is instance[0]) == (t % 10 == 7 or t % 5 == 3)
+
+
+@pytest.mark.parametrize("suite, helper", [("lidskii-add", additive_trial_records),
+                                           ("lidskii-mult", multiplicative_trial_records)])
+def test_acceptance_helpers_certify_what_verify_writes(suite, helper):
+    # Acceptance criteria 04 and 05 call the helpers on (t, n, rng); on a
+    # twin generator they give the suite's certify step on its draw, which
+    # is what verify writes, planted trials included.
+    draw, certify, _ = sympspec.harness._SUITES[suite]
+    cfg = SuiteConfig(suite=suite, master_seed=11, tol=1e-7, report_path=None)
+    for t in range(20):
+        rng, twin = trial_rng(11, suite, t), trial_rng(11, suite, t)
+        n, *instance = draw(t, cfg, rng)
+        assert n == int(twin.integers(cfg.n_min, cfg.n_max + 1))
+        records = helper(t, n, twin, tol=cfg.tol)
+        assert records == certify(cfg, rng, *instance)
+        assert rng.random() == twin.random()
+        assert sympspec.harness._trial_records(suite, cfg, t) == [
+            {"trial": t, "n": n, **vars(rec)} for rec in records]
 
 
 def test_condition_warning_is_written_as_a_json_boolean(monkeypatch, tmp_path):

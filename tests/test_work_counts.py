@@ -16,7 +16,7 @@ _SPEC.loader.exec_module(work_counts)
 
 def test_counts_one_check_and_one_band_step_per_williamson_trial():
     counts = work_counts.work_counts(3, "williamson")
-    trials = harness._SUITES["williamson"][1]
+    trials = harness._SUITES["williamson"][2]
     assert counts["checks"] == counts["cholesky"] == counts["band_steps"] == trials
     assert counts["lapack"] > 0 and counts["constructions"] == 0
     assert work_counts.work_counts(3, "majorization") == dict.fromkeys(work_counts.COUNTED, 0)
