@@ -2,15 +2,17 @@
 """Work counts of seeded verify runs.
 
 For each master seed and suite, at the suite's default trial count, this
-prints how often five functions ran: core.check_positive_definite (the
+prints how often six functions ran: core.check_positive_definite (the
 positive-definiteness checks), numpy's Cholesky gufunc
 numpy.linalg._umath_linalg.cholesky_lo (which numpy.linalg.cholesky
-calls too), linalg._hessenberg_band (the band steps), errors._lapack
-(the _flapack calls) and basis.dual_chain_construct, with one total row
-per seed.  Each function is counted by wrapping every name that binds
-it in every loaded package module, and in numpy's _umath_linalg, for
-the length of the run; the names are restored afterwards.  A name that
-the package does not define is not counted.
+calls too), linalg._hessenberg_band (the band steps),
+linalg._skew_spectrum (the spectrum passes, each over one matrix or a
+stack of them), errors._lapack (the _flapack calls) and
+basis.dual_chain_construct, with one total row per seed.  Each function
+is counted by wrapping every name that binds it in every loaded package
+module, and in numpy's _umath_linalg, for the length of the run; the
+names are restored afterwards.  A name that the package does not define
+is not counted.
 
     PYTHONPATH=src python scripts/work_counts.py
     PYTHONPATH=src python scripts/work_counts.py --seeds 424242
@@ -32,6 +34,7 @@ COUNTED = {
     "checks": core.check_positive_definite,
     "cholesky": _umath_linalg.cholesky_lo,
     "band_steps": linalg._hessenberg_band,
+    "spectrum_passes": linalg._skew_spectrum,
     "lapack": errors._lapack,
     "constructions": basis.dual_chain_construct,
 }
@@ -77,7 +80,7 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, nargs="+", default=list(MASTER_SEEDS))
     args = parser.parse_args(argv)
 
-    row = "{:>12} {:<14}" + " {:>13}" * len(COUNTED)
+    row = "{:>12} {:<14}" + " {:>15}" * len(COUNTED)
     print(row.format("seed", "suite", *COUNTED))
     for seed in args.seeds:
         total = dict.fromkeys(COUNTED, 0)

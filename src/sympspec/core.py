@@ -13,6 +13,13 @@ and inside the np.errstate of numpy's wrapper, so the bits are numpy's:
 at the package's sizes the wrappers cost more than the factorization.
 Every positive definite entry point also takes the PositiveDefinite value
 that check_positive_definite returns, and does not check it again.
+
+A spectrum needs only a factor F of A = F F.T: _cholesky_skew forms
+K = F.T J F, for one F or a stack of them, and linalg._skew_spectrum
+reads d off K.  _factor_spectra takes the factors of many matrices,
+checked each on its own beforehand, and runs one _skew_spectrum pass per
+size over them, keeping each matrix's refusal to itself; the two Lidskii
+suites certify all their trials' spectra that way.
 """
 
 from __future__ import annotations
@@ -188,18 +195,38 @@ class WilliamsonDecomposition:
         return np.diag(np.concatenate([self.d, self.d]))
 
 
-def _cholesky_skew(low):
-    """K = L.T J L for a Cholesky factor L of A = L L.T.
+def _cholesky_skew(f):
+    """K = F.T J F for a factor F of A = F F.T, or the stack of K for a
+    stack of such F, shape (m, 2n, 2n).
 
-    L.T J L is similar to J A, whose eigenvalues are +-i d for the
-    symplectic spectrum d of A, so its singular values are d, each twice.
-    K is formed exactly skew, of the even size of A, and finite because
-    check_positive_definite passed A: the input that the band step of
-    linalg._skew_spectrum and linalg._skew_canonical takes unchecked.
+    F.T J F = F^-1 (A J) F is similar to A J, whose eigenvalues, those of
+    J A, are +-i d for the symplectic spectrum d of A, so its singular
+    values are d, each twice.  Any F with A = F F.T will do: the Cholesky
+    factor check_positive_definite returns, or the factor of a mean that
+    inequalities._mean_factor forms.  K is formed exactly skew, of the
+    even size of A, and finite because A passed its check: the input that
+    linalg._skew_spectrum and linalg._skew_canonical take unchecked.  A
+    stack gives each K the bits it gets alone.
     """
-    n = low.shape[0] // 2
-    k = low.T @ np.concatenate([low[n:], -low[:n]])
-    return 0.5 * (k - k.T)
+    n = f.shape[-1] // 2
+    k = f.mT @ np.concatenate([f[..., n:, :], -f[..., :n, :]], axis=-2)
+    return 0.5 * (k - k.mT)
+
+
+def _factor_spectra(factors):
+    """The symplectic spectra of F F.T for the factors F in factors, as
+    linalg._skew_spectrum's outcomes in the same order: each d, or the
+    error that refused it (errors._value reads one).  The factors are
+    stacked by size, with one _skew_spectrum pass per size."""
+    by_size = {}
+    for i, f in enumerate(factors):
+        by_size.setdefault(f.shape[0], []).append(i)
+    out = [None] * len(factors)
+    for held in by_size.values():
+        stack = _cholesky_skew(np.stack([factors[i] for i in held]))
+        for i, d in zip(held, _skew_spectrum(stack)):
+            out[i] = d
+    return out
 
 
 def williamson(a):
@@ -231,9 +258,11 @@ def symplectic_eigenvalues(a, method="skew-canonical"):
     """Ascending symplectic spectrum of a positive definite matrix.
 
     Methods:
-      skew-canonical  singular values of the skew L.T J L, where A = L L.T:
-                      the band of its Hessenberg form, certified, and the
-                      singular values alone of that bidiagonal; no basis
+      skew-canonical  singular values of the skew K = L.T J L, where
+                      A = L L.T, with no basis: up to
+                      n = linalg._SVD_MAX_N those of K itself, each pair
+                      certified and averaged, above it those of the
+                      bidiagonal band of its Hessenberg form, certified
       ja-eigen        imaginary parts of the spectrum of J A
       williamson      spectrum reported by the full decomposition, whose
                       basis comes from the same Hessenberg band and the

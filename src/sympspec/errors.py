@@ -1,9 +1,12 @@
-"""Exception types shared across the package, and three helpers.  Two
+"""Exception types shared across the package, and five helpers.  Two
 raise NumericalContractError: _contract for every post-hoc accuracy
 check, which passes only when value <= bound, so a NaN fails it, and
 _lapack for every LAPACK status.  The third, _check_int, raises
 ValidationError for every count, size, order, seed and trial argument
-that is not an integer or lies below its minimum.
+that is not an integer or lies below its minimum.  _attempt and _value
+carry an error as a value, so that work done once for many matrices or
+trials keeps each one's verdict to itself: _attempt returns what it
+catches, and _value raises it where the matrix or trial is read.
 
 The CLI maps these onto distinct exit codes, so library code should
 raise the most specific type that applies.
@@ -52,3 +55,23 @@ def _check_int(name, value, minimum=None):
     if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be at least {minimum}, got {value!r}")
     return int(value)
+
+
+# What a verify trial turns into its contract-error record.
+_TRIAL_ERRORS = (NumericalContractError, ConstructionError)
+
+
+def _attempt(fn, *args, caught=_TRIAL_ERRORS):
+    """fn(*args), or the exception of a caught type that it raised,
+    returned; any other exception propagates."""
+    try:
+        return fn(*args)
+    except caught as exc:
+        return exc
+
+
+def _value(outcome):
+    """outcome, or, when _attempt returned an exception, that exception raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -6,11 +6,15 @@ under master seed m draws from a dedicated generator keyed by
 or on a thread pool, and any single trial can be replayed from a saved
 report.  A trial is a draw, (t, cfg, rng) -> (n, *instance), which takes
 every random choice that fixes the instance, planted cases included, and
-a certify step, certify(cfg, rng, *instance) -> records, which goes on
-with the same generator for what a certificate samples.  Violations
-never abort a suite; every comparison becomes a record, a contract that
-fails inside a trial becomes a failed record, and the report carries
-them all.
+a certify step, which goes on with the same generator for what a
+certificate samples.  A suite draws all its trials first, then certifies
+them: certify(cfg, drawn) takes every drawn trial and returns each one's
+records.  Most suites certify each trial on its own (_each); the two
+Lidskii suites share one stacked spectrum pass per size among their
+trials (inequalities._trial_outcomes), and a replay certifies a list of
+one trial through the same step.  Violations never abort a suite; every
+comparison becomes a record, a contract that fails inside a trial becomes
+a failed record of that trial alone, and the report carries them all.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .core import (
     symplectic_eigenvalues,
     williamson,
 )
-from .errors import ConstructionError, NumericalContractError, ValidationError, _check_int
+from .errors import ValidationError, _attempt, _check_int
 from .extremal import (
     det_product_check,
     maxmin_check,
@@ -47,10 +51,11 @@ from .extremal import (
 from .functionals import SHIPPED
 from .inequalities import (
     _additive_draw,
+    _additive_plan,
     _index_set,
     _multiplicative_draw,
-    _multiplicative_lidskii_trial,
-    additive_lidskii_trial,
+    _multiplicative_plan,
+    _trial_outcomes,
     majorize,
     make_record,
     random_dominated_pair,
@@ -223,14 +228,6 @@ def _certify_construction(cfg, rng, a):
     ]
 
 
-def _certify_lidskii_add(cfg, rng, a, b, idx):
-    return additive_lidskii_trial(a, b, idx, tol=cfg.tol)
-
-
-def _certify_lidskii_mult(cfg, rng, a, b, idx, planted):
-    return _multiplicative_lidskii_trial(a, b, idx, planted, tol=cfg.tol)
-
-
 def _brute_supermajorize(a, b, atol=0.0):
     """Reference comparison by explicit sequential partial sums."""
     a_s = sorted(float(x) for x in a)
@@ -283,55 +280,85 @@ def _certify_majorization(cfg, rng, x, y, am, bm, up, down, hi, lo):
     ]
 
 
+def _map(config, fn, items):
+    """[fn(x) for x in items], on a pool of config.jobs threads when jobs > 1."""
+    if config.jobs == 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+        return list(pool.map(fn, items))
+
+
+def _each(certify):
+    """The certify step of a suite whose trials share no work:
+    certify(cfg, rng, *instance) on each drawn trial, on the pool when
+    cfg.jobs > 1."""
+    def each(cfg, drawn):
+        return _map(cfg, lambda x: x if isinstance(x, Exception)
+                    else _attempt(certify, cfg, x[1], *x[2]), drawn)
+    return each
+
+
+def _lidskii(plan):
+    """The certify step of a Lidskii suite, all its trials at once."""
+    def lidskii(cfg, drawn):
+        return _trial_outcomes(
+            plan, [x if isinstance(x, Exception) else x[2] for x in drawn], cfg.tol)
+    return lidskii
+
+
 # Each suite's draw, its certify step and its default trial count.
 _SUITES = {
-    "williamson": (_sized(_draw_williamson), _certify_williamson, 60),
-    "maxmin": (_sized(_draw_pd), _certify_maxmin, 25),
-    "wielandt": (_sized(_draw_pd_index_set), _certify_wielandt, 12),
-    "construction": (_sized(_draw_pd), _certify_construction, 40),
-    "lidskii-add": (_sized(_additive_draw), _certify_lidskii_add, 150),
-    "lidskii-mult": (_sized(_multiplicative_draw), _certify_lidskii_mult, 80),
-    "phi-extremal": (_sized(_draw_phi), _certify_phi, 12),
-    "det-product": (_sized(_draw_pd_index_set), _certify_det_product, 20),
-    "majorization": (_draw_majorization, _certify_majorization, 40),
+    "williamson": (_sized(_draw_williamson), _each(_certify_williamson), 60),
+    "maxmin": (_sized(_draw_pd), _each(_certify_maxmin), 25),
+    "wielandt": (_sized(_draw_pd_index_set), _each(_certify_wielandt), 12),
+    "construction": (_sized(_draw_pd), _each(_certify_construction), 40),
+    "lidskii-add": (_sized(_additive_draw), _lidskii(_additive_plan), 150),
+    "lidskii-mult": (_sized(_multiplicative_draw), _lidskii(_multiplicative_plan), 80),
+    "phi-extremal": (_sized(_draw_phi), _each(_certify_phi), 12),
+    "det-product": (_sized(_draw_pd_index_set), _each(_certify_det_product), 20),
+    "majorization": (_draw_majorization, _each(_certify_majorization), 40),
 }
 SUITE_IDS = tuple(_SUITES)
 
 
-def _trial_records(suite_id, config, t):
-    """Report records of trial t, the certify step on its draw: each
-    InequalityRecord plus trial and n.
+def _drawn(draw, suite_id, config, t):
+    """(n, rng, instance) of trial t: its draw, and the generator that
+    its certify step goes on with."""
+    rng = trial_rng(config.master_seed, suite_id, t)
+    n, *instance = draw(t, config, rng)
+    return n, rng, instance
 
-    A numerical contract or construction that fails inside the trial
-    becomes its one failed contract-error record, with n null, so the
-    other trials' records survive and replay reproduces the failure.
+
+def _suite_records(suite_id, config, trials):
+    """Report records of the given trials: every trial is drawn, then the
+    suite's certify step takes them all, and each InequalityRecord gets
+    its trial and n.
+
+    A numerical contract or construction that fails inside a trial, in
+    its draw or its certify step, becomes that trial's one failed
+    contract-error record, with n null, so the other trials' records
+    survive and replay reproduces the failure.
     """
     draw, certify, _ = _SUITES[suite_id]
-    rng = trial_rng(config.master_seed, suite_id, t)
-    try:
-        n, *instance = draw(t, config, rng)
-        records = certify(config, rng, *instance)
-    except (NumericalContractError, ConstructionError) as exc:
-        n = None
-        records = [
-            make_record("contract-error", 1.0, 0.0, "le", 0.0,
-                        {"error": type(exc).__name__, "message": str(exc)})
-        ]
-    return [{"trial": t, "n": n, **vars(rec)} for rec in records]
+    drawn = _map(config, partial(_attempt, _drawn, draw, suite_id, config), trials)
+    out = []
+    for t, x, outcome in zip(trials, drawn, certify(config, drawn)):
+        if isinstance(outcome, Exception):
+            n, records = None, [make_record(
+                "contract-error", 1.0, 0.0, "le", 0.0,
+                {"error": type(outcome).__name__, "message": str(outcome)})]
+        else:
+            n, records = x[0], outcome
+        out += [{"trial": t, "n": n, **vars(rec)} for rec in records]
+    return out
 
 
 def run_suite(suite_id, config):
     """All records and the aggregate for one suite."""
     trials = config.trials if config.trials is not None else _SUITES[suite_id][2]
-    one = partial(_trial_records, suite_id, config)
-    if config.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            per_trial = list(pool.map(one, range(trials)))
-    else:
-        per_trial = [one(t) for t in range(trials)]
-    records = [r for chunk in per_trial for r in chunk]
+    records = _suite_records(suite_id, config, range(trials))
     failed = [r for r in records if not r["passed"]]
     aggregate = {
         "n_trials": int(trials),
@@ -439,7 +466,7 @@ def replay(report_path, suite_id, trial):
     records = _field(entry.get("records"), list, f"suites.{suite_id}.records")
     if not 0 <= trial < n_trials:
         raise ValidationError(f"trial {trial} outside recorded range 0..{n_trials - 1}")
-    fresh = json.loads(json.dumps(_trial_records(suite_id, config, trial)))
+    fresh = json.loads(json.dumps(_suite_records(suite_id, config, [trial])))
     stored = [
         r for r in records
         if _field(r, dict, f"a record of suites.{suite_id}").get("trial") == trial

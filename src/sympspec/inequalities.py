@@ -10,18 +10,20 @@ is serialized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from numbers import Integral
 
 import numpy as np
 
 from .core import (
     _checked,
+    _factor_spectra,
     as_generator,
     check_positive_definite,
+    half_dim,
     random_pd,
-    symplectic_eigenvalues,
 )
-from .errors import ValidationError, _check_int, _lapack
+from .errors import ValidationError, _attempt, _check_int, _lapack, _value
 from .linalg import _FLAPACK, _below, fnorm, sym_eig
 
 _SYGST = _FLAPACK.dsygst
@@ -34,13 +36,22 @@ def geometric_mean(a, b):
     factor in place of the square root (Bhatia, Positive Definite
     Matrices, 2007, ch. 4; Iannazzo, "The geometric mean of two matrices
     from a computational viewpoint", Numer. Linear Algebra Appl. 23,
-    2016).  LAPACK dsygst forms C = L^-1 B L^-T, one symmetric eigensolve
-    C = V diag(w) V^T follows, and the mean is F F^T with
-    F = L V diag(w^(1/4)).  A B that is A is checked once.
+    2016).  A B that is A is checked once; _mean_factor forms the mean.
     """
-    same = b is a
-    a, low, _ = _checked(a)
-    b = a if same else _checked(b).a
+    pd_a = _checked(a)
+    return _mean_factor(pd_a, pd_a if b is a else _checked(b))[0]
+
+
+def _mean_factor(pd_a, pd_b):
+    """(A # B, F) with A # B = F F^T, for two PositiveDefinite values.
+
+    LAPACK dsygst forms C = L^-1 B L^-T, one symmetric eigensolve
+    C = V diag(w) V^T follows, and F = L V diag(w^(1/4)).  F is a factor
+    of the mean as core._cholesky_skew takes it, so d(A # B) needs no
+    check or Cholesky factorization of the mean.
+    """
+    a, low, _ = pd_a
+    b = pd_b.a
     _check_same_size(a, b)
     c = _lapack(_SYGST, "congruence reduction", b, low, lower=1)
     # dsygst writes the lower triangle of C only.
@@ -53,7 +64,7 @@ def geometric_mean(a, b):
         )
     f = low @ (v * np.sqrt(np.sqrt(w)))
     # F F^T is formed exactly symmetric, as random_pd's Wishart draw is.
-    return f @ f.T
+    return f @ f.T, f
 
 
 def _check_same_size(a, b):
@@ -248,13 +259,30 @@ def additive_lidskii_trial(a, b, index_set, tol=1e-9):
     """Records for sum_j d_{i_j}(A+B) >= sum_j d_{i_j}(A) + sum_j d_j(B).
 
     Also checks the full-index weak supermajorization of d(A+B) by
-    d(A) + d(B) that the k = n case implies.
+    d(A) + d(B) that the k = n case implies.  The certify step of the
+    lidskii-add suite on a list of one trial (_trial_outcomes).
     """
+    return _value(_trial_outcomes(_additive_plan, [(a, b, index_set)], tol)[0])
+
+
+def _additive_plan(a, b, index_set, tol):
+    """The factors of A + B, A and, unless B is A, B, each matrix checked
+    on its own, and the step that makes an additive trial's records from
+    their spectra."""
     _check_same_size(a, b)
-    d_sum = symplectic_eigenvalues(a + b)
-    d_a = symplectic_eigenvalues(a)
-    d_b = d_a if b is a else symplectic_eigenvalues(b)
-    idx = _check_index_set(index_set, d_a.size) - 1
+    pd_sum = check_positive_definite(a + b)
+    n = half_dim(pd_sum.a)
+    factors = [pd_sum.low, check_positive_definite(a).low]
+    if b is not a:
+        factors.append(check_positive_definite(b).low)
+    idx = _check_index_set(index_set, n) - 1
+    return factors, partial(_additive_records, idx, tol)
+
+
+def _additive_records(idx, tol, d_sum, d_a, d_b=None):
+    """additive_lidskii_trial's records from d(A + B), d(A) and d(B),
+    which is d(A) when d_b is None; idx is the 0-based index set."""
+    d_b = d_a if d_b is None else d_b
     k = idx.size
     lhs = float(d_sum[idx].sum())
     rhs = float(d_a[idx].sum() + d_b[:k].sum())
@@ -325,28 +353,30 @@ def _product_records(d_m, d_a, d_b, index_set, tol):
     return records
 
 
-def _multiplicative_lidskii_trial(a, b, index_set, planted, tol=1e-9):
-    """Records for the mean A # B of a randomized trial: its Riccati
-    residual, the product bounds on d(A # B), and, on a planted trial
-    (A = B with a constant spectrum), A # B = A."""
+def _multiplicative_plan(a, b, index_set, planted, tol):
+    """The factors of A # B, A and, unless B is A, B, and the step that
+    makes a mean trial's records from their spectra: the Riccati residual
+    of the mean, the product bounds on d(A # B), and, on a planted trial
+    (A = B with a constant spectrum), A # B = A.  A and B are checked;
+    the mean's spectrum comes from the factor _mean_factor forms it with."""
     pd_a = check_positive_definite(a)
     pd_b = pd_a if b is a else check_positive_definite(b)
-    mean = geometric_mean(pd_a, pd_b)
+    half_dim(pd_a.a)
+    mean, f = _mean_factor(pd_a, pd_b)
     # A # B is the unique positive definite solution of G A^-1 G = B
     # (Bhatia, Positive Definite Matrices, 2007, ch. 4).  A plain solve,
     # not the Cholesky factor behind the mean, keeps the check independent
     # of the route it certifies.
-    records = [
-        make_record(
-            "mean-riccati-residual",
-            fnorm(mean @ np.linalg.solve(a, mean) - b) / fnorm(b),
-            1e-8, "le", 0.0,
-        )
-    ]
-    # The spectra of A and B come from the factors the mean already took.
-    d_m = symplectic_eigenvalues(mean)
-    d_a = symplectic_eigenvalues(pd_a)
-    d_b = d_a if b is a else symplectic_eigenvalues(pd_b)
+    riccati = fnorm(mean @ np.linalg.solve(a, mean) - b) / fnorm(b)
+    factors = [f, pd_a.low] + ([] if b is a else [pd_b.low])
+    return factors, partial(_multiplicative_records, riccati, index_set, planted, tol)
+
+
+def _multiplicative_records(riccati, index_set, planted, tol, d_m, d_a, d_b=None):
+    """A mean trial's records from d(A # B), d(A) and d(B), which is d(A)
+    when d_b is None."""
+    d_b = d_a if d_b is None else d_b
+    records = [make_record("mean-riccati-residual", riccati, 1e-8, "le", 0.0)]
     records += _product_records(d_m, d_a, d_b, index_set, tol)
     if planted:
         records.append(
@@ -359,6 +389,29 @@ def _multiplicative_lidskii_trial(a, b, index_set, planted, tol=1e-9):
             )
         )
     return records
+
+
+def _trial_outcomes(plan, instances, tol):
+    """Each trial's records, or the contract error that ended it, for
+    the instances of a Lidskii suite; an instance that is already such
+    an error stays one.
+
+    plan(*instance, tol) checks the trial's matrices, each on its own,
+    and returns (factors, finish).  The spectra of every trial's factors
+    come from core._factor_spectra, one pass per size, and each trial's
+    finish makes its records from its own spectra; a matrix that the
+    spectrum refused ends its trial only.
+    """
+    plans = [x if isinstance(x, Exception) else _attempt(plan, *x, tol) for x in instances]
+    spectra = iter(_factor_spectra(
+        [f for p in plans if not isinstance(p, Exception) for f in p[0]]))
+    outcomes = []
+    for p in plans:
+        if not isinstance(p, Exception):
+            finish, own = p[1], [next(spectra) for _ in p[0]]
+            p = _attempt(lambda: finish(*map(_value, own)))
+        outcomes.append(p)
+    return outcomes
 
 
 def _additive_draw(t, n, rng):
@@ -396,4 +449,5 @@ def additive_trial_records(t, n, rng, tol=1e-9):
 
 def multiplicative_trial_records(t, n, rng, tol=1e-9):
     """Records for one randomized mean trial (see _multiplicative_draw)."""
-    return _multiplicative_lidskii_trial(*_multiplicative_draw(t, n, rng), tol=tol)
+    instance = _multiplicative_draw(t, n, rng)
+    return _value(_trial_outcomes(_multiplicative_plan, [instance], tol)[0])

@@ -3,13 +3,34 @@
 Everything here is numpy and LAPACK on real float64 arrays.  Routines that
 can fail quietly raise NumericalContractError instead of returning
 garbage: sym_eig checks its residual, subspace_intersect its principal
-cosines and _hessenberg_band the band it reads d from, each with one
+cosines, _hessenberg_band the band it reads d from and _pairing_verdict
+the pairs of singular values it reads d from, each with one
 errors._contract call, which a NaN fails, and every LAPACK status goes
-through errors._lapack.  The band step (_skew_spectrum, and
-_skew_canonical with its basis) takes the exactly skew K that
-core._cholesky_skew builds from a factor check_positive_definite passed,
-so it checks no input; the basis of _skew_canonical is certified by the
-residuals of core.williamson, its one caller, and not here.
+through errors._lapack.  The skew routes (_skew_spectrum, and
+_skew_canonical with its basis) take the exactly skew K that
+core._cholesky_skew builds from a factor of a matrix that
+check_positive_definite passed, so they check no input; the basis of
+_skew_canonical is certified by the residuals of core.williamson, its one
+caller, and not here.
+
+The spectrum alone takes one of two routes, chosen by the half-dimension
+n of K.  Up to n = _SVD_MAX_N it is the values-only SVD of K itself,
+numpy's gufunc over a whole stack of K in one call, so a verify suite
+pays one pass per size rather than one call chain per matrix; above it,
+the band route: the Hessenberg band of K and the singular values of that
+bidiagonal.  The crossover, min of 9 repeats at one BLAS thread on a
+noisy 2-core Xeon, in microseconds per matrix (band route, SVD route in
+a stack of 150, SVD route called alone):
+
+    n       2     4     6     8    10    12    14    16    20
+    band  15.5  17.7  21.5  22.8  27.2  31.8  39.1  44.3  62.9
+    stack  3.2   6.9  11.2  16.1  23.5  31.6  43.3  51.4  79.7
+    alone 14.7  18.7  22.7  25.7  34.4  40.0  48.9  58.9  88.6
+
+The stack wins up to n = 12; a single call, as compress and the command
+line make, is within 1 microsecond of the band up to n = 5 and slower
+from there on.  _SVD_MAX_N = 8 keeps the stack's gain at 29 % or more
+while a single call loses at most 3 microseconds.
 
 LAPACK comes from scipy's compiled module scipy.linalg._flapack: the
 float64 routines it holds are the objects that scipy.linalg.get_lapack_funcs
@@ -19,10 +40,10 @@ scipy.linalg: the extension's RPATH ($ORIGIN/../../scipy.libs) finds the
 OpenBLAS library it links on its own.  scipy.linalg's init, with the
 array-API layer it pulls in, costs more than half of a cold CLI start.
 The handles are linalg._GEHRD, which reduces a skew matrix to its
-Hessenberg band for both the spectrum alone (_skew_spectrum) and
+Hessenberg band for both the band route of _skew_spectrum and
 _skew_canonical, linalg._ORGHR, which only _skew_canonical needs to form
 its basis, linalg._GESDD (with its workspace query _GESDD_LWORK) and
-_SYEVD, behind every SVD and symmetric eigensolve of the package,
+_SYEVD, behind every other SVD and symmetric eigensolve of the package,
 core._POCON and _TRTRS, inequalities._SYGST, extremal._GEQRF and _ORGQR.
 
 _svd and _eigh are numpy.linalg.svd and numpy.linalg.eigh without numpy's
@@ -31,11 +52,12 @@ the same routines (dgesdd, and dsyevd reading the lower triangle), with
 the workspace dgesdd's query asks for (kept per shape in _GESDD_WORK), as
 numpy passes it, and the factors in C order, as numpy returns them, so
 results and every product formed from them match numpy's bit for bit.
-core._CHOLESKY and core._EIGVALS do the same for numpy.linalg.cholesky
-and eigvals with numpy's own gufuncs, since scipy's dpotrf and dgeev
-come from another LAPACK build and would move bits.  check_symmetric,
-the input check of every positive definite entry point, is one body for
-the same reason: it calls neither check_square nor _check_finite.
+linalg._SVD, core._CHOLESKY and core._EIGVALS are numpy's own gufuncs
+behind numpy.linalg.svd(compute_uv=False), cholesky and eigvals, called
+directly, since scipy's dgesdd, dpotrf and dgeev come from another LAPACK
+build and would move bits.  check_symmetric, the input check of every
+positive definite entry point, is one body for the same reason: it calls
+neither check_square nor _check_finite.
 
 _below(m) is the strictly-lower boolean mask of size m, built once per
 size and kept read-only.  np.where(_below(m), 0.0, x) is the upper
@@ -54,13 +76,27 @@ import os
 import sys
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .errors import ValidationError, _contract, _lapack
+from .errors import (
+    NumericalContractError,
+    ValidationError,
+    _attempt,
+    _contract,
+    _lapack,
+)
 
 SYM_RTOL = 1e-12
 RANK_RTOL = 1e-10
 INTERSECT_COS_TOL = 1e-8
 EPS = np.finfo(float).eps
+# Largest half-dimension n whose skew spectra take the SVD route; the
+# crossover timings behind it are in the module docstring.
+_SVD_MAX_N = 8
+# The verdicts _skew_spectrum keeps per matrix of a stack.
+_REFUSALS = (NumericalContractError, ValidationError)
+# The gufunc numpy.linalg.svd(a, compute_uv=False) calls.
+_SVD = _umath_linalg.svd
 
 
 def _load_flapack():
@@ -342,13 +378,75 @@ def _ascending_nonsingular(s):
     return d
 
 
-def _skew_spectrum(k):
-    """The d of _skew_canonical(k) alone, with no basis formed: the
-    singular values of the band B of _hessenberg_band, whose certificate
-    bounds what dropping the rest of H costs d; no dorghr, no singular
-    vectors and no residual product."""
+def _band_spectrum(k):
+    """d of one skew K from the band B of _hessenberg_band, whose
+    certificate bounds what dropping the rest of H costs d: the singular
+    values of B alone, with no dorghr, no singular vectors and no
+    residual product."""
     b = _hessenberg_band(k)[2]
     return _ascending_nonsingular(_svd(b, compute_uv=0)[1])
+
+
+@np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
+def _paired(k):
+    """(gap, norm, d) of each K of a stack of skew K, from one values-only
+    SVD pass: d descending, norm = ||K||_2, the largest singular value,
+    and gap, the pairing defect, the largest gap inside a pair of
+    singular values, which _pairing_verdict holds to its bound.
+
+    The pass is numpy.linalg.svd(k, compute_uv=False) through its gufunc
+    (dgesdd, values only), under numpy's error state except for the
+    invalid flag: a matrix on which dgesdd fails comes back as NaN, which
+    that matrix's pairing defect refuses, where numpy's wrapper would
+    raise one LinAlgError for the whole stack.  The flag is ignored for
+    the finiteness test too, whose sum meets inf - inf in a skew K.
+
+    A nonsingular skew K is normal with eigenvalues +-i d, so its singular
+    values are d, each twice; d is the mean of each pair.  dgesdd is
+    backward stable: its values are exact for some K + E with ||E||_2 a
+    small multiple of eps ||K||_2, and by Weyl's inequality each moves by
+    at most ||E||_2.  So each computed pair lies within ||E||_2 of its d
+    and its gap is at most 2 ||E||_2, while a K that is not skew has
+    unpaired values.  A K that is not finite enters LAPACK as a zero
+    matrix and gets a NaN gap.
+    """
+    # A finite sum of all entries shows every entry finite.
+    finite = None if math.isfinite(k.sum()) else np.isfinite(k).all(axis=(1, 2))
+    if finite is not None:
+        k = np.where(finite[:, None, None], k, 0.0)
+    s = _SVD(k, signature="d->d")
+    top, low = s[:, 0::2], s[:, 1::2]
+    gaps = np.maximum.reduce(top - low, axis=1)
+    if finite is not None:
+        gaps[~finite] = np.nan
+    return list(zip(gaps.tolist(), s[:, 0].tolist(), 0.5 * (top + low)))
+
+
+def _pairing_verdict(gap, norm, d):
+    """d ascending, once the pairing defect gap of a K of 2-norm norm
+    passes 1e-9 * max(1, norm); a NaN gap fails."""
+    _contract("pairing defect", gap, 1e-9 * max(1.0, norm))
+    return _ascending_nonsingular(d)
+
+
+def _skew_spectrum(k):
+    """The d of _skew_canonical(k) alone, with no basis formed, for one
+    skew K of size 2n or a stack of them of shape (m, 2n, 2n).
+
+    Up to n = _SVD_MAX_N, d comes from one values-only SVD pass over the
+    whole stack (_paired); above it each K takes the band route
+    (_band_spectrum), whose dgehrd beats an SVD of K itself.  One K gives
+    its d or raises; a stack gives a list of m outcomes, each matrix's d
+    or the NumericalContractError or ValidationError that refused it
+    (errors._value reads one), so one matrix's refusal is its own.  A
+    matrix gets the same bits alone as in any stack.
+    """
+    band = k.shape[-1] > 2 * _SVD_MAX_N
+    if k.ndim == 2:
+        return _band_spectrum(k) if band else _pairing_verdict(*_paired(k[None])[0])
+    if band:
+        return [_attempt(_band_spectrum, x, caught=_REFUSALS) for x in k]
+    return [_attempt(_pairing_verdict, *v, caught=_REFUSALS) for v in _paired(k)]
 
 
 def _skew_canonical(k):

@@ -37,7 +37,13 @@ def matrix_from_obj(obj, source="matrix"):
     for key in ("dim", "entries"):
         if key not in obj:
             raise MatrixFormatError(f"{source}: missing key {key!r}")
-    a = _finite_array(obj["entries"], source)
+    entries = obj["entries"]
+    # np.array would read a JSON boolean or a numeric string as a number.
+    for row in entries if isinstance(entries, list) else ():
+        for x in row if isinstance(row, list) else (row,):
+            if isinstance(x, (bool, str)):
+                raise MatrixFormatError(f"{source}: entries must be numbers, got {x!r}")
+    a = _finite_array(entries, source)
     dim = obj["dim"]
     # A JSON boolean is no row count, though Python's bool is an int.
     if isinstance(dim, bool) or not isinstance(dim, int) or dim != a.shape[0]:

@@ -141,6 +141,23 @@ def test_verify_replay_flow(tmp_path, capsys):
     assert "matches the stored report" in out
 
 
+def test_verify_with_two_jobs_writes_the_serial_report(tmp_path, capsys):
+    # The pool draws and certifies trials out of order; each trial's own
+    # generator, and the Lidskii suites' one stacked pass per size, keep
+    # every record as the serial run writes it.
+    reports, codes = [], []
+    for jobs in ("1", "2"):
+        path = tmp_path / f"jobs-{jobs}.json"
+        codes.append(main(["verify", "--trials", "12", "--seed", "105", "--jobs", jobs,
+                           "--report", str(path)]))
+        reports.append(json.loads(path.read_text()))
+    capsys.readouterr()
+    assert codes[0] == codes[1]
+    assert reports[1]["timing"]["jobs"] == 2
+    assert sympspec.harness.reports_match(*reports)
+    assert all(reports[0]["suites"][s]["records"] for s in sympspec.harness.SUITE_IDS)
+
+
 def test_verify_contract_error_exits_1_with_a_full_report(tmp_path, capsys, monkeypatch):
     def broken(a):
         raise NumericalContractError("forced defect")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sympspec import core, linalg
+from sympspec import core, errors, inequalities, linalg
 from sympspec.basis import SymplecticBasis
 from sympspec.core import (
     WILLIAMSON_RTOL_A,
@@ -215,6 +215,33 @@ def test_geometric_mean_matches_the_exact_mean_of_planted_pairs(family):
         assert fnorm(mean - exact) <= 1e-6 * fnorm(exact)
 
 
+@pytest.mark.parametrize("family", list(PLANTED) + ["wide-congruence"])
+def test_the_mean_spectrum_from_its_factor_matches_the_checked_route(family):
+    # F with A # B = F F.T gives d(A # B) without a check or a Cholesky
+    # factorization of the mean: K = F.T J F is orthogonally similar to
+    # the K of the mean's own Cholesky factor.  Forming either K errs by a
+    # few eps ||A # B||_2 in each value, so the bound is relative to that
+    # norm: on these pairs the worst gap is 1.6e-15 of it, while a small
+    # d_1 moves by up to 2e-11 of itself (log-spread-4) and, behind a wide
+    # congruence, the gap reaches 9e-13 of d_n.
+    def congruence(s, d):
+        a = s.T @ np.diag(np.concatenate([d, d])) @ s
+        return 0.5 * (a + a.T)
+
+    rng = np.random.default_rng(2024)
+    wide = family == "wide-congruence"
+    for i in range(24):
+        n = 2 + i % 6
+        s = random_symplectic(n, rng, spread=6.0 if wide else 2.0)
+        d = np.sort(rng.uniform(0.5, 2.0, n)) if wide else PLANTED[family](n, rng)
+        a, b = congruence(s, d), congruence(s, rng.uniform(0.5, 2.0, n))
+        mean, f = inequalities._mean_factor(*map(core.check_positive_definite, (a, b)))
+        assert mean.tobytes() == geometric_mean(a, b).tobytes()
+        checked = symplectic_eigenvalues(mean)
+        from_factor = errors._value(core._factor_spectra([f])[0])
+        assert np.max(np.abs(from_factor - checked)) <= 1e-13 * np.linalg.norm(mean, 2)
+
+
 def _spectrum_at_50_digits(a):
     """Positive imaginary parts of the eigenvalues of J A, at 50 digits."""
     with mpmath.workdps(50):
@@ -250,6 +277,26 @@ def test_spectrum_matches_a_50_digit_reference(family):
         for method in methods:
             d = symplectic_eigenvalues(a, method=method)
             assert np.max(np.abs(d - ref)) <= bound
+
+
+# Every family at every n the stacked SVD route serves in the verify
+# suites and the planted spectra benchmark, each n's draws in one stack.
+SVD_ROUTE_FAMILIES = {"wishart": None, "log-spread-3": PLANTED["log-spread-3"],
+                      "log-spread-4": PLANTED["log-spread-4"],
+                      "near-singular": PLANTED["near-singular"]}
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_stacked_svd_route_matches_a_50_digit_reference(n):
+    assert n <= linalg._SVD_MAX_N
+    rng = np.random.default_rng(300 + n)
+    draws = [random_pd(n, rng, spectrum=None if planted is None else planted(n, rng))
+             for planted in SVD_ROUTE_FAMILIES.values()]
+    factors = [core.check_positive_definite(a).low for a in draws]
+    for a, d in zip(draws, core._factor_spectra(factors)):
+        ref = _spectrum_at_50_digits(a)
+        bound = 100 * n * np.finfo(float).eps * np.linalg.norm(a, 2)
+        assert np.max(np.abs(d - ref)) <= bound
 
 
 def test_cholesky_failure_is_a_validation_error(monkeypatch):

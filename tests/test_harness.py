@@ -178,18 +178,71 @@ def test_every_draw_is_a_pure_draw(monkeypatch):
 def test_acceptance_helpers_certify_what_verify_writes(suite, helper):
     # Acceptance criteria 04 and 05 call the helpers on (t, n, rng); on a
     # twin generator they give the suite's certify step on its draw, which
-    # is what verify writes, planted trials included.
+    # is what verify writes, planted trials included: the step certifies
+    # a list of one trial as it certifies all of a suite's trials at once.
     draw, certify, _ = sympspec.harness._SUITES[suite]
     cfg = SuiteConfig(suite=suite, master_seed=11, tol=1e-7, report_path=None)
+    drawn, per_trial = [], []
     for t in range(20):
         rng, twin = trial_rng(11, suite, t), trial_rng(11, suite, t)
         n, *instance = draw(t, cfg, rng)
         assert n == int(twin.integers(cfg.n_min, cfg.n_max + 1))
-        records = helper(t, n, twin, tol=cfg.tol)
-        assert records == certify(cfg, rng, *instance)
+        per_trial.append(helper(t, n, twin, tol=cfg.tol))
         assert rng.random() == twin.random()
-        assert sympspec.harness._trial_records(suite, cfg, t) == [
-            {"trial": t, "n": n, **vars(rec)} for rec in records]
+        drawn.append((n, rng, instance))
+        assert certify(cfg, [drawn[-1]]) == [per_trial[-1]]
+    assert certify(cfg, drawn) == per_trial
+    assert sympspec.harness._suite_records(suite, cfg, range(20)) == [
+        {"trial": t, "n": n, **vars(rec)}
+        for t, ((n, _, _), records) in enumerate(zip(drawn, per_trial)) for rec in records]
+
+
+@pytest.mark.parametrize("suite", ["lidskii-add", "lidskii-mult"])
+def test_a_pairing_defect_in_one_matrix_fails_its_trial_alone(monkeypatch, tmp_path, suite):
+    # Trial 4 draws A and B independently in both suites; one singular
+    # value of the K of its A is halved inside the stacked SVD pass.
+    cfg = SuiteConfig(suite=suite, trials=12, master_seed=3, report_path=None)
+    clean = run_suite(suite, cfg)["records"]
+    a = sympspec.harness._SUITES[suite][0](4, cfg, trial_rng(3, suite, 4))[1]
+    target = sympspec.core._cholesky_skew(sympspec.core.check_positive_definite(a).low)
+    svd = sympspec.linalg._SVD
+    hit = []
+
+    def unpaired(k, signature):
+        s = svd(k, signature=signature)
+        for i, x in enumerate(k):
+            if x.shape == target.shape and (x == target).all():
+                hit.append(i)
+                s[i, 1] *= 0.5
+        return s
+
+    monkeypatch.setattr(sympspec.linalg, "_SVD", unpaired)
+    report, code = run_all(cfg)
+    assert code == 1 and len(hit) == 1
+    records = report["suites"][suite]["records"]
+    failed = [rec for rec in records if not rec["passed"]]
+    assert failed == [rec for rec in records if rec["trial"] == 4]
+    assert [(r["name"], r["n"]) for r in failed] == [("contract-error", None)]
+    assert failed[0]["instance"]["error"] == "NumericalContractError"
+    assert failed[0]["instance"]["message"].startswith("pairing defect")
+    assert [r for r in records if r["trial"] != 4] == [r for r in clean if r["trial"] != 4]
+
+    path = tmp_path / "report.json"
+    write_report(report, path)
+    fresh, stored, match = replay(path, suite, 4)
+    assert match and fresh == stored == failed
+
+
+@pytest.mark.parametrize("suite", ["lidskii-add", "lidskii-mult"])
+def test_every_lidskii_trial_replays_as_a_match(tmp_path, suite):
+    # Verify certifies the suite's trials in one stacked pass per size, a
+    # replay certifies one trial alone; the bits must agree.
+    report, _ = run_all(SuiteConfig(suite=suite, master_seed=424242, report_path=None))
+    path = tmp_path / "report.json"
+    write_report(report, path)
+    n_trials = report["suites"][suite]["aggregate"]["n_trials"]
+    assert n_trials == sympspec.harness._SUITES[suite][2]
+    assert all(replay(path, suite, t)[2] for t in range(n_trials))
 
 
 def test_condition_warning_is_written_as_a_json_boolean(monkeypatch, tmp_path):
@@ -301,7 +354,7 @@ def test_construction_records_only_what_the_construction_does_not_check():
 
 
 def test_trial_and_n_stay_out_of_every_instance():
-    # _trial_records puts trial and n at the top level of every record.
+    # _suite_records puts trial and n at the top level of every record.
     # Eight trials reach the planted cases of lidskii-add and lidskii-mult.
     report, _ = run_all(SuiteConfig(trials=8, master_seed=11, report_path=None))
     for suite in SUITE_IDS:

@@ -99,11 +99,12 @@ def test_geometric_mean_equals_the_tril_formula_bit_for_bit(n):
             assert geometric_mean(x, y).tobytes() == _tril_mean(x, y).tobytes()
 
 
-@pytest.mark.parametrize("t, checks", [(0, 3), (3, 2), (7, 2)],
+@pytest.mark.parametrize("t, checks", [(0, 2), (3, 1), (7, 1)],
                          ids=["independent", "b-is-a", "planted"])
 def test_multiplicative_trial_factors_each_matrix_once(monkeypatch, t, checks):
-    # A, B and the mean are each factored once: d(A) and d(B) come from
-    # the factors the mean took, and a B that is A is factored once.
+    # A and B are each checked once and the mean not at all: d(A) and d(B)
+    # come from the factors the mean took, d(A # B) from the factor the
+    # mean is formed with, and a B that is A is checked once.
     calls = []
     check = core.check_positive_definite
 
@@ -134,12 +135,13 @@ def test_mean_riccati_record_is_tiny_on_random_pairs(n):
 
 
 def test_mean_riccati_record_fails_on_a_wrong_mean(monkeypatch):
-    mean = inequalities.geometric_mean
+    mean_factor = inequalities._mean_factor
 
-    def wrong(a, b):
-        return 1.001 * mean(a, b)
+    def wrong(pd_a, pd_b):
+        mean, f = mean_factor(pd_a, pd_b)
+        return 1.001 * mean, f
 
-    monkeypatch.setattr(inequalities, "geometric_mean", wrong)
+    monkeypatch.setattr(inequalities, "_mean_factor", wrong)
     rec = multiplicative_trial_records(0, 3, np.random.default_rng(12))[0]
     assert rec.name == "mean-riccati-residual"
     assert rec.lhs > 1e-3 and not rec.passed

@@ -5,12 +5,13 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 import scipy
 
-from sympspec import core, linalg
+from sympspec import core, errors, linalg
 from sympspec.core import random_pd, williamson
 from sympspec.errors import NumericalContractError, ValidationError
 from sympspec.linalg import (
@@ -276,6 +277,12 @@ def test_williamson_certifies_a_perturbed_skew_canonical_factor(monkeypatch):
 
 
 SKEW_ROUTES = {"canonical": linalg._skew_canonical, "spectrum": linalg._skew_spectrum}
+# The contract each route's refusal of a K that is not finite or not skew
+# names: the band certificate, or the pairing defect of the SVD route
+# that _skew_spectrum takes at these sizes.
+ROUTE_CONTRACT = {"canonical": "band defect", "spectrum": "pairing defect"}
+# Half-dimensions at which _skew_spectrum takes the band route.
+BAND_M = linalg._SVD_MAX_N + 1
 
 
 def _random_skew(m, rng):
@@ -292,31 +299,121 @@ def test_skew_spectrum_equals_the_canonical_d():
             assert np.max(np.abs(linalg._skew_spectrum(k) - ref) / ref) <= 1e-14
 
 
+def _factor_stack(n, m, rng):
+    """m Cholesky factors of random_pd draws of half-dimension n."""
+    return np.stack([np.linalg.cholesky(random_pd(n, rng)) for _ in range(m)])
+
+
+@pytest.mark.parametrize("n", [*range(1, linalg._SVD_MAX_N + 1), BAND_M])
+def test_a_stacked_spectrum_has_the_bits_of_one_at_a_time_calls(n):
+    rng = np.random.default_rng(100 + n)
+    for m in (1, 2, 17, 150):
+        factors = _factor_stack(n, m, rng)
+        stack = core._cholesky_skew(factors)
+        outcomes = linalg._skew_spectrum(stack)
+        assert isinstance(outcomes, list) and len(outcomes) == m
+        for f, k, d in zip(factors, stack, outcomes):
+            one = core._cholesky_skew(f)
+            assert one.tobytes() == k.tobytes()
+            assert linalg._skew_spectrum(one).tobytes() == d.tobytes()
+
+
 _RANK_2 = np.random.default_rng(3).standard_normal((4, 2))
 
 
 # The band step checks no input, but a K that is not finite or not skew
 # cannot yield d: H = Z.T K Z is then not skew either, and the band
-# certificate, which a NaN fails, measures exactly that defect of H.
+# certificate, which a NaN fails, measures exactly that defect of H.  The
+# SVD route gives a K that is not finite a NaN pairing defect, and a K
+# that is not skew unpaired singular values.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("route", SKEW_ROUTES)
 @pytest.mark.parametrize("k, error, match", [
-    (np.full((4, 4), np.nan), NumericalContractError, "band defect nan"),
-    (np.full((4, 4), np.inf), NumericalContractError, "band defect nan"),
-    (np.triu(np.ones((4, 4)), 1), NumericalContractError, "band defect"),
+    (np.full((4, 4), np.nan), NumericalContractError, "{} nan"),
+    (np.full((4, 4), np.inf), NumericalContractError, "{} nan"),
+    (np.triu(np.ones((4, 4)), 1), NumericalContractError, "{}"),
     (np.zeros((2, 2)), ValidationError, "singular to working precision"),
     # Rank 2 in size 4: K = G J G.T with G of size 4 x 2.
     (_RANK_2 @ np.array([[0.0, 1.0], [-1.0, 0.0]]) @ _RANK_2.T, ValidationError,
      "singular to working precision"),
 ], ids=["nan", "inf", "not-skew", "zero", "rank-deficient"])
 def test_both_skew_routes_refuse_bad_input(route, k, error, match):
-    with pytest.raises(error, match=match):
+    with pytest.raises(error, match=match.format(ROUTE_CONTRACT[route])):
         SKEW_ROUTES[route](k)
 
 
-@pytest.mark.parametrize("route", SKEW_ROUTES)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_k_is_refused_before_lapack_and_alone(bad, monkeypatch, capfd):
+    rng = np.random.default_rng(7)
+    stack = core._cholesky_skew(_factor_stack(2, 3, rng))
+    clean = linalg._skew_spectrum(stack)
+    # Skew as the input contract has it, so the stack holds inf and -inf.
+    stack[1, 0, 3], stack[1, 3, 0] = bad, -bad
+    seen = []
+    svd = linalg._SVD
+
+    def recording(k, signature):
+        seen.append(np.isfinite(k).all())
+        return svd(k, signature=signature)
+
+    monkeypatch.setattr(linalg, "_SVD", recording)
+    outcomes = linalg._skew_spectrum(stack)
+    assert seen == [True]
+    assert capfd.readouterr().err == ""
+    assert isinstance(outcomes[1], NumericalContractError)
+    assert "pairing defect nan" in str(outcomes[1])
+    for i in (0, 2):
+        assert outcomes[i].tobytes() == clean[i].tobytes()
+
+
+def test_an_svd_failure_refuses_its_own_matrix_only(monkeypatch):
+    # numpy's SVD gufunc reports a matrix on which dgesdd fails as NaN
+    # singular values with the invalid flag raised; the flag is ignored
+    # and the NaN fails that matrix's pairing defect.
+    stack = core._cholesky_skew(_factor_stack(3, 4, np.random.default_rng(8)))
+    clean = linalg._skew_spectrum(stack)
+    svd = linalg._SVD
+
+    def fails_on_2(k, signature):
+        s = svd(k, signature=signature)
+        s[2] = np.sqrt(-np.ones(s.shape[1]))
+        return s
+
+    monkeypatch.setattr(linalg, "_SVD", fails_on_2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcomes = linalg._skew_spectrum(stack)
+    assert isinstance(outcomes[2], NumericalContractError)
+    assert str(outcomes[2]).startswith("pairing defect nan")
+    for i in (0, 1, 3):
+        assert outcomes[i].tobytes() == clean[i].tobytes()
+    with pytest.raises(NumericalContractError, match="pairing defect nan"):
+        errors._value(outcomes[2])
+
+
+def test_unpaired_singular_values_fail_the_pairing_defect(monkeypatch):
+    # One value of each pair pulled apart by 1e-6 of ||K||_2.
+    k = _random_skew(3, np.random.default_rng(9))
+    norm = np.linalg.norm(k, 2)
+    svd = linalg._SVD
+    linalg._skew_spectrum(k)
+    monkeypatch.setattr(linalg, "_SVD", lambda k, signature:
+                        svd(k, signature=signature) * [1.0, 1.0 - 1e-6, 1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(NumericalContractError, match="pairing defect") as info:
+        linalg._skew_spectrum(k)
+    assert f"exceeds {1e-9 * norm:.3e}" in str(info.value)
+
+
+# The band-specific cases run _skew_spectrum at a size that takes the band.
+BAND_ROUTES = {"canonical": (linalg._skew_canonical, 1),
+               "spectrum": (linalg._skew_spectrum, BAND_M)}
+
+
+@pytest.mark.parametrize("route", BAND_ROUTES)
 def test_both_skew_routes_map_lapack_and_svd_failures(route, monkeypatch):
-    k = np.array([[0.0, 5.0], [-5.0, 0.0]])
+    fn, m = BAND_ROUTES[route]
+    k = _random_skew(m, np.random.default_rng(5))
 
     def no_convergence(a, **kwargs):
         return a, np.zeros(a.shape[0]), a, 1
@@ -324,16 +421,17 @@ def test_both_skew_routes_map_lapack_and_svd_failures(route, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "_GESDD", no_convergence)
         with pytest.raises(NumericalContractError, match="SVD failed"):
-            SKEW_ROUTES[route](k)
+            fn(k)
     monkeypatch.setattr(linalg, "_GEHRD", lambda a, lwork: (a, np.zeros(1), -1))
     with pytest.raises(NumericalContractError, match="LAPACK info -1"):
-        SKEW_ROUTES[route](k)
+        fn(k)
 
 
-@pytest.mark.parametrize("route", SKEW_ROUTES)
+@pytest.mark.parametrize("route", BAND_ROUTES)
 def test_both_skew_routes_certify_the_hessenberg_band(route, monkeypatch):
     # One entry above the super-diagonal of H, which the band drops.
-    k = _random_skew(3, np.random.default_rng(31))
+    fn, m = BAND_ROUTES[route]
+    k = _random_skew(max(m, 3), np.random.default_rng(31))
     gehrd = linalg._GEHRD
 
     def off_band(a, lwork):
@@ -342,10 +440,22 @@ def test_both_skew_routes_certify_the_hessenberg_band(route, monkeypatch):
         ht[0, 3] += 1e-6 * fnorm(k)
         return ht, tau, info
 
-    SKEW_ROUTES[route](k)
+    fn(k)
     monkeypatch.setattr(linalg, "_GEHRD", off_band)
     with pytest.raises(NumericalContractError, match="band defect"):
-        SKEW_ROUTES[route](k)
+        fn(k)
+
+
+@pytest.mark.parametrize("k, error", [
+    (np.full((2 * BAND_M, 2 * BAND_M), np.nan), NumericalContractError),
+    (np.triu(np.ones((2 * BAND_M, 2 * BAND_M)), 1), NumericalContractError),
+    (np.zeros((2 * BAND_M, 2 * BAND_M)), ValidationError),
+], ids=["nan", "not-skew", "zero"])
+def test_the_band_route_of_a_stack_refuses_each_matrix_alone(k, error):
+    good = _random_skew(BAND_M, np.random.default_rng(6))
+    outcomes = linalg._skew_spectrum(np.stack([good, k, good]))
+    assert isinstance(outcomes[1], error)
+    assert outcomes[0].tobytes() == outcomes[2].tobytes() == linalg._skew_spectrum(good).tobytes()
 
 
 def test_svd_keeps_one_workspace_per_shape_and_flag_pair(monkeypatch):

@@ -56,6 +56,23 @@ def test_dim_mismatch_rejected():
         matrix_from_obj({"dim": True, "entries": [[5.0]]})
 
 
+@pytest.mark.parametrize("entries, bad", [
+    ([[True, False], [False, True]], "True"),
+    ([["1", "0"], ["0", "1"]], "'1'"),
+    ([[1.0, 0.0], [0.0, False]], "False"),
+    ([[1.0, "2.5"], [2.5, 1.0]], "'2.5'"),
+    ([True, False], "True"),
+], ids=["booleans", "strings", "one-boolean", "one-string", "flat"])
+def test_json_booleans_and_strings_are_refused_as_entries(tmp_path, entries, bad):
+    obj = {"dim": len(entries), "entries": entries}
+    with pytest.raises(MatrixFormatError, match=f"entries must be numbers, got {bad}"):
+        matrix_from_obj(obj)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(MatrixFormatError, match="entries must be numbers"):
+        load_matrix(path)
+
+
 def test_missing_keys_rejected():
     with pytest.raises(MatrixFormatError):
         matrix_from_obj({"entries": [[1.0]]})

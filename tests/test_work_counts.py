@@ -4,6 +4,7 @@ import importlib.util
 import pathlib
 
 import numpy as np
+import pytest
 from numpy.linalg import _umath_linalg
 
 from sympspec import core, errors, harness
@@ -19,6 +20,15 @@ def test_counts_one_check_and_one_band_step_per_williamson_trial():
     trials = harness._SUITES["williamson"][2]
     assert counts["checks"] == counts["cholesky"] == counts["band_steps"] == trials
     assert counts["lapack"] > 0 and counts["constructions"] == 0
+    assert counts["spectrum_passes"] == 0
+
+
+@pytest.mark.parametrize("suite", ["lidskii-add", "lidskii-mult"])
+def test_a_lidskii_suite_takes_one_spectrum_pass_per_size(suite):
+    # Sizes 2..5 all occur at the default trial counts; no band step runs.
+    counts = work_counts.work_counts(3, suite)
+    assert counts["spectrum_passes"] == 4 and counts["band_steps"] == 0
+    assert counts["checks"] == counts["cholesky"] > harness._SUITES[suite][2]
     assert work_counts.work_counts(3, "majorization") == dict.fromkeys(work_counts.COUNTED, 0)
 
 
