@@ -2,12 +2,14 @@
 """Work counts of seeded verify runs.
 
 For each master seed and suite, at the suite's default trial count, this
-prints how often six functions ran: core.check_positive_definite (the
-positive-definiteness checks), numpy's Cholesky gufunc
+prints how often six functions ran: core.check_positive_definite, counted
+by the matrices it checks (one for a matrix, m for a stack of m; a
+matrix that a stack refuses is checked again alone for its error, and
+counts twice), numpy's Cholesky gufunc
 numpy.linalg._umath_linalg.cholesky_lo (which numpy.linalg.cholesky
-calls too), linalg._hessenberg_band (the band steps),
-linalg._skew_spectrum (the spectrum passes, each over one matrix or a
-stack of them), errors._lapack (the _flapack calls) and
+calls too; one call takes a matrix or a stack), linalg._hessenberg_band
+(the band steps), linalg._skew_spectrum (the spectrum passes, each over
+one matrix or a stack of them), errors._lapack (the _flapack calls) and
 basis.dual_chain_construct, with one total row per seed.  Each function
 is counted by wrapping every name that binds it in every loaded package
 module, and in numpy's _umath_linalg, for the length of the run; the
@@ -22,6 +24,7 @@ import argparse
 import contextlib
 import sys
 
+import numpy as np
 from numpy.linalg import _umath_linalg
 
 from sympspec import basis, core, errors, linalg
@@ -42,7 +45,9 @@ COUNTED = {
 
 def _counter(counts, label, original):
     def counted(*args, **kwargs):
-        counts[label] += 1
+        # A check of a stack of m matrices counts m.
+        stack = label == "checks" and np.ndim(args[0]) == 3
+        counts[label] += len(args[0]) if stack else 1
         return original(*args, **kwargs)
     return counted
 

@@ -19,13 +19,22 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .core import METHODS, compress, symplectic_eigenvalues, williamson
+from .core import (
+    METHODS,
+    _cholesky_skew,
+    check_positive_definite,
+    compress,
+    half_dim,
+    symplectic_eigenvalues,
+    williamson,
+)
 from .errors import (
     ConstructionError,
     MatrixFormatError,
     NumericalContractError,
     ValidationError,
 )
+from .linalg import _skew_spectrum
 from .matio import load_matrix, matrix_to_obj, save_matrix, save_williamson
 
 COUNTEREXAMPLE_BLOCKS = ([[1.0, 0.0], [0.0, 2.0]], [[0.0, 1.0], [2.0, 0.0]])
@@ -51,13 +60,16 @@ def cmd_williamson(args):
 
 
 def cmd_mean(args):
-    from .inequalities import geometric_mean
+    from .inequalities import _mean_factor
 
-    a = load_matrix(args.a)
-    b = load_matrix(args.b)
-    mean = geometric_mean(a, b)
-    # The spectrum refuses an odd size before anything is written.
-    d = symplectic_eigenvalues(mean)
+    pd_a = check_positive_definite(load_matrix(args.a))
+    pd_b = check_positive_definite(load_matrix(args.b))
+    mean, f = _mean_factor(pd_a, pd_b)
+    # d(A # B) comes from the factor F of the mean, as in lidskii-mult, so
+    # the mean is not checked again; an odd size is refused before
+    # anything is written.
+    half_dim(mean)
+    d = _skew_spectrum(_cholesky_skew(f))
     if args.output:
         save_matrix(mean, args.output)
     print(json.dumps(matrix_to_obj(mean), sort_keys=True))

@@ -14,12 +14,17 @@ at the package's sizes the wrappers cost more than the factorization.
 Every positive definite entry point also takes the PositiveDefinite value
 that check_positive_definite returns, and does not check it again.
 
-A spectrum needs only a factor F of A = F F.T: _cholesky_skew forms
-K = F.T J F, for one F or a stack of them, and linalg._skew_spectrum
-reads d off K.  _factor_spectra takes the factors of many matrices,
-checked each on its own beforehand, and runs one _skew_spectrum pass per
-size over them, keeping each matrix's refusal to itself; the two Lidskii
-suites certify all their trials' spectra that way.
+check_positive_definite takes one matrix, or a stack of them in one
+pass: one fused symmetry and finiteness pass, one Cholesky gufunc call
+and one 1-norm reduction over the stack, then dpocon once per matrix.
+Each matrix of a stack gets the bits, and the refusal, that it gets
+alone; the entry points take one matrix only.  A spectrum needs only a
+factor F of A = F F.T: _cholesky_skew forms K = F.T J F, for one F or a
+stack of them, and linalg._skew_spectrum reads d off K.  _factor_spectra
+takes the factors of many matrices and runs one _skew_spectrum pass per
+size over them, keeping each matrix's refusal to itself.  The two
+Lidskii suites check all their trials' matrices, and take all their
+spectra, that way.
 """
 
 from __future__ import annotations
@@ -31,11 +36,15 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import ValidationError, _check_int, _contract, _lapack
+from .errors import ValidationError, _attempt, _check_int, _contract, _lapack
 from .linalg import (
     EPS,
     _FLAPACK,
+    _REFUSALS,
+    SYM_RTOL,
+    _by_size,
     _check_finite,
+    _frobenius,
     _real,
     _skew_canonical,
     _skew_spectrum,
@@ -152,11 +161,23 @@ def check_positive_definite(a):
     whose kappa * eps leaves no accurate digit.  This is the one verdict
     on singular input: the skew routes behind it refuse only what is
     singular to working precision.
+
+    A stack of matrices, an array of shape (m, k, k), gives a list of m
+    outcomes, each
+    the PositiveDefinite of that matrix or the ValidationError or
+    NumericalContractError that its check alone raises (errors._value
+    reads one); see _check_stack.
     """
+    if isinstance(a, np.ndarray) and a.ndim == 3:
+        return _check_stack(_real(a, "matrix"))
     a = check_symmetric(a)
-    low = _cholesky(a)
-    rcond = _lapack(_POCON, "condition estimate", low,
-                    np.add.reduce(np.abs(a), 0).max(), uplo="L")
+    return _conditioned(a, _cholesky(a), np.add.reduce(np.abs(a), 0).max())
+
+
+def _conditioned(a, low, norm):
+    """PositiveDefinite(a, low, kappa) for a symmetric a of 1-norm norm
+    with Cholesky factor low, unless dpocon's kappa refuses it."""
+    rcond = _lapack(_POCON, "condition estimate", low, norm, uplo="L")
     kappa = 1.0 / rcond if rcond > 0.0 else np.inf
     if rcond <= EPS:
         raise ValidationError(
@@ -165,15 +186,52 @@ def check_positive_definite(a):
     return PositiveDefinite(a, low, float(kappa))
 
 
+@np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
+def _check_stack(a):
+    """check_positive_definite of each matrix of a real stack a, with the
+    bits and the verdict that each gets alone.
+
+    One pass over the stack takes each matrix's Frobenius norm and that of
+    its asymmetry A - A.T, as check_symmetric does (linalg._frobenius),
+    and symmetrizes it; one call of the Cholesky gufunc factors the whole
+    stack, with the invalid flag ignored, so a matrix that it cannot
+    factor comes back as NaN; one reduction takes every 1-norm.  dpocon
+    then runs once per matrix, as for one matrix (_conditioned).  A
+    matrix that the pass finds not finite, not symmetric or not factored
+    is checked again alone, and the error of that check is its outcome,
+    so its message is the one the single check gives.  A stack of
+    matrices that are not square or are empty is checked one matrix at a
+    time.
+    """
+    if a.shape[1] != a.shape[2] or a.size == 0:
+        return [_attempt(check_positive_definite, x, caught=_REFUSALS) for x in a]
+    norm = _frobenius(a)
+    gap = _frobenius(a - a.mT)
+    s = a + a.mT
+    s *= 0.5
+    low = _CHOLESKY(s, signature="d->d")
+    clean = (np.isfinite(norm) & (gap <= SYM_RTOL * np.maximum(1.0, norm))
+             & ~np.isnan(low[:, 0, 0]))
+    norms = np.add.reduce(np.abs(s), 1).max(axis=1).tolist()
+    return [_attempt(_conditioned, s[i], low[i], norms[i], caught=_REFUSALS) if ok
+            else _attempt(check_positive_definite, a[i], caught=_REFUSALS)
+            for i, ok in enumerate(clean.tolist())]
+
+
 def _checked(a):
-    """a itself when it is a PositiveDefinite, else check_positive_definite(a)."""
-    return a if isinstance(a, PositiveDefinite) else check_positive_definite(a)
+    """a itself when it is a PositiveDefinite, else check_positive_definite(a)
+    of the one matrix a; a stack is refused, as check_square refuses it."""
+    if isinstance(a, PositiveDefinite):
+        return a
+    if isinstance(a, np.ndarray) and a.ndim == 3:
+        check_square(a)
+    return check_positive_definite(a)
 
 
 def condition_number(a):
     """LAPACK's estimate (dpocon) of the 1-norm condition number of a
     positive definite matrix, from its Cholesky factor; no eigensolve."""
-    return check_positive_definite(a)[2]
+    return _checked(a).kappa
 
 
 @dataclass(frozen=True)
@@ -218,15 +276,7 @@ def _factor_spectra(factors):
     linalg._skew_spectrum's outcomes in the same order: each d, or the
     error that refused it (errors._value reads one).  The factors are
     stacked by size, with one _skew_spectrum pass per size."""
-    by_size = {}
-    for i, f in enumerate(factors):
-        by_size.setdefault(f.shape[0], []).append(i)
-    out = [None] * len(factors)
-    for held in by_size.values():
-        stack = _cholesky_skew(np.stack([factors[i] for i in held]))
-        for i, d in zip(held, _skew_spectrum(stack)):
-            out[i] = d
-    return out
+    return _by_size(lambda f: _skew_spectrum(_cholesky_skew(f)), factors)
 
 
 def williamson(a):

@@ -30,9 +30,9 @@ from .basis import (
 from .core import (
     TUPLE_TOL,
     _TRTRS,
+    _checked,
     _cholesky,
     as_generator,
-    check_positive_definite,
     compress,
     symplectic_gram,
     symplectic_inner,
@@ -219,7 +219,7 @@ def _eigen_frame(a, index_set):
     checked once for the whole certificate, the Williamson spectrum and
     eigenbasis of A, the index set as an int array, which
     canonical_chains has validated, and its canonical chains."""
-    pd = check_positive_definite(a)
+    pd = _checked(a)
     dec = williamson(pd)
     basis = SymplecticBasis(dec.m)
     vchain, wchain = canonical_chains(basis, index_set)

@@ -10,11 +10,13 @@ a certify step, which goes on with the same generator for what a
 certificate samples.  A suite draws all its trials first, then certifies
 them: certify(cfg, drawn) takes every drawn trial and returns each one's
 records.  Most suites certify each trial on its own (_each); the two
-Lidskii suites share one stacked spectrum pass per size among their
-trials (inequalities._trial_outcomes), and a replay certifies a list of
-one trial through the same step.  Violations never abort a suite; every
-comparison becomes a record, a contract that fails inside a trial becomes
-a failed record of that trial alone, and the report carries them all.
+Lidskii suites share among their trials one stacked positive-definiteness
+check and one stacked spectrum pass per size, and lidskii-mult one
+stacked eigensolve per size for its means (inequalities._trial_outcomes);
+a replay certifies a list of one trial through the same step.
+Violations never abort a suite; every comparison becomes a record, a
+contract that fails inside a trial becomes a failed record of that trial
+alone, and the report carries them all.
 """
 
 from __future__ import annotations
@@ -101,11 +103,25 @@ class SuiteConfig:
 
 
 def trial_rng(master_seed, suite_id, trial):
-    """Deterministic per-trial generator, independent of execution order."""
-    seq = np.random.SeedSequence(
-        [int(master_seed) % 2**64, zlib.crc32(suite_id.encode("utf-8")), int(trial)]
-    )
-    return np.random.default_rng(seq)
+    """Deterministic per-trial generator, independent of execution order.
+
+    It is default_rng(SeedSequence([master_seed % 2**64, crc32(suite_id),
+    trial])), built from the uint32 words numpy makes of that list: each
+    value split into 32-bit words, low word first, one word for a value
+    below 2**32, 0 included.  Handing SeedSequence those words skips its
+    coercion of the list, and the stream stays the same.
+    """
+    trial = int(trial)
+    if trial < 0:
+        raise ValidationError(f"trial must be at least 0, got {trial}")
+    words = []
+    for x in (int(master_seed) % 2**64, zlib.crc32(suite_id.encode("utf-8")), trial):
+        words.append(x & 0xFFFFFFFF)
+        while x > 0xFFFFFFFF:
+            x >>= 32
+            words.append(x & 0xFFFFFFFF)
+    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def _from_certificate(cert, **fields):

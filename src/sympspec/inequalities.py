@@ -5,6 +5,18 @@ All comparisons run on ascending spectra.  Randomized trials return
 InequalityRecord entries; a verify report stores each one as it stands,
 plus the trial and block size n it came from, so every checked instance
 is serialized.
+
+The two Lidskii suites certify all their trials at once
+(_trial_outcomes).  A trial's plan is a generator that asks for its
+matrix work in batches, (fn, arrays), and _run_plans runs every trial's
+plan beside the others, so each batch of all trials takes one call of
+fn's stack form per size: the checks of A, B and A + B
+(core.check_positive_definite), the eigensolves of the means
+(linalg.sym_eig) and, after the plans, the spectra
+(core._factor_spectra).  Each matrix keeps the bits and the verdict it
+gets alone, and the trials' errors are raised in the order a
+trial-by-trial run meets them.  Each trial's records take their prefix,
+tail and index-set sums from whole-array reductions.
 """
 
 from __future__ import annotations
@@ -23,8 +35,8 @@ from .core import (
     half_dim,
     random_pd,
 )
-from .errors import ValidationError, _attempt, _check_int, _lapack, _value
-from .linalg import _FLAPACK, _below, fnorm, sym_eig
+from .errors import _TRIAL_ERRORS, ValidationError, _attempt, _check_int, _lapack, _value
+from .linalg import _FLAPACK, _below, _by_size, fnorm, sym_eig
 
 _SYGST = _FLAPACK.dsygst
 
@@ -45,19 +57,30 @@ def geometric_mean(a, b):
 def _mean_factor(pd_a, pd_b):
     """(A # B, F) with A # B = F F^T, for two PositiveDefinite values.
 
-    LAPACK dsygst forms C = L^-1 B L^-T, one symmetric eigensolve
-    C = V diag(w) V^T follows, and F = L V diag(w^(1/4)).  F is a factor
-    of the mean as core._cholesky_skew takes it, so d(A # B) needs no
-    check or Cholesky factorization of the mean.
+    LAPACK dsygst forms C = L^-1 B L^-T (_congruence), one symmetric
+    eigensolve C = V diag(w) V^T follows, and F = L V diag(w^(1/4))
+    (_mean_from); lidskii-mult takes the eigensolves of all its means in
+    one linalg.sym_eig pass per size between the two steps.  F is a
+    factor of the mean as core._cholesky_skew takes it, so d(A # B) needs
+    no check or Cholesky factorization of the mean.
     """
-    a, low, _ = pd_a
-    b = pd_b.a
-    _check_same_size(a, b)
-    c = _lapack(_SYGST, "congruence reduction", b, low, lower=1)
+    return _mean_from(pd_a.low, sym_eig(_congruence(pd_a, pd_b)))
+
+
+def _congruence(pd_a, pd_b):
+    """C = L^-1 B L^-T, exactly symmetric, for PositiveDefinite values
+    of A = L L^T and B."""
+    _check_same_size(pd_a.a, pd_b.a)
+    c = _lapack(_SYGST, "congruence reduction", pd_b.a, pd_a.low, lower=1)
     # dsygst writes the lower triangle of C only.
     below = _below(c.shape[0])
     c = np.where(below.T, 0.0, c)
-    w, v = sym_eig(c + np.where(below, c, 0.0).T)
+    return c + np.where(below, c, 0.0).T
+
+
+def _mean_from(low, eig):
+    """(A # B, F) from the factor L of A and the eigenpairs (w, V) of C."""
+    w, v = eig
     if w[0] <= 0.0:
         raise ValidationError(
             f"L^-1 B L^-T is not positive definite: smallest eigenvalue {w[0]:.6e}"
@@ -65,6 +88,39 @@ def _mean_factor(pd_a, pd_b):
     f = low @ (v * np.sqrt(np.sqrt(w)))
     # F F^T is formed exactly symmetric, as random_pd's Wishart draw is.
     return f @ f.T, f
+
+
+def _run_plans(plans):
+    """What each plan returns, or the exception it raised, in plan order.
+
+    A plan is a generator that yields each batch of work it needs as
+    (fn, arrays), where fn maps a stack of same-shape arrays to a list of
+    outcomes, and is sent back the list of its arrays' outcomes.  The
+    plans run side by side, so the arrays that all plans ask fn for in
+    one round go to linalg._by_size, one fn call per shape.  An exception
+    is kept whatever its type, and the plan's work ends there, so that the
+    caller can raise the first one in plan order, as running the plans
+    one after another would.
+    """
+    outcomes = [None] * len(plans)
+    replies = dict.fromkeys(range(len(plans)))
+    while replies:
+        asked = {}
+        for i, reply in replies.items():
+            try:
+                fn, arrays = plans[i].send(reply)
+            except StopIteration as done:
+                outcomes[i] = done.value
+            except Exception as exc:
+                outcomes[i] = exc
+            else:
+                asked.setdefault(fn, []).append((i, arrays))
+        replies = {}
+        for fn, requests in asked.items():
+            results = iter(_by_size(fn, [x for _, arrays in requests for x in arrays]))
+            for i, arrays in requests:
+                replies[i] = [next(results) for _ in arrays]
+    return outcomes
 
 
 def _check_same_size(a, b):
@@ -266,15 +322,14 @@ def additive_lidskii_trial(a, b, index_set, tol=1e-9):
 
 
 def _additive_plan(a, b, index_set, tol):
-    """The factors of A + B, A and, unless B is A, B, each matrix checked
-    on its own, and the step that makes an additive trial's records from
-    their spectra."""
+    """An additive trial's plan (see _run_plans): it checks A + B, A and,
+    unless B is A, B in one batch, and returns their factors and the step
+    that makes the trial's records from their spectra."""
     _check_same_size(a, b)
-    pd_sum = check_positive_definite(a + b)
+    pd_sum, *pds = yield check_positive_definite, [a + b, a] + ([] if b is a else [b])
+    pd_sum = _value(pd_sum)
     n = half_dim(pd_sum.a)
-    factors = [pd_sum.low, check_positive_definite(a).low]
-    if b is not a:
-        factors.append(check_positive_definite(b).low)
+    factors = [pd_sum.low] + [_value(pd).low for pd in pds]
     idx = _check_index_set(index_set, n) - 1
     return factors, partial(_additive_records, idx, tol)
 
@@ -284,28 +339,20 @@ def _additive_records(idx, tol, d_sum, d_a, d_b=None):
     which is d(A) when d_b is None; idx is the 0-based index set."""
     d_b = d_a if d_b is None else d_b
     k = idx.size
-    lhs = float(d_sum[idx].sum())
-    rhs = float(d_a[idx].sum() + d_b[:k].sum())
-    scale = max(1.0, abs(lhs))
-    records = [
-        make_record(
-            "additive-lower", lhs, rhs, "ge", tol * scale,
-            instance={"index_set": [int(i) + 1 for i in idx]},
-        )
-    ]
+    part = np.add.reduce(np.array([d_sum[idx], d_a[idx], d_b[:k]]), axis=1).tolist()
+    full = np.add.reduce(np.array([d_sum, d_a, d_b]), axis=1).tolist()
+    lhs = part[0]
     n = d_a.size
-    full = float(d_sum.sum())
-    records.append(
+    return [
         make_record(
-            "additive-full-prefix",
-            full,
-            float(d_a.sum() + d_b.sum()),
-            "ge",
-            tol * max(1.0, full),
-            instance={"index_set": list(range(1, n + 1))},
-        )
-    )
-    return records
+            "additive-lower", lhs, part[1] + part[2], "ge", tol * max(1.0, abs(lhs)),
+            instance={"index_set": [int(i) + 1 for i in idx]},
+        ),
+        make_record(
+            "additive-full-prefix", full[0], full[1] + full[2], "ge",
+            tol * max(1.0, full[0]), instance={"index_set": list(range(1, n + 1))},
+        ),
+    ]
 
 
 def _product_records(d_m, d_a, d_b, index_set, tol):
@@ -317,52 +364,63 @@ def _product_records(d_m, d_a, d_b, index_set, tol):
         <= 2 sum_j log d_{i_j}(A#B)
         <= sum_j log d_{i_j}(A) + log d_{n-j+1}(B)
     plus the full-prefix lower and tail upper bounds with the identity
-    index set.
+    index set.  The sums come from two whole-array reductions: the
+    index-set sums from the stacked rows, each prefix and each tail from
+    the rows of the three logs masked below or above the diagonal.  Below
+    n = 8 numpy adds a row in order, so its zeros change no bit and each
+    sum has the bits of the slice's own sum; from n = 8 on its pairwise
+    summation groups the terms otherwise, and a sum can move at rounding
+    level.
     """
     idx = np.asarray(index_set, dtype=int) - 1
     k = idx.size
     n = d_a.size
-    log_m = np.log(d_m)
-    log_a = np.log(d_a)
-    log_b = np.log(d_b)
-    center = 2.0 * float(log_m[idx].sum())
-    lower = float(log_a[idx].sum() + log_b[:k].sum())
-    upper = float(log_a[idx].sum() + log_b[::-1][:k].sum())
+    # Each spectrum takes its own log: np.log of a reversed view, as
+    # linalg._skew_spectrum returns d, can round apart from the log of a copy.
+    logs = np.array([np.log(d_m), np.log(d_a), np.log(d_b)])
+    log_m, log_a, log_b = logs
+    center, at_a, low_b, top_b = np.add.reduce(
+        np.array([log_m[idx], log_a[idx], log_b[:k], log_b[::-1][:k]]), axis=1).tolist()
+    center *= 2.0
     inst = {"index_set": [int(i) + 1 for i in idx]}
     records = [
-        make_record("mlid-lower", center, lower, "ge", tol * max(1.0, abs(center)), inst),
-        make_record("mlid-upper", center, upper, "le", tol * max(1.0, abs(center)), inst),
+        make_record("mlid-lower", center, at_a + low_b, "ge", tol * max(1.0, abs(center)), inst),
+        make_record("mlid-upper", center, at_a + top_b, "le", tol * max(1.0, abs(center)), inst),
     ]
-    for j in range(1, n + 1):
-        pre_lhs = 2.0 * float(log_m[:j].sum())
-        pre_rhs = float(log_a[:j].sum() + log_b[:j].sum())
+    below = _below(n)
+    prefixes, tails = np.add.reduce(
+        np.where(np.array([below.T, below])[:, None], 0.0, logs[:, None, :]), axis=3).tolist()
+    for j, (pm, pa, pb, tm, ta, tb) in enumerate(zip(*prefixes, *tails), 1):
         records.append(
             make_record(
-                "product-lower-full", pre_lhs, pre_rhs, "ge",
-                tol * max(1.0, abs(pre_lhs)), {"prefix": j},
+                "product-lower-full", 2.0 * pm, pa + pb, "ge",
+                tol * max(1.0, abs(2.0 * pm)), {"prefix": j},
             )
         )
-        tail_lhs = 2.0 * float(log_m[j - 1:].sum())
-        tail_rhs = float(log_a[j - 1:].sum() + log_b[j - 1:].sum())
         records.append(
             make_record(
-                "product-upper-tail", tail_lhs, tail_rhs, "le",
-                tol * max(1.0, abs(tail_lhs)), {"tail_from": j},
+                "product-upper-tail", 2.0 * tm, ta + tb, "le",
+                tol * max(1.0, abs(2.0 * tm)), {"tail_from": j},
             )
         )
     return records
 
 
 def _multiplicative_plan(a, b, index_set, planted, tol):
-    """The factors of A # B, A and, unless B is A, B, and the step that
-    makes a mean trial's records from their spectra: the Riccati residual
-    of the mean, the product bounds on d(A # B), and, on a planted trial
-    (A = B with a constant spectrum), A # B = A.  A and B are checked;
-    the mean's spectrum comes from the factor _mean_factor forms it with."""
-    pd_a = check_positive_definite(a)
-    pd_b = pd_a if b is a else check_positive_definite(b)
+    """A mean trial's plan (see _run_plans): it checks A and, unless B is
+    A, B in one batch, forms the mean as _mean_factor does, its
+    eigensolve in a second batch, and returns the
+    factors of A # B, A and B and the step that makes the trial's records
+    from their spectra: the Riccati residual of the mean, the product
+    bounds on d(A # B), and, on a planted trial (A = B with a constant
+    spectrum), A # B = A.  The mean's spectrum comes from the factor F it
+    is formed with."""
+    pd_a, *pds = yield check_positive_definite, [a] + ([] if b is a else [b])
+    pd_a = _value(pd_a)
+    pd_b = _value(pds[0]) if pds else pd_a
     half_dim(pd_a.a)
-    mean, f = _mean_factor(pd_a, pd_b)
+    (eig,) = yield sym_eig, [_congruence(pd_a, pd_b)]
+    mean, f = _mean_from(pd_a.low, _value(eig))
     # A # B is the unique positive definite solution of G A^-1 G = B
     # (Bhatia, Positive Definite Matrices, 2007, ch. 4).  A plain solve,
     # not the Cholesky factor behind the mean, keeps the check independent
@@ -396,13 +454,23 @@ def _trial_outcomes(plan, instances, tol):
     the instances of a Lidskii suite; an instance that is already such
     an error stays one.
 
-    plan(*instance, tol) checks the trial's matrices, each on its own,
-    and returns (factors, finish).  The spectra of every trial's factors
-    come from core._factor_spectra, one pass per size, and each trial's
-    finish makes its records from its own spectra; a matrix that the
-    spectrum refused ends its trial only.
+    plan(*instance, tol) is a trial's plan (see _run_plans), and every
+    trial's plan runs beside the others: the matrices of all trials are
+    checked in one check_positive_definite pass per size before any plan
+    reads its verdicts, and the means of lidskii-mult take one
+    linalg.sym_eig pass per size.  A plan returns (factors, finish).  An
+    error that is not a contract error is raised, the first in trial
+    order, as running the plans one trial after another would raise it.
+    The spectra of every trial's factors come from core._factor_spectra,
+    one pass per size, and each trial's finish makes its records from its
+    own spectra; a matrix that a check or a spectrum refused with a
+    contract error ends its trial only.
     """
-    plans = [x if isinstance(x, Exception) else _attempt(plan, *x, tol) for x in instances]
+    ran = iter(_run_plans([plan(*x, tol) for x in instances if not isinstance(x, Exception)]))
+    plans = [x if isinstance(x, Exception) else next(ran) for x in instances]
+    for p in plans:
+        if isinstance(p, Exception) and not isinstance(p, _TRIAL_ERRORS):
+            raise p
     spectra = iter(_factor_spectra(
         [f for p in plans if not isinstance(p, Exception) for f in p[0]]))
     outcomes = []

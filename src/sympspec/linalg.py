@@ -43,8 +43,9 @@ The handles are linalg._GEHRD, which reduces a skew matrix to its
 Hessenberg band for both the band route of _skew_spectrum and
 _skew_canonical, linalg._ORGHR, which only _skew_canonical needs to form
 its basis, linalg._GESDD (with its workspace query _GESDD_LWORK) and
-_SYEVD, behind every other SVD and symmetric eigensolve of the package,
-core._POCON and _TRTRS, inequalities._SYGST, extremal._GEQRF and _ORGQR.
+_SYEVD, behind every other SVD and single symmetric eigensolve of the
+package, core._POCON and _TRTRS, inequalities._SYGST, extremal._GEQRF and
+_ORGQR.
 
 _svd and _eigh are numpy.linalg.svd and numpy.linalg.eigh without numpy's
 wrapper, which at the package's small sizes costs more than LAPACK does:
@@ -52,12 +53,23 @@ the same routines (dgesdd, and dsyevd reading the lower triangle), with
 the workspace dgesdd's query asks for (kept per shape in _GESDD_WORK), as
 numpy passes it, and the factors in C order, as numpy returns them, so
 results and every product formed from them match numpy's bit for bit.
-linalg._SVD, core._CHOLESKY and core._EIGVALS are numpy's own gufuncs
-behind numpy.linalg.svd(compute_uv=False), cholesky and eigvals, called
-directly, since scipy's dgesdd, dpotrf and dgeev come from another LAPACK
-build and would move bits.  check_symmetric, the input check of every
-positive definite entry point, is one body for the same reason: it calls
-neither check_square nor _check_finite.
+linalg._SVD, linalg._EIGH, core._CHOLESKY and core._EIGVALS are numpy's
+own gufuncs behind numpy.linalg.svd(compute_uv=False), eigh, cholesky and
+eigvals, called directly, since scipy's dgesdd, dpotrf and dgeev come from
+another LAPACK build and would move bits; _EIGH, which takes a stack in
+one call, gives the bits of _eigh (tests/test_linalg.py pins that).
+check_symmetric, the input check of every positive definite entry point,
+is one body for the same reason: it calls neither check_square nor
+_check_finite.
+
+Three routines take one matrix or a stack of them, shape (m, k, k), and
+give a stack's matrices the bits each gets alone: _skew_spectrum,
+sym_eig and core.check_positive_definite.  A stack gives a list of m
+outcomes, each the matrix's result or the error that refused it
+(errors._value reads one), so one call serves many matrices while each
+refusal stays its own.  _by_size stacks a list of arrays by shape for
+one such call per shape, and _frobenius takes fnorm of every matrix of a
+stack at once.
 
 _below(m) is the strictly-lower boolean mask of size m, built once per
 size and kept read-only.  np.where(_below(m), 0.0, x) is the upper
@@ -93,10 +105,11 @@ EPS = np.finfo(float).eps
 # Largest half-dimension n whose skew spectra take the SVD route; the
 # crossover timings behind it are in the module docstring.
 _SVD_MAX_N = 8
-# The verdicts _skew_spectrum keeps per matrix of a stack.
+# The verdicts a stack form keeps per matrix of a stack.
 _REFUSALS = (NumericalContractError, ValidationError)
-# The gufunc numpy.linalg.svd(a, compute_uv=False) calls.
-_SVD = _umath_linalg.svd
+# The gufuncs numpy.linalg.svd(a, compute_uv=False) and numpy.linalg.eigh
+# call.
+_SVD, _EIGH = _umath_linalg.svd, _umath_linalg.eigh_lo
 
 
 def _load_flapack():
@@ -230,15 +243,55 @@ def check_symmetric(a):
     return s
 
 
+def _by_size(fn, items):
+    """fn's outcomes for the arrays in items, in their order: the items
+    are stacked by shape, one fn call per shape, and fn maps a stack of
+    m arrays to a list of m outcomes."""
+    held = {}
+    for i, x in enumerate(items):
+        held.setdefault(x.shape, []).append(i)
+    out = [None] * len(items)
+    for idx in held.values():
+        for i, outcome in zip(idx, fn(np.stack([items[i] for i in idx]))):
+            out[i] = outcome
+    return out
+
+
+def _frobenius(x):
+    """fnorm of each matrix of a C-ordered stack, with the bits fnorm gives
+    it alone: vecdot takes the dot product that x.dot(x) takes."""
+    x = x.reshape(len(x), -1)
+    return np.sqrt(np.vecdot(x, x))
+
+
+def _eig_verdict(w, v, residual, norm):
+    _contract("eigendecomposition residual", residual, 1e-12 * max(1.0, norm))
+    return w, v
+
+
 def sym_eig(s):
     """Eigendecomposition of an exactly symmetric matrix, ascending
-    eigenvalues; s is not symmetrized again, which would change no bit.
+    eigenvalues, or of each matrix of a stack of shape (m, k, k); s is not
+    symmetrized again, which would change no bit.
 
-    The residual ||S V - V diag(w)|| is checked against 1e-12 * max(1, ||S||).
+    One matrix goes to _eigh and gives (w, v) or raises
+    NumericalContractError.  A stack goes to one call of numpy.linalg.eigh's
+    gufunc (_EIGH: dsyevd on the lower triangle too), with the invalid flag
+    ignored, so a matrix on which dsyevd fails comes back as NaN, which its
+    own residual refuses; it gives a list of m outcomes, each (w, v) or the
+    error that refused it (errors._value reads one).  The residual
+    ||S V - V diag(w)|| of each matrix is checked against
+    1e-12 * max(1, ||S||).  A matrix gets the same bits alone as in any
+    stack.
     """
-    w, v = _eigh(s)
-    _contract("eigendecomposition residual", fnorm(s @ v - v * w), 1e-12 * max(1.0, fnorm(s)))
-    return w, v
+    if s.ndim == 2:
+        w, v = _eigh(s)
+        return _eig_verdict(w, v, fnorm(s @ v - v * w), fnorm(s))
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+        w, v = _EIGH(s, signature="d->dd")
+    residual = _frobenius(s @ v - v * w[:, None, :])
+    return [_attempt(_eig_verdict, *x, caught=_REFUSALS)
+            for x in zip(w, v, residual.tolist(), _frobenius(s).tolist())]
 
 
 def orthonormal_columns(x):

@@ -1,5 +1,6 @@
 """Form, Williamson decomposition, eigenvalue methods, compression."""
 
+import re
 import warnings
 from functools import partial
 
@@ -650,6 +651,73 @@ def test_check_positive_definite_equals_the_numpy_cholesky_route_bit_for_bit(fam
             assert got[2] == want[2]
 
 
+@pytest.mark.parametrize("n", [*range(1, 8), 50])
+@pytest.mark.parametrize("family", list(DRAWS))
+def test_a_stacked_check_equals_the_single_check_bit_for_bit(family, n):
+    rng = np.random.default_rng(400 + n)
+    draws = [DRAWS[family](n, rng) for _ in range(3)]
+    tilted = draws[0].copy()
+    tilted[0, -1] += 1e-14 * abs(tilted[0, -1])
+    stack = np.stack([*draws, tilted])
+    outcomes = core.check_positive_definite(stack)
+    assert len(outcomes) == len(stack)
+    for got, a in zip(outcomes, stack):
+        want = core.check_positive_definite(a)
+        assert type(got) is core.PositiveDefinite
+        assert got.a.tobytes() == want.a.tobytes()
+        assert got.low.tobytes() == want.low.tobytes()
+        assert got.kappa == want.kappa
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_stacked_check_keeps_each_refusal_with_its_matrix():
+    rng = np.random.default_rng(17)
+    good = [random_pd(2, rng) for _ in range(3)]
+    asymmetric = good[0].copy()
+    asymmetric[0, 1] += 1e-3
+    singular = np.diag([1.0, 1e-17, 1.0, 1.0])  # factors, but kappa = 1e17
+    not_finite = good[1].copy()
+    not_finite[2, 3] = not_finite[3, 2] = np.inf
+    stack = np.stack([good[0], asymmetric, -good[1], singular, good[1], not_finite,
+                      np.full((4, 4), np.nan), good[2]])
+    outcomes = core.check_positive_definite(stack)
+    messages = []
+    for got, a in zip(outcomes, stack):
+        try:
+            want = core.check_positive_definite(a)
+        except ValidationError as exc:
+            assert type(got) is ValidationError and str(got) == str(exc)
+            messages.append(str(got).split(":")[0])
+        else:
+            assert got.low.tobytes() == want.low.tobytes() and got.kappa == want.kappa
+            messages.append("ok")
+    assert messages == ["ok", "matrix is not symmetric",
+                        "matrix is not positive definite", "matrix is numerically singular",
+                        "ok", "matrix must be finite", "matrix must be finite", "ok"]
+
+
+def test_a_stacked_check_keeps_a_condition_estimate_failure_with_its_matrix(monkeypatch):
+    pocon = core._POCON
+    stack = np.stack([np.eye(4), 2.0 * np.eye(4), 3.0 * np.eye(4)])
+    monkeypatch.setattr(core, "_POCON", lambda low, *args, **kw: (
+        (0.0, -4) if low[0, 0] == np.sqrt(2.0) else pocon(low, *args, **kw)))
+    first, second, third = core.check_positive_definite(stack)
+    assert type(second) is NumericalContractError
+    assert str(second) == "condition estimate failed: LAPACK info -4"
+    assert (first.kappa, third.kappa) == (core.check_positive_definite(stack[0]).kappa,
+                                          core.check_positive_definite(stack[2]).kappa)
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 3), (2, 0, 0), (0, 4, 4)])
+def test_a_stack_that_is_not_of_square_matrices_is_checked_matrix_by_matrix(shape):
+    outcomes = core.check_positive_definite(np.zeros(shape))
+    assert len(outcomes) == shape[0]
+    for got in outcomes:
+        assert type(got) is ValidationError
+        with pytest.raises(ValidationError, match=re.escape(str(got))):
+            core.check_positive_definite(np.zeros(shape[1:]))
+
+
 @pytest.mark.parametrize("entry", ["check_positive_definite", "williamson", "_pair_floor"])
 def test_an_indefinite_matrix_is_refused_without_a_warning(entry):
     calls = {
@@ -763,6 +831,16 @@ def test_every_entry_point_refuses_a_complex_matrix(entry):
     call = COMPLEX_ENTRY_POINTS[entry]
     with pytest.raises(ValidationError, match="matrix must be real"):
         call(np.eye(4) * (1 + 0j))
+
+
+STACK_ENTRY_POINTS = {name: call for name, call in COMPLEX_ENTRY_POINTS.items()
+                      if not name.startswith(("check_", "additive_"))}
+
+
+@pytest.mark.parametrize("entry", list(STACK_ENTRY_POINTS))
+def test_every_entry_point_but_the_check_refuses_a_stack(entry):
+    with pytest.raises(ValidationError, match=r"must be square, got shape \(2, 4, 4\)"):
+        STACK_ENTRY_POINTS[entry](np.stack([np.eye(4)] * 2))
 
 
 @pytest.mark.filterwarnings("error")

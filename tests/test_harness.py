@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import zlib
 
 import numpy as np
 import pytest
@@ -41,6 +42,22 @@ def test_trial_rng_streams_are_keyed_and_stable():
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
     assert not np.array_equal(a, e)
+
+
+@pytest.mark.parametrize("seed", [0, 7, -1, -2**40, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5])
+@pytest.mark.parametrize("trial", [0, 5, 2**32 - 1, 2**32, 2**40 + 3, 2**70])
+def test_trial_rng_is_the_generator_of_the_seed_list(seed, trial):
+    for suite in SUITE_IDS:
+        key = [seed % 2**64, zlib.crc32(suite.encode("utf-8")), trial]
+        want = np.random.default_rng(np.random.SeedSequence(key))
+        got = trial_rng(seed, suite, trial)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert (got.integers(2**63, size=4) == want.integers(2**63, size=4)).all()
+
+
+def test_trial_rng_refuses_a_negative_trial():
+    with pytest.raises(ValidationError, match="trial must be at least 0"):
+        trial_rng(0, "williamson", -1)
 
 
 def test_config_validation(tmp_path):
@@ -231,6 +248,85 @@ def test_a_pairing_defect_in_one_matrix_fails_its_trial_alone(monkeypatch, tmp_p
     write_report(report, path)
     fresh, stored, match = replay(path, suite, 4)
     assert match and fresh == stored == failed
+
+
+def _tilted(delta):
+    """A spoiler that makes a trial's A asymmetric by delta in one entry,
+    so that its refusal names delta * sqrt(2)."""
+    def spoil(n, a, *rest):
+        a = a.copy()
+        a[0, 1] += delta
+        return (a, *rest)
+    return spoil
+
+
+# A spoiler per suite whose refusal comes after the trial's checks pass:
+# an index set out of range, or a B of another size than A.
+_LATER = {
+    "lidskii-add": (lambda n, a, b, idx: (a, b, np.array([n + 1])),
+                    "index set must be strictly increasing"),
+    "lidskii-mult": (lambda n, a, b, idx, planted: (a, np.eye(2 * n + 2), idx, planted),
+                     "A and B differ in size"),
+}
+
+
+@pytest.mark.parametrize("suite", ["lidskii-add", "lidskii-mult"])
+def test_a_lidskii_suite_raises_the_refusal_of_its_first_refused_trial(monkeypatch, suite):
+    # Trials 4 and 9 draw A and B independently in both suites.  Every
+    # trial's matrices are checked in one pass, yet the error raised is
+    # the one a trial-by-trial run meets first: that of the first trial
+    # refused, whatever step refuses it.
+    draw, certify, trials = sympspec.harness._SUITES[suite]
+
+    def spoil(spoilers):
+        def spoiled(t, cfg, rng):
+            n, *instance = draw(t, cfg, rng)
+            return (n, *(spoilers[t](n, *instance) if t in spoilers else instance))
+        monkeypatch.setitem(sympspec.harness._SUITES, suite, (spoiled, certify, trials))
+
+    cfg = SuiteConfig(suite=suite, trials=12, master_seed=3, report_path=None)
+    later, message = _LATER[suite]
+    for spoilers, raised in [({9: _tilted(9e-3)}, "asymmetry 1.273e-02"),
+                             ({4: _tilted(4e-3), 9: _tilted(9e-3)}, "asymmetry 5.657e-03"),
+                             ({4: later, 9: _tilted(9e-3)}, message),
+                             ({4: _tilted(4e-3), 9: later}, "asymmetry 5.657e-03")]:
+        spoil(spoilers)
+        with pytest.raises(ValidationError, match=raised):
+            run_suite(suite, cfg)
+
+
+def test_a_lidskii_add_refusal_before_the_checks_waits_for_earlier_trials(monkeypatch):
+    # Trial 9's A and B differ in size, which its plan refuses before it
+    # asks for any check; trial 4's index set is refused after its checks.
+    # A trial-by-trial run refuses trial 4 first, and so does the batch.
+    draw, certify, trials = sympspec.harness._SUITES["lidskii-add"]
+    spoilers = {4: _LATER["lidskii-add"][0],
+                9: lambda n, a, b, idx: (a, np.eye(2 * n + 2), idx)}
+
+    def spoiled(t, cfg, rng):
+        n, *instance = draw(t, cfg, rng)
+        return (n, *(spoilers[t](n, *instance) if t in spoilers else instance))
+
+    monkeypatch.setitem(sympspec.harness._SUITES, "lidskii-add", (spoiled, certify, trials))
+    cfg = SuiteConfig(suite="lidskii-add", trials=12, master_seed=3, report_path=None)
+    with pytest.raises(ValidationError, match="index set must be strictly increasing"):
+        run_suite("lidskii-add", cfg)
+    with pytest.raises(ValidationError, match="A and B differ in size"):
+        sympspec.harness._suite_records("lidskii-add", cfg, range(5, 12))
+
+
+def test_lidskii_mult_takes_one_mean_eigensolve_per_size(monkeypatch):
+    eigh = sympspec.linalg._EIGH
+    stacks = []
+
+    def counted(s, signature):
+        stacks.append(s.shape)
+        return eigh(s, signature=signature)
+
+    monkeypatch.setattr(sympspec.linalg, "_EIGH", counted)
+    run_suite("lidskii-mult", SuiteConfig(suite="lidskii-mult", master_seed=3, report_path=None))
+    assert sorted(shape[1] for shape in stacks) == [4, 6, 8, 10]
+    assert sum(shape[0] for shape in stacks) == sympspec.harness._SUITES["lidskii-mult"][2]
 
 
 @pytest.mark.parametrize("suite", ["lidskii-add", "lidskii-mult"])

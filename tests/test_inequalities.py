@@ -1,12 +1,15 @@
 """Geometric mean, majorization predicates, and the eigenvalue bounds."""
 
+import importlib.util
+import pathlib
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympspec import core, inequalities, linalg
+from sympspec import inequalities, linalg
 from sympspec.core import random_pd, symplectic_eigenvalues
 from sympspec.errors import NumericalContractError, ValidationError
 from sympspec.functionals import SHIPPED, SpectralFunctional
@@ -26,6 +29,11 @@ from sympspec.inequalities import (
 from sympspec.linalg import fnorm
 
 RNG = np.random.default_rng(404)
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "work_counts.py"
+_SPEC = importlib.util.spec_from_file_location("work_counts", _PATH)
+work_counts = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(work_counts)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -101,21 +109,14 @@ def test_geometric_mean_equals_the_tril_formula_bit_for_bit(n):
 
 @pytest.mark.parametrize("t, checks", [(0, 2), (3, 1), (7, 1)],
                          ids=["independent", "b-is-a", "planted"])
-def test_multiplicative_trial_factors_each_matrix_once(monkeypatch, t, checks):
-    # A and B are each checked once and the mean not at all: d(A) and d(B)
-    # come from the factors the mean took, d(A # B) from the factor the
-    # mean is formed with, and a B that is A is checked once.
-    calls = []
-    check = core.check_positive_definite
-
-    def counted(a):
-        calls.append(a.shape)
-        return check(a)
-
-    for module in (core, inequalities):
-        monkeypatch.setattr(module, "check_positive_definite", counted)
-    multiplicative_trial_records(t, 3, np.random.default_rng(t))
-    assert calls == [(6, 6)] * checks
+def test_multiplicative_trial_factors_each_matrix_once(t, checks):
+    # A and B are each checked once, in one Cholesky call, and the mean not
+    # at all: d(A) and d(B) come from the factors the mean took, d(A # B)
+    # from the factor the mean is formed with, and a B that is A is
+    # checked once.
+    with work_counts.counting() as counts:
+        multiplicative_trial_records(t, 3, np.random.default_rng(t))
+    assert counts["checks"] == checks and counts["cholesky"] == 1
 
 
 def test_geometric_mean_maps_lapack_error_codes(monkeypatch):
@@ -135,13 +136,13 @@ def test_mean_riccati_record_is_tiny_on_random_pairs(n):
 
 
 def test_mean_riccati_record_fails_on_a_wrong_mean(monkeypatch):
-    mean_factor = inequalities._mean_factor
+    mean_from = inequalities._mean_from
 
-    def wrong(pd_a, pd_b):
-        mean, f = mean_factor(pd_a, pd_b)
+    def wrong(low, eig):
+        mean, f = mean_from(low, eig)
         return 1.001 * mean, f
 
-    monkeypatch.setattr(inequalities, "_mean_factor", wrong)
+    monkeypatch.setattr(inequalities, "_mean_from", wrong)
     rec = multiplicative_trial_records(0, 3, np.random.default_rng(12))[0]
     assert rec.name == "mean-riccati-residual"
     assert rec.lhs > 1e-3 and not rec.passed

@@ -130,6 +130,39 @@ def test_sym_eig_two_by_two():
     assert fnorm(v @ np.diag(w) @ v.T - [[2.0, 1.0], [1.0, 2.0]]) < 1e-14
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 50, 100])
+def test_a_stacked_eigensolve_equals_scipys_dsyevd_bit_for_bit(n):
+    # numpy's eigh gufunc, which takes a stack, gives the bits of scipy's
+    # dsyevd (_eigh), which takes one matrix.
+    rng = np.random.default_rng(60 + n)
+    stack = np.stack([random_pd(n, rng) for _ in range(3)])
+    outcomes = sym_eig(stack)
+    assert len(outcomes) == 3
+    for (w, v), s in zip(outcomes, stack):
+        for want in (linalg._eigh(s), sym_eig(s)):
+            assert w.tobytes() == want[0].tobytes() and v.tobytes() == want[1].tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_stacked_eigensolve_keeps_each_refusal_with_its_matrix(monkeypatch):
+    eigh = linalg._EIGH
+
+    def spoiled(s, signature):
+        w, v = eigh(s, signature=signature)
+        v[1, 0, 0] += 1e-6   # a residual above its bound
+        w[2] = np.nan        # as the gufunc reports a dsyevd failure
+        return w, v
+
+    monkeypatch.setattr(linalg, "_EIGH", spoiled)
+    stack = np.stack([random_pd(2, np.random.default_rng(k)) for k in range(4)])
+    outcomes = sym_eig(stack)
+    for i in (0, 3):
+        assert outcomes[i][0].tobytes() == linalg._eigh(stack[i])[0].tobytes()
+    for i in (1, 2):
+        assert type(outcomes[i]) is NumericalContractError
+        assert str(outcomes[i]).startswith("eigendecomposition residual")
+
+
 def test_check_symmetric_rejects_asymmetry():
     with pytest.raises(ValidationError):
         check_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
