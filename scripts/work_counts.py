@@ -2,14 +2,17 @@
 """Work counts of seeded verify runs.
 
 For each master seed and suite, at the suite's default trial count, this
-prints how often six functions ran: core.check_positive_definite, counted
+prints how often seven functions ran: core.check_positive_definite, counted
 by the matrices it checks (one for a matrix, m for a stack of m; a
 matrix that a stack refuses is checked again alone for its error, and
 counts twice), numpy's Cholesky gufunc
 numpy.linalg._umath_linalg.cholesky_lo (which numpy.linalg.cholesky
 calls too; one call takes a matrix or a stack), linalg._hessenberg_band
 (the band steps), linalg._skew_spectrum (the spectrum passes, each over
-one matrix or a stack of them), errors._lapack (the _flapack calls) and
+one matrix or a stack of them), errors._lapack (the calls of scipy's
+_flapack routines), linalg._factor (the single-matrix SVD, symmetric
+eigensolve and QR calls of numpy's gufuncs; linalg.sym_eig and the
+stacked spectrum pass call their gufunc without it) and
 basis.dual_chain_construct, with one total row per seed.  Each function
 is counted by wrapping every name that binds it in every loaded package
 module, and in numpy's _umath_linalg, for the length of the run; the
@@ -39,6 +42,7 @@ COUNTED = {
     "band_steps": linalg._hessenberg_band,
     "spectrum_passes": linalg._skew_spectrum,
     "lapack": errors._lapack,
+    "gufuncs": linalg._factor,
     "constructions": basis.dual_chain_construct,
 }
 

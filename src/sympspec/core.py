@@ -7,10 +7,11 @@ Conventions used throughout the package:
 * symplectic eigenvalues are reported ascending as a length-n vector d,
 * a Williamson basis M satisfies M.T A M = diag(d, d) and M.T J M = J.
 
-_CHOLESKY and _EIGVALS are the gufuncs of numpy.linalg._umath_linalg
-that numpy.linalg.cholesky and eigvals call, taken with the signature
-and inside the np.errstate of numpy's wrapper, so the bits are numpy's:
-at the package's sizes the wrappers cost more than the factorization.
+Each factorization takes one LAPACK route (see linalg): numpy's gufunc
+where numpy has one, _CHOLESKY and _EIGVALS here, called with the
+signature and np.errstate of numpy's wrapper but not the wrapper, which
+costs more than LAPACK at the package's sizes; scipy's _flapack for the
+two it lacks, _POCON (dpocon) and _TRTRS (dtrtrs).
 Every positive definite entry point also takes the PositiveDefinite value
 that check_positive_definite returns, and does not check it again.
 
@@ -48,7 +49,7 @@ from .linalg import (
     _real,
     _skew_canonical,
     _skew_spectrum,
-    _svd,
+    _svdvals,
     check_square,
     check_symmetric,
     fnorm,
@@ -441,7 +442,7 @@ def random_symplectic(n, rng, spread=2.0):
     rng = as_generator(rng)
     g = rng.standard_normal((2 * n, 2 * n))
     h = 0.5 * (g + g.T)
-    norm = _svd(h, compute_uv=0)[1][0]  # ||H||_2
+    norm = _svdvals(h)[0]  # ||H||_2
     if norm > spread:
         h *= spread / norm
     m = _expm(apply_form(h), min(norm, spread))

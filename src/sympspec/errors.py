@@ -1,12 +1,14 @@
-"""Exception types shared across the package, and five helpers.  Two
+"""Exception types shared across the package, and six helpers.  Three
 raise NumericalContractError: _contract for every post-hoc accuracy
-check, which passes only when value <= bound, so a NaN fails it, and
-_lapack for every LAPACK status.  The third, _check_int, raises
-ValidationError for every count, size, order, seed and trial argument
-that is not an integer or lies below its minimum.  _attempt and _value
-carry an error as a value, so that work done once for many matrices or
-trials keeps each one's verdict to itself: _attempt returns what it
-catches, and _value raises it where the matrix or trial is read.
+check, which passes only when value <= bound, so a NaN fails it, _lapack
+for every status of a scipy LAPACK routine, and _gufunc_failed, the one
+np.errstate callback of numpy's SVD, eigensolve and QR gufuncs.  The
+fourth, _check_int, raises ValidationError for every count, size, order,
+seed and trial argument that is not an integer or lies below its
+minimum.  _attempt and _value carry an error as a value, so that work
+done once for many matrices or trials keeps each one's verdict to
+itself: _attempt returns what it catches, and _value raises it where the
+matrix or trial is read.
 
 The CLI maps these onto distinct exit codes, so library code should
 raise the most specific type that applies.
@@ -45,6 +47,12 @@ def _lapack(routine, what, *args, **kw):
     if info != 0:
         raise NumericalContractError(f"{what} failed: LAPACK info {info}")
     return out[0] if len(out) == 1 else tuple(out)
+
+
+def _gufunc_failed(err, flag):
+    """Raise NumericalContractError for err, the name of the flag by which
+    a numpy LAPACK gufunc reports a failed factorization."""
+    raise NumericalContractError(f"LAPACK factorization failed: the gufunc flagged an {err}")
 
 
 def _check_int(name, value, minimum=None):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .basis import (
     SymplecticBasis,
@@ -45,12 +46,13 @@ from .inequalities import (
     schur_concave_monotone_check,
     supermajorize,
 )
-from .linalg import _FLAPACK, _eigh, _svd, fnorm, orthonormal_columns, subspace_intersect
+from .linalg import _eigh, _factor, _svdvals, fnorm, orthonormal_columns, subspace_intersect
 
 PAIR_FLOOR = 1e-6
 SAMPLE_RETRIES = 50
 
-_GEQRF, _ORGQR = _FLAPACK.dgeqrf, _FLAPACK.dorgqr
+# The gufuncs numpy.linalg.qr calls to factor a matrix and to form its reduced Q.
+_QR_R_RAW, _QR_REDUCED = _umath_linalg.qr_r_raw, _umath_linalg.qr_reduced
 
 
 def tuple_value(a, x, y):
@@ -62,11 +64,11 @@ def tuple_value(a, x, y):
 
 
 def random_orthogonal(dim, rng):
-    """Haar-distributed orthogonal matrix via QR (dgeqrf, dorgqr) with sign correction."""
-    qr, tau, _ = _lapack(_GEQRF, "QR factorization", rng.standard_normal((dim, dim)))
-    q = _lapack(_ORGQR, "QR factorization", qr, tau)[0]
-    # In C order, as numpy.linalg.qr returns q, so products round alike.
-    return np.multiply(q, np.sign(qr.diagonal()), order="C")
+    """Haar-distributed orthogonal matrix via QR (numpy.linalg.qr's
+    gufuncs: dgeqrf, dorgqr) with sign correction."""
+    a = rng.standard_normal((dim, dim))
+    tau = _factor(_QR_R_RAW, "d->d", a)  # leaves R on and above a's diagonal
+    return _factor(_QR_REDUCED, "dd->d", a, tau) * np.sign(a.diagonal())
 
 
 def random_decreasing_chain(dim, sizes, rng):
@@ -258,7 +260,7 @@ def _pair_floor(a, w):
     low = _cholesky(g.T @ a @ g)
     half = _lapack(_TRTRS, "triangular solve", low, symplectic_gram(g, g), lower=1)
     full = _lapack(_TRTRS, "triangular solve", low, half.T, lower=1)
-    return 1.0 / float(_svd(full, compute_uv=0)[1][0])
+    return 1.0 / float(_svdvals(full)[0])
 
 
 def maxmin_check(a, k, n_subspaces=20, rng=None, tol=1e-9):

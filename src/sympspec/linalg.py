@@ -5,8 +5,8 @@ can fail quietly raise NumericalContractError instead of returning
 garbage: sym_eig checks its residual, subspace_intersect its principal
 cosines, _hessenberg_band the band it reads d from and _pairing_verdict
 the pairs of singular values it reads d from, each with one
-errors._contract call, which a NaN fails, and every LAPACK status goes
-through errors._lapack.  The skew routes (_skew_spectrum, and
+errors._contract call, which a NaN fails, and every LAPACK failure
+raises too (see below).  The skew routes (_skew_spectrum, and
 _skew_canonical with its basis) take the exactly skew K that
 core._cholesky_skew builds from a factor of a matrix that
 check_positive_definite passed, so they check no input; the basis of
@@ -32,35 +32,29 @@ line make, is within 1 microsecond of the band up to n = 5 and slower
 from there on.  _SVD_MAX_N = 8 keeps the stack's gain at 29 % or more
 while a single call loses at most 3 microseconds.
 
-LAPACK comes from scipy's compiled module scipy.linalg._flapack: the
-float64 routines it holds are the objects that scipy.linalg.get_lapack_funcs
-returns.  _load_flapack() loads that extension from its file, located
-through scipy's import spec, and runs the package init of neither scipy nor
-scipy.linalg: the extension's RPATH ($ORIGIN/../../scipy.libs) finds the
-OpenBLAS library it links on its own.  scipy.linalg's init, with the
-array-API layer it pulls in, costs more than half of a cold CLI start.
-The handles are linalg._GEHRD, which reduces a skew matrix to its
-Hessenberg band for both the band route of _skew_spectrum and
-_skew_canonical, linalg._ORGHR, which only _skew_canonical needs to form
-its basis, linalg._GESDD (with its workspace query _GESDD_LWORK) and
-_SYEVD, behind every other SVD and single symmetric eigensolve of the
-package, core._POCON and _TRTRS, inequalities._SYGST, extremal._GEQRF and
-_ORGQR.
+LAPACK takes one route per routine.  Where numpy has a gufunc for it,
+in numpy.linalg._umath_linalg, that gufunc is called and nothing else:
+_SVD_F, _SVD_S and _SVD (dgesdd: full, reduced, values only), _EIGH
+(dsyevd, lower triangle), extremal._QR_R_RAW and _QR_REDUCED (dgeqrf,
+dorgqr), core._CHOLESKY and _EIGVALS.  Each is called with the signature
+and error state numpy.linalg's wrapper passes, but without the wrapper,
+which costs more than LAPACK at the package's sizes; the bits are
+numpy's.  _factor makes one call on one matrix and raises the invalid
+flag, by which a gufunc reports a failed factorization, as
+NumericalContractError (errors._gufunc_failed); _svd, _svdvals and _eigh
+call it.  The stack passes (_paired, sym_eig, core._check_stack) ignore
+that flag, and each matrix's certificate refuses the NaN a failure leaves.
 
-_svd and _eigh are numpy.linalg.svd and numpy.linalg.eigh without numpy's
-wrapper, which at the package's small sizes costs more than LAPACK does:
-the same routines (dgesdd, and dsyevd reading the lower triangle), with
-the workspace dgesdd's query asks for (kept per shape in _GESDD_WORK), as
-numpy passes it, and the factors in C order, as numpy returns them, so
-results and every product formed from them match numpy's bit for bit.
-linalg._SVD, linalg._EIGH, core._CHOLESKY and core._EIGVALS are numpy's
-own gufuncs behind numpy.linalg.svd(compute_uv=False), eigh, cholesky and
-eigvals, called directly, since scipy's dgesdd, dpotrf and dgeev come from
-another LAPACK build and would move bits; _EIGH, which takes a stack in
-one call, gives the bits of _eigh (tests/test_linalg.py pins that).
-check_symmetric, the input check of every positive definite entry point,
-is one body for the same reason: it calls neither check_square nor
-_check_finite.
+scipy.linalg._flapack serves the five routines numpy lacks: linalg._GEHRD
+and _ORGHR (the Hessenberg band, and the basis of _skew_canonical),
+core._POCON and _TRTRS, and inequalities._SYGST, each status through
+errors._lapack.  They are the objects scipy.linalg.get_lapack_funcs
+returns.  _load_flapack() loads the extension from its file, found
+through scipy's import spec, without the init of scipy or scipy.linalg,
+which costs more than half of a cold CLI start; the extension's RPATH
+($ORIGIN/../../scipy.libs) finds the OpenBLAS it links.  check_symmetric,
+the input check of every positive definite entry point, is one body for
+speed: it calls neither check_square nor _check_finite.
 
 Three routines take one matrix or a stack of them, shape (m, k, k), and
 give a stack's matrices the bits each gets alone: _skew_spectrum,
@@ -95,6 +89,7 @@ from .errors import (
     ValidationError,
     _attempt,
     _contract,
+    _gufunc_failed,
     _lapack,
 )
 
@@ -107,9 +102,9 @@ EPS = np.finfo(float).eps
 _SVD_MAX_N = 8
 # The verdicts a stack form keeps per matrix of a stack.
 _REFUSALS = (NumericalContractError, ValidationError)
-# The gufuncs numpy.linalg.svd(a, compute_uv=False) and numpy.linalg.eigh
-# call.
-_SVD, _EIGH = _umath_linalg.svd, _umath_linalg.eigh_lo
+# numpy.linalg.svd's gufuncs (full, reduced, values only) and eigh's.
+_SVD_F, _SVD_S, _SVD = _umath_linalg.svd_f, _umath_linalg.svd_s, _umath_linalg.svd
+_EIGH = _umath_linalg.eigh_lo
 
 
 def _load_flapack():
@@ -141,7 +136,6 @@ def _load_flapack():
 
 _FLAPACK = _load_flapack()
 _GEHRD, _ORGHR = _FLAPACK.dgehrd, _FLAPACK.dorghr
-_GESDD, _GESDD_LWORK, _SYEVD = _FLAPACK.dgesdd, _FLAPACK.dgesdd_lwork, _FLAPACK.dsyevd
 
 
 def fnorm(a):
@@ -151,31 +145,27 @@ def fnorm(a):
     return math.sqrt(x.dot(x))
 
 
-_GESDD_WORK = {}  # dgesdd's lwork by (m, n, compute_uv, full_matrices), all its query reads
+@np.errstate(call=_gufunc_failed, invalid="call",
+             over="ignore", divide="ignore", under="ignore")
+def _factor(gufunc, signature, *args):
+    """gufunc(*args) on one matrix under numpy.linalg's error state, a
+    failed factorization raised as NumericalContractError."""
+    return gufunc(*args, signature=signature)
 
 
-def _svd(a, compute_uv=1, full_matrices=1):
-    """(u, s, vt) of a nonempty matrix as numpy.linalg.svd returns them,
-    in C order, since a product with a Fortran-ordered factor can round
-    differently; with compute_uv=0 only s is meaningful.  A nonzero
-    dgesdd status raises NumericalContractError."""
-    key = a.shape + (compute_uv, full_matrices)
-    lwork = _GESDD_WORK.get(key)
-    if lwork is None:
-        lwork = _GESDD_WORK[key] = int(_lapack(_GESDD_LWORK, "SVD workspace query", *key))
-    u, s, vt = _lapack(_GESDD, "SVD", a, compute_uv=compute_uv,
-                       full_matrices=full_matrices, lwork=lwork)
-    if not compute_uv:
-        return u, s, vt
-    return np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
+def _svd(a, full_matrices=True):
+    """numpy.linalg.svd(a, full_matrices) of a nonempty matrix: (u, s, vt)."""
+    return _factor(_SVD_F if full_matrices else _SVD_S, "d->ddd", a)
+
+
+def _svdvals(a):
+    """numpy.linalg.svd(a, compute_uv=False): s of a nonempty matrix, descending."""
+    return _factor(_SVD, "d->d", a)
 
 
 def _eigh(s):
-    """(w, v) of the symmetric matrix whose lower triangle s holds, as
-    numpy.linalg.eigh returns them, v in C order; a nonzero dsyevd status
-    raises NumericalContractError."""
-    w, v = _lapack(_SYEVD, "symmetric eigensolve", s, lower=1)
-    return w, np.ascontiguousarray(v)
+    """numpy.linalg.eigh(s): (w, v) from the lower triangle of s."""
+    return _factor(_EIGH, "d->dd", s)
 
 
 _BELOW = {}  # strictly-lower boolean mask by size, read-only
@@ -269,26 +259,24 @@ def _eig_verdict(w, v, residual, norm):
     return w, v
 
 
+@np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
 def sym_eig(s):
     """Eigendecomposition of an exactly symmetric matrix, ascending
     eigenvalues, or of each matrix of a stack of shape (m, k, k); s is not
     symmetrized again, which would change no bit.
 
-    One matrix goes to _eigh and gives (w, v) or raises
-    NumericalContractError.  A stack goes to one call of numpy.linalg.eigh's
-    gufunc (_EIGH: dsyevd on the lower triangle too), with the invalid flag
+    One matrix or a whole stack goes to one call of numpy.linalg.eigh's
+    gufunc (_EIGH: dsyevd on the lower triangle), with the invalid flag
     ignored, so a matrix on which dsyevd fails comes back as NaN, which its
-    own residual refuses; it gives a list of m outcomes, each (w, v) or the
-    error that refused it (errors._value reads one).  The residual
-    ||S V - V diag(w)|| of each matrix is checked against
-    1e-12 * max(1, ||S||).  A matrix gets the same bits alone as in any
-    stack.
+    own residual refuses.  The residual ||S V - V diag(w)|| of each matrix
+    is checked against 1e-12 * max(1, ||S||).  One matrix gives (w, v) or
+    raises NumericalContractError; a stack gives a list of m outcomes, each
+    (w, v) or the error that refused it (errors._value reads one).  A
+    matrix gets the same bits alone as in any stack.
     """
+    w, v = _EIGH(s, signature="d->dd")
     if s.ndim == 2:
-        w, v = _eigh(s)
         return _eig_verdict(w, v, fnorm(s @ v - v * w), fnorm(s))
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
-        w, v = _EIGH(s, signature="d->dd")
     residual = _frobenius(s @ v - v * w[:, None, :])
     return [_attempt(_eig_verdict, *x, caught=_REFUSALS)
             for x in zip(w, v, residual.tolist(), _frobenius(s).tolist())]
@@ -301,7 +289,7 @@ def orthonormal_columns(x):
         raise ValidationError(f"expected a 2-d array, got shape {x.shape}")
     if x.shape[1] == 0:
         return x.copy()
-    u, s, _ = _svd(x, full_matrices=0)
+    u, s, _ = _svd(x, full_matrices=False)
     if s[0] == 0.0:
         return np.zeros((x.shape[0], 0))
     k = np.count_nonzero(s > RANK_RTOL * s[0])
@@ -343,8 +331,8 @@ def max_principal_angle(u, w):
         return 0.0
     if uo.shape[1] == 0 or wo.shape[1] == 0:
         return 0.5 * np.pi
-    s1 = np.linalg.norm(wo - uo @ (uo.T @ wo), 2)
-    s2 = np.linalg.norm(uo - wo @ (wo.T @ uo), 2)
+    s1 = _svdvals(wo - uo @ (uo.T @ wo))[0]
+    s2 = _svdvals(uo - wo @ (wo.T @ uo))[0]
     return float(np.arcsin(min(1.0, max(s1, s2))))
 
 
@@ -437,7 +425,7 @@ def _band_spectrum(k):
     values of B alone, with no dorghr, no singular vectors and no
     residual product."""
     b = _hessenberg_band(k)[2]
-    return _ascending_nonsingular(_svd(b, compute_uv=0)[1])
+    return _ascending_nonsingular(_svdvals(b))
 
 
 @np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")

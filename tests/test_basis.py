@@ -369,15 +369,17 @@ def test_sharp_std_agrees_with_the_four_svd_route(monkeypatch):
         cases.append(random_orthogonal(2 * m, rng)[:, : int(rng.integers(m + 1, 2 * m))])
         cases.append(_prime_closed(m, rng))
 
-    gesdd = linalg._GESDD
     svd_calls = 0
 
-    def counting_svd(*args, **kwargs):
-        nonlocal svd_calls
-        svd_calls += 1
-        return gesdd(*args, **kwargs)
+    def counting(svd):
+        def counted(*args, **kwargs):
+            nonlocal svd_calls
+            svd_calls += 1
+            return svd(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(linalg, "_GESDD", counting_svd)
+    for handle in ("_SVD_F", "_SVD_S", "_SVD"):
+        monkeypatch.setattr(linalg, handle, counting(getattr(linalg, handle)))
     for g in cases:
         before = svd_calls
         sharp = _sharp_std(g)

@@ -79,6 +79,17 @@ def test_random_orthogonal_is_numpys_qr_formula_bit_for_bit():
         assert q.flags.c_contiguous and q.tobytes() == ref.tobytes()
 
 
+def test_a_failed_qr_factorization_raises(monkeypatch):
+    # numpy's QR gufuncs report a failure, as its SVD and eigensolve ones
+    # do, by the invalid flag, which random_orthogonal's calls raise.
+    def flagged(a, signature):
+        return np.sqrt(-np.ones(min(a.shape)))  # NaN tau, invalid flag raised
+
+    monkeypatch.setattr(sympspec.extremal, "_QR_R_RAW", flagged)
+    with pytest.raises(NumericalContractError, match="LAPACK factorization failed"):
+        random_orthogonal(3, np.random.default_rng(0))
+
+
 def test_random_decreasing_chain_is_nested():
     sizes = [7, 5, 4]
     chain = random_decreasing_chain(8, sizes, RNG)

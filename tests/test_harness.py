@@ -483,20 +483,21 @@ def test_failed_construction_becomes_one_failed_record(monkeypatch, tmp_path):
 
 
 def test_failed_svd_inside_a_trial_becomes_one_failed_record(monkeypatch):
-    # A nonzero dgesdd status is a NumericalContractError, so the trial
-    # that meets it gives one contract-error record and the suite goes on.
+    # A dgesdd failure, which numpy's gufunc reports by the invalid flag,
+    # is a NumericalContractError, so the trial that meets it gives one
+    # contract-error record and the suite goes on.
     cfg = SuiteConfig(suite="construction", trials=5, master_seed=7, report_path=None)
     clean = run_suite("construction", cfg)["records"]
-    gesdd = sympspec.linalg._GESDD
+    svd = sympspec.linalg._SVD_S
     calls = 0
 
-    def fails_once(a, **kwargs):
+    def fails_once(a, signature):
         nonlocal calls
         calls += 1
-        u, s, vt, info = gesdd(a, **kwargs)
-        return u, s, vt, 1 if calls == 40 else info
+        # On NaN input the gufunc fails as it does when dgesdd does not converge.
+        return svd(np.full_like(a, np.nan) if calls == 40 else a, signature=signature)
 
-    monkeypatch.setattr(sympspec.linalg, "_GESDD", fails_once)
+    monkeypatch.setattr(sympspec.linalg, "_SVD_S", fails_once)
     out = run_suite("construction", cfg)
     assert calls > 40
     records = out["records"]
@@ -504,7 +505,8 @@ def test_failed_svd_inside_a_trial_becomes_one_failed_record(monkeypatch):
     assert len(failed) == 1 and out["aggregate"]["n_failed"] == 1
     assert (failed[0]["name"], failed[0]["n"]) == ("contract-error", None)
     assert failed[0]["instance"] == {"error": "NumericalContractError",
-                                     "message": "SVD failed: LAPACK info 1"}
+                                     "message": "LAPACK factorization failed: "
+                                               "the gufunc flagged an invalid value"}
     t = failed[0]["trial"]
     assert [r for r in records if r["trial"] != t] == [r for r in clean if r["trial"] != t]
 

@@ -73,15 +73,15 @@ def test_geometric_mean_solves_the_riccati_equation(n):
 
 def test_geometric_mean_makes_one_symmetric_eigensolve(monkeypatch):
     calls = []
-    syevd = linalg._SYEVD
+    eigh = linalg._EIGH
 
-    def counted(a, *args, **kwargs):
+    def counted(a, signature):
         calls.append(a.shape)
-        return syevd(a, *args, **kwargs)
+        return eigh(a, signature=signature)
 
     rng = np.random.default_rng(4)
     a, b = random_pd(4, rng), random_pd(4, rng)
-    monkeypatch.setattr(linalg, "_SYEVD", counted)
+    monkeypatch.setattr(linalg, "_EIGH", counted)
     geometric_mean(a, b)
     assert calls == [(8, 8)]
 

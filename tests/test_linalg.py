@@ -10,8 +10,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy
+from scipy.linalg import lapack
 
-from sympspec import core, errors, linalg
+from sympspec import core, errors, extremal, linalg
 from sympspec.core import random_pd, williamson
 from sympspec.errors import NumericalContractError, ValidationError
 from sympspec.linalg import (
@@ -29,7 +30,7 @@ RNG = np.random.default_rng(101)
 
 
 # Run in a fresh interpreter: the CLI's import must not load scipy.linalg,
-# and once scipy.linalg is loaded, every LAPACK handle of the package must
+# and once scipy.linalg is loaded, every _flapack handle of the package must
 # be the routine scipy's own lookup returns.  A scipy release that moves
 # its compiled LAPACK module fails here first.
 _COLD_IMPORT = """
@@ -40,8 +41,7 @@ assert "scipy.linalg" not in sys.modules, "importing the CLI loaded scipy.linalg
 assert "scipy" not in sys.modules, "importing the CLI loaded scipy"
 import scipy.linalg
 from sympspec import core, inequalities, linalg
-handles = {"gehrd": linalg._GEHRD, "orghr": linalg._ORGHR, "gesdd": linalg._GESDD,
-           "gesdd_lwork": linalg._GESDD_LWORK, "syevd": linalg._SYEVD,
+handles = {"gehrd": linalg._GEHRD, "orghr": linalg._ORGHR,
            "pocon": core._POCON, "trtrs": core._TRTRS, "sygst": inequalities._SYGST}
 for name, handle in handles.items():
     assert handle is scipy.linalg.get_lapack_funcs(name, dtype=np.float64), name
@@ -98,11 +98,11 @@ run_all(SuiteConfig(report_path=None))
 loaded = [m for m in ("scipy.linalg", "scipy") if m in sys.modules]
 assert not loaded, loaded
 import scipy.linalg
-from sympspec.linalg import _GESDD
+from sympspec.linalg import _GEHRD
 assert np.allclose(scipy.linalg.expm(np.diag([0.0, 1.0])), np.diag([1.0, np.e]))
 p, l, u = scipy.linalg.lu(np.array([[1.0, 2.0], [3.0, 4.0]]))
 assert np.allclose(p @ l @ u, [[1.0, 2.0], [3.0, 4.0]])
-assert scipy.linalg.get_lapack_funcs("gesdd", dtype=np.float64) is _GESDD
+assert scipy.linalg.get_lapack_funcs("gehrd", dtype=np.float64) is _GEHRD
 """
 
 
@@ -130,21 +130,110 @@ def test_sym_eig_two_by_two():
     assert fnorm(v @ np.diag(w) @ v.T - [[2.0, 1.0], [1.0, 2.0]]) < 1e-14
 
 
+def _lapack_svd(a, mode):
+    """(u, s, vt), or s alone in mode "N", from scipy's dgesdd with the
+    workspace its query asks for, the factors in C order."""
+    uv, full = {"A": (1, 1), "S": (1, 0), "N": (0, 0)}[mode]
+    lwork = int(lapack.dgesdd_lwork(*a.shape, uv, full)[0])
+    u, s, vt, info = lapack.dgesdd(a, compute_uv=uv, full_matrices=full, lwork=lwork)
+    assert info == 0
+    return (np.ascontiguousarray(u), s, np.ascontiguousarray(vt)) if uv else s
+
+
+def _gufunc_svd(a, mode):
+    return linalg._svdvals(a) if mode == "N" else linalg._svd(a, full_matrices=mode == "A")
+
+
+def _same_bits(got, want):
+    if isinstance(want, tuple):
+        return all(_same_bits(g, w) for g, w in zip(got, want, strict=True))
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _failing(gufunc):
+    """gufunc as it behaves when LAPACK fails: run on NaN input, it gives
+    NaN and raises the invalid flag, by which numpy reports a failure."""
+    def failed(*args, signature):
+        return gufunc(*(np.full_like(x, np.nan) for x in args), signature=signature)
+    return failed
+
+
+@pytest.mark.parametrize("mode", ["A", "S", "N"])
+def test_the_svd_routes_equal_scipys_dgesdd_bit_for_bit(mode):
+    # The gufunc routes replaced scipy's dgesdd; on square and non-square
+    # shapes they give its bits in each of its three modes.
+    rng = np.random.default_rng(29)
+    for m in range(1, 17):
+        for n in range(1, 17):
+            a = rng.standard_normal((m, n))
+            got = _gufunc_svd(a, mode)
+            assert _same_bits(got, _lapack_svd(a, mode)), (m, n)
+            if mode != "N":
+                assert got[0].flags.c_contiguous and got[2].flags.c_contiguous
+
+
+# The factors of a 200 x 200 SVD come from threaded BLAS products, which
+# numpy's and scipy's OpenBLAS builds split differently between threads,
+# so the comparison runs at one BLAS thread, in a fresh interpreter.
+_BAND_SVD = """
+import os
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+import numpy as np
+from scipy.linalg import lapack
+from sympspec import linalg
+k = np.random.default_rng(200).standard_normal((400, 400))
+b = linalg._hessenberg_band(k - k.T)[2]
+assert b.shape == (200, 200)
+for mode, (uv, full) in {"A": (1, 1), "S": (1, 0), "N": (0, 0)}.items():
+    lwork = int(lapack.dgesdd_lwork(200, 200, uv, full)[0])
+    u, s, vt, info = lapack.dgesdd(b, compute_uv=uv, full_matrices=full, lwork=lwork)
+    assert info == 0
+    if uv:
+        got = linalg._svd(b, full_matrices=bool(full))
+        want = (np.ascontiguousarray(u), s, np.ascontiguousarray(vt))
+    else:
+        got, want = (linalg._svdvals(b),), (s,)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), mode
+"""
+
+
+def test_the_svd_routes_of_a_200_band_equal_scipys_dgesdd_bit_for_bit():
+    _run_fresh(_BAND_SVD)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 50, 100])
-def test_a_stacked_eigensolve_equals_scipys_dsyevd_bit_for_bit(n):
-    # numpy's eigh gufunc, which takes a stack, gives the bits of scipy's
-    # dsyevd (_eigh), which takes one matrix.
+def test_the_eigensolve_routes_equal_scipys_dsyevd_bit_for_bit(n):
+    # numpy's eigh gufunc replaced scipy's dsyevd on the lower triangle,
+    # for one matrix (_eigh and sym_eig) and for a stack (sym_eig).
     rng = np.random.default_rng(60 + n)
     stack = np.stack([random_pd(n, rng) for _ in range(3)])
     outcomes = sym_eig(stack)
     assert len(outcomes) == 3
-    for (w, v), s in zip(outcomes, stack):
-        for want in (linalg._eigh(s), sym_eig(s)):
-            assert w.tobytes() == want[0].tobytes() and v.tobytes() == want[1].tobytes()
+    for s, stacked in zip(stack, outcomes):
+        w, v, info = lapack.dsyevd(s, lower=1)
+        assert info == 0
+        want = (w, np.ascontiguousarray(v))
+        for got in (linalg._eigh(s), sym_eig(s), stacked):
+            assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 10, 14, 40])
+def test_random_orthogonal_equals_scipys_dgeqrf_and_dorgqr_bit_for_bit(dim):
+    for seed in range(5):
+        x = np.random.default_rng(seed).standard_normal((dim, dim))
+        qr, tau, _, info = lapack.dgeqrf(x)
+        assert info == 0
+        q, _, info = lapack.dorgqr(qr, tau)
+        assert info == 0
+        want = np.multiply(q, np.sign(qr.diagonal()), order="C")
+        got = extremal.random_orthogonal(dim, np.random.default_rng(seed))
+        assert got.flags.c_contiguous and _same_bits(got, want)
 
 
 @pytest.mark.filterwarnings("error")
 def test_a_stacked_eigensolve_keeps_each_refusal_with_its_matrix(monkeypatch):
+    stack = np.stack([random_pd(2, np.random.default_rng(k)) for k in range(4)])
+    alone = [sym_eig(s) for s in stack]
     eigh = linalg._EIGH
 
     def spoiled(s, signature):
@@ -154,13 +243,22 @@ def test_a_stacked_eigensolve_keeps_each_refusal_with_its_matrix(monkeypatch):
         return w, v
 
     monkeypatch.setattr(linalg, "_EIGH", spoiled)
-    stack = np.stack([random_pd(2, np.random.default_rng(k)) for k in range(4)])
     outcomes = sym_eig(stack)
     for i in (0, 3):
-        assert outcomes[i][0].tobytes() == linalg._eigh(stack[i])[0].tobytes()
+        assert _same_bits(outcomes[i], alone[i])
     for i in (1, 2):
         assert type(outcomes[i]) is NumericalContractError
         assert str(outcomes[i]).startswith("eigendecomposition residual")
+
+
+def test_one_failed_eigensolve_is_refused_by_its_residual(monkeypatch):
+    # sym_eig ignores the gufunc's failure flag for one matrix as for a
+    # stack: the NaN that a dsyevd failure leaves fails the residual.
+    monkeypatch.setattr(linalg, "_EIGH", _failing(linalg._EIGH))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalContractError, match="eigendecomposition residual nan"):
+            sym_eig(random_pd(2, np.random.default_rng(3)))
 
 
 def test_check_symmetric_rejects_asymmetry():
@@ -207,6 +305,30 @@ def test_max_principal_angle_detects_rotated_span():
     assert max_principal_angle(x, x @ rot) < 1e-12
     y = orthonormal_columns(RNG.normal(size=(8, 3)))
     assert max_principal_angle(x, y) > 1e-2
+
+
+def _norm_route_angle(u, w):
+    """max_principal_angle with each sine residual's 2-norm taken by
+    numpy.linalg.norm(., 2), as it was taken before the values-only SVD."""
+    uo, wo = orthonormal_columns(u), orthonormal_columns(w)
+    s1 = np.linalg.norm(wo - uo @ (uo.T @ wo), 2)
+    s2 = np.linalg.norm(uo - wo @ (wo.T @ uo), 2)
+    return float(np.arcsin(min(1.0, max(s1, s2))))
+
+
+def test_max_principal_angle_equals_the_numpy_norm_route_bit_for_bit():
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        dim = int(rng.integers(2, 13))
+        u = rng.standard_normal((dim, int(rng.integers(1, dim + 1))))
+        # Half the pairs are nearly equal spans, where the angle is tiny.
+        if rng.random() < 0.5:
+            w = u + 10.0 ** rng.uniform(-12, -3) * rng.standard_normal(u.shape)
+        else:
+            w = rng.standard_normal((dim, int(rng.integers(1, dim + 1))))
+        got = max_principal_angle(u, w)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(_norm_route_angle(u, w)).tobytes()
 
 
 def test_max_principal_angle_small_angles_not_flushed():
@@ -274,13 +396,21 @@ def test_skew_canonical_rejects_singular():
         linalg._skew_canonical(np.zeros((2, 2)))
 
 
-def test_skew_canonical_maps_eigensolver_failure(monkeypatch):
-    def no_convergence(a, **kwargs):
-        return a, np.zeros(a.shape[0]), a, 1
-
-    monkeypatch.setattr(linalg, "_GESDD", no_convergence)
-    with pytest.raises(NumericalContractError, match="SVD failed"):
+def test_skew_canonical_maps_svd_failure(monkeypatch):
+    monkeypatch.setattr(linalg, "_SVD_F", _failing(linalg._SVD_F))
+    with pytest.raises(NumericalContractError, match="LAPACK factorization failed"):
         linalg._skew_canonical(np.array([[0.0, 5.0], [-5.0, 0.0]]))
+
+
+@pytest.mark.parametrize("route", ["_svd", "_svdvals", "_eigh"])
+def test_each_one_matrix_route_raises_a_lapack_failure(route, monkeypatch):
+    handle = {"_svd": "_SVD_F", "_svdvals": "_SVD", "_eigh": "_EIGH"}[route]
+    a = random_pd(2, np.random.default_rng(4))
+    getattr(linalg, route)(a)
+    monkeypatch.setattr(linalg, handle, _failing(getattr(linalg, handle)))
+    with pytest.raises(NumericalContractError,
+                       match="LAPACK factorization failed: the gufunc flagged an invalid value"):
+        getattr(linalg, route)(a)
 
 
 def test_skew_canonical_maps_lapack_error_codes(monkeypatch):
@@ -296,15 +426,15 @@ def test_williamson_certifies_a_perturbed_skew_canonical_factor(monkeypatch):
     # Rotating two left singular vectors keeps q orthogonal but no longer
     # canonical for K; _skew_canonical does not re-check q, and williamson's
     # form defect M.T J M - J = -(S q.T K^-1 q S + J) must see the damage.
-    gesdd = linalg._GESDD
+    svd = linalg._SVD_F
 
-    def rotated_u(b, **kwargs):
-        u, s, vt, info = gesdd(b, **kwargs)
+    def rotated_u(b, signature):
+        u, s, vt = svd(b, signature=signature)
         c, t = np.cos(1e-3), np.sin(1e-3)
-        return u @ np.array([[c, -t, 0.0], [t, c, 0.0], [0.0, 0.0, 1.0]]), s, vt, info
+        return u @ np.array([[c, -t, 0.0], [t, c, 0.0], [0.0, 0.0, 1.0]]), s, vt
 
     a = random_pd(3, np.random.default_rng(31))
-    monkeypatch.setattr(linalg, "_GESDD", rotated_u)
+    monkeypatch.setattr(linalg, "_SVD_F", rotated_u)
     with pytest.raises(NumericalContractError, match="basis form defect"):
         williamson(a)
 
@@ -448,12 +578,10 @@ def test_both_skew_routes_map_lapack_and_svd_failures(route, monkeypatch):
     fn, m = BAND_ROUTES[route]
     k = _random_skew(m, np.random.default_rng(5))
 
-    def no_convergence(a, **kwargs):
-        return a, np.zeros(a.shape[0]), a, 1
-
     with monkeypatch.context() as patch:
-        patch.setattr(linalg, "_GESDD", no_convergence)
-        with pytest.raises(NumericalContractError, match="SVD failed"):
+        for handle in ("_SVD_F", "_SVD"):
+            patch.setattr(linalg, handle, _failing(getattr(linalg, handle)))
+        with pytest.raises(NumericalContractError, match="LAPACK factorization failed"):
             fn(k)
     monkeypatch.setattr(linalg, "_GEHRD", lambda a, lwork: (a, np.zeros(1), -1))
     with pytest.raises(NumericalContractError, match="LAPACK info -1"):
@@ -489,28 +617,6 @@ def test_the_band_route_of_a_stack_refuses_each_matrix_alone(k, error):
     outcomes = linalg._skew_spectrum(np.stack([good, k, good]))
     assert isinstance(outcomes[1], error)
     assert outcomes[0].tobytes() == outcomes[2].tobytes() == linalg._skew_spectrum(good).tobytes()
-
-
-def test_svd_keeps_one_workspace_per_shape_and_flag_pair(monkeypatch):
-    monkeypatch.setattr(linalg, "_GESDD_WORK", {})
-    rng = np.random.default_rng(29)
-    flags = [(uv, full) for uv in (0, 1) for full in (0, 1)]
-    for m in range(1, 11):
-        for n in range(1, 11):
-            a = rng.standard_normal((m, n))
-            for uv, full in flags:
-                lwork = int(linalg._GESDD_LWORK(m, n, uv, full)[0])
-                u, s, vt, _ = linalg._GESDD(a, compute_uv=uv, full_matrices=full, lwork=lwork)
-                for _ in range(2):  # the query, then the kept entry
-                    got = linalg._svd(a, uv, full)
-                    assert linalg._GESDD_WORK[(m, n, uv, full)] == lwork
-                    assert got[1].tobytes() == s.tobytes()
-                    if uv:
-                        assert got[0].flags.c_contiguous and got[2].flags.c_contiguous
-                        assert got[0].tobytes() == np.ascontiguousarray(u).tobytes()
-                        assert got[2].tobytes() == np.ascontiguousarray(vt).tobytes()
-    # A thin and a full query of one shape are separate entries.
-    assert len(linalg._GESDD_WORK) == 10 * 10 * len(flags)
 
 
 def _diagonal_skew(d, sign):

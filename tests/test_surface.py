@@ -104,12 +104,27 @@ def _contract_raises(tree):
 
 def test_numerical_contracts_raise_only_through_the_helpers():
     # A contract or LAPACK status check written inline would bypass the
-    # helpers' policy that NaN fails.  Every SVD and eigensolve reports its
-    # status through _lapack, so no LinAlgError is mapped by hand.
-    allowed = {("errors.py", "_contract"), ("errors.py", "_lapack")}
+    # helpers' policy that NaN fails.  Every _flapack routine reports its
+    # status through _lapack, and every SVD, eigensolve and QR gufunc its
+    # failure flag through the one errstate callback _gufunc_failed, so no
+    # LinAlgError is mapped by hand.
+    allowed = {("errors.py", "_contract"), ("errors.py", "_lapack"),
+               ("errors.py", "_gufunc_failed")}
     found = set()
     for path in Path(sympspec.__file__).parent.glob("*.py"):
         for func in _contract_raises(ast.parse(path.read_text())):
             assert (path.name, func) in allowed, f"{path.name}: raise in {func}"
             found.add((path.name, func))
     assert found == allowed
+
+
+def test_flapack_serves_only_the_routines_numpy_has_no_gufunc_for():
+    # Every SVD, symmetric eigensolve and QR goes through numpy's gufuncs;
+    # scipy's _flapack keeps the five routines numpy lacks.
+    used = set()
+    for path in Path(sympspec.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "_FLAPACK"):
+                used.add(node.attr)
+    assert used == {"dgehrd", "dorghr", "dpocon", "dtrtrs", "dsygst"}

@@ -9,7 +9,7 @@ from numpy.linalg import _umath_linalg
 
 # cli and inequalities are loaded before any counting() block, so that the
 # names they bind are wrapped and restored with the others.
-from sympspec import cli, core, errors, harness, inequalities  # noqa: F401
+from sympspec import cli, core, errors, extremal, harness, inequalities, linalg  # noqa: F401
 from sympspec.matio import save_matrix
 
 _PATH = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "work_counts.py"
@@ -61,6 +61,20 @@ def test_the_mean_command_checks_a_and_b_and_not_the_mean(tmp_path, monkeypatch,
         assert cli.main(["mean", "a.json", "b.json"]) == 0
     assert counts["checks"] == counts["cholesky"] == 2
     assert counts["spectrum_passes"] == 1
+
+
+def test_the_guard_counts_each_one_matrix_svd_eigensolve_and_qr_call():
+    # Only _flapack calls count as lapack; each gufunc call through
+    # linalg._factor counts once, a QR as its two calls.
+    a = core.random_pd(2, np.random.default_rng(5))
+    with work_counts.counting() as counts:
+        linalg._svd(a)
+        linalg._svd(a[:, :2], full_matrices=False)
+        linalg._svdvals(a)
+        linalg._eigh(a)
+        extremal.random_orthogonal(4, np.random.default_rng(6))
+    assert counts["gufuncs"] == 6 and counts["lapack"] == 0
+    assert linalg._factor is work_counts.COUNTED["gufuncs"]
 
 
 def test_counting_restores_every_name_it_wraps():
