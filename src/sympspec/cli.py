@@ -21,7 +21,7 @@ import numpy as np
 from ._version import __version__
 from .core import (
     METHODS,
-    _cholesky_skew,
+    _factor_spectra,
     check_positive_definite,
     compress,
     half_dim,
@@ -34,7 +34,6 @@ from .errors import (
     NumericalContractError,
     ValidationError,
 )
-from .linalg import _skew_spectrum
 from .matio import load_matrix, matrix_to_obj, save_matrix, save_williamson
 
 COUNTEREXAMPLE_BLOCKS = ([[1.0, 0.0], [0.0, 2.0]], [[0.0, 1.0], [2.0, 0.0]])
@@ -69,7 +68,7 @@ def cmd_mean(args):
     # the mean is not checked again; an odd size is refused before
     # anything is written.
     half_dim(mean)
-    d = _skew_spectrum(_cholesky_skew(f))
+    d = _factor_spectra(f)
     if args.output:
         save_matrix(mean, args.output)
     print(json.dumps(matrix_to_obj(mean), sort_keys=True))

@@ -20,12 +20,11 @@ pass: one fused symmetry and finiteness pass, one Cholesky gufunc call
 and one 1-norm reduction over the stack, then dpocon once per matrix.
 Each matrix of a stack gets the bits, and the refusal, that it gets
 alone; the entry points take one matrix only.  A spectrum needs only a
-factor F of A = F F.T: _cholesky_skew forms K = F.T J F, for one F or a
-stack of them, and linalg._skew_spectrum reads d off K.  _factor_spectra
-takes the factors of many matrices and runs one _skew_spectrum pass per
-size over them, keeping each matrix's refusal to itself.  The two
-Lidskii suites check all their trials' matrices, and take all their
-spectra, that way.
+factor F of A = F F.T: _factor_spectra forms K = F.T J F
+(_cholesky_skew) and reads d off it (linalg._skew_spectrum), for one F
+or, in one pass, a stack of them, keeping each matrix's refusal to
+itself.  The two Lidskii suites check all their trials' matrices, and
+take all their spectra, as stacks.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .linalg import (
     _FLAPACK,
     _REFUSALS,
     SYM_RTOL,
-    _by_size,
     _check_finite,
     _frobenius,
     _real,
@@ -272,12 +270,12 @@ def _cholesky_skew(f):
     return 0.5 * (k - k.mT)
 
 
-def _factor_spectra(factors):
-    """The symplectic spectra of F F.T for the factors F in factors, as
-    linalg._skew_spectrum's outcomes in the same order: each d, or the
-    error that refused it (errors._value reads one).  The factors are
-    stacked by size, with one _skew_spectrum pass per size."""
-    return _by_size(lambda f: _skew_spectrum(_cholesky_skew(f)), factors)
+def _factor_spectra(f):
+    """The symplectic spectrum d of A = F F.T from a factor F of it, or,
+    for a stack of factors of shape (m, 2n, 2n), the list of m outcomes
+    of one linalg._skew_spectrum pass: each d, or the error that refused
+    it (errors._value reads one)."""
+    return _skew_spectrum(_cholesky_skew(f))
 
 
 def williamson(a):
@@ -327,7 +325,7 @@ def symplectic_eigenvalues(a, method="skew-canonical"):
     half_dim(a)
     if method == "ja-eigen":
         return _ja_spectrum(a)
-    return _skew_spectrum(_cholesky_skew(low))
+    return _factor_spectra(low)
 
 
 @np.errstate(call=_eigvals_failed, invalid="call",

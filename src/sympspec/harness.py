@@ -10,10 +10,11 @@ a certify step, which goes on with the same generator for what a
 certificate samples.  A suite draws all its trials first, then certifies
 them: certify(cfg, drawn) takes every drawn trial and returns each one's
 records.  Most suites certify each trial on its own (_each); the two
-Lidskii suites share among their trials one stacked positive-definiteness
-check and one stacked spectrum pass per size, and lidskii-mult one
-stacked eigensolve per size for its means (inequalities._trial_outcomes);
-a replay certifies a list of one trial through the same step.
+Lidskii suites run their trials' plans side by side
+(inequalities._trial_outcomes), so all trials share one stacked
+positive-definiteness check per size, lidskii-mult one stacked
+eigensolve per size for its means, and both one stacked spectrum pass
+per size; a replay certifies a list of one trial through the same step.
 Violations never abort a suite; every comparison becomes a record, a
 contract that fails inside a trial becomes a failed record of that trial
 alone, and the report carries them all.

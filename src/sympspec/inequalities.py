@@ -12,7 +12,7 @@ matrix work in batches, (fn, arrays), and _run_plans runs every trial's
 plan beside the others, so each batch of all trials takes one call of
 fn's stack form per size: the checks of A, B and A + B
 (core.check_positive_definite), the eigensolves of the means
-(linalg.sym_eig) and, after the plans, the spectra
+(linalg.sym_eig) and, as each plan's last batch, the spectra
 (core._factor_spectra).  Each matrix keeps the bits and the verdict it
 gets alone, and the trials' errors are raised in the order a
 trial-by-trial run meets them.  Each trial's records take their prefix,
@@ -22,7 +22,6 @@ tail and index-set sums from whole-array reductions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from numbers import Integral
 
 import numpy as np
@@ -35,7 +34,7 @@ from .core import (
     half_dim,
     random_pd,
 )
-from .errors import _TRIAL_ERRORS, ValidationError, _attempt, _check_int, _lapack, _value
+from .errors import _TRIAL_ERRORS, ValidationError, _check_int, _lapack, _value
 from .linalg import _FLAPACK, _below, _by_size, fnorm, sym_eig
 
 _SYGST = _FLAPACK.dsygst
@@ -61,7 +60,7 @@ def _mean_factor(pd_a, pd_b):
     eigensolve C = V diag(w) V^T follows, and F = L V diag(w^(1/4))
     (_mean_from); lidskii-mult takes the eigensolves of all its means in
     one linalg.sym_eig pass per size between the two steps.  F is a
-    factor of the mean as core._cholesky_skew takes it, so d(A # B) needs
+    factor of the mean as core._factor_spectra takes it, so d(A # B) needs
     no check or Cholesky factorization of the mean.
     """
     return _mean_from(pd_a.low, sym_eig(_congruence(pd_a, pd_b)))
@@ -97,10 +96,11 @@ def _run_plans(plans):
     (fn, arrays), where fn maps a stack of same-shape arrays to a list of
     outcomes, and is sent back the list of its arrays' outcomes.  The
     plans run side by side, so the arrays that all plans ask fn for in
-    one round go to linalg._by_size, one fn call per shape.  An exception
-    is kept whatever its type, and the plan's work ends there, so that the
-    caller can raise the first one in plan order, as running the plans
-    one after another would.
+    one round go to linalg._by_size, one fn call per shape.  The Lidskii
+    plans ask for all their matrix work this way: the checks, the means'
+    eigensolves and, last, the spectra.  An exception is kept whatever its
+    type, and the plan's work ends there, so that the caller can raise the
+    first one in plan order, as running the plans one after another would.
     """
     outcomes = [None] * len(plans)
     replies = dict.fromkeys(range(len(plans)))
@@ -323,21 +323,21 @@ def additive_lidskii_trial(a, b, index_set, tol=1e-9):
 
 def _additive_plan(a, b, index_set, tol):
     """An additive trial's plan (see _run_plans): it checks A + B, A and,
-    unless B is A, B in one batch, and returns their factors and the step
-    that makes the trial's records from their spectra."""
+    unless B is A, B in one batch, takes their spectra from their factors
+    in a second, and returns the trial's records."""
     _check_same_size(a, b)
     pd_sum, *pds = yield check_positive_definite, [a + b, a] + ([] if b is a else [b])
     pd_sum = _value(pd_sum)
     n = half_dim(pd_sum.a)
     factors = [pd_sum.low] + [_value(pd).low for pd in pds]
     idx = _check_index_set(index_set, n) - 1
-    return factors, partial(_additive_records, idx, tol)
+    d_sum, d_a, *d_b = map(_value, (yield _factor_spectra, factors))
+    return _additive_records(idx, tol, d_sum, d_a, d_b[0] if d_b else d_a)
 
 
-def _additive_records(idx, tol, d_sum, d_a, d_b=None):
-    """additive_lidskii_trial's records from d(A + B), d(A) and d(B),
-    which is d(A) when d_b is None; idx is the 0-based index set."""
-    d_b = d_a if d_b is None else d_b
+def _additive_records(idx, tol, d_sum, d_a, d_b):
+    """additive_lidskii_trial's records from d(A + B), d(A) and d(B);
+    idx is the 0-based index set."""
     k = idx.size
     part = np.add.reduce(np.array([d_sum[idx], d_a[idx], d_b[:k]]), axis=1).tolist()
     full = np.add.reduce(np.array([d_sum, d_a, d_b]), axis=1).tolist()
@@ -409,12 +409,11 @@ def _product_records(d_m, d_a, d_b, index_set, tol):
 def _multiplicative_plan(a, b, index_set, planted, tol):
     """A mean trial's plan (see _run_plans): it checks A and, unless B is
     A, B in one batch, forms the mean as _mean_factor does, its
-    eigensolve in a second batch, and returns the
-    factors of A # B, A and B and the step that makes the trial's records
-    from their spectra: the Riccati residual of the mean, the product
-    bounds on d(A # B), and, on a planted trial (A = B with a constant
-    spectrum), A # B = A.  The mean's spectrum comes from the factor F it
-    is formed with."""
+    eigensolve in a second batch, takes the spectra of A # B, A and B
+    from their factors in a third, and returns the trial's records: the
+    Riccati residual of the mean, the product bounds on d(A # B), and, on
+    a planted trial (A = B with a constant spectrum), A # B = A.  The
+    mean's spectrum comes from the factor F it is formed with."""
     pd_a, *pds = yield check_positive_definite, [a] + ([] if b is a else [b])
     pd_a = _value(pd_a)
     pd_b = _value(pds[0]) if pds else pd_a
@@ -427,13 +426,13 @@ def _multiplicative_plan(a, b, index_set, planted, tol):
     # of the route it certifies.
     riccati = fnorm(mean @ np.linalg.solve(a, mean) - b) / fnorm(b)
     factors = [f, pd_a.low] + ([] if b is a else [pd_b.low])
-    return factors, partial(_multiplicative_records, riccati, index_set, planted, tol)
+    d_m, d_a, *d_b = map(_value, (yield _factor_spectra, factors))
+    return _multiplicative_records(riccati, index_set, planted, tol, d_m, d_a,
+                                   d_b[0] if d_b else d_a)
 
 
-def _multiplicative_records(riccati, index_set, planted, tol, d_m, d_a, d_b=None):
-    """A mean trial's records from d(A # B), d(A) and d(B), which is d(A)
-    when d_b is None."""
-    d_b = d_a if d_b is None else d_b
+def _multiplicative_records(riccati, index_set, planted, tol, d_m, d_a, d_b):
+    """A mean trial's records from d(A # B), d(A) and d(B)."""
     records = [make_record("mean-riccati-residual", riccati, 1e-8, "le", 0.0)]
     records += _product_records(d_m, d_a, d_b, index_set, tol)
     if planted:
@@ -455,30 +454,19 @@ def _trial_outcomes(plan, instances, tol):
     an error stays one.
 
     plan(*instance, tol) is a trial's plan (see _run_plans), and every
-    trial's plan runs beside the others: the matrices of all trials are
-    checked in one check_positive_definite pass per size before any plan
-    reads its verdicts, and the means of lidskii-mult take one
-    linalg.sym_eig pass per size.  A plan returns (factors, finish).  An
-    error that is not a contract error is raised, the first in trial
-    order, as running the plans one trial after another would raise it.
-    The spectra of every trial's factors come from core._factor_spectra,
-    one pass per size, and each trial's finish makes its records from its
-    own spectra; a matrix that a check or a spectrum refused with a
-    contract error ends its trial only.
+    trial's plan runs beside the others, so each batch of all trials
+    takes one pass per size: the checks of their matrices
+    (check_positive_definite), the eigensolves of lidskii-mult's means
+    (linalg.sym_eig) and the spectra (core._factor_spectra).  An error
+    that is not a contract error is raised, the first in trial order,
+    whichever batch or step it came from, as running the plans one trial
+    after another would raise it; a contract error ends its trial only.
     """
     ran = iter(_run_plans([plan(*x, tol) for x in instances if not isinstance(x, Exception)]))
-    plans = [x if isinstance(x, Exception) else next(ran) for x in instances]
-    for p in plans:
+    outcomes = [x if isinstance(x, Exception) else next(ran) for x in instances]
+    for p in outcomes:
         if isinstance(p, Exception) and not isinstance(p, _TRIAL_ERRORS):
             raise p
-    spectra = iter(_factor_spectra(
-        [f for p in plans if not isinstance(p, Exception) for f in p[0]]))
-    outcomes = []
-    for p in plans:
-        if not isinstance(p, Exception):
-            finish, own = p[1], [next(spectra) for _ in p[0]]
-            p = _attempt(lambda: finish(*map(_value, own)))
-        outcomes.append(p)
     return outcomes
 
 

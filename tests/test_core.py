@@ -239,7 +239,7 @@ def test_the_mean_spectrum_from_its_factor_matches_the_checked_route(family):
         mean, f = inequalities._mean_factor(*map(core.check_positive_definite, (a, b)))
         assert mean.tobytes() == geometric_mean(a, b).tobytes()
         checked = symplectic_eigenvalues(mean)
-        from_factor = errors._value(core._factor_spectra([f])[0])
+        from_factor = errors._value(core._factor_spectra(f[None])[0])
         assert np.max(np.abs(from_factor - checked)) <= 1e-13 * np.linalg.norm(mean, 2)
 
 
@@ -294,7 +294,7 @@ def test_the_stacked_svd_route_matches_a_50_digit_reference(n):
     draws = [random_pd(n, rng, spectrum=None if planted is None else planted(n, rng))
              for planted in SVD_ROUTE_FAMILIES.values()]
     factors = [core.check_positive_definite(a).low for a in draws]
-    for a, d in zip(draws, core._factor_spectra(factors)):
+    for a, d in zip(draws, core._factor_spectra(np.stack(factors))):
         ref = _spectrum_at_50_digits(a)
         bound = 100 * n * np.finfo(float).eps * np.linalg.norm(a, 2)
         assert np.max(np.abs(d - ref)) <= bound

@@ -260,6 +260,14 @@ def _tilted(delta):
     return spoil
 
 
+def _singular(n, a, b, *rest):
+    """A spoiler that makes a trial's A and B one matrix A0 =
+    diag(5e-16, 1, ..., 1, 5e-16, 1, ..., 1): its condition estimate, about
+    2e15, passes the check, but d_1 / d_n <= 2n eps refuses its spectrum."""
+    a = np.diag(np.tile(np.r_[5e-16, np.ones(n - 1)], 2))
+    return (a, a, *rest)
+
+
 # A spoiler per suite whose refusal comes after the trial's checks pass:
 # an index set out of range, or a B of another size than A.
 _LATER = {
@@ -273,9 +281,9 @@ _LATER = {
 @pytest.mark.parametrize("suite", ["lidskii-add", "lidskii-mult"])
 def test_a_lidskii_suite_raises_the_refusal_of_its_first_refused_trial(monkeypatch, suite):
     # Trials 4 and 9 draw A and B independently in both suites.  Every
-    # trial's matrices are checked in one pass, yet the error raised is
-    # the one a trial-by-trial run meets first: that of the first trial
-    # refused, whatever step refuses it.
+    # trial's matrices are checked, and their spectra taken, in one pass,
+    # yet the error raised is the one a trial-by-trial run meets first:
+    # that of the first trial refused, whatever step refuses it.
     draw, certify, trials = sympspec.harness._SUITES[suite]
 
     def spoil(spoilers):
@@ -289,7 +297,9 @@ def test_a_lidskii_suite_raises_the_refusal_of_its_first_refused_trial(monkeypat
     for spoilers, raised in [({9: _tilted(9e-3)}, "asymmetry 1.273e-02"),
                              ({4: _tilted(4e-3), 9: _tilted(9e-3)}, "asymmetry 5.657e-03"),
                              ({4: later, 9: _tilted(9e-3)}, message),
-                             ({4: _tilted(4e-3), 9: later}, "asymmetry 5.657e-03")]:
+                             ({4: _tilted(4e-3), 9: later}, "asymmetry 5.657e-03"),
+                             ({4: _singular, 9: _tilted(9e-3)},
+                              "skew matrix is singular to working precision")]:
         spoil(spoilers)
         with pytest.raises(ValidationError, match=raised):
             run_suite(suite, cfg)
