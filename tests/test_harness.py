@@ -278,31 +278,38 @@ _LATER = {
 }
 
 
+# Spoiled trials and the refusal each set must raise; "later" stands for
+# the suite's _LATER spoiler, and a None refusal for its message.
+_FIRST_REFUSED = {
+    "9-tilted": ({9: _tilted(9e-3)}, "asymmetry 1.273e-02"),
+    "4-and-9-tilted": ({4: _tilted(4e-3), 9: _tilted(9e-3)}, "asymmetry 5.657e-03"),
+    "4-later-9-tilted": ({4: "later", 9: _tilted(9e-3)}, None),
+    "4-tilted-9-later": ({4: _tilted(4e-3), 9: "later"}, "asymmetry 5.657e-03"),
+    "4-singular-9-tilted": ({4: _singular, 9: _tilted(9e-3)},
+                            "skew matrix is singular to working precision"),
+}
+
+
+@pytest.mark.parametrize("row", list(_FIRST_REFUSED))
 @pytest.mark.parametrize("suite", ["lidskii-add", "lidskii-mult"])
-def test_a_lidskii_suite_raises_the_refusal_of_its_first_refused_trial(monkeypatch, suite):
+def test_a_lidskii_suite_raises_the_refusal_of_its_first_refused_trial(monkeypatch, suite, row):
     # Trials 4 and 9 draw A and B independently in both suites.  Every
     # trial's matrices are checked, and their spectra taken, in one pass,
     # yet the error raised is the one a trial-by-trial run meets first:
     # that of the first trial refused, whatever step refuses it.
     draw, certify, trials = sympspec.harness._SUITES[suite]
-
-    def spoil(spoilers):
-        def spoiled(t, cfg, rng):
-            n, *instance = draw(t, cfg, rng)
-            return (n, *(spoilers[t](n, *instance) if t in spoilers else instance))
-        monkeypatch.setitem(sympspec.harness._SUITES, suite, (spoiled, certify, trials))
-
-    cfg = SuiteConfig(suite=suite, trials=12, master_seed=3, report_path=None)
     later, message = _LATER[suite]
-    for spoilers, raised in [({9: _tilted(9e-3)}, "asymmetry 1.273e-02"),
-                             ({4: _tilted(4e-3), 9: _tilted(9e-3)}, "asymmetry 5.657e-03"),
-                             ({4: later, 9: _tilted(9e-3)}, message),
-                             ({4: _tilted(4e-3), 9: later}, "asymmetry 5.657e-03"),
-                             ({4: _singular, 9: _tilted(9e-3)},
-                              "skew matrix is singular to working precision")]:
-        spoil(spoilers)
-        with pytest.raises(ValidationError, match=raised):
-            run_suite(suite, cfg)
+    spoilers, raised = _FIRST_REFUSED[row]
+    spoilers = {t: later if s == "later" else s for t, s in spoilers.items()}
+
+    def spoiled(t, cfg, rng):
+        n, *instance = draw(t, cfg, rng)
+        return (n, *(spoilers[t](n, *instance) if t in spoilers else instance))
+
+    monkeypatch.setitem(sympspec.harness._SUITES, suite, (spoiled, certify, trials))
+    cfg = SuiteConfig(suite=suite, trials=12, master_seed=3, report_path=None)
+    with pytest.raises(ValidationError, match=raised or message):
+        run_suite(suite, cfg)
 
 
 def test_a_lidskii_add_refusal_before_the_checks_waits_for_earlier_trials(monkeypatch):
