@@ -8,8 +8,9 @@ matrix that a stack refuses is checked again alone for its error, and
 counts twice), numpy's Cholesky gufunc
 numpy.linalg._umath_linalg.cholesky_lo (which numpy.linalg.cholesky
 calls too; one call takes a matrix or a stack), linalg._hessenberg_band
-(the band steps), linalg._skew_spectrum (the spectrum passes, each over
-one matrix or a stack of them), errors._lapack (the calls of scipy's
+(the band steps, which only williamson's basis route _skew_canonical
+takes), linalg._skew_spectrum (the spectrum passes, each over one matrix
+or a stack of them), errors._lapack (the calls of scipy's
 _flapack routines), linalg._factor (the single-matrix SVD, symmetric
 eigensolve and QR calls of numpy's gufuncs; linalg.sym_eig and the
 stacked spectrum pass call their gufunc without it) and

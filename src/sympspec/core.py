@@ -308,14 +308,13 @@ def symplectic_eigenvalues(a, method="skew-canonical"):
 
     Methods:
       skew-canonical  singular values of the skew K = L.T J L, where
-                      A = L L.T, with no basis: up to
-                      n = linalg._SVD_MAX_N those of K itself, each pair
-                      certified and averaged, above it those of the
-                      bidiagonal band of its Hessenberg form, certified
+                      A = L L.T, with no basis: those of K itself at
+                      every n, each pair certified and averaged
       ja-eigen        imaginary parts of the spectrum of J A
       williamson      spectrum reported by the full decomposition, whose
-                      basis comes from the same Hessenberg band and the
-                      singular vectors of that bidiagonal
+                      basis comes from the bidiagonal band of the
+                      Hessenberg form of K, certified, and the singular
+                      vectors of that bidiagonal
     """
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}, expected one of {METHODS}")

@@ -183,8 +183,9 @@ def _certify_williamson(cfg, rng, a, target):
         inst["condition_warning"] = True
     inst["residual_a"] = dec.residual_a
     inst["residual_j"] = dec.residual_j
-    # williamson against ja-eigen, the method that does not read d off the
-    # Hessenberg band; skew-canonical takes the same band's singular values.
+    # williamson against ja-eigen, the one method that does not go through
+    # K = L.T J L: williamson reads d off the Hessenberg band of K, and
+    # skew-canonical off the singular values of K itself.
     spectra = np.stack([dec.d, symplectic_eigenvalues(pd, method="ja-eigen")])
     spread = float((spectra.max(axis=0) - spectra.min(axis=0)).max())
     records = [

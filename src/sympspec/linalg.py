@@ -3,34 +3,22 @@
 Everything here is numpy and LAPACK on real float64 arrays.  Routines that
 can fail quietly raise NumericalContractError instead of returning
 garbage: sym_eig checks its residual, subspace_intersect its principal
-cosines, _hessenberg_band the band it reads d from and _pairing_verdict
-the pairs of singular values it reads d from, each with one
-errors._contract call, which a NaN fails, and every LAPACK failure
-raises too (see below).  The skew routes (_skew_spectrum, and
-_skew_canonical with its basis) take the exactly skew K that
-core._cholesky_skew builds from a factor of a matrix that
+cosines, _pairing_verdict the pairs of singular values _skew_spectrum
+reads d from and _hessenberg_band the band _skew_canonical reads d and
+its basis from, each with one errors._contract call, which a NaN fails,
+and every LAPACK failure raises too (see below).  The skew routes
+(_skew_spectrum, and _skew_canonical with its basis) take the exactly
+skew K that core._cholesky_skew builds from a factor of a matrix that
 check_positive_definite passed, so they check no input; the basis of
 _skew_canonical is certified by the residuals of core.williamson, its one
 caller, and not here.
 
-The spectrum alone takes one of two routes, chosen by the half-dimension
-n of K.  Up to n = _SVD_MAX_N it is the values-only SVD of K itself,
-numpy's gufunc over a whole stack of K in one call, so a verify suite
-pays one pass per size rather than one call chain per matrix; above it,
-the band route: the Hessenberg band of K and the singular values of that
-bidiagonal.  The crossover, min of 9 repeats at one BLAS thread on a
-noisy 2-core Xeon, in microseconds per matrix (band route, SVD route in
-a stack of 150, SVD route called alone):
-
-    n       2     4     6     8    10    12    14    16    20
-    band  15.5  17.7  21.5  22.8  27.2  31.8  39.1  44.3  62.9
-    stack  3.2   6.9  11.2  16.1  23.5  31.6  43.3  51.4  79.7
-    alone 14.7  18.7  22.7  25.7  34.4  40.0  48.9  58.9  88.6
-
-The stack wins up to n = 12; a single call, as compress and the command
-line make, is within 1 microsecond of the band up to n = 5 and slower
-from there on.  _SVD_MAX_N = 8 keeps the stack's gain at 29 % or more
-while a single call loses at most 3 microseconds.
+The spectrum alone takes one route at every size: the values-only SVD of
+K itself, numpy's gufunc over a whole stack of K in one call, so a verify
+suite pays one pass per size rather than one call chain per matrix.  The
+basis takes the Hessenberg band of K, whose bidiagonal SVD gives each
+pair of singular vectors in canonical form; an SVD of K itself would
+leave them free to rotate inside each pair.
 
 LAPACK takes one route per routine.  Where numpy has a gufunc for it,
 in numpy.linalg._umath_linalg, that gufunc is called and nothing else:
@@ -97,9 +85,6 @@ SYM_RTOL = 1e-12
 RANK_RTOL = 1e-10
 INTERSECT_COS_TOL = 1e-8
 EPS = np.finfo(float).eps
-# Largest half-dimension n whose skew spectra take the SVD route; the
-# crossover timings behind it are in the module docstring.
-_SVD_MAX_N = 8
 # The verdicts a stack form keeps per matrix of a stack.
 _REFUSALS = (NumericalContractError, ValidationError)
 # numpy.linalg.svd's gufuncs (full, reduced, values only) and eigh's.
@@ -404,11 +389,12 @@ def _hessenberg_band(k):
 
 
 def _ascending_nonsingular(s):
-    """Singular values of B ascending as d; refuse a K singular to
-    working precision, d_1 <= dim * eps * d_n for K of size dim (numpy's
-    matrix_rank threshold).  For positive definite A the verdict on
-    singularity is the condition estimate of core.check_positive_definite;
-    this guards against that estimate under-reading the condition number.
+    """The descending s (the singular values of B, or the pair means of
+    K) ascending as d; refuse a K singular to working precision,
+    d_1 <= dim * eps * d_n for K of size dim (numpy's matrix_rank
+    threshold).  For positive definite A the verdict on singularity is
+    the condition estimate of core.check_positive_definite; this guards
+    against that estimate under-reading the condition number.
     """
     d = s[::-1]
     if d[0] <= 2 * d.size * EPS * d[-1]:
@@ -417,15 +403,6 @@ def _ascending_nonsingular(s):
             f"[{d[0]:.3e}, {d[-1]:.3e}]"
         )
     return d
-
-
-def _band_spectrum(k):
-    """d of one skew K from the band B of _hessenberg_band, whose
-    certificate bounds what dropping the rest of H costs d: the singular
-    values of B alone, with no dorghr, no singular vectors and no
-    residual product."""
-    b = _hessenberg_band(k)[2]
-    return _ascending_nonsingular(_svdvals(b))
 
 
 @np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
@@ -472,21 +449,16 @@ def _pairing_verdict(gap, norm, d):
 
 def _skew_spectrum(k):
     """The d of _skew_canonical(k) alone, with no basis formed, for one
-    skew K of size 2n or a stack of them of shape (m, 2n, 2n).
-
-    Up to n = _SVD_MAX_N, d comes from one values-only SVD pass over the
-    whole stack (_paired); above it each K takes the band route
-    (_band_spectrum), whose dgehrd beats an SVD of K itself.  One K gives
-    its d or raises; a stack gives a list of m outcomes, each matrix's d
-    or the NumericalContractError or ValidationError that refused it
+    skew K of size 2n or a stack of them of shape (m, 2n, 2n), from one
+    values-only SVD pass over the whole stack (_paired), each matrix's
+    pairs certified by _pairing_verdict.  One K gives its d or raises; a
+    stack gives a list of m outcomes, each matrix's d or the
+    NumericalContractError or ValidationError that refused it
     (errors._value reads one), so one matrix's refusal is its own.  A
     matrix gets the same bits alone as in any stack.
     """
-    band = k.shape[-1] > 2 * _SVD_MAX_N
     if k.ndim == 2:
-        return _band_spectrum(k) if band else _pairing_verdict(*_paired(k[None])[0])
-    if band:
-        return [_attempt(_band_spectrum, x, caught=_REFUSALS) for x in k]
+        return _pairing_verdict(*_paired(k[None])[0])
     return [_attempt(_pairing_verdict, *v, caught=_REFUSALS) for v in _paired(k)]
 
 

@@ -280,16 +280,15 @@ def test_spectrum_matches_a_50_digit_reference(family):
             assert np.max(np.abs(d - ref)) <= bound
 
 
-# Every family at every n the stacked SVD route serves in the verify
-# suites and the planted spectra benchmark, each n's draws in one stack.
+# Every family at every n the verify suites and the planted spectra
+# benchmark draw, and n = 9, each n's draws in one stack.
 SVD_ROUTE_FAMILIES = {"wishart": None, "log-spread-3": PLANTED["log-spread-3"],
                       "log-spread-4": PLANTED["log-spread-4"],
                       "near-singular": PLANTED["near-singular"]}
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", [*range(2, 8), 9])
 def test_the_stacked_svd_route_matches_a_50_digit_reference(n):
-    assert n <= linalg._SVD_MAX_N
     rng = np.random.default_rng(300 + n)
     draws = [random_pd(n, rng, spectrum=None if planted is None else planted(n, rng))
              for planted in SVD_ROUTE_FAMILIES.values()]
@@ -353,8 +352,8 @@ def test_methods_agree():
 
 
 def test_spectrum_never_forms_the_canonical_basis(monkeypatch):
-    # The default method and compress read d off the Hessenberg band; a
-    # fall-back to the vector route would hit this stub.
+    # The default method and compress read d off the singular values of
+    # K; a fall-back to the vector route would hit this stub.
     def no_basis(k):
         raise AssertionError("canonical basis formed")
 

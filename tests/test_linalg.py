@@ -441,11 +441,8 @@ def test_williamson_certifies_a_perturbed_skew_canonical_factor(monkeypatch):
 
 SKEW_ROUTES = {"canonical": linalg._skew_canonical, "spectrum": linalg._skew_spectrum}
 # The contract each route's refusal of a K that is not finite or not skew
-# names: the band certificate, or the pairing defect of the SVD route
-# that _skew_spectrum takes at these sizes.
+# names: the band certificate, or the pairing defect of the SVD of K.
 ROUTE_CONTRACT = {"canonical": "band defect", "spectrum": "pairing defect"}
-# Half-dimensions at which _skew_spectrum takes the band route.
-BAND_M = linalg._SVD_MAX_N + 1
 
 
 def _random_skew(m, rng):
@@ -454,12 +451,29 @@ def _random_skew(m, rng):
 
 
 def test_skew_spectrum_equals_the_canonical_d():
+    # Both routes are backward stable, so each d lies within a small
+    # multiple of eps ||K||_2 = eps d_n of the truth, and no closer in
+    # relative terms: against a 30-digit reference, each route misses d_1
+    # by up to 6e-14 of d_1 on these draws at m = 50.
     rng = np.random.default_rng(41)
-    for m in [*range(1, 8), 50]:
+    for m in [*range(1, 8), 9, 20, 50, 100, 200]:
         for _ in range(3):
             k = _random_skew(m, rng)
             ref = linalg._skew_canonical(k)[1]
-            assert np.max(np.abs(linalg._skew_spectrum(k) - ref) / ref) <= 1e-14
+            gap = np.max(np.abs(linalg._skew_spectrum(k) - ref))
+            assert gap <= 4 * m * linalg.EPS * ref[-1]
+
+
+@pytest.mark.parametrize("n", [20, 50, 100])
+def test_both_skew_routes_give_a_degenerate_spectrum_its_one_value(n):
+    # S.T diag(c 1, c 1) S for a random symplectic S, as the spectra
+    # benchmark draws it: every d is c.
+    rng = np.random.default_rng(70 + n)
+    for _ in range(3):
+        c = rng.uniform(0.5, 2.0)
+        k = core._cholesky_skew(np.linalg.cholesky(random_pd(n, rng, spectrum=np.full(n, c))))
+        for d in (linalg._skew_spectrum(k), linalg._skew_canonical(k)[1]):
+            assert np.max(np.abs(d - c)) <= 1e-13 * c
 
 
 def _factor_stack(n, m, rng):
@@ -467,7 +481,7 @@ def _factor_stack(n, m, rng):
     return np.stack([np.linalg.cholesky(random_pd(n, rng)) for _ in range(m)])
 
 
-@pytest.mark.parametrize("n", [*range(1, linalg._SVD_MAX_N + 1), BAND_M])
+@pytest.mark.parametrize("n", [*range(1, 10), 20])
 def test_a_stacked_spectrum_has_the_bits_of_one_at_a_time_calls(n):
     rng = np.random.default_rng(100 + n)
     for m in (1, 2, 17, 150):
@@ -487,7 +501,7 @@ _RANK_2 = np.random.default_rng(3).standard_normal((4, 2))
 # The band step checks no input, but a K that is not finite or not skew
 # cannot yield d: H = Z.T K Z is then not skew either, and the band
 # certificate, which a NaN fails, measures exactly that defect of H.  The
-# SVD route gives a K that is not finite a NaN pairing defect, and a K
+# SVD of K gives a K that is not finite a NaN pairing defect, and a K
 # that is not skew unpaired singular values.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("route", SKEW_ROUTES)
@@ -568,31 +582,21 @@ def test_unpaired_singular_values_fail_the_pairing_defect(monkeypatch):
     assert f"exceeds {1e-9 * norm:.3e}" in str(info.value)
 
 
-# The band-specific cases run _skew_spectrum at a size that takes the band.
-BAND_ROUTES = {"canonical": (linalg._skew_canonical, 1),
-               "spectrum": (linalg._skew_spectrum, BAND_M)}
-
-
-@pytest.mark.parametrize("route", BAND_ROUTES)
-def test_both_skew_routes_map_lapack_and_svd_failures(route, monkeypatch):
-    fn, m = BAND_ROUTES[route]
-    k = _random_skew(m, np.random.default_rng(5))
+def test_skew_canonical_maps_lapack_and_svd_failures(monkeypatch):
+    k = _random_skew(1, np.random.default_rng(5))
 
     with monkeypatch.context() as patch:
-        for handle in ("_SVD_F", "_SVD"):
-            patch.setattr(linalg, handle, _failing(getattr(linalg, handle)))
+        patch.setattr(linalg, "_SVD_F", _failing(linalg._SVD_F))
         with pytest.raises(NumericalContractError, match="LAPACK factorization failed"):
-            fn(k)
+            linalg._skew_canonical(k)
     monkeypatch.setattr(linalg, "_GEHRD", lambda a, lwork: (a, np.zeros(1), -1))
     with pytest.raises(NumericalContractError, match="LAPACK info -1"):
-        fn(k)
+        linalg._skew_canonical(k)
 
 
-@pytest.mark.parametrize("route", BAND_ROUTES)
-def test_both_skew_routes_certify_the_hessenberg_band(route, monkeypatch):
+def test_skew_canonical_certifies_the_hessenberg_band(monkeypatch):
     # One entry above the super-diagonal of H, which the band drops.
-    fn, m = BAND_ROUTES[route]
-    k = _random_skew(max(m, 3), np.random.default_rng(31))
+    k = _random_skew(3, np.random.default_rng(31))
     gehrd = linalg._GEHRD
 
     def off_band(a, lwork):
@@ -601,22 +605,38 @@ def test_both_skew_routes_certify_the_hessenberg_band(route, monkeypatch):
         ht[0, 3] += 1e-6 * fnorm(k)
         return ht, tau, info
 
-    fn(k)
+    linalg._skew_canonical(k)
     monkeypatch.setattr(linalg, "_GEHRD", off_band)
     with pytest.raises(NumericalContractError, match="band defect"):
-        fn(k)
+        linalg._skew_canonical(k)
 
 
-@pytest.mark.parametrize("k, error", [
-    (np.full((2 * BAND_M, 2 * BAND_M), np.nan), NumericalContractError),
-    (np.triu(np.ones((2 * BAND_M, 2 * BAND_M)), 1), NumericalContractError),
-    (np.zeros((2 * BAND_M, 2 * BAND_M)), ValidationError),
+@pytest.mark.parametrize("k, error, match", [
+    (np.full((18, 18), np.nan), NumericalContractError, "pairing defect nan"),
+    (np.triu(np.ones((18, 18)), 1), NumericalContractError, "pairing defect"),
+    (np.zeros((18, 18)), ValidationError, "singular to working precision"),
 ], ids=["nan", "not-skew", "zero"])
-def test_the_band_route_of_a_stack_refuses_each_matrix_alone(k, error):
-    good = _random_skew(BAND_M, np.random.default_rng(6))
+def test_a_stack_at_n_9_refuses_each_matrix_alone(k, error, match):
+    good = _random_skew(9, np.random.default_rng(6))
     outcomes = linalg._skew_spectrum(np.stack([good, k, good]))
     assert isinstance(outcomes[1], error)
+    assert re.search(match, str(outcomes[1]))
     assert outcomes[0].tobytes() == outcomes[2].tobytes() == linalg._skew_spectrum(good).tobytes()
+
+
+def _no_band(*args, **kwargs):
+    raise AssertionError("Hessenberg band formed")
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 20, 50])
+def test_the_spectrum_never_forms_the_band(n, monkeypatch):
+    rng = np.random.default_rng(60 + n)
+    k = _random_skew(n, rng)
+    stack = np.stack([_random_skew(n, rng) for _ in range(3)])
+    monkeypatch.setattr(linalg, "_GEHRD", _no_band)
+    monkeypatch.setattr(linalg, "_ORGHR", _no_band)
+    assert linalg._skew_spectrum(k).shape == (n,)
+    assert all(errors._value(d).shape == (n,) for d in linalg._skew_spectrum(stack))
 
 
 def _diagonal_skew(d, sign):
