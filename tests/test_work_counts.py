@@ -45,13 +45,6 @@ def test_a_lidskii_suite_takes_one_spectrum_pass_per_size(suite):
     assert work_counts.work_counts(3, "majorization") == dict.fromkeys(work_counts.COUNTED, 0)
 
 
-def test_a_spectrum_at_n_50_takes_one_pass_and_no_band_step():
-    a = core.random_pd(50, np.random.default_rng(4))
-    with work_counts.counting() as counts:
-        core.symplectic_eigenvalues(a)
-    assert counts["spectrum_passes"] == 1 and counts["band_steps"] == 0
-
-
 def test_a_stack_counts_each_matrix_it_checks():
     with work_counts.counting() as counts:
         core.check_positive_definite(np.stack([np.eye(2)] * 5))
