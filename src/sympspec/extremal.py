@@ -338,6 +338,17 @@ def wielandt_certify(a, index_set, n_chains=20, samples=40, rng=None,
     )
 
 
+def _audit_phi(phi, rng):
+    """Refuse phi with a ValidationError unless it passes a 120-draw
+    schur_concave_monotone_check from rng."""
+    audit = schur_concave_monotone_check(phi, trials=120, rng=rng)
+    if not audit.ok:
+        kinds = sorted({c["kind"] for c in audit.counterexamples})
+        raise ValidationError(
+            f"functional {phi.name!r} failed its audit: {', '.join(kinds)}"
+        )
+
+
 def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
                        validate_phi=True):
     """Extremal certificate for a Schur-concave monotone functional.
@@ -351,19 +362,18 @@ def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
     supermajorized by the half-trace vector of the increasing-chain side,
     whose entries are capped by the selected eigenvalues, so phi stays
     below the claim.  With validate_phi, phi first passes a 120-draw
-    audit of the properties the claim needs; the audit evaluates phi.fn
-    on batches, so fn must map shape (..., n) to shape (...), and a fn
-    that does not is refused with a ValidationError.
+    audit of the properties the claim needs, drawn from rng before the
+    certificate's own draws; the audit evaluates phi.fn on batches, so
+    fn must map shape (..., n) to shape (...), and a fn that does not is
+    refused with a ValidationError.  The audit's verdict depends on phi
+    alone, so the phi-extremal suite audits each functional once per
+    run, from a generator keyed by the master seed and phi.name, and
+    certifies its trials with validate_phi=False.
     """
     n_chains = _check_int("n_chains", n_chains, minimum=1)
     rng = as_generator(rng)
     if validate_phi:
-        audit = schur_concave_monotone_check(phi, trials=120, rng=rng)
-        if not audit.ok:
-            kinds = sorted({c["kind"] for c in audit.counterexamples})
-            raise ValidationError(
-                f"functional {phi.name!r} failed its audit: {', '.join(kinds)}"
-            )
+        _audit_phi(phi, rng)
     pd, d, basis, idx, vchain, _ = _eigen_frame(a, index_set)
     a = pd.a
     d_target = d[idx - 1]

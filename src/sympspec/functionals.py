@@ -4,9 +4,13 @@ A functional is a name and a callable fn that reduces the last axis:
 it maps an array of shape (..., n) to one value per vector, an array
 of shape (...).  The Schur concavity, monotonicity and permutation
 invariance that the extremal certificate needs are not declared here:
-phi_extremal_check audits them with schur_concave_monotone_check,
-which evaluates fn on whole batches of vectors, and refuses a
-functional that fails.
+they are audited with schur_concave_monotone_check, which evaluates fn
+on whole batches of vectors, and a functional that fails is refused.
+phi_extremal_check audits its functional from the caller's generator
+by default.  The phi-extremal suite audits each functional it draws
+once per run, before it certifies any trial, from a generator keyed by
+the master seed and the functional's name, so the verdict does not
+depend on which trials run.
 """
 
 from __future__ import annotations

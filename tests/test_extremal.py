@@ -379,6 +379,25 @@ def test_phi_extremal_rejects_functional_that_fails_audit():
         phi_extremal_check(a, np.array([1]), liar, rng=RNG)
 
 
+def test_phi_extremal_audits_with_the_callers_generator_by_default(monkeypatch):
+    # The phi-extremal suite audits once per run and passes
+    # validate_phi=False; the public default still audits every call.
+    a, _, _ = _instance(2, 12)
+    rng = np.random.default_rng(4)
+    audit = sympspec.extremal.schur_concave_monotone_check
+    generators = []
+
+    def recorded(phi, **kwargs):
+        generators.append(kwargs["rng"])
+        return audit(phi, **kwargs)
+
+    monkeypatch.setattr(sympspec.extremal, "schur_concave_monotone_check", recorded)
+    bad = SpectralFunctional("max", lambda x: np.max(x, axis=-1))
+    with pytest.raises(ValidationError, match="'max' failed its audit"):
+        phi_extremal_check(a, np.array([1]), bad, rng=rng)
+    assert len(generators) == 1 and generators[0] is rng
+
+
 def test_phi_extremal_refuses_a_functional_that_reduces_the_whole_batch():
     a, _, _ = _instance(2, 12)
     with pytest.raises(ValidationError, match="'max'.*last axis"):
