@@ -154,6 +154,8 @@ def same_span_trace_check(a, x_set, v_set, basis, check=True):
         raise ValidationError(
             f"tuple shapes {x_set.shape} and {v_set.shape} differ"
         )
+    if x_set.ndim != 2 or x_set.shape[0] != 2 * basis.n:
+        raise ValidationError(f"tuples have invalid shape {x_set.shape}")
     xc = basis.coords(x_set)
     vc = basis.coords(v_set)
     xa = basis.lift(np.concatenate([xc, prime_coords(xc)], axis=1))
@@ -243,12 +245,14 @@ def _dual_chain_std(vchain, wchain, rng):
 
 def _check_built(cols, chain):
     """Raise unless cols with its primes is B-orthosymplectic and each
-    cols[:, j] lies in sharp(chain[j]); returns the tuple with primes."""
+    cols[:, j] lies in sharp(chain[j]); returns the tuple with primes.
+
+    One defect serves both: the prime map in coordinates is -J, so for
+    full = [X, X'] the form defect ||full^T J full - J||_F equals the
+    orthonormality defect ||full^T full - I||_F for every X."""
     full = np.concatenate([cols, prime_coords(cols)], axis=1)
     _contract("constructed tuple defects: orthonormality",
               fnorm(full.T @ full - np.eye(full.shape[1])), BASIS_TOL)
-    _contract("constructed tuple defects: form",
-              _form_defect(full), BASIS_TOL)
     for j in range(cols.shape[1]):
         _contract(f"constructed vector {j} left its sharp space: residual",
                   _sharp_residual(cols[:, j], chain[j]), BASIS_TOL)

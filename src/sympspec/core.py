@@ -313,8 +313,8 @@ def symplectic_eigenvalues(a, method="skew-canonical"):
       ja-eigen        imaginary parts of the spectrum of J A
       williamson      spectrum reported by the full decomposition, whose
                       basis comes from the bidiagonal band of the
-                      Hessenberg form of K, certified, and the singular
-                      vectors of that bidiagonal
+                      Hessenberg form of K and the singular vectors of
+                      that bidiagonal
     """
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}, expected one of {METHODS}")

@@ -163,12 +163,13 @@ def poincare_witness(m_sub, basis, a):
     """
     n = basis.n
     m_sub = np.asarray(m_sub, dtype=float)
+    # _coords_subspace refuses an m_sub that is not 2-D with 2n rows.
+    mc = _coords_subspace(m_sub, basis)
     k = 2 * n - m_sub.shape[1] + 1
     if not 1 <= k <= n:
         raise ValidationError(
             f"subspace dimension {m_sub.shape[1]} does not match any index"
         )
-    mc = _coords_subspace(m_sub, basis)
     nc = np.eye(2 * n)[:, : n + k]
     g = _sharp_std(subspace_intersect(mc, nc))
     if g.shape[1] == 0:

@@ -14,9 +14,9 @@ phi-extremal first audits each functional it drew once, from a
 generator keyed by the master seed and the functional's name; the two
 Lidskii suites run their trials' plans side by side
 (inequalities._trial_outcomes), so all trials share one stacked
-positive-definiteness check per size, lidskii-mult one stacked
-eigensolve per size for its means, and both one stacked spectrum pass
-per size; a replay certifies a list of one trial through the same step.
+positive-definiteness check per size and one stacked spectrum pass per
+size, while lidskii-mult forms each mean alone; a replay certifies a
+list of one trial through the same step.
 Violations never abort a suite; every comparison becomes a record, a
 contract that fails inside a trial becomes a failed record of that trial
 alone, and the report carries them all.

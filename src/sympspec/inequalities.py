@@ -11,10 +11,10 @@ The two Lidskii suites certify all their trials at once
 matrix work in batches, (fn, arrays), and _run_plans runs every trial's
 plan beside the others, so each batch of all trials takes one call of
 fn's stack form per size: the checks of A, B and A + B
-(core.check_positive_definite), the eigensolves of the means
-(linalg.sym_eig) and, as each plan's last batch, the spectra
-(core._factor_spectra).  Each matrix keeps the bits and the verdict it
-gets alone, and the trials' errors are raised in the order a
+(core.check_positive_definite) and, as each plan's last batch, the
+spectra (core._factor_spectra); a mean is formed between the two, one
+trial at a time (_mean_factor).  Each matrix keeps the bits and the
+verdict it gets alone, and the trials' errors are raised in the order a
 trial-by-trial run meets them.  Each trial's records take their prefix,
 tail and index-set sums from whole-array reductions.
 """
@@ -56,35 +56,22 @@ def geometric_mean(a, b):
 def _mean_factor(pd_a, pd_b):
     """(A # B, F) with A # B = F F^T, for two PositiveDefinite values.
 
-    LAPACK dsygst forms C = L^-1 B L^-T (_congruence), one symmetric
-    eigensolve C = V diag(w) V^T follows, and F = L V diag(w^(1/4))
-    (_mean_from); lidskii-mult takes the eigensolves of all its means in
-    one linalg.sym_eig pass per size between the two steps.  F is a
-    factor of the mean as core._factor_spectra takes it, so d(A # B) needs
-    no check or Cholesky factorization of the mean.
+    LAPACK dsygst forms C = L^-1 B L^-T, one symmetric eigensolve
+    C = V diag(w) V^T follows (linalg.sym_eig), and F = L V diag(w^(1/4)).
+    F is a factor of the mean as core._factor_spectra takes it, so
+    d(A # B) needs no check or Cholesky factorization of the mean.
     """
-    return _mean_from(pd_a.low, sym_eig(_congruence(pd_a, pd_b)))
-
-
-def _congruence(pd_a, pd_b):
-    """C = L^-1 B L^-T, exactly symmetric, for PositiveDefinite values
-    of A = L L^T and B."""
     _check_same_size(pd_a.a, pd_b.a)
     c = _lapack(_SYGST, "congruence reduction", pd_b.a, pd_a.low, lower=1)
     # dsygst writes the lower triangle of C only.
     below = _below(c.shape[0])
     c = np.where(below.T, 0.0, c)
-    return c + np.where(below, c, 0.0).T
-
-
-def _mean_from(low, eig):
-    """(A # B, F) from the factor L of A and the eigenpairs (w, V) of C."""
-    w, v = eig
+    w, v = sym_eig(c + np.where(below, c, 0.0).T)
     if w[0] <= 0.0:
         raise ValidationError(
             f"L^-1 B L^-T is not positive definite: smallest eigenvalue {w[0]:.6e}"
         )
-    f = low @ (v * np.sqrt(np.sqrt(w)))
+    f = pd_a.low @ (v * np.sqrt(np.sqrt(w)))
     # F F^T is formed exactly symmetric, as random_pd's Wishart draw is.
     return f @ f.T, f
 
@@ -97,10 +84,10 @@ def _run_plans(plans):
     outcomes, and is sent back the list of its arrays' outcomes.  The
     plans run side by side, so the arrays that all plans ask fn for in
     one round go to linalg._by_size, one fn call per shape.  The Lidskii
-    plans ask for all their matrix work this way: the checks, the means'
-    eigensolves and, last, the spectra.  An exception is kept whatever its
-    type, and the plan's work ends there, so that the caller can raise the
-    first one in plan order, as running the plans one after another would.
+    plans ask for their checks and, last, their spectra this way.  An
+    exception is kept whatever its type, and the plan's work ends there,
+    so that the caller can raise the first one in plan order, as running
+    the plans one after another would.
     """
     outcomes = [None] * len(plans)
     replies = dict.fromkeys(range(len(plans)))
@@ -408,18 +395,17 @@ def _product_records(d_m, d_a, d_b, index_set, tol):
 
 def _multiplicative_plan(a, b, index_set, planted, tol):
     """A mean trial's plan (see _run_plans): it checks A and, unless B is
-    A, B in one batch, forms the mean as _mean_factor does, its
-    eigensolve in a second batch, takes the spectra of A # B, A and B
-    from their factors in a third, and returns the trial's records: the
-    Riccati residual of the mean, the product bounds on d(A # B), and, on
-    a planted trial (A = B with a constant spectrum), A # B = A.  The
-    mean's spectrum comes from the factor F it is formed with."""
+    A, B in one batch, forms the mean with _mean_factor, takes the
+    spectra of A # B, A and B from their factors in a second batch, and
+    returns the trial's records: the Riccati residual of the mean, the
+    product bounds on d(A # B), and, on a planted trial (A = B with a
+    constant spectrum), A # B = A.  The mean's spectrum comes from the
+    factor F it is formed with."""
     pd_a, *pds = yield check_positive_definite, [a] + ([] if b is a else [b])
     pd_a = _value(pd_a)
     pd_b = _value(pds[0]) if pds else pd_a
     half_dim(pd_a.a)
-    (eig,) = yield sym_eig, [_congruence(pd_a, pd_b)]
-    mean, f = _mean_from(pd_a.low, _value(eig))
+    mean, f = _mean_factor(pd_a, pd_b)
     # A # B is the unique positive definite solution of G A^-1 G = B
     # (Bhatia, Positive Definite Matrices, 2007, ch. 4).  A plain solve,
     # not the Cholesky factor behind the mean, keeps the check independent
@@ -456,11 +442,11 @@ def _trial_outcomes(plan, instances, tol):
     plan(*instance, tol) is a trial's plan (see _run_plans), and every
     trial's plan runs beside the others, so each batch of all trials
     takes one pass per size: the checks of their matrices
-    (check_positive_definite), the eigensolves of lidskii-mult's means
-    (linalg.sym_eig) and the spectra (core._factor_spectra).  An error
-    that is not a contract error is raised, the first in trial order,
-    whichever batch or step it came from, as running the plans one trial
-    after another would raise it; a contract error ends its trial only.
+    (check_positive_definite) and the spectra (core._factor_spectra).  An
+    error that is not a contract error is raised, the first in trial
+    order, whichever batch or step it came from, as running the plans one
+    trial after another would raise it; a contract error ends its trial
+    only.
     """
     ran = iter(_run_plans([plan(*x, tol) for x in instances if not isinstance(x, Exception)]))
     outcomes = [x if isinstance(x, Exception) else next(ran) for x in instances]

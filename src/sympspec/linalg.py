@@ -3,15 +3,14 @@
 Everything here is numpy and LAPACK on real float64 arrays.  Routines that
 can fail quietly raise NumericalContractError instead of returning
 garbage: sym_eig checks its residual, subspace_intersect its principal
-cosines, _pairing_verdict the pairs of singular values _skew_spectrum
-reads d from and _hessenberg_band the band _skew_canonical reads d and
-its basis from, each with one errors._contract call, which a NaN fails,
+cosines and _pairing_verdict the pairs of singular values _skew_spectrum
+reads d from, each with one errors._contract call, which a NaN fails,
 and every LAPACK failure raises too (see below).  The skew routes
 (_skew_spectrum, and _skew_canonical with its basis) take the exactly
 skew K that core._cholesky_skew builds from a factor of a matrix that
-check_positive_definite passed, so they check no input; the basis of
-_skew_canonical is certified by the residuals of core.williamson, its one
-caller, and not here.
+check_positive_definite passed, so they check no input; the d and the
+basis of _skew_canonical are certified by the residuals of
+core.williamson, its one caller, and not here.
 
 The spectrum alone takes one route at every size: the values-only SVD of
 K itself, numpy's gufunc over a whole stack of K in one call, so a verify
@@ -30,8 +29,8 @@ which costs more than LAPACK at the package's sizes; the bits are
 numpy's.  _factor makes one call on one matrix and raises the invalid
 flag, by which a gufunc reports a failed factorization, as
 NumericalContractError (errors._gufunc_failed); _svd, _svdvals and _eigh
-call it.  The stack passes (_paired, sym_eig, core._check_stack) ignore
-that flag, and each matrix's certificate refuses the NaN a failure leaves.
+call it.  The stack passes (_paired, core._check_stack) ignore that
+flag, and each matrix's certificate refuses the NaN a failure leaves.
 
 scipy.linalg._flapack serves the five routines numpy lacks: linalg._GEHRD
 and _ORGHR (the Hessenberg band, and the basis of _skew_canonical),
@@ -44,14 +43,13 @@ which costs more than half of a cold CLI start; the extension's RPATH
 the input check of every positive definite entry point, is one body for
 speed: it calls neither check_square nor _check_finite.
 
-Three routines take one matrix or a stack of them, shape (m, k, k), and
-give a stack's matrices the bits each gets alone: _skew_spectrum,
-sym_eig and core.check_positive_definite.  A stack gives a list of m
-outcomes, each the matrix's result or the error that refused it
-(errors._value reads one), so one call serves many matrices while each
-refusal stays its own.  _by_size stacks a list of arrays by shape for
-one such call per shape, and _frobenius takes fnorm of every matrix of a
-stack at once.
+Two routines take one matrix or a stack of them, shape (m, k, k), and
+give a stack's matrices the bits each gets alone: _skew_spectrum and
+core.check_positive_definite.  A stack gives a list of m outcomes, each
+the matrix's result or the error that refused it (errors._value reads
+one), so one call serves many matrices while each refusal stays its own.
+_by_size stacks a list of arrays by shape for one such call per shape,
+and _frobenius takes fnorm of every matrix of a stack at once.
 
 _below(m) is the strictly-lower boolean mask of size m, built once per
 size and kept read-only.  np.where(_below(m), 0.0, x) is the upper
@@ -239,32 +237,13 @@ def _frobenius(x):
     return np.sqrt(np.vecdot(x, x))
 
 
-def _eig_verdict(w, v, residual, norm):
-    _contract("eigendecomposition residual", residual, 1e-12 * max(1.0, norm))
-    return w, v
-
-
-@np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
 def sym_eig(s):
-    """Eigendecomposition of an exactly symmetric matrix, ascending
-    eigenvalues, or of each matrix of a stack of shape (m, k, k); s is not
-    symmetrized again, which would change no bit.
-
-    One matrix or a whole stack goes to one call of numpy.linalg.eigh's
-    gufunc (_EIGH: dsyevd on the lower triangle), with the invalid flag
-    ignored, so a matrix on which dsyevd fails comes back as NaN, which its
-    own residual refuses.  The residual ||S V - V diag(w)|| of each matrix
-    is checked against 1e-12 * max(1, ||S||).  One matrix gives (w, v) or
-    raises NumericalContractError; a stack gives a list of m outcomes, each
-    (w, v) or the error that refused it (errors._value reads one).  A
-    matrix gets the same bits alone as in any stack.
-    """
-    w, v = _EIGH(s, signature="d->dd")
-    if s.ndim == 2:
-        return _eig_verdict(w, v, fnorm(s @ v - v * w), fnorm(s))
-    residual = _frobenius(s @ v - v * w[:, None, :])
-    return [_attempt(_eig_verdict, *x, caught=_REFUSALS)
-            for x in zip(w, v, residual.tolist(), _frobenius(s).tolist())]
+    """Eigendecomposition (w, v) of an exactly symmetric matrix, ascending
+    eigenvalues, from one _eigh call, with the residual ||S V - V diag(w)||
+    held to 1e-12 * max(1, ||S||); s is not symmetrized again."""
+    w, v = _eigh(s)
+    _contract("eigendecomposition residual", fnorm(s @ v - v * w), 1e-12 * max(1.0, fnorm(s)))
+    return w, v
 
 
 def orthonormal_columns(x):
@@ -362,23 +341,15 @@ def _hessenberg_band(k):
     Gray, ACM TOMS 4, 1978; Wimmer, "Algorithm 923: PFAPACK", ACM TOMS 38,
     2012), and reordering even before odd indices turns the skew
     tridiagonal T(e) into [[0, B], [-B.T, 0]], so the singular values of B
-    are the d of K.  Everything of H that T(e) drops (the entries above
-    the super-diagonal, the diagonal, and the mismatch of sub- and
-    super-diagonal that averaging e hides) is certified here:
-    ||triu(H) - triu(T(e))||_F <= 1e-9 * max(1, ||K||_F).  H is zero
-    below its sub-diagonal and the sub-diagonal mismatch mirrors the
-    super-diagonal one, so ||H - T(e)||_2 is at most sqrt(2) times that
-    norm.  dgehrd is backward stable, and by Weyl's inequality for
-    singular values dropping H - T(e) moves d by at most ||H - T(e)||_2,
-    so B carries d of K to within the certified bound plus rounding.
+    are the d of K.  What T(e) drops of H (the entries above the
+    super-diagonal, the diagonal, and the mismatch of sub- and
+    super-diagonal that averaging e hides) is not measured here: the
+    basis built from B is canonical for T(e), not for H, and the form
+    defect of core.williamson, the one caller, measures the difference.
     """
     m = k.shape[0]
     ht, tau = _lapack(_GEHRD, "Hessenberg reduction", k, lwork=64 * m)
     e = 0.5 * (ht.diagonal(-1) - ht.diagonal(1))
-    # triu(T(e)) is -e on the super-diagonal, flat positions 1, m + 2, ...
-    defect = np.where(_below(m), 0.0, ht)
-    defect.reshape(-1)[1::m + 1] += e
-    _contract("Hessenberg band defect", fnorm(defect), 1e-9 * max(1.0, fnorm(k)))
     # 0.0 - e and 0.0 + e, so that a zero of e enters B as +0.0.
     h = m // 2
     b = np.zeros((h, h))

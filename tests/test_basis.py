@@ -22,6 +22,7 @@ from sympspec.basis import (
     same_span_trace_check,
 )
 from sympspec.core import (
+    _form_defect,
     random_pd,
     random_symplectic,
     symplectic_inner,
@@ -311,6 +312,26 @@ def test_same_span_trace_check_fails_on_a_nan_trace():
     x = np.eye(4)[:, :1]
     with pytest.raises(NumericalContractError, match="trace equality violated"):
         same_span_trace_check(a, x, x, SymplecticBasis.standard(2))
+
+
+@pytest.mark.parametrize("x", [np.ones(4), np.ones((3, 1))], ids=["1-d", "3-rows"])
+def test_same_span_trace_check_refuses_tuples_of_the_wrong_shape(x):
+    with pytest.raises(ValidationError, match="tuples have invalid shape"):
+        same_span_trace_check(np.eye(4), x, x, SymplecticBasis.standard(2))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_a_primed_tuple_has_equal_form_and_orthonormality_defects(n):
+    # The prime map in coordinates is -J, so for full = [X, X'] the form
+    # defect equals the orthonormality defect for every X: _check_built
+    # takes the one for both.
+    rng = np.random.default_rng(140 + n)
+    for scale in (1e-6, 1e-3, 1.0, 10.0):
+        for k in range(1, n + 1):
+            x = scale * rng.standard_normal((2 * n, k))
+            full = np.hstack([x, prime_coords(x)])
+            orth = fnorm(full.T @ full - np.eye(2 * k))
+            assert abs(orth - _form_defect(full)) <= 1e-14 * orth
 
 
 def _unit(x):

@@ -233,6 +233,12 @@ def test_poincare_witness_rejects_bad_dimension():
         poincare_witness(np.eye(4)[:, :2], basis, np.eye(4))
 
 
+def test_poincare_witness_refuses_a_subspace_that_is_not_2d():
+    _, _, basis = _instance(2, 5)
+    with pytest.raises(ValidationError, match="subspace basis has invalid shape"):
+        poincare_witness(np.ones(4), basis, np.eye(4))
+
+
 def _witness_space(m_sub, basis, k):
     """Coordinate basis of the sharp witness space poincare_witness searches."""
     nc = np.eye(2 * basis.n)[:, : basis.n + k]

@@ -332,18 +332,22 @@ def test_a_lidskii_add_refusal_before_the_checks_waits_for_earlier_trials(monkey
         sympspec.harness._suite_records("lidskii-add", cfg, range(5, 12))
 
 
-def test_lidskii_mult_takes_one_mean_eigensolve_per_size(monkeypatch):
+def test_lidskii_mult_takes_one_eigensolve_per_mean_in_trial_order(monkeypatch):
+    # Each trial forms its mean alone: one single-matrix eigensolve of
+    # the 2n x 2n congruence C per trial, in trial order.
     eigh = sympspec.linalg._EIGH
-    stacks = []
+    shapes = []
 
     def counted(s, signature):
-        stacks.append(s.shape)
+        shapes.append(s.shape)
         return eigh(s, signature=signature)
 
     monkeypatch.setattr(sympspec.linalg, "_EIGH", counted)
-    run_suite("lidskii-mult", SuiteConfig(suite="lidskii-mult", master_seed=3, report_path=None))
-    assert sorted(shape[1] for shape in stacks) == [4, 6, 8, 10]
-    assert sum(shape[0] for shape in stacks) == sympspec.harness._SUITES["lidskii-mult"][2]
+    out = run_suite("lidskii-mult", SuiteConfig(suite="lidskii-mult", master_seed=3,
+                                                report_path=None))
+    sizes = {r["trial"]: r["n"] for r in out["records"]}
+    assert len(sizes) == sympspec.harness._SUITES["lidskii-mult"][2]
+    assert shapes == [(2 * sizes[t], 2 * sizes[t]) for t in sorted(sizes)]
 
 
 @pytest.mark.parametrize("suite", ["lidskii-add", "lidskii-mult"])

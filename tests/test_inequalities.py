@@ -136,13 +136,13 @@ def test_mean_riccati_record_is_tiny_on_random_pairs(n):
 
 
 def test_mean_riccati_record_fails_on_a_wrong_mean(monkeypatch):
-    mean_from = inequalities._mean_from
+    mean_factor = inequalities._mean_factor
 
-    def wrong(low, eig):
-        mean, f = mean_from(low, eig)
+    def wrong(pd_a, pd_b):
+        mean, f = mean_factor(pd_a, pd_b)
         return 1.001 * mean, f
 
-    monkeypatch.setattr(inequalities, "_mean_from", wrong)
+    monkeypatch.setattr(inequalities, "_mean_factor", wrong)
     rec = multiplicative_trial_records(0, 3, np.random.default_rng(12))[0]
     assert rec.name == "mean-riccati-residual"
     assert rec.lhs > 1e-3 and not rec.passed

@@ -204,16 +204,14 @@ def test_the_svd_routes_of_a_200_band_equal_scipys_dgesdd_bit_for_bit():
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 50, 100])
 def test_the_eigensolve_routes_equal_scipys_dsyevd_bit_for_bit(n):
     # numpy's eigh gufunc replaced scipy's dsyevd on the lower triangle,
-    # for one matrix (_eigh and sym_eig) and for a stack (sym_eig).
+    # in _eigh and in sym_eig, which calls it.
     rng = np.random.default_rng(60 + n)
-    stack = np.stack([random_pd(n, rng) for _ in range(3)])
-    outcomes = sym_eig(stack)
-    assert len(outcomes) == 3
-    for s, stacked in zip(stack, outcomes):
+    for _ in range(3):
+        s = random_pd(n, rng)
         w, v, info = lapack.dsyevd(s, lower=1)
         assert info == 0
         want = (w, np.ascontiguousarray(v))
-        for got in (linalg._eigh(s), sym_eig(s), stacked):
+        for got in (linalg._eigh(s), sym_eig(s)):
             assert _same_bits(got, want)
 
 
@@ -230,35 +228,27 @@ def test_random_orthogonal_equals_scipys_dgeqrf_and_dorgqr_bit_for_bit(dim):
         assert got.flags.c_contiguous and _same_bits(got, want)
 
 
-@pytest.mark.filterwarnings("error")
-def test_a_stacked_eigensolve_keeps_each_refusal_with_its_matrix(monkeypatch):
-    stack = np.stack([random_pd(2, np.random.default_rng(k)) for k in range(4)])
-    alone = [sym_eig(s) for s in stack]
+def test_one_failed_eigensolve_is_refused_by_the_gufunc_flag(monkeypatch):
+    # sym_eig calls the gufunc through _factor, which raises the flag by
+    # which a dsyevd failure is reported, before any residual is taken.
+    monkeypatch.setattr(linalg, "_EIGH", _failing(linalg._EIGH))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalContractError, match="LAPACK factorization failed"):
+            sym_eig(random_pd(2, np.random.default_rng(3)))
+
+
+def test_an_eigensolve_off_its_residual_is_refused(monkeypatch):
     eigh = linalg._EIGH
 
     def spoiled(s, signature):
         w, v = eigh(s, signature=signature)
-        v[1, 0, 0] += 1e-6   # a residual above its bound
-        w[2] = np.nan        # as the gufunc reports a dsyevd failure
+        v[0, 0] += 1e-6
         return w, v
 
     monkeypatch.setattr(linalg, "_EIGH", spoiled)
-    outcomes = sym_eig(stack)
-    for i in (0, 3):
-        assert _same_bits(outcomes[i], alone[i])
-    for i in (1, 2):
-        assert type(outcomes[i]) is NumericalContractError
-        assert str(outcomes[i]).startswith("eigendecomposition residual")
-
-
-def test_one_failed_eigensolve_is_refused_by_its_residual(monkeypatch):
-    # sym_eig ignores the gufunc's failure flag for one matrix as for a
-    # stack: the NaN that a dsyevd failure leaves fails the residual.
-    monkeypatch.setattr(linalg, "_EIGH", _failing(linalg._EIGH))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NumericalContractError, match="eigendecomposition residual nan"):
-            sym_eig(random_pd(2, np.random.default_rng(3)))
+    with pytest.raises(NumericalContractError, match="eigendecomposition residual"):
+        sym_eig(random_pd(2, np.random.default_rng(3)))
 
 
 def test_check_symmetric_rejects_asymmetry():
@@ -440,9 +430,10 @@ def test_williamson_certifies_a_perturbed_skew_canonical_factor(monkeypatch):
 
 
 SKEW_ROUTES = {"canonical": linalg._skew_canonical, "spectrum": linalg._skew_spectrum}
-# The contract each route's refusal of a K that is not finite or not skew
-# names: the band certificate, or the pairing defect of the SVD of K.
-ROUTE_CONTRACT = {"canonical": "band defect", "spectrum": "pairing defect"}
+# What each route's refusal of a K that is not finite names: the failure
+# flag of the bidiagonal SVD of the band, or the pairing defect of the
+# SVD of K.
+ROUTE_CONTRACT = {"canonical": "LAPACK factorization failed", "spectrum": "pairing defect nan"}
 
 
 def _random_skew(m, rng):
@@ -502,22 +493,28 @@ def test_a_stacked_spectrum_has_the_bits_of_one_at_a_time_calls(n):
 _RANK_2 = np.random.default_rng(3).standard_normal((4, 2))
 
 
-# The band step checks no input, but a K that is not finite or not skew
-# cannot yield d: H = Z.T K Z is then not skew either, and the band
-# certificate, which a NaN fails, measures exactly that defect of H.  The
-# SVD of K gives a K that is not finite a NaN pairing defect, and a K
-# that is not skew unpaired singular values.
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("route", SKEW_ROUTES)
-@pytest.mark.parametrize("k, error, match", [
-    (np.full((4, 4), np.nan), NumericalContractError, "{} nan"),
-    (np.full((4, 4), np.inf), NumericalContractError, "{} nan"),
-    (np.triu(np.ones((4, 4)), 1), NumericalContractError, "{}"),
-    (np.zeros((2, 2)), ValidationError, "singular to working precision"),
+# Neither route checks its input, but a K that is not finite cannot
+# yield d: dgehrd leaves a band of NaN, whose SVD raises the gufunc's
+# failure flag, and the SVD of K gives it a NaN pairing defect.  A K that
+# is not skew has unpaired singular values, which only the spectrum route
+# measures: the one caller of the canonical route, core.williamson, forms
+# its K exactly skew.
+_BAD_K = {
+    "nan": (np.full((4, 4), np.nan), NumericalContractError, "{}"),
+    "inf": (np.full((4, 4), np.inf), NumericalContractError, "{}"),
+    "zero": (np.zeros((2, 2)), ValidationError, "singular to working precision"),
     # Rank 2 in size 4: K = G J G.T with G of size 4 x 2.
-    (_RANK_2 @ np.array([[0.0, 1.0], [-1.0, 0.0]]) @ _RANK_2.T, ValidationError,
-     "singular to working precision"),
-], ids=["nan", "inf", "not-skew", "zero", "rank-deficient"])
+    "rank-deficient": (_RANK_2 @ np.array([[0.0, 1.0], [-1.0, 0.0]]) @ _RANK_2.T,
+                       ValidationError, "singular to working precision"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("route, k, error, match", [
+    pytest.param(route, *case, id=f"{name}-{route}")
+    for name, case in _BAD_K.items() for route in SKEW_ROUTES
+] + [pytest.param("spectrum", np.triu(np.ones((4, 4)), 1), NumericalContractError,
+                  "pairing defect", id="not-skew-spectrum")])
 def test_both_skew_routes_refuse_bad_input(route, k, error, match):
     with pytest.raises(error, match=match.format(ROUTE_CONTRACT[route])):
         SKEW_ROUTES[route](k)
@@ -598,21 +595,23 @@ def test_skew_canonical_maps_lapack_and_svd_failures(monkeypatch):
         linalg._skew_canonical(k)
 
 
-def test_skew_canonical_certifies_the_hessenberg_band(monkeypatch):
-    # One entry above the super-diagonal of H, which the band drops.
-    k = _random_skew(3, np.random.default_rng(31))
+@pytest.mark.parametrize("seed", range(5))
+def test_williamson_refuses_the_basis_of_a_faulty_reduction(seed, monkeypatch):
+    # dgehrd reduces K + E, ||E||_F = 1e-6 ||K||_F, in place of K: the
+    # basis built from that band is canonical for K + E, and the form
+    # defect of williamson's basis M refuses it.
+    rng = np.random.default_rng(31 + seed)
+    a = random_pd(3, rng)
     gehrd = linalg._GEHRD
 
-    def off_band(a, lwork):
-        ht, tau, info = gehrd(a, lwork=lwork)
-        ht = ht.copy()
-        ht[0, 3] += 1e-6 * fnorm(k)
-        return ht, tau, info
+    def faulty(k, lwork):
+        e = rng.standard_normal(k.shape)
+        return gehrd(k + 1e-6 * fnorm(k) / fnorm(e) * e, lwork=lwork)
 
-    linalg._skew_canonical(k)
-    monkeypatch.setattr(linalg, "_GEHRD", off_band)
-    with pytest.raises(NumericalContractError, match="band defect"):
-        linalg._skew_canonical(k)
+    williamson(a)
+    monkeypatch.setattr(linalg, "_GEHRD", faulty)
+    with pytest.raises(NumericalContractError, match="basis form defect"):
+        williamson(a)
 
 
 @pytest.mark.parametrize("k, error, match", [
@@ -649,18 +648,14 @@ def _diagonal_skew(d, sign):
     return sign * core._cholesky_skew(np.linalg.cholesky(a))
 
 
-def test_hessenberg_band_equals_the_dense_construction_bit_for_bit(monkeypatch):
+def test_hessenberg_band_equals_the_dense_construction_bit_for_bit():
     rng = np.random.default_rng(53)
     inputs = [_random_skew(int(rng.integers(1, 8)), rng) for _ in range(50)]
     inputs += [_diagonal_skew(np.array(d), sign)
                for d in ([1.0, 2.0, 3.0], [2.0, 5.0]) for sign in (1.0, -1.0)]
-    values = []
-    monkeypatch.setattr(linalg, "_contract", lambda name, value, bound, detail="":
-                        values.append(value))
     for k in inputs:
         ht, tau, b = linalg._hessenberg_band(k)
         e = 0.5 * (ht.diagonal(-1) - ht.diagonal(1))
-        assert values.pop() == fnorm(np.triu(ht) + np.diag(e, 1))
         dense = np.diag(-e[0::2]) + np.diag(e[1::2], -1)
         assert b.flags.c_contiguous and b.tobytes() == dense.tobytes()
 
