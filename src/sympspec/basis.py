@@ -147,7 +147,9 @@ def same_span_trace_check(a, x_set, v_set, basis, check=True):
     span; so lhs and rhs are traces of A over one subspace and agree,
     which check=True enforces within 1e-9 relative.
     """
-    a = np.asarray(a, dtype=float)
+    a = _real(a, "matrix")
+    if a.shape != (2 * basis.n,) * 2:
+        raise ValidationError(f"matrix must have shape {(2 * basis.n,) * 2}, got {a.shape}")
     x_set = np.asarray(x_set, dtype=float)
     v_set = np.asarray(v_set, dtype=float)
     if x_set.shape != v_set.shape:

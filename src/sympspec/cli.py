@@ -232,7 +232,8 @@ def build_parser():
                    help="tolerance of each record (default: harness.DEFAULT_TOL)")
     p.add_argument("--report", default="sympspec_report.json",
                    help="report path; pass an empty string to skip writing")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="recorded in timing.jobs; trials run serially (a thread pool was slower)")
     p.add_argument("--replay", type=_replay_spec, default=None,
                    metavar="PATH:SUITE:TRIAL",
                    help="re-run one recorded trial from a report and compare")

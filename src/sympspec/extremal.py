@@ -46,7 +46,10 @@ from .inequalities import (
     schur_concave_monotone_check,
     supermajorize,
 )
-from .linalg import _eigh, _factor, _svdvals, fnorm, orthonormal_columns, subspace_intersect
+from .linalg import (
+    _check_finite, _eigh, _factor, _real, _svdvals, fnorm, orthonormal_columns,
+    subspace_intersect,
+)
 
 PAIR_FLOOR = 1e-6
 SAMPLE_RETRIES = 50
@@ -56,10 +59,12 @@ _QR_R_RAW, _QR_REDUCED = _umath_linalg.qr_r_raw, _umath_linalg.qr_reduced
 
 
 def tuple_value(a, x, y):
-    """Mean quadratic energy 0.5 sum_j (x_j A x_j + y_j A y_j)."""
-    a = np.asarray(a, dtype=float)
+    """Mean quadratic energy 0.5 sum_j (x_j A x_j + y_j A y_j) of a real (2n, 2n) A."""
+    a = _real(a, "matrix")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if a.shape != (x.shape[0],) * 2:
+        raise ValidationError(f"matrix must have shape {(x.shape[0],) * 2}, got {a.shape}")
     return 0.5 * float((x * (a @ x)).sum() + (y * (a @ y)).sum())
 
 
@@ -162,6 +167,9 @@ def poincare_witness(m_sub, basis, a):
     basis norm of u, which is 1.
     """
     n = basis.n
+    a = _real(a, "matrix")
+    if a.shape != (2 * n,) * 2:
+        raise ValidationError(f"matrix must have shape {(2 * n,) * 2}, got {a.shape}")
     m_sub = np.asarray(m_sub, dtype=float)
     # _coords_subspace refuses an m_sub that is not 2-D with 2n rows.
     mc = _coords_subspace(m_sub, basis)
@@ -176,9 +184,11 @@ def poincare_witness(m_sub, basis, a):
         raise ConstructionError(
             "witness search failed: no invariant plane in the canonical intersection"
         )
-    a = np.asarray(a, dtype=float)
     u, u_prime = basis.lift(g), basis.lift(prime_coords(g))
-    uc = g @ _eigh(0.5 * (u.T @ a @ u + u_prime.T @ a @ u_prime))[1][:, -1]
+    # _eigh flags no NaN in a small matrix, so a non-finite A is refused here.
+    c = 0.5 * (u.T @ a @ u + u_prime.T @ a @ u_prime)
+    _check_finite(c, "compression of the matrix")
+    uc = g @ _eigh(c)[1][:, -1]
     return basis.lift(uc), basis.lift(prime_coords(uc))
 
 

@@ -2,8 +2,7 @@
 
 Each suite is a sequence of independent trials.  Trial t of suite s
 under master seed m draws from a dedicated generator keyed by
-(m, crc32(s), t), so results are identical whether trials run serially
-or on a thread pool, and any single trial can be replayed from a saved
+(m, crc32(s), t), so any single trial can be replayed from a saved
 report.  A trial is a draw, (t, cfg, rng) -> (n, *instance), which takes
 every random choice that fixes the instance, planted cases included, and
 a certify step, which goes on with the same generator for what a
@@ -29,7 +28,6 @@ import time
 import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import partial
 from numbers import Real
 from typing import Optional
 
@@ -314,23 +312,12 @@ def _certify_majorization(cfg, rng, x, y, am, bm, up, down, hi, lo):
     ]
 
 
-def _map(config, fn, items):
-    """[fn(x) for x in items], on a pool of config.jobs threads when jobs > 1."""
-    if config.jobs == 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _each(certify):
     """The certify step of a suite whose trials share no work:
-    certify(cfg, rng, *instance) on each drawn trial, on the pool when
-    cfg.jobs > 1."""
+    certify(cfg, rng, *instance) on each drawn trial."""
     def each(cfg, drawn):
-        return _map(cfg, lambda x: x if isinstance(x, Exception)
-                    else _attempt(certify, cfg, x[1], *x[2]), drawn)
+        return [x if isinstance(x, Exception) else _attempt(certify, cfg, x[1], *x[2])
+                for x in drawn]
     return each
 
 
@@ -376,7 +363,7 @@ def _suite_records(suite_id, config, trials):
     survive and replay reproduces the failure.
     """
     draw, certify, _ = _SUITES[suite_id]
-    drawn = _map(config, partial(_attempt, _drawn, draw, suite_id, config), trials)
+    drawn = [_attempt(_drawn, draw, suite_id, config, t) for t in trials]
     out = []
     for t, x, outcome in zip(trials, drawn, certify(config, drawn)):
         if isinstance(outcome, Exception):

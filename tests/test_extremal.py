@@ -10,6 +10,7 @@ from sympspec.basis import (
     _sharp_std,
     dual_chain_construct,
     prime_coords,
+    same_span_trace_check,
 )
 from sympspec.core import (
     compress,
@@ -237,6 +238,29 @@ def test_poincare_witness_refuses_a_subspace_that_is_not_2d():
     _, _, basis = _instance(2, 5)
     with pytest.raises(ValidationError, match="subspace basis has invalid shape"):
         poincare_witness(np.ones(4), basis, np.eye(4))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_poincare_witness_refuses_a_nan_matrix(n):
+    # The eigensolve runs on the compression of A, so a NaN A of any size
+    # must be caught there.
+    with pytest.raises(ValidationError, match="compression of the matrix must be finite"):
+        poincare_witness(np.eye(2 * n), SymplecticBasis.standard(n), np.nan * np.eye(2 * n))
+
+
+_X, _V = np.eye(4)[:, :1], np.eye(4)[:, 2:3]
+
+
+@pytest.mark.parametrize("a", [np.ones(4), np.eye(3), np.eye(4) + 0j],
+                         ids=["1-d", "3x3", "complex"])
+@pytest.mark.parametrize("call", [
+    lambda a: tuple_value(a, _X, _V),
+    lambda a: same_span_trace_check(a, _X, _V, SymplecticBasis.standard(2)),
+    lambda a: poincare_witness(np.eye(4), SymplecticBasis.standard(2), a),
+], ids=["tuple_value", "same_span_trace_check", "poincare_witness"])
+def test_a_matrix_that_is_not_real_and_2n_by_2n_is_refused(call, a):
+    with pytest.raises(ValidationError, match="matrix must"):
+        call(a)
 
 
 def _witness_space(m_sub, basis, k):

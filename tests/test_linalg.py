@@ -63,10 +63,11 @@ def test_cli_import_skips_scipy_linalg_and_shares_its_lapack_routines():
 
 
 # Each command loads only the modules it runs: the spectra commands none of
-# the verification layers, the thread pool or top-level scipy, and mean
-# the inequalities module alone on top of those.  No command and no suite,
-# a replayed construction trial (which draws with random_symplectic) and
-# a full default run_all included, imports scipy or scipy.linalg; an
+# the verification layers or top-level scipy, and mean the inequalities
+# module alone on top of those.  No command and no suite, a replayed
+# construction trial (which draws with random_symplectic) and a full
+# default run_all included, imports scipy or scipy.linalg, and none, a
+# verify run with --jobs 4 included, imports concurrent.futures; an
 # import of scipy.linalg afterwards still works.
 _COMMAND_IMPORTS = """
 import os, sys
@@ -93,9 +94,11 @@ assert main(["verify", "--suite", "lidskii-add", "--trials", "2", "--report", "r
 assert main(["verify", "--replay", "r.json:lidskii-add:1"]) == 0
 assert main(["verify", "--suite", "construction", "--trials", "1", "--report", "c.json"]) == 0
 assert main(["verify", "--replay", "c.json:construction:0"]) == 0
+assert main(["verify", "--suite", "lidskii-add", "--trials", "2", "--jobs", "4",
+             "--report", "j.json"]) == 0
 from sympspec.harness import SuiteConfig, run_all
 run_all(SuiteConfig(report_path=None))
-loaded = [m for m in ("scipy.linalg", "scipy") if m in sys.modules]
+loaded = [m for m in ("scipy.linalg", "scipy", "concurrent.futures") if m in sys.modules]
 assert not loaded, loaded
 import scipy.linalg
 from sympspec.linalg import _GEHRD
