@@ -11,9 +11,10 @@ calls too; one call takes a matrix or a stack), linalg._hessenberg_band
 (the band steps, which only williamson's basis route _skew_canonical
 takes), linalg._skew_spectrum (the spectrum passes, each over one matrix
 or a stack of them), errors._lapack (the calls of scipy's
-_flapack routines), linalg._factor (the single-matrix SVD, symmetric
-eigensolve and QR calls of numpy's gufuncs, linalg.sym_eig's among
-them; the stacked spectrum pass calls its gufunc without it),
+_flapack routines), linalg._factor (every single-matrix call of numpy's
+gufuncs: SVD, symmetric eigensolve, QR, and the Cholesky and eigvals
+calls of check_positive_definite, extremal._pair_floor and ja-eigen;
+the stacked passes call their gufuncs without it),
 basis.dual_chain_construct and inequalities.schur_concave_monotone_check
 (the functional audits), with one total row per seed.  Each function
 is counted by wrapping every name that binds it in every loaded package

@@ -7,11 +7,11 @@ Conventions used throughout the package:
 * symplectic eigenvalues are reported ascending as a length-n vector d,
 * a Williamson basis M satisfies M.T A M = diag(d, d) and M.T J M = J.
 
-Each factorization takes one LAPACK route (see linalg): numpy's gufunc
-where numpy has one, _CHOLESKY and _EIGVALS here, called with the
-signature and np.errstate of numpy's wrapper but not the wrapper, which
-costs more than LAPACK at the package's sizes; scipy's _flapack for the
-two it lacks, _POCON (dpocon) and _TRTRS (dtrtrs).
+Every factorization here calls a handle that linalg binds: numpy's
+Cholesky and eigvals gufuncs through linalg._factor, whose failure on one
+matrix is a NumericalContractError (check_positive_definite re-raises a
+failed Cholesky as its ValidationError), and scipy's dpocon and dtrtrs
+through errors._lapack.
 Every positive definite entry point also takes the PositiveDefinite value
 that check_positive_definite returns, and does not check it again.
 
@@ -34,15 +34,20 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
-from .errors import ValidationError, _attempt, _check_int, _contract, _lapack
+from .errors import (
+    NumericalContractError, ValidationError, _attempt, _check_int, _contract, _lapack,
+)
 from .linalg import (
     EPS,
-    _FLAPACK,
+    _CHOLESKY,
+    _EIGVALS,
+    _POCON,
     _REFUSALS,
+    _TRTRS,
     SYM_RTOL,
     _check_finite,
+    _factor,
     _frobenius,
     _real,
     _skew_canonical,
@@ -57,10 +62,6 @@ WILLIAMSON_RTOL_A = 1e-8
 WILLIAMSON_TOL_J = 1e-9
 TUPLE_TOL = 1e-8
 COND_WARN = 1e12
-
-_POCON, _TRTRS = _FLAPACK.dpocon, _FLAPACK.dtrtrs
-# The gufuncs that numpy.linalg.cholesky and numpy.linalg.eigvals wrap.
-_CHOLESKY, _EIGVALS = _umath_linalg.cholesky_lo, _umath_linalg.eigvals
 
 METHODS = ("skew-canonical", "ja-eigen", "williamson")
 
@@ -123,24 +124,6 @@ def _form_defect(x):
     return fnorm(g)
 
 
-def _not_positive_definite(err, flag):
-    raise ValidationError("matrix is not positive definite: Cholesky factorization failed")
-
-
-def _eigvals_failed(err, flag):
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-
-@np.errstate(call=_not_positive_definite, invalid="call",
-             over="ignore", divide="ignore", under="ignore")
-def _cholesky(a):
-    """numpy.linalg.cholesky(a) for a finite square float64 a: its gufunc
-    under the error state numpy's wrapper sets, with the invalid flag by
-    which the gufunc reports a failed factorization raised as
-    ValidationError."""
-    return _CHOLESKY(a, signature="d->d")
-
-
 class PositiveDefinite(NamedTuple):
     """A matrix that check_positive_definite passed: the symmetrized A,
     its Cholesky factor L with A = L L.T, and kappa, the condition number
@@ -170,7 +153,12 @@ def check_positive_definite(a):
     if isinstance(a, np.ndarray) and a.ndim == 3:
         return _check_stack(_real(a, "matrix"))
     a = check_symmetric(a)
-    return _conditioned(a, _cholesky(a), np.add.reduce(np.abs(a), 0).max())
+    try:
+        low = _factor(_CHOLESKY, "d->d", a)
+    except NumericalContractError:
+        raise ValidationError(
+            "matrix is not positive definite: Cholesky factorization failed") from None
+    return _conditioned(a, low, np.add.reduce(np.abs(a), 0).max())
 
 
 def _conditioned(a, low, norm):
@@ -327,14 +315,11 @@ def symplectic_eigenvalues(a, method="skew-canonical"):
     return _factor_spectra(low)
 
 
-@np.errstate(call=_eigvals_failed, invalid="call",
-             over="ignore", divide="ignore", under="ignore")
 def _ja_spectrum(a):
     """The ja-eigen spectrum of an A that check_positive_definite and
-    half_dim passed: numpy.linalg.eigvals(J A) through its gufunc, under
-    the error state numpy's wrapper sets, so that a failure raises the
-    LinAlgError numpy's wrapper raises."""
-    vals = _EIGVALS(apply_form(a), signature="d->D")
+    half_dim passed: numpy.linalg.eigvals(J A) through its gufunc and
+    linalg._factor."""
+    vals = _factor(_EIGVALS, "d->D", apply_form(a))
     imag = np.sort(np.abs(vals.imag))
     # Spectrum comes in +/- pairs; average the two copies of each d.
     return 0.5 * (imag[::2] + imag[1::2])

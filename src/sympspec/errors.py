@@ -1,8 +1,9 @@
 """Exception types shared across the package, and six helpers.  Three
 raise NumericalContractError: _contract for every post-hoc accuracy
 check, which passes only when value <= bound, so a NaN fails it, _lapack
-for every status of a scipy LAPACK routine, and _gufunc_failed, the one
-np.errstate callback of numpy's SVD, eigensolve and QR gufuncs.  The
+for every status of a scipy LAPACK routine, and _gufunc_failed, the
+np.errstate callback of linalg._factor, the one route by which a numpy
+gufunc's failed factorization of one matrix reaches a caller.  The
 fourth, _check_int, raises ValidationError for every count, size, order,
 seed and trial argument that is not an integer or lies below its
 minimum.  _attempt and _value carry an error as a value, so that work

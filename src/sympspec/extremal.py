@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .basis import (
     SymplecticBasis,
@@ -30,9 +29,7 @@ from .basis import (
 )
 from .core import (
     TUPLE_TOL,
-    _TRTRS,
     _checked,
-    _cholesky,
     as_generator,
     compress,
     symplectic_gram,
@@ -47,15 +44,12 @@ from .inequalities import (
     supermajorize,
 )
 from .linalg import (
-    _check_finite, _eigh, _factor, _real, _svdvals, fnorm, orthonormal_columns,
-    subspace_intersect,
+    _CHOLESKY, _QR_R_RAW, _QR_REDUCED, _TRTRS, _check_finite, _eigh, _factor, _real,
+    _svdvals, fnorm, orthonormal_columns, subspace_intersect,
 )
 
 PAIR_FLOOR = 1e-6
 SAMPLE_RETRIES = 50
-
-# The gufuncs numpy.linalg.qr calls to factor a matrix and to form its reduced Q.
-_QR_R_RAW, _QR_REDUCED = _umath_linalg.qr_r_raw, _umath_linalg.qr_reduced
 
 
 def tuple_value(a, x, y):
@@ -268,7 +262,7 @@ def _pair_floor(a, w):
     <x, J y> = 1, from A and J alone: with G an orthonormal basis of
     span(w) and G^T A G = L L^T, it is 1 / sigma_max(L^-1 G^T J G L^-T)."""
     g = orthonormal_columns(w)
-    low = _cholesky(g.T @ a @ g)
+    low = _factor(_CHOLESKY, "d->d", g.T @ a @ g)
     half = _lapack(_TRTRS, "triangular solve", low, symplectic_gram(g, g), lower=1)
     full = _lapack(_TRTRS, "triangular solve", low, half.T, lower=1)
     return 1.0 / float(_svdvals(full)[0])

@@ -35,9 +35,7 @@ from .core import (
     random_pd,
 )
 from .errors import _TRIAL_ERRORS, ValidationError, _check_int, _lapack, _value
-from .linalg import _FLAPACK, _below, _by_size, fnorm, sym_eig
-
-_SYGST = _FLAPACK.dsygst
+from .linalg import _SYGST, _below, _by_size, _real, fnorm, sym_eig
 
 
 def geometric_mean(a, b):
@@ -312,6 +310,7 @@ def _additive_plan(a, b, index_set, tol):
     """An additive trial's plan (see _run_plans): it checks A + B, A and,
     unless B is A, B in one batch, takes their spectra from their factors
     in a second, and returns the trial's records."""
+    a, b = _real(a, "matrix"), _real(b, "matrix")
     _check_same_size(a, b)
     pd_sum, *pds = yield check_positive_definite, [a + b, a] + ([] if b is a else [b])
     pd_sum = _value(pd_sum)

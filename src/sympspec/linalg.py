@@ -19,29 +19,31 @@ basis takes the Hessenberg band of K, whose bidiagonal SVD gives each
 pair of singular vectors in canonical form; an SVD of K itself would
 leave them free to rotate inside each pair.
 
-LAPACK takes one route per routine.  Where numpy has a gufunc for it,
-in numpy.linalg._umath_linalg, that gufunc is called and nothing else:
-_SVD_F, _SVD_S and _SVD (dgesdd: full, reduced, values only), _EIGH
-(dsyevd, lower triangle), extremal._QR_R_RAW and _QR_REDUCED (dgeqrf,
-dorgqr), core._CHOLESKY and _EIGVALS.  Each is called with the signature
-and error state numpy.linalg's wrapper passes, but without the wrapper,
+This module is the package's one LAPACK binding; core, extremal and
+inequalities import the handles they call.  Where numpy has a gufunc
+for a routine, in numpy.linalg._umath_linalg, that gufunc is called and
+nothing else: _SVD_F, _SVD_S and _SVD (dgesdd: full, reduced, values
+only), _EIGH (dsyevd, lower triangle), _CHOLESKY, _EIGVALS, _QR_R_RAW
+and _QR_REDUCED (dgeqrf, dorgqr).  Each is called with the signature and
+error state numpy.linalg's wrapper passes, but without the wrapper,
 which costs more than LAPACK at the package's sizes; the bits are
-numpy's.  _factor makes one call on one matrix and raises the invalid
-flag, by which a gufunc reports a failed factorization, as
-NumericalContractError (errors._gufunc_failed); _svd, _svdvals and _eigh
-call it.  The stack passes (_paired, core._check_stack) ignore that
-flag, and each matrix's certificate refuses the NaN a failure leaves.
+numpy's.  Every call on one matrix goes through _factor, which raises
+the invalid flag, by which a gufunc reports a failed factorization, as
+NumericalContractError (errors._gufunc_failed): the one route of such a
+failure to a caller.  The stack passes (_paired, core._check_stack)
+ignore that flag, and each matrix's certificate refuses the NaN a
+failure leaves, so that each matrix of a stack keeps its own verdict.
 
-scipy.linalg._flapack serves the five routines numpy lacks: linalg._GEHRD
-and _ORGHR (the Hessenberg band, and the basis of _skew_canonical),
-core._POCON and _TRTRS, and inequalities._SYGST, each status through
-errors._lapack.  They are the objects scipy.linalg.get_lapack_funcs
-returns.  _load_flapack() loads the extension from its file, found
-through scipy's import spec, without the init of scipy or scipy.linalg,
-which costs more than half of a cold CLI start; the extension's RPATH
-($ORIGIN/../../scipy.libs) finds the OpenBLAS it links.  check_symmetric,
-the input check of every positive definite entry point, is one body for
-speed: it calls neither check_square nor _check_finite.
+scipy.linalg._flapack serves the five routines numpy lacks: _GEHRD and
+_ORGHR (the Hessenberg band, and the basis of _skew_canonical), _POCON,
+_TRTRS and _SYGST, each status through errors._lapack.  They are the
+objects scipy.linalg.get_lapack_funcs returns.  _load_flapack() loads
+the extension from its file, found through scipy's import spec, without
+the init of scipy or scipy.linalg, which costs more than half of a cold
+CLI start; the extension's RPATH ($ORIGIN/../../scipy.libs) finds the
+OpenBLAS it links.  check_symmetric, the input check of every positive
+definite entry point, is one body for speed: it calls neither
+check_square nor _check_finite.
 
 Two routines take one matrix or a stack of them, shape (m, k, k), and
 give a stack's matrices the bits each gets alone: _skew_spectrum and
@@ -85,9 +87,11 @@ INTERSECT_COS_TOL = 1e-8
 EPS = np.finfo(float).eps
 # The verdicts a stack form keeps per matrix of a stack.
 _REFUSALS = (NumericalContractError, ValidationError)
-# numpy.linalg.svd's gufuncs (full, reduced, values only) and eigh's.
+# numpy.linalg's gufuncs: svd (full, reduced, values only), eigh, cholesky, eigvals, qr.
 _SVD_F, _SVD_S, _SVD = _umath_linalg.svd_f, _umath_linalg.svd_s, _umath_linalg.svd
-_EIGH = _umath_linalg.eigh_lo
+_EIGH, _CHOLESKY = _umath_linalg.eigh_lo, _umath_linalg.cholesky_lo
+_EIGVALS, _QR_R_RAW, _QR_REDUCED = (_umath_linalg.eigvals, _umath_linalg.qr_r_raw,
+                                    _umath_linalg.qr_reduced)
 
 
 def _load_flapack():
@@ -119,6 +123,7 @@ def _load_flapack():
 
 _FLAPACK = _load_flapack()
 _GEHRD, _ORGHR = _FLAPACK.dgehrd, _FLAPACK.dorghr
+_POCON, _TRTRS, _SYGST = _FLAPACK.dpocon, _FLAPACK.dtrtrs, _FLAPACK.dsygst
 
 
 def fnorm(a):
@@ -165,11 +170,15 @@ def _below(m):
 
 
 def _real(a, name):
-    """a as a float array; a complex array is refused, not cast to its real part."""
-    a = np.asarray(a)
-    if a.dtype.kind == "c":
-        raise ValidationError(f"{name} must be real")
-    return np.asarray(a, dtype=float)
+    """a as a float array; a complex array is refused, not cast to its real
+    part, and so is one numpy cannot read as floats (strings, ragged rows)."""
+    try:
+        a = np.asarray(a)
+        if a.dtype.kind != "c":
+            return np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"{name} must be real numbers")
 
 
 def check_square(a, name="matrix"):
@@ -387,8 +396,8 @@ def _paired(k):
     (dgesdd, values only), under numpy's error state except for the
     invalid flag: a matrix on which dgesdd fails comes back as NaN, which
     that matrix's pairing defect refuses, where numpy's wrapper would
-    raise one LinAlgError for the whole stack.  The flag is ignored for
-    the finiteness test too, whose sum meets inf - inf in a skew K.
+    refuse the whole stack at once.  The flag is ignored for the
+    finiteness test too, whose sum meets inf - inf in a skew K.
 
     A nonsingular skew K is normal with eigenvalues +-i d, so its singular
     values are d, each twice; d is the mean of each pair.  dgesdd is

@@ -243,6 +243,20 @@ def test_exit_code_3_for_non_pd_input(tmp_path, capsys):
     assert main(["eig", _matrix_file(tmp_path, a)]) == 3
 
 
+def test_a_failed_ja_eigen_eigensolve_exits_4(tmp_path, monkeypatch, capsys):
+    # numpy's eigvals gufunc reports a failure as NaN with the invalid flag
+    # raised; linalg._factor turns it into a NumericalContractError.
+    def no_eigvals(a, signature):
+        return np.sqrt(np.full(a.shape, -1.0))
+
+    monkeypatch.setattr("sympspec.core._EIGVALS", no_eigvals)
+    a = np.diag([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(NumericalContractError, match="LAPACK factorization failed"):
+        symplectic_eigenvalues(a, method="ja-eigen")
+    assert main(["eig", _matrix_file(tmp_path, a), "--method", "ja-eigen"]) == 4
+    assert "LAPACK factorization failed" in capsys.readouterr().err
+
+
 def test_exit_code_3_for_a_mean_of_matrices_of_different_sizes(tmp_path, capsys):
     a = _matrix_file(tmp_path, random_pd(2, RNG), "a.json")
     b = _matrix_file(tmp_path, random_pd(3, RNG), "b.json")

@@ -34,11 +34,13 @@ from sympspec.extremal import (
     det_product_check,
     maxmin_check,
     phi_extremal_check,
+    tuple_value,
     wielandt_certify,
 )
 from sympspec.functionals import phi_sum
 from sympspec.inequalities import additive_lidskii_trial, geometric_mean
 from sympspec.linalg import _skew_canonical, fnorm
+from sympspec.matio import matrix_to_obj
 
 RNG = np.random.default_rng(202)
 
@@ -719,16 +721,21 @@ def test_a_stack_that_is_not_of_square_matrices_is_checked_matrix_by_matrix(shap
 
 @pytest.mark.parametrize("entry", ["check_positive_definite", "williamson", "_pair_floor"])
 def test_an_indefinite_matrix_is_refused_without_a_warning(entry):
+    # An input that fails the check is the caller's fault; a compression
+    # that _pair_floor cannot factor is a failed numerical contract.
     calls = {
-        "check_positive_definite": core.check_positive_definite,
-        "williamson": williamson,
-        "_pair_floor": lambda a: _pair_floor(a, np.eye(4)),
+        "check_positive_definite": (core.check_positive_definite, ValidationError,
+                                    "not positive definite"),
+        "williamson": (williamson, ValidationError, "not positive definite"),
+        "_pair_floor": (lambda a: _pair_floor(a, np.eye(4)), NumericalContractError,
+                        "LAPACK factorization failed"),
     }
+    call, error, message = calls[entry]
     state = np.geterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match="not positive definite"):
-            calls[entry](_INDEFINITE)
+        with pytest.raises(error, match=message):
+            call(_INDEFINITE)
     assert np.geterr() == state
 
 
@@ -830,6 +837,24 @@ def test_every_entry_point_refuses_a_complex_matrix(entry):
     call = COMPLEX_ENTRY_POINTS[entry]
     with pytest.raises(ValidationError, match="matrix must be real"):
         call(np.eye(4) * (1 + 0j))
+
+
+UNREADABLE_ENTRY_POINTS = {
+    **COMPLEX_ENTRY_POINTS,
+    "SymplecticBasis": SymplecticBasis,
+    "tuple_value": lambda a: tuple_value(a, *_TUPLE),
+    "matrix_to_obj": matrix_to_obj,
+}
+
+
+@pytest.mark.parametrize("matrix", [np.full((4, 4), "a"), np.full((4, 4), {}), "abc"],
+                         ids=["strings", "objects", "string"])
+@pytest.mark.parametrize("entry", list(UNREADABLE_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_matrix_that_is_not_numbers(entry, matrix):
+    # numpy's own conversion error, a plain ValueError or TypeError, would
+    # escape the CLI's exit codes.
+    with pytest.raises(ValidationError, match="must be real numbers"):
+        UNREADABLE_ENTRY_POINTS[entry](matrix)
 
 
 STACK_ENTRY_POINTS = {name: call for name, call in COMPLEX_ENTRY_POINTS.items()

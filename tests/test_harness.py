@@ -532,6 +532,33 @@ def test_failed_svd_inside_a_trial_becomes_one_failed_record(monkeypatch):
     assert [r for r in records if r["trial"] != t] == [r for r in clean if r["trial"] != t]
 
 
+def test_a_failed_pair_floor_cholesky_becomes_its_trials_one_failed_record(monkeypatch):
+    # The compression G^T A G that maxmin's floor factors is no input the
+    # caller passed, so its failed Cholesky is a failed contract of its
+    # trial, not a refusal that ends the suite.
+    cfg = SuiteConfig(suite="maxmin", trials=3, master_seed=7, report_path=None)
+    clean = run_suite("maxmin", cfg)["records"]
+    cholesky = sympspec.extremal._CHOLESKY
+    calls = 0
+
+    def fails_second(a, signature):
+        nonlocal calls
+        calls += 1
+        return np.sqrt(np.full(a.shape, -1.0)) if calls == 2 else cholesky(a, signature=signature)
+
+    monkeypatch.setattr(sympspec.extremal, "_CHOLESKY", fails_second)
+    out = run_suite("maxmin", cfg)
+    assert calls == 3
+    records = out["records"]
+    failed = [rec for rec in records if not rec["passed"]]
+    assert failed == [rec for rec in records if rec["trial"] == 1]
+    assert [(r["name"], r["n"]) for r in failed] == [("contract-error", None)]
+    assert failed[0]["instance"] == {"error": "NumericalContractError",
+                                     "message": "LAPACK factorization failed: "
+                                                "the gufunc flagged an invalid value"}
+    assert [r for r in records if r["trial"] != 1] == [r for r in clean if r["trial"] != 1]
+
+
 def _same_input(x, y):
     """True when two first arguments, a matrix, a checked matrix or a list
     of matrices, are equal."""

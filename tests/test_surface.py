@@ -1,7 +1,8 @@
 """The package's export list matches what it binds, it defines (as a
 function, class or module-level assignment) nothing that neither its own
-code nor its export list uses, its version has one source, and its
-numerical contracts raise only through errors.py."""
+code nor its export list uses, its version has one source, its
+numerical contracts raise only through errors.py, and it binds LAPACK
+in linalg.py alone."""
 
 import ast
 import inspect
@@ -105,7 +106,7 @@ def _contract_raises(tree):
 def test_numerical_contracts_raise_only_through_the_helpers():
     # A contract or LAPACK status check written inline would bypass the
     # helpers' policy that NaN fails.  Every _flapack routine reports its
-    # status through _lapack, and every SVD, eigensolve and QR gufunc its
+    # status through _lapack, and every gufunc call on one matrix its
     # failure flag through the one errstate callback _gufunc_failed, so no
     # LinAlgError is mapped by hand.
     allowed = {("errors.py", "_contract"), ("errors.py", "_lapack"),
@@ -128,3 +129,25 @@ def test_flapack_serves_only_the_routines_numpy_has_no_gufunc_for():
                     and node.value.id == "_FLAPACK"):
                 used.add(node.attr)
     assert used == {"dgehrd", "dorghr", "dpocon", "dtrtrs", "dsygst"}
+
+
+def test_linalg_alone_binds_lapack_and_factor_alone_maps_a_gufunc_failure():
+    # numpy's private _umath_linalg and scipy's _flapack are named in one
+    # module, and the one np.errstate(call=...) is linalg._factor's, the
+    # route of every single-matrix gufunc failure.
+    binders, callbacks, factor = set(), [], None
+    for path in Path(sympspec.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = {getattr(node, key, None) for key in ("id", "attr", "name")}
+            if isinstance(node, ast.ImportFrom):
+                named |= set((node.module or "").split("."))
+            if named & {"_umath_linalg", "_FLAPACK"}:
+                binders.add(path.name)
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "errstate"
+                    and any(k.arg == "call" for k in node.keywords)):
+                callbacks.append((path.name, node))
+            if isinstance(node, ast.FunctionDef) and node.name == "_factor":
+                factor = (path.name, node)
+    assert binders == {"linalg.py"}
+    [(name, call)] = callbacks
+    assert name == factor[0] == "linalg.py" and call in factor[1].decorator_list

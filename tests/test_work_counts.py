@@ -59,8 +59,9 @@ def test_a_stack_counts_each_matrix_it_checks():
 
 
 def test_the_mean_command_checks_a_and_b_and_not_the_mean(tmp_path, monkeypatch, capsys):
-    # d(A # B) comes from the factor the mean is formed with, and the
-    # mean's one eigensolve goes through the linalg._factor guard.
+    # d(A # B) comes from the factor the mean is formed with.  The
+    # linalg._factor guard counts the Cholesky of A and of B and the
+    # mean's one eigensolve.
     monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(8)
     save_matrix(core.random_pd(3, rng), "a.json")
@@ -69,7 +70,7 @@ def test_the_mean_command_checks_a_and_b_and_not_the_mean(tmp_path, monkeypatch,
         assert cli.main(["mean", "a.json", "b.json"]) == 0
     assert counts["checks"] == counts["cholesky"] == 2
     assert counts["spectrum_passes"] == 1
-    assert counts["gufuncs"] == 1
+    assert counts["gufuncs"] == 3
 
 
 def test_the_guard_counts_each_one_matrix_svd_eigensolve_and_qr_call():
