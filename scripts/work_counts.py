@@ -2,7 +2,7 @@
 """Work counts of seeded verify runs.
 
 For each master seed and suite, at the suite's default trial count, this
-prints how often eight functions ran: core.check_positive_definite, counted
+prints how often seven functions ran: core.check_positive_definite, counted
 by the matrices it checks (one for a matrix, m for a stack of m; a
 matrix that a stack refuses is checked again alone for its error, and
 counts twice), numpy's Cholesky gufunc
@@ -14,9 +14,8 @@ or a stack of them), errors._lapack (the calls of scipy's
 _flapack routines), linalg._factor (every single-matrix call of numpy's
 gufuncs: SVD, symmetric eigensolve, QR, and the Cholesky and eigvals
 calls of check_positive_definite, extremal._pair_floor and ja-eigen;
-the stacked passes call their gufuncs without it),
-basis.dual_chain_construct and inequalities.schur_concave_monotone_check
-(the functional audits), with one total row per seed.  Each function
+the stacked passes call their gufuncs without it) and
+basis.dual_chain_construct, with one total row per seed.  Each function
 is counted by wrapping every name that binds it in every loaded package
 module, and in numpy's _umath_linalg, for the length of the run; the
 names are restored afterwards.  A name that the package does not define
@@ -33,7 +32,7 @@ import sys
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from sympspec import basis, core, errors, inequalities, linalg
+from sympspec import basis, core, errors, linalg
 from sympspec.harness import SUITE_IDS, SuiteConfig, run_suite
 
 MASTER_SEEDS = (0, 7, 105, 110, 424242)
@@ -47,7 +46,6 @@ COUNTED = {
     "lapack": errors._lapack,
     "gufuncs": linalg._factor,
     "constructions": basis.dual_chain_construct,
-    "audits": inequalities.schur_concave_monotone_check,
 }
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _form_defect, apply_form, as_generator, symplectic_gram
+from .core import _form_defect, _symmetric, apply_form, as_generator, symplectic_gram
 from .errors import ConstructionError, ValidationError, _check_int, _contract
 from .linalg import (
     INTERSECT_COS_TOL,
@@ -43,7 +43,7 @@ BASIS_TOL = 1e-8
 
 def prime_coords(a):
     """The prime map in basis coordinates, -J: (alpha, beta) -> (-beta, alpha)."""
-    a = np.asarray(a, dtype=float)
+    a = _real(a, "coordinates")
     n = a.shape[0] // 2
     return np.concatenate([-a[n:], a[:n]])
 
@@ -86,10 +86,10 @@ class SymplecticBasis:
 
     def coords(self, x):
         """Coordinates (alpha, beta) of x, with x = lift(coords(x))."""
-        return self._coord @ np.asarray(x, dtype=float)
+        return self._coord @ _real(x, "vectors")
 
     def lift(self, a):
-        return self.cols @ np.asarray(a, dtype=float)
+        return self.cols @ _real(a, "coordinates")
 
     def prime(self, x):
         """B-complement x': coordinates (alpha, beta) -> (-beta, alpha)."""
@@ -147,11 +147,10 @@ def same_span_trace_check(a, x_set, v_set, basis, check=True):
     span; so lhs and rhs are traces of A over one subspace and agree,
     which check=True enforces within 1e-9 relative.
     """
-    a = _real(a, "matrix")
+    a = _symmetric(a)
     if a.shape != (2 * basis.n,) * 2:
         raise ValidationError(f"matrix must have shape {(2 * basis.n,) * 2}, got {a.shape}")
-    x_set = np.asarray(x_set, dtype=float)
-    v_set = np.asarray(v_set, dtype=float)
+    x_set, v_set = _real(x_set, "tuple columns"), _real(v_set, "tuple columns")
     if x_set.shape != v_set.shape:
         raise ValidationError(
             f"tuple shapes {x_set.shape} and {v_set.shape} differ"

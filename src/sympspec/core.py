@@ -84,23 +84,21 @@ def symplectic_form(n):
 
 def apply_form(x):
     """J @ x without materializing J; works on vectors and matrices."""
-    x = np.asarray(x, dtype=float)
+    x = _real(x, "vectors")
     n = x.shape[0] // 2
     return np.concatenate([x[n:], -x[:n]], axis=0)
 
 
 def symplectic_inner(x, y):
     """The bilinear form <x, J y>."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _real(x, "vectors"), _real(y, "vectors")
     n = x.shape[0] // 2
     return float(x[:n] @ y[n:] - x[n:] @ y[:n])
 
 
 def symplectic_gram(x, y):
     """Matrix of pairwise form values X.T J Y for column stacks."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _real(x, "vectors"), _real(y, "vectors")
     n = x.shape[0] // 2
     return x[:n].T @ y[n:] - x[n:].T @ y[:n]
 
@@ -213,6 +211,11 @@ def _checked(a):
     if isinstance(a, np.ndarray) and a.ndim == 3:
         check_square(a)
     return check_positive_definite(a)
+
+
+def _symmetric(a):
+    """The matrix of a PositiveDefinite as it stands, else check_symmetric(a)."""
+    return a.a if isinstance(a, PositiveDefinite) else check_symmetric(a)
 
 
 def condition_number(a):
@@ -450,7 +453,7 @@ def random_pd(n, rng, spectrum=None):
         a = r @ r.T
         a.flat[::2 * n + 1] += 1e-3 * (np.trace(a) / (2 * n))
         return a
-    d = np.sort(np.asarray(spectrum, dtype=float))
+    d = np.sort(_real(spectrum, "spectrum"))
     if d.shape != (n,) or not ((0.0 < d) & (d < np.inf)).all():
         raise ValidationError(f"spectrum must be {n} positive finite values, got {spectrum!r}")
     s = random_symplectic(n, rng)

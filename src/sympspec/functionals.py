@@ -7,10 +7,7 @@ invariance that the extremal certificate needs are not declared here:
 they are audited with schur_concave_monotone_check, which evaluates fn
 on whole batches of vectors, and a functional that fails is refused.
 phi_extremal_check audits its functional from the caller's generator
-by default.  The phi-extremal suite audits each functional it draws
-once per run, before it certifies any trial, from a generator keyed by
-the master seed and the functional's name, so the verdict does not
-depend on which trials run.
+by default; the audit of each SHIPPED functional is a tier-1 test.
 """
 
 from __future__ import annotations
@@ -21,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import _check_int
+from .linalg import _real
 
 
 @dataclass(frozen=True)
@@ -36,7 +34,7 @@ class SpectralFunctional:
     fn: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, x):
-        return float(self.fn(np.asarray(x, dtype=float)))
+        return float(self.fn(_real(x, "vector")))
 
 
 def elementary_symmetric(x, r):
@@ -46,7 +44,7 @@ def elementary_symmetric(x, r):
     The recurrence runs over x[..., i] in order, so a vector's value has
     the same bits alone as in a batch; e_r is 0 when r exceeds n.
     """
-    x = np.asarray(x, dtype=float)
+    x = _real(x, "vectors")
     r = _check_int("order", r, minimum=0)
     e = np.zeros((r + 1,) + x.shape[:-1])
     e[0] = 1.0

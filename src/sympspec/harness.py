@@ -8,9 +8,7 @@ every random choice that fixes the instance, planted cases included, and
 a certify step, which goes on with the same generator for what a
 certificate samples.  A suite draws all its trials first, then certifies
 them: certify(cfg, drawn) takes every drawn trial and returns each one's
-records.  Most suites certify each trial on its own (_each);
-phi-extremal first audits each functional it drew once, from a
-generator keyed by the master seed and the functional's name; the two
+records.  Most suites certify each trial on its own (_each); the two
 Lidskii suites run their trials' plans side by side
 (inequalities._trial_outcomes), so all trials share one stacked
 positive-definiteness check per size and one stacked spectrum pass per
@@ -45,7 +43,6 @@ from .core import (
 )
 from .errors import ValidationError, _attempt, _check_int
 from .extremal import (
-    _audit_phi,
     det_product_check,
     maxmin_check,
     phi_extremal_check,
@@ -222,18 +219,6 @@ def _certify_phi(cfg, rng, a, idx, phi):
     return _from_certificate(cert, functional=phi.name)
 
 
-def _phi_extremal(cfg, drawn):
-    """The phi-extremal certify step.  Each distinct functional of the
-    drawn trials, in first-use order, is audited once from a generator
-    keyed by the master seed and its name, so a replayed trial audits
-    with the same draws as the full run; a failing one is refused before
-    any trial is certified.  Then each trial is certified without a
-    second audit."""
-    for phi in dict.fromkeys(x[2][2] for x in drawn if not isinstance(x, Exception)):
-        _audit_phi(phi, trial_rng(cfg.master_seed, "phi-extremal audit " + phi.name, 0))
-    return _each(_certify_phi)(cfg, drawn)
-
-
 def _certify_det_product(cfg, rng, a, idx):
     return _from_certificate(det_product_check(a, idx))
 
@@ -337,7 +322,7 @@ _SUITES = {
     "construction": (_sized(_draw_pd), _each(_certify_construction), 40),
     "lidskii-add": (_sized(_additive_draw), _lidskii(_additive_plan), 150),
     "lidskii-mult": (_sized(_multiplicative_draw), _lidskii(_multiplicative_plan), 80),
-    "phi-extremal": (_sized(_draw_phi), _phi_extremal, 12),
+    "phi-extremal": (_sized(_draw_phi), _each(_certify_phi), 12),
     "det-product": (_sized(_draw_pd_index_set), _each(_certify_det_product), 20),
     "majorization": (_draw_majorization, _each(_certify_majorization), 40),
 }

@@ -115,8 +115,7 @@ def _check_same_size(a, b):
 
 def supermajorize(a, b, atol=0.0):
     """True when every ascending partial sum of a is >= that of b."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = _real(a, "vectors"), _real(b, "vectors")
     if a.ndim != 1 or b.ndim != 1:
         raise ValidationError(f"vectors must be 1-D, got shapes {a.shape} and {b.shape}")
     if a.shape != b.shape:
@@ -126,8 +125,7 @@ def supermajorize(a, b, atol=0.0):
 
 def majorize(a, b, atol=0.0):
     """Supermajorization plus equality of the total sums."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = _real(a, "vectors"), _real(b, "vectors")
     if not supermajorize(a, b, atol=atol):
         return False
     gap = abs(float(a.sum()) - float(b.sum()))

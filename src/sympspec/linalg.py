@@ -171,10 +171,11 @@ def _below(m):
 
 def _real(a, name):
     """a as a float array; a complex array is refused, not cast to its real
-    part, and so is one numpy cannot read as floats (strings, ragged rows)."""
+    part, and so are a bool array, as matio refuses JSON booleans, and one
+    numpy cannot read as floats (strings, ragged rows)."""
     try:
         a = np.asarray(a)
-        if a.dtype.kind != "c":
+        if a.dtype.kind not in "bc":
             return np.asarray(a, dtype=float)
     except (TypeError, ValueError):
         pass

@@ -306,12 +306,12 @@ def test_same_span_trace_check_rejects_span_mismatch():
 
 
 def test_same_span_trace_check_fails_on_a_nan_trace():
-    # One NaN entry of A makes both traces NaN, which no bound admits.
-    a = np.eye(4)
-    a[0, 0] = np.nan
+    # One NaN entry of the tuples makes both traces NaN, which no bound
+    # admits; a NaN A is refused before any trace is formed.
     x = np.eye(4)[:, :1]
+    x[0, 0] = np.nan
     with pytest.raises(NumericalContractError, match="trace equality violated"):
-        same_span_trace_check(a, x, x, SymplecticBasis.standard(2))
+        same_span_trace_check(np.eye(4), x, x, SymplecticBasis.standard(2))
 
 
 @pytest.mark.parametrize("x", [np.ones(4), np.ones((3, 1))], ids=["1-d", "3-rows"])

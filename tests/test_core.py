@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 
 from sympspec import core, errors, inequalities, linalg
-from sympspec.basis import SymplecticBasis
+from sympspec.basis import SymplecticBasis, prime_coords, same_span_trace_check
 from sympspec.core import (
     WILLIAMSON_RTOL_A,
     WILLIAMSON_TOL_J,
@@ -34,11 +34,12 @@ from sympspec.extremal import (
     det_product_check,
     maxmin_check,
     phi_extremal_check,
+    poincare_witness,
     tuple_value,
     wielandt_certify,
 )
-from sympspec.functionals import phi_sum
-from sympspec.inequalities import additive_lidskii_trial, geometric_mean
+from sympspec.functionals import SHIPPED, elementary_symmetric, phi_sum
+from sympspec.inequalities import additive_lidskii_trial, geometric_mean, majorize, supermajorize
 from sympspec.linalg import _skew_canonical, fnorm
 from sympspec.matio import matrix_to_obj
 
@@ -847,14 +848,55 @@ UNREADABLE_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("matrix", [np.full((4, 4), "a"), np.full((4, 4), {}), "abc"],
-                         ids=["strings", "objects", "string"])
+@pytest.mark.parametrize("matrix", [np.full((4, 4), "a"), np.full((4, 4), {}), "abc",
+                                    np.eye(4, dtype=bool)],
+                         ids=["strings", "objects", "string", "bools"])
 @pytest.mark.parametrize("entry", list(UNREADABLE_ENTRY_POINTS))
 def test_every_entry_point_refuses_a_matrix_that_is_not_numbers(entry, matrix):
     # numpy's own conversion error, a plain ValueError or TypeError, would
-    # escape the CLI's exit codes.
+    # escape the CLI's exit codes; a bool array is refused as matio
+    # refuses JSON booleans.
     with pytest.raises(ValidationError, match="must be real numbers"):
         UNREADABLE_ENTRY_POINTS[entry](matrix)
+
+
+_VEC = np.array([1.0, 2.0, 3.0, 4.0])
+_STD = SymplecticBasis.standard(2)
+
+# Every exported callable that takes a vector or a column stack, by the
+# argument under test.
+VECTOR_HELPERS = {
+    "prime_coords": prime_coords,
+    "SymplecticBasis.coords": _STD.coords,
+    "SymplecticBasis.lift": _STD.lift,
+    "apply_form": apply_form,
+    "symplectic_inner-x": lambda x: symplectic_inner(x, _VEC),
+    "symplectic_inner-y": lambda y: symplectic_inner(_VEC, y),
+    "symplectic_gram-x": lambda x: symplectic_gram(x, _VEC),
+    "symplectic_gram-y": lambda y: symplectic_gram(_VEC, y),
+    "tuple_value-x": lambda x: tuple_value(np.eye(4), x, _VEC),
+    "tuple_value-y": lambda y: tuple_value(np.eye(4), _VEC, y),
+    "same_span_trace_check-x": lambda x: same_span_trace_check(np.eye(4), x, _VEC, _STD),
+    "same_span_trace_check-v": lambda v: same_span_trace_check(np.eye(4), _VEC, v, _STD),
+    "poincare_witness": lambda m: poincare_witness(m, _STD, np.eye(4)),
+    "random_pd": lambda d: random_pd(4, 0, spectrum=d),
+    "supermajorize-a": lambda a: supermajorize(a, _VEC),
+    "supermajorize-b": lambda b: supermajorize(_VEC, b),
+    "majorize-a": lambda a: majorize(a, _VEC),
+    "majorize-b": lambda b: majorize(_VEC, b),
+    "elementary_symmetric": lambda x: elementary_symmetric(x, 2),
+    **{f"SpectralFunctional-{phi.name}": phi for phi in SHIPPED},
+}
+
+
+@pytest.mark.parametrize("vector", [np.full(4, "a"), _VEC + 5j, np.ones(4, dtype=bool)],
+                         ids=["strings", "complex", "bools"])
+@pytest.mark.parametrize("helper", list(VECTOR_HELPERS))
+def test_every_vector_helper_refuses_what_is_not_real_numbers(helper, vector):
+    # A complex vector used to lose its imaginary part, and a string one
+    # raised numpy's ValueError.
+    with pytest.raises(ValidationError, match="must be real numbers"):
+        VECTOR_HELPERS[helper](vector)
 
 
 STACK_ENTRY_POINTS = {name: call for name, call in COMPLEX_ENTRY_POINTS.items()

@@ -242,25 +242,42 @@ def test_poincare_witness_refuses_a_subspace_that_is_not_2d():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_poincare_witness_refuses_a_nan_matrix(n):
-    # The eigensolve runs on the compression of A, so a NaN A of any size
-    # must be caught there.
-    with pytest.raises(ValidationError, match="compression of the matrix must be finite"):
+    # The eigensolve of the compression flags no NaN at sizes 1 and 2, so
+    # a NaN A must be refused before it.
+    with pytest.raises(ValidationError, match="matrix must be finite"):
         poincare_witness(np.eye(2 * n), SymplecticBasis.standard(n), np.nan * np.eye(2 * n))
 
 
 _X, _V = np.eye(4)[:, :1], np.eye(4)[:, 2:3]
 
 
-@pytest.mark.parametrize("a", [np.ones(4), np.eye(3), np.eye(4) + 0j],
-                         ids=["1-d", "3x3", "complex"])
-@pytest.mark.parametrize("call", [
-    lambda a: tuple_value(a, _X, _V),
-    lambda a: same_span_trace_check(a, _X, _V, SymplecticBasis.standard(2)),
-    lambda a: poincare_witness(np.eye(4), SymplecticBasis.standard(2), a),
-], ids=["tuple_value", "same_span_trace_check", "poincare_witness"])
-def test_a_matrix_that_is_not_real_and_2n_by_2n_is_refused(call, a):
-    with pytest.raises(ValidationError, match="matrix must"):
-        call(a)
+_MATRIX_CALLS = {
+    "tuple_value": lambda a: tuple_value(a, _X, _V),
+    "same_span_trace_check": lambda a: same_span_trace_check(a, _X, _V,
+                                                             SymplecticBasis.standard(2)),
+    "poincare_witness": lambda a: poincare_witness(np.eye(4), SymplecticBasis.standard(2), a),
+}
+# Each bad A and the refusal it meets.  A negative-definite A has a
+# tuple energy and a trace, but no spectrum for a witness to be read
+# against, so only poincare_witness refuses it.
+_BAD_A = {
+    "1-d": (np.ones(4), "matrix must"),
+    "3x3": (np.eye(3), "matrix must"),
+    "complex": (np.eye(4) + 0j, "matrix must be real"),
+    "nan": (np.diag([1.0, np.nan, 1.0, 1.0]), "matrix must be finite"),
+    "inf": (np.diag([1.0, np.inf, 1.0, 1.0]), "matrix must be finite"),
+    "asymmetric": (np.eye(4) + np.triu(np.ones((4, 4)), 1), "matrix is not symmetric"),
+    "negative-definite": (-np.eye(4), "matrix is not positive definite"),
+}
+
+
+@pytest.mark.parametrize("call, bad", [
+    pytest.param(call, bad, id=f"{call}-{bad}") for call in _MATRIX_CALLS for bad in _BAD_A
+    if bad != "negative-definite" or call == "poincare_witness"])
+def test_a_matrix_that_is_not_real_and_2n_by_2n_is_refused(call, bad):
+    a, message = _BAD_A[bad]
+    with pytest.raises(ValidationError, match=message):
+        _MATRIX_CALLS[call](a)
 
 
 def _witness_space(m_sub, basis, k):
@@ -410,8 +427,8 @@ def test_phi_extremal_rejects_functional_that_fails_audit():
 
 
 def test_phi_extremal_audits_with_the_callers_generator_by_default(monkeypatch):
-    # The phi-extremal suite audits once per run and passes
-    # validate_phi=False; the public default still audits every call.
+    # The phi-extremal suite passes validate_phi=False, since it draws
+    # only the shipped functionals; the public default audits every call.
     a, _, _ = _instance(2, 12)
     rng = np.random.default_rng(4)
     audit = sympspec.extremal.schur_concave_monotone_check

@@ -14,7 +14,6 @@ import sympspec.harness
 import sympspec.inequalities
 import sympspec.linalg
 from sympspec.errors import ConstructionError, NumericalContractError, ValidationError
-from sympspec.functionals import SHIPPED, SpectralFunctional
 from sympspec.inequalities import additive_trial_records, multiplicative_trial_records
 from sympspec.harness import (
     SUITE_IDS,
@@ -624,16 +623,6 @@ def test_other_errors_inside_a_trial_still_propagate(monkeypatch, error):
                                             report_path=None))
 
 
-def test_phi_extremal_refuses_a_functional_that_fails_its_audit(monkeypatch):
-    # max is Schur-convex; the run audits each functional it drew before
-    # it certifies any trial.
-    bad = SpectralFunctional("max", lambda x: np.max(x, axis=-1))
-    monkeypatch.setattr(sympspec.harness, "SHIPPED", (bad,))
-    cfg = SuiteConfig(suite="phi-extremal", trials=1, report_path=None)
-    with pytest.raises(ValidationError, match="'max' failed its audit"):
-        run_suite("phi-extremal", cfg)
-
-
 def test_majorization_writes_no_functional_audit_record():
     out = run_suite("majorization", SuiteConfig(suite="majorization", trials=2,
                                                 report_path=None))
@@ -641,64 +630,24 @@ def test_majorization_writes_no_functional_audit_record():
     assert not [r for r in out["records"] if r["name"].startswith("functional-audit")]
 
 
-def test_phi_extremal_replay_audits_its_functional_and_matches(monkeypatch, tmp_path):
-    report, _ = run_all(SuiteConfig(suite="phi-extremal", trials=2, master_seed=5,
-                                    report_path=None))
-    path = tmp_path / "report.json"
-    write_report(report, path)
-    audit = sympspec.extremal.schur_concave_monotone_check
+def test_a_phi_extremal_run_and_its_replays_audit_no_functional(monkeypatch, tmp_path):
+    # The suite draws only the shipped functionals, whose audit is pinned
+    # by tests/test_inequalities.py, and certifies with validate_phi=False.
     audited = []
+    audit = sympspec.extremal.schur_concave_monotone_check
 
     def counted(phi, **kwargs):
         audited.append(phi.name)
         return audit(phi, **kwargs)
 
     monkeypatch.setattr(sympspec.extremal, "schur_concave_monotone_check", counted)
-    for trial in range(2):
-        assert replay(path, "phi-extremal", trial)[2]
-    assert audited == [SHIPPED[0].name, SHIPPED[1].name]
-
-
-def _recorded_audits(monkeypatch):
-    """(functional name, generator state on entry) of every functional
-    audit, as a list that grows while the patch holds."""
-    audit = sympspec.extremal.schur_concave_monotone_check
-    audits = []
-
-    def recorded(phi, **kwargs):
-        audits.append((phi.name, kwargs["rng"].bit_generator.state))
-        return audit(phi, **kwargs)
-
-    monkeypatch.setattr(sympspec.extremal, "schur_concave_monotone_check", recorded)
-    return audits
-
-
-def test_a_phi_extremal_run_audits_each_functional_once_in_first_use_order(monkeypatch):
-    # Trial t certifies SHIPPED[t % 4], so 12 trials use each functional
-    # three times.
-    audits = _recorded_audits(monkeypatch)
-    run_suite("phi-extremal", SuiteConfig(suite="phi-extremal", trials=12, master_seed=5,
-                                          report_path=None))
-    assert [name for name, _ in audits] == [phi.name for phi in SHIPPED]
-    for name, state in audits:
-        key = trial_rng(5, "phi-extremal audit " + name, 0)
-        assert state == key.bit_generator.state
-
-
-def test_a_replayed_phi_extremal_trial_audits_with_the_full_runs_draws(monkeypatch, tmp_path):
-    audits = _recorded_audits(monkeypatch)
-    report, _ = run_all(SuiteConfig(suite="phi-extremal", trials=12, master_seed=5,
+    report, _ = run_all(SuiteConfig(suite="phi-extremal", trials=4, master_seed=5,
                                     report_path=None))
     path = tmp_path / "report.json"
     write_report(report, path)
-    functional = {r["trial"]: r["instance"]["functional"]
-                  for r in report["suites"]["phi-extremal"]["records"]}
-    assert functional[0] == functional[4] == functional[8] == SHIPPED[0].name
-    # The full run's first audit of SHIPPED[0], the one before trial 0.
-    full = dict(audits[::-1])
-    del audits[:]
-    assert replay(path, "phi-extremal", 8)[2]
-    assert audits == [(SHIPPED[0].name, full[SHIPPED[0].name])]
+    for trial in range(4):
+        assert replay(path, "phi-extremal", trial)[2]
+    assert audited == []
 
 
 @pytest.mark.parametrize("suite", ["williamson", "phi-extremal", "det-product"])

@@ -13,6 +13,7 @@ from sympspec import inequalities, linalg
 from sympspec.core import random_pd, symplectic_eigenvalues
 from sympspec.errors import NumericalContractError, ValidationError
 from sympspec.functionals import SHIPPED, SpectralFunctional
+from sympspec.harness import trial_rng
 from sympspec.inequalities import (
     additive_lidskii_trial,
     additive_trial_records,
@@ -213,10 +214,14 @@ def test_majorization_pair_matches_the_permutation_loop():
             assert fast.bit_generator.state == ref.bit_generator.state
 
 
-def test_schur_concave_audit_accepts_shipped_set():
-    for phi in SHIPPED:
-        result = schur_concave_monotone_check(phi, trials=150, rng=np.random.default_rng(7))
-        assert result.ok, result.counterexamples[:2]
+@pytest.mark.parametrize("seed", work_counts.MASTER_SEEDS)
+@pytest.mark.parametrize("phi", SHIPPED, ids=lambda phi: phi.name)
+def test_schur_concave_audit_accepts_shipped_set(phi, seed):
+    # The audit the phi-extremal suite would run at each master seed;
+    # it certifies the shipped functionals with validate_phi=False.
+    rng = trial_rng(seed, "phi-extremal audit " + phi.name, 0)
+    result = schur_concave_monotone_check(phi, trials=120, rng=rng)
+    assert result.ok, result.counterexamples[:2]
 
 
 def test_schur_concave_audit_rejects_schur_convex():
