@@ -14,12 +14,14 @@ or a stack of them), errors._lapack (the calls of scipy's
 _flapack routines), linalg._factor (every single-matrix call of numpy's
 gufuncs: SVD, symmetric eigensolve, QR, and the Cholesky and eigvals
 calls of check_positive_definite, extremal._pair_floor and ja-eigen;
-the stacked passes call their gufuncs without it) and
-basis.dual_chain_construct, with one total row per seed.  Each function
-is counted by wrapping every name that binds it in every loaded package
-module, and in numpy's _umath_linalg, for the length of the run; the
-names are restored afterwards.  A name that the package does not define
-is not counted.
+the stacked passes call their gufuncs without it; each subspace meet,
+linalg.subspace_meet, is one SVD) and basis._construct (the
+constructions: the one routine that builds every dual-chain tuple, for
+dual_chain_construct and for the extremal certificates alike), with one
+total row per seed.  Each function is counted by wrapping every name
+that binds it in every loaded package module, and in numpy's
+_umath_linalg, for the length of the run; the names are restored
+afterwards.  A name that the package does not define is not counted.
 
     PYTHONPATH=src python scripts/work_counts.py
     PYTHONPATH=src python scripts/work_counts.py --seeds 424242
@@ -45,7 +47,7 @@ COUNTED = {
     "spectrum_passes": linalg._skew_spectrum,
     "lapack": errors._lapack,
     "gufuncs": linalg._factor,
-    "constructions": basis.dual_chain_construct,
+    "constructions": basis._construct,
 }
 
 

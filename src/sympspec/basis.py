@@ -10,22 +10,22 @@ every structural computation below happens on coordinate vectors with
 plain Euclidean linear algebra.
 
 Subspaces are passed and returned as ambient matrices with orthonormal
-columns.  Randomized existence steps draw inside explicitly computed
-feasible subspaces; a construction that fails raises, and callers that
-sample many constructions count it as skipped.
+columns.  A construction works on a frame, the sharp spaces of the chain
+members and the complements of the increasing ones, so each intersection
+is one linalg.subspace_meet; its random draws stay in computed feasible
+subspaces, and a failure raises, which samplers count as skipped.
 
 Every containment check is one projection: y lies in span(g) when
 ||y - g g^T y|| is small, with g the orthonormal basis the caller
-already holds (_off_span).  Membership in W# = W intersect W' follows
-the definition, x in W# exactly when x and x' both lie in W, so no check
-computes an intersection; only the constructions do.
+already holds (_off_span), and x lies in W# = W intersect W' exactly
+when x and x' both lie in W, so no check computes an intersection.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import _form_defect, _symmetric, apply_form, as_generator, symplectic_gram
+from .core import _apply_form, _form_arrays, _form_defect, _gram, _symmetric, as_generator
 from .errors import ConstructionError, ValidationError, _check_int, _contract
 from .linalg import (
     INTERSECT_COS_TOL,
@@ -35,7 +35,7 @@ from .linalg import (
     fnorm,
     null_space_basis,
     orthonormal_columns,
-    subspace_intersect,
+    subspace_meet,
 )
 
 BASIS_TOL = 1e-8
@@ -43,7 +43,10 @@ BASIS_TOL = 1e-8
 
 def prime_coords(a):
     """The prime map in basis coordinates, -J: (alpha, beta) -> (-beta, alpha)."""
-    a = _real(a, "coordinates")
+    return _prime(*_form_arrays(a))
+
+
+def _prime(a):  # prime_coords of a checked a, as the package's callers hold
     n = a.shape[0] // 2
     return np.concatenate([-a[n:], a[:n]])
 
@@ -70,7 +73,7 @@ class SymplecticBasis:
         u, v = cols[:, :n], cols[:, n:]
         # Row i of the top block is (J v_i)^T, so it reads off alpha_i;
         # the bottom block reads off beta_i.  Exact inverse of cols.
-        self._coord = np.concatenate([apply_form(v).T, -apply_form(u).T])
+        self._coord = np.concatenate([_apply_form(v).T, -_apply_form(u).T])
 
     @classmethod
     def standard(cls, n):
@@ -86,21 +89,21 @@ class SymplecticBasis:
 
     def coords(self, x):
         """Coordinates (alpha, beta) of x, with x = lift(coords(x))."""
-        return self._coord @ _real(x, "vectors")
+        return self._coord @ _form_arrays(x, self.cols)[0]
 
     def lift(self, a):
-        return self.cols @ _real(a, "coordinates")
+        return self.cols @ _form_arrays(a, self.cols)[0]
 
     def prime(self, x):
         """B-complement x': coordinates (alpha, beta) -> (-beta, alpha)."""
-        return self.lift(prime_coords(self.coords(x)))
+        return self.cols @ _prime(self.coords(x))
 
 def _coords_subspace(w, basis):
     """Coordinate-space orthonormal basis of an ambient subspace."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != 2 * basis.n:
         raise ValidationError(f"subspace basis has invalid shape {w.shape}")
-    return orthonormal_columns(basis.coords(w))
+    return orthonormal_columns(basis._coord @ w)
 
 
 def _sharp_std(g):
@@ -115,7 +118,7 @@ def _sharp_std(g):
     "Numerical methods for computing angles between linear subspaces",
     Math. Comp. 27, 1973), and one k x k SVD finds them.
     """
-    _, sig, vt = _svd(g.T @ prime_coords(g))
+    _, sig, vt = _svd(g.T @ _prime(g))
     return g @ vt[sig >= 1.0 - INTERSECT_COS_TOL].T
 
 
@@ -129,7 +132,7 @@ def _off_span(y, g):
 def _sharp_residual(x, g):
     """||[x, x'] - g g^T [x, x']||_F / ||x||, zero exactly when the nonzero
     coordinate vector x lies in sharp(span g); g has orthonormal columns."""
-    return _off_span(np.stack([x, prime_coords(x)], axis=1), g) / fnorm(x)
+    return _off_span(np.stack([x, _prime(x)], axis=1), g) / fnorm(x)
 
 
 def _nested(s, t):
@@ -157,10 +160,10 @@ def same_span_trace_check(a, x_set, v_set, basis, check=True):
         )
     if x_set.ndim != 2 or x_set.shape[0] != 2 * basis.n:
         raise ValidationError(f"tuples have invalid shape {x_set.shape}")
-    xc = basis.coords(x_set)
-    vc = basis.coords(v_set)
-    xa = basis.lift(np.concatenate([xc, prime_coords(xc)], axis=1))
-    va = basis.lift(np.concatenate([vc, prime_coords(vc)], axis=1))
+    xc = basis._coord @ x_set
+    vc = basis._coord @ v_set
+    xa = basis.cols @ np.concatenate([xc, _prime(xc)], axis=1)
+    va = basis.cols @ np.concatenate([vc, _prime(vc)], axis=1)
     lhs = float((xa * (a @ xa)).sum())
     rhs = float((va * (a @ va)).sum())
     if check:
@@ -182,29 +185,26 @@ def _constrained_subspace(g, constraints):
     """Vectors in span(g) skew-orthogonal to every constraint column."""
     if g.shape[1] == 0 or constraints.shape[1] == 0:
         return g
-    return g @ null_space_basis(symplectic_gram(constraints, g))
+    return g @ null_space_basis(_gram(constraints, g))
 
 
 def _chain_extend_std(chain, ws, rng):
     """Coordinate-space chain extension.
 
-    chain: decreasing list of k coordinate subspaces; ws: k-1 columns,
-    B-orthonormal, mutually skew-orthogonal, ws[:, j] in sharp(chain[j]).
-    Returns (v, x) with v a fresh unit in sharp(chain[0]) skew-orthogonal
-    to the ws, and x a k-column B-orthonormal skew-orthogonal set with
-    x[:, j] in sharp(chain[j]) whose pair span is span(ws pairs) plus
-    span{v, v'}.
+    chain: decreasing list of k sharp coordinate subspaces, each with
+    orthonormal columns; ws: k-1 columns, B-orthonormal, mutually
+    skew-orthogonal, ws[:, j] in chain[j].
+    Returns (v, x) with v a fresh unit in chain[0] skew-orthogonal to the
+    ws, and x a k-column B-orthonormal skew-orthogonal set with x[:, j]
+    in chain[j] whose pair span is span(ws pairs) plus span{v, v'}.
     """
-    k = len(chain)
-    if k == 1:
-        sharp1 = _sharp_std(chain[0])
-        v = _unit_in(sharp1, rng)
+    if len(chain) == 1:
+        v = _unit_in(chain[0], rng)
         return v, v[:, None]
 
     u, xs = _chain_extend_std(chain[1:], ws[:, 1:], rng)
-    uspan = np.concatenate([ws, prime_coords(ws)], axis=1)
-    sharp1 = _sharp_std(chain[0])
-    feas = _constrained_subspace(sharp1, uspan)
+    uspan = np.concatenate([ws, _prime(ws)], axis=1)
+    feas = _constrained_subspace(chain[0], uspan)
 
     # Split u into its component inside the pair span and the rest; the
     # rest already lies in the feasible space, so snapping it onto the
@@ -216,48 +216,62 @@ def _chain_extend_std(chain, ws, rng):
     v = proj / nrm if nrm > 1e-10 else _unit_in(feas, rng)
 
     # v lies in the feasible space, skew-orthogonal to the prime-closed
-    # uspan, so the stack is orthonormal and z, its part beside the pairs
-    # of xs, a plane; _check_built certifies the tuple this returns.
-    u0 = np.concatenate([uspan, v[:, None], prime_coords(v)[:, None]], axis=1)
-    s = np.concatenate([xs, prime_coords(xs)], axis=1)
-    z = u0 @ null_space_basis(s.T @ u0)
-    v1 = _unit_in(z, rng)
+    # uspan, so the stack u0 is orthonormal and holds the pairs of xs.
+    u0 = np.concatenate([uspan, v[:, None], _prime(v)[:, None]], axis=1)
+    v1 = _unit_in(_slot_plane(u0, np.concatenate([xs, _prime(xs)], axis=1)), rng)
     return v, np.concatenate([v1[:, None], xs], axis=1)
 
 
-def _dual_chain_std(vchain, wchain, rng):
-    """Coordinate-space dual-chain construction (equal-span tuples)."""
-    k = len(vchain)
-    if k == 1:
-        f = subspace_intersect(_sharp_std(vchain[0]), _sharp_std(wchain[0]))
-        x = _unit_in(f, rng)
+def _slot_plane(u0, s):
+    """[r, r'] / ||r||, an orthonormal basis of the prime-closed plane
+    span(u0) minus span(s): r is the longest of u0's 2k columns projected
+    off span(s), of norm 1/sqrt(k) or more."""
+    p = u0 - s @ (s.T @ u0)
+    r = p[:, np.argmax((p * p).sum(axis=0))]
+    return np.stack([r, _prime(r)], axis=1) / fnorm(r)
+
+
+def _dual_chain_std(vsharp, vperp, wsharp, rng):
+    """Coordinate-space dual-chain construction (equal-span tuples) on the
+    frame vsharp[j] = sharp(V_j), vperp[j] its complement, wsharp[j] =
+    sharp(W_j): sharp(V cap W) = sharp(V) cap sharp(W), one subspace_meet."""
+    if len(vsharp) == 1:
+        x = _unit_in(subspace_meet(wsharp[0], vperp[0]), rng)
         return x[:, None], x[:, None]
 
-    vs, xs = _dual_chain_std(vchain[:-1], wchain[:-1], rng)
-    s_chain = [subspace_intersect(vchain[-1], w) for w in wchain]
-    v, ws_new = _chain_extend_std(s_chain, xs, rng)
+    vs, xs = _dual_chain_std(vsharp[:-1], vperp[:-1], wsharp[:-1], rng)
+    v, ws_new = _chain_extend_std([subspace_meet(w, vperp[-1]) for w in wsharp], xs, rng)
     # v is already B-orthogonal to the span of the previous pairs, so
     # this projection only strips rounding noise.
-    pairs = np.concatenate([xs, prime_coords(xs)], axis=1)
+    pairs = np.concatenate([xs, _prime(xs)], axis=1)
     vk = v - pairs @ (pairs.T @ v)
     vk /= fnorm(vk)
     return np.concatenate([vs, vk[:, None]], axis=1), ws_new
 
 
-def _check_built(cols, chain):
+def _check_built(cols, sharp):
     """Raise unless cols with its primes is B-orthosymplectic and each
-    cols[:, j] lies in sharp(chain[j]); returns the tuple with primes.
+    cols[:, j] lies in sharp[j]; returns the tuple with primes.
 
     One defect serves both: the prime map in coordinates is -J, so for
     full = [X, X'] the form defect ||full^T J full - J||_F equals the
     orthonormality defect ||full^T full - I||_F for every X."""
-    full = np.concatenate([cols, prime_coords(cols)], axis=1)
-    _contract("constructed tuple defects: orthonormality",
-              fnorm(full.T @ full - np.eye(full.shape[1])), BASIS_TOL)
+    full = np.concatenate([cols, _prime(cols)], axis=1)
+    gram = full.T @ full
+    gram.flat[::len(gram) + 1] -= 1.0
+    _contract("constructed tuple defects: orthonormality", fnorm(gram), BASIS_TOL)
     for j in range(cols.shape[1]):
         _contract(f"constructed vector {j} left its sharp space: residual",
-                  _sharp_residual(cols[:, j], chain[j]), BASIS_TOL)
+                  _sharp_residual(cols[:, j], sharp[j]), BASIS_TOL)
     return full
+
+
+def _construct(vsharp, vperp, wsharp, basis, rng):
+    """The one construction routine: ambient tuples built and certified on a frame."""
+    vs_c, ws_c = _dual_chain_std(vsharp, vperp, wsharp, rng)
+    vf, wf = _check_built(vs_c, vsharp), _check_built(ws_c, wsharp)
+    _contract("constructed spans differ by residual", _off_span(vf, wf), BASIS_TOL)
+    return basis.cols @ vs_c, basis.cols @ ws_c
 
 
 def dual_chain_construct(vchain, wchain, basis, rng):
@@ -295,8 +309,6 @@ def dual_chain_construct(vchain, wchain, basis, rng):
         if not _nested(wchain_c[j], wchain_c[j - 1]):
             raise ValidationError(f"decreasing chain fails nesting at position {j}")
 
-    vs_c, ws_c = _dual_chain_std(vchain_c, wchain_c, rng)
-    vf = _check_built(vs_c, vchain_c)
-    wf = _check_built(ws_c, wchain_c)
-    _contract("constructed spans differ by residual", _off_span(vf, wf), BASIS_TOL)
-    return basis.lift(vs_c), basis.lift(ws_c)
+    vsharp = [_sharp_std(v) for v in vchain_c]
+    vperp = [null_space_basis(v.T) for v in vsharp]
+    return _construct(vsharp, vperp, [_sharp_std(w) for w in wchain_c], basis, rng)

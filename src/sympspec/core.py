@@ -82,23 +82,36 @@ def symplectic_form(n):
     return j
 
 
+def _form_arrays(*arrays):
+    """The arrays as real arrays whose first axes share one even, positive length."""
+    arrays = [_real(x, "vectors") for x in arrays]
+    rows = {x.shape[0] if x.ndim else 0 for x in arrays}
+    if len(rows) > 1 or 0 in rows or sum(rows) % 2:
+        raise ValidationError(f"vectors need one even, positive length, got {sorted(rows)}")
+    return arrays
+
+
 def apply_form(x):
     """J @ x without materializing J; works on vectors and matrices."""
-    x = _real(x, "vectors")
+    return _apply_form(*_form_arrays(x))
+
+
+def _apply_form(x):  # apply_form of a checked x, as the package's callers hold
     n = x.shape[0] // 2
     return np.concatenate([x[n:], -x[:n]], axis=0)
 
 
 def symplectic_inner(x, y):
     """The bilinear form <x, J y>."""
-    x, y = _real(x, "vectors"), _real(y, "vectors")
-    n = x.shape[0] // 2
-    return float(x[:n] @ y[n:] - x[n:] @ y[:n])
+    return float(_gram(*_form_arrays(x, y)))
 
 
 def symplectic_gram(x, y):
     """Matrix of pairwise form values X.T J Y for column stacks."""
-    x, y = _real(x, "vectors"), _real(y, "vectors")
+    return _gram(*_form_arrays(x, y))
+
+
+def _gram(x, y):  # symplectic_gram of a checked x and y
     n = x.shape[0] // 2
     return x[:n].T @ y[n:] - x[n:].T @ y[:n]
 
@@ -114,7 +127,7 @@ def _form_defect(x):
     Every other entry of J is +0.0, whose subtraction changes no bit, so
     the norm equals that of the dense difference bit for bit.
     """
-    g = symplectic_gram(x, x)
+    g = _gram(x, x)
     k = g.shape[0] // 2
     flat = g.reshape(-1)
     flat[k:2 * k * k:2 * k + 1] -= 1.0
@@ -322,7 +335,7 @@ def _ja_spectrum(a):
     """The ja-eigen spectrum of an A that check_positive_definite and
     half_dim passed: numpy.linalg.eigvals(J A) through its gufunc and
     linalg._factor."""
-    vals = _factor(_EIGVALS, "d->D", apply_form(a))
+    vals = _factor(_EIGVALS, "d->D", _apply_form(a))
     imag = np.sort(np.abs(vals.imag))
     # Spectrum comes in +/- pairs; average the two copies of each d.
     return 0.5 * (imag[::2] + imag[1::2])
@@ -335,9 +348,9 @@ def tuple_form_defect(x, y):
     if x.ndim != 2 or x.shape != y.shape:
         raise ValidationError(f"tuple shapes {x.shape} and {y.shape} are not one 2-d shape")
     k = x.shape[1]
-    gxy = symplectic_gram(x, y) - np.eye(k)
-    gxx = symplectic_gram(x, x)
-    gyy = symplectic_gram(y, y)
+    gxy = symplectic_gram(x, y) - np.eye(k)  # symplectic_gram refuses odd rows
+    gxx = _gram(x, x)
+    gyy = _gram(y, y)
     return max(fnorm(gxy), fnorm(gxx), fnorm(gyy))
 
 
@@ -430,7 +443,7 @@ def random_symplectic(n, rng, spread=2.0):
     norm = _svdvals(h)[0]  # ||H||_2
     if norm > spread:
         h *= spread / norm
-    m = _expm(apply_form(h), min(norm, spread))
+    m = _expm(_apply_form(h), min(norm, spread))
     _contract("symplectic exponential defect",
               _form_defect(m), 1e-10 * max(1.0, fnorm(m) ** 2))
     return m

@@ -20,20 +20,20 @@ import numpy as np
 from .basis import (
     SymplecticBasis,
     _constrained_subspace,
+    _construct,
     _coords_subspace,
+    _prime,
     _sharp_std,
     _unit_in,
-    dual_chain_construct,
-    prime_coords,
     same_span_trace_check,
 )
 from .core import (
     TUPLE_TOL,
     _checked,
+    _gram,
     _symmetric,
     as_generator,
     compress,
-    symplectic_gram,
     symplectic_inner,
     tuple_form_defect,
     williamson,
@@ -46,7 +46,7 @@ from .inequalities import (
 )
 from .linalg import (
     _CHOLESKY, _QR_R_RAW, _QR_REDUCED, _TRTRS, _eigh, _factor, _real,
-    _svdvals, fnorm, orthonormal_columns, subspace_intersect,
+    _svdvals, fnorm, orthonormal_columns, subspace_meet,
 )
 
 PAIR_FLOOR = 1e-6
@@ -94,7 +94,8 @@ def canonical_chains(basis, index_set):
     in P_{<= i_k}, so w_k lies in P_{>= i_k} and S, which is P_{i_k}.
     The v-tuple without v_k spans a 2(k - 1)-space inside P_{< i_k}, so
     S is that space plus P_{i_k}, and the w-tuple without w_k spans the
-    same space.  Induction gives S = P_{i_1} + ... + P_{i_k}.
+    same space.  Induction gives S = P_{i_1} + ... + P_{i_k}.  In those
+    coordinates sharp(vchain[j]) is the unit columns {1..i_j, n+1..n+i_j}.
     """
     idx = _check_index_set(index_set, basis.n)
     u, v = basis.u, basis.v
@@ -153,7 +154,8 @@ def poincare_witness(m_sub, basis, a):
     a subspace of dimension 2n - k + 1.
 
     That space is the sharp part of the intersection of m_sub with the
-    span of all first-kind columns and the first k second-kind ones, so
+    span of all first-kind columns and the first k second-kind ones (in
+    coordinates, one subspace_meet with unit columns n+k+1..2n), so
     it holds an invariant plane, and when basis diagonalizes A with
     ascending block spectrum d no pair in it has energy above d_k, the
     claim the caller certifies.  u is g times the top eigenvector of
@@ -174,16 +176,15 @@ def poincare_witness(m_sub, basis, a):
         raise ValidationError(
             f"subspace dimension {m_sub.shape[1]} does not match any index"
         )
-    nc = np.eye(2 * n)[:, : n + k]
-    g = _sharp_std(subspace_intersect(mc, nc))
+    g = _sharp_std(subspace_meet(mc, np.eye(2 * n)[:, n + k :]))
     if g.shape[1] == 0:
         raise ConstructionError(
             "witness search failed: no invariant plane in the canonical intersection"
         )
-    u, u_prime = basis.lift(g), basis.lift(prime_coords(g))
+    u, u_prime = basis.cols @ g, basis.cols @ _prime(g)
     c = 0.5 * (u.T @ a @ u + u_prime.T @ a @ u_prime)
     uc = g @ _eigh(c)[1][:, -1]
-    return basis.lift(uc), basis.lift(prime_coords(uc))
+    return basis.cols @ uc, basis.cols @ _prime(uc)
 
 
 @dataclass
@@ -222,15 +223,15 @@ def _finish(name, claimed, slacks, *, sampled_min=None, witness_max=None,
 
 
 def _eigen_frame(a, index_set):
-    """(pd, d, basis, idx, vchain, wchain): check_positive_definite(a),
-    checked once for the whole certificate, the Williamson spectrum and
+    """(pd, d, basis, idx, wchain): check_positive_definite(a), checked
+    once for the whole certificate, the Williamson spectrum and
     eigenbasis of A, the index set as an int array, which
-    canonical_chains has validated, and its canonical chains."""
+    canonical_chains has validated, and its canonical decreasing chain."""
     pd = _checked(a)
     dec = williamson(pd)
     basis = SymplecticBasis(dec.m)
-    vchain, wchain = canonical_chains(basis, index_set)
-    return pd, dec.d, basis, np.asarray(index_set, dtype=int), vchain, wchain
+    wchain = canonical_chains(basis, index_set)[1]
+    return pd, dec.d, basis, np.asarray(index_set, dtype=int), wchain
 
 
 def _sampled_floor(a, chain, claimed, samples, rng, tol):
@@ -242,16 +243,20 @@ def _sampled_floor(a, chain, claimed, samples, rng, tol):
     return values, [val - claimed + tol * scale for val in values]
 
 
-def _chain_tuples(vchain, idx, basis, count, rng):
-    """Dual-chain tuples (vs, ws) against count fresh random decreasing
-    chains, and the number of attempts skipped on a ConstructionError or
-    on a built tuple that failed its contract."""
+def _chain_tuples(idx, basis, count, rng):
+    """Dual-chain tuples (vs, ws) on the exact frame of canonical_chains'
+    increasing chain and count fresh random decreasing chains, and the
+    number of attempts skipped on a ConstructionError or on a built tuple
+    that failed its contract."""
+    eye, pair = np.eye(2 * basis.n), np.arange(2 * basis.n) % basis.n
+    vsharp, vperp = [eye[:, pair < i] for i in idx], [eye[:, pair >= i] for i in idx]
     sizes = [2 * basis.n - i + 1 for i in idx]
     tuples, n_skipped = [], 0
     for _ in range(count):
         chain = random_decreasing_chain(2 * basis.n, sizes, rng)
         try:
-            tuples.append(dual_chain_construct(vchain, chain, basis, rng))
+            wsharp = [_sharp_std(_coords_subspace(w, basis)) for w in chain]
+            tuples.append(_construct(vsharp, vperp, wsharp, basis, rng))
         except (ConstructionError, NumericalContractError):
             n_skipped += 1
     return tuples, n_skipped
@@ -263,7 +268,7 @@ def _pair_floor(a, w):
     span(w) and G^T A G = L L^T, it is 1 / sigma_max(L^-1 G^T J G L^-T)."""
     g = orthonormal_columns(w)
     low = _factor(_CHOLESKY, "d->d", g.T @ a @ g)
-    half = _lapack(_TRTRS, "triangular solve", low, symplectic_gram(g, g), lower=1)
+    half = _lapack(_TRTRS, "triangular solve", low, _gram(g, g), lower=1)
     full = _lapack(_TRTRS, "triangular solve", low, half.T, lower=1)
     return 1.0 / float(_svdvals(full)[0])
 
@@ -279,7 +284,7 @@ def maxmin_check(a, k, n_subspaces=20, rng=None, tol=1e-9):
     """
     n_subspaces = _check_int("n_subspaces", n_subspaces, minimum=1)
     rng = as_generator(rng)
-    pd, d, basis, idx, _, wchain = _eigen_frame(a, [k])
+    pd, d, basis, idx, wchain = _eigen_frame(a, [k])
     k = int(idx[0])
     claimed = float(d[k - 1])
     scale = max(1.0, abs(claimed))
@@ -318,7 +323,7 @@ def wielandt_certify(a, index_set, n_chains=20, samples=40, rng=None,
     n_chains = _check_int("n_chains", n_chains, minimum=1)
     samples = _check_int("samples", samples, minimum=1)
     rng = as_generator(rng)
-    pd, d, basis, idx, vchain, wchain = _eigen_frame(a, index_set)
+    pd, d, basis, idx, wchain = _eigen_frame(a, index_set)
     claimed = float(d[idx - 1].sum())
     scale = max(1.0, abs(claimed))
     values, slacks = _sampled_floor(pd, wchain, claimed, samples, rng, tol)
@@ -327,7 +332,7 @@ def wielandt_certify(a, index_set, n_chains=20, samples=40, rng=None,
     equality_gap = abs(eig_val - claimed)
     slacks.append(eq_tol * scale - equality_gap)
 
-    tuples, n_skipped = _chain_tuples(vchain, idx, basis, n_chains, rng)
+    tuples, n_skipped = _chain_tuples(idx, basis, n_chains, rng)
     witness_vals = []
     for vs, ws in tuples:
         witness_vals.append(tuple_value(pd, ws, basis.prime(ws)))
@@ -368,7 +373,7 @@ def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
         if not audit.ok:
             kinds = sorted({c["kind"] for c in audit.counterexamples})
             raise ValidationError(f"functional {phi.name!r} failed its audit: {', '.join(kinds)}")
-    pd, d, basis, idx, vchain, _ = _eigen_frame(a, index_set)
+    pd, d, basis, idx, _ = _eigen_frame(a, index_set)
     a = pd.a
     d_target = d[idx - 1]
     claimed = float(phi(d_target))
@@ -384,7 +389,7 @@ def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
     equality_gap = abs(phi_eig - claimed)
     slacks.append(1e-9 * scale - equality_gap)
 
-    tuples, n_skipped = _chain_tuples(vchain, idx, basis, n_chains, rng)
+    tuples, n_skipped = _chain_tuples(idx, basis, n_chains, rng)
     chain_vals = []
     for vs, ws in tuples:
         vs_prime = basis.prime(vs)
@@ -416,7 +421,7 @@ def det_product_check(a, index_set):
     log-determinant must equal that of the squared product of the
     selected eigenvalues to 1e-8.  Works in log space throughout.
     """
-    pd, d, basis, idx, _, _ = _eigen_frame(a, index_set)
+    pd, d, basis, idx, _ = _eigen_frame(a, index_set)
     claimed_log = 2.0 * float(np.log(d[idx - 1]).sum())
     a_eig = compress(pd, basis.u[:, idx - 1], basis.v[:, idx - 1])[0]
     sign, logdet = np.linalg.slogdet(a_eig)

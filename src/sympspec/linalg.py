@@ -2,7 +2,7 @@
 
 Everything here is numpy and LAPACK on real float64 arrays.  Routines that
 can fail quietly raise NumericalContractError instead of returning
-garbage: sym_eig checks its residual, subspace_intersect its principal
+garbage: sym_eig checks its residual, subspace_meet its principal
 cosines and _pairing_verdict the pairs of singular values _skew_spectrum
 reads d from, each with one errors._contract call, which a NaN fails,
 and every LAPACK failure raises too (see below).  The skew routes
@@ -310,32 +310,26 @@ def max_principal_angle(u, w):
     return float(np.arcsin(min(1.0, max(s1, s2))))
 
 
-def subspace_intersect(u, w):
-    """Orthonormal basis for the intersection of two column spans.
+def subspace_meet(g, perp):
+    """The meet of span(g) with the orthogonal complement of span(perp),
+    g times some of the right singular vectors of perp^T g, from one SVD.
 
-    Precondition: u and w both have orthonormal columns; they are not
-    re-orthonormalised.  The singular values of u.T w are then the
-    cosines of the principal angles (Bjorck and Golub, "Numerical methods
-    for computing angles between linear subspaces", Math. Comp. 27,
-    1973).  Principal directions with cosine within INTERSECT_COS_TOL of
-    1 are treated as common; each returned vector is the matched pair
-    averaged, so it lies in both spans to working accuracy.  A cosine
-    above 1 + INTERSECT_COS_TOL shows a broken precondition and raises
-    NumericalContractError.
+    g and perp must have orthonormal columns.  The singular value sigma
+    at c (0 past the rank) is then the sine of the angle between g c and
+    the complement (Bjorck and Golub, Math. Comp. 27, 1973), and c is
+    kept at sigma^2 <= 2 tol - tol^2, tol = INTERSECT_COS_TOL, that is at
+    cosine 1 - tol or more: an absolute threshold, as the inputs are
+    orthonormal.  A principal cosine above 1 + tol shows that they are
+    not, and raises NumericalContractError.
     """
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if u.shape[1] == 0 or w.shape[1] == 0:
-        return np.zeros((u.shape[0], 0))
-    p, sig, qt = _svd(u.T @ w)
+    if g.shape[1] == 0 or perp.shape[1] == 0:
+        return g
+    _, sig, vt = _svd(perp.T @ g)
     _contract("principal cosine", sig[0], 1.0 + INTERSECT_COS_TOL,
               ": inputs are not orthonormal")
-    k = np.count_nonzero(sig >= 1.0 - INTERSECT_COS_TOL)
-    if k == 0:
-        return np.zeros((u.shape[0], 0))
-    left = u @ p[:, :k]
-    right = w @ qt[:k].T
-    return orthonormal_columns(left + right)
+    # sig descends, so the rows of vt it leaves off are the kept ones.
+    off = np.count_nonzero(sig * sig > INTERSECT_COS_TOL * (2.0 - INTERSECT_COS_TOL))
+    return g @ vt[off:].T
 
 
 def _hessenberg_band(k):

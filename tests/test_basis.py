@@ -1,8 +1,6 @@
 """Basis coordinates, the prime map, sharp subspaces, the dual-chain
 construction and the trace identity it feeds."""
 
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,11 +186,12 @@ def test_dual_chain_construct_postconditions():
 
 def _corrupted_construction(monkeypatch, corrupt):
     """dual_chain_construct on a 3-space in R^4 (index set {1}) with the
-    built coordinate tuples passed through corrupt(vs, ws, v_chain)."""
+    built coordinate tuples passed through corrupt(vs, ws, vperp), vperp
+    the orthogonal complement of the sharp space of the 3-space."""
     real = sympspec.basis._dual_chain_std
 
-    def stub(vchain, wchain, rng):
-        return corrupt(*real(vchain, wchain, rng), vchain[0])
+    def stub(vsharp, vperp, wsharp, rng):
+        return corrupt(*real(vsharp, vperp, wsharp, rng), vperp[0])
 
     monkeypatch.setattr(sympspec.basis, "_dual_chain_std", stub)
     q = random_orthogonal(4, np.random.default_rng(17))
@@ -206,10 +205,11 @@ def test_dual_chain_refuses_a_tuple_that_is_not_orthosymplectic(monkeypatch):
 
 
 def test_dual_chain_refuses_a_vector_off_its_sharp_space(monkeypatch):
-    # A unit vector outside the 3-space: with its prime it is still
-    # orthosymplectic, so only the sharp membership test can refuse it.
-    def off_sharp(vs, ws, g):
-        return null_space_basis(g.T), ws
+    # A unit vector orthogonal to the sharp space of the 3-space: with its
+    # prime it is still orthosymplectic, so only the sharp membership test
+    # can refuse it.
+    def off_sharp(vs, ws, perp):
+        return perp[:, :1], ws
 
     with pytest.raises(NumericalContractError, match="left its sharp space"):
         _corrupted_construction(monkeypatch, off_sharp)
@@ -218,7 +218,7 @@ def test_dual_chain_refuses_a_vector_off_its_sharp_space(monkeypatch):
 def test_dual_chain_refuses_tuples_with_different_spans(monkeypatch):
     # The w-chain is all of R^4, so any unit w passes its own checks; one
     # outside span{v, v'} differs only in span.
-    def other_span(vs, ws, g):
+    def other_span(vs, ws, perp):
         return vs, null_space_basis(np.hstack([vs, prime_coords(vs)]).T)[:, :1]
 
     with pytest.raises(NumericalContractError, match="constructed spans differ"):
@@ -229,8 +229,7 @@ def test_dual_chain_refuses_a_stray_column_in_the_replacement_slot(monkeypatch):
     # The slot that the chain extension leaves beside the earlier pairs is
     # a plane.  A third column, taken from the span of those pairs, puts
     # the replacement w-vector off them, which only the final certificate
-    # of the tuple catches.  _constrained_subspace's own null space calls
-    # are left alone.
+    # of the tuple catches.
     rng = np.random.default_rng(23)
     n = 3
     vq, wq = random_orthogonal(2 * n, rng), random_orthogonal(2 * n, rng)
@@ -238,17 +237,42 @@ def test_dual_chain_refuses_a_stray_column_in_the_replacement_slot(monkeypatch):
     wchain = [wq[:, : 2 * n - i + 1] for i in (1, 2)]
     basis = SymplecticBasis.standard(n)
     dual_chain_construct(vchain, wchain, basis, np.random.default_rng(0))
-    real = sympspec.basis.null_space_basis
+    real = sympspec.basis._slot_plane
 
-    def stray(m):
-        ns = real(m)
-        if sys._getframe(1).f_code.co_name == "_chain_extend_std":
-            ns = np.hstack([ns, real(ns.T)[:, :1]])
-        return ns
+    def stray(u0, s):
+        return np.hstack([real(u0, s), s[:, :1]])
 
-    monkeypatch.setattr(sympspec.basis, "null_space_basis", stray)
+    monkeypatch.setattr(sympspec.basis, "_slot_plane", stray)
     with pytest.raises(NumericalContractError, match="constructed tuple defects"):
         dual_chain_construct(vchain, wchain, basis, np.random.default_rng(0))
+
+
+def test_the_slot_plane_is_a_prime_closed_orthonormal_plane_beside_the_pairs(monkeypatch):
+    # Every slot plane that dual_chain_construct draws from, at n = 2..6:
+    # orthonormal, mapped to itself by the prime map and orthogonal to
+    # [xs, xs'].
+    real = sympspec.basis._slot_plane
+    seen = []
+
+    def recording(u0, s):
+        z = real(u0, s)
+        seen.append((z, s))
+        return z
+
+    monkeypatch.setattr(sympspec.basis, "_slot_plane", recording)
+    rng = np.random.default_rng(2049)
+    for t in range(40):
+        n = 2 + t % 5
+        idx = np.sort(rng.choice(np.arange(1, n + 1), size=min(n, 2 + t % 3), replace=False))
+        vq, wq = random_orthogonal(2 * n, rng), random_orthogonal(2 * n, rng)
+        dual_chain_construct([vq[:, : n + i] for i in idx],
+                             [wq[:, : 2 * n - i + 1] for i in idx], _random_basis(n), rng)
+    assert len(seen) > 40
+    for z, s in seen:
+        assert z.shape == (s.shape[0], 2)
+        assert fnorm(z.T @ z - np.eye(2)) <= 1e-12
+        assert max_principal_angle(prime_coords(z), z) <= 1e-12
+        assert fnorm(s.T @ z) <= 1e-12
 
 
 def test_unit_in_draws_once_and_refuses_an_empty_space():

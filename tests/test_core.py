@@ -869,6 +869,7 @@ VECTOR_HELPERS = {
     "prime_coords": prime_coords,
     "SymplecticBasis.coords": _STD.coords,
     "SymplecticBasis.lift": _STD.lift,
+    "SymplecticBasis.prime": _STD.prime,
     "apply_form": apply_form,
     "symplectic_inner-x": lambda x: symplectic_inner(x, _VEC),
     "symplectic_inner-y": lambda y: symplectic_inner(_VEC, y),
@@ -897,6 +898,26 @@ def test_every_vector_helper_refuses_what_is_not_real_numbers(helper, vector):
     # raised numpy's ValueError.
     with pytest.raises(ValidationError, match="must be real numbers"):
         VECTOR_HELPERS[helper](vector)
+
+
+# The form helpers take vectors or column stacks of one even, positive
+# length 2n, the basis methods 2n = 4.  Each row used to return a value
+# of no symplectic form, as apply_form(arange(3.0)) gave [1, 2, -0], or
+# to raise numpy's ValueError.
+_BAD_LENGTHS = {"odd": np.ones(3), "empty": np.ones(0), "mismatched": np.ones(6),
+                "mismatched-stack": np.ones((6, 1))}
+
+
+@pytest.mark.parametrize("helper, vector", [
+    pytest.param(helper, vector, id=f"{helper}-{vector}")
+    for helper in VECTOR_HELPERS
+    if helper.startswith(("prime_coords", "SymplecticBasis", "apply_form", "symplectic_"))
+    for vector in _BAD_LENGTHS
+    # Alone, a vector of length 6 has a form.
+    if helper not in ("prime_coords", "apply_form") or vector in ("odd", "empty")])
+def test_every_form_helper_refuses_a_length_with_no_form(helper, vector):
+    with pytest.raises(ValidationError, match="even, positive length|must have 4 rows"):
+        VECTOR_HELPERS[helper](_BAD_LENGTHS[vector])
 
 
 STACK_ENTRY_POINTS = {name: call for name, call in COMPLEX_ENTRY_POINTS.items()

@@ -37,7 +37,13 @@ from sympspec.extremal import (
 )
 from sympspec.functionals import SHIPPED, SpectralFunctional, phi_sum
 from sympspec.inequalities import additive_lidskii_trial
-from sympspec.linalg import fnorm, orthonormal_columns, span_residual, subspace_intersect
+from sympspec.linalg import (
+    fnorm,
+    max_principal_angle,
+    orthonormal_columns,
+    span_residual,
+    subspace_meet,
+)
 
 RNG = np.random.default_rng(505)
 
@@ -281,9 +287,11 @@ def test_a_matrix_that_is_not_real_and_2n_by_2n_is_refused(call, bad):
 
 
 def _witness_space(m_sub, basis, k):
-    """Coordinate basis of the sharp witness space poincare_witness searches."""
-    nc = np.eye(2 * basis.n)[:, : basis.n + k]
-    return _sharp_std(subspace_intersect(_coords_subspace(m_sub, basis), nc))
+    """Coordinate basis of the sharp witness space poincare_witness searches:
+    m_sub meets the span of the unit columns 1..n+k, the complement of the
+    rest."""
+    perp = np.eye(2 * basis.n)[:, basis.n + k :]
+    return _sharp_std(subspace_meet(_coords_subspace(m_sub, basis), perp))
 
 
 def test_poincare_witness_is_the_top_energy_pair():
@@ -403,6 +411,37 @@ def test_canonical_chain_tuples_span_the_selected_eigen_pairs():
             assert np.linalg.norm(outside) <= 1e-12 * np.linalg.norm(c), (n, idx)
 
 
+def test_canonical_frame_spans_the_sharp_spaces_of_the_canonical_chain(monkeypatch):
+    # The exact unit-column frame that the certificates hand the
+    # construction in Williamson coordinates spans what the factorized
+    # route finds on the ambient canonical chain, and its complement is
+    # the orthogonal complement of that.
+    build = sympspec.extremal._construct
+    frames = []
+
+    def recording(vsharp, vperp, wsharp, basis, rng):
+        frames.append((vsharp, vperp))
+        return build(vsharp, vperp, wsharp, basis, rng)
+
+    monkeypatch.setattr(sympspec.extremal, "_construct", recording)
+    rng = np.random.default_rng(49)
+    for t in range(30):
+        n = 2 + t % 5
+        k = 1 + (t // 5) % n
+        a, _, basis = _instance(n, 400 + t)
+        idx = np.sort(rng.choice(np.arange(1, n + 1), size=k, replace=False))
+        frames.clear()
+        wielandt_certify(a, idx, n_chains=1, samples=1, rng=rng)
+        [(vsharp, vperp)] = frames
+        vchain = canonical_chains(basis, idx)[0]
+        for j, i in enumerate(idx):
+            sharp = _sharp_std(_coords_subspace(vchain[j], basis))
+            assert vsharp[j].shape == sharp.shape == (2 * n, 2 * i)
+            assert max_principal_angle(vsharp[j], sharp) <= 1e-12
+            frame = np.hstack([vsharp[j], vperp[j]])
+            assert np.array_equal(frame @ frame.T, np.eye(2 * n))
+
+
 def test_phi_extremal_certificates_for_shipped_set():
     a, _, _ = _instance(3, 10)
     idx = np.array([1, 3])
@@ -459,7 +498,7 @@ def test_phi_extremal_counts_every_refused_chain(monkeypatch):
         calls.append(args)
         raise ConstructionError("forced failure")
 
-    monkeypatch.setattr(sympspec.extremal, "dual_chain_construct", refuse)
+    monkeypatch.setattr(sympspec.extremal, "_construct", refuse)
     cert = phi_extremal_check(a, np.array([1, 3]), phi_sum, n_chains=4, rng=RNG)
     assert len(calls) == 4
     assert cert.n_skipped == cert.n_chains == 4
@@ -492,14 +531,14 @@ def test_det_product_fails_on_a_perturbed_compression(monkeypatch):
 def test_phi_extremal_fails_on_a_witness_above_the_claim(monkeypatch):
     # Each random-chain witness is swapped for the top two eigen pairs,
     # whose compression spectrum (d_2, d_3) lies above the claim d_1 + d_2.
-    a, dec, _ = _instance(3, 15)
-    build = sympspec.extremal.dual_chain_construct
+    a, dec, basis = _instance(3, 15)
+    build = sympspec.extremal._construct
 
-    def top_pairs(vchain, wchain, basis, rng):
-        vs, _ = build(vchain, wchain, basis, rng)
+    def top_pairs(*args):
+        vs, _ = build(*args)
         return vs, basis.u[:, 1:]
 
-    monkeypatch.setattr(sympspec.extremal, "dual_chain_construct", top_pairs)
+    monkeypatch.setattr(sympspec.extremal, "_construct", top_pairs)
     cert = phi_extremal_check(a, np.array([1, 2]), phi_sum, n_chains=2,
                               rng=np.random.default_rng(0), validate_phi=False)
     assert cert.witness_max == pytest.approx(float(np.sum(dec.d[1:])), rel=1e-12)

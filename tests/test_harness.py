@@ -395,17 +395,16 @@ def test_certificate_record_fails_when_skips_exceed_the_cap(monkeypatch, suite):
     def never_builds(*args, **kwargs):
         raise ConstructionError("forced failure")
 
-    monkeypatch.setattr(sympspec.extremal, "dual_chain_construct", never_builds)
+    monkeypatch.setattr(sympspec.extremal, "_construct", never_builds)
     out = run_suite(suite, SuiteConfig(suite=suite, trials=2, report_path=None))
     assert out["aggregate"]["n_failed"] == 2
     assert all(rec["instance"]["n_skipped"] == 3 for rec in out["records"])
 
 
 def test_intersections_receive_orthonormal_columns(monkeypatch):
-    # subspace_intersect and _sharp_std do not re-orthonormalise their
-    # inputs; every caller on the construction path must pass
-    # orthonormal columns.
-    defects = {"subspace_intersect": [], "_sharp_std": []}
+    # subspace_meet and _sharp_std do not re-orthonormalise their inputs;
+    # every caller on the construction path must pass orthonormal columns.
+    defects = {"subspace_meet": [], "_sharp_std": []}
 
     def gram_defect(x):
         x = np.asarray(x, dtype=float)
@@ -417,13 +416,9 @@ def test_intersections_receive_orthonormal_columns(monkeypatch):
             return func(*args)
         return wrapped
 
-    bound_in = {
-        "subspace_intersect": (sympspec.basis, sympspec.extremal),
-        "_sharp_std": (sympspec.basis, sympspec.extremal),
-    }
-    for name, modules in bound_in.items():
+    for name in defects:
         wrapped = recording(name, getattr(sympspec.basis, name))
-        for module in modules:
+        for module in (sympspec.basis, sympspec.extremal):
             monkeypatch.setattr(module, name, wrapped)
 
     for suite in ("construction", "maxmin", "wielandt", "phi-extremal", "det-product"):
@@ -505,30 +500,39 @@ def test_failed_construction_becomes_one_failed_record(monkeypatch, tmp_path):
 def test_failed_svd_inside_a_trial_becomes_one_failed_record(monkeypatch):
     # A dgesdd failure, which numpy's gufunc reports by the invalid flag,
     # is a NumericalContractError, so the trial that meets it gives one
-    # contract-error record and the suite goes on.
+    # contract-error record and the suite goes on.  The suite certifies
+    # its trials in order, one construction each, so the third
+    # construction is trial 2's, and its first reduced SVD fails.
     cfg = SuiteConfig(suite="construction", trials=5, master_seed=7, report_path=None)
     clean = run_suite("construction", cfg)["records"]
-    svd = sympspec.linalg._SVD_S
-    calls = 0
+    svd, build = sympspec.linalg._SVD_S, sympspec.harness.dual_chain_construct
+    constructions, failing = 0, []
 
-    def fails_once(a, signature):
-        nonlocal calls
-        calls += 1
+    def counted(*args):
+        nonlocal constructions
+        constructions += 1
+        failing.append(constructions == 3)
+        return build(*args)
+
+    def fails_in_trial_2(a, signature):
         # On NaN input the gufunc fails as it does when dgesdd does not converge.
-        return svd(np.full_like(a, np.nan) if calls == 40 else a, signature=signature)
+        if failing and failing[-1]:
+            failing[-1] = False
+            a = np.full_like(a, np.nan)
+        return svd(a, signature=signature)
 
-    monkeypatch.setattr(sympspec.linalg, "_SVD_S", fails_once)
+    monkeypatch.setattr(sympspec.harness, "dual_chain_construct", counted)
+    monkeypatch.setattr(sympspec.linalg, "_SVD_S", fails_in_trial_2)
     out = run_suite("construction", cfg)
-    assert calls > 40
+    assert constructions == 5 and not any(failing)
     records = out["records"]
     failed = [rec for rec in records if not rec["passed"]]
     assert len(failed) == 1 and out["aggregate"]["n_failed"] == 1
-    assert (failed[0]["name"], failed[0]["n"]) == ("contract-error", None)
+    assert (failed[0]["trial"], failed[0]["name"], failed[0]["n"]) == (2, "contract-error", None)
     assert failed[0]["instance"] == {"error": "NumericalContractError",
                                      "message": "LAPACK factorization failed: "
                                                "the gufunc flagged an invalid value"}
-    t = failed[0]["trial"]
-    assert [r for r in records if r["trial"] != t] == [r for r in clean if r["trial"] != t]
+    assert [r for r in records if r["trial"] != 2] == [r for r in clean if r["trial"] != 2]
 
 
 def test_a_failed_pair_floor_cholesky_becomes_its_trials_one_failed_record(monkeypatch):

@@ -22,7 +22,7 @@ from sympspec.linalg import (
     null_space_basis,
     orthonormal_columns,
     span_residual,
-    subspace_intersect,
+    subspace_meet,
     sym_eig,
 )
 
@@ -332,24 +332,45 @@ def test_max_principal_angle_small_angles_not_flushed():
     assert max_principal_angle(x, y) == pytest.approx(theta, rel=1e-4)
 
 
-def test_subspace_intersect_shared_line():
-    x = np.eye(4)[:, :2]
-    y = np.eye(4)[:, 1:3]
-    z = subspace_intersect(x, y)
+def test_subspace_meet_shared_line():
+    # span{e1, e2} meets the complement of span{e1, e4} in the line e2.
+    z = subspace_meet(np.eye(4)[:, :2], np.eye(4)[:, [0, 3]])
     assert z.shape == (4, 1)
     assert abs(abs(z[1, 0]) - 1.0) < 1e-12
 
 
-def test_subspace_intersect_trivial():
-    x = np.eye(4)[:, :1]
-    y = np.eye(4)[:, 1:2]
-    assert subspace_intersect(x, y).shape == (4, 0)
+def test_subspace_meet_trivial():
+    assert subspace_meet(np.eye(4)[:, :1], np.eye(4)[:, :1]).shape == (4, 0)
+    # With nothing to leave out, the meet is g itself.
+    g = np.eye(4)[:, :2]
+    assert subspace_meet(g, np.zeros((4, 0))) is g
 
 
-def test_subspace_intersect_refuses_a_non_orthonormal_input():
+def test_subspace_meet_refuses_a_non_orthonormal_input():
     q = orthonormal_columns(RNG.normal(size=(6, 3)))
     with pytest.raises(NumericalContractError, match="not orthonormal"):
-        subspace_intersect(2.0 * q, q)
+        subspace_meet(q, 2.0 * q)
+
+
+def test_subspace_meet_keeps_all_of_a_span_inside_the_complement_up_to_rounding():
+    # perp^T g is rounding noise, all of it far below the absolute
+    # threshold; a threshold relative to the largest singular value, as
+    # null_space_basis takes, reads that noise as rank and keeps nothing.
+    q = extremal.random_orthogonal(8, np.random.default_rng(31))
+    g, perp = q[:, :3], q[:, 3:6]
+    z = subspace_meet(g, perp)
+    assert z.shape == (8, 3)
+    assert max_principal_angle(z, g) <= 1e-12
+    assert null_space_basis(perp.T @ g).shape == (3, 0)
+
+
+@pytest.mark.parametrize("cos_gap, kept", [(0.5, 1), (2.0, 0)])
+def test_subspace_meet_keeps_a_direction_with_cosine_within_the_tolerance(cos_gap, kept):
+    # Cosine 1 - cos_gap * tol to the complement of e2: its sine is the
+    # one singular value of perp^T g.
+    cos = 1.0 - cos_gap * linalg.INTERSECT_COS_TOL
+    g = np.array([[cos], [np.sqrt(1.0 - cos * cos)], [0.0]])
+    assert subspace_meet(g, np.eye(3)[:, 1:2]).shape == (3, kept)
 
 
 def test_skew_canonical_form_of_j():

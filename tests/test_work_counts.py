@@ -45,6 +45,16 @@ def test_a_lidskii_suite_takes_one_spectrum_pass_per_size(suite):
     assert work_counts.work_counts(3, "majorization") == dict.fromkeys(work_counts.COUNTED, 0)
 
 
+def test_every_construction_counts_public_or_not():
+    # wielandt builds its tuples through basis._construct without the
+    # public dual_chain_construct: 3 random chains per trial.
+    cfg = harness.SuiteConfig(suite="wielandt", trials=2, report_path=None)
+    with work_counts.counting() as counts:
+        harness.run_suite("wielandt", cfg)
+    assert counts["constructions"] == 6
+    assert work_counts.work_counts(3, "construction")["constructions"] == 40
+
+
 def test_a_stack_counts_each_matrix_it_checks():
     with work_counts.counting() as counts:
         core.check_positive_definite(np.stack([np.eye(2)] * 5))
