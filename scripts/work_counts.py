@@ -13,9 +13,12 @@ takes), linalg._skew_spectrum (the spectrum passes, each over one matrix
 or a stack of them), errors._lapack (the calls of scipy's
 _flapack routines), linalg._factor (every single-matrix call of numpy's
 gufuncs: SVD, symmetric eigensolve, QR, and the Cholesky and eigvals
-calls of check_positive_definite, extremal._pair_floor and ja-eigen;
-the stacked passes call their gufuncs without it; each subspace meet,
-linalg.subspace_meet, is one SVD) and basis._construct (the
+calls of check_positive_definite, extremal._pair_floor and ja-eigen,
+and the stacked steps of the extremal certificates' witnesses, Haar
+draws and floor samples; a guarded call counts once, however large its
+stack; the stacked passes of the spectra, the positive-definiteness
+checks and basis._chain_frames call their gufuncs without it; each
+subspace meet, linalg.subspace_meet, is one SVD) and basis._construct (the
 constructions: the one routine that builds every dual-chain tuple, for
 dual_chain_construct and for the extremal certificates alike), with one
 total row per seed.  Each function is counted by wrapping every name

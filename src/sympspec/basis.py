@@ -28,7 +28,11 @@ import numpy as np
 from .core import _apply_form, _form_arrays, _form_defect, _gram, _symmetric, as_generator
 from .errors import ConstructionError, ValidationError, _check_int, _contract
 from .linalg import (
+    _QR_R_RAW,
+    _QR_REDUCED,
+    _SVD_F,
     INTERSECT_COS_TOL,
+    RANK_RTOL,
     _check_finite,
     _real,
     _svd,
@@ -39,6 +43,7 @@ from .linalg import (
 )
 
 BASIS_TOL = 1e-8
+_SHARP = 1.0 - INTERSECT_COS_TOL  # singular values of g^T P g that mark W-sharp directions
 
 
 def prime_coords(a):
@@ -46,7 +51,10 @@ def prime_coords(a):
     return _prime(*_form_arrays(a))
 
 
-def _prime(a):  # prime_coords of a checked a, as the package's callers hold
+def _prime(a):  # prime_coords of a checked a, or of each matrix of a stack
+    if a.ndim == 3:
+        n = a.shape[1] // 2
+        return np.concatenate([-a[:, n:], a[:, :n]], axis=1)
     n = a.shape[0] // 2
     return np.concatenate([-a[n:], a[:n]])
 
@@ -100,7 +108,7 @@ class SymplecticBasis:
 
 def _coords_subspace(w, basis):
     """Coordinate-space orthonormal basis of an ambient subspace."""
-    w = np.asarray(w, dtype=float)
+    w = _real(w, "subspace basis")
     if w.ndim != 2 or w.shape[0] != 2 * basis.n:
         raise ValidationError(f"subspace basis has invalid shape {w.shape}")
     return orthonormal_columns(basis._coord @ w)
@@ -108,7 +116,8 @@ def _coords_subspace(w, basis):
 
 def _sharp_std(g):
     """Coordinate-space W-sharp = W intersect W-prime; g has orthonormal
-    columns.
+    columns; for a stack g (m, 2n, c), a list of the m sharp spaces from
+    one SVD pass.
 
     With S = g^T P g the k x k skew matrix of the prime map P on span(g),
     x = g c lies in W-sharp exactly when P x lies in span(g), that is
@@ -118,8 +127,35 @@ def _sharp_std(g):
     "Numerical methods for computing angles between linear subspaces",
     Math. Comp. 27, 1973), and one k x k SVD finds them.
     """
-    _, sig, vt = _svd(g.T @ _prime(g))
-    return g @ vt[sig >= 1.0 - INTERSECT_COS_TOL].T
+    _, sig, vt = _svd(g.mT @ _prime(g))
+    if g.ndim == 2:
+        return g @ vt[:np.count_nonzero(sig >= _SHARP)].T
+    return [gi @ vi[:c].T for gi, vi, c in zip(g, vt, (sig >= _SHARP).sum(axis=1).tolist())]
+
+
+@np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
+def _chain_frames(x, sizes):
+    """The coordinate sharp spaces of the members of a stack of decreasing
+    chains, chain i given by the coordinates x[i] (overwritten) of its
+    largest member, whose leading sizes[j] columns span member j.  One QR
+    pass frames every member, and the leading s x s block of Q^T P Q is
+    what _sharp_std factors for the member of size s.  The invalid flag
+    is ignored (linalg._paired): a chain whose NaN shows, or whose R
+    diagonal falls below RANK_RTOL of its largest, gets ConstructionError.
+    """
+    tau = _QR_R_RAW(x, signature="d->d")  # leaves R on and above x's diagonals
+    r = np.abs(np.diagonal(x, axis1=1, axis2=2))
+    g = _QR_REDUCED(x, tau, signature="dd->d")
+    gram = g.mT @ _prime(g)
+    ok = r.min(axis=1) >= RANK_RTOL * r.max(axis=1)  # a NaN fails
+    frames = [[] for _ in g]
+    for s in sizes:
+        _, sig, vt = _SVD_F(gram[:, :s, :s], signature="d->ddd")
+        ok &= ~np.isnan(sig[:, 0])
+        for frame, gi, vi, c in zip(frames, g[:, :, :s], vt, (sig >= _SHARP).sum(axis=1).tolist()):
+            frame.append(gi @ vi[:c].T)
+    return [frame if good else ConstructionError("chain frame is rank deficient or failed")
+            for frame, good in zip(frames, ok.tolist())]
 
 
 def _off_span(y, g):
@@ -181,13 +217,6 @@ def _unit_in(g, rng):
     return x / fnorm(x)
 
 
-def _constrained_subspace(g, constraints):
-    """Vectors in span(g) skew-orthogonal to every constraint column."""
-    if g.shape[1] == 0 or constraints.shape[1] == 0:
-        return g
-    return g @ null_space_basis(_gram(constraints, g))
-
-
 def _chain_extend_std(chain, ws, rng):
     """Coordinate-space chain extension.
 
@@ -204,7 +233,7 @@ def _chain_extend_std(chain, ws, rng):
 
     u, xs = _chain_extend_std(chain[1:], ws[:, 1:], rng)
     uspan = np.concatenate([ws, _prime(ws)], axis=1)
-    feas = _constrained_subspace(chain[0], uspan)
+    feas = chain[0] @ null_space_basis(_gram(uspan, chain[0]))  # skew-orthogonal to uspan
 
     # Split u into its component inside the pair span and the rest; the
     # rest already lies in the feasible space, so snapping it onto the

@@ -361,6 +361,13 @@ def compress(a, x, y):
     other pairings zero.  Returns (A_M, d_M): the compressed matrix in
     the tuple's own coordinates and its symplectic spectrum.
     """
+    a_m = _compression(a, x, y)
+    return a_m, symplectic_eigenvalues(a_m)
+
+
+def _compression(a, x, y):
+    """The A_M of compress(a, x, y), with every check of compress on A
+    and the tuple, and no spectrum."""
     a = _checked(a).a
     half_dim(a)
     x, y = _real(x, "tuple columns"), _real(y, "tuple columns")
@@ -378,9 +385,7 @@ def compress(a, x, y):
             f"columns are not a symplectic tuple: pairing defect {defect:.3e}"
         )
     a_m = t.T @ a @ t
-    a_m = 0.5 * (a_m + a_m.T)
-    d_m = symplectic_eigenvalues(a_m)
-    return a_m, d_m
+    return 0.5 * (a_m + a_m.T)
 
 
 def as_generator(seed):

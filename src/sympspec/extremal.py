@@ -19,34 +19,33 @@ import numpy as np
 
 from .basis import (
     SymplecticBasis,
-    _constrained_subspace,
+    _chain_frames,
     _construct,
-    _coords_subspace,
     _prime,
     _sharp_std,
-    _unit_in,
     same_span_trace_check,
 )
 from .core import (
     TUPLE_TOL,
     _checked,
+    _compression,
     _gram,
     _symmetric,
     as_generator,
     compress,
-    symplectic_inner,
-    tuple_form_defect,
     williamson,
 )
-from .errors import ConstructionError, NumericalContractError, ValidationError, _check_int, _lapack
+from .errors import (
+    ConstructionError, NumericalContractError, ValidationError, _check_int, _lapack, _value,
+)
 from .inequalities import (
     _check_index_set,
     schur_concave_monotone_check,
     supermajorize,
 )
 from .linalg import (
-    _CHOLESKY, _QR_R_RAW, _QR_REDUCED, _TRTRS, _eigh, _factor, _real,
-    _svdvals, fnorm, orthonormal_columns, subspace_meet,
+    _CHOLESKY, _QR_R_RAW, _QR_REDUCED, _TRTRS, RANK_RTOL, _by_size, _eigh, _factor,
+    _frobenius, _real, _svd, _svdvals, orthonormal_columns, subspace_meet,
 )
 
 PAIR_FLOOR = 1e-6
@@ -64,18 +63,18 @@ def tuple_value(a, x, y):
 
 
 def random_orthogonal(dim, rng):
-    """Haar-distributed orthogonal matrix via QR (numpy.linalg.qr's
-    gufuncs: dgeqrf, dorgqr) with sign correction."""
-    a = rng.standard_normal((dim, dim))
-    tau = _factor(_QR_R_RAW, "d->d", a)  # leaves R on and above a's diagonal
-    return _factor(_QR_REDUCED, "dd->d", a, tau) * np.sign(a.diagonal())
+    """Haar-distributed orthogonal matrix via QR (dgeqrf, dorgqr) with sign
+    correction (Mezzadri, Notices AMS 54, 2007): _haar's stack of one."""
+    return _haar(1, dim, rng)[0]
 
 
-def random_decreasing_chain(dim, sizes, rng):
-    """Nested subspaces of the given decreasing sizes, as prefixes of a
-    random orthogonal matrix."""
-    q = random_orthogonal(dim, rng)
-    return [q[:, :s] for s in sizes]
+def _haar(count, dim, rng):
+    """count random_orthogonal draws in a row, with their bits, as one
+    stack (count, dim, dim) from one normal draw and one QR pass."""
+    a = rng.standard_normal((count, dim, dim))
+    tau = _factor(_QR_R_RAW, "d->d", a)  # leaves R on and above a's diagonals
+    return (_factor(_QR_REDUCED, "dd->d", a, tau)
+            * np.sign(np.diagonal(a, axis1=1, axis2=2))[:, None, :])
 
 
 def canonical_chains(basis, index_set):
@@ -104,49 +103,100 @@ def canonical_chains(basis, index_set):
     return vchain, wchain
 
 
-def _sample_tuple(bases, rng):
-    """Random symplectically normalized tuple threading a decreasing chain,
-    given by orthonormal bases that are used as they stand.
+def _tuple_gram(x, y):
+    """x[i]^T J y[i] for a stack x of column stacks and a stack y or one y."""
+    n = x.shape[1] // 2
+    return x[:, :n].mT @ y[..., n:, :] - x[:, n:].mT @ y[..., :n, :]
 
-    Returns (x, y) with columns (x_j, y_j) in bases[j], <x_i, J x_j> =
-    <y_i, J y_j> = 0 and <x_i, J y_j> = delta_ij.  Pairs are drawn from
-    the smallest space outward, pair j in the part f of the j-th basis
-    skew-orthogonal to the k - j pairs drawn before.  On the chain of an
-    index set i_1 < ... < i_k in [1, n] that basis spans 2n - i_j + 1
-    dimensions and i_j <= n - (k - j), so dim f >= n - (k - j) + 1 >= 2.
-    A partner pairing under PAIR_FLOOR is redrawn, SAMPLE_RETRIES such
-    draws restart the whole tuple, and SAMPLE_RETRIES restarts raise.
+
+def _pairings(x, z):
+    """<x[i], J z[i]> for two stacks of vectors, one per row."""
+    n = x.shape[1] // 2
+    return np.vecdot(x[:, :n], z[:, n:]) - np.vecdot(x[:, n:], z[:, :n])
+
+
+def _sample_tuples(bases, count, rng):
+    """count random symplectically normalized tuples threading a
+    decreasing chain, given by orthonormal bases used as they stand, as
+    (x, y) of shape (count, 2n, k): (x_j, y_j) in bases[j], <x_i, J x_j>
+    = <y_i, J y_j> = 0 and <x_i, J y_j> = delta_ij.
+
+    The tuples are drawn side by side, level j from k down to 1: pair j in
+    the part f of bases[j] skew-orthogonal to the pairs drawn before (one
+    null-space SVD pass), then one normal draw for x and one for its
+    partner z.  A pairing under PAIR_FLOOR is redrawn for its tuple alone;
+    SAMPLE_RETRIES such draws, or a form defect above TUPLE_TOL, restart
+    it, and a tuple unfinished after SAMPLE_RETRIES starts raises.
     """
-    k = len(bases)
-    dim = bases[0].shape[0]
+    k, dim = len(bases), bases[0].shape[0]
+    x_out, y_out = np.empty((2, count, dim, k))
+    todo = np.arange(count)
     for _ in range(SAMPLE_RETRIES):
-        chosen = np.zeros((dim, 0))
-        xs, ys = [], []
+        xs, ys = np.zeros((2, len(todo), dim, k))
+        live = np.ones(len(todo), dtype=bool)
         for j in range(k - 1, -1, -1):
-            f = _constrained_subspace(bases[j], chosen)
-            x = _unit_in(f, rng)
+            sel, f = np.flatnonzero(live), bases[j]
+            if j < k - 1:
+                drawn = np.concatenate([xs[sel, :, j + 1:], ys[sel, :, j + 1:]], axis=2)
+                _, sv, vt = _svd(_tuple_gram(drawn, f))
+                rank = (sv > RANK_RTOL * sv[:, :1]).sum(axis=1)
+                f = f @ (vt * (np.arange(f.shape[1]) >= rank[:, None])[:, :, None]).mT
+            x = (f @ rng.standard_normal((len(sel), f.shape[-1], 1)))[..., 0]
+            x /= np.sqrt(np.vecdot(x, x))[:, None]
+            z, s, low = np.empty_like(x), np.empty(len(sel)), np.ones(len(sel), dtype=bool)
             for _ in range(SAMPLE_RETRIES):
-                z = _unit_in(f, rng)
-                s = symplectic_inner(x, z)
-                if abs(s) >= PAIR_FLOOR:
+                draw = rng.standard_normal((np.count_nonzero(low), f.shape[-1], 1))
+                z[low] = ((f if f.ndim == 2 else f[low]) @ draw)[..., 0]
+                s[low] = _pairings(x[low], z[low])
+                low = np.abs(s) < PAIR_FLOOR
+                if not low.any():
                     break
-            if abs(s) < PAIR_FLOOR:
-                break
-            y = z / s
+            live[sel[low]], ok = False, ~low
+            y = z[ok] / s[ok, None]
             # Rescaling (x, y) -> (t x, y / t) keeps the pairing; balance
             # the norms so neither vector dominates the energy sum.
-            t = np.sqrt(fnorm(y))
-            x, y = x * t, y / t
-            chosen = np.concatenate([chosen, x[:, None], y[:, None]], axis=1)
-            xs.append(x)
-            ys.append(y)
-        if len(xs) < k:
-            continue
-        x_set = np.stack(xs[::-1], axis=1)
-        y_set = np.stack(ys[::-1], axis=1)
-        if tuple_form_defect(x_set, y_set) <= TUPLE_TOL:
-            return x_set, y_set
+            t = np.sqrt(np.sqrt(np.vecdot(y, y)))[:, None]
+            xs[sel[ok], :, j], ys[sel[ok], :, j] = x[ok] * t, y / t
+        done = np.flatnonzero(live)
+        x, y = xs[done], ys[done]
+        defect = np.maximum.reduce([_frobenius(_tuple_gram(x, y) - np.eye(k)),
+                                    _frobenius(_tuple_gram(x, x)), _frobenius(_tuple_gram(y, y))])
+        done = done[defect <= TUPLE_TOL]
+        x_out[todo[done]], y_out[todo[done]] = xs[done], ys[done]
+        todo = np.delete(todo, done)
+        if not len(todo):
+            return x_out, y_out
     raise ConstructionError("failed to sample a normalized tuple in the chain")
+
+
+def _witnesses(m_subs, basis, a):
+    """poincare_witness of each subspace of a stack m_subs (N, 2n, s) for
+    the matrix a of a checked A, as N outcomes (u, u', energy) or
+    ConstructionError.  Each step is one stacked pass over the witnesses
+    that keep one count, grouped by linalg._by_size; each matrix keeps
+    the bits it gets alone, and a contract failure raises for all."""
+    n = basis.n
+    perp = np.eye(2 * n)[:, 3 * n + 1 - m_subs.shape[2]:]  # unit columns n+k+1..2n
+    gs = orthonormal_columns(basis._coord @ m_subs)
+    if perp.shape[1]:
+        gs = _by_size(lambda g: subspace_meet(g, perp), gs)
+    return _by_size(lambda g: _top_pairs(g, basis, a), _by_size(_sharp_std, gs))
+
+
+def _top_pairs(g, basis, a):
+    """(u, u', energy) of the top eigen pair of each witness space of a
+    stack g (m, 2n, c), or, when c is 0, a ConstructionError."""
+    if g.shape[2] == 0:
+        return [ConstructionError(
+            "witness search failed: no invariant plane in the canonical intersection")] * len(g)
+    cols = basis.cols
+    u, u_prime = cols @ g, cols @ _prime(g)
+    c = 0.5 * (u.mT @ a @ u + u_prime.mT @ a @ u_prime)
+    uc = g @ _eigh(c)[1][:, :, -1:]
+    x, y = (cols @ uc)[..., 0], (cols @ _prime(uc))[..., 0]
+    energy = 0.5 * ((x * (a @ x[..., None])[..., 0]).sum(axis=1)
+                    + (y * (a @ y[..., None])[..., 0]).sum(axis=1))
+    return list(zip(x, y, energy.tolist()))
 
 
 def poincare_witness(m_sub, basis, a):
@@ -162,29 +212,20 @@ def poincare_witness(m_sub, basis, a):
     0.5 (U^T A U + U'^T A U') for an orthonormal coordinate basis g of
     the space, U = lift(g) and U' = lift(prime(g)), so <u, J u'> is the
     basis norm of u, which is 1.  A must be positive definite, and a
-    PositiveDefinite is taken as it stands.
+    PositiveDefinite is taken as it stands.  The search is _witnesses on
+    the stack of one.
     """
     n = basis.n
     a = _checked(a).a
     if a.shape != (2 * n,) * 2:
         raise ValidationError(f"matrix must have shape {(2 * n,) * 2}, got {a.shape}")
     m_sub = _real(m_sub, "subspace basis")
-    # _coords_subspace refuses an m_sub that is not 2-D with 2n rows.
-    mc = _coords_subspace(m_sub, basis)
+    if m_sub.ndim != 2 or m_sub.shape[0] != 2 * n:
+        raise ValidationError(f"subspace basis has invalid shape {m_sub.shape}")
     k = 2 * n - m_sub.shape[1] + 1
     if not 1 <= k <= n:
-        raise ValidationError(
-            f"subspace dimension {m_sub.shape[1]} does not match any index"
-        )
-    g = _sharp_std(subspace_meet(mc, np.eye(2 * n)[:, n + k :]))
-    if g.shape[1] == 0:
-        raise ConstructionError(
-            "witness search failed: no invariant plane in the canonical intersection"
-        )
-    u, u_prime = basis.cols @ g, basis.cols @ _prime(g)
-    c = 0.5 * (u.T @ a @ u + u_prime.T @ a @ u_prime)
-    uc = g @ _eigh(c)[1][:, -1]
-    return basis.cols @ uc, basis.cols @ _prime(uc)
+        raise ValidationError(f"subspace dimension {m_sub.shape[1]} does not match any index")
+    return _value(_witnesses(m_sub[None], basis, a)[0])[:2]
 
 
 @dataclass
@@ -234,29 +275,33 @@ def _eigen_frame(a, index_set):
     return pd, dec.d, basis, np.asarray(index_set, dtype=int), wchain
 
 
-def _sampled_floor(a, chain, claimed, samples, rng, tol):
-    """Energies of tuples sampled in the chain, and their slacks above
-    the claim.  The chain is orthonormalised once for all samples."""
-    scale = max(1.0, abs(claimed))
-    bases = [orthonormal_columns(w) for w in chain]
-    values = [tuple_value(a, *_sample_tuple(bases, rng)) for _ in range(samples)]
-    return values, [val - claimed + tol * scale for val in values]
+def _sampled_floor(a, basis, idx, claimed, samples, rng, tol):
+    """Energies of tuples sampled in the canonical decreasing chain of idx,
+    for the matrix a of a checked A, and their slacks above the claim.
+    Its member [u, v[:, i_j - 1:]] spans the leading 2n - i_j + 1 columns
+    of [u, v[:, ::-1]], so one QR frames every member."""
+    sizes = 2 * basis.n + 1 - idx
+    w = np.concatenate([basis.u, basis.v[:, ::-1][:, : sizes[0] - basis.n]], axis=1)
+    q = _factor(_QR_REDUCED, "dd->d", w, _factor(_QR_R_RAW, "d->d", w))
+    x, y = _sample_tuples([q[:, :s] for s in sizes], samples, rng)
+    values = 0.5 * ((x * (a @ x)).sum(axis=(1, 2)) + (y * (a @ y)).sum(axis=(1, 2)))
+    return values.tolist(), (values - claimed + tol * max(1.0, abs(claimed))).tolist()
 
 
 def _chain_tuples(idx, basis, count, rng):
     """Dual-chain tuples (vs, ws) on the exact frame of canonical_chains'
     increasing chain and count fresh random decreasing chains, and the
     number of attempts skipped on a ConstructionError or on a built tuple
-    that failed its contract."""
-    eye, pair = np.eye(2 * basis.n), np.arange(2 * basis.n) % basis.n
+    that failed its contract.  The chains are drawn and framed as one
+    stack (basis._chain_frames) before any is built."""
+    n = basis.n
+    eye, pair = np.eye(2 * n), np.arange(2 * n) % n
     vsharp, vperp = [eye[:, pair < i] for i in idx], [eye[:, pair >= i] for i in idx]
-    sizes = [2 * basis.n - i + 1 for i in idx]
+    sizes = (2 * n + 1 - idx).tolist()
     tuples, n_skipped = [], 0
-    for _ in range(count):
-        chain = random_decreasing_chain(2 * basis.n, sizes, rng)
+    for wsharp in _chain_frames(basis._coord @ _haar(count, 2 * n, rng)[:, :, :sizes[0]], sizes):
         try:
-            wsharp = [_sharp_std(_coords_subspace(w, basis)) for w in chain]
-            tuples.append(_construct(vsharp, vperp, wsharp, basis, rng))
+            tuples.append(_construct(vsharp, vperp, _value(wsharp), basis, rng))
         except (ConstructionError, NumericalContractError):
             n_skipped += 1
     return tuples, n_skipped
@@ -292,15 +337,10 @@ def maxmin_check(a, k, n_subspaces=20, rng=None, tol=1e-9):
     equality_gap = abs(tuple_value(pd, basis.u[:, k - 1], basis.v[:, k - 1]) - claimed)
     slacks = [floor - claimed + tol * scale, 1e-10 * scale - equality_gap]
 
-    witness_vals, n_skipped = [], 0
-    for _ in range(n_subspaces):
-        m_sub = random_orthogonal(2 * d.size, rng)[:, : wchain[0].shape[1]]
-        try:
-            u, v = poincare_witness(m_sub, basis, pd)
-        except ConstructionError:
-            n_skipped += 1
-            continue
-        witness_vals.append(tuple_value(pd, u, v))
+    m_subs = _haar(n_subspaces, 2 * basis.n, rng)[:, :, : wchain[0].shape[1]]
+    outcomes = _witnesses(m_subs, basis, pd.a)
+    witness_vals = [w[2] for w in outcomes if not isinstance(w, ConstructionError)]
+    n_skipped = len(outcomes) - len(witness_vals)
     slacks += [claimed - val + tol * scale for val in witness_vals]
 
     return _finish(
@@ -323,10 +363,10 @@ def wielandt_certify(a, index_set, n_chains=20, samples=40, rng=None,
     n_chains = _check_int("n_chains", n_chains, minimum=1)
     samples = _check_int("samples", samples, minimum=1)
     rng = as_generator(rng)
-    pd, d, basis, idx, wchain = _eigen_frame(a, index_set)
+    pd, d, basis, idx, _ = _eigen_frame(a, index_set)
     claimed = float(d[idx - 1].sum())
     scale = max(1.0, abs(claimed))
-    values, slacks = _sampled_floor(pd, wchain, claimed, samples, rng, tol)
+    values, slacks = _sampled_floor(pd.a, basis, idx, claimed, samples, rng, tol)
 
     eig_val = tuple_value(pd, basis.u[:, idx - 1], basis.v[:, idx - 1])
     equality_gap = abs(eig_val - claimed)
@@ -423,7 +463,7 @@ def det_product_check(a, index_set):
     """
     pd, d, basis, idx, _ = _eigen_frame(a, index_set)
     claimed_log = 2.0 * float(np.log(d[idx - 1]).sum())
-    a_eig = compress(pd, basis.u[:, idx - 1], basis.v[:, idx - 1])[0]
+    a_eig = _compression(pd, basis.u[:, idx - 1], basis.v[:, idx - 1])
     sign, logdet = np.linalg.slogdet(a_eig)
     eig_log = float(sign) * logdet
     equality_gap = abs(eig_log - claimed_log)

@@ -5,60 +5,38 @@ can fail quietly raise NumericalContractError instead of returning
 garbage: sym_eig checks its residual, subspace_meet its principal
 cosines and _pairing_verdict the pairs of singular values _skew_spectrum
 reads d from, each with one errors._contract call, which a NaN fails,
-and every LAPACK failure raises too (see below).  The skew routes
-(_skew_spectrum, and _skew_canonical with its basis) take the exactly
-skew K that core._cholesky_skew builds from a factor of a matrix that
-check_positive_definite passed, so they check no input; the d and the
-basis of _skew_canonical are certified by the residuals of
-core.williamson, its one caller, and not here.
+and every LAPACK failure raises too.  The skew routes take the exactly
+skew K that core._cholesky_skew builds from a checked factor, so they
+check no input: _skew_spectrum is the values-only SVD of K, over a whole
+stack in one call, and _skew_canonical's d and basis, from the
+Hessenberg band of K, are certified by core.williamson, its one caller.
 
-The spectrum alone takes one route at every size: the values-only SVD of
-K itself, numpy's gufunc over a whole stack of K in one call, so a verify
-suite pays one pass per size rather than one call chain per matrix.  The
-basis takes the Hessenberg band of K, whose bidiagonal SVD gives each
-pair of singular vectors in canonical form; an SVD of K itself would
-leave them free to rotate inside each pair.
-
-This module is the package's one LAPACK binding; core, extremal and
-inequalities import the handles they call.  Where numpy has a gufunc
-for a routine, in numpy.linalg._umath_linalg, that gufunc is called and
-nothing else: _SVD_F, _SVD_S and _SVD (dgesdd: full, reduced, values
-only), _EIGH (dsyevd, lower triangle), _CHOLESKY, _EIGVALS, _QR_R_RAW
-and _QR_REDUCED (dgeqrf, dorgqr).  Each is called with the signature and
-error state numpy.linalg's wrapper passes, but without the wrapper,
-which costs more than LAPACK at the package's sizes; the bits are
-numpy's.  Every call on one matrix goes through _factor, which raises
+This module is the package's one LAPACK binding; the other modules
+import the handles they call.  numpy.linalg._umath_linalg's gufuncs are
+called without numpy.linalg's wrapper, which costs more than LAPACK at
+the package's sizes, with its signatures and error state: _SVD_F, _SVD_S
+and _SVD (dgesdd: full, reduced, values only), _EIGH (dsyevd, lower
+triangle), _CHOLESKY, _EIGVALS, _QR_R_RAW and _QR_REDUCED (dgeqrf,
+dorgqr).  A call through _factor, on one matrix or on a stack, raises
 the invalid flag, by which a gufunc reports a failed factorization, as
-NumericalContractError (errors._gufunc_failed): the one route of such a
-failure to a caller.  The stack passes (_paired, core._check_stack)
-ignore that flag, and each matrix's certificate refuses the NaN a
-failure leaves, so that each matrix of a stack keeps its own verdict.
+NumericalContractError (errors._gufunc_failed), the one route of such a
+failure to a caller.  The stack passes whose matrices keep their own
+verdicts (_paired, core._check_stack, basis._chain_frames) ignore that
+flag, and each matrix's certificate refuses the NaN a failure leaves.
+scipy.linalg._flapack, loaded by _load_flapack() without the init of
+scipy, which costs more than half of a cold CLI start, serves what numpy
+lacks: _GEHRD, _ORGHR, _POCON, _TRTRS and _SYGST, each status through
+errors._lapack.  check_symmetric, the input check of every positive
+definite entry point, is one body for speed.
 
-scipy.linalg._flapack serves the five routines numpy lacks: _GEHRD and
-_ORGHR (the Hessenberg band, and the basis of _skew_canonical), _POCON,
-_TRTRS and _SYGST, each status through errors._lapack.  They are the
-objects scipy.linalg.get_lapack_funcs returns.  _load_flapack() loads
-the extension from its file, found through scipy's import spec, without
-the init of scipy or scipy.linalg, which costs more than half of a cold
-CLI start; the extension's RPATH ($ORIGIN/../../scipy.libs) finds the
-OpenBLAS it links.  check_symmetric, the input check of every positive
-definite entry point, is one body for speed: it calls neither
-check_square nor _check_finite.
-
-Two routines take one matrix or a stack of them, shape (m, k, k), and
-give a stack's matrices the bits each gets alone: _skew_spectrum and
-core.check_positive_definite.  A stack gives a list of m outcomes, each
-the matrix's result or the error that refused it (errors._value reads
-one), so one call serves many matrices while each refusal stays its own.
-_by_size stacks a list of arrays by shape for one such call per shape,
-and _frobenius takes fnorm of every matrix of a stack at once.
-
-_below(m) is the strictly-lower boolean mask of size m, built once per
-size and kept read-only.  np.where(_below(m), 0.0, x) is the upper
-triangle of x with its diagonal, np.where(_below(m).T, 0.0, x) the lower
-one and np.where(_below(m), x, 0.0) the strictly lower one, the same
-entries numpy's triu and tril return, without the mask that those two
-rebuild on every call.
+A routine that takes a stack of matrices gives each the bits it gets
+alone: _skew_spectrum and core.check_positive_definite give a list of
+outcomes, each the matrix's result or the error that refused it
+(errors._value reads one), and orthonormal_columns and subspace_meet a
+list of bases.  _by_size stacks a list of arrays by shape, one call per
+shape; _frobenius takes fnorm of every matrix of a stack.  _below(m) is
+the read-only strictly-lower mask of size m, kept per size, which
+np.where uses in place of numpy's triu and tril.
 """
 
 from __future__ import annotations
@@ -136,8 +114,8 @@ def fnorm(a):
 @np.errstate(call=_gufunc_failed, invalid="call",
              over="ignore", divide="ignore", under="ignore")
 def _factor(gufunc, signature, *args):
-    """gufunc(*args) on one matrix under numpy.linalg's error state, a
-    failed factorization raised as NumericalContractError."""
+    """gufunc(*args), on one matrix or a stack, under numpy.linalg's error
+    state, a failed factorization raised as NumericalContractError."""
     return gufunc(*args, signature=signature)
 
 
@@ -243,7 +221,7 @@ def _by_size(fn, items):
 def _frobenius(x):
     """fnorm of each matrix of a C-ordered stack, with the bits fnorm gives
     it alone: vecdot takes the dot product that x.dot(x) takes."""
-    x = x.reshape(len(x), -1)
+    x = x.reshape(len(x), math.prod(x.shape[1:]))
     return np.sqrt(np.vecdot(x, x))
 
 
@@ -257,17 +235,19 @@ def sym_eig(s):
 
 
 def orthonormal_columns(x):
-    """Orthonormal basis for the column span of x (may drop rank)."""
+    """Orthonormal basis for the column span of x (may drop rank); for a
+    stack x (m, r, c), a list of the m bases from one SVD pass."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValidationError(f"expected a 2-d array, got shape {x.shape}")
-    if x.shape[1] == 0:
-        return x.copy()
+    if x.ndim not in (2, 3):
+        raise ValidationError(f"expected a 2-d array or a stack of them, got shape {x.shape}")
+    if x.shape[-1] == 0:
+        return x.copy() if x.ndim == 2 else list(x.copy())
     u, s, _ = _svd(x, full_matrices=False)
-    if s[0] == 0.0:
-        return np.zeros((x.shape[0], 0))
-    k = np.count_nonzero(s > RANK_RTOL * s[0])
-    return u[:, :k]
+    # A zero matrix keeps no column: no s exceeds 0 * s[0].
+    if x.ndim == 2:
+        return u[:, :np.count_nonzero(s > RANK_RTOL * s[0])]
+    k = (s > RANK_RTOL * s[:, :1]).sum(axis=1)
+    return [ui[:, :ki] for ui, ki in zip(u, k.tolist())]
 
 
 def null_space_basis(g):
@@ -312,24 +292,27 @@ def max_principal_angle(u, w):
 
 def subspace_meet(g, perp):
     """The meet of span(g) with the orthogonal complement of span(perp),
-    g times some of the right singular vectors of perp^T g, from one SVD.
+    g times some of the right singular vectors of perp^T g, from one SVD;
+    for a stack g (m, r, c), a list of the m meets from one SVD pass.
 
     g and perp must have orthonormal columns.  The singular value sigma
     at c (0 past the rank) is then the sine of the angle between g c and
     the complement (Bjorck and Golub, Math. Comp. 27, 1973), and c is
     kept at sigma^2 <= 2 tol - tol^2, tol = INTERSECT_COS_TOL, that is at
     cosine 1 - tol or more: an absolute threshold, as the inputs are
-    orthonormal.  A principal cosine above 1 + tol shows that they are
-    not, and raises NumericalContractError.
+    orthonormal.  A principal cosine above 1 + tol, in any matrix of a
+    stack, shows that they are not, and raises NumericalContractError.
     """
-    if g.shape[1] == 0 or perp.shape[1] == 0:
-        return g
+    if g.shape[-1] == 0 or perp.shape[1] == 0:
+        return g if g.ndim == 2 else list(g)
     _, sig, vt = _svd(perp.T @ g)
-    _contract("principal cosine", sig[0], 1.0 + INTERSECT_COS_TOL,
-              ": inputs are not orthonormal")
+    top = sig[0] if g.ndim == 2 else sig[:, 0].max()
+    _contract("principal cosine", top, 1.0 + INTERSECT_COS_TOL, ": inputs are not orthonormal")
     # sig descends, so the rows of vt it leaves off are the kept ones.
-    off = np.count_nonzero(sig * sig > INTERSECT_COS_TOL * (2.0 - INTERSECT_COS_TOL))
-    return g @ vt[off:].T
+    off = sig * sig > INTERSECT_COS_TOL * (2.0 - INTERSECT_COS_TOL)
+    if g.ndim == 2:
+        return g @ vt[np.count_nonzero(off):].T
+    return [gi @ vi[o:].T for gi, vi, o in zip(g, vt, off.sum(axis=1).tolist())]
 
 
 def _hessenberg_band(k):

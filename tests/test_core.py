@@ -10,7 +10,12 @@ import pytest
 import scipy.linalg
 
 from sympspec import core, errors, inequalities, linalg
-from sympspec.basis import SymplecticBasis, prime_coords, same_span_trace_check
+from sympspec.basis import (
+    SymplecticBasis,
+    dual_chain_construct,
+    prime_coords,
+    same_span_trace_check,
+)
 from sympspec.core import (
     WILLIAMSON_RTOL_A,
     WILLIAMSON_TOL_J,
@@ -862,6 +867,7 @@ def test_every_entry_point_refuses_a_matrix_that_is_not_numbers(entry, matrix):
 
 _VEC = np.array([1.0, 2.0, 3.0, 4.0])
 _STD = SymplecticBasis.standard(2)
+_X3 = np.eye(4)[:, :3]
 
 # Every exported callable that takes a vector or a column stack, by the
 # argument under test.
@@ -880,6 +886,10 @@ VECTOR_HELPERS = {
     "same_span_trace_check-x": lambda x: same_span_trace_check(np.eye(4), x, _VEC, _STD),
     "same_span_trace_check-v": lambda v: same_span_trace_check(np.eye(4), _VEC, v, _STD),
     "poincare_witness": lambda m: poincare_witness(m, _STD, np.eye(4)),
+    # A complex chain used to lose its imaginary part with a ComplexWarning,
+    # a string one raised numpy's ValueError and a bool one read as numbers.
+    "dual_chain_construct-vchain": lambda w: dual_chain_construct([w], [np.eye(4)], _STD, 0),
+    "dual_chain_construct-wchain": lambda w: dual_chain_construct([_X3], [w], _STD, 0),
     "random_pd": lambda d: random_pd(4, 0, spectrum=d),
     "supermajorize-a": lambda a: supermajorize(a, _VEC),
     "supermajorize-b": lambda b: supermajorize(_VEC, b),

@@ -6,6 +6,7 @@ import pytest
 import sympspec.extremal
 from sympspec.basis import (
     SymplecticBasis,
+    _chain_frames,
     _coords_subspace,
     _sharp_std,
     dual_chain_construct,
@@ -24,13 +25,14 @@ from sympspec.extremal import (
     PAIR_FLOOR,
     SAMPLE_RETRIES,
     _finish,
-    _sample_tuple,
+    _haar,
+    _sample_tuples,
+    _witnesses,
     canonical_chains,
     det_product_check,
     maxmin_check,
     phi_extremal_check,
     poincare_witness,
-    random_decreasing_chain,
     random_orthogonal,
     tuple_value,
     wielandt_certify,
@@ -40,7 +42,6 @@ from sympspec.inequalities import additive_lidskii_trial
 from sympspec.linalg import (
     fnorm,
     max_principal_angle,
-    orthonormal_columns,
     span_residual,
     subspace_meet,
 )
@@ -97,41 +98,39 @@ def test_a_failed_qr_factorization_raises(monkeypatch):
         random_orthogonal(3, np.random.default_rng(0))
 
 
-def test_random_decreasing_chain_is_nested():
-    sizes = [7, 5, 4]
-    chain = random_decreasing_chain(8, sizes, RNG)
-    assert [c.shape[1] for c in chain] == sizes
-    for j in range(1, len(chain)):
-        assert span_residual(chain[j - 1], chain[j]) <= 1e-10
-
-
-def test_sample_tuple_in_chain_properties():
+def test_sample_tuples_thread_the_chain():
     _, _, basis = _instance(3, 3)
     idx = np.array([1, 3])
     _, wchain = canonical_chains(basis, idx)
-    bases = [orthonormal_columns(w) for w in wchain]
-    for _ in range(5):
-        x, y = _sample_tuple(bases, RNG)
-        assert tuple_form_defect(x, y) <= 1e-8
+    bases = [np.linalg.qr(w)[0] for w in wchain]
+    x, y = _sample_tuples(bases, 5, RNG)
+    assert x.shape == y.shape == (5, 6, 2)
+    for xt, yt in zip(x, y):
+        assert tuple_form_defect(xt, yt) <= 1e-8
         for j in range(len(wchain)):
-            assert span_residual(wchain[j], x[:, j]) <= 1e-8
-            assert span_residual(wchain[j], y[:, j]) <= 1e-8
+            assert span_residual(wchain[j], xt[:, j]) <= 1e-8
+            assert span_residual(wchain[j], yt[:, j]) <= 1e-8
 
 
-def _sample_tuple_with_pairings(monkeypatch, pairing):
-    """_sample_tuple on a two-pair chain in R^6 (index set {1, 2}, so the
-    bases span 6 and 5 dimensions) with each pairing <x, J z> of a
-    partner draw z replaced by pairing(call number, true pairing), and
-    the number of pairings asked for."""
+def _sampler_with_pairings(monkeypatch, pairing):
+    """The bases of a two-pair chain in R^6 (index set {1, 2}, so they
+    span 6 and 5 dimensions), with each pairing <x, J z> of a partner
+    draw z replaced by pairing(pairing number, true pairing), and the
+    list of pairings asked for, one entry per tuple paired."""
     calls = []
+    pairings = sympspec.extremal._pairings
 
     def patched(x, z):
-        calls.append(None)
-        return pairing(len(calls), symplectic_inner(x, z))
+        true = pairings(x, z)
+        out = []
+        for s in true:
+            calls.append(None)
+            out.append(pairing(len(calls), s))
+        return np.array(out)
 
-    monkeypatch.setattr(sympspec.extremal, "symplectic_inner", patched)
-    bases = random_decreasing_chain(6, [6, 5], np.random.default_rng(8))
-    return bases, calls
+    monkeypatch.setattr(sympspec.extremal, "_pairings", patched)
+    q = random_orthogonal(6, np.random.default_rng(8))
+    return [q[:, :6], q[:, :5]], calls
 
 
 def test_sample_tuple_restarts_the_whole_tuple_after_a_run_of_degenerate_partners(monkeypatch):
@@ -139,26 +138,45 @@ def test_sample_tuple_restarts_the_whole_tuple_after_a_run_of_degenerate_partner
     # falls under PAIR_FLOOR.  The whole tuple restarts, and the result is
     # the tuple an undisturbed call draws once the failed attempt's normals
     # are used up: the first pair's x and partner in its 5-space, then x
-    # and SAMPLE_RETRIES partners in the 4-space the first pair leaves.
-    bases, calls = _sample_tuple_with_pairings(
+    # and SAMPLE_RETRIES partners drawn over the 6 right singular vectors
+    # of the second level, the 2 that its constraints reach zeroed.
+    bases, calls = _sampler_with_pairings(
         monkeypatch, lambda i, s: 0.0 if 2 <= i <= SAMPLE_RETRIES + 1 else s)
-    x, y = _sample_tuple(bases, np.random.default_rng(1))
+    x, y = _sample_tuples(bases, 1, np.random.default_rng(1))
     assert len(calls) == SAMPLE_RETRIES + 3
     monkeypatch.undo()
     rng = np.random.default_rng(1)
-    rng.standard_normal(2 * 5 + (1 + SAMPLE_RETRIES) * 4)
-    x_ref, y_ref = _sample_tuple(bases, rng)
+    rng.standard_normal(2 * 5 + (1 + SAMPLE_RETRIES) * 6)
+    x_ref, y_ref = _sample_tuples(bases, 1, rng)
     assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
-    assert tuple_form_defect(x, y) <= 1e-8
+    assert tuple_form_defect(x[0], y[0]) <= 1e-8
 
 
 def test_sample_tuple_raises_when_every_restart_fails(monkeypatch):
     # Every pairing sits just under the floor, so each restart ends at the
     # first pair's last partner draw.
-    bases, calls = _sample_tuple_with_pairings(monkeypatch, lambda i, s: 0.5 * PAIR_FLOOR)
+    bases, calls = _sampler_with_pairings(monkeypatch, lambda i, s: 0.5 * PAIR_FLOOR)
     with pytest.raises(ConstructionError, match="failed to sample a normalized tuple"):
-        _sample_tuple(bases, np.random.default_rng(1))
+        _sample_tuples(bases, 1, np.random.default_rng(1))
     assert len(calls) == SAMPLE_RETRIES * SAMPLE_RETRIES
+
+
+def test_a_sub_floor_pairing_is_redrawn_and_restarted_for_its_tuple_alone(monkeypatch):
+    # Of three tuples drawn side by side, only the second meets a run of
+    # sub-floor partners at its second pair: it alone redraws, restarts
+    # and is drawn again, while the other two finish in the first pass.
+    def pairing(i, s):
+        # Pairings 1-3 are the first level's; at the second level the
+        # second tuple's partner is pairing 5, and each redraw of it
+        # asks for one more, SAMPLE_RETRIES in all.
+        return 0.0 if i == 5 or 7 <= i <= 5 + SAMPLE_RETRIES else s
+
+    bases, calls = _sampler_with_pairings(monkeypatch, pairing)
+    x, y = _sample_tuples(bases, 3, np.random.default_rng(2))
+    # 3 + 3 pairings, SAMPLE_RETRIES - 1 redraws, then 2 for the restart.
+    assert len(calls) == 6 + SAMPLE_RETRIES - 1 + 2
+    for xt, yt in zip(x, y):
+        assert tuple_form_defect(xt, yt) <= 1e-8
 
 
 # A cast to int would truncate 1.5 and 2.9 to a valid index set and read
@@ -207,19 +225,24 @@ def test_unsigned_index_sets_are_read_as_signed():
         det_product_check(a, np.array([3, 1], dtype=np.uint8))
 
 
-def test_sampled_floor_orthonormalises_each_chain_subspace_once(monkeypatch):
+def test_sampled_floor_orthonormalises_the_chain_with_one_qr(monkeypatch):
+    # The canonical decreasing chain is the prefixes of [u, v[:, ::-1]],
+    # so one QR (its two gufunc calls) frames every member, and no member
+    # is orthonormalised alone.
     a, _, basis = _instance(3, 3)
-    _, wchain = canonical_chains(basis, np.array([1, 3]))
+    factor = sympspec.extremal._factor
     calls = []
 
-    def counted(x):
-        calls.append(x.shape)
-        return orthonormal_columns(x)
+    def counted(gufunc, signature, *args):
+        calls.append(gufunc.__name__)
+        return factor(gufunc, signature, *args)
 
-    monkeypatch.setattr(sympspec.extremal, "orthonormal_columns", counted)
-    values, _ = sympspec.extremal._sampled_floor(a, wchain, 0.0, 5, np.random.default_rng(9), 1e-9)
+    monkeypatch.setattr(sympspec.extremal, "_factor", counted)
+    monkeypatch.setattr(sympspec.extremal, "orthonormal_columns", None)
+    values, _ = sympspec.extremal._sampled_floor(a, basis, np.array([1, 3]), 0.0, 5,
+                                                 np.random.default_rng(9), 1e-9)
     assert len(values) == 5
-    assert calls == [w.shape for w in wchain]
+    assert calls.count("qr_r_raw") == calls.count("qr_reduced") == 1
 
 
 def test_poincare_witness_energy_bound():
@@ -516,13 +539,12 @@ def test_det_product_certificate():
 
 def test_det_product_fails_on_a_perturbed_compression(monkeypatch):
     a, _, _ = _instance(3, 13)
-    build = sympspec.extremal.compress
+    build = sympspec.extremal._compression
 
     def scaled(a, x, y):
-        a_m, d_m = build(a, x, y)
-        return (1.0 + 1e-6) * a_m, d_m
+        return (1.0 + 1e-6) * build(a, x, y)
 
-    monkeypatch.setattr(sympspec.extremal, "compress", scaled)
+    monkeypatch.setattr(sympspec.extremal, "_compression", scaled)
     cert = det_product_check(a, np.array([1, 2]))
     assert cert.equality_gap > 1e-8
     assert cert.slack < 0.0 and not cert.passed
@@ -592,23 +614,130 @@ def test_finish_derives_the_skip_cap(n_samples, n_chains, n_skipped, passed):
 
 
 def test_maxmin_fails_on_a_witness_above_the_claim(monkeypatch):
-    # The first two witnesses are the top eigen pair, whose energy d_3
-    # lies far above the claim d_1.  The witness slack is the one check
-    # of that bound, so the certificate fails and skips nothing.
+    # The first two witnesses of the stack are the top eigen pair, whose
+    # energy d_3 lies far above the claim d_1.  The witness slack is the
+    # one check of that bound, so the certificate fails and skips nothing.
     a, dec, basis = _instance(3, 3)
-    witness = sympspec.extremal.poincare_witness
-    calls = []
+    witnesses = sympspec.extremal._witnesses
+    top = (basis.u[:, 2], basis.v[:, 2], tuple_value(a, basis.u[:, 2], basis.v[:, 2]))
+    stacks = []
 
-    def forced(*args):
-        calls.append(None)
-        if len(calls) > 2:
-            return witness(*args)
-        return basis.u[:, 2], basis.v[:, 2]
+    def forced(m_subs, *args):
+        stacks.append(len(m_subs))
+        return [top, top] + witnesses(m_subs, *args)[2:]
 
-    monkeypatch.setattr(sympspec.extremal, "poincare_witness", forced)
+    monkeypatch.setattr(sympspec.extremal, "_witnesses", forced)
     cert = maxmin_check(a, 1, n_subspaces=4, rng=np.random.default_rng(0))
-    assert len(calls) == 4
+    assert stacks == [4]
     assert cert.witness_max == pytest.approx(dec.d[2], rel=1e-9)
     assert cert.slack < 0.0
     assert cert.n_skipped == 0
     assert cert.passed is False
+
+
+def _same_bits(got, want):
+    return all(np.asarray(g).tobytes() == np.asarray(w).tobytes() for g, w in zip(got, want))
+
+
+def test_a_stacked_witness_is_poincare_witness_of_its_subspace_bit_for_bit():
+    rng = np.random.default_rng(50)
+    for n in range(2, 7):
+        a, _, basis = _instance(n, 60 + n)
+        for k in range(1, n + 1):
+            m_subs = _haar(4, 2 * n, rng)[:, :, : 2 * n - k + 1]
+            for m_sub, (u, v, energy) in zip(m_subs, _witnesses(m_subs, basis, a)):
+                alone = poincare_witness(m_sub, basis, a)
+                assert _same_bits((u, v), alone), (n, k)
+                assert energy == tuple_value(a, *alone)
+
+
+def test_witnesses_that_keep_different_counts_are_grouped_and_still_match(monkeypatch):
+    # At n = 3, k = 2 a subspace of rank 4 instead of 5 meets the
+    # canonical space in a 3-space, with no invariant plane: its outcome
+    # is a ConstructionError, alone, and the other two match their
+    # single calls.  The sharp step runs once per count.
+    a, _, basis = _instance(3, 70)
+    m_subs = _haar(3, 6, np.random.default_rng(71))[:, :, :5]
+    m_subs[1, :, 4] = m_subs[1, :, 0]
+    sharp = sympspec.extremal._sharp_std
+    shapes = []
+
+    def recorded(g):
+        shapes.append(g.shape)
+        return sharp(g)
+
+    monkeypatch.setattr(sympspec.extremal, "_sharp_std", recorded)
+    outcomes = _witnesses(m_subs, basis, a)
+    assert sorted(shapes) == [(1, 6, 3), (2, 6, 4)]
+    assert isinstance(outcomes[1], ConstructionError)
+    with pytest.raises(ConstructionError, match="no invariant plane"):
+        poincare_witness(m_subs[1], basis, a)
+    for i in (0, 2):
+        assert _same_bits(outcomes[i][:2], poincare_witness(m_subs[i], basis, a))
+
+
+def test_maxmin_counts_a_witness_with_no_invariant_plane_as_skipped(monkeypatch):
+    a, _, _ = _instance(3, 70)
+    haar = sympspec.extremal._haar
+
+    def one_degenerate(count, dim, rng):
+        q = haar(count, dim, rng)
+        q[1, :, 4] = q[1, :, 0]
+        return q
+
+    monkeypatch.setattr(sympspec.extremal, "_haar", one_degenerate)
+    cert = maxmin_check(a, 2, n_subspaces=4, rng=np.random.default_rng(0))
+    assert cert.n_skipped == 1 and cert.passed
+
+
+def test_each_chain_frame_spans_the_factorized_sharp_spaces():
+    rng = np.random.default_rng(72)
+    for t in range(20):
+        n = 2 + t % 5
+        k = 1 + (t // 5) % n
+        _, _, basis = _instance(n, 500 + t)
+        idx = np.sort(rng.choice(np.arange(1, n + 1), size=k, replace=False))
+        sizes = (2 * n + 1 - idx).tolist()
+        q = _haar(3, 2 * n, rng)[:, :, :sizes[0]]
+        for qi, frame in zip(q, _chain_frames(basis._coord @ q, sizes)):
+            for s, member in zip(sizes, frame):
+                want = _sharp_std(_coords_subspace(qi[:, :s], basis))
+                assert member.shape == want.shape
+                assert max_principal_angle(member, want) <= 1e-12
+
+
+def test_the_rank_guard_skips_a_chain(monkeypatch):
+    a, _, basis = _instance(3, 73)
+    haar = sympspec.extremal._haar
+
+    def one_dependent(count, dim, rng):
+        q = haar(count, dim, rng)
+        q[2, :, 1] = q[2, :, 0]
+        return q
+
+    monkeypatch.setattr(sympspec.extremal, "_haar", one_dependent)
+    idx = np.array([1, 3])
+    tuples, n_skipped = sympspec.extremal._chain_tuples(idx, basis, 4, np.random.default_rng(1))
+    assert n_skipped == 1 and len(tuples) == 3
+    q = one_dependent(3, 6, np.random.default_rng(2))
+    frames = _chain_frames(basis._coord @ q[:, :, :6], [6, 4])
+    assert [isinstance(f, ConstructionError) for f in frames] == [False, False, True]
+
+
+def test_a_failed_factorization_in_one_chain_skips_that_chain_alone(monkeypatch):
+    # The second chain's sharp-space SVD comes back as NaN with the
+    # invalid flag raised, as a failed gufunc leaves it.
+    a, _, basis = _instance(3, 74)
+    svd = sympspec.basis._SVD_F
+
+    def failing_second(x, signature):
+        u, s, vt = svd(x, signature=signature)
+        s[1] = np.sqrt(-np.ones(s.shape[1]))
+        return u, s, vt
+
+    monkeypatch.setattr(sympspec.basis, "_SVD_F", failing_second)
+    q = _haar(3, 6, np.random.default_rng(3))[:, :, :6]
+    frames = _chain_frames(basis._coord @ q, [6, 4])
+    assert [isinstance(f, ConstructionError) for f in frames] == [False, True, False]
+    cert = wielandt_certify(a, [1, 3], n_chains=3, samples=2, rng=np.random.default_rng(4))
+    assert cert.n_skipped == 1 and cert.passed

@@ -109,3 +109,15 @@ def test_main_prints_a_row_per_suite_and_a_total(capsys):
     assert [row[1] for row in rows] == [*harness.SUITE_IDS, "total"]
     columns = np.array([[int(x) for x in row[2:]] for row in rows])
     assert (columns[:-1].sum(axis=0) == columns[-1]).all()
+
+
+def test_a_stack_of_witnesses_makes_as_many_guarded_calls_as_one():
+    # Each step of maxmin's witnesses is one guarded call over the whole
+    # stack, and a guarded call counts once however large its stack.
+    a = core.random_pd(3, np.random.default_rng(9))
+    seen = []
+    for count in (1, 4):
+        with work_counts.counting() as counts:
+            extremal.maxmin_check(a, 2, n_subspaces=count, rng=np.random.default_rng(10))
+        seen.append(counts["gufuncs"])
+    assert seen[0] == seen[1]
