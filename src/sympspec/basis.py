@@ -26,13 +26,11 @@ from __future__ import annotations
 import numpy as np
 
 from .core import _apply_form, _form_arrays, _form_defect, _gram, _symmetric, as_generator
-from .errors import ConstructionError, ValidationError, _check_int, _contract
+from .errors import ConstructionError, ValidationError, _bound, _check_int, _contract
 from .linalg import (
     _QR_R_RAW,
     _QR_REDUCED,
     _SVD_F,
-    INTERSECT_COS_TOL,
-    RANK_RTOL,
     _check_finite,
     _real,
     _svd,
@@ -42,8 +40,7 @@ from .linalg import (
     subspace_meet,
 )
 
-BASIS_TOL = 1e-8
-_SHARP = 1.0 - INTERSECT_COS_TOL  # singular values of g^T P g that mark W-sharp directions
+_SHARP = 1.0 - _bound("principal cosine")  # least singular value of g^T P g marking W-sharp
 
 
 def prime_coords(a):
@@ -72,7 +69,7 @@ class SymplecticBasis:
         _check_finite(cols, "basis columns")
         n = cols.shape[0] // 2
         defect = _form_defect(cols)
-        if not defect <= BASIS_TOL:
+        if not defect <= _bound("basis"):
             raise ValidationError(
                 f"columns are not symplectically orthonormal: defect {defect:.3e}"
             )
@@ -122,10 +119,11 @@ def _sharp_std(g):
     With S = g^T P g the k x k skew matrix of the prime map P on span(g),
     x = g c lies in W-sharp exactly when P x lies in span(g), that is
     when ||S c|| = ||c||.  So W-sharp is g times the right singular
-    vectors of S with singular value within INTERSECT_COS_TOL of 1, the
-    principal directions of span(g) against span(P g) (Bjorck and Golub,
-    "Numerical methods for computing angles between linear subspaces",
-    Math. Comp. 27, 1973), and one k x k SVD finds them.
+    vectors of S with singular value within errors._TOL["principal
+    cosine"] of 1, the principal directions of span(g) against span(P g)
+    (Bjorck and Golub, "Numerical methods for computing angles between
+    linear subspaces", Math. Comp. 27, 1973), and one k x k SVD finds
+    them.
     """
     _, sig, vt = _svd(g.mT @ _prime(g))
     if g.ndim == 2:
@@ -141,13 +139,14 @@ def _chain_frames(x, sizes):
     pass frames every member, and the leading s x s block of Q^T P Q is
     what _sharp_std factors for the member of size s.  The invalid flag
     is ignored (linalg._paired): a chain whose NaN shows, or whose R
-    diagonal falls below RANK_RTOL of its largest, gets ConstructionError.
+    diagonal falls below errors._TOL["rank"] times its largest, gets
+    ConstructionError.
     """
     tau = _QR_R_RAW(x, signature="d->d")  # leaves R on and above x's diagonals
     r = np.abs(np.diagonal(x, axis1=1, axis2=2))
     g = _QR_REDUCED(x, tau, signature="dd->d")
     gram = g.mT @ _prime(g)
-    ok = r.min(axis=1) >= RANK_RTOL * r.max(axis=1)  # a NaN fails
+    ok = r.min(axis=1) >= _bound("rank") * r.max(axis=1)  # a NaN fails
     frames = [[] for _ in g]
     for s in sizes:
         _, sig, vt = _SVD_F(gram[:, :s, :s], signature="d->ddd")
@@ -173,7 +172,7 @@ def _sharp_residual(x, g):
 
 def _nested(s, t):
     """True when span(s) lies inside span(t); both have orthonormal columns."""
-    return _off_span(s, t) <= 1e-7
+    return _off_span(s, t) <= _bound("nested")
 
 
 def same_span_trace_check(a, x_set, v_set, basis, check=True):
@@ -184,7 +183,7 @@ def same_span_trace_check(a, x_set, v_set, basis, check=True):
     pair one dual_chain_construct call returned, which raises unless each
     tuple with its primes is B-orthosymplectic and both have the same
     span; so lhs and rhs are traces of A over one subspace and agree,
-    which check=True enforces within 1e-9 relative.
+    which check=True enforces to errors._bound("trace equality", |lhs|).
     """
     a = _symmetric(a)
     if a.shape != (2 * basis.n,) * 2:
@@ -203,8 +202,8 @@ def same_span_trace_check(a, x_set, v_set, basis, check=True):
     lhs = float((xa * (a @ xa)).sum())
     rhs = float((va * (a @ va)).sum())
     if check:
-        _contract("trace equality violated: gap", abs(lhs - rhs), 1e-9 * max(1.0, abs(lhs)),
-                  f" (lhs {lhs:.12e}, rhs {rhs:.12e})")
+        _contract("trace equality violated: gap", abs(lhs - rhs),
+                  _bound("trace equality", abs(lhs)), f" (lhs {lhs:.12e}, rhs {rhs:.12e})")
     return lhs, rhs
 
 
@@ -242,7 +241,7 @@ def _chain_extend_std(chain, ws, rng):
     u2 = u - uspan @ (uspan.T @ u)
     proj = feas @ (feas.T @ u2)
     nrm = fnorm(proj)
-    v = proj / nrm if nrm > 1e-10 else _unit_in(feas, rng)
+    v = proj / nrm if nrm > _bound("snap") else _unit_in(feas, rng)
 
     # v lies in the feasible space, skew-orthogonal to the prime-closed
     # uspan, so the stack u0 is orthonormal and holds the pairs of xs.
@@ -288,10 +287,10 @@ def _check_built(cols, sharp):
     full = np.concatenate([cols, _prime(cols)], axis=1)
     gram = full.T @ full
     gram.flat[::len(gram) + 1] -= 1.0
-    _contract("constructed tuple defects: orthonormality", fnorm(gram), BASIS_TOL)
+    _contract("constructed tuple defects: orthonormality", fnorm(gram), _bound("basis"))
     for j in range(cols.shape[1]):
         _contract(f"constructed vector {j} left its sharp space: residual",
-                  _sharp_residual(cols[:, j], sharp[j]), BASIS_TOL)
+                  _sharp_residual(cols[:, j], sharp[j]), _bound("basis"))
     return full
 
 
@@ -299,7 +298,7 @@ def _construct(vsharp, vperp, wsharp, basis, rng):
     """The one construction routine: ambient tuples built and certified on a frame."""
     vs_c, ws_c = _dual_chain_std(vsharp, vperp, wsharp, rng)
     vf, wf = _check_built(vs_c, vsharp), _check_built(ws_c, wsharp)
-    _contract("constructed spans differ by residual", _off_span(vf, wf), BASIS_TOL)
+    _contract("constructed spans differ by residual", _off_span(vf, wf), _bound("basis"))
     return basis.cols @ vs_c, basis.cols @ ws_c
 
 

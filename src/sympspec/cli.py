@@ -33,6 +33,7 @@ from .errors import (
     MatrixFormatError,
     NumericalContractError,
     ValidationError,
+    _bound,
 )
 from .matio import load_matrix, matrix_to_obj, save_matrix, save_williamson
 
@@ -177,15 +178,9 @@ def cmd_repro(args):
     d_left = symplectic_eigenvalues(a.T @ a)
     d_right = symplectic_eigenvalues(a @ a.T)
     print(f"d(AᵀA) = {_tuple_text(d_left)}; d(AAᵀ) = {_tuple_text(d_right)}")
-    expected_left = np.array([2.0, 2.0])
-    expected_right = np.array([1.0, 4.0])
-    ok = (
-        float(np.max(np.abs(d_left - expected_left))) <= 1e-10
-        and float(np.max(np.abs(d_right - expected_right))) <= 1e-10
-        and abs(np.linalg.det(a.T @ a) - 16.0) <= 1e-10
-        and abs(np.linalg.det(a @ a.T) - 16.0) <= 1e-10
-    )
-    if not ok:
+    dets = np.linalg.det(np.stack([a.T @ a, a @ a.T]))
+    gaps = np.abs(np.concatenate([d_left - [2.0, 2.0], d_right - [1.0, 4.0], dets - 16.0]))
+    if not gaps.max() <= _bound("repro"):
         print("reproduction FAILED: spectra differ from the recorded values")
         return 1
     print("two congruent positive matrices with equal determinant, different spectra")

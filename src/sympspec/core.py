@@ -36,7 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    NumericalContractError, ValidationError, _attempt, _check_int, _contract, _lapack,
+    NumericalContractError, ValidationError, _attempt, _bound, _check_int, _contract, _lapack,
+    _scaled,
 )
 from .linalg import (
     EPS,
@@ -45,7 +46,6 @@ from .linalg import (
     _POCON,
     _REFUSALS,
     _TRTRS,
-    SYM_RTOL,
     _check_finite,
     _factor,
     _frobenius,
@@ -58,9 +58,6 @@ from .linalg import (
     fnorm,
 )
 
-WILLIAMSON_RTOL_A = 1e-8
-WILLIAMSON_TOL_J = 1e-9
-TUPLE_TOL = 1e-8
 COND_WARN = 1e12
 
 METHODS = ("skew-canonical", "ja-eigen", "williamson")
@@ -208,7 +205,7 @@ def _check_stack(a):
     s = a + a.mT
     s *= 0.5
     low = _CHOLESKY(s, signature="d->d")
-    clean = (np.isfinite(norm) & (gap <= SYM_RTOL * np.maximum(1.0, norm))
+    clean = (np.isfinite(norm) & (gap <= _bound("symmetry", norm))
              & ~np.isnan(low[:, 0, 0]))
     norms = np.add.reduce(np.abs(s), 1).max(axis=1).tolist()
     return [_attempt(_conditioned, s[i], low[i], norms[i], caught=_REFUSALS) if ok
@@ -298,11 +295,12 @@ def williamson(a):
     m = _lapack(_TRTRS, "triangular solve", low.T, q * np.concatenate([root, root]), lower=0)
 
     normal = np.diag(np.concatenate([d, d]))
-    residual_a = fnorm(m.T @ a @ m - normal) / max(1.0, fnorm(normal))
+    residual_a = fnorm(m.T @ a @ m - normal) / _scaled(1.0, fnorm(normal))
     residual_j = _form_defect(m)
     at_kappa = f" at condition number estimate {kappa:.1e}"
-    _contract("diagonalization residual", residual_a, WILLIAMSON_RTOL_A, at_kappa)
-    _contract("basis form defect", residual_j, WILLIAMSON_TOL_J, at_kappa)
+    _contract("diagonalization residual", residual_a, _bound("diagonalization residual"),
+              at_kappa)
+    _contract("basis form defect", residual_j, _bound("basis form defect"), at_kappa)
     return WilliamsonDecomposition(d=d, m=m, residual_a=residual_a, residual_j=residual_j,
                                    kappa=kappa)
 
@@ -380,7 +378,7 @@ def _compression(a, x, y):
     t = np.concatenate([x, y], axis=1)
     _check_finite(t, "tuple columns")
     defect = tuple_form_defect(x, y)
-    if not defect <= TUPLE_TOL:
+    if not defect <= _bound("tuple form defect"):
         raise ValidationError(
             f"columns are not a symplectic tuple: pairing defect {defect:.3e}"
         )
@@ -450,7 +448,7 @@ def random_symplectic(n, rng, spread=2.0):
         h *= spread / norm
     m = _expm(_apply_form(h), min(norm, spread))
     _contract("symplectic exponential defect",
-              _form_defect(m), 1e-10 * max(1.0, fnorm(m) ** 2))
+              _form_defect(m), _bound("symplectic exponential defect", fnorm(m) ** 2))
     return m
 
 

@@ -1,21 +1,32 @@
-"""Exception types shared across the package, and six helpers.  Three
-raise NumericalContractError: _contract for every post-hoc accuracy
-check, which passes only when value <= bound, so a NaN fails it, _lapack
-for every status of a scipy LAPACK routine, and _gufunc_failed, the
+"""Exception types shared across the package, the tolerance table and
+its scale rule, and the helpers that raise.  Three raise
+NumericalContractError: _contract for every post-hoc accuracy check,
+which passes only when value <= bound, so a NaN fails it, _lapack for
+every status of a scipy LAPACK routine, and _gufunc_failed, the
 np.errstate callback of linalg._factor, the one route by which a numpy
-gufunc's failed factorization of one matrix reaches a caller.  The
-fourth, _check_int, raises ValidationError for every count, size, order,
-seed and trial argument that is not an integer or lies below its
-minimum.  _attempt and _value carry an error as a value, so that work
-done once for many matrices or trials keeps each one's verdict to
-itself: _attempt returns what it catches, and _value raises it where the
-matrix or trial is read.
+gufunc's failed factorization of one matrix reaches a caller.  Two raise
+ValidationError: _check_int for every count, size, order, seed and
+trial argument that is not an integer or lies below its minimum, and
+_check_tol for every tolerance a caller passes that is not a positive
+finite real number.  _attempt and _value carry an error as a value, so
+that work done once for many matrices or trials keeps each one's verdict
+to itself: _attempt returns what it catches, and _value raises it where
+the matrix or trial is read.
 
-The CLI maps these onto distinct exit codes, so library code should
-raise the most specific type that applies.
+Every bound the package compares against is _bound(name, x) =
+_scaled(_TOL[name], x) = _TOL[name] * max(1, x): _TOL holds one constant
+per check or decision, keyed by its _contract name where it has one, and
+x is the size of the compared quantity (Higham, Accuracy and Stability
+of Numerical Algorithms, 2nd ed., 2002, ch. 1-2).  The unit floor makes
+a check absolute, and so toothless, on input far below unit scale.
+
+The CLI maps the exception types onto distinct exit codes, so library
+code should raise the most specific type that applies.
 """
 
-from numbers import Integral
+from numbers import Integral, Real
+
+import numpy as np
 
 
 class MatrixFormatError(ValueError):
@@ -32,6 +43,46 @@ class NumericalContractError(RuntimeError):
 
 class ConstructionError(RuntimeError):
     """A randomized construction drew from an empty space or ran out of retries."""
+
+
+_TOL = {
+    "symmetry": 1e-12,  # asymmetry of an input matrix, by its Frobenius norm
+    "rank": 1e-10,  # singular values kept, relative to the largest (unscaled)
+    "principal cosine": 1e-8,  # cosine above 1, and the sharp and meet thresholds
+    "eigendecomposition residual": 1e-12,
+    "pairing defect": 1e-9,
+    "diagonalization residual": 1e-8,
+    "basis form defect": 1e-9,
+    "tuple form defect": 1e-8,
+    "symplectic exponential defect": 1e-10,
+    "basis": 1e-8,  # SymplecticBasis and the constructed tuples
+    "nested": 1e-7,  # basis._nested's off-span residual
+    "snap": 1e-10,  # least projection basis._chain_extend_std keeps
+    "trace equality": 1e-9,
+    "pair floor": 1e-6,  # least pairing extremal._sample_tuples keeps
+    "eigen tuple": 1e-10,  # maxmin's equality gap
+    "phi equality": 1e-9,
+    "log determinant": 1e-8,
+    "method agreement": 1e-8,
+    "prescribed recovery": 1e-9,
+    "sum gap": 1e-12,  # total sums in majorize and the majorization suite
+    "audit": 1e-10,  # schur_concave_monotone_check
+    "mean riccati residual": 1e-8,
+    "mean self identity": 1e-8,
+    "record": 1e-9,  # harness.DEFAULT_TOL
+    "repro": 1e-10,  # cli.cmd_repro's recorded values
+}
+
+
+def _scaled(c, x=1.0):
+    """c * max(1, x), the package's one scale rule.  An array x takes
+    np.fmax, which reads a NaN as 1, as max(1.0, nan) does."""
+    return c * (np.fmax(1.0, x) if isinstance(x, np.ndarray) else max(1.0, x))
+
+
+def _bound(name, x=1.0):
+    """The bound of check name on a compared quantity of size x."""
+    return _scaled(_TOL[name], x)
 
 
 def _contract(name, value, bound, detail=""):
@@ -64,6 +115,14 @@ def _check_int(name, value, minimum=None):
     if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be at least {minimum}, got {value!r}")
     return int(value)
+
+
+def _check_tol(name, value):
+    """value as a float; raise ValidationError unless it is a real number,
+    numpy's included but not a bool, that is positive and finite."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < np.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 # What a verify trial turns into its contract-error record.

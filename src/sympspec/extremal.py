@@ -26,7 +26,6 @@ from .basis import (
     same_span_trace_check,
 )
 from .core import (
-    TUPLE_TOL,
     _checked,
     _compression,
     _gram,
@@ -36,7 +35,8 @@ from .core import (
     williamson,
 )
 from .errors import (
-    ConstructionError, NumericalContractError, ValidationError, _check_int, _lapack, _value,
+    ConstructionError, NumericalContractError, ValidationError, _bound, _check_int, _check_tol,
+    _lapack, _scaled, _value,
 )
 from .inequalities import (
     _check_index_set,
@@ -44,11 +44,10 @@ from .inequalities import (
     supermajorize,
 )
 from .linalg import (
-    _CHOLESKY, _QR_R_RAW, _QR_REDUCED, _TRTRS, RANK_RTOL, _by_size, _eigh, _factor,
+    _CHOLESKY, _QR_R_RAW, _QR_REDUCED, _TRTRS, _by_size, _eigh, _factor,
     _frobenius, _real, _svd, _svdvals, orthonormal_columns, subspace_meet,
 )
 
-PAIR_FLOOR = 1e-6
 SAMPLE_RETRIES = 50
 
 
@@ -124,9 +123,9 @@ def _sample_tuples(bases, count, rng):
     The tuples are drawn side by side, level j from k down to 1: pair j in
     the part f of bases[j] skew-orthogonal to the pairs drawn before (one
     null-space SVD pass), then one normal draw for x and one for its
-    partner z.  A pairing under PAIR_FLOOR is redrawn for its tuple alone;
-    SAMPLE_RETRIES such draws, or a form defect above TUPLE_TOL, restart
-    it, and a tuple unfinished after SAMPLE_RETRIES starts raises.
+    partner z.  A pairing under errors._TOL["pair floor"] is redrawn for
+    its tuple alone; SAMPLE_RETRIES such draws, or a "tuple form defect"
+    over its row, restart it; unfinished after SAMPLE_RETRIES starts, it raises.
     """
     k, dim = len(bases), bases[0].shape[0]
     x_out, y_out = np.empty((2, count, dim, k))
@@ -139,7 +138,7 @@ def _sample_tuples(bases, count, rng):
             if j < k - 1:
                 drawn = np.concatenate([xs[sel, :, j + 1:], ys[sel, :, j + 1:]], axis=2)
                 _, sv, vt = _svd(_tuple_gram(drawn, f))
-                rank = (sv > RANK_RTOL * sv[:, :1]).sum(axis=1)
+                rank = (sv > _bound("rank") * sv[:, :1]).sum(axis=1)
                 f = f @ (vt * (np.arange(f.shape[1]) >= rank[:, None])[:, :, None]).mT
             x = (f @ rng.standard_normal((len(sel), f.shape[-1], 1)))[..., 0]
             x /= np.sqrt(np.vecdot(x, x))[:, None]
@@ -148,7 +147,7 @@ def _sample_tuples(bases, count, rng):
                 draw = rng.standard_normal((np.count_nonzero(low), f.shape[-1], 1))
                 z[low] = ((f if f.ndim == 2 else f[low]) @ draw)[..., 0]
                 s[low] = _pairings(x[low], z[low])
-                low = np.abs(s) < PAIR_FLOOR
+                low = np.abs(s) < _bound("pair floor")
                 if not low.any():
                     break
             live[sel[low]], ok = False, ~low
@@ -161,7 +160,7 @@ def _sample_tuples(bases, count, rng):
         x, y = xs[done], ys[done]
         defect = np.maximum.reduce([_frobenius(_tuple_gram(x, y) - np.eye(k)),
                                     _frobenius(_tuple_gram(x, x)), _frobenius(_tuple_gram(y, y))])
-        done = done[defect <= TUPLE_TOL]
+        done = done[defect <= _bound("tuple form defect")]
         x_out[todo[done]], y_out[todo[done]] = xs[done], ys[done]
         todo = np.delete(todo, done)
         if not len(todo):
@@ -253,9 +252,9 @@ class ExtremalCertificate:
 
 def _finish(name, claimed, slacks, *, sampled_min=None, witness_max=None,
             equality_gap=None, n_samples=0, n_chains=0, n_skipped=0):
-    """Certificate with the worst slack; it also fails when more than half
-    of the attempted constructions (chains, else samples) were skipped."""
-    slack = float(min(slacks)) if slacks else 0.0
+    """Certificate with the worst slack, a NaN before any number; it also
+    fails when more than half of the constructions (chains, else samples) were skipped."""
+    slack = float(min(slacks, key=lambda s: (s == s, s))) if slacks else 0.0
     skip_cap = max(1, (n_chains or n_samples) // 2)
     passed = bool(slack >= 0.0 and n_skipped <= skip_cap)
     return ExtremalCertificate(name, float(claimed), sampled_min, witness_max,
@@ -275,9 +274,9 @@ def _eigen_frame(a, index_set):
     return pd, dec.d, basis, np.asarray(index_set, dtype=int), wchain
 
 
-def _sampled_floor(a, basis, idx, claimed, samples, rng, tol):
+def _sampled_floor(a, basis, idx, claimed, samples, rng, margin):
     """Energies of tuples sampled in the canonical decreasing chain of idx,
-    for the matrix a of a checked A, and their slacks above the claim.
+    for the matrix a of a checked A, and their slacks above claim - margin.
     Its member [u, v[:, i_j - 1:]] spans the leading 2n - i_j + 1 columns
     of [u, v[:, ::-1]], so one QR frames every member."""
     sizes = 2 * basis.n + 1 - idx
@@ -285,7 +284,7 @@ def _sampled_floor(a, basis, idx, claimed, samples, rng, tol):
     q = _factor(_QR_REDUCED, "dd->d", w, _factor(_QR_R_RAW, "d->d", w))
     x, y = _sample_tuples([q[:, :s] for s in sizes], samples, rng)
     values = 0.5 * ((x * (a @ x)).sum(axis=(1, 2)) + (y * (a @ y)).sum(axis=(1, 2)))
-    return values.tolist(), (values - claimed + tol * max(1.0, abs(claimed))).tolist()
+    return values.tolist(), (values - claimed + margin).tolist()
 
 
 def _chain_tuples(idx, basis, count, rng):
@@ -328,20 +327,21 @@ def maxmin_check(a, k, n_subspaces=20, rng=None, tol=1e-9):
     bound, so a witness above d_k fails the certificate.
     """
     n_subspaces = _check_int("n_subspaces", n_subspaces, minimum=1)
+    tol = _check_tol("tol", tol)
     rng = as_generator(rng)
     pd, d, basis, idx, wchain = _eigen_frame(a, [k])
     k = int(idx[0])
     claimed = float(d[k - 1])
-    scale = max(1.0, abs(claimed))
+    margin = _scaled(tol, abs(claimed))
     floor = _pair_floor(pd.a, wchain[0])
     equality_gap = abs(tuple_value(pd, basis.u[:, k - 1], basis.v[:, k - 1]) - claimed)
-    slacks = [floor - claimed + tol * scale, 1e-10 * scale - equality_gap]
+    slacks = [floor - claimed + margin, _bound("eigen tuple", abs(claimed)) - equality_gap]
 
     m_subs = _haar(n_subspaces, 2 * basis.n, rng)[:, :, : wchain[0].shape[1]]
     outcomes = _witnesses(m_subs, basis, pd.a)
     witness_vals = [w[2] for w in outcomes if not isinstance(w, ConstructionError)]
     n_skipped = len(outcomes) - len(witness_vals)
-    slacks += [claimed - val + tol * scale for val in witness_vals]
+    slacks += [claimed - val + margin for val in witness_vals]
 
     return _finish(
         f"maxmin-{k}", claimed, slacks, sampled_min=floor,
@@ -362,22 +362,22 @@ def wielandt_certify(a, index_set, n_chains=20, samples=40, rng=None,
     """
     n_chains = _check_int("n_chains", n_chains, minimum=1)
     samples = _check_int("samples", samples, minimum=1)
+    tol, eq_tol = _check_tol("tol", tol), _check_tol("eq_tol", eq_tol)
     rng = as_generator(rng)
     pd, d, basis, idx, _ = _eigen_frame(a, index_set)
     claimed = float(d[idx - 1].sum())
-    scale = max(1.0, abs(claimed))
-    values, slacks = _sampled_floor(pd.a, basis, idx, claimed, samples, rng, tol)
+    margin = _scaled(tol, abs(claimed))
+    values, slacks = _sampled_floor(pd.a, basis, idx, claimed, samples, rng, margin)
 
-    eig_val = tuple_value(pd, basis.u[:, idx - 1], basis.v[:, idx - 1])
-    equality_gap = abs(eig_val - claimed)
-    slacks.append(eq_tol * scale - equality_gap)
+    equality_gap = abs(tuple_value(pd, basis.u[:, idx - 1], basis.v[:, idx - 1]) - claimed)
+    slacks.append(_scaled(eq_tol, abs(claimed)) - equality_gap)
 
     tuples, n_skipped = _chain_tuples(idx, basis, n_chains, rng)
     witness_vals = []
     for vs, ws in tuples:
         witness_vals.append(tuple_value(pd, ws, basis.prime(ws)))
         same_span_trace_check(pd, ws, vs, basis)
-    slacks += [claimed - val + tol * scale for val in witness_vals]
+    slacks += [claimed - val + margin for val in witness_vals]
 
     return _finish(
         "wielandt", claimed, slacks, sampled_min=min(values, default=None),
@@ -407,6 +407,7 @@ def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
     with validate_phi=False.
     """
     n_chains = _check_int("n_chains", n_chains, minimum=1)
+    tol = _check_tol("tol", tol)
     rng = as_generator(rng)
     if validate_phi:
         audit = schur_concave_monotone_check(phi, trials=120, rng=rng)
@@ -417,31 +418,30 @@ def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
     a = pd.a
     d_target = d[idx - 1]
     claimed = float(phi(d_target))
-    scale = max(1.0, abs(claimed))
+    margin = _scaled(tol, abs(claimed))
 
     a_eig, d_eig = compress(pd, basis.u[:, idx - 1], basis.v[:, idx - 1])
-    slacks = [float(de - t + tol * max(1.0, t)) for t, de in zip(d_target, d_eig)]
+    slacks = [float(de - t + _scaled(tol, t)) for t, de in zip(d_target, d_eig)]
     phi_eig = float(phi(d_eig))
-    slacks.append(phi_eig - claimed + tol * scale)
+    slacks.append(phi_eig - claimed + margin)
     sign, logdet = np.linalg.slogdet(a_eig)
     target_log = 2.0 * float(np.log(d_target).sum())
-    slacks.append(float(sign) * logdet - target_log - np.log1p(-1e-8))
+    slacks.append(float(sign) * logdet - target_log - np.log1p(-_bound("log determinant")))
     equality_gap = abs(phi_eig - claimed)
-    slacks.append(1e-9 * scale - equality_gap)
+    slacks.append(_bound("phi equality", abs(claimed)) - equality_gap)
 
     tuples, n_skipped = _chain_tuples(idx, basis, n_chains, rng)
     chain_vals = []
     for vs, ws in tuples:
         vs_prime = basis.prime(vs)
         alpha = 0.5 * ((vs * (a @ vs)).sum(axis=0) + (vs_prime * (a @ vs_prime)).sum(axis=0))
-        slacks.extend(float(t - al + tol * max(1.0, t)) for al, t in zip(alpha, d_target))
+        slacks.extend(float(t - al + _scaled(tol, t)) for al, t in zip(alpha, d_target))
         d_u = compress(pd, ws, basis.prime(ws))[1]
-        if not supermajorize(alpha, d_u, atol=tol * max(1.0, float(d_u.max()))):
+        if not supermajorize(alpha, d_u, atol=_scaled(tol, float(d_u.max()))):
             slacks.append(-1.0)
         phi_alpha = float(phi(np.sort(alpha)))
         phi_u = float(phi(d_u))
-        slacks.append(phi_alpha - phi_u + tol * scale)
-        slacks.append(claimed - phi_u + tol * scale)
+        slacks += [phi_alpha - phi_u + margin, claimed - phi_u + margin]
         chain_vals.append(phi_u)
 
     return _finish(
@@ -458,8 +458,8 @@ def det_product_check(a, index_set):
     canonical chains spans the selected eigen pairs (canonical_chains),
     and a symplectic change of basis keeps its determinant, so the
     canonical side is the eigen-pair compression alone: its
-    log-determinant must equal that of the squared product of the
-    selected eigenvalues to 1e-8.  Works in log space throughout.
+    log-determinant must equal that of the squared product of the selected
+    eigenvalues to errors._TOL["log determinant"], in log space throughout.
     """
     pd, d, basis, idx, _ = _eigen_frame(a, index_set)
     claimed_log = 2.0 * float(np.log(d[idx - 1]).sum())
@@ -467,5 +467,5 @@ def det_product_check(a, index_set):
     sign, logdet = np.linalg.slogdet(a_eig)
     eig_log = float(sign) * logdet
     equality_gap = abs(eig_log - claimed_log)
-    return _finish("det-product", claimed_log, [1e-8 - equality_gap],
+    return _finish("det-product", claimed_log, [_bound("log determinant") - equality_gap],
                    sampled_min=eig_log, equality_gap=equality_gap)

@@ -26,7 +26,6 @@ import time
 import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -41,7 +40,7 @@ from .core import (
     symplectic_eigenvalues,
     williamson,
 )
-from .errors import ValidationError, _attempt, _check_int
+from .errors import ValidationError, _attempt, _bound, _check_int, _check_tol
 from .extremal import (
     det_product_check,
     maxmin_check,
@@ -66,7 +65,7 @@ from .inequalities import (
 )
 from .matio import _write_json
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = _bound("record")
 
 
 @dataclass
@@ -93,12 +92,7 @@ class SuiteConfig:
         self.n_max = _check_int("n_max", self.n_max, minimum=self.n_min)
         self.master_seed = _check_int("master_seed", self.master_seed)
         self.jobs = _check_int("jobs", self.jobs, minimum=1)
-        # Stored as a plain float for the same reason; a bool, a string or
-        # a complex number is no tolerance.
-        if (isinstance(self.tol, bool) or not isinstance(self.tol, Real)
-                or not 0.0 < self.tol < np.inf):
-            raise ValidationError(f"tolerance must be positive and finite, got {self.tol!r}")
-        self.tol = float(self.tol)
+        self.tol = _check_tol("tolerance", self.tol)  # a plain float, for the same reason
 
 
 def trial_rng(master_seed, suite_id, trial):
@@ -189,7 +183,7 @@ def _certify_williamson(cfg, rng, a, target):
     records = [
         make_record(
             "method-agreement", spread,
-            1e-8 * max(1.0, float(spectra.max())), "le", 0.0, inst,
+            _bound("method agreement", float(spectra.max())), "le", 0.0, inst,
         )
     ]
     if target is not None:
@@ -197,7 +191,7 @@ def _certify_williamson(cfg, rng, a, target):
             make_record(
                 "prescribed-recovery",
                 float(np.abs(dec.d - target).max()),
-                1e-9 * max(1.0, float(target.max())), "le", 0.0, inst,
+                _bound("prescribed recovery", float(target.max())), "le", 0.0, inst,
             )
         )
     return records
@@ -239,7 +233,7 @@ def _certify_construction(cfg, rng, a):
     return [
         make_record(
             "construction-trace-equality", abs(lhs - rhs),
-            1e-9 * max(1.0, abs(lhs)), "le", 0.0,
+            _bound("trace equality", abs(lhs)), "le", 0.0,
             {"index_set": idx.tolist(), "lhs": lhs, "rhs": rhs},
         ),
     ]
@@ -267,7 +261,7 @@ def _brute_majorize(a, b, atol=0.0):
     total_b = 0.0
     for x in sorted(float(v) for v in b):
         total_b += x
-    return abs(total_a - total_b) <= max(atol, 1e-12 * max(1.0, abs(total_a)))
+    return abs(total_a - total_b) <= max(atol, _bound("sum gap", abs(total_a)))
 
 
 def _draw_majorization(t, cfg, rng):
@@ -280,8 +274,8 @@ def _draw_majorization(t, cfg, rng):
 
 
 def _certify_majorization(cfg, rng, x, y, am, bm, up, down, hi, lo):
-    atol = 1e-12 * max(1.0, float(np.abs(x).max()) + float(np.abs(y).max()))
-    scale = 1e-12 * max(1.0, float(np.abs(bm).max()) * len(x))
+    atol = _bound("sum gap", float(np.abs(x).max()) + float(np.abs(y).max()))
+    scale = _bound("sum gap", float(np.abs(bm).max()) * len(x))
     return [
         make_record("supermajorize-oracle-agreement", float(supermajorize(x, y, atol=atol)),
                     float(_brute_supermajorize(x, y, atol=atol)), "eq", 0.0,

@@ -34,7 +34,9 @@ from .core import (
     half_dim,
     random_pd,
 )
-from .errors import _TRIAL_ERRORS, ValidationError, _check_int, _lapack, _value
+from .errors import (
+    _TRIAL_ERRORS, ValidationError, _bound, _check_int, _check_tol, _lapack, _scaled, _value,
+)
 from .linalg import _SYGST, _below, _by_size, _real, fnorm, sym_eig
 
 
@@ -129,7 +131,7 @@ def majorize(a, b, atol=0.0):
     if not supermajorize(a, b, atol=atol):
         return False
     gap = abs(float(a.sum()) - float(b.sum()))
-    return gap <= max(atol, 1e-12 * max(1.0, abs(float(a.sum()))))
+    return gap <= max(atol, _bound("sum gap", abs(float(a.sum()))))
 
 
 def _draw_shape(n):
@@ -216,9 +218,9 @@ def schur_concave_monotone_check(phi, trials=200, rng=None):
             )
         for kind, (a, b), (va, vb) in zip(_AUDIT_KINDS, stack, values):
             if kind == "permutation-invariance":
-                bad = np.abs(va - vb) > 1e-10 * np.maximum(1.0, np.abs(va))
+                bad = np.abs(va - vb) > _bound("audit", np.abs(va))
             else:
-                bad = va < vb - 1e-10 * np.maximum(1.0, np.abs(vb))
+                bad = va < vb - _bound("audit", np.abs(vb))
             for i in np.flatnonzero(bad):
                 result.ok = False
                 result.counterexamples.append(
@@ -301,6 +303,7 @@ def additive_lidskii_trial(a, b, index_set, tol=1e-9):
     d(A) + d(B) that the k = n case implies.  The certify step of the
     lidskii-add suite on a list of one trial (_trial_outcomes).
     """
+    tol = _check_tol("tol", tol)
     return _value(_trial_outcomes(_additive_plan, [(a, b, index_set)], tol)[0])
 
 
@@ -329,12 +332,12 @@ def _additive_records(idx, tol, d_sum, d_a, d_b):
     n = d_a.size
     return [
         make_record(
-            "additive-lower", lhs, part[1] + part[2], "ge", tol * max(1.0, abs(lhs)),
+            "additive-lower", lhs, part[1] + part[2], "ge", _scaled(tol, abs(lhs)),
             instance={"index_set": [int(i) + 1 for i in idx]},
         ),
         make_record(
             "additive-full-prefix", full[0], full[1] + full[2], "ge",
-            tol * max(1.0, full[0]), instance={"index_set": list(range(1, n + 1))},
+            _scaled(tol, full[0]), instance={"index_set": list(range(1, n + 1))},
         ),
     ]
 
@@ -368,8 +371,8 @@ def _product_records(d_m, d_a, d_b, index_set, tol):
     center *= 2.0
     inst = {"index_set": [int(i) + 1 for i in idx]}
     records = [
-        make_record("mlid-lower", center, at_a + low_b, "ge", tol * max(1.0, abs(center)), inst),
-        make_record("mlid-upper", center, at_a + top_b, "le", tol * max(1.0, abs(center)), inst),
+        make_record("mlid-lower", center, at_a + low_b, "ge", _scaled(tol, abs(center)), inst),
+        make_record("mlid-upper", center, at_a + top_b, "le", _scaled(tol, abs(center)), inst),
     ]
     below = _below(n)
     prefixes, tails = np.add.reduce(
@@ -378,13 +381,13 @@ def _product_records(d_m, d_a, d_b, index_set, tol):
         records.append(
             make_record(
                 "product-lower-full", 2.0 * pm, pa + pb, "ge",
-                tol * max(1.0, abs(2.0 * pm)), {"prefix": j},
+                _scaled(tol, abs(2.0 * pm)), {"prefix": j},
             )
         )
         records.append(
             make_record(
                 "product-upper-tail", 2.0 * tm, ta + tb, "le",
-                tol * max(1.0, abs(2.0 * tm)), {"tail_from": j},
+                _scaled(tol, abs(2.0 * tm)), {"tail_from": j},
             )
         )
     return records
@@ -416,18 +419,12 @@ def _multiplicative_plan(a, b, index_set, planted, tol):
 
 def _multiplicative_records(riccati, index_set, planted, tol, d_m, d_a, d_b):
     """A mean trial's records from d(A # B), d(A) and d(B)."""
-    records = [make_record("mean-riccati-residual", riccati, 1e-8, "le", 0.0)]
+    records = [make_record("mean-riccati-residual", riccati, _bound("mean riccati residual"),
+                           "le", 0.0)]
     records += _product_records(d_m, d_a, d_b, index_set, tol)
     if planted:
-        records.append(
-            make_record(
-                "mean-self-identity",
-                float(np.abs(d_m - d_a).max()),
-                0.0,
-                "le",
-                1e-8 * max(1.0, float(d_a.max())),
-            )
-        )
+        records.append(make_record("mean-self-identity", float(np.abs(d_m - d_a).max()), 0.0,
+                                   "le", _bound("mean self identity", float(d_a.max()))))
     return records
 
 

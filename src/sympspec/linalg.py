@@ -54,14 +54,12 @@ from .errors import (
     NumericalContractError,
     ValidationError,
     _attempt,
+    _bound,
     _contract,
     _gufunc_failed,
     _lapack,
 )
 
-SYM_RTOL = 1e-12
-RANK_RTOL = 1e-10
-INTERSECT_COS_TOL = 1e-8
 EPS = np.finfo(float).eps
 # The verdicts a stack form keeps per matrix of a stack.
 _REFUSALS = (NumericalContractError, ValidationError)
@@ -195,7 +193,7 @@ def check_symmetric(a):
     s = a - t
     x = s.ravel(order="K")
     gap = math.sqrt(x.dot(x))
-    if gap > SYM_RTOL * max(1.0, norm):
+    if gap > _bound("symmetry", norm):
         raise ValidationError(
             f"matrix is not symmetric: asymmetry {gap:.3e} exceeds tolerance"
         )
@@ -227,10 +225,11 @@ def _frobenius(x):
 
 def sym_eig(s):
     """Eigendecomposition (w, v) of an exactly symmetric matrix, ascending
-    eigenvalues, from one _eigh call, with the residual ||S V - V diag(w)||
-    held to 1e-12 * max(1, ||S||); s is not symmetrized again."""
+    eigenvalues, from one _eigh call; s is not symmetrized again.  Its
+    "eigendecomposition residual" ||S V - V diag(w)|| scales with ||S||."""
     w, v = _eigh(s)
-    _contract("eigendecomposition residual", fnorm(s @ v - v * w), 1e-12 * max(1.0, fnorm(s)))
+    _contract("eigendecomposition residual", fnorm(s @ v - v * w),
+              _bound("eigendecomposition residual", fnorm(s)))
     return w, v
 
 
@@ -245,8 +244,8 @@ def orthonormal_columns(x):
     u, s, _ = _svd(x, full_matrices=False)
     # A zero matrix keeps no column: no s exceeds 0 * s[0].
     if x.ndim == 2:
-        return u[:, :np.count_nonzero(s > RANK_RTOL * s[0])]
-    k = (s > RANK_RTOL * s[:, :1]).sum(axis=1)
+        return u[:, :np.count_nonzero(s > _bound("rank") * s[0])]
+    k = (s > _bound("rank") * s[:, :1]).sum(axis=1)
     return [ui[:, :ki] for ui, ki in zip(u, k.tolist())]
 
 
@@ -259,7 +258,7 @@ def null_space_basis(g):
     _, s, vt = _svd(g)
     if s[0] == 0.0:
         return np.eye(cols)
-    rank = np.count_nonzero(s > RANK_RTOL * s[0])
+    rank = np.count_nonzero(s > _bound("rank") * s[0])
     return vt[rank:].T
 
 
@@ -298,8 +297,8 @@ def subspace_meet(g, perp):
     g and perp must have orthonormal columns.  The singular value sigma
     at c (0 past the rank) is then the sine of the angle between g c and
     the complement (Bjorck and Golub, Math. Comp. 27, 1973), and c is
-    kept at sigma^2 <= 2 tol - tol^2, tol = INTERSECT_COS_TOL, that is at
-    cosine 1 - tol or more: an absolute threshold, as the inputs are
+    kept at sigma^2 <= 2 tol - tol^2, tol = _TOL["principal cosine"], that
+    is at cosine 1 - tol or more: an absolute threshold, as the inputs are
     orthonormal.  A principal cosine above 1 + tol, in any matrix of a
     stack, shows that they are not, and raises NumericalContractError.
     """
@@ -307,9 +306,10 @@ def subspace_meet(g, perp):
         return g if g.ndim == 2 else list(g)
     _, sig, vt = _svd(perp.T @ g)
     top = sig[0] if g.ndim == 2 else sig[:, 0].max()
-    _contract("principal cosine", top, 1.0 + INTERSECT_COS_TOL, ": inputs are not orthonormal")
+    _contract("principal cosine", top, 1.0 + _bound("principal cosine"),
+              ": inputs are not orthonormal")
     # sig descends, so the rows of vt it leaves off are the kept ones.
-    off = sig * sig > INTERSECT_COS_TOL * (2.0 - INTERSECT_COS_TOL)
+    off = sig * sig > _bound("principal cosine") * (2.0 - _bound("principal cosine"))
     if g.ndim == 2:
         return g @ vt[np.count_nonzero(off):].T
     return [gi @ vi[o:].T for gi, vi, o in zip(g, vt, off.sum(axis=1).tolist())]
@@ -400,8 +400,8 @@ def _paired(k):
 
 def _pairing_verdict(gap, norm, d):
     """d ascending, once the pairing defect gap of a K of 2-norm norm
-    passes 1e-9 * max(1, norm); a NaN gap fails."""
-    _contract("pairing defect", gap, 1e-9 * max(1.0, norm))
+    passes errors._bound("pairing defect", norm); a NaN gap fails."""
+    _contract("pairing defect", gap, _bound("pairing defect", norm))
     return _ascending_nonsingular(d)
 
 

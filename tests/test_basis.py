@@ -27,10 +27,9 @@ from sympspec.core import (
     tuple_form_defect,
     williamson,
 )
-from sympspec.errors import ConstructionError, NumericalContractError, ValidationError
+from sympspec.errors import _TOL, ConstructionError, NumericalContractError, ValidationError
 from sympspec.extremal import random_orthogonal
 from sympspec.linalg import (
-    INTERSECT_COS_TOL,
     fnorm,
     max_principal_angle,
     null_space_basis,
@@ -394,7 +393,7 @@ def _sharp_reference(g):
     uo = orthonormal_columns(g)
     wo = orthonormal_columns(prime_coords(g))
     p, sig, qt = np.linalg.svd(uo.T @ wo)
-    k = int(np.sum(sig >= 1.0 - INTERSECT_COS_TOL))
+    k = int(np.sum(sig >= 1.0 - _TOL["principal cosine"]))
     return orthonormal_columns(uo @ p[:, :k] + wo @ qt[:k].T)
 
 

@@ -17,8 +17,6 @@ from sympspec.basis import (
     same_span_trace_check,
 )
 from sympspec.core import (
-    WILLIAMSON_RTOL_A,
-    WILLIAMSON_TOL_J,
     _cholesky_skew,
     apply_form,
     as_generator,
@@ -199,8 +197,8 @@ def test_williamson_recovers_planted_spectrum(family):
     for a, d0 in _planted_cases(family):
         dec = williamson(a)
         assert np.all(np.abs(dec.d - d0) <= 1e-6 * d0)
-        assert dec.residual_a <= WILLIAMSON_RTOL_A
-        assert dec.residual_j <= WILLIAMSON_TOL_J
+        assert dec.residual_a <= errors._TOL["diagonalization residual"]
+        assert dec.residual_j <= errors._TOL["basis form defect"]
 
 
 @pytest.mark.parametrize("family", list(PLANTED) + ["wide-congruence"])

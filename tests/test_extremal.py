@@ -1,5 +1,8 @@
 """Certificates for the variational characterizations of the spectrum."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,9 +23,8 @@ from sympspec.core import (
     tuple_form_defect,
     williamson,
 )
-from sympspec.errors import ConstructionError, NumericalContractError, ValidationError
+from sympspec.errors import _TOL, ConstructionError, NumericalContractError, ValidationError
 from sympspec.extremal import (
-    PAIR_FLOOR,
     SAMPLE_RETRIES,
     _finish,
     _haar,
@@ -135,7 +137,7 @@ def _sampler_with_pairings(monkeypatch, pairing):
 
 def test_sample_tuple_restarts_the_whole_tuple_after_a_run_of_degenerate_partners(monkeypatch):
     # The first pair pairs at once; then every partner of the second pair
-    # falls under PAIR_FLOOR.  The whole tuple restarts, and the result is
+    # falls under the pair floor.  The whole tuple restarts, and the result is
     # the tuple an undisturbed call draws once the failed attempt's normals
     # are used up: the first pair's x and partner in its 5-space, then x
     # and SAMPLE_RETRIES partners drawn over the 6 right singular vectors
@@ -155,7 +157,7 @@ def test_sample_tuple_restarts_the_whole_tuple_after_a_run_of_degenerate_partner
 def test_sample_tuple_raises_when_every_restart_fails(monkeypatch):
     # Every pairing sits just under the floor, so each restart ends at the
     # first pair's last partner draw.
-    bases, calls = _sampler_with_pairings(monkeypatch, lambda i, s: 0.5 * PAIR_FLOOR)
+    bases, calls = _sampler_with_pairings(monkeypatch, lambda i, s: 0.5 * _TOL["pair floor"])
     with pytest.raises(ConstructionError, match="failed to sample a normalized tuple"):
         _sample_tuples(bases, 1, np.random.default_rng(1))
     assert len(calls) == SAMPLE_RETRIES * SAMPLE_RETRIES
@@ -611,6 +613,44 @@ def test_finish_derives_the_skip_cap(n_samples, n_chains, n_skipped, passed):
     cert = _finish("c", 1.0, [0.5], n_samples=n_samples, n_chains=n_chains,
                    n_skipped=n_skipped)
     assert cert.passed is passed
+
+
+# Python's min skips a NaN anywhere but first, so a NaN slack after a
+# number used to pass the certificate.
+@pytest.mark.parametrize("slacks", [[0.5, math.nan], [math.nan, 0.5],
+                                    [0.5, np.float64("nan"), 1.0]],
+                         ids=["nan-last", "nan-first", "numpy-nan-inside"])
+def test_finish_fails_on_a_nan_slack_in_any_place(slacks):
+    cert = _finish("x", 1.0, slacks)
+    assert math.isnan(cert.slack) and not cert.passed
+
+
+def test_finish_keeps_the_bits_of_min_without_a_nan():
+    # min keeps the first of equal values: 0.0 before -0.0 reads 0.0.
+    for slacks in ([0.0, -0.0], [-0.0, 0.0], [0.25, np.float64(-1.5), 3.0]):
+        slack = _finish("x", 1.0, slacks).slack
+        assert slack == min(slacks)
+        assert math.copysign(1.0, slack) == math.copysign(1.0, min(slacks))
+
+
+# A tolerance that is no positive finite real number used to raise a raw
+# TypeError (a string, or a complex number, which phi-extremal first
+# warned about), run as 1.0 (True), or, as a NaN eq_tol, drop the eigen
+# tuple's check and pass.
+@pytest.mark.parametrize("value", ["1e-9", 1e-9 + 0j, True, np.nan, 0.0, -1e-9, np.inf],
+                         ids=["string", "complex", "bool", "nan", "zero", "negative", "inf"])
+@pytest.mark.parametrize("check, name", [
+    (lambda a, v: maxmin_check(a, 1, n_subspaces=1, tol=v), "tol"),
+    (lambda a, v: wielandt_certify(a, [1], n_chains=1, samples=1, tol=v), "tol"),
+    (lambda a, v: wielandt_certify(a, [1], n_chains=1, samples=1, eq_tol=v), "eq_tol"),
+    (lambda a, v: phi_extremal_check(a, [1], phi_sum, n_chains=1, tol=v), "tol"),
+], ids=["maxmin", "wielandt", "wielandt-eq", "phi-extremal"])
+def test_certificates_refuse_a_tolerance_that_is_no_positive_finite_real(check, name, value):
+    a, _, _ = _instance(2, 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{name} must be positive and finite"):
+            check(a, value)
 
 
 def test_maxmin_fails_on_a_witness_above_the_claim(monkeypatch):

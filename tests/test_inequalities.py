@@ -307,6 +307,15 @@ def test_additive_trial_rejects_bad_index_sets(index_set):
         additive_lidskii_trial(a, np.eye(6), index_set)
 
 
+@pytest.mark.parametrize("tol", ["1e-9", 1e-9 + 0j, True, np.nan, 0.0, -1e-9, np.inf],
+                         ids=["string", "complex", "bool", "nan", "zero", "negative", "inf"])
+def test_additive_trial_refuses_a_tolerance_that_is_no_positive_finite_real(tol):
+    # A string or complex tol used to raise a raw TypeError, and True ran as 1.0.
+    a = random_pd(2, np.random.default_rng(12))
+    with pytest.raises(ValidationError, match="^tol must be positive and finite"):
+        additive_lidskii_trial(a, a, [1], tol=tol)
+
+
 def test_mean_and_additive_trial_refuse_matrices_of_different_sizes():
     # Without the check these fail inside dsygst and numpy's broadcast,
     # outside the package's error types.

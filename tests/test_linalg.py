@@ -368,7 +368,7 @@ def test_subspace_meet_keeps_all_of_a_span_inside_the_complement_up_to_rounding(
 def test_subspace_meet_keeps_a_direction_with_cosine_within_the_tolerance(cos_gap, kept):
     # Cosine 1 - cos_gap * tol to the complement of e2: its sine is the
     # one singular value of perp^T g.
-    cos = 1.0 - cos_gap * linalg.INTERSECT_COS_TOL
+    cos = 1.0 - cos_gap * errors._TOL["principal cosine"]
     g = np.array([[cos], [np.sqrt(1.0 - cos * cos)], [0.0]])
     assert subspace_meet(g, np.eye(3)[:, 1:2]).shape == (3, kept)
 

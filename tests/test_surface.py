@@ -1,8 +1,9 @@
 """The package's export list matches what it binds, it defines (as a
 function, class or module-level assignment) nothing that neither its own
 code nor its export list uses, its version has one source, its
-numerical contracts raise only through errors.py, and it binds LAPACK
-in linalg.py alone."""
+numerical contracts raise only through errors.py, it binds LAPACK in
+linalg.py alone, and every tolerance is a row of errors._TOL read
+through the one scale rule."""
 
 import ast
 import inspect
@@ -12,6 +13,7 @@ import pytest
 from setuptools.config.pyprojecttoml import read_configuration
 
 import sympspec
+from sympspec.errors import _TOL
 
 
 def test_all_lists_exactly_the_public_names():
@@ -151,3 +153,64 @@ def test_linalg_alone_binds_lapack_and_factor_alone_maps_a_gufunc_failure():
     assert binders == {"linalg.py"}
     [(name, call)] = callbacks
     assert name == factor[0] == "linalg.py" and call in factor[1].decorator_list
+
+
+def _package_trees():
+    for path in sorted(Path(sympspec.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text())
+
+
+def _with_function(tree):
+    """(node, name of its enclosing function or None) for every node."""
+    stack = [(tree, None)]
+    while stack:
+        node, func = stack.pop()
+        yield node, func
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        stack.extend((child, func) for child in ast.iter_child_nodes(node))
+
+
+def _called(node, *names):
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in names
+
+
+def test_small_float_literals_live_in_the_tolerance_table():
+    # A public keyword default (tol=1e-9) is the caller's, not a bound.
+    for name, tree in _package_trees():
+        spared = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.arguments):
+                for default in node.defaults + [d for d in node.kw_defaults if d]:
+                    spared |= {id(n) for n in ast.walk(default)}
+            elif (isinstance(node, ast.Assign) and name == "errors.py"
+                  and [getattr(t, "id", None) for t in node.targets] == ["_TOL"]):
+                spared |= {id(n) for n in ast.walk(node.value)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and type(node.value) is float
+                    and 0.0 < node.value < 1e-5 and id(node) not in spared):
+                raise AssertionError(f"{name}:{node.lineno}: literal {node.value!r} outside _TOL")
+
+
+def test_every_bound_comes_from_the_table_through_the_scale_rule():
+    contracts, named = 0, set()
+    for name, tree in _package_trees():
+        for node, func in _with_function(tree):
+            if _called(node, "_contract") and func != "_contract":
+                contracts += 1
+                bound = node.args[2]
+                assert any(_called(n, "_bound", "_scaled") for n in ast.walk(bound)), (
+                    f"{name}:{node.lineno}: a _contract bound not from _bound or _scaled")
+            if _called(node, "_bound") and func != "_bound":
+                key = node.args[0]
+                assert isinstance(key, ast.Constant), f"{name}:{node.lineno}: _bound of no row"
+                named.add(key.value)
+            first = node.args[0] if isinstance(node, ast.Call) and node.args else None
+            if (_called(node, "max", "maximum", "fmax") and isinstance(first, ast.Constant)
+                    and repr(first.value) == "1.0"):
+                assert (name, func) == ("errors.py", "_scaled"), (
+                    f"{name}:{node.lineno}: a unit floor outside errors._scaled")
+    assert contracts and named == set(_TOL)
