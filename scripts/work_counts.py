@@ -20,11 +20,13 @@ stack; the stacked passes of the spectra, the positive-definiteness
 checks and basis._chain_frames call their gufuncs without it; each
 subspace meet, linalg.subspace_meet, is one SVD) and basis._construct (the
 constructions: the one routine that builds every dual-chain tuple, for
-dual_chain_construct and for the extremal certificates alike), with one
-total row per seed.  Each function is counted by wrapping every name
-that binds it in every loaded package module, and in numpy's
-_umath_linalg, for the length of the run; the names are restored
-afterwards.  A name that the package does not define is not counted.
+dual_chain_construct and for the extremal certificates alike, counted by
+the chains it is given, one for a chain and m for a stack of m, as the
+checks count matrices), with one total row per seed.  Each function is
+counted by wrapping every name that binds it in every loaded package
+module, and in numpy's _umath_linalg, for the length of the run; the
+names are restored afterwards.  A name that the package does not define
+is not counted.
 
     PYTHONPATH=src python scripts/work_counts.py
     PYTHONPATH=src python scripts/work_counts.py --seeds 424242
@@ -54,11 +56,15 @@ COUNTED = {
 }
 
 
+# The argument that holds a stack, by label: a check of a stack of m
+# matrices counts m, and a construction of a stack of m chains counts m.
+STACKS = {"checks": lambda args: args[0], "constructions": lambda args: args[2][0]}
+
+
 def _counter(counts, label, original):
     def counted(*args, **kwargs):
-        # A check of a stack of m matrices counts m.
-        stack = label == "checks" and np.ndim(args[0]) == 3
-        counts[label] += len(args[0]) if stack else 1
+        stack = STACKS[label](args) if label in STACKS else None
+        counts[label] += len(stack) if np.ndim(stack) == 3 else 1
         return original(*args, **kwargs)
     return counted
 

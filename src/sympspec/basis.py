@@ -13,7 +13,12 @@ Subspaces are passed and returned as ambient matrices with orthonormal
 columns.  A construction works on a frame, the sharp spaces of the chain
 members and the complements of the increasing ones, so each intersection
 is one linalg.subspace_meet; its random draws stay in computed feasible
-subspaces, and a failure raises, which samplers count as skipped.
+subspaces.  It is written over leading dimensions: one chain's frame
+builds one chain, which raises on a failure (samplers count it skipped),
+and a stack of frames builds every chain level by level, each step one
+pass that draws for all chains at once, each chain judged by its own
+contracts.  A stack whose chains part ways in a dimension raises
+ConstructionError, and its chains are then built one at a time.
 
 Every containment check is one projection: y lies in span(g) when
 ||y - g g^T y|| is small, with g the orthonormal basis the caller
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _apply_form, _form_arrays, _form_defect, _gram, _symmetric, as_generator
+from .core import _apply_form, _form_arrays, _form_defect, _symmetric, as_generator
 from .errors import ConstructionError, ValidationError, _bound, _check_int, _contract
 from .linalg import (
     _QR_R_RAW,
@@ -49,11 +54,17 @@ def prime_coords(a):
 
 
 def _prime(a):  # prime_coords of a checked a, or of each matrix of a stack
-    if a.ndim == 3:
-        n = a.shape[1] // 2
-        return np.concatenate([-a[:, n:], a[:, :n]], axis=1)
-    n = a.shape[0] // 2
-    return np.concatenate([-a[n:], a[:n]])
+    if a.ndim < 3:
+        n = a.shape[0] // 2
+        return np.concatenate([-a[n:], a[:n]])
+    n = a.shape[-2] // 2
+    return np.concatenate([-a[..., n:, :], a[..., :n, :]], axis=-2)
+
+
+def _tuple_gram(x, y):
+    """x^T J y for coordinate column stacks, over leading dimensions."""
+    n = x.shape[-2] // 2
+    return x[..., :n, :].mT @ y[..., n:, :] - x[..., n:, :].mT @ y[..., :n, :]
 
 
 class SymplecticBasis:
@@ -161,13 +172,23 @@ def _off_span(y, g):
     """||y - g g^T y||_F, the part of y outside span(g), 0 for empty y;
     g has orthonormal columns.  For orthonormal y it bounds the sine of
     the largest principal angle between span(y) and span(g) from above."""
-    return fnorm(y - g @ (g.T @ y))
+    return _fnorms(y - g @ (g.mT @ y))
+
+
+def _fnorms(d):  # fnorm of a matrix, or of each matrix of a stack
+    return fnorm(d) if d.ndim == 2 else np.sqrt((d * d).sum(axis=(-2, -1)))
+
+
+def _norms(x):  # fnorm of a column (2n, 1), or each column's norm in a stack, kept (..., 1, 1)
+    return np.float64(fnorm(x)) if x.ndim == 2 else np.sqrt(np.vecdot(x, x, axis=-2))[..., None]
 
 
 def _sharp_residual(x, g):
     """||[x, x'] - g g^T [x, x']||_F / ||x||, zero exactly when the nonzero
-    coordinate vector x lies in sharp(span g); g has orthonormal columns."""
-    return _off_span(np.stack([x, _prime(x)], axis=1), g) / fnorm(x)
+    coordinate vector x lies in sharp(span g); g has orthonormal columns.
+    A stack of vectors x (..., 2n) is measured against a stack of g."""
+    xc = x[..., None]
+    return _off_span(np.concatenate([xc, _prime(xc)], axis=-1), g) / np.sqrt(np.vecdot(x, x))
 
 
 def _nested(s, t):
@@ -195,25 +216,34 @@ def same_span_trace_check(a, x_set, v_set, basis, check=True):
         )
     if x_set.ndim != 2 or x_set.shape[0] != 2 * basis.n:
         raise ValidationError(f"tuples have invalid shape {x_set.shape}")
-    xc = basis._coord @ x_set
-    vc = basis._coord @ v_set
-    xa = basis.cols @ np.concatenate([xc, _prime(xc)], axis=1)
-    va = basis.cols @ np.concatenate([vc, _prime(vc)], axis=1)
-    lhs = float((xa * (a @ xa)).sum())
-    rhs = float((va * (a @ va)).sum())
-    if check:
-        _contract("trace equality violated: gap", abs(lhs - rhs),
-                  _bound("trace equality", abs(lhs)), f" (lhs {lhs:.12e}, rhs {rhs:.12e})")
+    lhs, rhs = _traces(a, x_set, v_set, basis, check)
+    return float(lhs), float(rhs)
+
+
+def _traces(a, x_set, v_set, basis, check=True):
+    """same_span_trace_check's (lhs, rhs) of two checked tuples, or arrays
+    of them for two stacks; check raises for the first pair that fails."""
+    xa, va = _with_primes(x_set, basis), _with_primes(v_set, basis)
+    lhs, rhs = (xa * (a @ xa)).sum(axis=(-2, -1)), (va * (a @ va)).sum(axis=(-2, -1))
+    for left, right in zip(np.ravel(lhs).tolist(), np.ravel(rhs).tolist()) if check else ():
+        _contract("trace equality violated: gap", abs(left - right),
+                  _bound("trace equality", abs(left)), f" (lhs {left:.12e}, rhs {right:.12e})")
     return lhs, rhs
+
+
+def _with_primes(x, basis):
+    """The ambient [x, x'] of a tuple x, or of each tuple of a stack."""
+    c = basis._coord @ x
+    return basis.cols @ np.concatenate([c, _prime(c)], axis=-1)
 
 
 def _unit_in(g, rng):
     """Random unit vector in the span of g, whose columns are orthonormal,
     so the one draw c has ||g c|| = ||c|| > 0."""
-    if g.shape[1] == 0:
+    if g.shape[-1] == 0:
         raise ConstructionError("feasible subspace is empty")
-    x = g @ rng.standard_normal(g.shape[1])
-    return x / fnorm(x)
+    x = g @ rng.standard_normal(g.shape[:-2] + g.shape[-1:] + (1,))
+    return (x / _norms(x))[..., 0]
 
 
 def _chain_extend_std(chain, ws, rng):
@@ -221,84 +251,118 @@ def _chain_extend_std(chain, ws, rng):
 
     chain: decreasing list of k sharp coordinate subspaces, each with
     orthonormal columns; ws: k-1 columns, B-orthonormal, mutually
-    skew-orthogonal, ws[:, j] in chain[j].
-    Returns (v, x) with v a fresh unit in chain[0] skew-orthogonal to the
-    ws, and x a k-column B-orthonormal skew-orthogonal set with x[:, j]
-    in chain[j] whose pair span is span(ws pairs) plus span{v, v'}.
+    skew-orthogonal, ws[..., j] in chain[j].
+    Returns (v, x) with v (..., 2n, 1) a fresh unit in chain[0]
+    skew-orthogonal to the ws, and x a k-column B-orthonormal
+    skew-orthogonal set with x[..., j] in chain[j] whose pair span is
+    span(ws pairs) plus span{v, v'}.
     """
     if len(chain) == 1:
-        v = _unit_in(chain[0], rng)
-        return v, v[:, None]
+        v = _unit_in(chain[0], rng)[..., None]
+        return v, v
 
-    u, xs = _chain_extend_std(chain[1:], ws[:, 1:], rng)
-    uspan = np.concatenate([ws, _prime(ws)], axis=1)
-    feas = chain[0] @ null_space_basis(_gram(uspan, chain[0]))  # skew-orthogonal to uspan
+    u, xs = _chain_extend_std(chain[1:], ws[..., 1:], rng)
+    uspan = np.concatenate([ws, _prime(ws)], axis=-1)
+    feas = chain[0]  # then its part skew-orthogonal to uspan, a null space
+    if feas.shape[-1]:
+        _, s, vt = _svd(_tuple_gram(uspan, feas))
+        rank = (s > _bound("rank") * s[..., :1]).sum(axis=-1)  # s descends: a prefix is kept
+        if rank.ndim and (rank != rank[0]).any():
+            raise ConstructionError("the chains of a stack differ in feasible rank")
+        feas = feas @ vt[..., rank.flat[0]:, :].mT
 
     # Split u into its component inside the pair span and the rest; the
     # rest already lies in the feasible space, so snapping it onto the
     # computed basis of that space keeps memberships exact even when the
     # component is tiny.  A vanishing component means any fresh unit works.
-    u2 = u - uspan @ (uspan.T @ u)
-    proj = feas @ (feas.T @ u2)
-    nrm = fnorm(proj)
-    v = proj / nrm if nrm > _bound("snap") else _unit_in(feas, rng)
+    u2 = u - uspan @ (uspan.mT @ u)
+    proj = feas @ (feas.mT @ u2)
+    nrm, snap = _norms(proj), _bound("snap")
+    if min(nrm.flat) > snap:
+        v = proj / nrm
+    else:
+        small = np.reshape(nrm <= snap, proj.shape[:-2])
+        v = proj / np.fmax(nrm, snap)
+        v[small] = _unit_in(feas[small], rng)[..., None]
 
     # v lies in the feasible space, skew-orthogonal to the prime-closed
     # uspan, so the stack u0 is orthonormal and holds the pairs of xs.
-    u0 = np.concatenate([uspan, v[:, None], _prime(v)[:, None]], axis=1)
-    v1 = _unit_in(_slot_plane(u0, np.concatenate([xs, _prime(xs)], axis=1)), rng)
-    return v, np.concatenate([v1[:, None], xs], axis=1)
+    u0 = np.concatenate([uspan, v, _prime(v)], axis=-1)
+    v1 = _unit_in(_slot_plane(u0, np.concatenate([xs, _prime(xs)], axis=-1)), rng)
+    return v, np.concatenate([v1[..., None], xs], axis=-1)
 
 
 def _slot_plane(u0, s):
     """[r, r'] / ||r||, an orthonormal basis of the prime-closed plane
     span(u0) minus span(s): r is the longest of u0's 2k columns projected
     off span(s), of norm 1/sqrt(k) or more."""
-    p = u0 - s @ (s.T @ u0)
-    r = p[:, np.argmax((p * p).sum(axis=0))]
-    return np.stack([r, _prime(r)], axis=1) / fnorm(r)
+    p = u0 - s @ (s.mT @ u0)
+    i = np.argmax((p * p).sum(axis=-2), axis=-1)
+    r = p[:, i:i + 1] if p.ndim == 2 else p[np.arange(len(p)), :, i, None]
+    return np.concatenate([r, _prime(r)], axis=-1) / _norms(r)
 
 
 def _dual_chain_std(vsharp, vperp, wsharp, rng):
     """Coordinate-space dual-chain construction (equal-span tuples) on the
     frame vsharp[j] = sharp(V_j), vperp[j] its complement, wsharp[j] =
     sharp(W_j): sharp(V cap W) = sharp(V) cap sharp(W), one subspace_meet."""
+    meets = [subspace_meet(w, vperp[-1]) for w in wsharp]
+    if list in map(type, meets):
+        raise ConstructionError("the chains of a stack meet in different dimensions")
     if len(vsharp) == 1:
-        x = _unit_in(subspace_meet(wsharp[0], vperp[0]), rng)
-        return x[:, None], x[:, None]
+        x = _unit_in(meets[0], rng)[..., None]
+        return x, x
 
     vs, xs = _dual_chain_std(vsharp[:-1], vperp[:-1], wsharp[:-1], rng)
-    v, ws_new = _chain_extend_std([subspace_meet(w, vperp[-1]) for w in wsharp], xs, rng)
+    v, ws_new = _chain_extend_std(meets, xs, rng)
     # v is already B-orthogonal to the span of the previous pairs, so
     # this projection only strips rounding noise.
-    pairs = np.concatenate([xs, _prime(xs)], axis=1)
-    vk = v - pairs @ (pairs.T @ v)
-    vk /= fnorm(vk)
-    return np.concatenate([vs, vk[:, None]], axis=1), ws_new
+    pairs = np.concatenate([xs, _prime(xs)], axis=-1)
+    vk = v - pairs @ (pairs.mT @ v)
+    vk /= _norms(vk)
+    return np.concatenate([vs, vk], axis=-1), ws_new
 
 
-def _check_built(cols, sharp):
-    """Raise unless cols with its primes is B-orthosymplectic and each
-    cols[:, j] lies in sharp[j]; returns the tuple with primes.
+def _check_built(vs, ws, vsharp, wsharp):
+    """The contracts of a built pair (vs, ws), or of each pair of a
+    stack, as (name, value) pairs in the order they are enforced: with
+    its primes each tuple is B-orthosymplectic and its column j lies in
+    sharp[j] of its chain, and the two spans agree.  Both tuples and all
+    their columns are checked in one pass.
 
     One defect serves both: the prime map in coordinates is -J, so for
     full = [X, X'] the form defect ||full^T J full - J||_F equals the
     orthonormality defect ||full^T full - I||_F for every X."""
-    full = np.concatenate([cols, _prime(cols)], axis=1)
-    gram = full.T @ full
-    gram.flat[::len(gram) + 1] -= 1.0
-    _contract("constructed tuple defects: orthonormality", fnorm(gram), _bound("basis"))
-    for j in range(cols.shape[1]):
-        _contract(f"constructed vector {j} left its sharp space: residual",
-                  _sharp_residual(cols[:, j], sharp[j]), _bound("basis"))
-    return full
+    cols = np.stack([vs, ws])
+    full = np.concatenate([cols, _prime(cols)], axis=-1)
+    k, width = cols.shape[-1], max(g.shape[-1] for g in vsharp + wsharp)
+    padded = np.zeros(cols.shape[:-2] + (k, cols.shape[-2], width))
+    for side, sharp in enumerate((vsharp, wsharp)):
+        for j, g in enumerate(sharp):
+            padded[side, ..., j, :, :g.shape[-1]] = g
+    res = _sharp_residual(cols.mT, padded)
+    orth = _fnorms(full.mT @ full - np.eye(2 * k))
+    checks = []
+    for side in (0, 1):
+        checks += [("constructed tuple defects: orthonormality", orth[side])] + [
+            (f"constructed vector {j} left its sharp space: residual", res[side, ..., j])
+            for j in range(k)]
+    return checks + [("constructed spans differ by residual", _off_span(full[0], full[1]))]
 
 
 def _construct(vsharp, vperp, wsharp, basis, rng):
-    """The one construction routine: ambient tuples built and certified on a frame."""
+    """The one construction routine: ambient tuples built and certified on
+    a frame.  One chain raises what refuses it; a stack (wsharp[j] of
+    shape (m, 2n, c_j)) keeps the chains that meet every contract, and
+    raises ConstructionError when its chains part ways in a dimension."""
     vs_c, ws_c = _dual_chain_std(vsharp, vperp, wsharp, rng)
-    vf, wf = _check_built(vs_c, vsharp), _check_built(ws_c, wsharp)
-    _contract("constructed spans differ by residual", _off_span(vf, wf), _bound("basis"))
+    checks = _check_built(vs_c, ws_c, vsharp, wsharp)
+    if vs_c.ndim == 2:
+        for name, value in checks:
+            _contract(name, value, _bound("basis"))
+    else:
+        ok = np.logical_and.reduce([value <= _bound("basis") for _, value in checks])
+        vs_c, ws_c = vs_c[ok], ws_c[ok]
     return basis.cols @ vs_c, basis.cols @ ws_c
 
 

@@ -8,10 +8,11 @@ gufunc's failed factorization of one matrix reaches a caller.  Two raise
 ValidationError: _check_int for every count, size, order, seed and
 trial argument that is not an integer or lies below its minimum, and
 _check_tol for every tolerance a caller passes that is not a positive
-finite real number.  _attempt and _value carry an error as a value, so
-that work done once for many matrices or trials keeps each one's verdict
-to itself: _attempt returns what it catches, and _value raises it where
-the matrix or trial is read.
+finite real number (_check_atol: an absolute margin, which may be 0).
+_attempt and _value carry an error as a value, so that work done once
+for many matrices or trials keeps each one's verdict to itself:
+_attempt returns what it catches, and _value raises it where the matrix
+or trial is read.
 
 Every bound the package compares against is _bound(name, x) =
 _scaled(_TOL[name], x) = _TOL[name] * max(1, x): _TOL holds one constant
@@ -122,6 +123,13 @@ def _check_tol(name, value):
     numpy's included but not a bool, that is positive and finite."""
     if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < np.inf:
         raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def _check_atol(name, value):
+    """_check_tol for an absolute margin, which may be 0.0: non-negative and finite."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 <= value < np.inf:
+        raise ValidationError(f"{name} must be non-negative and finite, got {value!r}")
     return float(value)
 
 

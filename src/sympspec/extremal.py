@@ -23,14 +23,18 @@ from .basis import (
     _construct,
     _prime,
     _sharp_std,
-    same_span_trace_check,
+    _traces,
+    _tuple_gram,
+    _with_primes,
 )
 from .core import (
     _checked,
     _compression,
+    _factor_spectra,
     _gram,
     _symmetric,
     as_generator,
+    check_positive_definite,
     compress,
     williamson,
 )
@@ -102,12 +106,6 @@ def canonical_chains(basis, index_set):
     return vchain, wchain
 
 
-def _tuple_gram(x, y):
-    """x[i]^T J y[i] for a stack x of column stacks and a stack y or one y."""
-    n = x.shape[1] // 2
-    return x[:, :n].mT @ y[..., n:, :] - x[:, n:].mT @ y[..., :n, :]
-
-
 def _pairings(x, z):
     """<x[i], J z[i]> for two stacks of vectors, one per row."""
     n = x.shape[1] // 2
@@ -157,15 +155,19 @@ def _sample_tuples(bases, count, rng):
             t = np.sqrt(np.sqrt(np.vecdot(y, y)))[:, None]
             xs[sel[ok], :, j], ys[sel[ok], :, j] = x[ok] * t, y / t
         done = np.flatnonzero(live)
-        x, y = xs[done], ys[done]
-        defect = np.maximum.reduce([_frobenius(_tuple_gram(x, y) - np.eye(k)),
-                                    _frobenius(_tuple_gram(x, x)), _frobenius(_tuple_gram(y, y))])
-        done = done[defect <= _bound("tuple form defect")]
+        done = done[_form_defects(xs[done], ys[done]) <= _bound("tuple form defect")]
         x_out[todo[done]], y_out[todo[done]] = xs[done], ys[done]
         todo = np.delete(todo, done)
         if not len(todo):
             return x_out, y_out
     raise ConstructionError("failed to sample a normalized tuple in the chain")
+
+
+def _form_defects(x, y):
+    """core.tuple_form_defect of each tuple (x[i], y[i]) of two stacks."""
+    k = x.shape[-1]
+    return np.maximum.reduce([_frobenius(_tuple_gram(x, y) - np.eye(k)),
+                              _frobenius(_tuple_gram(x, x)), _frobenius(_tuple_gram(y, y))])
 
 
 def _witnesses(m_subs, basis, a):
@@ -288,22 +290,43 @@ def _sampled_floor(a, basis, idx, claimed, samples, rng, margin):
 
 
 def _chain_tuples(idx, basis, count, rng):
-    """Dual-chain tuples (vs, ws) on the exact frame of canonical_chains'
-    increasing chain and count fresh random decreasing chains, and the
-    number of attempts skipped on a ConstructionError or on a built tuple
-    that failed its contract.  The chains are drawn and framed as one
-    stack (basis._chain_frames) before any is built."""
+    """Dual-chain tuples on the exact frame of canonical_chains' increasing
+    chain and count fresh random decreasing chains, drawn, framed and
+    built as one stack: the built chains' ambient (v, w) as one stack
+    (m, 2, 2n, k), and the number skipped.  A stack that raises (its
+    chains part ways in a dimension) is built again one chain at a time."""
     n = basis.n
     eye, pair = np.eye(2 * n), np.arange(2 * n) % n
     vsharp, vperp = [eye[:, pair < i] for i in idx], [eye[:, pair >= i] for i in idx]
     sizes = (2 * n + 1 - idx).tolist()
-    tuples, n_skipped = [], 0
-    for wsharp in _chain_frames(basis._coord @ _haar(count, 2 * n, rng)[:, :, :sizes[0]], sizes):
+    frames = [f for f in _chain_frames(basis._coord @ _haar(count, 2 * n, rng)[:, :, :sizes[0]],
+                                       sizes) if not isinstance(f, ConstructionError)]
+    one = len({tuple(g.shape for g in f) for f in frames}) == 1
+    groups = [frames] if one else [[f] for f in frames]
+    built = [np.empty((0, 2, 2 * n, len(idx)))]
+    while groups:
+        group = groups.pop(0)
         try:
-            tuples.append(_construct(vsharp, vperp, _value(wsharp), basis, rng))
+            built.append(np.stack(_construct(vsharp, vperp, [np.stack(w) for w in zip(*group)],
+                                             basis, rng), axis=1))
         except (ConstructionError, NumericalContractError):
-            n_skipped += 1
-    return tuples, n_skipped
+            groups[:0] = [[f] for f in group] if len(group) > 1 else []
+    tuples = np.concatenate(built)
+    return tuples, count - len(tuples)
+
+
+def _compression_spectra(pd, t):
+    """compress(pd, x, y)[1] of each built tuple t[i] = [x, y] of a stack
+    (m, 2n, 2k), each of compress's checks one stacked pass, raising what
+    compress raises for the first tuple in order that fails it."""
+    k = t.shape[-1] // 2
+    for defect in _form_defects(t[..., :k], t[..., k:]).tolist():
+        if not defect <= _bound("tuple form defect"):
+            raise ValidationError(
+                f"columns are not a symplectic tuple: pairing defect {defect:.3e}")
+    a_m = t.mT @ pd.a @ t
+    low = [_value(c).low for c in check_positive_definite(0.5 * (a_m + a_m.mT))]
+    return [_value(d) for d in _factor_spectra(np.stack(low))] if low else []
 
 
 def _pair_floor(a, w):
@@ -373,10 +396,8 @@ def wielandt_certify(a, index_set, n_chains=20, samples=40, rng=None,
     slacks.append(_scaled(eq_tol, abs(claimed)) - equality_gap)
 
     tuples, n_skipped = _chain_tuples(idx, basis, n_chains, rng)
-    witness_vals = []
-    for vs, ws in tuples:
-        witness_vals.append(tuple_value(pd, ws, basis.prime(ws)))
-        same_span_trace_check(pd, ws, vs, basis)
+    # Each witness energy is half the trace over its tuple and primes.
+    witness_vals = (0.5 * _traces(pd.a, tuples[:, 1], tuples[:, 0], basis)[0]).tolist()
     slacks += [claimed - val + margin for val in witness_vals]
 
     return _finish(
@@ -431,12 +452,12 @@ def phi_extremal_check(a, index_set, phi, n_chains=12, rng=None, tol=1e-9,
     slacks.append(_bound("phi equality", abs(claimed)) - equality_gap)
 
     tuples, n_skipped = _chain_tuples(idx, basis, n_chains, rng)
+    va = _with_primes(tuples[:, 0], basis)
+    energy = (va * (a @ va)).sum(axis=-2).reshape(-1, 2, len(idx))
     chain_vals = []
-    for vs, ws in tuples:
-        vs_prime = basis.prime(vs)
-        alpha = 0.5 * ((vs * (a @ vs)).sum(axis=0) + (vs_prime * (a @ vs_prime)).sum(axis=0))
+    for alpha, d_u in zip(0.5 * energy.sum(axis=1),
+                          _compression_spectra(pd, _with_primes(tuples[:, 1], basis))):
         slacks.extend(float(t - al + _scaled(tol, t)) for al, t in zip(alpha, d_target))
-        d_u = compress(pd, ws, basis.prime(ws))[1]
         if not supermajorize(alpha, d_u, atol=_scaled(tol, float(d_u.max()))):
             slacks.append(-1.0)
         phi_alpha = float(phi(np.sort(alpha)))

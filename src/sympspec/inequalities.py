@@ -35,7 +35,8 @@ from .core import (
     random_pd,
 )
 from .errors import (
-    _TRIAL_ERRORS, ValidationError, _bound, _check_int, _check_tol, _lapack, _scaled, _value,
+    _TRIAL_ERRORS, ValidationError, _bound, _check_atol, _check_int, _check_tol, _lapack, _scaled,
+    _value,
 )
 from .linalg import _SYGST, _below, _by_size, _real, fnorm, sym_eig
 
@@ -116,8 +117,9 @@ def _check_same_size(a, b):
 
 
 def supermajorize(a, b, atol=0.0):
-    """True when every ascending partial sum of a is >= that of b."""
-    a, b = _real(a, "vectors"), _real(b, "vectors")
+    """True when every ascending partial sum of a is >= that of b, to
+    the absolute margin atol."""
+    a, b, atol = _real(a, "vectors"), _real(b, "vectors"), _check_atol("atol", atol)
     if a.ndim != 1 or b.ndim != 1:
         raise ValidationError(f"vectors must be 1-D, got shapes {a.shape} and {b.shape}")
     if a.shape != b.shape:
@@ -127,7 +129,7 @@ def supermajorize(a, b, atol=0.0):
 
 def majorize(a, b, atol=0.0):
     """Supermajorization plus equality of the total sums."""
-    a, b = _real(a, "vectors"), _real(b, "vectors")
+    a, b, atol = _real(a, "vectors"), _real(b, "vectors"), _check_atol("atol", atol)
     if not supermajorize(a, b, atol=atol):
         return False
     gap = abs(float(a.sum()) - float(b.sum()))
@@ -485,5 +487,6 @@ def additive_trial_records(t, n, rng, tol=1e-9):
 
 def multiplicative_trial_records(t, n, rng, tol=1e-9):
     """Records for one randomized mean trial (see _multiplicative_draw)."""
+    tol = _check_tol("tol", tol)
     instance = _multiplicative_draw(t, n, rng)
     return _value(_trial_outcomes(_multiplicative_plan, [instance], tol)[0])

@@ -32,8 +32,9 @@ definite entry point, is one body for speed.
 A routine that takes a stack of matrices gives each the bits it gets
 alone: _skew_spectrum and core.check_positive_definite give a list of
 outcomes, each the matrix's result or the error that refused it
-(errors._value reads one), and orthonormal_columns and subspace_meet a
-list of bases.  _by_size stacks a list of arrays by shape, one call per
+(errors._value reads one), orthonormal_columns a list of bases, and
+subspace_meet one stack of bases when they keep one dimension, else a
+list.  _by_size stacks a list of arrays by shape, one call per
 shape; _frobenius takes fnorm of every matrix of a stack.  _below(m) is
 the read-only strictly-lower mask of size m, kept per size, which
 np.where uses in place of numpy's triu and tril.
@@ -292,7 +293,8 @@ def max_principal_angle(u, w):
 def subspace_meet(g, perp):
     """The meet of span(g) with the orthogonal complement of span(perp),
     g times some of the right singular vectors of perp^T g, from one SVD;
-    for a stack g (m, r, c), a list of the m meets from one SVD pass.
+    for a stack g (m, r, c), the m meets from one SVD pass, as one stack
+    when they keep one dimension, else as a list.
 
     g and perp must have orthonormal columns.  The singular value sigma
     at c (0 past the rank) is then the sine of the angle between g c and
@@ -303,7 +305,7 @@ def subspace_meet(g, perp):
     stack, shows that they are not, and raises NumericalContractError.
     """
     if g.shape[-1] == 0 or perp.shape[1] == 0:
-        return g if g.ndim == 2 else list(g)
+        return g
     _, sig, vt = _svd(perp.T @ g)
     top = sig[0] if g.ndim == 2 else sig[:, 0].max()
     _contract("principal cosine", top, 1.0 + _bound("principal cosine"),
@@ -312,7 +314,10 @@ def subspace_meet(g, perp):
     off = sig * sig > _bound("principal cosine") * (2.0 - _bound("principal cosine"))
     if g.ndim == 2:
         return g @ vt[np.count_nonzero(off):].T
-    return [gi @ vi[o:].T for gi, vi, o in zip(g, vt, off.sum(axis=1).tolist())]
+    counts = off.sum(axis=1)
+    if (counts == counts[0]).all():
+        return g @ vt[:, counts[0]:].mT
+    return [gi @ vi[o:].T for gi, vi, o in zip(g, vt, counts.tolist())]
 
 
 def _hessenberg_band(k):

@@ -10,6 +10,7 @@ import sympspec.basis
 from sympspec import linalg
 from sympspec.basis import (
     SymplecticBasis,
+    _construct,
     _coords_subspace,
     _nested,
     _sharp_residual,
@@ -27,6 +28,7 @@ from sympspec.core import (
     tuple_form_defect,
     williamson,
 )
+from sympspec import errors
 from sympspec.errors import _TOL, ConstructionError, NumericalContractError, ValidationError
 from sympspec.extremal import random_orthogonal
 from sympspec.linalg import (
@@ -181,6 +183,135 @@ def test_dual_chain_construct_postconditions():
         wf = np.hstack([ws, basis.prime(ws)])
         assert max_principal_angle(vf, wf) <= 1e-8
         assert tuple_form_defect(ws, basis.prime(ws)) <= 1e-8
+
+
+def _frame(vchain, wchains, basis):
+    """The coordinate frame of one increasing chain and of several
+    decreasing ones, as dual_chain_construct forms it: (vsharp, vperp,
+    the decreasing chains' sharp spaces, one list per chain)."""
+    vsharp = [_sharp_std(_coords_subspace(v, basis)) for v in vchain]
+    return (vsharp, [null_space_basis(v.T) for v in vsharp],
+            [[_sharp_std(_coords_subspace(w, basis)) for w in chain] for chain in wchains])
+
+
+def _random_chains(n, idx, count, rng):
+    vq = random_orthogonal(2 * n, rng)
+    wqs = [random_orthogonal(2 * n, rng) for _ in range(count)]
+    return [vq[:, : n + i] for i in idx], [[wq[:, : 2 * n - i + 1] for i in idx] for wq in wqs]
+
+
+def _assert_postconditions(vs, ws, vchain, wchain, basis):
+    # dual_chain_construct's: each column in its sharp space, equal spans
+    # with primes, and a symplectic tuple.
+    for j in range(vs.shape[1]):
+        vsharp = basis.lift(_sharp_std(_coords_subspace(vchain[j], basis)))
+        wsharp = basis.lift(_sharp_std(_coords_subspace(wchain[j], basis)))
+        assert span_residual(vsharp, vs[:, j]) <= 1e-8
+        assert span_residual(wsharp, ws[:, j]) <= 1e-8
+    vf = np.hstack([vs, basis.prime(vs)])
+    wf = np.hstack([ws, basis.prime(ws)])
+    assert max_principal_angle(vf, wf) <= 1e-8
+    assert tuple_form_defect(ws, basis.prime(ws)) <= 1e-8
+
+
+def test_every_tuple_of_a_stack_meets_the_postconditions():
+    rng = np.random.default_rng(52)
+    for t in range(24):
+        n = 2 + t % 4
+        k = 1 + (t // 4) % min(n, 3)
+        idx = np.sort(rng.choice(np.arange(1, n + 1), size=k, replace=False))
+        basis = _random_basis(n)
+        vchain, wchains = _random_chains(n, idx, 4, rng)
+        vsharp, vperp, wsharps = _frame(vchain, wchains, basis)
+        vs, ws = _construct(vsharp, vperp, [np.stack(w) for w in zip(*wsharps)], basis, rng)
+        assert vs.shape == ws.shape == (4, 2 * n, k)
+        for c in range(4):
+            _assert_postconditions(vs[c], ws[c], vchain, wchains[c], basis)
+
+
+def test_a_stack_of_one_builds_the_bits_of_one_chain():
+    # Same draws, same bits: the construction suite builds one chain at a
+    # time, and its records did not move when the routine took stacks.
+    rng = np.random.default_rng(53)
+    for t in range(20):
+        n = 2 + t % 4
+        idx = np.sort(rng.choice(np.arange(1, n + 1), size=1 + t % min(n, 3), replace=False))
+        basis = _random_basis(n)
+        vchain, wchains = _random_chains(n, idx, 1, rng)
+        vsharp, vperp, [wsharp] = _frame(vchain, wchains, basis)
+        one = _construct(vsharp, vperp, wsharp, basis, np.random.default_rng(t))
+        stack = _construct(vsharp, vperp, [w[None] for w in wsharp], basis,
+                           np.random.default_rng(t))
+        assert all(np.array_equal(x, y[0]) for x, y in zip(one, stack))
+
+
+def test_a_chain_off_its_sharp_space_is_skipped_alone():
+    # Chain 1's second frame member leans 1e-6 off its sharp space (the
+    # first is all of R^6): the w drawn there leaves the frame's prime
+    # image, which only that chain's residual contract catches.
+    rng = np.random.default_rng(54)
+    n, idx = 3, np.array([1, 3])
+    basis = _random_basis(n)
+    vchain, wchains = _random_chains(n, idx, 3, rng)
+    vsharp, vperp, wsharps = _frame(vchain, wchains, basis)
+    g = wsharps[1][1]
+    wsharps[1][1] = orthonormal_columns(g + 1e-6 * rng.standard_normal(g.shape))
+    vs, ws = _construct(vsharp, vperp, [np.stack(w) for w in zip(*wsharps)], basis, rng)
+    assert len(vs) == len(ws) == 2
+    for c, kept in enumerate((0, 2)):
+        _assert_postconditions(vs[c], ws[c], vchain, wchains[kept], basis)
+    with pytest.raises(NumericalContractError, match="constructed vector 1 left its sharp space"):
+        _construct(vsharp, vperp, wsharps[1], basis, rng)
+
+
+def test_a_stack_whose_meets_differ_in_dimension_builds_each_chain_alone(monkeypatch):
+    # Index set {2} at n = 3: sharp(V) is pairs 1 and 2, and a random W
+    # meets it in a plane; the middle chain's W is sharp(V) itself, so its
+    # meet is 4-dimensional.  The stack refuses, and the certificates'
+    # chain builder builds the three chains one at a time.
+    rng = np.random.default_rng(55)
+    basis = SymplecticBasis.standard(3)
+    eye, pair = np.eye(6), np.arange(6) % 3
+    own = eye[:, pair < 2]
+    frames = [[_sharp_std(random_orthogonal(6, rng)[:, :5])], [own],
+              [_sharp_std(random_orthogonal(6, rng)[:, :5])]]
+    vsharp, vperp = [own], [eye[:, pair >= 2]]
+    with pytest.raises(ConstructionError, match="meet in different dimensions"):
+        _construct(vsharp, vperp, [np.stack([f[0] for f in frames])], basis, rng)
+    monkeypatch.setattr(sympspec.extremal, "_chain_frames", lambda x, sizes: frames)
+    tuples, n_skipped = sympspec.extremal._chain_tuples(np.array([2]), basis, 3, rng)
+    assert n_skipped == 0 and tuples.shape == (3, 2, 6, 1)
+    for (v, w), [g] in zip(tuples, frames):
+        assert span_residual(own, v) <= 1e-12 and span_residual(g, w) <= 1e-12
+        assert max_principal_angle(np.hstack([v, prime_coords(v)]),
+                                   np.hstack([w, prime_coords(w)])) <= 1e-8
+
+
+def test_a_fresh_unit_for_a_vanishing_component_keeps_one_chain_and_its_stack_equal(monkeypatch):
+    # With the snap floor above every component, every extension step
+    # draws a fresh unit of its feasible space; the contracts then refuse
+    # the tuples that draw breaks, and a stack of one refuses (skips) the
+    # chain that one chain raises for, and otherwise builds its bits.
+    monkeypatch.setitem(errors._TOL, "snap", 10.0)
+    rng = np.random.default_rng(56)
+    outcomes = set()
+    for t in range(20):
+        n = 2 + t % 4
+        idx = np.sort(rng.choice(np.arange(1, n + 1), size=2 + t % min(n - 1, 2), replace=False))
+        basis = _random_basis(n)
+        vchain, wchains = _random_chains(n, idx, 1, rng)
+        vsharp, vperp, [wsharp] = _frame(vchain, wchains, basis)
+        stack = _construct(vsharp, vperp, [w[None] for w in wsharp], basis,
+                           np.random.default_rng(t))
+        try:
+            one = _construct(vsharp, vperp, wsharp, basis, np.random.default_rng(t))
+        except NumericalContractError:
+            assert len(stack[0]) == 0
+            outcomes.add("refused")
+        else:
+            assert all(np.array_equal(x, y[0]) for x, y in zip(one, stack))
+            outcomes.add("built")
+    assert outcomes == {"built", "refused"}
 
 
 def _corrupted_construction(monkeypatch, corrupt):

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from sympspec.errors import (
-    _TOL, NumericalContractError, ValidationError, _bound, _check_int, _check_tol, _contract,
-    _scaled,
+    _TOL, NumericalContractError, ValidationError, _bound, _check_atol, _check_int, _check_tol,
+    _contract, _scaled,
 )
 
 
@@ -77,3 +77,17 @@ def test_check_tol_returns_a_plain_float(value):
 def test_check_tol_refuses_what_is_no_positive_finite_real(value):
     with pytest.raises(ValidationError, match="^tol must be positive and finite, got "):
         _check_tol("tol", value)
+
+
+@pytest.mark.parametrize("value", [0.0, 0, np.float64(0.0), 1e-12, Fraction(1, 3)])
+def test_check_atol_admits_zero_and_returns_a_plain_float(value):
+    out = _check_atol("atol", value)
+    assert out == float(value) and type(out) is float
+
+
+@pytest.mark.parametrize("value", [
+    True, np.False_, "0", 0j, None, -1e-300, np.nan, np.inf,
+], ids=["bool", "numpy-bool", "string", "complex", "none", "negative", "nan", "inf"])
+def test_check_atol_refuses_what_is_no_non_negative_finite_real(value):
+    with pytest.raises(ValidationError, match="^atol must be non-negative and finite, got "):
+        _check_atol("atol", value)

@@ -10,6 +10,7 @@ import sympspec.extremal
 from sympspec.basis import (
     SymplecticBasis,
     _chain_frames,
+    _traces,
     _coords_subspace,
     _sharp_std,
     dual_chain_construct,
@@ -17,6 +18,7 @@ from sympspec.basis import (
     same_span_trace_check,
 )
 from sympspec.core import (
+    check_positive_definite,
     compress,
     random_pd,
     symplectic_inner,
@@ -26,6 +28,8 @@ from sympspec.core import (
 from sympspec.errors import _TOL, ConstructionError, NumericalContractError, ValidationError
 from sympspec.extremal import (
     SAMPLE_RETRIES,
+    _chain_tuples,
+    _compression_spectra,
     _finish,
     _haar,
     _sample_tuples,
@@ -525,7 +529,9 @@ def test_phi_extremal_counts_every_refused_chain(monkeypatch):
 
     monkeypatch.setattr(sympspec.extremal, "_construct", refuse)
     cert = phi_extremal_check(a, np.array([1, 3]), phi_sum, n_chains=4, rng=RNG)
-    assert len(calls) == 4
+    # The stack of all four chains, then, as it raised a ConstructionError,
+    # each chain alone.
+    assert [len(wsharp[0]) for _, _, wsharp, *_ in calls] == [4, 1, 1, 1, 1]
     assert cert.n_skipped == cert.n_chains == 4
     assert cert.witness_max is None and not cert.passed
 
@@ -560,7 +566,7 @@ def test_phi_extremal_fails_on_a_witness_above_the_claim(monkeypatch):
 
     def top_pairs(*args):
         vs, _ = build(*args)
-        return vs, basis.u[:, 1:]
+        return vs, np.broadcast_to(basis.u[:, 1:], vs.shape)
 
     monkeypatch.setattr(sympspec.extremal, "_construct", top_pairs)
     cert = phi_extremal_check(a, np.array([1, 2]), phi_sum, n_chains=2,
@@ -781,3 +787,47 @@ def test_a_failed_factorization_in_one_chain_skips_that_chain_alone(monkeypatch)
     assert [isinstance(f, ConstructionError) for f in frames] == [False, True, False]
     cert = wielandt_certify(a, [1, 3], n_chains=3, samples=2, rng=np.random.default_rng(4))
     assert cert.n_skipped == 1 and cert.passed
+
+
+def _built_tuples(n, idx, count, seed):
+    # A certificate's stack of built chains (m, 2, 2n, k), ambient (v, w).
+    a, _, basis = _instance(n, seed)
+    tuples, n_skipped = _chain_tuples(np.asarray(idx), basis, count, np.random.default_rng(seed))
+    assert n_skipped == 0
+    return check_positive_definite(a), basis, tuples
+
+
+def test_stacked_compressions_give_each_tuples_compress_spectrum():
+    pd, basis, tuples = _built_tuples(4, [1, 3, 4], 5, 60)
+    ws = tuples[:, 1]
+    spectra = _compression_spectra(pd, np.stack([np.hstack([w, basis.prime(w)]) for w in ws]))
+    for w, d in zip(ws, spectra):
+        assert np.allclose(d, compress(pd, w, basis.prime(w))[1], rtol=1e-13, atol=0.0)
+
+
+def test_stacked_scoring_refuses_a_tuple_as_compress_refuses_it():
+    # The middle tuple's columns are scaled off the symplectic form: the
+    # stacked form check raises compress's error for it, class and message.
+    pd, basis, tuples = _built_tuples(3, [1, 3], 3, 61)
+    ws = tuples[:, 1].copy()
+    ws[1] *= 1.1
+    t = np.stack([np.hstack([w, basis.prime(w)]) for w in ws])
+    with pytest.raises(ValidationError, match="not a symplectic tuple") as stacked:
+        _compression_spectra(pd, t)
+    with pytest.raises(ValidationError) as one:
+        compress(pd, ws[1], basis.prime(ws[1]))
+    assert str(stacked.value) == str(one.value)
+
+
+def test_stacked_traces_raise_for_the_first_failing_pair_as_the_trace_check_does():
+    pd, basis, tuples = _built_tuples(3, [2, 3], 3, 62)
+    vs, ws = tuples[:, 0].copy(), tuples[:, 1]
+    lhs, rhs = _traces(pd.a, ws, vs, basis)
+    for c in range(3):
+        assert (lhs[c], rhs[c]) == pytest.approx(same_span_trace_check(pd, ws[c], vs[c], basis))
+    vs[1], vs[2] = vs[2], vs[1].copy()
+    with pytest.raises(NumericalContractError, match="trace equality violated") as stacked:
+        _traces(pd.a, ws, vs, basis)
+    with pytest.raises(NumericalContractError) as one:
+        same_span_trace_check(pd, ws[1], vs[1], basis)
+    assert str(stacked.value) == str(one.value)

@@ -316,6 +316,34 @@ def test_additive_trial_refuses_a_tolerance_that_is_no_positive_finite_real(tol)
         additive_lidskii_trial(a, a, [1], tol=tol)
 
 
+@pytest.mark.parametrize("tol", ["x", 1e-9 + 0j, True, np.nan, 0.0, -1e-9, np.inf],
+                         ids=["string", "complex", "bool", "nan", "zero", "negative", "inf"])
+def test_multiplicative_trial_records_refuse_what_additive_refuses(tol):
+    # "x" raised a raw TypeError, and nan and True ran and gave records.
+    rng = np.random.default_rng(12)
+    with pytest.raises(ValidationError, match="^tol must be positive and finite"):
+        multiplicative_trial_records(0, 2, rng, tol=tol)
+    with pytest.raises(ValidationError, match="^tol must be positive and finite"):
+        additive_trial_records(0, 2, rng, tol=tol)
+
+
+@pytest.mark.parametrize("predicate", [supermajorize, majorize])
+@pytest.mark.parametrize("atol", ["x", 1j, True, np.nan, -1.0, np.inf],
+                         ids=["string", "complex", "bool", "nan", "negative", "inf"])
+def test_majorization_refuses_an_atol_that_is_no_non_negative_finite_real(predicate, atol):
+    # 1j and True returned True, nan and -1.0 False, and "x" raised
+    # numpy's UFuncTypeError.
+    with pytest.raises(ValidationError, match="^atol must be non-negative and finite"):
+        predicate([1.0, 2.0], [1.0, 2.0], atol=atol)
+
+
+@pytest.mark.parametrize("predicate", [supermajorize, majorize])
+def test_majorization_takes_a_zero_or_numpy_atol(predicate):
+    assert predicate([1.0, 2.0], [1.0, 2.0], atol=0.0)
+    assert predicate([1.0, 2.0], [1.0, 2.0], atol=np.float64(1e-12))
+    assert predicate([1.0, 2.0], [1.0, 2.0], atol=0)
+
+
 def test_mean_and_additive_trial_refuse_matrices_of_different_sizes():
     # Without the check these fail inside dsygst and numpy's broadcast,
     # outside the package's error types.
