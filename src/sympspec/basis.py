@@ -14,11 +14,10 @@ columns.  A construction works on a frame, the sharp spaces of the chain
 members and the complements of the increasing ones, so each intersection
 is one linalg.subspace_meet; its random draws stay in computed feasible
 subspaces.  It is written over leading dimensions: one chain's frame
-builds one chain, which raises on a failure (samplers count it skipped),
-and a stack of frames builds every chain level by level, each step one
-pass that draws for all chains at once, each chain judged by its own
-contracts.  A stack whose chains part ways in a dimension raises
-ConstructionError, and its chains are then built one at a time.
+builds one chain, and a stack of frames builds every chain level by
+level, each step one pass that draws for all chains at once.  A stack
+builds whole or raises, as one chain does (_construct); its samplers
+then build each chain alone and count one that raises skipped.
 
 Every containment check is one projection: y lies in span(g) when
 ||y - g g^T y|| is small, with g the orthonormal basis the caller
@@ -35,8 +34,9 @@ from .errors import ConstructionError, ValidationError, _bound, _check_int, _con
 from .linalg import (
     _QR_R_RAW,
     _QR_REDUCED,
-    _SVD_F,
     _check_finite,
+    _factor,
+    _kept_count,
     _real,
     _svd,
     fnorm,
@@ -119,13 +119,14 @@ def _coords_subspace(w, basis):
     w = _real(w, "subspace basis")
     if w.ndim != 2 or w.shape[0] != 2 * basis.n:
         raise ValidationError(f"subspace basis has invalid shape {w.shape}")
+    _check_finite(w, "subspace basis")
     return orthonormal_columns(basis._coord @ w)
 
 
 def _sharp_std(g):
     """Coordinate-space W-sharp = W intersect W-prime; g has orthonormal
-    columns; for a stack g (m, 2n, c), a list of the m sharp spaces from
-    one SVD pass.
+    columns; for a stack g (m, 2n, c), the m sharp spaces as one stack
+    from one SVD pass, or ConstructionError when their dimensions differ.
 
     With S = g^T P g the k x k skew matrix of the prime map P on span(g),
     x = g c lies in W-sharp exactly when P x lies in span(g), that is
@@ -137,35 +138,23 @@ def _sharp_std(g):
     them.
     """
     _, sig, vt = _svd(g.mT @ _prime(g))
-    if g.ndim == 2:
-        return g @ vt[:np.count_nonzero(sig >= _SHARP)].T
-    return [gi @ vi[:c].T for gi, vi, c in zip(g, vt, (sig >= _SHARP).sum(axis=1).tolist())]
+    return g @ vt[..., :_kept_count(sig >= _SHARP), :].mT
 
 
-@np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
 def _chain_frames(x, sizes):
     """The coordinate sharp spaces of the members of a stack of decreasing
-    chains, chain i given by the coordinates x[i] (overwritten) of its
-    largest member, whose leading sizes[j] columns span member j.  One QR
-    pass frames every member, and the leading s x s block of Q^T P Q is
-    what _sharp_std factors for the member of size s.  The invalid flag
-    is ignored (linalg._paired): a chain whose NaN shows, or whose R
-    diagonal falls below errors._TOL["rank"] times its largest, gets
-    ConstructionError.
+    chains, one stack per member: chain i is given by the coordinates
+    x[i] (overwritten) of its largest member, whose leading sizes[j]
+    columns span member j, so one QR pass frames every member.  A stack
+    with an R diagonal below errors._TOL["rank"] times its largest raises
+    ConstructionError, as _sharp_std does when sharp dimensions differ.
     """
-    tau = _QR_R_RAW(x, signature="d->d")  # leaves R on and above x's diagonals
+    tau = _factor(_QR_R_RAW, "d->d", x)  # leaves R on and above x's diagonals
     r = np.abs(np.diagonal(x, axis1=1, axis2=2))
-    g = _QR_REDUCED(x, tau, signature="dd->d")
-    gram = g.mT @ _prime(g)
-    ok = r.min(axis=1) >= _bound("rank") * r.max(axis=1)  # a NaN fails
-    frames = [[] for _ in g]
-    for s in sizes:
-        _, sig, vt = _SVD_F(gram[:, :s, :s], signature="d->ddd")
-        ok &= ~np.isnan(sig[:, 0])
-        for frame, gi, vi, c in zip(frames, g[:, :, :s], vt, (sig >= _SHARP).sum(axis=1).tolist()):
-            frame.append(gi @ vi[:c].T)
-    return [frame if good else ConstructionError("chain frame is rank deficient or failed")
-            for frame, good in zip(frames, ok.tolist())]
+    if not (r.min(axis=1) >= _bound("rank") * r.max(axis=1)).all():  # a NaN fails
+        raise ConstructionError("chain frame is rank deficient")
+    g = _factor(_QR_REDUCED, "dd->d", x, tau)
+    return [_sharp_std(g[:, :, :s]) for s in sizes]
 
 
 def _off_span(y, g):
@@ -216,6 +205,8 @@ def same_span_trace_check(a, x_set, v_set, basis, check=True):
         )
     if x_set.ndim != 2 or x_set.shape[0] != 2 * basis.n:
         raise ValidationError(f"tuples have invalid shape {x_set.shape}")
+    _check_finite(x_set, "tuple columns")
+    _check_finite(v_set, "tuple columns")
     lhs, rhs = _traces(a, x_set, v_set, basis, check)
     return float(lhs), float(rhs)
 
@@ -252,24 +243,21 @@ def _chain_extend_std(chain, ws, rng):
     chain: decreasing list of k sharp coordinate subspaces, each with
     orthonormal columns; ws: k-1 columns, B-orthonormal, mutually
     skew-orthogonal, ws[..., j] in chain[j].
-    Returns (v, x) with v (..., 2n, 1) a fresh unit in chain[0]
-    skew-orthogonal to the ws, and x a k-column B-orthonormal
-    skew-orthogonal set with x[..., j] in chain[j] whose pair span is
-    span(ws pairs) plus span{v, v'}.
+    Returns (v, x, uspan) with v (..., 2n, 1) a fresh unit in chain[0]
+    skew-orthogonal to the ws, x a k-column B-orthonormal skew-orthogonal
+    set with x[..., j] in chain[j] whose pair span is span(ws pairs) plus
+    span{v, v'}, and uspan = [ws, ws'].
     """
     if len(chain) == 1:
         v = _unit_in(chain[0], rng)[..., None]
-        return v, v
+        return v, v, ws
 
-    u, xs = _chain_extend_std(chain[1:], ws[..., 1:], rng)
+    u, xs, _ = _chain_extend_std(chain[1:], ws[..., 1:], rng)
     uspan = np.concatenate([ws, _prime(ws)], axis=-1)
     feas = chain[0]  # then its part skew-orthogonal to uspan, a null space
     if feas.shape[-1]:
-        _, s, vt = _svd(_tuple_gram(uspan, feas))
-        rank = (s > _bound("rank") * s[..., :1]).sum(axis=-1)  # s descends: a prefix is kept
-        if rank.ndim and (rank != rank[0]).any():
-            raise ConstructionError("the chains of a stack differ in feasible rank")
-        feas = feas @ vt[..., rank.flat[0]:, :].mT
+        _, s, vt = _svd(_tuple_gram(uspan, feas))  # s descends: a prefix is kept
+        feas = feas @ vt[..., _kept_count(s > _bound("rank") * s[..., :1]):, :].mT
 
     # Split u into its component inside the pair span and the rest; the
     # rest already lies in the feasible space, so snapping it onto the
@@ -289,7 +277,7 @@ def _chain_extend_std(chain, ws, rng):
     # uspan, so the stack u0 is orthonormal and holds the pairs of xs.
     u0 = np.concatenate([uspan, v, _prime(v)], axis=-1)
     v1 = _unit_in(_slot_plane(u0, np.concatenate([xs, _prime(xs)], axis=-1)), rng)
-    return v, np.concatenate([v1[..., None], xs], axis=-1)
+    return v, np.concatenate([v1[..., None], xs], axis=-1), uspan
 
 
 def _slot_plane(u0, s):
@@ -307,17 +295,14 @@ def _dual_chain_std(vsharp, vperp, wsharp, rng):
     frame vsharp[j] = sharp(V_j), vperp[j] its complement, wsharp[j] =
     sharp(W_j): sharp(V cap W) = sharp(V) cap sharp(W), one subspace_meet."""
     meets = [subspace_meet(w, vperp[-1]) for w in wsharp]
-    if list in map(type, meets):
-        raise ConstructionError("the chains of a stack meet in different dimensions")
     if len(vsharp) == 1:
         x = _unit_in(meets[0], rng)[..., None]
         return x, x
 
     vs, xs = _dual_chain_std(vsharp[:-1], vperp[:-1], wsharp[:-1], rng)
-    v, ws_new = _chain_extend_std(meets, xs, rng)
-    # v is already B-orthogonal to the span of the previous pairs, so
-    # this projection only strips rounding noise.
-    pairs = np.concatenate([xs, _prime(xs)], axis=-1)
+    v, ws_new, pairs = _chain_extend_std(meets, xs, rng)
+    # v is already B-orthogonal to pairs = [xs, xs'], the span of the
+    # previous pairs, so this projection only strips rounding noise.
     vk = v - pairs @ (pairs.mT @ v)
     vk /= _norms(vk)
     return np.concatenate([vs, vk], axis=-1), ws_new
@@ -352,17 +337,12 @@ def _check_built(vs, ws, vsharp, wsharp):
 
 def _construct(vsharp, vperp, wsharp, basis, rng):
     """The one construction routine: ambient tuples built and certified on
-    a frame.  One chain raises what refuses it; a stack (wsharp[j] of
-    shape (m, 2n, c_j)) keeps the chains that meet every contract, and
-    raises ConstructionError when its chains part ways in a dimension."""
+    a frame, for one chain or a stack (wsharp[j] of shape (m, 2n, c_j)).
+    A stack builds whole or raises: each contract is held on its worst
+    chain, and chains that part ways in a dimension raise ConstructionError."""
     vs_c, ws_c = _dual_chain_std(vsharp, vperp, wsharp, rng)
-    checks = _check_built(vs_c, ws_c, vsharp, wsharp)
-    if vs_c.ndim == 2:
-        for name, value in checks:
-            _contract(name, value, _bound("basis"))
-    else:
-        ok = np.logical_and.reduce([value <= _bound("basis") for _, value in checks])
-        vs_c, ws_c = vs_c[ok], ws_c[ok]
+    for name, value in _check_built(vs_c, ws_c, vsharp, wsharp):
+        _contract(name, value if vs_c.ndim == 2 else value.max(), _bound("basis"))
     return basis.cols @ vs_c, basis.cols @ ws_c
 
 

@@ -39,7 +39,7 @@ from .core import (
     williamson,
 )
 from .errors import (
-    ConstructionError, NumericalContractError, ValidationError, _bound, _check_int, _check_tol,
+    _TRIAL_ERRORS, ConstructionError, ValidationError, _attempt, _bound, _check_int, _check_tol,
     _lapack, _scaled, _value,
 )
 from .inequalities import (
@@ -48,7 +48,7 @@ from .inequalities import (
     supermajorize,
 )
 from .linalg import (
-    _CHOLESKY, _QR_R_RAW, _QR_REDUCED, _TRTRS, _by_size, _eigh, _factor,
+    _CHOLESKY, _QR_R_RAW, _QR_REDUCED, _TRTRS, _check_finite, _eigh, _factor,
     _frobenius, _real, _svd, _svdvals, orthonormal_columns, subspace_meet,
 )
 
@@ -62,6 +62,8 @@ def tuple_value(a, x, y):
     x, y = _real(x, "tuple columns"), _real(y, "tuple columns")
     if a.shape != (x.shape[0],) * 2:
         raise ValidationError(f"matrix must have shape {(x.shape[0],) * 2}, got {a.shape}")
+    _check_finite(x, "tuple columns")
+    _check_finite(y, "tuple columns")
     return 0.5 * float((x * (a @ x)).sum() + (y * (a @ y)).sum())
 
 
@@ -170,26 +172,35 @@ def _form_defects(x, y):
                               _frobenius(_tuple_gram(x, x)), _frobenius(_tuple_gram(y, y))])
 
 
+def _whole_or_alone(fn, stack, caught):
+    """[fn(stack)] when fn takes the stack whole, or it holds one member;
+    else fn of each member alone, as a stack of one.  Each outcome is
+    fn's result or the error of a caught type it raised (errors._attempt)."""
+    whole = _attempt(fn, stack, caught=caught)
+    if len(stack) == 1 or not isinstance(whole, caught):
+        return [whole]
+    return [_attempt(fn, stack[i:i + 1], caught=caught) for i in range(len(stack))]
+
+
 def _witnesses(m_subs, basis, a):
     """poincare_witness of each subspace of a stack m_subs (N, 2n, s) for
     the matrix a of a checked A, as N outcomes (u, u', energy) or
-    ConstructionError.  Each step is one stacked pass over the witnesses
-    that keep one count, grouped by linalg._by_size; each matrix keeps
-    the bits it gets alone, and a contract failure raises for all."""
+    ConstructionError.  The stack is searched whole, each step one pass
+    that keeps each subspace's bits, or, when that raises ConstructionError,
+    one subspace at a time (_whole_or_alone); a contract failure raises."""
+    parts = _whole_or_alone(lambda m: _top_pairs(m, basis, a), m_subs, ConstructionError)
+    return [w for p in parts for w in ([p] if isinstance(p, ConstructionError) else p)]
+
+
+def _top_pairs(m_subs, basis, a):
+    """[(u, u', energy)] of the top eigen pair of the witness space of each
+    subspace of a stack m_subs; ConstructionError for no invariant plane."""
     n = basis.n
     perp = np.eye(2 * n)[:, 3 * n + 1 - m_subs.shape[2]:]  # unit columns n+k+1..2n
-    gs = orthonormal_columns(basis._coord @ m_subs)
-    if perp.shape[1]:
-        gs = _by_size(lambda g: subspace_meet(g, perp), gs)
-    return _by_size(lambda g: _top_pairs(g, basis, a), _by_size(_sharp_std, gs))
-
-
-def _top_pairs(g, basis, a):
-    """(u, u', energy) of the top eigen pair of each witness space of a
-    stack g (m, 2n, c), or, when c is 0, a ConstructionError."""
+    g = _sharp_std(subspace_meet(orthonormal_columns(basis._coord @ m_subs), perp))
     if g.shape[2] == 0:
-        return [ConstructionError(
-            "witness search failed: no invariant plane in the canonical intersection")] * len(g)
+        raise ConstructionError(
+            "witness search failed: no invariant plane in the canonical intersection")
     cols = basis.cols
     u, u_prime = cols @ g, cols @ _prime(g)
     c = 0.5 * (u.mT @ a @ u + u_prime.mT @ a @ u_prime)
@@ -223,6 +234,7 @@ def poincare_witness(m_sub, basis, a):
     m_sub = _real(m_sub, "subspace basis")
     if m_sub.ndim != 2 or m_sub.shape[0] != 2 * n:
         raise ValidationError(f"subspace basis has invalid shape {m_sub.shape}")
+    _check_finite(m_sub, "subspace basis")
     k = 2 * n - m_sub.shape[1] + 1
     if not 1 <= k <= n:
         raise ValidationError(f"subspace dimension {m_sub.shape[1]} does not match any index")
@@ -293,25 +305,20 @@ def _chain_tuples(idx, basis, count, rng):
     """Dual-chain tuples on the exact frame of canonical_chains' increasing
     chain and count fresh random decreasing chains, drawn, framed and
     built as one stack: the built chains' ambient (v, w) as one stack
-    (m, 2, 2n, k), and the number skipped.  A stack that raises (its
-    chains part ways in a dimension) is built again one chain at a time."""
+    (m, 2, 2n, k), and the number skipped.  A stack that raises is built
+    again one chain at a time (_whole_or_alone), skipping each that raises."""
     n = basis.n
     eye, pair = np.eye(2 * n), np.arange(2 * n) % n
     vsharp, vperp = [eye[:, pair < i] for i in idx], [eye[:, pair >= i] for i in idx]
     sizes = (2 * n + 1 - idx).tolist()
-    frames = [f for f in _chain_frames(basis._coord @ _haar(count, 2 * n, rng)[:, :, :sizes[0]],
-                                       sizes) if not isinstance(f, ConstructionError)]
-    one = len({tuple(g.shape for g in f) for f in frames}) == 1
-    groups = [frames] if one else [[f] for f in frames]
-    built = [np.empty((0, 2, 2 * n, len(idx)))]
-    while groups:
-        group = groups.pop(0)
-        try:
-            built.append(np.stack(_construct(vsharp, vperp, [np.stack(w) for w in zip(*group)],
-                                             basis, rng), axis=1))
-        except (ConstructionError, NumericalContractError):
-            groups[:0] = [[f] for f in group] if len(group) > 1 else []
-    tuples = np.concatenate(built)
+
+    def build(q):
+        frames = _chain_frames(basis._coord @ q, sizes)
+        return np.stack(_construct(vsharp, vperp, frames, basis, rng), axis=1)
+
+    built = _whole_or_alone(build, _haar(count, 2 * n, rng)[:, :, :sizes[0]], _TRIAL_ERRORS)
+    tuples = np.concatenate([np.empty((0, 2, 2 * n, len(idx)))]
+                            + [t for t in built if not isinstance(t, Exception)])
     return tuples, count - len(tuples)
 
 

@@ -20,9 +20,9 @@ triangle), _CHOLESKY, _EIGVALS, _QR_R_RAW and _QR_REDUCED (dgeqrf,
 dorgqr).  A call through _factor, on one matrix or on a stack, raises
 the invalid flag, by which a gufunc reports a failed factorization, as
 NumericalContractError (errors._gufunc_failed), the one route of such a
-failure to a caller.  The stack passes whose matrices keep their own
-verdicts (_paired, core._check_stack, basis._chain_frames) ignore that
-flag, and each matrix's certificate refuses the NaN a failure leaves.
+failure to a caller.  The two stack passes whose matrices keep their
+own verdicts, _paired and core._check_stack, ignore that flag, and each
+matrix's certificate refuses the NaN a failure leaves.
 scipy.linalg._flapack, loaded by _load_flapack() without the init of
 scipy, which costs more than half of a cold CLI start, serves what numpy
 lacks: _GEHRD, _ORGHR, _POCON, _TRTRS and _SYGST, each status through
@@ -32,12 +32,13 @@ definite entry point, is one body for speed.
 A routine that takes a stack of matrices gives each the bits it gets
 alone: _skew_spectrum and core.check_positive_definite give a list of
 outcomes, each the matrix's result or the error that refused it
-(errors._value reads one), orthonormal_columns a list of bases, and
-subspace_meet one stack of bases when they keep one dimension, else a
-list.  _by_size stacks a list of arrays by shape, one call per
-shape; _frobenius takes fnorm of every matrix of a stack.  _below(m) is
-the read-only strictly-lower mask of size m, kept per size, which
-np.where uses in place of numpy's triu and tril.
+(errors._value reads one); orthonormal_columns and subspace_meet give
+one stack, and _kept_count, their one count of kept columns, raises
+ConstructionError when the members' counts differ.  _by_size
+stacks a list of arrays by shape, one call per shape; _frobenius takes
+fnorm of every matrix of a stack.  _below(m) is the read-only
+strictly-lower mask of size m, kept per size, which np.where uses in
+place of numpy's triu and tril.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import (
+    ConstructionError,
     NumericalContractError,
     ValidationError,
     _attempt,
@@ -217,6 +219,17 @@ def _by_size(fn, items):
     return out
 
 
+def _kept_count(kept):
+    """The count of True entries of kept, the mask of the columns a matrix
+    keeps, or of each row of a stack of masks, which must agree."""
+    if kept.ndim == 1:
+        return np.count_nonzero(kept)
+    counts = np.count_nonzero(kept, axis=1)
+    if (counts != counts[0]).any():
+        raise ConstructionError("the members of a stack keep different column counts")
+    return int(counts[0])
+
+
 def _frobenius(x):
     """fnorm of each matrix of a C-ordered stack, with the bits fnorm gives
     it alone: vecdot takes the dot product that x.dot(x) takes."""
@@ -236,18 +249,15 @@ def sym_eig(s):
 
 def orthonormal_columns(x):
     """Orthonormal basis for the column span of x (may drop rank); for a
-    stack x (m, r, c), a list of the m bases from one SVD pass."""
+    stack x (m, r, c), the m bases as one stack from one SVD pass."""
     x = np.asarray(x, dtype=float)
     if x.ndim not in (2, 3):
         raise ValidationError(f"expected a 2-d array or a stack of them, got shape {x.shape}")
     if x.shape[-1] == 0:
-        return x.copy() if x.ndim == 2 else list(x.copy())
+        return x.copy()
     u, s, _ = _svd(x, full_matrices=False)
     # A zero matrix keeps no column: no s exceeds 0 * s[0].
-    if x.ndim == 2:
-        return u[:, :np.count_nonzero(s > _bound("rank") * s[0])]
-    k = (s > _bound("rank") * s[:, :1]).sum(axis=1)
-    return [ui[:, :ki] for ui, ki in zip(u, k.tolist())]
+    return u[..., :_kept_count(s > _bound("rank") * s[..., :1])]
 
 
 def null_space_basis(g):
@@ -293,8 +303,7 @@ def max_principal_angle(u, w):
 def subspace_meet(g, perp):
     """The meet of span(g) with the orthogonal complement of span(perp),
     g times some of the right singular vectors of perp^T g, from one SVD;
-    for a stack g (m, r, c), the m meets from one SVD pass, as one stack
-    when they keep one dimension, else as a list.
+    for a stack g (m, r, c), the m meets as one stack from one SVD pass.
 
     g and perp must have orthonormal columns.  The singular value sigma
     at c (0 past the rank) is then the sine of the angle between g c and
@@ -312,12 +321,7 @@ def subspace_meet(g, perp):
               ": inputs are not orthonormal")
     # sig descends, so the rows of vt it leaves off are the kept ones.
     off = sig * sig > _bound("principal cosine") * (2.0 - _bound("principal cosine"))
-    if g.ndim == 2:
-        return g @ vt[np.count_nonzero(off):].T
-    counts = off.sum(axis=1)
-    if (counts == counts[0]).all():
-        return g @ vt[:, counts[0]:].mT
-    return [gi @ vi[o:].T for gi, vi, o in zip(g, vt, counts.tolist())]
+    return g @ vt[..., _kept_count(off):, :].mT
 
 
 def _hessenberg_band(k):

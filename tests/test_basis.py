@@ -29,8 +29,10 @@ from sympspec.core import (
     williamson,
 )
 from sympspec import errors
-from sympspec.errors import _TOL, ConstructionError, NumericalContractError, ValidationError
-from sympspec.extremal import random_orthogonal
+from sympspec.errors import (
+    _TOL, _TRIAL_ERRORS, ConstructionError, NumericalContractError, ValidationError,
+)
+from sympspec.extremal import _whole_or_alone, random_orthogonal
 from sympspec.linalg import (
     fnorm,
     max_principal_angle,
@@ -248,7 +250,10 @@ def test_a_stack_of_one_builds_the_bits_of_one_chain():
 def test_a_chain_off_its_sharp_space_is_skipped_alone():
     # Chain 1's second frame member leans 1e-6 off its sharp space (the
     # first is all of R^6): the w drawn there leaves the frame's prime
-    # image, which only that chain's residual contract catches.
+    # image, which only that chain's residual contract catches.  The
+    # stack raises it, on its worst chain, as that chain raises it alone;
+    # the certificates then build each chain alone (extremal._whole_or_alone),
+    # and the other two keep every postcondition.
     rng = np.random.default_rng(54)
     n, idx = 3, np.array([1, 3])
     basis = _random_basis(n)
@@ -256,12 +261,25 @@ def test_a_chain_off_its_sharp_space_is_skipped_alone():
     vsharp, vperp, wsharps = _frame(vchain, wchains, basis)
     g = wsharps[1][1]
     wsharps[1][1] = orthonormal_columns(g + 1e-6 * rng.standard_normal(g.shape))
-    vs, ws = _construct(vsharp, vperp, [np.stack(w) for w in zip(*wsharps)], basis, rng)
-    assert len(vs) == len(ws) == 2
-    for c, kept in enumerate((0, 2)):
-        _assert_postconditions(vs[c], ws[c], vchain, wchains[kept], basis)
+    stacked = [np.stack(w) for w in zip(*wsharps)]
+    with pytest.raises(NumericalContractError, match="constructed vector 1 left its sharp space"):
+        _construct(vsharp, vperp, stacked, basis, rng)
+    built = _whole_or_alone(lambda i: _construct(vsharp, vperp, [w[i] for w in stacked], basis, rng),
+                            np.arange(3), _TRIAL_ERRORS)
+    assert len(built) == 3 and isinstance(built[1], NumericalContractError)
+    for c in (0, 2):
+        (vs,), (ws,) = built[c]
+        _assert_postconditions(vs, ws, vchain, wchains[c], basis)
     with pytest.raises(NumericalContractError, match="constructed vector 1 left its sharp space"):
         _construct(vsharp, vperp, wsharps[1], basis, rng)
+
+
+def _frames_in_turn(frames):
+    """A stand-in for extremal._chain_frames that hands out the given
+    per-chain frames: first all of them as one stack, then each chain's
+    alone, in the order a certificate asks for them."""
+    stacks = iter([[np.stack(w) for w in zip(*frames)]] + [[w[None] for w in f] for f in frames])
+    return lambda x, sizes: next(stacks)
 
 
 def test_a_stack_whose_meets_differ_in_dimension_builds_each_chain_alone(monkeypatch):
@@ -276,9 +294,9 @@ def test_a_stack_whose_meets_differ_in_dimension_builds_each_chain_alone(monkeyp
     frames = [[_sharp_std(random_orthogonal(6, rng)[:, :5])], [own],
               [_sharp_std(random_orthogonal(6, rng)[:, :5])]]
     vsharp, vperp = [own], [eye[:, pair >= 2]]
-    with pytest.raises(ConstructionError, match="meet in different dimensions"):
+    with pytest.raises(ConstructionError, match="keep different column counts"):
         _construct(vsharp, vperp, [np.stack([f[0] for f in frames])], basis, rng)
-    monkeypatch.setattr(sympspec.extremal, "_chain_frames", lambda x, sizes: frames)
+    monkeypatch.setattr(sympspec.extremal, "_chain_frames", _frames_in_turn(frames))
     tuples, n_skipped = sympspec.extremal._chain_tuples(np.array([2]), basis, 3, rng)
     assert n_skipped == 0 and tuples.shape == (3, 2, 6, 1)
     for (v, w), [g] in zip(tuples, frames):
@@ -290,8 +308,8 @@ def test_a_stack_whose_meets_differ_in_dimension_builds_each_chain_alone(monkeyp
 def test_a_fresh_unit_for_a_vanishing_component_keeps_one_chain_and_its_stack_equal(monkeypatch):
     # With the snap floor above every component, every extension step
     # draws a fresh unit of its feasible space; the contracts then refuse
-    # the tuples that draw breaks, and a stack of one refuses (skips) the
-    # chain that one chain raises for, and otherwise builds its bits.
+    # the tuples that draw breaks, and a stack of one raises what one
+    # chain raises, and otherwise builds its bits.
     monkeypatch.setitem(errors._TOL, "snap", 10.0)
     rng = np.random.default_rng(56)
     outcomes = set()
@@ -301,14 +319,17 @@ def test_a_fresh_unit_for_a_vanishing_component_keeps_one_chain_and_its_stack_eq
         basis = _random_basis(n)
         vchain, wchains = _random_chains(n, idx, 1, rng)
         vsharp, vperp, [wsharp] = _frame(vchain, wchains, basis)
-        stack = _construct(vsharp, vperp, [w[None] for w in wsharp], basis,
-                           np.random.default_rng(t))
         try:
             one = _construct(vsharp, vperp, wsharp, basis, np.random.default_rng(t))
-        except NumericalContractError:
-            assert len(stack[0]) == 0
+        except NumericalContractError as exc:
+            with pytest.raises(NumericalContractError) as stacked:
+                _construct(vsharp, vperp, [w[None] for w in wsharp], basis,
+                           np.random.default_rng(t))
+            assert str(stacked.value) == str(exc)
             outcomes.add("refused")
         else:
+            stack = _construct(vsharp, vperp, [w[None] for w in wsharp], basis,
+                               np.random.default_rng(t))
             assert all(np.array_equal(x, y[0]) for x, y in zip(one, stack))
             outcomes.add("built")
     assert outcomes == {"built", "refused"}
@@ -459,12 +480,13 @@ def test_same_span_trace_check_rejects_span_mismatch():
         same_span_trace_check(a, basis.u[:, :1], basis.u[:, 1:2], basis)
 
 
-def test_same_span_trace_check_fails_on_a_nan_trace():
-    # One NaN entry of the tuples makes both traces NaN, which no bound
-    # admits; a NaN A is refused before any trace is formed.
+def test_same_span_trace_check_refuses_a_nan_tuple():
+    # One NaN entry of the tuples used to make both traces NaN, which the
+    # trace-equality bound failed; it is refused as input now, as a NaN A
+    # is, before any trace is formed.
     x = np.eye(4)[:, :1]
     x[0, 0] = np.nan
-    with pytest.raises(NumericalContractError, match="trace equality violated"):
+    with pytest.raises(ValidationError, match="tuple columns must be finite"):
         same_span_trace_check(np.eye(4), x, x, SymplecticBasis.standard(2))
 
 

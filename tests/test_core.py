@@ -908,6 +908,30 @@ def test_every_vector_helper_refuses_what_is_not_real_numbers(helper, vector):
         VECTOR_HELPERS[helper](vector)
 
 
+# The helpers that take a tuple or a subspace basis, each with a finite
+# value of that argument.  A NaN chain member or subspace used to raise
+# "LAPACK factorization failed", a NaN tuple of same_span_trace_check
+# "trace equality violated: gap nan", and tuple_value returned nan.
+_COL = _VEC[:, None]
+_FINITE_ROWS = {
+    **{name: (VECTOR_HELPERS[name], value) for name, value in [
+        ("tuple_value-x", _VEC), ("tuple_value-y", _VEC), ("poincare_witness", _X3),
+        ("dual_chain_construct-vchain", _X3), ("dual_chain_construct-wchain", np.eye(4))]},
+    "same_span_trace_check-x": (lambda x: same_span_trace_check(np.eye(4), x, _COL, _STD), _COL),
+    "same_span_trace_check-v": (lambda v: same_span_trace_check(np.eye(4), _COL, v, _STD), _COL),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("helper", list(_FINITE_ROWS))
+def test_every_tuple_and_subspace_helper_refuses_what_is_not_finite(helper, bad):
+    call, value = _FINITE_ROWS[helper]
+    value = value.copy()
+    value[1, ...] = bad
+    with pytest.raises(ValidationError, match="must be finite"):
+        call(value)
+
+
 # The form helpers take vectors or column stacks of one even, positive
 # length 2n, the basis methods 2n = 4.  Each row used to return a value
 # of no symplectic form, as apply_form(arange(3.0)) gave [1, 2, -0], or

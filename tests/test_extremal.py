@@ -10,6 +10,7 @@ import sympspec.extremal
 from sympspec.basis import (
     SymplecticBasis,
     _chain_frames,
+    _construct,
     _traces,
     _coords_subspace,
     _sharp_std,
@@ -48,6 +49,7 @@ from sympspec.inequalities import additive_lidskii_trial
 from sympspec.linalg import (
     fnorm,
     max_principal_angle,
+    orthonormal_columns,
     span_residual,
     subspace_meet,
 )
@@ -697,11 +699,12 @@ def test_a_stacked_witness_is_poincare_witness_of_its_subspace_bit_for_bit():
                 assert energy == tuple_value(a, *alone)
 
 
-def test_witnesses_that_keep_different_counts_are_grouped_and_still_match(monkeypatch):
+def test_witnesses_that_keep_different_counts_are_searched_alone_and_still_match(monkeypatch):
     # At n = 3, k = 2 a subspace of rank 4 instead of 5 meets the
-    # canonical space in a 3-space, with no invariant plane: its outcome
-    # is a ConstructionError, alone, and the other two match their
-    # single calls.  The sharp step runs once per count.
+    # canonical space in a 3-space, with no invariant plane: the stack
+    # raises at its first step, each subspace is then searched alone,
+    # the sharp step once per subspace, and its outcome is a
+    # ConstructionError, alone, while the other two match their single calls.
     a, _, basis = _instance(3, 70)
     m_subs = _haar(3, 6, np.random.default_rng(71))[:, :, :5]
     m_subs[1, :, 4] = m_subs[1, :, 0]
@@ -714,26 +717,12 @@ def test_witnesses_that_keep_different_counts_are_grouped_and_still_match(monkey
 
     monkeypatch.setattr(sympspec.extremal, "_sharp_std", recorded)
     outcomes = _witnesses(m_subs, basis, a)
-    assert sorted(shapes) == [(1, 6, 3), (2, 6, 4)]
+    assert shapes == [(1, 6, 4), (1, 6, 3), (1, 6, 4)]
     assert isinstance(outcomes[1], ConstructionError)
     with pytest.raises(ConstructionError, match="no invariant plane"):
         poincare_witness(m_subs[1], basis, a)
     for i in (0, 2):
         assert _same_bits(outcomes[i][:2], poincare_witness(m_subs[i], basis, a))
-
-
-def test_maxmin_counts_a_witness_with_no_invariant_plane_as_skipped(monkeypatch):
-    a, _, _ = _instance(3, 70)
-    haar = sympspec.extremal._haar
-
-    def one_degenerate(count, dim, rng):
-        q = haar(count, dim, rng)
-        q[1, :, 4] = q[1, :, 0]
-        return q
-
-    monkeypatch.setattr(sympspec.extremal, "_haar", one_degenerate)
-    cert = maxmin_check(a, 2, n_subspaces=4, rng=np.random.default_rng(0))
-    assert cert.n_skipped == 1 and cert.passed
 
 
 def test_each_chain_frame_spans_the_factorized_sharp_spaces():
@@ -745,8 +734,9 @@ def test_each_chain_frame_spans_the_factorized_sharp_spaces():
         idx = np.sort(rng.choice(np.arange(1, n + 1), size=k, replace=False))
         sizes = (2 * n + 1 - idx).tolist()
         q = _haar(3, 2 * n, rng)[:, :, :sizes[0]]
-        for qi, frame in zip(q, _chain_frames(basis._coord @ q, sizes)):
-            for s, member in zip(sizes, frame):
+        for s, members in zip(sizes, _chain_frames(basis._coord @ q, sizes)):
+            assert len(members) == 3
+            for qi, member in zip(q, members):
                 want = _sharp_std(_coords_subspace(qi[:, :s], basis))
                 assert member.shape == want.shape
                 assert max_principal_angle(member, want) <= 1e-12
@@ -766,26 +756,127 @@ def test_the_rank_guard_skips_a_chain(monkeypatch):
     tuples, n_skipped = sympspec.extremal._chain_tuples(idx, basis, 4, np.random.default_rng(1))
     assert n_skipped == 1 and len(tuples) == 3
     q = one_dependent(3, 6, np.random.default_rng(2))
-    frames = _chain_frames(basis._coord @ q[:, :, :6], [6, 4])
-    assert [isinstance(f, ConstructionError) for f in frames] == [False, False, True]
+    for stack in (q, q[2:]):
+        with pytest.raises(ConstructionError, match="rank deficient"):
+            _chain_frames(basis._coord @ stack, [6, 4])
+    assert [len(f) for f in _chain_frames(basis._coord @ q[:2], [6, 4])] == [2, 2]
 
 
 def test_a_failed_factorization_in_one_chain_skips_that_chain_alone(monkeypatch):
-    # The second chain's sharp-space SVD comes back as NaN with the
-    # invalid flag raised, as a failed gufunc leaves it.
+    # The second chain's first sharp-space SVD fails, in the stack and
+    # alone: the first stack of three 6 x 6 matrices is that step's, its
+    # second matrix is marked, and every call that meets the mark raises
+    # the invalid flag, as a failed gufunc does, which linalg._factor
+    # turns into NumericalContractError.
     a, _, basis = _instance(3, 74)
-    svd = sympspec.basis._SVD_F
+    svd, marked = sympspec.linalg._SVD_F, []
 
     def failing_second(x, signature):
-        u, s, vt = svd(x, signature=signature)
-        s[1] = np.sqrt(-np.ones(s.shape[1]))
-        return u, s, vt
+        if not marked and x.shape == (3, 6, 6):
+            marked.append(x[1].copy())
+        if marked and x.shape[-2:] == (6, 6) and any(
+                np.allclose(xi, marked[0], rtol=0.0, atol=1e-13) for xi in x.reshape(-1, 6, 6)):
+            np.sqrt(-np.ones(1))
+        return svd(x, signature=signature)
 
-    monkeypatch.setattr(sympspec.basis, "_SVD_F", failing_second)
-    q = _haar(3, 6, np.random.default_rng(3))[:, :, :6]
-    frames = _chain_frames(basis._coord @ q, [6, 4])
-    assert [isinstance(f, ConstructionError) for f in frames] == [False, True, False]
+    monkeypatch.setattr(sympspec.linalg, "_SVD_F", failing_second)
+    q = _haar(3, 6, np.random.default_rng(3))
+    for stack in (q, q[1:2]):
+        with pytest.raises(NumericalContractError, match="LAPACK factorization failed"):
+            _chain_frames(basis._coord @ stack, [6, 4])
+    assert [len(f) for f in _chain_frames(basis._coord @ q[::2], [6, 4])] == [2, 2]
+    marked.clear()
     cert = wielandt_certify(a, [1, 3], n_chains=3, samples=2, rng=np.random.default_rng(4))
+    assert len(marked) == 1 and cert.n_skipped == 1 and cert.passed
+
+
+class _Apart:
+    """A generator for a stack that draws as its members draw alone: a
+    draw of shape (m, ...) is m draws of shape (...), member i's from
+    generator i."""
+
+    def __init__(self, rngs):
+        self.rngs = rngs
+
+    def standard_normal(self, shape):
+        return np.stack([rng.standard_normal(shape[1:]) for rng in self.rngs])
+
+
+def _built_pair(frames, rng):
+    # The chains of index set {1, 2} at n = 3 on the standard basis, whose
+    # coordinates are ambient, built on canonical_chains' exact frame.
+    eye, pair = np.eye(6), np.arange(6) % 3
+    return _construct([eye[:, pair < 1], eye[:, pair < 2]], [eye[:, pair >= 1], eye[:, pair >= 2]],
+                      frames, SymplecticBasis.standard(3), rng)
+
+
+# Each stacked form: (the stack's call, a member's single call, a uniform
+# stack of 3 from a seed, and member 1 of a ragged one).  A ragged member
+# keeps a count that the others do not: a repeated column, coordinate
+# pairs 1 and 2 (whose sharp space is all of them), or a 5-space whose
+# sharp space holds pairs 1 and 2, which meets the complement of pair 3
+# in 4 dimensions where a random one meets it in 2.
+_PAIRS = np.eye(6)[:, [0, 1, 3, 4]]
+STACKED_FORMS = {
+    "orthonormal_columns": (lambda x, rngs: [orthonormal_columns(x)],
+                            lambda x, rng: [orthonormal_columns(x)],
+                            lambda seed: np.random.default_rng(seed).standard_normal((3, 6, 4)),
+                            np.eye(6)[:, [0, 1, 2, 0]]),
+    "subspace_meet": (lambda g, rngs: [subspace_meet(g, np.eye(6)[:, 4:])],
+                      lambda g, rng: [subspace_meet(g, np.eye(6)[:, 4:])],
+                      lambda seed: _haar(3, 6, np.random.default_rng(seed))[:, :, :4],
+                      np.eye(6)[:, :4]),
+    "_sharp_std": (lambda g, rngs: [_sharp_std(g)], lambda g, rng: [_sharp_std(g)],
+                   lambda seed: _haar(3, 6, np.random.default_rng(seed))[:, :, :4], _PAIRS),
+    "_chain_frames": (lambda x, rngs: _chain_frames(x.copy(), [5, 4]),
+                      lambda x, rng: [f[0] for f in _chain_frames(x[None].copy(), [5, 4])],
+                      lambda seed: _haar(3, 6, np.random.default_rng(seed))[:, :, :5],
+                      np.eye(6)[:, [0, 1, 3, 4, 2]]),
+    "_construct": (lambda q, rngs: _built_pair(_chain_frames(q.copy(), [6, 5]), _Apart(rngs)),
+                   lambda q, rng: _built_pair([f[0] for f in _chain_frames(q[None].copy(), [6, 5])],
+                                              rng),
+                   lambda seed: _haar(3, 6, np.random.default_rng(seed)),
+                   np.eye(6)[:, [0, 1, 3, 4, 2, 5]]),
+}
+
+
+@pytest.mark.parametrize("form", list(STACKED_FORMS))
+def test_a_stacked_form_builds_a_uniform_stack_whole_and_refuses_a_ragged_one(form):
+    # One failure rule for every stacked step: a uniform stack gives each
+    # member the bits of its single call, with the same draws, and a
+    # stack whose members keep different counts raises, for its caller
+    # to take each member alone.
+    stacked, alone, uniform, ragged_member = STACKED_FORMS[form]
+    for seed in range(80, 84):
+        x = uniform(seed)
+        got = stacked(x, [np.random.default_rng(i) for i in range(3)])
+        for i in range(3):
+            assert _same_bits([out[i] for out in got], alone(x[i], np.random.default_rng(i)))
+        x[1] = ragged_member
+        with pytest.raises(ConstructionError, match="keep different column counts"):
+            stacked(x, [np.random.default_rng(i) for i in range(3)])
+
+
+# Member 1 of each certificate's Haar stack repeats its first column in
+# the given one: maxmin's witness space then has no invariant plane, and
+# the chain frame of wielandt and phi-extremal is rank deficient.
+@pytest.mark.parametrize("certify, column", [
+    (lambda a, rng: maxmin_check(a, 2, n_subspaces=4, rng=rng), 4),
+    (lambda a, rng: wielandt_certify(a, [1, 3], n_chains=4, samples=4, rng=rng), 1),
+    (lambda a, rng: phi_extremal_check(a, [1, 3], phi_sum, n_chains=4, rng=rng,
+                                       validate_phi=False), 1),
+], ids=["maxmin", "wielandt", "phi-extremal"])
+def test_a_certificate_skips_the_one_bad_member_of_its_stack_alone(monkeypatch, certify, column):
+    a, _, _ = _instance(3, 70)
+    haar = sympspec.extremal._haar
+
+    def spoiled(count, dim, rng):
+        q = haar(count, dim, rng)
+        q[1, :, column] = q[1, :, 0]
+        return q
+
+    monkeypatch.setattr(sympspec.extremal, "_haar", spoiled)
+    cert = certify(a, np.random.default_rng(0))
     assert cert.n_skipped == 1 and cert.passed
 
 

@@ -178,6 +178,25 @@ def _called(node, *names):
     return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in names
 
 
+# The gufunc handles linalg binds, and the two stack passes whose
+# matrices keep their own verdicts, so call them outside linalg._factor.
+_GUFUNC_HANDLES = {"_SVD_F", "_SVD_S", "_SVD", "_EIGH", "_CHOLESKY", "_EIGVALS",
+                   "_QR_R_RAW", "_QR_REDUCED"}
+_OWN_VERDICT_PASSES = {("core.py", "_check_stack"), ("linalg.py", "_paired")}
+
+
+def test_every_gufunc_call_but_the_own_verdict_passes_goes_through_factor():
+    # A failed factorization raises the invalid flag, which only _factor
+    # turns into NumericalContractError; a handle called anywhere else
+    # leaves a NaN that the caller would have to catch by hand.
+    unguarded = set()
+    for name, tree in _package_trees():
+        for node, func in _with_function(tree):
+            if _called(node, *_GUFUNC_HANDLES):
+                unguarded.add((name, func))
+    assert unguarded == _OWN_VERDICT_PASSES
+
+
 def test_small_float_literals_live_in_the_tolerance_table():
     # A public keyword default (tol=1e-9) is the caller's, not a bound.
     for name, tree in _package_trees():
