@@ -4,21 +4,22 @@
 For each master seed and suite, at the suite's default trial count, this
 prints how often seven functions ran: core.check_positive_definite, counted
 by the matrices it checks (one for a matrix, m for a stack of m; a
-matrix that a stack refuses is checked again alone for its error, and
-counts twice), numpy's Cholesky gufunc
+stack that raises is checked again one matrix at a time, each check
+counted again), numpy's Cholesky gufunc
 numpy.linalg._umath_linalg.cholesky_lo (which numpy.linalg.cholesky
 calls too; one call takes a matrix or a stack), linalg._hessenberg_band
 (the band steps, which only williamson's basis route _skew_canonical
 takes), linalg._skew_spectrum (the spectrum passes, each over one matrix
-or a stack of them), errors._lapack (the calls of scipy's
-_flapack routines), linalg._factor (every single-matrix call of numpy's
-gufuncs: SVD, symmetric eigensolve, QR, and the Cholesky and eigvals
-calls of check_positive_definite, extremal._pair_floor and ja-eigen,
-and the stacked steps of the extremal certificates' witnesses, Haar
-draws, chain frames and floor samples; a guarded call counts once,
-however large its stack; the stacked passes of the spectra and the
-positive-definiteness checks call their gufuncs without it; each
-subspace meet, linalg.subspace_meet, is one SVD) and basis._construct (the
+or a stack of them, and again for each matrix of a stack that raises),
+errors._lapack (the calls of scipy's _flapack routines), linalg._factor
+(every call of numpy's gufuncs: SVD, symmetric eigensolve, QR, and the
+Cholesky and eigvals calls of check_positive_definite,
+extremal._pair_floor and ja-eigen, the stacked Cholesky pass of the
+positive-definiteness checks and the SVD pass of the spectra, and the
+stacked steps of the extremal certificates' witnesses, Haar draws,
+chain frames and floor samples; a guarded call counts once, however
+large its stack; each subspace meet, linalg.subspace_meet, is one SVD)
+and basis._construct (the
 constructions: the one routine that builds every dual-chain tuple, for
 dual_chain_construct and for the extremal certificates alike, counted by
 the chains it is given, one for a chain and m for a stack of m, as the

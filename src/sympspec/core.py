@@ -8,23 +8,24 @@ Conventions used throughout the package:
 * a Williamson basis M satisfies M.T A M = diag(d, d) and M.T J M = J.
 
 Every factorization here calls a handle that linalg binds: numpy's
-Cholesky and eigvals gufuncs through linalg._factor, whose failure on one
-matrix is a NumericalContractError (check_positive_definite re-raises a
-failed Cholesky as its ValidationError), and scipy's dpocon and dtrtrs
-through errors._lapack.
+Cholesky and eigvals gufuncs through linalg._factor, whose failure on a
+matrix or a stack is a NumericalContractError (check_positive_definite
+re-raises a failed Cholesky of one matrix as its ValidationError), and
+scipy's dpocon and dtrtrs through errors._lapack.
 Every positive definite entry point also takes the PositiveDefinite value
 that check_positive_definite returns, and does not check it again.
 
 check_positive_definite takes one matrix, or a stack of them in one
 pass: one fused symmetry and finiteness pass, one Cholesky gufunc call
 and one 1-norm reduction over the stack, then dpocon once per matrix.
-Each matrix of a stack gets the bits, and the refusal, that it gets
-alone; the entry points take one matrix only.  A spectrum needs only a
-factor F of A = F F.T: _factor_spectra forms K = F.T J F
+Each matrix of a stack gets the bits that it gets alone, and a stack
+with a refused matrix raises the error that the first such matrix
+raises alone; the entry points take one matrix only.  A spectrum needs
+only a factor F of A = F F.T: _factor_spectra forms K = F.T J F
 (_cholesky_skew) and reads d off it (linalg._skew_spectrum), for one F
-or, in one pass, a stack of them, keeping each matrix's refusal to
-itself.  The two Lidskii suites check all their trials' matrices, and
-take all their spectra, as stacks.
+or, in one pass, a stack of them, under the same rule.  The two Lidskii
+suites check all their trials' matrices, and take all their spectra, as
+stacks, and errors._whole_or_alone gives each trial its own verdict.
 """
 
 from __future__ import annotations
@@ -36,15 +37,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    NumericalContractError, ValidationError, _attempt, _bound, _check_int, _contract, _lapack,
-    _scaled,
+    NumericalContractError, ValidationError, _bound, _check_int, _contract, _lapack, _scaled,
 )
 from .linalg import (
     EPS,
     _CHOLESKY,
     _EIGVALS,
     _POCON,
-    _REFUSALS,
     _TRTRS,
     _check_finite,
     _factor,
@@ -80,8 +79,11 @@ def symplectic_form(n):
 
 
 def _form_arrays(*arrays):
-    """The arrays as real arrays whose first axes share one even, positive length."""
+    """The arrays as real, finite arrays whose first axes share one even,
+    positive length."""
     arrays = [_real(x, "vectors") for x in arrays]
+    for x in arrays:
+        _check_finite(x, "vectors")
     rows = {x.shape[0] if x.ndim else 0 for x in arrays}
     if len(rows) > 1 or 0 in rows or sum(rows) % 2:
         raise ValidationError(f"vectors need one even, positive length, got {sorted(rows)}")
@@ -152,11 +154,10 @@ def check_positive_definite(a):
     on singular input: the skew routes behind it refuse only what is
     singular to working precision.
 
-    A stack of matrices, an array of shape (m, k, k), gives a list of m
-    outcomes, each
-    the PositiveDefinite of that matrix or the ValidationError or
-    NumericalContractError that its check alone raises (errors._value
-    reads one); see _check_stack.
+    A stack of matrices, an array of shape (m, k, k), gives the list of
+    the m PositiveDefinite values, each with the bits of that matrix's
+    check alone, or raises the ValidationError or NumericalContractError
+    that the first refused matrix raises alone; see _check_stack.
     """
     if isinstance(a, np.ndarray) and a.ndim == 3:
         return _check_stack(_real(a, "matrix"))
@@ -181,36 +182,32 @@ def _conditioned(a, low, norm):
     return PositiveDefinite(a, low, float(kappa))
 
 
-@np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
 def _check_stack(a):
     """check_positive_definite of each matrix of a real stack a, with the
-    bits and the verdict that each gets alone.
+    bits that each gets alone.
 
     One pass over the stack takes each matrix's Frobenius norm and that of
     its asymmetry A - A.T, as check_symmetric does (linalg._frobenius),
-    and symmetrizes it; one call of the Cholesky gufunc factors the whole
-    stack, with the invalid flag ignored, so a matrix that it cannot
-    factor comes back as NaN; one reduction takes every 1-norm.  dpocon
-    then runs once per matrix, as for one matrix (_conditioned).  A
-    matrix that the pass finds not finite, not symmetric or not factored
-    is checked again alone, and the error of that check is its outcome,
-    so its message is the one the single check gives.  A stack of
-    matrices that are not square or are empty is checked one matrix at a
-    time.
+    and symmetrizes it; one guarded call of the Cholesky gufunc factors
+    the whole stack; one reduction takes every 1-norm.  dpocon then runs
+    once per matrix, as for one matrix (_conditioned).  A stack that the
+    pass finds not finite, not symmetric or not factored, or that a
+    condition estimate refuses, and a stack of matrices that are not
+    square or are empty, is checked one matrix at a time, in order, so
+    that it raises the error of the first matrix refused alone.
     """
-    if a.shape[1] != a.shape[2] or a.size == 0:
-        return [_attempt(check_positive_definite, x, caught=_REFUSALS) for x in a]
-    norm = _frobenius(a)
-    gap = _frobenius(a - a.mT)
-    s = a + a.mT
-    s *= 0.5
-    low = _CHOLESKY(s, signature="d->d")
-    clean = (np.isfinite(norm) & (gap <= _bound("symmetry", norm))
-             & ~np.isnan(low[:, 0, 0]))
-    norms = np.add.reduce(np.abs(s), 1).max(axis=1).tolist()
-    return [_attempt(_conditioned, s[i], low[i], norms[i], caught=_REFUSALS) if ok
-            else _attempt(check_positive_definite, a[i], caught=_REFUSALS)
-            for i, ok in enumerate(clean.tolist())]
+    if a.shape[1] == a.shape[2] and a.size:
+        norm = _frobenius(a)
+        if np.isfinite(norm).all() and (_frobenius(a - a.mT) <= _bound("symmetry", norm)).all():
+            s = a + a.mT
+            s *= 0.5
+            norms = np.add.reduce(np.abs(s), 1).max(axis=1).tolist()
+            try:
+                low = _factor(_CHOLESKY, "d->d", s)
+                return [_conditioned(s[i], low[i], norms[i]) for i in range(len(s))]
+            except (NumericalContractError, ValidationError):
+                pass
+    return [check_positive_definite(x) for x in a]
 
 
 def _checked(a):
@@ -273,9 +270,9 @@ def _cholesky_skew(f):
 
 def _factor_spectra(f):
     """The symplectic spectrum d of A = F F.T from a factor F of it, or,
-    for a stack of factors of shape (m, 2n, 2n), the list of m outcomes
-    of one linalg._skew_spectrum pass: each d, or the error that refused
-    it (errors._value reads one)."""
+    for a stack of factors of shape (m, 2n, 2n), the list of the m
+    spectra from one linalg._skew_spectrum pass, which raises the error of
+    the first spectrum refused alone."""
     return _skew_spectrum(_cholesky_skew(f))
 
 

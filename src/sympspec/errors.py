@@ -12,7 +12,9 @@ finite real number (_check_atol: an absolute margin, which may be 0).
 _attempt and _value carry an error as a value, so that work done once
 for many matrices or trials keeps each one's verdict to itself:
 _attempt returns what it catches, and _value raises it where the matrix
-or trial is read.
+or trial is read.  A stacked routine builds its whole stack or raises,
+and _whole_or_alone, the one per-member fallback, takes each member of a
+stack that raised alone, so that one member's refusal is its own.
 
 Every bound the package compares against is _bound(name, x) =
 _scaled(_TOL[name], x) = _TOL[name] * max(1, x): _TOL holds one constant
@@ -151,3 +153,17 @@ def _value(outcome):
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
+
+
+def _whole_or_alone(fn, stack, caught):
+    """One outcome per member of stack: fn(stack), when fn takes the stack
+    whole, else fn of each member alone, as a stack of one, each outcome
+    that member's result or the error of a caught type it raised
+    (_attempt).  fn maps a stack of m members to their m results."""
+    whole = _attempt(fn, stack, caught=caught)
+    if not isinstance(whole, caught):
+        return list(whole)
+    if len(stack) == 1:
+        return [whole]
+    return [_attempt(lambda i: fn(stack[i:i + 1])[0], i, caught=caught)
+            for i in range(len(stack))]

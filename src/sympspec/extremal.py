@@ -39,8 +39,8 @@ from .core import (
     williamson,
 )
 from .errors import (
-    _TRIAL_ERRORS, ConstructionError, ValidationError, _attempt, _bound, _check_int, _check_tol,
-    _lapack, _scaled, _value,
+    _TRIAL_ERRORS, ConstructionError, ValidationError, _bound, _check_int, _check_tol, _lapack,
+    _scaled, _whole_or_alone,
 )
 from .inequalities import (
     _check_index_set,
@@ -172,24 +172,14 @@ def _form_defects(x, y):
                               _frobenius(_tuple_gram(x, x)), _frobenius(_tuple_gram(y, y))])
 
 
-def _whole_or_alone(fn, stack, caught):
-    """[fn(stack)] when fn takes the stack whole, or it holds one member;
-    else fn of each member alone, as a stack of one.  Each outcome is
-    fn's result or the error of a caught type it raised (errors._attempt)."""
-    whole = _attempt(fn, stack, caught=caught)
-    if len(stack) == 1 or not isinstance(whole, caught):
-        return [whole]
-    return [_attempt(fn, stack[i:i + 1], caught=caught) for i in range(len(stack))]
-
-
 def _witnesses(m_subs, basis, a):
     """poincare_witness of each subspace of a stack m_subs (N, 2n, s) for
     the matrix a of a checked A, as N outcomes (u, u', energy) or
     ConstructionError.  The stack is searched whole, each step one pass
     that keeps each subspace's bits, or, when that raises ConstructionError,
-    one subspace at a time (_whole_or_alone); a contract failure raises."""
-    parts = _whole_or_alone(lambda m: _top_pairs(m, basis, a), m_subs, ConstructionError)
-    return [w for p in parts for w in ([p] if isinstance(p, ConstructionError) else p)]
+    one subspace at a time (errors._whole_or_alone); a contract failure
+    raises."""
+    return _whole_or_alone(lambda m: _top_pairs(m, basis, a), m_subs, ConstructionError)
 
 
 def _top_pairs(m_subs, basis, a):
@@ -224,7 +214,7 @@ def poincare_witness(m_sub, basis, a):
     0.5 (U^T A U + U'^T A U') for an orthonormal coordinate basis g of
     the space, U = lift(g) and U' = lift(prime(g)), so <u, J u'> is the
     basis norm of u, which is 1.  A must be positive definite, and a
-    PositiveDefinite is taken as it stands.  The search is _witnesses on
+    PositiveDefinite is taken as it stands.  The search is _top_pairs on
     the stack of one.
     """
     n = basis.n
@@ -238,7 +228,7 @@ def poincare_witness(m_sub, basis, a):
     k = 2 * n - m_sub.shape[1] + 1
     if not 1 <= k <= n:
         raise ValidationError(f"subspace dimension {m_sub.shape[1]} does not match any index")
-    return _value(_witnesses(m_sub[None], basis, a)[0])[:2]
+    return _top_pairs(m_sub[None], basis, a)[0][:2]
 
 
 @dataclass
@@ -306,7 +296,8 @@ def _chain_tuples(idx, basis, count, rng):
     chain and count fresh random decreasing chains, drawn, framed and
     built as one stack: the built chains' ambient (v, w) as one stack
     (m, 2, 2n, k), and the number skipped.  A stack that raises is built
-    again one chain at a time (_whole_or_alone), skipping each that raises."""
+    again one chain at a time (errors._whole_or_alone), skipping each
+    that raises."""
     n = basis.n
     eye, pair = np.eye(2 * n), np.arange(2 * n) % n
     vsharp, vperp = [eye[:, pair < i] for i in idx], [eye[:, pair >= i] for i in idx]
@@ -316,10 +307,9 @@ def _chain_tuples(idx, basis, count, rng):
         frames = _chain_frames(basis._coord @ q, sizes)
         return np.stack(_construct(vsharp, vperp, frames, basis, rng), axis=1)
 
-    built = _whole_or_alone(build, _haar(count, 2 * n, rng)[:, :, :sizes[0]], _TRIAL_ERRORS)
-    tuples = np.concatenate([np.empty((0, 2, 2 * n, len(idx)))]
-                            + [t for t in built if not isinstance(t, Exception)])
-    return tuples, count - len(tuples)
+    built = [t for t in _whole_or_alone(build, _haar(count, 2 * n, rng)[:, :, :sizes[0]],
+                                        _TRIAL_ERRORS) if not isinstance(t, Exception)]
+    return np.array(built).reshape(-1, 2, 2 * n, len(idx)), count - len(built)
 
 
 def _compression_spectra(pd, t):
@@ -332,8 +322,8 @@ def _compression_spectra(pd, t):
             raise ValidationError(
                 f"columns are not a symplectic tuple: pairing defect {defect:.3e}")
     a_m = t.mT @ pd.a @ t
-    low = [_value(c).low for c in check_positive_definite(0.5 * (a_m + a_m.mT))]
-    return [_value(d) for d in _factor_spectra(np.stack(low))] if low else []
+    low = [c.low for c in check_positive_definite(0.5 * (a_m + a_m.mT))]
+    return _factor_spectra(np.stack(low)) if low else []
 
 
 def _pair_floor(a, w):

@@ -13,8 +13,10 @@ plan beside the others, so each batch of all trials takes one call of
 fn's stack form per size: the checks of A, B and A + B
 (core.check_positive_definite) and, as each plan's last batch, the
 spectra (core._factor_spectra); a mean is formed between the two, one
-trial at a time (_mean_factor).  Each matrix keeps the bits and the
-verdict it gets alone, and the trials' errors are raised in the order a
+trial at a time (_mean_factor).  A stack builds whole or raises, and one
+that raises is taken again one matrix at a time
+(errors._whole_or_alone), so each matrix keeps the bits and the verdict
+it gets alone, and the trials' errors are raised in the order a
 trial-by-trial run meets them.  Each trial's records take their prefix,
 tail and index-set sums from whole-array reductions.
 """
@@ -35,10 +37,10 @@ from .core import (
     random_pd,
 )
 from .errors import (
-    _TRIAL_ERRORS, ValidationError, _bound, _check_atol, _check_int, _check_tol, _lapack, _scaled,
-    _value,
+    _TRIAL_ERRORS, NumericalContractError, ValidationError, _bound, _check_atol, _check_int,
+    _check_tol, _lapack, _scaled, _value, _whole_or_alone,
 )
-from .linalg import _SYGST, _below, _by_size, _real, fnorm, sym_eig
+from .linalg import _SYGST, _below, _check_finite, _real, check_square, fnorm, sym_eig
 
 
 def geometric_mean(a, b):
@@ -81,14 +83,16 @@ def _run_plans(plans):
     """What each plan returns, or the exception it raised, in plan order.
 
     A plan is a generator that yields each batch of work it needs as
-    (fn, arrays), where fn maps a stack of same-shape arrays to a list of
-    outcomes, and is sent back the list of its arrays' outcomes.  The
-    plans run side by side, so the arrays that all plans ask fn for in
-    one round go to linalg._by_size, one fn call per shape.  The Lidskii
-    plans ask for their checks and, last, their spectra this way.  An
-    exception is kept whatever its type, and the plan's work ends there,
-    so that the caller can raise the first one in plan order, as running
-    the plans one after another would.
+    (fn, arrays), where fn maps a stack of same-shape arrays to the list
+    of their results, and is sent back the list of its arrays' outcomes:
+    each array's result, or the ValidationError or NumericalContractError
+    that refused it alone (errors._value reads one).  The plans run side
+    by side, so the arrays that all plans ask fn for in one round are
+    stacked by shape, one errors._whole_or_alone call of fn per shape.
+    The Lidskii plans ask for their checks and, last, their spectra this
+    way.  An exception that a plan raises is kept whatever its type, and
+    the plan's work ends there, so that the caller can raise the first
+    one in plan order, as running the plans one after another would.
     """
     outcomes = [None] * len(plans)
     replies = dict.fromkeys(range(len(plans)))
@@ -105,9 +109,16 @@ def _run_plans(plans):
                 asked.setdefault(fn, []).append((i, arrays))
         replies = {}
         for fn, requests in asked.items():
-            results = iter(_by_size(fn, [x for _, arrays in requests for x in arrays]))
+            held = {}
             for i, arrays in requests:
-                replies[i] = [next(results) for _ in arrays]
+                replies[i] = [None] * len(arrays)
+                for j, x in enumerate(arrays):
+                    held.setdefault(x.shape, []).append((i, j, x))
+            for group in held.values():
+                stack = np.stack([x for _, _, x in group])
+                for (i, j, _), outcome in zip(group, _whole_or_alone(
+                        fn, stack, (NumericalContractError, ValidationError))):
+                    replies[i][j] = outcome
     return outcomes
 
 
@@ -124,6 +135,8 @@ def supermajorize(a, b, atol=0.0):
         raise ValidationError(f"vectors must be 1-D, got shapes {a.shape} and {b.shape}")
     if a.shape != b.shape:
         raise ValidationError(f"length mismatch: {a.shape} vs {b.shape}")
+    _check_finite(a, "vectors")
+    _check_finite(b, "vectors")
     return bool((np.sort(a).cumsum() >= np.sort(b).cumsum() - atol).all())
 
 
@@ -312,8 +325,9 @@ def additive_lidskii_trial(a, b, index_set, tol=1e-9):
 def _additive_plan(a, b, index_set, tol):
     """An additive trial's plan (see _run_plans): it checks A + B, A and,
     unless B is A, B in one batch, takes their spectra from their factors
-    in a second, and returns the trial's records."""
-    a, b = _real(a, "matrix"), _real(b, "matrix")
+    in a second, and returns the trial's records.  A and B are taken as
+    square matrices first, so that a refusal names their own shapes."""
+    a, b = check_square(a), check_square(b)
     _check_same_size(a, b)
     pd_sum, *pds = yield check_positive_definite, [a + b, a] + ([] if b is a else [b])
     pd_sum = _value(pd_sum)

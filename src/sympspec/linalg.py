@@ -3,13 +3,14 @@
 Everything here is numpy and LAPACK on real float64 arrays.  Routines that
 can fail quietly raise NumericalContractError instead of returning
 garbage: sym_eig checks its residual, subspace_meet its principal
-cosines and _pairing_verdict the pairs of singular values _skew_spectrum
-reads d from, each with one errors._contract call, which a NaN fails,
-and every LAPACK failure raises too.  The skew routes take the exactly
-skew K that core._cholesky_skew builds from a checked factor, so they
-check no input: _skew_spectrum is the values-only SVD of K, over a whole
-stack in one call, and _skew_canonical's d and basis, from the
-Hessenberg band of K, are certified by core.williamson, its one caller.
+cosines and _skew_spectrum the pairs of singular values it reads d from,
+each with one errors._contract call, which a NaN fails, and every LAPACK
+failure raises too.  The skew routes take the exactly skew K that
+core._cholesky_skew builds from a checked factor, so they check no input
+but that K is finite, which _skew_spectrum checks before LAPACK sees it:
+_skew_spectrum is the values-only SVD of K, over a whole stack in one
+call, and _skew_canonical's d and basis, from the Hessenberg band of K,
+are certified by core.williamson, its one caller.
 
 This module is the package's one LAPACK binding; the other modules
 import the handles they call.  numpy.linalg._umath_linalg's gufuncs are
@@ -17,12 +18,10 @@ called without numpy.linalg's wrapper, which costs more than LAPACK at
 the package's sizes, with its signatures and error state: _SVD_F, _SVD_S
 and _SVD (dgesdd: full, reduced, values only), _EIGH (dsyevd, lower
 triangle), _CHOLESKY, _EIGVALS, _QR_R_RAW and _QR_REDUCED (dgeqrf,
-dorgqr).  A call through _factor, on one matrix or on a stack, raises
-the invalid flag, by which a gufunc reports a failed factorization, as
-NumericalContractError (errors._gufunc_failed), the one route of such a
-failure to a caller.  The two stack passes whose matrices keep their
-own verdicts, _paired and core._check_stack, ignore that flag, and each
-matrix's certificate refuses the NaN a failure leaves.
+dorgqr).  Every gufunc call goes through _factor, on one matrix or on a
+stack, which raises the invalid flag, by which a gufunc reports a failed
+factorization, as NumericalContractError (errors._gufunc_failed), the
+one route of such a failure to a caller.
 scipy.linalg._flapack, loaded by _load_flapack() without the init of
 scipy, which costs more than half of a cold CLI start, serves what numpy
 lacks: _GEHRD, _ORGHR, _POCON, _TRTRS and _SYGST, each status through
@@ -30,15 +29,16 @@ errors._lapack.  check_symmetric, the input check of every positive
 definite entry point, is one body for speed.
 
 A routine that takes a stack of matrices gives each the bits it gets
-alone: _skew_spectrum and core.check_positive_definite give a list of
-outcomes, each the matrix's result or the error that refused it
-(errors._value reads one); orthonormal_columns and subspace_meet give
-one stack, and _kept_count, their one count of kept columns, raises
-ConstructionError when the members' counts differ.  _by_size
-stacks a list of arrays by shape, one call per shape; _frobenius takes
-fnorm of every matrix of a stack.  _below(m) is the read-only
-strictly-lower mask of size m, kept per size, which np.where uses in
-place of numpy's triu and tril.
+alone, and builds the whole stack or raises: _skew_spectrum and
+core.check_positive_definite give the list of the members' results and,
+on any sign of failure, take the members one at a time, so that they
+raise the error of the first member refused alone; orthonormal_columns
+and subspace_meet give one stack, and _kept_count, their one count of
+kept columns, raises ConstructionError when the members' counts differ.
+errors._whole_or_alone gives a caller each member's own outcome.
+_frobenius takes fnorm of every matrix of a stack.  _below(m) is the
+read-only strictly-lower mask of size m, kept per size, which np.where
+uses in place of numpy's triu and tril.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .errors import (
     ConstructionError,
     NumericalContractError,
     ValidationError,
-    _attempt,
     _bound,
     _contract,
     _gufunc_failed,
@@ -64,8 +63,6 @@ from .errors import (
 )
 
 EPS = np.finfo(float).eps
-# The verdicts a stack form keeps per matrix of a stack.
-_REFUSALS = (NumericalContractError, ValidationError)
 # numpy.linalg's gufuncs: svd (full, reduced, values only), eigh, cholesky, eigvals, qr.
 _SVD_F, _SVD_S, _SVD = _umath_linalg.svd_f, _umath_linalg.svd_s, _umath_linalg.svd
 _EIGH, _CHOLESKY = _umath_linalg.eigh_lo, _umath_linalg.cholesky_lo
@@ -203,20 +200,6 @@ def check_symmetric(a):
     s = a + t
     s *= 0.5
     return s
-
-
-def _by_size(fn, items):
-    """fn's outcomes for the arrays in items, in their order: the items
-    are stacked by shape, one fn call per shape, and fn maps a stack of
-    m arrays to a list of m outcomes."""
-    held = {}
-    for i, x in enumerate(items):
-        held.setdefault(x.shape, []).append(i)
-    out = [None] * len(items)
-    for idx in held.values():
-        for i, outcome in zip(idx, fn(np.stack([items[i] for i in idx]))):
-            out[i] = outcome
-    return out
 
 
 def _kept_count(kept):
@@ -372,19 +355,25 @@ def _ascending_nonsingular(s):
     return d
 
 
-@np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
-def _paired(k):
-    """(gap, norm, d) of each K of a stack of skew K, from one values-only
-    SVD pass: d descending, norm = ||K||_2, the largest singular value,
-    and gap, the pairing defect, the largest gap inside a pair of
-    singular values, which _pairing_verdict holds to its bound.
+def _skew_spectrum(k):
+    """The d of _skew_canonical(k) alone, with no basis formed, for one
+    skew K of size 2n, or the list of the d of each K of a stack of shape
+    (m, 2n, 2n), with the bits each gets alone, from one guarded
+    values-only SVD pass over the whole stack (_pair_means).  A stack that
+    the pass refuses is taken one K at a time, in order, so that it raises
+    the error of the first K refused alone.
+    """
+    if k.ndim == 2:
+        return _pair_means(k[None])[0]
+    try:
+        return _pair_means(k)
+    except (NumericalContractError, ValidationError):
+        return [_skew_spectrum(x) for x in k]
 
-    The pass is numpy.linalg.svd(k, compute_uv=False) through its gufunc
-    (dgesdd, values only), under numpy's error state except for the
-    invalid flag: a matrix on which dgesdd fails comes back as NaN, which
-    that matrix's pairing defect refuses, where numpy's wrapper would
-    refuse the whole stack at once.  The flag is ignored for the
-    finiteness test too, whose sum meets inf - inf in a skew K.
+
+def _pair_means(k):
+    """The ascending d of each K of a stack of skew K, from one values-only
+    SVD pass through _factor (dgesdd); any refusal raises.
 
     A nonsingular skew K is normal with eigenvalues +-i d, so its singular
     values are d, each twice; d is the mean of each pair.  dgesdd is
@@ -392,41 +381,22 @@ def _paired(k):
     small multiple of eps ||K||_2, and by Weyl's inequality each moves by
     at most ||E||_2.  So each computed pair lies within ||E||_2 of its d
     and its gap is at most 2 ||E||_2, while a K that is not skew has
-    unpaired values.  A K that is not finite enters LAPACK as a zero
-    matrix and gets a NaN gap.
+    unpaired values: the pairing defect, the largest gap inside a pair,
+    is held to errors._bound("pairing defect", ||K||_2), the largest
+    singular value.  A K that is not finite has no pairs, and LAPACK
+    never sees it.
     """
-    # A finite sum of all entries shows every entry finite.
-    finite = None if math.isfinite(k.sum()) else np.isfinite(k).all(axis=(1, 2))
-    if finite is not None:
-        k = np.where(finite[:, None, None], k, 0.0)
-    s = _SVD(k, signature="d->d")
+    if not np.isfinite(k).all():
+        _contract("pairing defect", math.nan, _bound("pairing defect"),
+                  ": skew matrix is not finite")
+    s = _factor(_SVD, "d->d", k)
     top, low = s[:, 0::2], s[:, 1::2]
-    gaps = np.maximum.reduce(top - low, axis=1)
-    if finite is not None:
-        gaps[~finite] = np.nan
-    return list(zip(gaps.tolist(), s[:, 0].tolist(), 0.5 * (top + low)))
-
-
-def _pairing_verdict(gap, norm, d):
-    """d ascending, once the pairing defect gap of a K of 2-norm norm
-    passes errors._bound("pairing defect", norm); a NaN gap fails."""
-    _contract("pairing defect", gap, _bound("pairing defect", norm))
-    return _ascending_nonsingular(d)
-
-
-def _skew_spectrum(k):
-    """The d of _skew_canonical(k) alone, with no basis formed, for one
-    skew K of size 2n or a stack of them of shape (m, 2n, 2n), from one
-    values-only SVD pass over the whole stack (_paired), each matrix's
-    pairs certified by _pairing_verdict.  One K gives its d or raises; a
-    stack gives a list of m outcomes, each matrix's d or the
-    NumericalContractError or ValidationError that refused it
-    (errors._value reads one), so one matrix's refusal is its own.  A
-    matrix gets the same bits alone as in any stack.
-    """
-    if k.ndim == 2:
-        return _pairing_verdict(*_paired(k[None])[0])
-    return [_attempt(_pairing_verdict, *v, caught=_REFUSALS) for v in _paired(k)]
+    spectra = []
+    for gap, norm, d in zip(np.maximum.reduce(top - low, axis=1).tolist(), s[:, 0].tolist(),
+                            0.5 * (top + low)):
+        _contract("pairing defect", gap, _bound("pairing defect", norm))
+        spectra.append(_ascending_nonsingular(d))
+    return spectra
 
 
 def _skew_canonical(k):

@@ -31,8 +31,9 @@ from sympspec.core import (
 from sympspec import errors
 from sympspec.errors import (
     _TOL, _TRIAL_ERRORS, ConstructionError, NumericalContractError, ValidationError,
+    _whole_or_alone,
 )
-from sympspec.extremal import _whole_or_alone, random_orthogonal
+from sympspec.extremal import random_orthogonal
 from sympspec.linalg import (
     fnorm,
     max_principal_angle,
@@ -252,7 +253,7 @@ def test_a_chain_off_its_sharp_space_is_skipped_alone():
     # first is all of R^6): the w drawn there leaves the frame's prime
     # image, which only that chain's residual contract catches.  The
     # stack raises it, on its worst chain, as that chain raises it alone;
-    # the certificates then build each chain alone (extremal._whole_or_alone),
+    # the certificates then build each chain alone (errors._whole_or_alone),
     # and the other two keep every postcondition.
     rng = np.random.default_rng(54)
     n, idx = 3, np.array([1, 3])
@@ -264,11 +265,13 @@ def test_a_chain_off_its_sharp_space_is_skipped_alone():
     stacked = [np.stack(w) for w in zip(*wsharps)]
     with pytest.raises(NumericalContractError, match="constructed vector 1 left its sharp space"):
         _construct(vsharp, vperp, stacked, basis, rng)
-    built = _whole_or_alone(lambda i: _construct(vsharp, vperp, [w[i] for w in stacked], basis, rng),
-                            np.arange(3), _TRIAL_ERRORS)
+    # Each chain's (v, w) as the certificates' builder stacks them.
+    built = _whole_or_alone(
+        lambda i: np.stack(_construct(vsharp, vperp, [w[i] for w in stacked], basis, rng), axis=1),
+        np.arange(3), _TRIAL_ERRORS)
     assert len(built) == 3 and isinstance(built[1], NumericalContractError)
     for c in (0, 2):
-        (vs,), (ws,) = built[c]
+        vs, ws = built[c]
         _assert_postconditions(vs, ws, vchain, wchains[c], basis)
     with pytest.raises(NumericalContractError, match="constructed vector 1 left its sharp space"):
         _construct(vsharp, vperp, wsharps[1], basis, rng)

@@ -99,7 +99,9 @@ def _form_defect_inputs():
 
 def test_form_defect_equals_the_dense_difference_bit_for_bit():
     for x in _form_defect_inputs():
-        dense = fnorm(symplectic_gram(x, x) - symplectic_form(x.shape[1] // 2))
+        # core._gram is symplectic_gram without its input checks, which
+        # refuse the NaN input.
+        dense = fnorm(core._gram(x, x) - symplectic_form(x.shape[1] // 2))
         fast = core._form_defect(x)
         assert fast == dense or (np.isnan(fast) and np.isnan(dense))
 
@@ -674,6 +676,13 @@ def test_a_stacked_check_equals_the_single_check_bit_for_bit(family, n):
         assert got.kappa == want.kappa
 
 
+def _refusal(a):
+    """The message of the error that check_positive_definite(a) raises."""
+    with pytest.raises((ValidationError, NumericalContractError)) as info:
+        core.check_positive_definite(a)
+    return str(info.value)
+
+
 @pytest.mark.filterwarnings("error")
 def test_a_stacked_check_keeps_each_refusal_with_its_matrix():
     rng = np.random.default_rng(17)
@@ -685,7 +694,12 @@ def test_a_stacked_check_keeps_each_refusal_with_its_matrix():
     not_finite[2, 3] = not_finite[3, 2] = np.inf
     stack = np.stack([good[0], asymmetric, -good[1], singular, good[1], not_finite,
                       np.full((4, 4), np.nan), good[2]])
-    outcomes = core.check_positive_definite(stack)
+    # The stack raises what its first refused matrix raises alone, and
+    # errors._whole_or_alone gives every matrix its own outcome.
+    with pytest.raises(ValidationError, match=re.escape(_refusal(asymmetric))):
+        core.check_positive_definite(stack)
+    outcomes = errors._whole_or_alone(core.check_positive_definite, stack,
+                                      (ValidationError, NumericalContractError))
     messages = []
     for got, a in zip(outcomes, stack):
         try:
@@ -706,7 +720,10 @@ def test_a_stacked_check_keeps_a_condition_estimate_failure_with_its_matrix(monk
     stack = np.stack([np.eye(4), 2.0 * np.eye(4), 3.0 * np.eye(4)])
     monkeypatch.setattr(core, "_POCON", lambda low, *args, **kw: (
         (0.0, -4) if low[0, 0] == np.sqrt(2.0) else pocon(low, *args, **kw)))
-    first, second, third = core.check_positive_definite(stack)
+    with pytest.raises(NumericalContractError, match="^condition estimate failed"):
+        core.check_positive_definite(stack)
+    first, second, third = errors._whole_or_alone(core.check_positive_definite, stack,
+                                                  (NumericalContractError,))
     assert type(second) is NumericalContractError
     assert str(second) == "condition estimate failed: LAPACK info -4"
     assert (first.kappa, third.kappa) == (core.check_positive_definite(stack[0]).kappa,
@@ -715,12 +732,19 @@ def test_a_stacked_check_keeps_a_condition_estimate_failure_with_its_matrix(monk
 
 @pytest.mark.parametrize("shape", [(2, 4, 3), (2, 0, 0), (0, 4, 4)])
 def test_a_stack_that_is_not_of_square_matrices_is_checked_matrix_by_matrix(shape):
-    outcomes = core.check_positive_definite(np.zeros(shape))
+    # The stack raises the refusal of its first matrix alone, which names
+    # that matrix's shape; a stack of no matrices checks none.
+    if shape[0] == 0:
+        assert core.check_positive_definite(np.zeros(shape)) == []
+        return
+    with pytest.raises(ValidationError, match=re.escape(_refusal(np.zeros(shape[1:])))):
+        core.check_positive_definite(np.zeros(shape))
+    outcomes = errors._whole_or_alone(core.check_positive_definite, np.zeros(shape),
+                                      (ValidationError,))
     assert len(outcomes) == shape[0]
     for got in outcomes:
         assert type(got) is ValidationError
-        with pytest.raises(ValidationError, match=re.escape(str(got))):
-            core.check_positive_definite(np.zeros(shape[1:]))
+        assert str(got) == _refusal(np.zeros(shape[1:]))
 
 
 @pytest.mark.parametrize("entry", ["check_positive_definite", "williamson", "_pair_floor"])
@@ -908,15 +932,23 @@ def test_every_vector_helper_refuses_what_is_not_real_numbers(helper, vector):
         VECTOR_HELPERS[helper](vector)
 
 
-# The helpers that take a tuple or a subspace basis, each with a finite
-# value of that argument.  A NaN chain member or subspace used to raise
-# "LAPACK factorization failed", a NaN tuple of same_span_trace_check
-# "trace equality violated: gap nan", and tuple_value returned nan.
+# The helpers that take a tuple, a subspace basis or a vector, each with
+# a finite value of that argument.  A NaN chain member or subspace used
+# to raise "LAPACK factorization failed", a NaN tuple of
+# same_span_trace_check "trace equality violated: gap nan", and
+# tuple_value returned nan; the form helpers and the basis methods passed
+# NaN and inf through, SymplecticBasis.coords with a warning, and the
+# majorization predicates answered True or False.
 _COL = _VEC[:, None]
 _FINITE_ROWS = {
     **{name: (VECTOR_HELPERS[name], value) for name, value in [
         ("tuple_value-x", _VEC), ("tuple_value-y", _VEC), ("poincare_witness", _X3),
         ("dual_chain_construct-vchain", _X3), ("dual_chain_construct-wchain", np.eye(4))]},
+    **{name: (VECTOR_HELPERS[name], _VEC) for name in [
+        "prime_coords", "SymplecticBasis.coords", "SymplecticBasis.lift",
+        "SymplecticBasis.prime", "apply_form", "symplectic_inner-x", "symplectic_inner-y",
+        "symplectic_gram-x", "symplectic_gram-y", "supermajorize-a", "supermajorize-b",
+        "majorize-a", "majorize-b"]},
     "same_span_trace_check-x": (lambda x: same_span_trace_check(np.eye(4), x, _COL, _STD), _COL),
     "same_span_trace_check-v": (lambda v: same_span_trace_check(np.eye(4), _COL, v, _STD), _COL),
 }

@@ -2,6 +2,7 @@
 
 import importlib.util
 import pathlib
+import re
 
 import mpmath
 import numpy as np
@@ -353,6 +354,16 @@ def test_mean_and_additive_trial_refuse_matrices_of_different_sizes():
         geometric_mean(a, b)
     with pytest.raises(ValidationError, match="differ in size"):
         additive_lidskii_trial(a, b, [1])
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 3), (2, 4, 4)])
+@pytest.mark.parametrize("which", ["a", "b"])
+def test_additive_trial_names_the_shape_of_a_matrix_that_is_not_square(shape, which):
+    # A and B used to reach the checks stacked, so the refusal named the
+    # shape of the batch: "(2, 4)" for an A of shape (4,).
+    matrices = {"a": np.eye(4), "b": np.eye(4), which: np.ones(shape)}
+    with pytest.raises(ValidationError, match=re.escape(f"must be square, got shape {shape}")):
+        additive_lidskii_trial(matrices["a"], matrices["b"], [1])
 
 
 def test_additive_trial_records_pass_and_include_full_prefix():

@@ -455,8 +455,8 @@ def test_williamson_certifies_a_perturbed_skew_canonical_factor(monkeypatch):
 
 SKEW_ROUTES = {"canonical": linalg._skew_canonical, "spectrum": linalg._skew_spectrum}
 # What each route's refusal of a K that is not finite names: the failure
-# flag of the bidiagonal SVD of the band, or the pairing defect of the
-# SVD of K.
+# flag of the bidiagonal SVD of the band, or the NaN pairing defect of a
+# K that LAPACK never sees.
 ROUTE_CONTRACT = {"canonical": "LAPACK factorization failed", "spectrum": "pairing defect nan"}
 
 
@@ -519,7 +519,8 @@ _RANK_2 = np.random.default_rng(3).standard_normal((4, 2))
 
 # Neither route checks its input, but a K that is not finite cannot
 # yield d: dgehrd leaves a band of NaN, whose SVD raises the gufunc's
-# failure flag, and the SVD of K gives it a NaN pairing defect.  A K that
+# failure flag, and the spectrum route gives it a NaN pairing defect
+# before its SVD.  A K that
 # is not skew has unpaired singular values, which only the spectrum route
 # measures: the one caller of the canonical route, core.williamson, forms
 # its K exactly skew.
@@ -560,8 +561,13 @@ def test_a_non_finite_k_is_refused_before_lapack_and_alone(bad, monkeypatch, cap
         return svd(k, signature=signature)
 
     monkeypatch.setattr(linalg, "_SVD", recording)
-    outcomes = linalg._skew_spectrum(stack)
+    # The whole pass and K 1 alone are refused before the SVD; K 0 alone
+    # is taken first, so the stack raises K 1's refusal.
+    with pytest.raises(NumericalContractError, match="pairing defect nan"):
+        linalg._skew_spectrum(stack)
     assert seen == [True]
+    outcomes = errors._whole_or_alone(linalg._skew_spectrum, stack, (NumericalContractError,))
+    assert all(seen)
     assert capfd.readouterr().err == ""
     assert isinstance(outcomes[1], NumericalContractError)
     assert "pairing defect nan" in str(outcomes[1])
@@ -571,27 +577,31 @@ def test_a_non_finite_k_is_refused_before_lapack_and_alone(bad, monkeypatch, cap
 
 def test_an_svd_failure_refuses_its_own_matrix_only(monkeypatch):
     # numpy's SVD gufunc reports a matrix on which dgesdd fails as NaN
-    # singular values with the invalid flag raised; the flag is ignored
-    # and the NaN fails that matrix's pairing defect.
+    # singular values with the invalid flag raised, here on K 2 in any
+    # stack that holds it; linalg._factor raises the flag, and the stack
+    # raises what K 2 raises alone.
     stack = core._cholesky_skew(_factor_stack(3, 4, np.random.default_rng(8)))
     clean = linalg._skew_spectrum(stack)
     svd = linalg._SVD
 
     def fails_on_2(k, signature):
         s = svd(k, signature=signature)
-        s[2] = np.sqrt(-np.ones(s.shape[1]))
+        hit = (k == stack[2]).all(axis=(1, 2))
+        if hit.any():
+            s[hit] = np.sqrt(-np.ones(s.shape[1]))
         return s
 
     monkeypatch.setattr(linalg, "_SVD", fails_on_2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        outcomes = linalg._skew_spectrum(stack)
+        with pytest.raises(NumericalContractError, match="^LAPACK factorization failed"):
+            linalg._skew_spectrum(stack)
+        outcomes = errors._whole_or_alone(linalg._skew_spectrum, stack,
+                                          (NumericalContractError,))
     assert isinstance(outcomes[2], NumericalContractError)
-    assert str(outcomes[2]).startswith("pairing defect nan")
+    assert str(outcomes[2]).startswith("LAPACK factorization failed")
     for i in (0, 1, 3):
         assert outcomes[i].tobytes() == clean[i].tobytes()
-    with pytest.raises(NumericalContractError, match="pairing defect nan"):
-        errors._value(outcomes[2])
 
 
 def test_unpaired_singular_values_fail_the_pairing_defect(monkeypatch):
@@ -645,7 +655,11 @@ def test_williamson_refuses_the_basis_of_a_faulty_reduction(seed, monkeypatch):
 ], ids=["nan", "not-skew", "zero"])
 def test_a_stack_at_n_9_refuses_each_matrix_alone(k, error, match):
     good = _random_skew(9, np.random.default_rng(6))
-    outcomes = linalg._skew_spectrum(np.stack([good, k, good]))
+    stack = np.stack([good, k, good])
+    with pytest.raises(error, match=match):
+        linalg._skew_spectrum(stack)
+    outcomes = errors._whole_or_alone(linalg._skew_spectrum, stack,
+                                      (NumericalContractError, ValidationError))
     assert isinstance(outcomes[1], error)
     assert re.search(match, str(outcomes[1]))
     assert outcomes[0].tobytes() == outcomes[2].tobytes() == linalg._skew_spectrum(good).tobytes()
@@ -663,7 +677,7 @@ def test_the_spectrum_never_forms_the_band(n, monkeypatch):
     monkeypatch.setattr(linalg, "_GEHRD", _no_band)
     monkeypatch.setattr(linalg, "_ORGHR", _no_band)
     assert linalg._skew_spectrum(k).shape == (n,)
-    assert all(errors._value(d).shape == (n,) for d in linalg._skew_spectrum(stack))
+    assert all(d.shape == (n,) for d in linalg._skew_spectrum(stack))
 
 
 def _diagonal_skew(d, sign):

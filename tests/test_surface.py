@@ -178,14 +178,12 @@ def _called(node, *names):
     return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in names
 
 
-# The gufunc handles linalg binds, and the two stack passes whose
-# matrices keep their own verdicts, so call them outside linalg._factor.
+# The gufunc handles linalg binds.
 _GUFUNC_HANDLES = {"_SVD_F", "_SVD_S", "_SVD", "_EIGH", "_CHOLESKY", "_EIGVALS",
                    "_QR_R_RAW", "_QR_REDUCED"}
-_OWN_VERDICT_PASSES = {("core.py", "_check_stack"), ("linalg.py", "_paired")}
 
 
-def test_every_gufunc_call_but_the_own_verdict_passes_goes_through_factor():
+def test_every_gufunc_call_goes_through_factor():
     # A failed factorization raises the invalid flag, which only _factor
     # turns into NumericalContractError; a handle called anywhere else
     # leaves a NaN that the caller would have to catch by hand.
@@ -194,7 +192,20 @@ def test_every_gufunc_call_but_the_own_verdict_passes_goes_through_factor():
         for node, func in _with_function(tree):
             if _called(node, *_GUFUNC_HANDLES):
                 unguarded.add((name, func))
-    assert unguarded == _OWN_VERDICT_PASSES
+    assert unguarded == set()
+
+
+def test_errors_are_carried_as_values_only_by_the_fallback_and_the_harness():
+    # A stacked routine builds its whole stack or raises; only
+    # errors._whole_or_alone, which takes each member of a stack that
+    # raised alone, and the harness, which turns a trial's error into its
+    # record, return an error in place of a result.
+    carriers = set()
+    for name, tree in _package_trees():
+        for node, func in _with_function(tree):
+            if _called(node, "_attempt"):
+                carriers.add(name if name == "harness.py" else (name, func))
+    assert carriers == {("errors.py", "_whole_or_alone"), "harness.py"}
 
 
 def test_small_float_literals_live_in_the_tolerance_table():
